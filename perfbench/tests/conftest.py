@@ -1,0 +1,6 @@
+"""Make the benchmark's modules and the checked-out fermichain importable."""
+
+import os
+import sys
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
