@@ -18,7 +18,7 @@ import numpy as np
 
 from . import closedforms, dynamics, entropy, fluctuation, lattice, special, transport
 from .lattice import ModeSpec, ReservoirParams
-from .scenarios import _csv_field
+from .scenarios import _csv_field, _max_norm_deviation
 
 
 def _c1():
@@ -55,16 +55,14 @@ def _c3():
     eps = float(lattice.dispersion(k))
     res_a = ReservoirParams(0.5, 0.3)
     res_b = ReservoirParams(0.5, -0.3)
+    modes = [ModeSpec(momentum=k, energy=eps, coupling=float(g_k), dephasing=float(lam))
+             for lam in lam_grid for g_k in g_grid]
+    states = dynamics.lindblad_trajectory(modes, res_a, res_b, t_grid, dt_max=1e-3)
     worst = 0.0
-    for lam in lam_grid:
-        for g_k in g_grid:
-            mode = ModeSpec(momentum=k, energy=eps, coupling=float(g_k),
-                            dephasing=float(lam))
-            states = dynamics.lindblad_trajectory(mode, res_a, res_b, t_grid,
-                                                  dt_max=1e-3)
-            for j, t in enumerate(t_grid):
-                ref = dynamics.density_matrix(mode, res_a, res_b, float(t))
-                worst = max(worst, float(np.max(np.abs(states[j] - ref))))
+    for mode, traj in zip(modes, states):
+        for j, t in enumerate(t_grid):
+            ref = dynamics.density_matrix(mode, res_a, res_b, float(t))
+            worst = max(worst, float(np.max(np.abs(traj[j] - ref))))
     elapsed = time.perf_counter() - tic
     ok = worst < 1e-8 and elapsed < 120.0
     return ok, "max entrywise gap %.2e over 10x10x10 grid in %.1fs" % (worst, elapsed)
@@ -165,14 +163,6 @@ def _c7():
     return worst < 1e-8, "max |closed - quadrature| = %.2e" % worst
 
 
-def _max_norm_dev(series, reference) -> float:
-    series = np.asarray(series)
-    reference = np.asarray(reference)
-    scale = float(np.max(np.abs(reference)))
-    gap = float(np.max(np.abs(series - reference)))
-    return gap / scale if scale > 0.0 else gap
-
-
 def _c8_deviation(temp: float, mu: float, t_grid, lam: float, g: float) -> float:
     res = ReservoirParams(temp, mu)
     n_quad = [transport.nbar(float(t), res, lam, g) for t in t_grid]
@@ -181,7 +171,7 @@ def _c8_deviation(temp: float, mu: float, t_grid, lam: float, g: float) -> float
                 for t in t_grid]
     e_series = [closedforms.ebar_fd_sommerfeld(float(t), res, lam, g).value
                 for t in t_grid]
-    return max(_max_norm_dev(n_series, n_quad), _max_norm_dev(e_series, e_quad))
+    return max(_max_norm_deviation(n_series, n_quad), _max_norm_deviation(e_series, e_quad))
 
 
 def _c8():

@@ -165,7 +165,7 @@ class ModeSpec:
     def __post_init__(self):
         if not 0.0 <= self.momentum <= math.pi:
             raise ValueError("momentum outside [0, pi]")
-        if self.dephasing < 0.0:
+        if not self.dephasing >= 0.0:
             raise ValueError("dephasing rate must be >= 0")
 
     @classmethod

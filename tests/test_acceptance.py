@@ -1,8 +1,8 @@
 """Release gate: every shipped claim re-checked at its stated tolerance.
 
 Each criterion prints its own PASS/FAIL line (run with -s to see them all
-even on success).  The slow entry is the stepper cross-check; the whole
-gate stays under about twenty seconds.
+even on success).  The whole gate takes a few seconds; no single
+criterion takes more than about one.
 """
 
 import pytest

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fermichain import (
+    IntegrationError,
     ModeSpec,
     ReservoirParams,
     coherence_ab,
@@ -215,3 +216,57 @@ def test_trajectory_rejects_bad_grid():
     with pytest.raises(ValueError):
         lindblad_trajectory(m, ReservoirParams(1.0), ReservoirParams(1.0),
                             [1.0, 0.5], dt_max=1e-3)
+
+
+def _res_pair():
+    return ReservoirParams(0.5, 0.3), ReservoirParams(0.5, -0.3)
+
+
+@pytest.mark.parametrize("t_grid", [[math.nan], [1.0, math.nan], [1.0, math.inf], []])
+def test_trajectory_rejects_non_finite_or_empty_grid(t_grid):
+    with pytest.raises(ValueError, match="t_grid"):
+        lindblad_trajectory(_mode(), *_res_pair(), t_grid, dt_max=1e-3)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_oracle_rejects_bad_time(t):
+    with pytest.raises(ValueError, match="t_grid"):
+        lindblad_oracle(_mode(), *_res_pair(), t, dt_max=1e-3)
+
+
+@pytest.mark.parametrize("dt_max", [math.nan, math.inf, 0.0, -1e-3])
+def test_trajectory_rejects_bad_dt_max(dt_max):
+    with pytest.raises(ValueError, match="dt_max"):
+        lindblad_trajectory(_mode(), *_res_pair(), [1.0], dt_max=dt_max)
+
+
+def test_trajectory_batch_matches_single_mode_calls():
+    modes = [_mode(coupling=g, dephasing=lam, energy=eps)
+             for lam, g, eps in [(0.0, 1.0, -1.0), (0.4, 0.3, 0.5),
+                                 (1.0, 2.0, 1.7), (0.1, 0.0, -2.0)]]
+    t_grid = [0.0, 0.7, 2.5]
+    batch = lindblad_trajectory(modes, *_res_pair(), t_grid, dt_max=1e-3)
+    for mode, traj in zip(modes, batch):
+        single = lindblad_trajectory(mode, *_res_pair(), t_grid, dt_max=1e-3)
+        np.testing.assert_allclose(traj, single, rtol=0.0, atol=1e-12)
+
+
+def test_trajectory_output_shapes():
+    t_grid = [0.5, 1.0, 1.5]
+    assert lindblad_trajectory(_mode(), *_res_pair(), t_grid).shape == (3, 4, 4)
+    assert lindblad_trajectory([_mode()], *_res_pair(), t_grid).shape == (1, 3, 4, 4)
+    modes = (_mode(), _mode(coupling=0.5), _mode(dephasing=0.2))
+    assert lindblad_trajectory(modes, *_res_pair(), t_grid).shape == (3, 3, 4, 4)
+
+
+def test_trajectory_rejects_empty_batch():
+    with pytest.raises(ValueError, match="empty"):
+        lindblad_trajectory([], *_res_pair(), [1.0])
+
+
+@pytest.mark.filterwarnings("ignore:.*in matmul:RuntimeWarning")
+def test_trajectory_unstable_mode_in_batch_raises():
+    # g * dt_max = 10 lies far outside the RK4 stability region
+    modes = [_mode(coupling=1.0), _mode(coupling=1e4), _mode(coupling=0.5)]
+    with pytest.raises(IntegrationError, match="mode 1"):
+        lindblad_trajectory(modes, *_res_pair(), [1.0], dt_max=1e-3)

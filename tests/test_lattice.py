@@ -6,6 +6,7 @@ import pytest
 from fermichain import (
     BipartitePreparation,
     BoltzmannRangeError,
+    ModeSpec,
     ReservoirParams,
     band_gap_ev,
     boltzmann_validity,
@@ -155,3 +156,9 @@ def test_preparation_flags_large_gradients():
     quiet = BipartitePreparation(base=ReservoirParams(temperature=1.0, mu=0.5),
                                  delta_t=0.01, delta_mu=0.001)
     assert quiet.within_linear_response
+
+
+@pytest.mark.parametrize("dephasing", [-0.1, math.nan])
+def test_mode_spec_rejects_bad_dephasing(dephasing):
+    with pytest.raises(ValueError, match="dephasing"):
+        ModeSpec(momentum=1.0, energy=0.0, coupling=1.0, dephasing=dephasing)
