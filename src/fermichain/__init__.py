@@ -9,18 +9,19 @@ cross-checkable against brute-force integration at runtime.
 """
 
 from .lattice import (KB_EV_PER_K, BipartitePreparation, BoltzmannRangeError,
-                      BoltzmannValidity, ModeSpec, ReservoirParams, UnitSystem,
-                      band_gap_ev, boltzmann_validity, dispersion,
-                      effective_coupling, log_occupation_fd, log_vacancy_fd,
-                      occupation_boltzmann, occupation_fd)
+                      BoltzmannValidity, ModeSpec, ReservoirParams, band_gap_ev,
+                      boltzmann_validity, dispersion, effective_coupling,
+                      log_occupation_fd, log_vacancy_fd, occupation_boltzmann,
+                      occupation_fd)
 from .dynamics import (IntegrationError, coherence_ab, density_matrix,
                        density_matrix_from_occupations, lindblad_oracle,
                        lindblad_trajectory, occ_a, occ_b, reduced_density)
 from .transport import (STATS_BOLTZMANN, STATS_FD, EquilibriumUndefinedError,
                         OnsagerBlock, ParticleHeatFlux, QuadratureError,
-                        QuadratureSpec, TransportPoint, ebar, fluxes,
-                        integrate_band, integrate_interval, nbar, onsager, qbar)
-from .special import (SpecialFnTable, bessel_i, bessel_j, beta_fn, chebyshev_v)
+                        QuadratureSpec, TransportPoint, counters, ebar,
+                        fluxes, integrate_band, integrate_interval, nbar,
+                        onsager, qbar)
+from .special import SpecialFnTable, bessel_i, bessel_j, beta_fn
 from .closedforms import (SeriesConvergenceError, SeriesResult,
                           ebar_boltzmann_closed, ebar_fd_sommerfeld,
                           equilibrium_sommerfeld_onsager, nbar_boltzmann_closed,

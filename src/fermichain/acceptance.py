@@ -156,17 +156,16 @@ def _c7():
     worst = 0.0
     for t in (0.5, 2.0, 8.0):
         n_closed = closedforms.nbar_boltzmann_closed(t, res, lam, g)
-        n_quad = transport.nbar(t, res, lam, g, stats=transport.STATS_BOLTZMANN)
         e_closed = closedforms.ebar_boltzmann_closed(t, res, lam, g)
-        e_quad = transport.ebar(t, res, lam, g, stats=transport.STATS_BOLTZMANN)
+        n_quad, e_quad = transport.counters(t, res, lam, g,
+                                            stats=transport.STATS_BOLTZMANN)
         worst = max(worst, abs(n_closed - n_quad), abs(e_closed - e_quad))
     return worst < 1e-8, "max |closed - quadrature| = %.2e" % worst
 
 
 def _c8_deviation(temp: float, mu: float, t_grid, lam: float, g: float) -> float:
     res = ReservoirParams(temp, mu)
-    n_quad = [transport.nbar(float(t), res, lam, g) for t in t_grid]
-    e_quad = [transport.ebar(float(t), res, lam, g) for t in t_grid]
+    n_quad, e_quad = zip(*(transport.counters(float(t), res, lam, g) for t in t_grid))
     n_series = [closedforms.nbar_fd_sommerfeld(float(t), res, lam, g).value
                 for t in t_grid]
     e_series = [closedforms.ebar_fd_sommerfeld(float(t), res, lam, g).value

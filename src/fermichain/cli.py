@@ -15,7 +15,8 @@ def _add_shared_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--tol", type=float, metavar="TOL",
                         help="quadrature tolerance override")
     parser.add_argument("--threads", type=int, metavar="N",
-                        help="worker threads; output is identical for any value")
+                        help="accepted for compatibility; has no effect, "
+                             "every run is single-threaded")
     parser.add_argument("--stats", choices=(transport.STATS_FD,
                                             transport.STATS_BOLTZMANN),
                         help="reservoir statistics override")

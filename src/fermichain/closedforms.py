@@ -52,8 +52,8 @@ from dataclasses import dataclass
 
 from .lattice import ReservoirParams
 from .special import SpecialFnTable, beta_fn, bessel_i
-from .transport import (EquilibriumUndefinedError, OnsagerBlock, QuadratureSpec,
-                        TransportPoint, integrate_interval)
+from .transport import (OnsagerBlock, QuadratureSpec, TransportPoint,
+                        _time_layout, integrate_interval)
 
 import numpy as np
 
@@ -75,16 +75,9 @@ class SeriesResult:
     converged: bool
 
 
-def _scalar_damping(t: float, dephasing: float) -> float:
-    if t < 0.0:
-        raise ValueError("time must be >= 0")
-    if math.isinf(t):
-        if dephasing <= 0.0:
-            raise EquilibriumUndefinedError(
-                "t = inf with lam = 0 has no limit; the mode oscillates forever")
-        return 0.0
-    e = math.exp(-dephasing * t)
-    return e if e > 1e-280 else 0.0
+def _damping(t: float, dephasing: float) -> float:
+    """exp(-lam t), validated and floored exactly as the quadrature sees it."""
+    return float(_time_layout(t, dephasing)[1][0])
 
 
 def omega_defining_integral(nu: int, x: float, y: float, tol: float = 1e-12) -> SeriesResult:
@@ -169,7 +162,7 @@ def _check_boltzmann_prefactor(res: ReservoirParams) -> float:
 def nbar_boltzmann_closed(t: float, res: ReservoirParams, dephasing: float,
                           g: float) -> float:
     """Exact Boltzmann-statistics particle counter (no truncation error)."""
-    damping = _scalar_damping(t, dephasing)
+    damping = _damping(t, dephasing)
     pref = _check_boltzmann_prefactor(res)
     y = 2.0 * res.beta
     osc = damping * omega(0, 2.0 * g * t, y).value if damping > 0.0 else 0.0
@@ -179,7 +172,7 @@ def nbar_boltzmann_closed(t: float, res: ReservoirParams, dephasing: float,
 def ebar_boltzmann_closed(t: float, res: ReservoirParams, dephasing: float,
                           g: float) -> float:
     """Exact Boltzmann-statistics energy counter."""
-    damping = _scalar_damping(t, dephasing)
+    damping = _damping(t, dephasing)
     pref = _check_boltzmann_prefactor(res)
     y = 2.0 * res.beta
     osc = damping * omega(1, 2.0 * g * t, y).value if damping > 0.0 else 0.0
@@ -249,7 +242,7 @@ def nbar_fd_sommerfeld(t: float, res: ReservoirParams, dephasing: float, g: floa
     the band; accuracy degrades as T or |mu| grow toward the band edge.
     """
     _check_sommerfeld_args(res, n_max)
-    damping = _scalar_damping(t, dephasing)
+    damping = _damping(t, dephasing)
     theta = math.acos(-0.5 * res.mu)
     temp = res.temperature
     series_tail = 0.0
@@ -281,7 +274,7 @@ def ebar_fd_sommerfeld(t: float, res: ReservoirParams, dephasing: float, g: floa
                        n_max: int = 25, tol: float = 1e-12) -> SeriesResult:
     """Low-temperature energy counter for Fermi-Dirac statistics."""
     _check_sommerfeld_args(res, n_max)
-    damping = _scalar_damping(t, dephasing)
+    damping = _damping(t, dephasing)
     theta = math.acos(-0.5 * res.mu)
     temp = res.temperature
     series_tail = 0.0

@@ -38,24 +38,6 @@ class BoltzmannRangeError(ValueError):
 
 
 @dataclass(frozen=True)
-class UnitSystem:
-    """Internal unit convention: every scale is expressed through alpha.
-
-    All three constants are fixed to 1; energies are in units of alpha,
-    temperatures in alpha/k_B, times in hbar/alpha.  Only reporting helpers
-    such as :func:`band_gap_ev` leave this system.
-    """
-
-    alpha: float = 1.0
-    k_boltzmann: float = 1.0
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        if not (self.alpha == self.k_boltzmann == self.hbar == 1.0):
-            raise ValueError("unit system is fixed to alpha = k_B = hbar = 1")
-
-
-@dataclass(frozen=True)
 class ReservoirParams:
     """Grand-canonical reservoir: temperature and chemical potential.
 
@@ -165,6 +147,10 @@ class ModeSpec:
     def __post_init__(self):
         if not 0.0 <= self.momentum <= math.pi:
             raise ValueError("momentum outside [0, pi]")
+        if math.isnan(self.energy):
+            raise ValueError("mode energy must not be NaN")
+        if not math.isfinite(self.coupling):
+            raise ValueError("mode coupling must be finite, got %r" % self.coupling)
         if not self.dephasing >= 0.0:
             raise ValueError("dephasing rate must be >= 0")
 

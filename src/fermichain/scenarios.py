@@ -4,10 +4,11 @@ Each scenario computes a small set of panels (one CSV file per panel) with
 the independent variable in the first column and unit-annotated headers,
 e.g. "J_QT[alpha^2]".  Energies are in units of the hopping scale alpha,
 times in 1/alpha, entropies in k_B.  Output is written RFC-4180 style with
-UTF-8 text, LF line endings, and a fixed significant-digit format, and is
-byte-identical for any thread count: work items are dispatched to a pool
-but collected strictly in submission order, and every reduction inside a
-work item has a fixed association.
+UTF-8 text, LF line endings, and a fixed significant-digit format.  Every
+builder evaluates its grid points in order on the calling thread, and every
+reduction has a fixed association, so output is byte-reproducible.  The
+``threads`` config field is validated but has no effect; it is kept so that
+existing configs still parse.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import json
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -166,7 +166,7 @@ def _warn_if_beyond_linear_response(cfg: ScenarioConfig):
 
 
 # ---------------------------------------------------------------------------
-# results, parallel map, CSV writing
+# results and CSV writing
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -208,14 +208,6 @@ class ScenarioResult:
     scenario: str
     panels: tuple
     reports: tuple = ()
-
-
-def _pmap(fn, items, threads: int):
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))  # submission order, not completion order
 
 
 def _tag(value: float) -> str:
@@ -281,10 +273,9 @@ def _ons1(cfg: ScenarioConfig) -> ScenarioResult:
     quad = cfg.quad()
     panels = []
     for temp in temps:
-        blocks = _pmap(
-            lambda m: transport.onsager(math.inf, ReservoirParams(temp, m),
-                                        cfg.dephasing, cfg.g, quad, cfg.stats),
-            mu_grid, cfg.threads)
+        blocks = [transport.onsager(math.inf, ReservoirParams(temp, m),
+                                    cfg.dephasing, cfg.g, quad, cfg.stats)
+                  for m in mu_grid]
         panels.append(Panel(name="T%s" % _tag(temp),
                             headers=("mu[alpha]",) + _J_HEADERS,
                             columns=(mu_grid,) + _block_columns(blocks)))
@@ -301,9 +292,8 @@ def _onsevo1(cfg: ScenarioConfig) -> ScenarioResult:
     panels = []
     for mu in mus:
         res = ReservoirParams(temp, mu)
-        blocks = _pmap(
-            lambda t: transport.onsager(float(t), res, lam, cfg.g, quad, cfg.stats),
-            t_grid, cfg.threads)
+        blocks = [transport.onsager(float(t), res, lam, cfg.g, quad, cfg.stats)
+                  for t in t_grid]
         panels.append(Panel(name="mu%s" % _tag(mu),
                             headers=("t[1/alpha]",) + _J_HEADERS,
                             columns=(t_grid,) + _block_columns(blocks)))
@@ -319,9 +309,8 @@ def _onsevo2(cfg: ScenarioConfig) -> ScenarioResult:
     quad = cfg.quad()
     panels = []
     for lam in lams:
-        blocks = _pmap(
-            lambda t: transport.onsager(float(t), res, lam, cfg.g, quad, cfg.stats),
-            t_grid, cfg.threads)
+        blocks = [transport.onsager(float(t), res, lam, cfg.g, quad, cfg.stats)
+                  for t in t_grid]
         panels.append(Panel(name="lam%s" % _tag(lam),
                             headers=("t[1/alpha]",) + _J_HEADERS,
                             columns=(t_grid,) + _block_columns(blocks)))
@@ -399,10 +388,9 @@ def _onsteste1(cfg: ScenarioConfig) -> ScenarioResult:
     panels = []
     reports = []
     for temp in temps:
-        blocks = _pmap(
-            lambda m: transport.onsager(math.inf, ReservoirParams(temp, m),
-                                        cfg.dephasing, cfg.g, quad, cfg.stats),
-            mu_grid, cfg.threads)
+        blocks = [transport.onsager(math.inf, ReservoirParams(temp, m),
+                                    cfg.dephasing, cfg.g, quad, cfg.stats)
+                  for m in mu_grid]
         closed = [closedforms.equilibrium_sommerfeld_onsager(ReservoirParams(temp, m))
                   for m in mu_grid]
         quad_cols = _block_columns(blocks)
@@ -438,12 +426,11 @@ def _onsteste2(cfg: ScenarioConfig) -> ScenarioResult:
 
         def point(t):
             t = float(t)
-            return (transport.nbar(t, res, lam, cfg.g, quad),
-                    transport.ebar(t, res, lam, cfg.g, quad),
-                    closedforms.nbar_fd_sommerfeld(t, res, lam, cfg.g, cfg.n_max).value,
-                    closedforms.ebar_fd_sommerfeld(t, res, lam, cfg.g, cfg.n_max).value)
+            return transport.counters(t, res, lam, cfg.g, quad) + (
+                closedforms.nbar_fd_sommerfeld(t, res, lam, cfg.g, cfg.n_max).value,
+                closedforms.ebar_fd_sommerfeld(t, res, lam, cfg.g, cfg.n_max).value)
 
-        rows = _pmap(point, t_grid, cfg.threads)
+        rows = [point(t) for t in t_grid]
         n_quad, e_quad, n_series, e_series = (np.array(col) for col in zip(*rows))
         name = "mu%s" % _tag(mu)
         reports.append(ComparisonReport(panel=name, quantity="N",
@@ -471,14 +458,13 @@ def _custom(cfg: ScenarioConfig) -> ScenarioResult:
 
     def point(t):
         t = float(t)
-        n = transport.nbar(t, res, cfg.dephasing, cfg.g, quad, cfg.stats)
-        e = transport.ebar(t, res, cfg.dephasing, cfg.g, quad, cfg.stats)
+        n, e = transport.counters(t, res, cfg.dephasing, cfg.g, quad, cfg.stats)
         block = transport.onsager(t, res, cfg.dephasing, cfg.g, quad, cfg.stats)
         flux = transport.fluxes(block, cfg.delta_mu, cfg.delta_t)
         return (n, e, e - cfg.mu * n, block.j_n_mu, block.j_n_t, block.j_q_mu,
                 block.j_q_t, flux.j_particle, flux.j_heat)
 
-    rows = _pmap(point, t_grid, cfg.threads)
+    rows = [point(t) for t in t_grid]
     columns = tuple(np.array(col) for col in zip(*rows))
     headers = ("t[1/alpha]", "N[1]", "E[alpha]", "Q[alpha]") + _J_HEADERS + (
         "flux_N[1]", "flux_Q[alpha]")

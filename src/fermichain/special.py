@@ -10,8 +10,7 @@ library:
                          |x| <= 100, 0 <= n <= 60 (validated range).
     bessel_i(n, y)       modified I_n; relative error < 1e-12 for |y| <= 100,
                          0 <= n <= 60.
-    chebyshev_v(n, x)    third-kind Chebyshev polynomial,
-                         V_n(cos th) = cos((n + 1/2) th) / cos(th/2), |x| <= 1.
+    SpecialFnTable       J_0..J_n at one argument, from one pass.
 
 J_n uses the ascending series for small argument and a downward (Miller)
 recurrence normalized by J_0 + 2 J_2 + 2 J_4 + ... = 1 otherwise; I_n uses
@@ -110,80 +109,34 @@ def bessel_i(n: int, y: float) -> float:
     return sign * total
 
 
-def chebyshev_v(n: int, x: float) -> float:
-    """Third-kind Chebyshev polynomial V_n(x) on [-1, 1].
-
-    V_0 = 1, V_1 = 2x - 1, V_{k+1} = 2x V_k - V_{k-1}; equivalently
-    V_n(cos th) = cos((n + 1/2) th) / cos(th / 2).
-    """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError("degree must be a non-negative integer")
-    if abs(x) > 1.0 + 1e-12:
-        raise ValueError("argument outside [-1, 1]")
-    x = min(1.0, max(-1.0, float(x)))
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 2.0 * x - 1.0
-    for _ in range(n - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur
-
-
 class SpecialFnTable:
-    """Cached orders of J, I, V at fixed arguments.
+    """Cached orders J_0..J_max_order of the Bessel function at one argument.
 
-    Build once per (argument, max order) and read repeatedly; the Bessel-J
-    column comes from a single downward-recurrence pass, so filling the table
-    costs no more than the highest order requested.
+    Build once per (argument, max order) and read repeatedly; the column
+    comes from a single downward-recurrence pass (or the ascending series
+    at small argument), so filling the table costs no more than the highest
+    order requested.
     """
 
-    def __init__(self, max_order: int, x_bessel_j: float | None = None,
-                 y_bessel_i: float | None = None, x_chebyshev: float | None = None):
+    def __init__(self, max_order: int, x_bessel_j: float):
         if max_order < 0:
             raise ValueError("max_order must be >= 0")
+        if abs(x_bessel_j) > _J_MAX_ARG or max_order > _J_MAX_ORDER:
+            raise ValueError("outside validated Bessel range")
         self.max_order = int(max_order)
-        self._j = self._i = self._v = None
-        if x_bessel_j is not None:
-            if abs(x_bessel_j) > _J_MAX_ARG or max_order > _J_MAX_ORDER:
-                raise ValueError("outside validated Bessel range")
-            xa = abs(float(x_bessel_j))
-            if xa == 0.0:
-                col = np.zeros(max_order + 1)
-                col[0] = 1.0
-            elif xa < _J_SERIES_CUTOFF:
-                col = np.array([_bessel_j_series(m, xa) for m in range(max_order + 1)])
-            else:
-                col = _bessel_j_all_positive(xa, max_order)
-            if x_bessel_j < 0.0:
-                col = col * np.where(np.arange(max_order + 1) % 2, -1.0, 1.0)
-            self._j = col
-        if y_bessel_i is not None:
-            self._i = np.array([bessel_i(m, y_bessel_i) for m in range(max_order + 1)])
-        if x_chebyshev is not None:
-            x = float(x_chebyshev)
-            if abs(x) > 1.0 + 1e-12:
-                raise ValueError("Chebyshev argument outside [-1, 1]")
-            x = min(1.0, max(-1.0, x))
-            col = np.empty(max_order + 1)
+        xa = abs(float(x_bessel_j))
+        if xa == 0.0:
+            col = np.zeros(max_order + 1)
             col[0] = 1.0
-            if max_order >= 1:
-                col[1] = 2.0 * x - 1.0
-            for m in range(2, max_order + 1):
-                col[m] = 2.0 * x * col[m - 1] - col[m - 2]
-            self._v = col
-
-    def _read(self, table, n: int) -> float:
-        if table is None:
-            raise ValueError("this table was not built for that function")
-        if not 0 <= n <= self.max_order:
-            raise ValueError("order outside table range")
-        return float(table[n])
+        elif xa < _J_SERIES_CUTOFF:
+            col = np.array([_bessel_j_series(m, xa) for m in range(max_order + 1)])
+        else:
+            col = _bessel_j_all_positive(xa, max_order)
+        if x_bessel_j < 0.0:
+            col = col * np.where(np.arange(max_order + 1) % 2, -1.0, 1.0)
+        self._j = col
 
     def j(self, n: int) -> float:
-        return self._read(self._j, n)
-
-    def i(self, n: int) -> float:
-        return self._read(self._i, n)
-
-    def v(self, n: int) -> float:
-        return self._read(self._v, n)
+        if not 0 <= n <= self.max_order:
+            raise ValueError("order outside table range")
+        return float(self._j[n])

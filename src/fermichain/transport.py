@@ -25,11 +25,17 @@ Requesting t = inf with lam > 0 returns the damped limit (the oscillating
 term is gone); with lam = 0 there is no stationary state and the request is
 rejected with EquilibriumUndefinedError.
 
-Quadrature is a composite Gauss-Legendre panel rule with deterministic
-fixed-order reduction; the panel count is doubled until two successive
-levels agree, and never starts below ~4 g t panels so the oscillation is
-resolved.  Identical inputs give bit-identical results regardless of any
-outer threading.
+Every band integral goes through one path, ``_band_average``: the kernels
+of a quantity are stacked and converged together on shared nodes.
+``counters`` integrates [n, eps n] in one quadrature and ``nbar``, ``ebar``
+and ``qbar`` are views onto it; ``onsager`` stacks its four derivative
+kernels the same way.  Quadrature is a composite Gauss-Legendre panel rule
+with deterministic fixed-order reduction; the panel count is doubled until
+two successive levels agree, and never starts below ~4 g t panels so the
+oscillation is resolved.  Identical inputs give bit-identical results.
+
+Times must be >= 0 and not NaN, and the dephasing rate finite and >= 0;
+``_time_layout`` enforces this for transport and the closed forms alike.
 """
 
 from __future__ import annotations
@@ -73,8 +79,10 @@ class QuadratureSpec:
     base_panels: int = 32
 
     def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol < 0.0:
-            raise ValueError("tolerances must be positive")
+        if not 0.0 < self.abs_tol < math.inf:
+            raise ValueError("abs_tol must be finite and > 0, got %r" % self.abs_tol)
+        if not 0.0 <= self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be finite and >= 0, got %r" % self.rel_tol)
         if self.nodes_per_panel < 2 or self.base_panels < 1:
             raise ValueError("need at least 2 nodes and 1 panel")
         if self.max_panels < self.base_panels:
@@ -122,7 +130,7 @@ def integrate_interval(f, a: float, b: float, quad: QuadratureSpec = DEFAULT_QUA
         vals = np.asarray(f(nodes))
         vals = vals.reshape(vals.shape[:-1] + (panels, quad.nodes_per_panel))
         # reduce within panels first, then across panels in index order:
-        # fixed association makes the sum independent of any outer threading
+        # fixed association keeps the sum bit-reproducible
         per_panel = (vals * w0).sum(axis=-1) * half
         total = np.add.reduce(per_panel, axis=-1)
         if prev is not None:
@@ -163,12 +171,17 @@ def _time_layout(t, dephasing: float):
     """Damping amplitudes and oscillation scale for scalar-or-array t.
 
     Returns (t_array, damping_array, scalar_flag, t_osc) where t_osc is the
-    largest time whose oscillating term still contributes.
+    largest time whose oscillating term still contributes.  Rejects NaN or
+    negative t and NaN, negative or infinite dephasing.
     """
     scalar = np.isscalar(t) or np.ndim(t) == 0
     tarr = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(np.isnan(tarr)):
+        raise ValueError("time must not be NaN")
     if np.any(tarr < 0.0):
         raise ValueError("time must be >= 0")
+    if not 0.0 <= dephasing < math.inf:
+        raise ValueError("dephasing rate must be finite and >= 0, got %r" % dephasing)
     if np.any(np.isinf(tarr)):
         if dephasing <= 0.0:
             raise EquilibriumUndefinedError(
@@ -196,46 +209,58 @@ def _osc_panels(g: float, t_osc: float) -> int:
     return max(1, int(math.ceil(4.0 * abs(g) * t_osc)))
 
 
-def nbar(t, res: ReservoirParams, dephasing: float, g: float,
-         quad: QuadratureSpec = DEFAULT_QUAD, stats: str = STATS_FD):
-    """Per-site particle transfer counter at time t (scalar or array).
+def _band_average(kernels, t, res: ReservoirParams, dephasing: float, g: float,
+                  quad: QuadratureSpec, stats: str):
+    """(1/pi) int_0^pi kernel(eps_k) D(k, t) dk for each row of kernels.
 
-    t = inf (scalar) with dephasing > 0 gives the damped limit
-    -(1/pi) int nbar dk.
+    ``kernels(eps, occ, stats)`` returns the stacked kernels, shaped
+    (n_kernels, n_k); all of them share nodes and converge together.  Each
+    result is a float for scalar t and an array over t otherwise.
     """
     stats = _normalize_stats(stats)
     tarr, damping, scalar, t_osc = _time_layout(t, dephasing)
 
     def f(k):
-        occ = _occupation(stats, -2.0 * np.cos(k), res)
-        return occ[None, :] * _relaxation_factor(k, tarr, damping, g)
+        eps = -2.0 * np.cos(k)
+        rows = kernels(eps, _occupation(stats, eps, res), stats)
+        return rows[:, None, :] * _relaxation_factor(k, tarr, damping, g)
 
     val, _ = integrate_band(f, quad, _osc_panels(g, t_osc))
     val = val / math.pi
-    return float(val[0]) if scalar else val
+    return [float(v[0]) for v in val] if scalar else list(val)
+
+
+def _counter_kernels(eps, occ, stats):
+    return np.stack([occ, eps * occ])
+
+
+def counters(t, res: ReservoirParams, dephasing: float, g: float,
+             quad: QuadratureSpec = DEFAULT_QUAD, stats: str = STATS_FD):
+    """Particle and energy counters (nbar, ebar) from one quadrature.
+
+    t = inf (scalar) with dephasing > 0 gives the damped limits, e.g.
+    nbar = -(1/pi) int nbar(eps_k) dk.
+    """
+    return tuple(_band_average(_counter_kernels, t, res, dephasing, g, quad, stats))
+
+
+def nbar(t, res: ReservoirParams, dephasing: float, g: float,
+         quad: QuadratureSpec = DEFAULT_QUAD, stats: str = STATS_FD):
+    """Per-site particle transfer counter at time t (scalar or array)."""
+    return counters(t, res, dephasing, g, quad, stats)[0]
 
 
 def ebar(t, res: ReservoirParams, dephasing: float, g: float,
          quad: QuadratureSpec = DEFAULT_QUAD, stats: str = STATS_FD):
     """Per-site energy transfer counter at time t (scalar or array)."""
-    stats = _normalize_stats(stats)
-    tarr, damping, scalar, t_osc = _time_layout(t, dephasing)
-
-    def f(k):
-        eps = -2.0 * np.cos(k)
-        occ = _occupation(stats, eps, res)
-        return (eps * occ)[None, :] * _relaxation_factor(k, tarr, damping, g)
-
-    val, _ = integrate_band(f, quad, _osc_panels(g, t_osc))
-    val = val / math.pi
-    return float(val[0]) if scalar else val
+    return counters(t, res, dephasing, g, quad, stats)[1]
 
 
 def qbar(t, res: ReservoirParams, dephasing: float, g: float,
          quad: QuadratureSpec = DEFAULT_QUAD, stats: str = STATS_FD):
     """Heat counter qbar = ebar - mu * nbar (exact composition)."""
-    return (ebar(t, res, dephasing, g, quad, stats)
-            - res.mu * nbar(t, res, dephasing, g, quad, stats))
+    n, e = counters(t, res, dephasing, g, quad, stats)
+    return e - res.mu * n
 
 
 @dataclass(frozen=True)
@@ -278,33 +303,21 @@ def onsager(t, res: ReservoirParams, dephasing: float, g: float,
     All four integrands share nodes and are converged together, so the block
     is internally consistent at the quadrature tolerance.
     """
-    stats = _normalize_stats(stats)
-    tarr, damping, scalar, t_osc = _time_layout(t, dephasing)
     temp = res.temperature
 
-    def f(k):
-        eps = -2.0 * np.cos(k)
-        occ = _occupation(stats, eps, res)
+    def kernels(eps, occ, stats):
         if stats == STATS_FD:
             dn_dmu = occ * (1.0 - occ) / temp
         else:
             dn_dmu = occ / temp
         w = eps - res.mu
         dn_dt = w * dn_dmu / temp
-        relax = _relaxation_factor(k, tarr, damping, g)
-        kernels = np.stack([dn_dmu, dn_dt, w * dn_dmu, w * dn_dt])
-        return kernels[:, None, :] * relax[None, :, :]
+        return np.stack([dn_dmu, dn_dt, w * dn_dmu, w * dn_dt])
 
-    val, _ = integrate_band(f, quad, _osc_panels(g, t_osc))
-    val = val / math.pi
-    dnbar_dmu, dnbar_dt, dqbar_dmu, dqbar_dt = val
-    if scalar:
-        dnbar_dmu = float(dnbar_dmu[0])
-        dnbar_dt = float(dnbar_dt[0])
-        dqbar_dmu = float(dqbar_dmu[0])
-        dqbar_dt = float(dqbar_dt[0])
+    dnbar_dmu, dnbar_dt, dqbar_dmu, dqbar_dt = _band_average(
+        kernels, t, res, dephasing, g, quad, stats)
     point = TransportPoint(temperature=temp, mu=res.mu, dephasing=dephasing,
-                           g=g, t=t, stats=stats)
+                           g=g, t=t, stats=_normalize_stats(stats))
     return OnsagerBlock(j_n_mu=0.5 * temp * dnbar_dmu,
                         j_n_t=0.5 * temp ** 2 * dnbar_dt,
                         j_q_mu=0.5 * temp * dqbar_dmu,

@@ -20,6 +20,27 @@ from fermichain import (
 )
 from fermichain.transport import STATS_BOLTZMANN
 
+_DAMPED_ENTRY_POINTS = {
+    "nbar_fd_sommerfeld": (nbar_fd_sommerfeld, ReservoirParams(0.1, 0.5)),
+    "ebar_fd_sommerfeld": (ebar_fd_sommerfeld, ReservoirParams(0.1, 0.5)),
+    "nbar_boltzmann_closed": (nbar_boltzmann_closed, ReservoirParams(0.5, -3.0)),
+    "ebar_boltzmann_closed": (ebar_boltzmann_closed, ReservoirParams(0.5, -3.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DAMPED_ENTRY_POINTS))
+@pytest.mark.parametrize("t, lam, match", [
+    (math.nan, 0.1, "time must not be NaN"),
+    (1.0, math.nan, "dephasing"),
+    (1.0, -0.1, "dephasing"),
+])
+def test_closed_forms_reject_bad_time_or_dephasing(name, t, lam, match):
+    # validated by the same layout as the quadrature; NaN t used to give
+    # the damped limit
+    fn, res = _DAMPED_ENTRY_POINTS[name]
+    with pytest.raises(ValueError, match=match):
+        fn(t, res, lam, 1.0)
+
 
 def test_omega_at_origin():
     assert omega(0, 0.0, 0.0).value == pytest.approx(1.0, abs=1e-14)

@@ -162,3 +162,14 @@ def test_preparation_flags_large_gradients():
 def test_mode_spec_rejects_bad_dephasing(dephasing):
     with pytest.raises(ValueError, match="dephasing"):
         ModeSpec(momentum=1.0, energy=0.0, coupling=1.0, dephasing=dephasing)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("coupling", math.nan), ("coupling", math.inf), ("coupling", -math.inf),
+    ("energy", math.nan),
+])
+def test_mode_spec_rejects_non_finite_coupling_and_nan_energy(field, value):
+    # coupling=nan used to surface later as a misleading IntegrationError
+    kwargs = {"momentum": 1.0, "energy": 0.0, "coupling": 1.0, field: value}
+    with pytest.raises(ValueError, match=field):
+        ModeSpec(**kwargs)

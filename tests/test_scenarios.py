@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fermichain import cli
+from fermichain import ReservoirParams, cli, transport
 from fermichain.scenarios import (
     ComparisonReport,
     ConfigError,
@@ -161,6 +161,47 @@ def test_custom_panel_internal_consistency():
     # everything starts from the uncoupled state
     assert col["N[1]"][0] == 0.0
     assert col["E[alpha]"][0] == 0.0
+
+
+def test_custom_counters_are_bit_equal_to_nbar_and_ebar():
+    cfg = parse_config({"scenario": "custom", "t_grid": [0.0, 0.8, 1.7, 30.0],
+                        "mu": -0.4, "temperature": 0.05, "tol": 1e-9})
+    (panel,) = run_scenario(cfg).panels
+    col = dict(zip(panel.headers, panel.columns))
+    res = ReservoirParams(cfg.temperature, cfg.mu)
+    for i, t in enumerate(cfg.t_grid):
+        args = (t, res, cfg.dephasing, cfg.g, cfg.quad(), cfg.stats)
+        assert col["N[1]"][i] == transport.nbar(*args)
+        assert col["E[alpha]"][i] == transport.ebar(*args)
+
+
+def _count_quadratures(monkeypatch):
+    calls = []
+    original = transport.integrate_interval
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "integrate_interval", counted)
+    return calls
+
+
+def test_custom_runs_two_quadratures_per_time(monkeypatch):
+    cfg = parse_config({"scenario": "custom", "t_grid": [0.0, 1.0, 2.5, 4.0, 6.0],
+                        "tol": 1e-8})
+    calls = _count_quadratures(monkeypatch)
+    run_scenario(cfg)
+    assert len(calls) == 2 * len(cfg.t_grid)  # counters + Onsager block
+
+
+def test_onsteste2_runs_one_quadrature_per_time_and_panel(monkeypatch):
+    cfg = parse_config({"scenario": "onsteste2", "t_grid": [0.0, 1.0, 2.5, 4.0],
+                        "tol": 1e-8})
+    calls = _count_quadratures(monkeypatch)
+    result = run_scenario(cfg)
+    assert len(result.panels) == 2
+    assert len(calls) == len(result.panels) * len(cfg.t_grid)
 
 
 def test_entroevo_closed_system_conserves_total_correlation():

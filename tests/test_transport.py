@@ -8,6 +8,7 @@ from fermichain import (
     QuadratureError,
     QuadratureSpec,
     ReservoirParams,
+    counters,
     ebar,
     fluxes,
     integrate_band,
@@ -190,9 +191,43 @@ def test_fluxes_match_perturbed_reservoir_difference():
     assert got == pytest.approx(0.5 * (up - dn), rel=1e-5)
 
 
+_TRANSPORT_ENTRY_POINTS = {"nbar": nbar, "ebar": ebar, "qbar": qbar,
+                           "counters": counters, "onsager": onsager}
+
+
+@pytest.mark.parametrize("name", sorted(_TRANSPORT_ENTRY_POINTS))
+@pytest.mark.parametrize("t, lam, match", [
+    (math.nan, 0.1, "time must not be NaN"),
+    (np.array([0.5, math.nan]), 0.1, "time must not be NaN"),
+    (1.0, math.nan, "dephasing"),
+    (1.0, -0.1, "dephasing"),
+    (1.0, math.inf, "dephasing"),
+])
+def test_transport_rejects_bad_time_or_dephasing(name, t, lam, match):
+    # these used to return the damped limit as if t were infinite
+    with pytest.raises(ValueError, match=match):
+        _TRANSPORT_ENTRY_POINTS[name](t, RES, lam, 1.0)
+
+
+@pytest.mark.parametrize("stats", ["fd", "boltzmann"])
+@pytest.mark.parametrize("t", [0.0, 2.3, math.inf, np.array([0.0, 1.5, 9.0])])
+def test_counters_are_the_single_counter_path(stats, t):
+    res = ReservoirParams(temperature=0.3, mu=-2.6 if stats == "boltzmann" else 0.4)
+    n, e = counters(t, res, 0.2, 1.3, stats=stats)
+    np.testing.assert_array_equal(n, nbar(t, res, 0.2, 1.3, stats=stats))
+    np.testing.assert_array_equal(e, ebar(t, res, 0.2, 1.3, stats=stats))
+    np.testing.assert_array_equal(qbar(t, res, 0.2, 1.3, stats=stats), e - res.mu * n)
+    assert np.ndim(n) == np.ndim(t)
+
+
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=-1.0)
+    # abs_tol=nan used to burn the whole panel budget; rel_tol=nan was ignored
+    for field in ("abs_tol", "rel_tol"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=field):
+                QuadratureSpec(**{field: value})
     with pytest.raises(ValueError):
         QuadratureSpec(nodes_per_panel=0)
     with pytest.raises(ValueError):
