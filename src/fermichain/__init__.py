@@ -18,9 +18,9 @@ from .dynamics import (IntegrationError, coherence_ab, density_matrix,
                        lindblad_trajectory, occ_a, occ_b, reduced_density)
 from .transport import (STATS_BOLTZMANN, STATS_FD, EquilibriumUndefinedError,
                         OnsagerBlock, ParticleHeatFlux, QuadratureError,
-                        QuadratureSpec, TransportPoint, counters, ebar,
-                        fluxes, integrate_band, integrate_interval, nbar,
-                        onsager, qbar)
+                        QuadratureSpec, TransportPoint, counters,
+                        counters_and_onsager, ebar, fluxes, integrate_band,
+                        integrate_interval, nbar, onsager, qbar)
 from .special import SpecialFnTable, bessel_i, bessel_j, beta_fn
 from .closedforms import (SeriesConvergenceError, SeriesResult,
                           ebar_boltzmann_closed, ebar_fd_sommerfeld,

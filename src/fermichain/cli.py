@@ -90,15 +90,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            with open(args.config, "r", encoding="utf-8") as fh:
-                try:
-                    data = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise scenarios.ConfigError(
-                        "config file is not valid JSON: %s" % exc) from None
-            if not isinstance(data, dict):
-                raise scenarios.ConfigError("config must be a JSON object")
-            return _run_and_write(data, args)
+            return _run_and_write(scenarios.read_config(args.config), args)
         if args.command == "figure":
             data = {"scenario": args.scenario_id}
             data.update(_parse_set_pairs(args.overrides))

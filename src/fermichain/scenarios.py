@@ -65,9 +65,9 @@ class ScenarioConfig:
 
 
 _NUMBER_FIELDS = {
-    "temperature": lambda v: v > 0.0,
+    "temperature": lambda v: 0.0 < v < math.inf,
     "mu": lambda v: math.isfinite(v),
-    "dephasing": lambda v: v >= 0.0,
+    "dephasing": lambda v: 0.0 <= v < math.inf,
     "g": lambda v: math.isfinite(v),
     "tol": lambda v: 0.0 < v < 1.0,
     "delta_t": lambda v: math.isfinite(v),
@@ -143,13 +143,20 @@ def parse_config(data: Mapping) -> ScenarioConfig:
     return cfg
 
 
-def load_config(path: str) -> ScenarioConfig:
+def read_config(path: str) -> dict:
+    """The JSON object in a config file, not yet validated field by field."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError("config file is not valid JSON: %s" % exc) from None
-    return parse_config(data)
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
+    return data
+
+
+def load_config(path: str) -> ScenarioConfig:
+    return parse_config(read_config(path))
 
 
 def _warn_if_beyond_linear_response(cfg: ScenarioConfig):
@@ -458,8 +465,8 @@ def _custom(cfg: ScenarioConfig) -> ScenarioResult:
 
     def point(t):
         t = float(t)
-        n, e = transport.counters(t, res, cfg.dephasing, cfg.g, quad, cfg.stats)
-        block = transport.onsager(t, res, cfg.dephasing, cfg.g, quad, cfg.stats)
+        n, e, block = transport.counters_and_onsager(t, res, cfg.dephasing, cfg.g,
+                                                     quad, cfg.stats)
         flux = transport.fluxes(block, cfg.delta_mu, cfg.delta_t)
         return (n, e, e - cfg.mu * n, block.j_n_mu, block.j_n_t, block.j_q_mu,
                 block.j_q_t, flux.j_particle, flux.j_heat)

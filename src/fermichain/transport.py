@@ -26,16 +26,22 @@ term is gone); with lam = 0 there is no stationary state and the request is
 rejected with EquilibriumUndefinedError.
 
 Every band integral goes through one path, ``_band_average``: the kernels
-of a quantity are stacked and converged together on shared nodes.
-``counters`` integrates [n, eps n] in one quadrature and ``nbar``, ``ebar``
-and ``qbar`` are views onto it; ``onsager`` stacks its four derivative
-kernels the same way.  Quadrature is a composite Gauss-Legendre panel rule
-with deterministic fixed-order reduction; the panel count is doubled until
-two successive levels agree, and never starts below ~4 g t panels so the
-oscillation is resolved.  Identical inputs give bit-identical results.
+of a quantity are stacked into one group and converged together.
+``counters`` integrates the group [n, eps n] and ``nbar``, ``ebar`` and
+``qbar`` are views onto it; ``onsager`` stacks its four derivative kernels
+the same way.  Several groups can share one quadrature: eps, the occupation
+and D(k, t) are computed once per node, but each group runs the doubling
+test on its own and is frozen at the level where it converged, so
+``counters_and_onsager`` gives the counters and the block bit-identical to
+separate ``counters`` and ``onsager`` calls at the cost of one.  Quadrature
+is a composite Gauss-Legendre panel rule with deterministic fixed-order
+reduction; the panel count is doubled until two successive levels agree,
+and never starts below ~4 g t panels so the oscillation is resolved.
+Identical inputs give bit-identical results.
 
 Times must be >= 0 and not NaN, and the dephasing rate finite and >= 0;
 ``_time_layout`` enforces this for transport and the closed forms alike.
+The coupling g must be finite.
 """
 
 from __future__ import annotations
@@ -98,6 +104,16 @@ def _gauss_nodes(n: int):
     return x, w
 
 
+def _level_total(vals, panels: int, w0, half: float):
+    """Integral of one group's node values at one panel level."""
+    vals = np.asarray(vals)
+    vals = vals.reshape(vals.shape[:-1] + (panels, w0.size))
+    # reduce within panels first, then across panels in index order:
+    # fixed association keeps the sum bit-reproducible
+    per_panel = (vals * w0).sum(axis=-1) * half
+    return np.add.reduce(per_panel, axis=-1)
+
+
 def integrate_interval(f, a: float, b: float, quad: QuadratureSpec = DEFAULT_QUAD,
                        min_panels: int = 1):
     """Adaptive composite Gauss-Legendre integral of f over [a, b].
@@ -106,7 +122,12 @@ def integrate_interval(f, a: float, b: float, quad: QuadratureSpec = DEFAULT_QUA
     ----------
     f : callable taking a 1-D node array and returning values with the node
         axis LAST; vector-valued integrands (leading axes) are integrated
-        component-wise and all components must converge.
+        component-wise and all components must converge.  f may instead
+        return a tuple of such arrays, one per kernel group: every group is
+        evaluated on the same nodes at each level but runs the doubling test
+        on its own rows.  A converged group's total is frozen at that level,
+        so it equals a solo call on that group bit for bit, and the call ends
+        when every group has converged.  A plain array is the one-group case.
     min_panels : lower bound on the first panel count (e.g. to resolve a
         known oscillation).
 
@@ -114,38 +135,54 @@ def integrate_interval(f, a: float, b: float, quad: QuadratureSpec = DEFAULT_QUA
     -------
     (value, err_estimate) where err_estimate is the largest component-wise
     change in the final doubling; doubling nodes or panels once more changes
-    the result by less than this.
+    the result by less than this.  For a tuple integrand both are tuples
+    with one entry per group.
     """
     if b <= a:
         raise ValueError("need b > a")
     x0, w0 = _gauss_nodes(quad.nodes_per_panel)
     panels = max(quad.base_panels, int(min_panels))
     panels = min(panels, quad.max_panels)
-    prev = None
+    prev = None  # per-group totals of the previous level
+    done = None  # per-group (total, err) once converged
     while True:
         edges = np.linspace(a, b, panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1] - edges[0])
         nodes = (mid[:, None] + half * x0[None, :]).reshape(-1)
-        vals = np.asarray(f(nodes))
-        vals = vals.reshape(vals.shape[:-1] + (panels, quad.nodes_per_panel))
-        # reduce within panels first, then across panels in index order:
-        # fixed association keeps the sum bit-reproducible
-        per_panel = (vals * w0).sum(axis=-1) * half
-        total = np.add.reduce(per_panel, axis=-1)
-        if prev is not None:
-            err = np.max(np.abs(total - prev))
-            tol = max(quad.abs_tol, quad.rel_tol * float(np.max(np.abs(total))))
-            if err <= tol:
-                return total, float(err)
-            if 2 * panels > quad.max_panels:
-                raise QuadratureError(
-                    "no convergence within %d panels (achieved %.3g, wanted %.3g)"
-                    % (quad.max_panels, err, tol), achieved_error=float(err))
-        elif panels >= quad.max_panels:
+        out = f(nodes)
+        grouped = isinstance(out, tuple)
+        groups = out if grouped else (out,)
+        first = prev is None
+        if first:
+            prev = [None] * len(groups)
+            done = [None] * len(groups)
+        failing = []
+        for i, vals in enumerate(groups):
+            if done[i] is not None:
+                continue
+            total = _level_total(vals, panels, w0, half)
+            if not first:
+                err = np.max(np.abs(total - prev[i]))
+                tol = max(quad.abs_tol, quad.rel_tol * float(np.max(np.abs(total))))
+                if err <= tol:
+                    done[i] = (total, float(err))
+                else:
+                    failing.append((err, tol))
+            prev[i] = total
+        # release this level's values before the next, twice as large, is built
+        out = groups = vals = None
+        if not first and not failing:
+            values, errs = zip(*done)
+            return (values, errs) if grouped else (values[0], errs[0])
+        if first and panels >= quad.max_panels:
             raise QuadratureError(
                 "max_panels too small to even refine once", achieved_error=math.inf)
-        prev = total
+        if not first and 2 * panels > quad.max_panels:
+            err, tol = max(failing, key=lambda pair: pair[0] / pair[1])
+            raise QuadratureError(
+                "no convergence within %d panels (achieved %.3g, wanted %.3g)"
+                % (quad.max_panels, err, tol), achieved_error=float(err))
         panels *= 2
 
 
@@ -209,25 +246,36 @@ def _osc_panels(g: float, t_osc: float) -> int:
     return max(1, int(math.ceil(4.0 * abs(g) * t_osc)))
 
 
-def _band_average(kernels, t, res: ReservoirParams, dephasing: float, g: float,
-                  quad: QuadratureSpec, stats: str):
-    """(1/pi) int_0^pi kernel(eps_k) D(k, t) dk for each row of kernels.
+def _band_average(kernel_groups, t, res: ReservoirParams, dephasing: float,
+                  g: float, quad: QuadratureSpec, stats: str):
+    """(1/pi) int_0^pi kernel(eps_k) D(k, t) dk for every kernel of every group.
 
-    ``kernels(eps, occ, stats)`` returns the stacked kernels, shaped
-    (n_kernels, n_k); all of them share nodes and converge together.  Each
-    result is a float for scalar t and an array over t otherwise.
+    Each of ``kernel_groups`` maps ``(eps, occ, stats)`` to stacked kernels
+    shaped (n_kernels, n_k).  eps, the occupation and D(k, t) are computed
+    once per level and shared by all groups; each group converges on its own
+    (see ``integrate_interval``), so its values do not depend on the other
+    groups.  Returns one list per group with one entry per kernel: a float
+    for scalar t and an array over t otherwise.
     """
+    if not math.isfinite(g):
+        raise ValueError("coupling g must be finite, got %r" % g)
     stats = _normalize_stats(stats)
     tarr, damping, scalar, t_osc = _time_layout(t, dephasing)
 
     def f(k):
         eps = -2.0 * np.cos(k)
-        rows = kernels(eps, _occupation(stats, eps, res), stats)
-        return rows[:, None, :] * _relaxation_factor(k, tarr, damping, g)
+        occ = _occupation(stats, eps, res)
+        rows = [kernels(eps, occ, stats) for kernels in kernel_groups]
+        # evaluate the kernels and drop occ before D(k, t) is built, so their
+        # temporaries never coexist: at ~1e6 nodes per level this sets the
+        # peak memory
+        del occ
+        relax = _relaxation_factor(k, tarr, damping, g)
+        return tuple([r[:, None, :] * relax for r in rows])
 
-    val, _ = integrate_band(f, quad, _osc_panels(g, t_osc))
-    val = val / math.pi
-    return [float(v[0]) for v in val] if scalar else list(val)
+    vals, _ = integrate_band(f, quad, _osc_panels(g, t_osc))
+    vals = [val / math.pi for val in vals]
+    return [[float(v[0]) for v in val] if scalar else list(val) for val in vals]
 
 
 def _counter_kernels(eps, occ, stats):
@@ -241,7 +289,8 @@ def counters(t, res: ReservoirParams, dephasing: float, g: float,
     t = inf (scalar) with dephasing > 0 gives the damped limits, e.g.
     nbar = -(1/pi) int nbar(eps_k) dk.
     """
-    return tuple(_band_average(_counter_kernels, t, res, dephasing, g, quad, stats))
+    (n_e,) = _band_average((_counter_kernels,), t, res, dephasing, g, quad, stats)
+    return tuple(n_e)
 
 
 def nbar(t, res: ReservoirParams, dephasing: float, g: float,
@@ -296,13 +345,8 @@ class OnsagerBlock:
         return np.array([[self.j_n_mu, self.j_n_t], [self.j_q_mu, self.j_q_t]])
 
 
-def onsager(t, res: ReservoirParams, dephasing: float, g: float,
-            quad: QuadratureSpec = DEFAULT_QUAD, stats: str = STATS_FD) -> OnsagerBlock:
-    """Onsager coefficients from exact kernel derivatives, one quadrature.
-
-    All four integrands share nodes and are converged together, so the block
-    is internally consistent at the quadrature tolerance.
-    """
+def _onsager_kernels(res: ReservoirParams):
+    """The four exact derivative kernels of the Onsager block at res."""
     temp = res.temperature
 
     def kernels(eps, occ, stats):
@@ -314,8 +358,13 @@ def onsager(t, res: ReservoirParams, dephasing: float, g: float,
         dn_dt = w * dn_dmu / temp
         return np.stack([dn_dmu, dn_dt, w * dn_dmu, w * dn_dt])
 
-    dnbar_dmu, dnbar_dt, dqbar_dmu, dqbar_dt = _band_average(
-        kernels, t, res, dephasing, g, quad, stats)
+    return kernels
+
+
+def _onsager_block(coeffs, t, res: ReservoirParams, dephasing: float, g: float,
+                   stats: str) -> OnsagerBlock:
+    dnbar_dmu, dnbar_dt, dqbar_dmu, dqbar_dt = coeffs
+    temp = res.temperature
     point = TransportPoint(temperature=temp, mu=res.mu, dephasing=dephasing,
                            g=g, t=t, stats=_normalize_stats(stats))
     return OnsagerBlock(j_n_mu=0.5 * temp * dnbar_dmu,
@@ -323,6 +372,30 @@ def onsager(t, res: ReservoirParams, dephasing: float, g: float,
                         j_q_mu=0.5 * temp * dqbar_dmu,
                         j_q_t=0.5 * temp ** 2 * dqbar_dt,
                         point=point)
+
+
+def onsager(t, res: ReservoirParams, dephasing: float, g: float,
+            quad: QuadratureSpec = DEFAULT_QUAD, stats: str = STATS_FD) -> OnsagerBlock:
+    """Onsager coefficients from exact kernel derivatives, one quadrature.
+
+    All four integrands share nodes and are converged together, so the block
+    is internally consistent at the quadrature tolerance.
+    """
+    (coeffs,) = _band_average((_onsager_kernels(res),), t, res, dephasing, g,
+                              quad, stats)
+    return _onsager_block(coeffs, t, res, dephasing, g, stats)
+
+
+def counters_and_onsager(t, res: ReservoirParams, dephasing: float, g: float,
+                         quad: QuadratureSpec = DEFAULT_QUAD, stats: str = STATS_FD):
+    """(nbar, ebar, OnsagerBlock) from one quadrature on shared nodes.
+
+    The counters and the block are two kernel groups that converge
+    separately, so each equals ``counters`` and ``onsager`` bit for bit.
+    """
+    (n, e), coeffs = _band_average((_counter_kernels, _onsager_kernels(res)), t,
+                                   res, dephasing, g, quad, stats)
+    return n, e, _onsager_block(coeffs, t, res, dephasing, g, stats)
 
 
 @dataclass(frozen=True)
@@ -338,7 +411,10 @@ def fluxes(block: OnsagerBlock, delta_mu: float, delta_t: float) -> ParticleHeat
     coefficients, taken at the block's evaluation point.
     """
     temp = block.point.temperature
+    temp_sq = temp ** 2
+    if temp_sq == 0.0:
+        raise ValueError("temperature %r is too small: T**2 underflows to 0" % temp)
     f_mu = delta_mu / temp
-    f_t = delta_t / temp ** 2
+    f_t = delta_t / temp_sq
     return ParticleHeatFlux(j_particle=block.j_n_mu * f_mu + block.j_n_t * f_t,
                             j_heat=block.j_q_mu * f_mu + block.j_q_t * f_t)

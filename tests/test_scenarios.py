@@ -68,6 +68,10 @@ def test_parse_rejects_non_monotone_grid():
 def test_parse_range_violations_name_the_field():
     with pytest.raises(ConfigError, match="'temperature'"):
         parse_config({"scenario": "ons1", "temperature": 0.0})
+    with pytest.raises(ConfigError, match="'temperature'"):
+        parse_config({"scenario": "ons1", "temperature": math.inf})
+    with pytest.raises(ConfigError, match="'dephasing'"):
+        parse_config({"scenario": "ons1", "dephasing": math.inf})
     with pytest.raises(ConfigError, match="'sig_digits'"):
         parse_config({"scenario": "ons1", "sig_digits": 2})
     with pytest.raises(ConfigError, match="'threads'"):
@@ -187,12 +191,27 @@ def _count_quadratures(monkeypatch):
     return calls
 
 
-def test_custom_runs_two_quadratures_per_time(monkeypatch):
+def test_custom_block_is_bit_equal_to_onsager():
+    cfg = parse_config({"scenario": "custom", "t_grid": [0.0, 0.8, 1.7, 30.0],
+                        "mu": 0.9, "temperature": 0.05, "tol": 1e-9})
+    (panel,) = run_scenario(cfg).panels
+    col = dict(zip(panel.headers, panel.columns))
+    res = ReservoirParams(cfg.temperature, cfg.mu)
+    for i, t in enumerate(cfg.t_grid):
+        blk = transport.onsager(t, res, cfg.dephasing, cfg.g, cfg.quad(), cfg.stats)
+        assert col["J_NM[1]"][i] == blk.j_n_mu
+        assert col["J_NT[alpha]"][i] == blk.j_n_t
+        assert col["J_QM[alpha]"][i] == blk.j_q_mu
+        assert col["J_QT[alpha^2]"][i] == blk.j_q_t
+
+
+def test_custom_runs_one_quadrature_per_time(monkeypatch):
     cfg = parse_config({"scenario": "custom", "t_grid": [0.0, 1.0, 2.5, 4.0, 6.0],
                         "tol": 1e-8})
     calls = _count_quadratures(monkeypatch)
     run_scenario(cfg)
-    assert len(calls) == 2 * len(cfg.t_grid)  # counters + Onsager block
+    # counters and Onsager block share the nodes of one quadrature
+    assert len(calls) == len(cfg.t_grid)
 
 
 def test_onsteste2_runs_one_quadrature_per_time_and_panel(monkeypatch):
@@ -352,6 +371,29 @@ def test_cli_bad_inputs_exit_2(tmp_path, capsys):
     assert cli.main(["run", str(bad)]) == 2
     assert cli.main(["figure", "custom", "--set", "broken"]) == 2
     assert "error:" in capsys.readouterr().err
+    bad.write_text("{not json", encoding="utf-8")
+    assert cli.main(["run", str(bad)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+    bad.write_text("[1, 2]", encoding="utf-8")
+    assert cli.main(["run", str(bad)]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["temperature", "dephasing"])
+def test_cli_infinite_temperature_or_dephasing_exit_2(tmp_path, capsys, field):
+    # JSON Infinity used to pass the config check and fail the run (exit 1)
+    rc = cli.main(["figure", "custom", "--set", "t_grid=[0, 1]",
+                   "--set", "%s=Infinity" % field, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "'%s'" % field in capsys.readouterr().err
+
+
+def test_cli_underflowing_temperature_exits_1_with_error_line(tmp_path, capsys):
+    # T**2 underflows to 0 in the flux forces; this used to be a traceback
+    rc = cli.main(["figure", "custom", "--set", "t_grid=[0, 1]",
+                   "--set", "temperature=1e-300", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "error: temperature 1e-300 is too small" in capsys.readouterr().err
 
 
 def test_cli_accept_single_fast_criterion(tmp_path, capsys):

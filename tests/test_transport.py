@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fermichain import (
     EquilibriumUndefinedError,
+    OnsagerBlock,
     QuadratureError,
     QuadratureSpec,
     ReservoirParams,
+    TransportPoint,
     counters,
+    counters_and_onsager,
     ebar,
     fluxes,
     integrate_band,
@@ -56,6 +61,43 @@ def test_integrate_interval_vector_valued():
     f = lambda x: np.stack([np.ones_like(x), x, x ** 2])
     val, _ = integrate_interval(f, 0.0, 1.0)
     np.testing.assert_allclose(val, [1.0, 0.5, 1.0 / 3.0], rtol=1e-12)
+
+
+def _levels(f):
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return f(x)
+
+    return counted, calls
+
+
+def test_integrate_interval_groups_converge_on_their_own():
+    smooth = lambda k: np.stack([np.ones_like(k), np.sin(k)])
+    wavy = lambda k: np.cos(400.0 * np.sin(k) ** 2)[None, :]
+    solo_smooth, smooth_levels = _levels(smooth)
+    solo_wavy, wavy_levels = _levels(wavy)
+    v_smooth, e_smooth = integrate_band(solo_smooth)
+    v_wavy, e_wavy = integrate_band(solo_wavy)
+    # the groups stop at different levels, so the smooth one must be frozen
+    assert len(smooth_levels) < len(wavy_levels)
+    both, both_levels = _levels(lambda k: (smooth(k), wavy(k)))
+    (g_smooth, g_wavy), (ge_smooth, ge_wavy) = integrate_band(both)
+    assert both_levels == wavy_levels
+    np.testing.assert_array_equal(g_smooth, v_smooth)
+    np.testing.assert_array_equal(g_wavy, v_wavy)
+    assert (ge_smooth, ge_wavy) == (e_smooth, e_wavy)
+
+
+def test_integrate_interval_unconverged_group_fails_the_call():
+    spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_panels=64)
+    hard = lambda x: np.sin(37.0 * x) ** 2 / (1e-3 + x)
+    with pytest.raises(QuadratureError) as solo:
+        integrate_interval(hard, 0.0, 1.0, quad=spec)
+    with pytest.raises(QuadratureError) as both:
+        integrate_interval(lambda x: (np.ones_like(x), hard(x)), 0.0, 1.0, quad=spec)
+    assert both.value.achieved_error == solo.value.achieved_error > 0.0
 
 
 def test_integrate_interval_reports_achieved_error():
@@ -191,8 +233,18 @@ def test_fluxes_match_perturbed_reservoir_difference():
     assert got == pytest.approx(0.5 * (up - dn), rel=1e-5)
 
 
+def test_fluxes_reject_underflowing_temperature():
+    point = TransportPoint(temperature=1e-300, mu=0.0, dephasing=0.1, g=1.0,
+                           t=1.0, stats="fd")
+    blk = OnsagerBlock(j_n_mu=0.0, j_n_t=0.0, j_q_mu=0.0, j_q_t=0.0, point=point)
+    # T**2 is 0 in double precision; this used to raise ZeroDivisionError
+    with pytest.raises(ValueError, match="T\\*\\*2 underflows"):
+        fluxes(blk, 0.0, 1e-3)
+
+
 _TRANSPORT_ENTRY_POINTS = {"nbar": nbar, "ebar": ebar, "qbar": qbar,
-                           "counters": counters, "onsager": onsager}
+                           "counters": counters, "onsager": onsager,
+                           "counters_and_onsager": counters_and_onsager}
 
 
 @pytest.mark.parametrize("name", sorted(_TRANSPORT_ENTRY_POINTS))
@@ -207,6 +259,43 @@ def test_transport_rejects_bad_time_or_dephasing(name, t, lam, match):
     # these used to return the damped limit as if t were infinite
     with pytest.raises(ValueError, match=match):
         _TRANSPORT_ENTRY_POINTS[name](t, RES, lam, 1.0)
+
+
+@pytest.mark.parametrize("name", ["counters", "onsager", "counters_and_onsager"])
+@pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
+def test_transport_rejects_non_finite_coupling(name, g):
+    # g=nan failed with "cannot convert float NaN to integer", g=inf with a
+    # raw OverflowError from the panel count
+    with pytest.raises(ValueError, match="coupling g must be finite"):
+        _TRANSPORT_ENTRY_POINTS[name](1.0, RES, 0.1, g)
+
+
+_TIMES = st.one_of(
+    st.floats(0.0, 30.0),
+    st.just(math.inf),
+    st.lists(st.floats(0.0, 30.0), min_size=1, max_size=3).map(np.array))
+
+
+@settings(max_examples=40, deadline=None)
+@given(temp=st.floats(0.05, 1.0), mu=st.floats(-2.5, 2.5), lam=st.floats(0.0, 0.5),
+       g=st.floats(0.2, 2.0), t=_TIMES, stats=st.sampled_from(["fd", "boltzmann"]))
+def test_counters_and_onsager_bit_equal_to_separate_calls(temp, mu, lam, g, t, stats):
+    assume(not (np.any(np.isinf(t)) and lam == 0.0))
+    res = ReservoirParams(temp, mu)
+    quad = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)
+    try:
+        n_solo, e_solo = counters(t, res, lam, g, quad, stats)
+        solo = onsager(t, res, lam, g, quad, stats)
+    except QuadratureError:
+        # each group converges as its solo call would, so it fails with it
+        with pytest.raises(QuadratureError):
+            counters_and_onsager(t, res, lam, g, quad, stats)
+        return
+    n, e, blk = counters_and_onsager(t, res, lam, g, quad, stats)
+    np.testing.assert_array_equal(n, n_solo)
+    np.testing.assert_array_equal(e, e_solo)
+    np.testing.assert_array_equal(blk.as_matrix(), solo.as_matrix())
+    assert blk.point == solo.point
 
 
 @pytest.mark.parametrize("stats", ["fd", "boltzmann"])
