@@ -50,10 +50,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lattice import ReservoirParams
+from .lattice import ReservoirParams, relaxation_envelope
 from .special import SpecialFnTable, beta_fn, bessel_i
 from .transport import (OnsagerBlock, QuadratureSpec, TransportPoint,
-                        _time_layout, integrate_interval)
+                        integrate_interval)
 
 import numpy as np
 
@@ -73,11 +73,6 @@ class SeriesResult:
     trunc_error_est: float
     terms_used: int
     converged: bool
-
-
-def _damping(t: float, dephasing: float) -> float:
-    """exp(-lam t), validated and floored exactly as the quadrature sees it."""
-    return float(_time_layout(t, dephasing)[1][0])
 
 
 def omega_defining_integral(nu: int, x: float, y: float, tol: float = 1e-12) -> SeriesResult:
@@ -162,20 +157,20 @@ def _check_boltzmann_prefactor(res: ReservoirParams) -> float:
 def nbar_boltzmann_closed(t: float, res: ReservoirParams, dephasing: float,
                           g: float) -> float:
     """Exact Boltzmann-statistics particle counter (no truncation error)."""
-    damping = _damping(t, dephasing)
+    damping, phase = relaxation_envelope(t, dephasing, g)
     pref = _check_boltzmann_prefactor(res)
     y = 2.0 * res.beta
-    osc = damping * omega(0, 2.0 * g * t, y).value if damping > 0.0 else 0.0
+    osc = float(damping) * omega(0, phase, y).value if damping > 0.0 else 0.0
     return pref * (osc - bessel_i(0, y))
 
 
 def ebar_boltzmann_closed(t: float, res: ReservoirParams, dephasing: float,
                           g: float) -> float:
     """Exact Boltzmann-statistics energy counter."""
-    damping = _damping(t, dephasing)
+    damping, phase = relaxation_envelope(t, dephasing, g)
     pref = _check_boltzmann_prefactor(res)
     y = 2.0 * res.beta
-    osc = damping * omega(1, 2.0 * g * t, y).value if damping > 0.0 else 0.0
+    osc = float(damping) * omega(1, phase, y).value if damping > 0.0 else 0.0
     return -2.0 * pref * (osc - bessel_i(1, y))
 
 
@@ -242,7 +237,7 @@ def nbar_fd_sommerfeld(t: float, res: ReservoirParams, dephasing: float, g: floa
     the band; accuracy degrades as T or |mu| grow toward the band edge.
     """
     _check_sommerfeld_args(res, n_max)
-    damping = _damping(t, dephasing)
+    damping = float(relaxation_envelope(t, dephasing, g)[0])
     theta = math.acos(-0.5 * res.mu)
     temp = res.temperature
     series_tail = 0.0
@@ -274,7 +269,7 @@ def ebar_fd_sommerfeld(t: float, res: ReservoirParams, dephasing: float, g: floa
                        n_max: int = 25, tol: float = 1e-12) -> SeriesResult:
     """Low-temperature energy counter for Fermi-Dirac statistics."""
     _check_sommerfeld_args(res, n_max)
-    damping = _damping(t, dephasing)
+    damping = float(relaxation_envelope(t, dephasing, g)[0])
     theta = math.acos(-0.5 * res.mu)
     temp = res.temperature
     series_tail = 0.0

@@ -23,20 +23,13 @@ import math
 
 import numpy as np
 
-from .lattice import ModeSpec, ReservoirParams, occupation_fd
+from .lattice import ModeSpec, ReservoirParams, occupation_fd, relaxation_envelope
 
 _SQ2 = math.sqrt(2.0)
 
 
 class IntegrationError(RuntimeError):
     """Fixed-step integration produced non-finite values (step too large)."""
-
-
-def _damping(dephasing: float, t):
-    tarr = np.asarray(t, dtype=float)
-    if np.any(tarr < 0.0):
-        raise ValueError("time must be >= 0")
-    return np.exp(-dephasing * tarr)
 
 
 def _check_occ(n_a0: float, n_b0: float):
@@ -47,26 +40,24 @@ def _check_occ(n_a0: float, n_b0: float):
 def occ_a(mode: ModeSpec, n_a0: float, n_b0: float, t):
     """<a+a> at time t for initial occupations (n_a0, n_b0)."""
     _check_occ(n_a0, n_b0)
+    envelope, phase = relaxation_envelope(t, mode.dephasing, mode.coupling)
     mean = 0.5 * (n_a0 + n_b0)
     half = 0.5 * (n_a0 - n_b0)
-    out = mean + half * _damping(mode.dephasing, t) * np.cos(2.0 * mode.coupling * np.asarray(t, dtype=float))
-    return float(out) if out.ndim == 0 else out
+    out = mean + half * envelope * np.cos(phase)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def occ_b(mode: ModeSpec, n_a0: float, n_b0: float, t):
-    """<b+b> at time t; mirror image of :func:`occ_a`."""
-    _check_occ(n_a0, n_b0)
-    mean = 0.5 * (n_a0 + n_b0)
-    half = 0.5 * (n_a0 - n_b0)
-    out = mean - half * _damping(mode.dephasing, t) * np.cos(2.0 * mode.coupling * np.asarray(t, dtype=float))
-    return float(out) if out.ndim == 0 else out
+    """<b+b> at time t: :func:`occ_a` with the halves swapped, bit for bit."""
+    return occ_a(mode, n_b0, n_a0, t)
 
 
 def coherence_ab(mode: ModeSpec, n_a0: float, n_b0: float, t):
     """Inter-half coherence <a+b> = (i/2)(n_a0 - n_b0) exp(-lam t) sin(2 g_k t)."""
     _check_occ(n_a0, n_b0)
+    envelope, phase = relaxation_envelope(t, mode.dephasing, mode.coupling)
     half = 0.5 * (n_a0 - n_b0)
-    out = 1j * half * _damping(mode.dephasing, t) * np.sin(2.0 * mode.coupling * np.asarray(t, dtype=float))
+    out = 1j * half * envelope * np.sin(phase)
     return complex(out) if np.ndim(out) == 0 else out
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .lattice import ModeSpec
+from .lattice import ModeSpec, relaxation_envelope
 
 
 def _xlogx(p):
@@ -49,8 +49,8 @@ def _xlogx(p):
 def binary_entropy(p):
     """H(p) = -p ln p - (1-p) ln(1-p), with 0 ln 0 = 0.  Scalar or array."""
     p = np.asarray(p, dtype=float)
-    if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
-        raise ValueError("occupation outside [0, 1]")
+    if not np.all((p >= -1e-12) & (p <= 1.0 + 1e-12)):
+        raise ValueError("occupation must lie in [0, 1] and not be NaN")
     p = np.clip(p, 0.0, 1.0)
     val = -_xlogx(p) - _xlogx(1.0 - p)
     return float(val) if val.ndim == 0 else val
@@ -84,8 +84,7 @@ class EquilibriumModePrep:
     def __post_init__(self):
         if not 0.0 < self.n_eq < 1.0:
             raise ValueError("n_eq must lie strictly inside (0, 1)")
-        if self.dephasing < 0.0:
-            raise ValueError("dephasing rate must be >= 0")
+        self.mode()  # ModeSpec rejects a non-finite coupling or a bad dephasing rate
         for occ in (self.occupation_a, self.occupation_b):
             if not 0.0 < occ < 1.0:
                 raise ValueError("delta_n pushes an occupation out of (0, 1)")
@@ -122,18 +121,9 @@ class ModeEntropyBreakdown:
         return self.s0 - self.s1 * self.delta_n + self.s2 * self.delta_n ** 2
 
 
-def _envelope_phase(prep: EquilibriumModePrep, t):
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("time must be >= 0")
-    env = np.exp(-prep.dephasing * t)
-    phase = 2.0 * prep.coupling * t
-    return t, env, phase
-
-
 def entropy_coeffs(prep: EquilibriumModePrep, t) -> ModeEntropyBreakdown:
     """s0, s1, s2 at time t (scalar or array)."""
-    _, env, phase = _envelope_phase(prep, t)
+    env, phase = relaxation_envelope(t, prep.dephasing, prep.coupling)
     n = prep.n_eq
     s0 = binary_entropy(n)
     s1 = 0.5 * env * np.cos(phase) * (math.log(1.0 - n) - math.log(n))
@@ -151,15 +141,15 @@ def entropy_sum(prep: EquilibriumModePrep, t):
 
 def mutual_information(prep: EquilibriumModePrep, t):
     """I(A:B) through O(dn^2): the coherence carries the correlations."""
-    _, env, phase = _envelope_phase(prep, t)
+    env, phase = relaxation_envelope(t, prep.dephasing, prep.coupling)
     n = prep.n_eq
     out = (env * np.sin(phase)) ** 2 * prep.delta_n ** 2 / (4.0 * n * (1.0 - n))
-    return float(out) if out.ndim == 0 else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def joint_entropy(prep: EquilibriumModePrep, t):
     """S_AB through O(dn^2); depends on the envelope only."""
-    _, env, _ = _envelope_phase(prep, t)
+    env, _ = relaxation_envelope(t, prep.dephasing, prep.coupling)
     n = prep.n_eq
     s0 = binary_entropy(n)
     out = 2.0 * s0 - prep.delta_n ** 2 * env ** 2 / (4.0 * n * (1.0 - n))
@@ -168,7 +158,7 @@ def joint_entropy(prep: EquilibriumModePrep, t):
 
 def entropy_production(prep: EquilibriumModePrep, t):
     """Irreversible entropy rate Pi(t) through O(dn^2); zero at lam = 0."""
-    _, env, _ = _envelope_phase(prep, t)
+    env, _ = relaxation_envelope(t, prep.dephasing, prep.coupling)
     n = prep.n_eq
     out = 0.5 * prep.dephasing * env ** 2 * prep.delta_n ** 2 / (n * (1.0 - n))
     return float(out) if np.ndim(out) == 0 else out
@@ -184,7 +174,7 @@ def entropy_production_integral(prep: EquilibriumModePrep) -> float:
 
 def entropy_sum_rate(prep: EquilibriumModePrep, t):
     """d(S_A + S_B)/dt through O(dn^2)."""
-    _, env, phase = _envelope_phase(prep, t)
+    env, phase = relaxation_envelope(t, prep.dephasing, prep.coupling)
     n = prep.n_eq
     lam, g = prep.dephasing, prep.coupling
     out = (prep.delta_n ** 2 * env ** 2
@@ -195,7 +185,7 @@ def entropy_sum_rate(prep: EquilibriumModePrep, t):
 
 def mutual_information_rate(prep: EquilibriumModePrep, t):
     """dI/dt through O(dn^2)."""
-    _, env, phase = _envelope_phase(prep, t)
+    env, phase = relaxation_envelope(t, prep.dephasing, prep.coupling)
     n = prep.n_eq
     lam, g = prep.dephasing, prep.coupling
     out = (prep.delta_n ** 2 * env ** 2
@@ -216,7 +206,7 @@ def joint_density(prep: EquilibriumModePrep, t: float) -> np.ndarray:
 
 def joint_spectrum(prep: EquilibriumModePrep, t):
     """Eigenvalues of the 4x4 state in closed form (phase drops out)."""
-    _, env, _ = _envelope_phase(prep, t)
+    env, _ = relaxation_envelope(t, prep.dephasing, prep.coupling)
     n, dn = prep.n_eq, prep.delta_n
     quarter = 0.25 * dn * dn
     corner_hi = (1.0 - n) ** 2 - quarter

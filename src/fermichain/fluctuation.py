@@ -30,7 +30,7 @@ from typing import Iterable
 import numpy as np
 
 from .lattice import (ModeSpec, ReservoirParams, log_occupation_fd,
-                      log_vacancy_fd, occupation_fd)
+                      log_vacancy_fd, occupation_fd, relaxation_envelope)
 
 _SIGN = {"gain": 1.0, "loss": -1.0}
 
@@ -54,11 +54,9 @@ def affinities(res_a: ReservoirParams, res_b: ReservoirParams) -> Affinities:
 
 def transition_weight(mode: ModeSpec, t) -> object:
     """Per-particle transfer weight w(t) in [0, 1]."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("time must be >= 0")
-    out = 0.5 * (1.0 - np.exp(-mode.dephasing * t) * np.cos(2.0 * mode.coupling * t))
-    return float(out) if out.ndim == 0 else out
+    envelope, phase = relaxation_envelope(t, mode.dephasing, mode.coupling)
+    out = 0.5 * (1.0 - envelope * np.cos(phase))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def exchange_prob(direction: str, mode: ModeSpec, res_a: ReservoirParams,
@@ -122,8 +120,8 @@ def ft_log_ratio(mode: ModeSpec, res_a: ReservoirParams, res_b: ReservoirParams,
     'gain' counts a forward event as A handing a particle to B; 'loss'
     books the same event from B's perspective and flips both sides.
     """
-    if t < 0.0:
-        raise ValueError("time must be >= 0")
+    # only the time check: the transfer factor cancels, but must exist at t
+    relaxation_envelope(t, mode.dephasing, mode.coupling)
     try:
         sign = _SIGN[sign_convention]
     except KeyError:
@@ -154,8 +152,9 @@ def multi_mode_ft(events: Iterable[ExchangeEvent], res_a: ReservoirParams,
                   res_b: ReservoirParams, t: float,
                   sign_convention: str = "gain") -> FtCheck:
     """Joint log-ratio for independent modes: contributions add."""
-    if t < 0.0:
-        raise ValueError("time must be >= 0")
+    events = list(events)
+    # only the time check: each mode's transfer factor must exist at t
+    relaxation_envelope(t, [ev.mode.dephasing for ev in events], 0.0)
     try:
         sign = _SIGN[sign_convention]
     except KeyError:

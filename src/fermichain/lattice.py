@@ -14,6 +14,10 @@ The bare inter-half coupling g stays a free input: the finite-lattice matrix
 element between halves scales away with system size, and only the product
 g_k * t enters any observable.
 
+Dephasing enters only through the envelope exp(-lam t) times cos or sin of
+2 g_k t; :func:`relaxation_envelope`, which every physics module calls, is
+the one place that validates (t, lam) and forms it.
+
 Occupation helpers are written to be overflow-safe: the Fermi-Dirac form never
 exponentiates a large positive argument, and the Boltzmann form raises once
 exp((mu - eps)/T) would exceed a configurable cap.
@@ -32,9 +36,18 @@ KB_EV_PER_K = 8.617333262e-05
 
 _LN10 = math.log(10.0)
 
+# exp(-lam t) below this is indistinguishable from the damped limit in
+# double precision: it reads as 0, and the band quadrature then needs no
+# oscillation-resolving panels.
+_DAMPING_FLOOR = 1e-280
+
 
 class BoltzmannRangeError(ValueError):
     """exp((mu - eps)/T) would overflow the configured cap."""
+
+
+class EquilibriumUndefinedError(ValueError):
+    """t = inf requested with lam = 0: the mode never stops oscillating."""
 
 
 @dataclass(frozen=True)
@@ -151,14 +164,55 @@ class ModeSpec:
             raise ValueError("mode energy must not be NaN")
         if not math.isfinite(self.coupling):
             raise ValueError("mode coupling must be finite, got %r" % self.coupling)
-        if not self.dephasing >= 0.0:
-            raise ValueError("dephasing rate must be >= 0")
+        if not 0.0 <= self.dephasing < math.inf:
+            raise ValueError("dephasing rate must be finite and >= 0, got %r" % self.dephasing)
 
     @classmethod
     def from_momentum(cls, k: float, g: float = 1.0, dephasing: float = 0.0) -> "ModeSpec":
         return cls(momentum=float(k), energy=dispersion(k),
                    coupling=effective_coupling(k, g), dephasing=float(dephasing),
                    bare_coupling=float(g))
+
+
+def relaxation_envelope(t, dephasing, coupling: float):
+    """Validated (envelope, phase) = (exp(-lam t), 2 g t) of one mode.
+
+    t and lam may be scalars or broadcasting arrays.  Rejects NaN or negative
+    t and NaN, negative or infinite lam; t = inf with lam = 0 has no limit and
+    raises EquilibriumUndefinedError.  An envelope below ``_DAMPING_FLOOR`` is
+    set to 0 and takes the phase with it, so t = inf with lam > 0 gives the
+    damped limit rather than 0 * cos(inf).  The envelope is a numpy float64
+    for scalar input.
+    """
+    if isinstance(t, float) and isinstance(dephasing, float):
+        # plain-Python scalar path: the per-mode functions call it per sample
+        if not t >= 0.0:
+            raise ValueError("time must not be NaN" if t != t else "time must be >= 0")
+        if not 0.0 <= dephasing < math.inf:
+            raise ValueError("dephasing rate must be finite and >= 0, got %r" % dephasing)
+        if t == math.inf and dephasing == 0.0:
+            raise EquilibriumUndefinedError(
+                "t = inf with lam = 0 has no limit; the mode oscillates forever")
+        envelope = np.exp(-dephasing * t)
+        if envelope > _DAMPING_FLOOR:
+            return envelope, 2.0 * coupling * t
+        return np.float64(0.0), 0.0
+    tarr = np.asarray(t, dtype=float)
+    lam = np.asarray(dephasing, dtype=float)
+    if tarr.ndim == 0 and lam.ndim == 0:
+        return relaxation_envelope(float(tarr), float(lam), coupling)
+    if np.any(np.isnan(tarr)):
+        raise ValueError("time must not be NaN")
+    if np.any(tarr < 0.0):
+        raise ValueError("time must be >= 0")
+    if not np.all((lam >= 0.0) & (lam < math.inf)):
+        raise ValueError("dephasing rate must be finite and >= 0, got %r" % dephasing)
+    if np.any(np.isinf(tarr) & (lam == 0.0)):
+        raise EquilibriumUndefinedError(
+            "t = inf with lam = 0 has no limit; the mode oscillates forever")
+    envelope = np.exp(-lam * tarr)
+    alive = envelope > _DAMPING_FLOOR
+    return np.where(alive, envelope, 0.0), 2.0 * coupling * np.where(alive, tarr, 0.0)
 
 
 def occupation_fd(energy, reservoir: ReservoirParams):

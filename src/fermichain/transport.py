@@ -39,9 +39,8 @@ reduction; the panel count is doubled until two successive levels agree,
 and never starts below ~4 g t panels so the oscillation is resolved.
 Identical inputs give bit-identical results.
 
-Times must be >= 0 and not NaN, and the dephasing rate finite and >= 0;
-``_time_layout`` enforces this for transport and the closed forms alike.
-The coupling g must be finite.
+``lattice.relaxation_envelope`` validates t and the dephasing rate, as in
+every other module; the coupling g must be finite.
 """
 
 from __future__ import annotations
@@ -52,14 +51,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import ReservoirParams, occupation_boltzmann, occupation_fd
+from .lattice import (EquilibriumUndefinedError, ReservoirParams,  # noqa: F401 (re-export)
+                      occupation_boltzmann, occupation_fd, relaxation_envelope)
 
 STATS_FD = "fd"
 STATS_BOLTZMANN = "boltzmann"
-
-# exp(-lam t) below this is indistinguishable from the damped limit in
-# double precision; skip oscillation-resolving panels there.
-_DAMPING_FLOOR = 1e-280
 
 
 class QuadratureError(RuntimeError):
@@ -68,10 +64,6 @@ class QuadratureError(RuntimeError):
     def __init__(self, message: str, achieved_error: float):
         super().__init__(message)
         self.achieved_error = achieved_error
-
-
-class EquilibriumUndefinedError(ValueError):
-    """t = inf requested with lam = 0: the mode never stops oscillating."""
 
 
 @dataclass(frozen=True)
@@ -129,7 +121,9 @@ def integrate_interval(f, a: float, b: float, quad: QuadratureSpec = DEFAULT_QUA
         so it equals a solo call on that group bit for bit, and the call ends
         when every group has converged.  A plain array is the one-group case.
     min_panels : lower bound on the first panel count (e.g. to resolve a
-        known oscillation).
+        known oscillation).  A first level that leaves no room to double
+        within ``quad.max_panels`` raises QuadratureError before any
+        evaluation.
 
     Returns
     -------
@@ -140,9 +134,13 @@ def integrate_interval(f, a: float, b: float, quad: QuadratureSpec = DEFAULT_QUA
     """
     if b <= a:
         raise ValueError("need b > a")
-    x0, w0 = _gauss_nodes(quad.nodes_per_panel)
     panels = max(quad.base_panels, int(min_panels))
-    panels = min(panels, quad.max_panels)
+    if panels >= quad.max_panels:
+        raise QuadratureError(
+            "%d starting panels (min_panels %d, ~4 g t for the band) leave no room "
+            "to refine within max_panels %d" % (panels, min_panels, quad.max_panels),
+            achieved_error=math.inf)
+    x0, w0 = _gauss_nodes(quad.nodes_per_panel)
     prev = None  # per-group totals of the previous level
     done = None  # per-group (total, err) once converged
     while True:
@@ -175,9 +173,6 @@ def integrate_interval(f, a: float, b: float, quad: QuadratureSpec = DEFAULT_QUA
         if not first and not failing:
             values, errs = zip(*done)
             return (values, errs) if grouped else (values[0], errs[0])
-        if first and panels >= quad.max_panels:
-            raise QuadratureError(
-                "max_panels too small to even refine once", achieved_error=math.inf)
         if not first and 2 * panels > quad.max_panels:
             err, tol = max(failing, key=lambda pair: pair[0] / pair[1])
             raise QuadratureError(
@@ -204,46 +199,16 @@ def _occupation(stats: str, energy, res: ReservoirParams):
     return occupation_boltzmann(energy, res)
 
 
-def _time_layout(t, dephasing: float):
-    """Damping amplitudes and oscillation scale for scalar-or-array t.
-
-    Returns (t_array, damping_array, scalar_flag, t_osc) where t_osc is the
-    largest time whose oscillating term still contributes.  Rejects NaN or
-    negative t and NaN, negative or infinite dephasing.
-    """
-    scalar = np.isscalar(t) or np.ndim(t) == 0
-    tarr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(np.isnan(tarr)):
-        raise ValueError("time must not be NaN")
-    if np.any(tarr < 0.0):
-        raise ValueError("time must be >= 0")
-    if not 0.0 <= dephasing < math.inf:
-        raise ValueError("dephasing rate must be finite and >= 0, got %r" % dephasing)
-    if np.any(np.isinf(tarr)):
-        if dephasing <= 0.0:
-            raise EquilibriumUndefinedError(
-                "t = inf with lam = 0 has no limit; the mode oscillates forever")
-        damping = np.where(np.isinf(tarr), 0.0, np.exp(-dephasing * np.where(np.isinf(tarr), 0.0, tarr)))
-    else:
-        damping = np.exp(-dephasing * tarr)
-    alive = damping > _DAMPING_FLOOR
-    damping = np.where(alive, damping, 0.0)
-    t_osc = float(np.max(tarr[alive])) if np.any(alive) else 0.0
-    return tarr, damping, scalar, t_osc
-
-
-def _relaxation_factor(k, tarr, damping, g: float):
-    """D(k, t) = damping * cos(2 g sin^2 k * t) - 1, shaped (n_t, n_k)."""
+def _relaxation_factor(k, damping, phase, g: float):
+    """D(k, t) = damping * cos(g_k * phase) - 1, shaped (n_t, n_k), where
+    ``phase`` is the unit-coupling phase 2 t (0 wherever damping is)."""
     gk = g * np.sin(k) ** 2
-    with np.errstate(invalid="ignore"):
-        phase = 2.0 * gk[None, :] * tarr[:, None]
-        # inf * 0 would poison the cos; damped-out rows never read the phase
-        phase = np.where(damping[:, None] > 0.0, phase, 0.0)
-    return damping[:, None] * np.cos(phase) - 1.0
+    return damping[:, None] * np.cos(gk[None, :] * phase[:, None]) - 1.0
 
 
-def _osc_panels(g: float, t_osc: float) -> int:
-    return max(1, int(math.ceil(4.0 * abs(g) * t_osc)))
+def _osc_panels(g: float, phase) -> int:
+    # ~4 g t panels for the largest t whose oscillating term still contributes
+    return max(1, int(math.ceil(2.0 * abs(g) * float(np.max(phase, initial=0.0)))))
 
 
 def _band_average(kernel_groups, t, res: ReservoirParams, dephasing: float,
@@ -260,7 +225,9 @@ def _band_average(kernel_groups, t, res: ReservoirParams, dephasing: float,
     if not math.isfinite(g):
         raise ValueError("coupling g must be finite, got %r" % g)
     stats = _normalize_stats(stats)
-    tarr, damping, scalar, t_osc = _time_layout(t, dephasing)
+    scalar = np.ndim(t) == 0
+    damping, phase = relaxation_envelope(np.atleast_1d(np.asarray(t, dtype=float)),
+                                         dephasing, 1.0)
 
     def f(k):
         eps = -2.0 * np.cos(k)
@@ -270,10 +237,10 @@ def _band_average(kernel_groups, t, res: ReservoirParams, dephasing: float,
         # temporaries never coexist: at ~1e6 nodes per level this sets the
         # peak memory
         del occ
-        relax = _relaxation_factor(k, tarr, damping, g)
+        relax = _relaxation_factor(k, damping, phase, g)
         return tuple([r[:, None, :] * relax for r in rows])
 
-    vals, _ = integrate_band(f, quad, _osc_panels(g, t_osc))
+    vals, _ = integrate_band(f, quad, _osc_panels(g, phase))
     vals = [val / math.pi for val in vals]
     return [[float(v[0]) for v in val] if scalar else list(val) for val in vals]
 

@@ -65,6 +65,24 @@ def test_prep_validation():
     assert p.occupation_b == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("dephasing", math.nan), ("dephasing", math.inf), ("dephasing", -0.1),
+    ("coupling", math.nan), ("coupling", math.inf), ("coupling", -math.inf),
+])
+def test_prep_rejects_non_finite_coupling_and_bad_dephasing(field, value):
+    # dephasing=nan or coupling=inf used to pass and turn s1 into NaN
+    kwargs = {"n_eq": 0.3, "delta_n": 0.1, "coupling": 1.0, field: value}
+    with pytest.raises(ValueError, match=field):
+        EquilibriumModePrep(**kwargs)
+
+
+@pytest.mark.parametrize("p", [math.nan, -0.1, 1.1, [0.2, math.nan]])
+def test_binary_entropy_rejects_nan_and_out_of_range(p):
+    # NaN used to slip past the range check and return -0.0
+    with pytest.raises(ValueError, match="occupation"):
+        binary_entropy(p)
+
+
 def test_coeffs_symmetric_filling_kills_linear_term():
     p = EquilibriumModePrep(n_eq=0.5, delta_n=0.1, coupling=1.0, dephasing=0.2)
     for t in (0.0, 0.9, 4.0):

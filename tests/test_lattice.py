@@ -158,7 +158,7 @@ def test_preparation_flags_large_gradients():
     assert quiet.within_linear_response
 
 
-@pytest.mark.parametrize("dephasing", [-0.1, math.nan])
+@pytest.mark.parametrize("dephasing", [-0.1, math.nan, math.inf])
 def test_mode_spec_rejects_bad_dephasing(dephasing):
     with pytest.raises(ValueError, match="dephasing"):
         ModeSpec(momentum=1.0, energy=0.0, coupling=1.0, dephasing=dephasing)

@@ -100,6 +100,23 @@ def test_integrate_interval_unconverged_group_fails_the_call():
     assert both.value.achieved_error == solo.value.achieved_error > 0.0
 
 
+@pytest.mark.parametrize("min_panels", [64, 1000])
+def test_integrate_interval_without_room_to_refine_fails_before_evaluating(min_panels):
+    calls = []
+    spec = QuadratureSpec(max_panels=64)
+    with pytest.raises(QuadratureError, match="min_panels %d.*max_panels 64" % min_panels):
+        integrate_interval(lambda x: calls.append(x.size) or np.ones_like(x), 0.0, 1.0,
+                           quad=spec, min_panels=min_panels)
+    assert calls == []
+
+
+def test_large_g_t_names_the_panel_budget():
+    # g t = 1e6 needs ~4e6 starting panels against the default 65,536; this
+    # used to evaluate a full 1,048,576-node level before failing
+    with pytest.raises(QuadratureError, match="min_panels 4000000.*max_panels 65536"):
+        nbar(1.0, ReservoirParams(0.1, 0.0), 0.05, 1e6)
+
+
 def test_integrate_interval_reports_achieved_error():
     spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_panels=64)
     with pytest.raises(QuadratureError) as exc:
