@@ -8,19 +8,18 @@ fluctuation theorem, and low-temperature/dilute closed forms, all
 cross-checkable against brute-force integration at runtime.
 """
 
-from .lattice import (KB_EV_PER_K, BipartitePreparation, BoltzmannRangeError,
-                      BoltzmannValidity, ModeSpec, ReservoirParams, band_gap_ev,
-                      boltzmann_validity, dispersion, effective_coupling,
-                      log_occupation_fd, log_vacancy_fd, occupation_boltzmann,
-                      occupation_fd)
+from .lattice import (BipartitePreparation, BoltzmannRangeError, BoltzmannValidity,
+                      ModeSpec, ReservoirParams, band_gap_ev, boltzmann_validity,
+                      dispersion, log_occupation_fd, log_vacancy_fd,
+                      occupation_boltzmann, occupation_fd)
 from .dynamics import (IntegrationError, coherence_ab, density_matrix,
-                       density_matrix_from_occupations, lindblad_oracle,
-                       lindblad_trajectory, occ_a, occ_b, reduced_density)
+                       density_matrix_from_occupations, lindblad_trajectory,
+                       occ_a, occ_b)
 from .transport import (STATS_BOLTZMANN, STATS_FD, EquilibriumUndefinedError,
                         OnsagerBlock, ParticleHeatFlux, QuadratureError,
                         QuadratureSpec, TransportPoint, counters,
-                        counters_and_onsager, ebar, fluxes, integrate_band,
-                        integrate_interval, nbar, onsager, qbar)
+                        counters_and_onsager, ebar, fluxes, integrate_interval,
+                        nbar, onsager, qbar)
 from .special import SpecialFnTable, bessel_i, bessel_j, beta_fn
 from .closedforms import (SeriesConvergenceError, SeriesResult,
                           ebar_boltzmann_closed, ebar_fd_sommerfeld,
@@ -29,17 +28,15 @@ from .closedforms import (SeriesConvergenceError, SeriesResult,
 from .entropy import (EquilibriumModePrep, ModeEntropyBreakdown, binary_entropy,
                       entropy_a_exact, entropy_b_exact, entropy_coeffs,
                       entropy_production, entropy_production_integral,
-                      entropy_sum, entropy_sum_rate, joint_density,
-                      joint_entropy, joint_entropy_exact, joint_spectrum,
-                      mutual_information, mutual_information_exact,
-                      mutual_information_rate, von_neumann)
+                      entropy_sum_rate, joint_entropy, joint_entropy_exact,
+                      joint_spectrum, mutual_information,
+                      mutual_information_exact, mutual_information_rate)
 from .fluctuation import (Affinities, ExchangeEvent, FtCheck,
                           ZeroProbabilityError, affinities, exchange_prob,
-                          ft_log_ratio, middle_block_populations, multi_mode_ft,
-                          transition_weight)
+                          ft_log_ratio, multi_mode_ft, transition_weight)
 from .scenarios import (ComparisonReport, ConfigError, LinearResponseWarning,
                         Panel, ScenarioConfig, ScenarioResult, SCENARIOS,
-                        load_config, parse_config, run_scenario, write_result)
+                        parse_config, run_scenario, write_result)
 from .acceptance import CRITERIA, CriterionResult, run_acceptance
 
 __version__ = "0.1.0"

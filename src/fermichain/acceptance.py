@@ -18,7 +18,7 @@ import numpy as np
 
 from . import closedforms, dynamics, entropy, fluctuation, lattice, special, transport
 from .lattice import ModeSpec, ReservoirParams
-from .scenarios import _csv_field, _max_norm_deviation
+from .scenarios import _csv_field, parse_config, run_scenario
 
 
 def _c1():
@@ -42,7 +42,7 @@ def _c2():
         total = (dynamics.occ_a(mode, n_a0[i], n_b0[i], t[i])
                  + dynamics.occ_b(mode, n_a0[i], n_b0[i], t[i]))
         worst = max(worst, abs(total - (n_a0[i] + n_b0[i])))
-    return worst < 1e-14, "max |occ_a + occ_b - const| = %.2e over %d samples" % (
+    return bool(worst < 1e-14), "max |occ_a + occ_b - const| = %.2e over %d samples" % (
         worst, count)
 
 
@@ -163,24 +163,18 @@ def _c7():
     return worst < 1e-8, "max |closed - quadrature| = %.2e" % worst
 
 
-def _c8_deviation(temp: float, mu: float, t_grid, lam: float, g: float) -> float:
-    res = ReservoirParams(temp, mu)
-    n_quad, e_quad = zip(*(transport.counters(float(t), res, lam, g) for t in t_grid))
-    n_series = [closedforms.nbar_fd_sommerfeld(float(t), res, lam, g).value
-                for t in t_grid]
-    e_series = [closedforms.ebar_fd_sommerfeld(float(t), res, lam, g).value
-                for t in t_grid]
-    return max(_max_norm_deviation(n_series, n_quad), _max_norm_deviation(e_series, e_quad))
-
-
 def _c8():
-    lam, g = 0.35, 1.0
-    t_grid = np.linspace(0.0, 10.0, 11)
-    worst = 0.0
-    for mu in np.linspace(-1.5, 1.5, 7):
-        worst = max(worst, _c8_deviation(0.1, float(mu), t_grid, lam, g))
-    grows = all(_c8_deviation(0.25, mu, t_grid, lam, g)
-                > _c8_deviation(0.1, mu, t_grid, lam, g) for mu in (-1.5, 1.5))
+    t_grid = [float(t) for t in np.linspace(0.0, 10.0, 11)]
+
+    def deviation(temp, mu):
+        # the onsteste2 figure's own quadrature-vs-series comparison
+        cfg = parse_config({"scenario": "onsteste2", "temperature": temp, "mu": mu,
+                            "dephasing": 0.35, "g": 1.0, "t_grid": t_grid})
+        return max(r.max_rel_deviation for r in run_scenario(cfg).reports)
+
+    at_low_t = {mu: deviation(0.1, mu) for mu in np.linspace(-1.5, 1.5, 7).tolist()}
+    worst = max(at_low_t.values())
+    grows = all(deviation(0.25, mu) > at_low_t[mu] for mu in (-1.5, 1.5))
     ok = worst < 0.05 and grows
     return ok, ("max deviation %.3f at T=0.1; worsens at T=0.25: %s" % (worst, grows))
 

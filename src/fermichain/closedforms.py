@@ -154,24 +154,26 @@ def _check_boltzmann_prefactor(res: ReservoirParams) -> float:
     return math.exp(arg)
 
 
-def nbar_boltzmann_closed(t: float, res: ReservoirParams, dephasing: float,
-                          g: float) -> float:
-    """Exact Boltzmann-statistics particle counter (no truncation error)."""
+def _boltzmann_closed(nu: int, scale: float, t: float, res: ReservoirParams,
+                      dephasing: float, g: float) -> float:
+    """scale exp(beta mu) [exp(-lam t) omega_nu(2 g t, 2 beta) - I_nu(2 beta)]."""
     damping, phase = relaxation_envelope(t, dephasing, g)
     pref = _check_boltzmann_prefactor(res)
     y = 2.0 * res.beta
-    osc = float(damping) * omega(0, phase, y).value if damping > 0.0 else 0.0
-    return pref * (osc - bessel_i(0, y))
+    osc = float(damping) * omega(nu, phase, y).value if damping > 0.0 else 0.0
+    return scale * pref * (osc - bessel_i(nu, y))
+
+
+def nbar_boltzmann_closed(t: float, res: ReservoirParams, dephasing: float,
+                          g: float) -> float:
+    """Exact Boltzmann-statistics particle counter (no truncation error)."""
+    return _boltzmann_closed(0, 1.0, t, res, dephasing, g)
 
 
 def ebar_boltzmann_closed(t: float, res: ReservoirParams, dephasing: float,
                           g: float) -> float:
     """Exact Boltzmann-statistics energy counter."""
-    damping, phase = relaxation_envelope(t, dephasing, g)
-    pref = _check_boltzmann_prefactor(res)
-    y = 2.0 * res.beta
-    osc = float(damping) * omega(1, phase, y).value if damping > 0.0 else 0.0
-    return -2.0 * pref * (osc - bessel_i(1, y))
+    return _boltzmann_closed(1, -2.0, t, res, dephasing, g)
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +183,9 @@ def ebar_boltzmann_closed(t: float, res: ReservoirParams, dephasing: float,
 _SOMMERFELD_N_CAP = 30  # keeps Bessel orders within the validated range
 
 
-def _check_sommerfeld_args(res: ReservoirParams, n_max: int):
+def _check_sommerfeld_args(res: ReservoirParams):
     if abs(res.mu) >= 2.0:
         raise ValueError("Sommerfeld form needs mu strictly inside the band (-2, 2)")
-    if not 1 <= n_max <= _SOMMERFELD_N_CAP:
-        raise ValueError("n_max must be in [1, %d]" % _SOMMERFELD_N_CAP)
 
 
 def _bracket_derivative_n(mu: float, t: float, damping: float, g: float) -> float:
@@ -211,21 +211,64 @@ def _bracket_derivative_e(mu: float, t: float, damping: float, g: float) -> floa
     return (osc - 1.0) / math.sqrt(root) + mu * _bracket_derivative_n(mu, t, damping, g)
 
 
-def _alternating_series(terms) -> tuple[float, float, int, bool]:
-    """Sum signed terms, stopping once two successive |terms| are tiny."""
-    total = 0.0
-    below = 0
-    last_abs = math.inf
-    count = 0
-    for tol_tenth, signed in terms:
-        total += signed
-        count += 1
-        a = abs(signed)
-        below = below + 1 if (a < tol_tenth and last_abs < tol_tenth) else 0
-        last_abs = a
-        if below:
-            return total, a, count, True
-    return total, last_abs, count, False
+def _n_term(theta: float, n: int, cj: float, sj: float) -> float:
+    return (cj * math.sin(4 * n * theta) / (2 * n)
+            - sj * math.sin((4 * n - 2) * theta) / (2 * n - 1))
+
+
+def _e_term(theta: float, n: int, cj: float, sj: float) -> float:
+    upper = math.sin((4 * n + 1) * theta) / (4 * n + 1)
+    middle = math.sin((4 * n - 1) * theta) / (4 * n - 1)
+    lower = math.sin((4 * n - 3) * theta) / (4 * n - 3)
+    return cj * (upper + middle) - sj * (middle + lower)
+
+
+def _sommerfeld(t: float, res: ReservoirParams, dephasing: float, g: float,
+                n_max: int, tol: float, head, term, bracket,
+                pref: float) -> SeriesResult:
+    """(1/pi) {pref (exp(-lam t) S - h) + (pi^2 T^2 / 6) bracket}, h = head(theta).
+
+    S = cos(gt) J_0(gt) h + sum_n (-1)^n term(theta, n, cos(gt) J_2n(gt),
+    sin(gt) J_{2n-1}(gt)), so S(t = 0) = h and the counter vanishes there.
+    The sum stops once two successive |terms| fall below tol/10; the last
+    term summed is the truncation estimate.
+    """
+    _check_sommerfeld_args(res)
+    if not 1 <= n_max <= _SOMMERFELD_N_CAP:
+        raise ValueError("n_max must be in [1, %d]" % _SOMMERFELD_N_CAP)
+    damping = float(relaxation_envelope(t, dephasing, g)[0])
+    theta = math.acos(-0.5 * res.mu)
+    h = head(theta)
+    series = tail = 0.0
+    terms_used = 0
+    converged = True
+    if damping > 0.0:
+        gt = g * t
+        table = SpecialFnTable(max_order=2 * n_max, x_bessel_j=gt)
+        c, s = math.cos(gt), math.sin(gt)
+
+        def terms():
+            yield c * table.j(0) * h
+            for n in range(1, n_max + 1):
+                sign = -1.0 if n % 2 else 1.0
+                yield sign * term(theta, n, c * table.j(2 * n), s * table.j(2 * n - 1))
+
+        small = tol / 10.0
+        last = math.inf
+        converged = False
+        for signed in terms():
+            series += signed
+            terms_used += 1
+            tail = abs(signed)
+            if tail < small and last < small:
+                converged = True
+                break
+            last = tail
+    value = (pref * damping * series - pref * h
+             + (math.pi ** 2 * res.temperature ** 2 / 6.0)
+             * bracket(res.mu, t, damping, g)) / math.pi
+    return SeriesResult(value=value, trunc_error_est=abs(pref) * damping * tail / math.pi,
+                        terms_used=terms_used, converged=converged)
 
 
 def nbar_fd_sommerfeld(t: float, res: ReservoirParams, dephasing: float, g: float,
@@ -236,69 +279,15 @@ def nbar_fd_sommerfeld(t: float, res: ReservoirParams, dephasing: float, g: floa
     at t = 0, damped limit at t = inf (dephasing > 0).  mu must be inside
     the band; accuracy degrades as T or |mu| grow toward the band edge.
     """
-    _check_sommerfeld_args(res, n_max)
-    damping = float(relaxation_envelope(t, dephasing, g)[0])
-    theta = math.acos(-0.5 * res.mu)
-    temp = res.temperature
-    series_tail = 0.0
-    terms_used = 0
-    converged = True
-    series = 0.0
-    if damping > 0.0:
-        gt = g * t
-        table = SpecialFnTable(max_order=2 * n_max, x_bessel_j=gt)
-        c, s = math.cos(gt), math.sin(gt)
-
-        def gen():
-            yield tol / 10.0, c * table.j(0) * theta
-            for n in range(1, n_max + 1):
-                sign = -1.0 if n % 2 else 1.0
-                f_n = (c * table.j(2 * n) * math.sin(4 * n * theta) / (2 * n)
-                       - s * table.j(2 * n - 1) * math.sin((4 * n - 2) * theta) / (2 * n - 1))
-                yield tol / 10.0, sign * f_n
-
-        series, series_tail, terms_used, converged = _alternating_series(gen())
-    value = (damping * series - theta
-             + (math.pi ** 2 * temp ** 2 / 6.0)
-             * _bracket_derivative_n(res.mu, t, damping, g)) / math.pi
-    return SeriesResult(value=value, trunc_error_est=damping * series_tail / math.pi,
-                        terms_used=terms_used, converged=converged)
+    return _sommerfeld(t, res, dephasing, g, n_max, tol, lambda theta: theta,
+                       _n_term, _bracket_derivative_n, 1.0)
 
 
 def ebar_fd_sommerfeld(t: float, res: ReservoirParams, dephasing: float, g: float,
                        n_max: int = 25, tol: float = 1e-12) -> SeriesResult:
     """Low-temperature energy counter for Fermi-Dirac statistics."""
-    _check_sommerfeld_args(res, n_max)
-    damping = float(relaxation_envelope(t, dephasing, g)[0])
-    theta = math.acos(-0.5 * res.mu)
-    temp = res.temperature
-    series_tail = 0.0
-    terms_used = 0
-    converged = True
-    series = 0.0
-    if damping > 0.0:
-        gt = g * t
-        table = SpecialFnTable(max_order=2 * n_max, x_bessel_j=gt)
-        c, s = math.cos(gt), math.sin(gt)
-
-        def pair(j):
-            return math.sin(j * theta) / j
-
-        def gen():
-            yield tol / 10.0, c * table.j(0) * math.sin(theta)
-            for n in range(1, n_max + 1):
-                sign = -1.0 if n % 2 else 1.0
-                h_n = (c * table.j(2 * n) * (pair(4 * n + 1) + pair(4 * n - 1))
-                       - s * table.j(2 * n - 1) * (pair(4 * n - 1) + pair(4 * n - 3)))
-                yield tol / 10.0, sign * h_n
-
-        series, series_tail, terms_used, converged = _alternating_series(gen())
-    value = (-2.0 * damping * series + 2.0 * math.sin(theta)
-             + (math.pi ** 2 * temp ** 2 / 6.0)
-             * _bracket_derivative_e(res.mu, t, damping, g)) / math.pi
-    return SeriesResult(value=value,
-                        trunc_error_est=2.0 * damping * series_tail / math.pi,
-                        terms_used=terms_used, converged=converged)
+    return _sommerfeld(t, res, dephasing, g, n_max, tol, math.sin,
+                       _e_term, _bracket_derivative_e, -2.0)
 
 
 def equilibrium_sommerfeld_onsager(res: ReservoirParams) -> OnsagerBlock:
@@ -308,10 +297,9 @@ def equilibrium_sommerfeld_onsager(res: ReservoirParams) -> OnsagerBlock:
     convention: the explicit mu weight in the heat counter is not
     differentiated), for comparison against the quadrature coefficients.
     """
+    _check_sommerfeld_args(res)
     mu = res.mu
     temp = res.temperature
-    if abs(mu) >= 2.0:
-        raise ValueError("Sommerfeld form needs mu strictly inside the band (-2, 2)")
     root = 4.0 - mu * mu
     r12 = root ** -0.5
     r32 = root ** -1.5

@@ -95,20 +95,6 @@ def density_matrix(mode: ModeSpec, res_a: ReservoirParams, res_b: ReservoirParam
     return density_matrix_from_occupations(n_a0, n_b0, mode.coupling, mode.dephasing, t)
 
 
-def reduced_density(which: str, mode: ModeSpec, res_a: ReservoirParams,
-                    res_b: ReservoirParams, t: float) -> np.ndarray:
-    """2x2 single-site reduction diag(1 - n(t), n(t)) for half 'a' or 'b'."""
-    n_a0 = occupation_fd(mode.energy, res_a)
-    n_b0 = occupation_fd(mode.energy, res_b)
-    if which.lower() == "a":
-        n = occ_a(mode, n_a0, n_b0, t)
-    elif which.lower() == "b":
-        n = occ_b(mode, n_a0, n_b0, t)
-    else:
-        raise ValueError("which must be 'a' or 'b'")
-    return np.diag([1.0 - n, n]).astype(float)
-
-
 # ---------------------------------------------------------------------------
 # brute-force master-equation integrator (validation path)
 # ---------------------------------------------------------------------------
@@ -206,8 +192,3 @@ def lindblad_trajectory(mode: ModeSpec | list | tuple, res_a: ReservoirParams,
         out[:, i] = y.reshape(-1, 4, 4)
     return out if batch else out[0]
 
-
-def lindblad_oracle(mode: ModeSpec, res_a: ReservoirParams, res_b: ReservoirParams,
-                    t: float, dt_max: float = 1e-4) -> np.ndarray:
-    """State at a single finite time t >= 0 from the fixed-step integrator."""
-    return lindblad_trajectory(mode, res_a, res_b, [t], dt_max=dt_max)[0]

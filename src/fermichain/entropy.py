@@ -56,22 +56,6 @@ def binary_entropy(p):
     return float(val) if val.ndim == 0 else val
 
 
-def von_neumann(rho: np.ndarray, atol: float = 1e-10) -> float:
-    """-Tr rho ln rho for a density matrix, with validation."""
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("density matrix must be square")
-    if not np.allclose(rho, rho.conj().T, atol=atol):
-        raise ValueError("density matrix must be Hermitian")
-    if abs(np.trace(rho).real - 1.0) > atol:
-        raise ValueError("density matrix must have unit trace")
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -atol:
-        raise ValueError("density matrix has negative eigenvalue %g" % evals.min())
-    evals = np.clip(evals, 0.0, None)
-    return float(-_xlogx(evals).sum())
-
-
 @dataclass(frozen=True)
 class EquilibriumModePrep:
     """Near-equilibrium preparation of one mode: common occupation plus split."""
@@ -132,13 +116,6 @@ def entropy_coeffs(prep: EquilibriumModePrep, t) -> ModeEntropyBreakdown:
     return ModeEntropyBreakdown(s0=s0, s1=s1, s2=s2, delta_n=prep.delta_n)
 
 
-def entropy_sum(prep: EquilibriumModePrep, t):
-    """S_A + S_B through O(dn^2); the odd term cancels."""
-    c = entropy_coeffs(prep, t)
-    out = 2.0 * (c.s0 + c.s2 * prep.delta_n ** 2)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def mutual_information(prep: EquilibriumModePrep, t):
     """I(A:B) through O(dn^2): the coherence carries the correlations."""
     env, phase = relaxation_envelope(t, prep.dephasing, prep.coupling)
@@ -197,12 +174,6 @@ def mutual_information_rate(prep: EquilibriumModePrep, t):
 # ---------------------------------------------------------------------------
 # Non-perturbative counterparts (no expansion in dn)
 # ---------------------------------------------------------------------------
-
-def joint_density(prep: EquilibriumModePrep, t: float) -> np.ndarray:
-    """The full 4x4 state of the mode at time t."""
-    return dynamics.density_matrix_from_occupations(
-        prep.occupation_a, prep.occupation_b, prep.coupling, prep.dephasing, t)
-
 
 def joint_spectrum(prep: EquilibriumModePrep, t):
     """Eigenvalues of the 4x4 state in closed form (phase drops out)."""

@@ -73,19 +73,6 @@ def exchange_prob(direction: str, mode: ModeSpec, res_a: ReservoirParams,
     return thermal * 2.0 * transition_weight(mode, t)
 
 
-def middle_block_populations(mode: ModeSpec, n_a0: float, n_b0: float,
-                             t) -> tuple:
-    """Populations of the one-particle sector as mixing of the initial pair.
-
-    Returns (P[particle on A], P[particle on B]); the initial weights
-    p = n_a0 (1 - n_b0) and q = (1 - n_a0) n_b0 mix through w(t).
-    """
-    p = n_a0 * (1.0 - n_b0)
-    q = (1.0 - n_a0) * n_b0
-    w = transition_weight(mode, t)
-    return p * (1.0 - w) + q * w, q * (1.0 - w) + p * w
-
-
 @dataclass(frozen=True)
 class FtCheck:
     """Both sides of the detailed fluctuation theorem at one evaluation."""

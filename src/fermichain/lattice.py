@@ -41,6 +41,8 @@ _LN10 = math.log(10.0)
 # oscillation-resolving panels.
 _DAMPING_FLOOR = 1e-280
 
+_PHASE_OVERFLOW = "phase 2 g t overflows: g t is too large to evaluate"
+
 
 class BoltzmannRangeError(ValueError):
     """exp((mu - eps)/T) would overflow the configured cap."""
@@ -109,10 +111,6 @@ class BipartitePreparation:
             out.append("delta_mu")
         return out
 
-    @property
-    def within_linear_response(self) -> bool:
-        return not self.linear_response_warnings()
-
 
 def dispersion(k):
     """Band energy eps_k = -2 cos(k) for momentum k in [0, pi].
@@ -123,20 +121,6 @@ def dispersion(k):
     if np.any(karr < 0.0) or np.any(karr > math.pi):
         raise ValueError("momentum outside [0, pi]")
     out = -2.0 * np.cos(karr)
-    return float(out) if np.isscalar(k) or karr.ndim == 0 else out
-
-
-def effective_coupling(k, g: float):
-    """Continuum inter-half coupling magnitude g_k = g sin(k)^2.
-
-    Only cos(2 g_k t) and sin(2 g_k t)^2 of this value enter reported
-    observables, so the overall sign convention is carried by the dynamics
-    module, not here.
-    """
-    karr = np.asarray(k, dtype=float)
-    if np.any(karr < 0.0) or np.any(karr > math.pi):
-        raise ValueError("momentum outside [0, pi]")
-    out = g * np.sin(karr) ** 2
     return float(out) if np.isscalar(k) or karr.ndim == 0 else out
 
 
@@ -169,8 +153,10 @@ class ModeSpec:
 
     @classmethod
     def from_momentum(cls, k: float, g: float = 1.0, dephasing: float = 0.0) -> "ModeSpec":
+        # dispersion validates k; only cos and sin of 2 g_k t reach an
+        # observable, so the sign convention of g_k lives in dynamics
         return cls(momentum=float(k), energy=dispersion(k),
-                   coupling=effective_coupling(k, g), dephasing=float(dephasing),
+                   coupling=float(g * np.sin(k) ** 2), dephasing=float(dephasing),
                    bare_coupling=float(g))
 
 
@@ -181,8 +167,8 @@ def relaxation_envelope(t, dephasing, coupling: float):
     t and NaN, negative or infinite lam; t = inf with lam = 0 has no limit and
     raises EquilibriumUndefinedError.  An envelope below ``_DAMPING_FLOOR`` is
     set to 0 and takes the phase with it, so t = inf with lam > 0 gives the
-    damped limit rather than 0 * cos(inf).  The envelope is a numpy float64
-    for scalar input.
+    damped limit rather than 0 * cos(inf); a finite g t whose phase overflows
+    raises ValueError.  The envelope is a numpy float64 for scalar input.
     """
     if isinstance(t, float) and isinstance(dephasing, float):
         # plain-Python scalar path: the per-mode functions call it per sample
@@ -194,9 +180,12 @@ def relaxation_envelope(t, dephasing, coupling: float):
             raise EquilibriumUndefinedError(
                 "t = inf with lam = 0 has no limit; the mode oscillates forever")
         envelope = np.exp(-dephasing * t)
-        if envelope > _DAMPING_FLOOR:
-            return envelope, 2.0 * coupling * t
-        return np.float64(0.0), 0.0
+        if not envelope > _DAMPING_FLOOR:
+            return np.float64(0.0), 0.0
+        phase = 2.0 * float(coupling) * t  # float: no numpy overflow warning
+        if not math.isfinite(phase):
+            raise ValueError(_PHASE_OVERFLOW)
+        return envelope, phase
     tarr = np.asarray(t, dtype=float)
     lam = np.asarray(dephasing, dtype=float)
     if tarr.ndim == 0 and lam.ndim == 0:
@@ -212,7 +201,11 @@ def relaxation_envelope(t, dephasing, coupling: float):
             "t = inf with lam = 0 has no limit; the mode oscillates forever")
     envelope = np.exp(-lam * tarr)
     alive = envelope > _DAMPING_FLOOR
-    return np.where(alive, envelope, 0.0), 2.0 * coupling * np.where(alive, tarr, 0.0)
+    t_alive = np.where(alive, tarr, 0.0)
+    # the largest |phase| in plain floats: overflows without a numpy warning
+    if not math.isfinite(2.0 * abs(float(coupling)) * float(t_alive.max(initial=0.0))):
+        raise ValueError(_PHASE_OVERFLOW)
+    return np.where(alive, envelope, 0.0), 2.0 * coupling * t_alive
 
 
 def occupation_fd(energy, reservoir: ReservoirParams):
@@ -227,32 +220,29 @@ def occupation_fd(energy, reservoir: ReservoirParams):
     return float(out) if out.ndim == 0 else out
 
 
-def _log_sigmoid(x):
-    # ln(1/(e^x + 1)) = -(max(x,0) + log1p(e^{-|x|})), stable on both tails
-    return -(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))))
+def _log_sigmoid(x: float) -> float:
+    # ln(1/(e^x + 1)) = -(max(x,0) + log1p(e^{-|x|})), stable on both tails;
+    # max returns its first argument for a NaN x, so NaN stays NaN
+    return -(max(x, 0.0) + math.log1p(math.exp(-abs(x))))
 
 
-def log_occupation_fd(energy, reservoir: ReservoirParams):
+def log_occupation_fd(energy: float, reservoir: ReservoirParams) -> float:
     """ln of the Fermi-Dirac occupation, computed without forming the occupation.
 
     Near full filling the occupation rounds to 1 and ``log(1 - n)`` computed
     from it loses most of its digits; this form keeps full precision on both
-    tails.  Accepts scalar or array energies.
+    tails.  Scalar energies only.
     """
-    x = (np.asarray(energy, dtype=float) - reservoir.mu) / reservoir.temperature
-    out = _log_sigmoid(x)
-    return float(out) if out.ndim == 0 else out
+    return _log_sigmoid((energy - reservoir.mu) / reservoir.temperature)
 
 
-def log_vacancy_fd(energy, reservoir: ReservoirParams):
+def log_vacancy_fd(energy: float, reservoir: ReservoirParams) -> float:
     """ln(1 - n) for the Fermi-Dirac occupation n, stable on both tails.
 
     Uses the particle-hole mirror of :func:`log_occupation_fd` (the vacancy is
-    the occupation with the sign of eps - mu flipped).
+    the occupation with the sign of eps - mu flipped).  Scalar energies only.
     """
-    x = (reservoir.mu - np.asarray(energy, dtype=float)) / reservoir.temperature
-    out = _log_sigmoid(x)
-    return float(out) if out.ndim == 0 else out
+    return _log_sigmoid((reservoir.mu - energy) / reservoir.temperature)
 
 
 def occupation_boltzmann(energy, reservoir: ReservoirParams, cap: float = 1e300):

@@ -155,10 +155,6 @@ def read_config(path: str) -> dict:
     return data
 
 
-def load_config(path: str) -> ScenarioConfig:
-    return parse_config(read_config(path))
-
-
 def _warn_if_beyond_linear_response(cfg: ScenarioConfig):
     if cfg.delta_t == 0.0 and cfg.delta_mu == 0.0:
         return

@@ -7,10 +7,12 @@ library:
     beta_fn(a, b)        Euler beta through log-gamma; relative error < 1e-13
                          for a, b in (0, 50].
     bessel_j(n, x)       integer-order J_n; absolute error < 1e-12 for
-                         |x| <= 100, 0 <= n <= 60 (validated range).
+                         |x| <= 100, 0 <= n <= 60 (validated range); a view
+                         onto the last order of SpecialFnTable(n, x).
     bessel_i(n, y)       modified I_n; relative error < 1e-12 for |y| <= 100,
                          0 <= n <= 60.
-    SpecialFnTable       J_0..J_n at one argument, from one pass.
+    SpecialFnTable       J_0..J_n at one argument, from one pass; the one
+                         J_n evaluation path.
 
 J_n uses the ascending series for small argument and a downward (Miller)
 recurrence normalized by J_0 + 2 J_2 + 2 J_4 + ... = 1 otherwise; I_n uses
@@ -74,19 +76,13 @@ def _bessel_j_all_positive(x: float, n_max: int) -> np.ndarray:
 
 
 def bessel_j(n: int, x: float) -> float:
-    """Bessel function J_n(x) for integer n in [0, 60], |x| <= 100."""
+    """Bessel function J_n(x) for integer n in [0, 60], |x| <= 100.
+
+    A view onto the last order of ``SpecialFnTable(n, x)``.
+    """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError("order must be a non-negative integer")
-    if n > _J_MAX_ORDER or abs(x) > _J_MAX_ARG:
-        raise ValueError("outside validated range n <= %d, |x| <= %g"
-                         % (_J_MAX_ORDER, _J_MAX_ARG))
-    sign = -1.0 if (x < 0.0 and n % 2) else 1.0
-    x = abs(float(x))
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if x < _J_SERIES_CUTOFF:
-        return sign * _bessel_j_series(n, x)
-    return sign * float(_bessel_j_all_positive(x, n)[n])
+    return SpecialFnTable(n, x).j(n)
 
 
 def bessel_i(n: int, y: float) -> float:

@@ -181,11 +181,6 @@ def integrate_interval(f, a: float, b: float, quad: QuadratureSpec = DEFAULT_QUA
         panels *= 2
 
 
-def integrate_band(f, quad: QuadratureSpec = DEFAULT_QUAD, min_panels: int = 1):
-    """Momentum-band integral of f over k in [0, pi]."""
-    return integrate_interval(f, 0.0, math.pi, quad, min_panels)
-
-
 def _normalize_stats(stats: str) -> str:
     s = stats.lower()
     if s not in (STATS_FD, STATS_BOLTZMANN):
@@ -208,7 +203,10 @@ def _relaxation_factor(k, damping, phase, g: float):
 
 def _osc_panels(g: float, phase) -> int:
     # ~4 g t panels for the largest t whose oscillating term still contributes
-    return max(1, int(math.ceil(2.0 * abs(g) * float(np.max(phase, initial=0.0)))))
+    panels = 2.0 * abs(g) * float(np.max(phase, initial=0.0))
+    if not math.isfinite(panels):
+        raise ValueError("phase 2 g t overflows: g t is too large to evaluate")
+    return max(1, int(math.ceil(panels)))
 
 
 def _band_average(kernel_groups, t, res: ReservoirParams, dephasing: float,
@@ -226,8 +224,8 @@ def _band_average(kernel_groups, t, res: ReservoirParams, dephasing: float,
         raise ValueError("coupling g must be finite, got %r" % g)
     stats = _normalize_stats(stats)
     scalar = np.ndim(t) == 0
-    damping, phase = relaxation_envelope(np.atleast_1d(np.asarray(t, dtype=float)),
-                                         dephasing, 1.0)
+    # scalar t takes the helper's scalar path; the integrand wants arrays
+    damping, phase = map(np.atleast_1d, relaxation_envelope(t, dephasing, 1.0))
 
     def f(k):
         eps = -2.0 * np.cos(k)
@@ -240,7 +238,7 @@ def _band_average(kernel_groups, t, res: ReservoirParams, dephasing: float,
         relax = _relaxation_factor(k, damping, phase, g)
         return tuple([r[:, None, :] * relax for r in rows])
 
-    vals, _ = integrate_band(f, quad, _osc_panels(g, phase))
+    vals, _ = integrate_interval(f, 0.0, math.pi, quad, _osc_panels(g, phase))
     vals = [val / math.pi for val in vals]
     return [[float(v[0]) for v in val] if scalar else list(val) for val in vals]
 
@@ -307,9 +305,6 @@ class OnsagerBlock:
     j_q_mu: object
     j_q_t: object
     point: TransportPoint
-
-    def as_matrix(self):
-        return np.array([[self.j_n_mu, self.j_n_t], [self.j_q_mu, self.j_q_t]])
 
 
 def _onsager_kernels(res: ReservoirParams):

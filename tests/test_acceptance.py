@@ -15,4 +15,5 @@ def test_criterion(crit):
     passed, detail = crit.fn()
     print("%s %s %s (%s)" % ("PASS" if passed else "FAIL", crit.cid,
                              crit.title, detail))
+    assert type(passed) is bool  # json.dumps rejects numpy's bool
     assert passed, "%s %s: %s" % (crit.cid, crit.title, detail)

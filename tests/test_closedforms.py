@@ -223,6 +223,52 @@ def test_sommerfeld_series_bookkeeping():
     assert s.trunc_error_est >= 0.0
 
 
+# (t, mu, T, n_max) -> float.hex of value and trunc_error_est, terms_used and
+# converged of nbar_fd_sommerfeld and ebar_fd_sommerfeld, then float.hex of
+# nbar_boltzmann_closed and ebar_boltzmann_closed at mu - 3; lam = 0.35, g = 1.
+# Frozen values: any rewrite of the shared series loop or the closed-form body
+# must reproduce them bit for bit.
+_PINNED = {
+    (0.0, 0.0, 0.1, 25): (
+        ("0x0.0p+0", "0x0.0p+0", 3, True), ("0x0.0p+0", "0x0.0p+0", 3, True),
+        ("0x1.da1bcdb020f64p-68", "-0x1.a56e0c2ac7f75p-67")),
+    (0.37, -1.5, 0.1, 25): (
+        ("-0x1.f0f6c78c572e2p-6", "0x1.6c3faa99f2b8ep-62", 7, True),
+        ("0x1.bdc485c3ec9b9p-5", "0x1.97ebc3fa3cdd1p-62", 7, True),
+        ("-0x1.59985b8e967bap-43", "0x1.506921d70570dp-42")),
+    (2.0, 1.4999, 0.05, 25): (
+        ("-0x1.caeb8ccbbe627p-1", "0x1.a7271c36c09fbp-57", 10, True),
+        ("0x1.11b8fa158e7ecp-2", "0x1.4b8f6b80e35b1p-56", 10, True),
+        ("-0x1.62eeb9e413b4cp+9", "0x1.5e3d20004f0c2p+10")),
+    (9.5, 0.7, 0.3, 3): (
+        ("-0x1.3c8021824abfcp-1", "0x1.512f10e59af6ep-13", 4, False),
+        ("0x1.1f0a13fcd42cfp-1", "0x1.fa40f7ebcf638p-14", 4, False),
+        ("-0x1.d5f7462b60677p-5", "0x1.b0ab2576ef078p-4")),
+    (33.0, -1.4999, 0.1, 25): (
+        ("-0x1.d04011e2c648cp-3", "0x1.3eeafc6eb5a20p-43", 26, False),
+        ("0x1.a5f6aa0005781p-2", "0x1.df107bf8755ffp-43", 26, False),
+        ("-0x1.5f4fa7604a826p-40", "0x1.56699f4fb25ccp-39")),
+    (math.inf, 1.5, 0.1, 25): (
+        ("-0x1.8bf31bc119e8dp-1", "0x0.0p+0", 0, True),
+        ("0x1.a5ed260f249aep-2", "0x0.0p+0", 0, True),
+        ("-0x1.aa62f4fe053ebp+3", "0x1.9f961e0c8b234p+4")),
+}
+
+
+@pytest.mark.parametrize("point", sorted(_PINNED))
+def test_series_and_closed_forms_are_pinned(point):
+    t, mu, temp, n_max = point
+    n_pin, e_pin, boltzmann_pin = _PINNED[point]
+    res = ReservoirParams(temp, mu)
+    for fn, pin in ((nbar_fd_sommerfeld, n_pin), (ebar_fd_sommerfeld, e_pin)):
+        r = fn(t, res, 0.35, 1.0, n_max)
+        assert (r.value.hex(), r.trunc_error_est.hex(), r.terms_used,
+                r.converged) == pin, fn.__name__
+    dilute = ReservoirParams(temp, mu - 3.0)
+    assert (nbar_boltzmann_closed(t, dilute, 0.35, 1.0).hex(),
+            ebar_boltzmann_closed(t, dilute, 0.35, 1.0).hex()) == boltzmann_pin
+
+
 def test_equilibrium_block_reciprocity_and_parity():
     res = ReservoirParams(temperature=0.1, mu=0.9)
     blk = equilibrium_sommerfeld_onsager(res)

@@ -10,12 +10,10 @@ from fermichain import (
     coherence_ab,
     density_matrix,
     density_matrix_from_occupations,
-    lindblad_oracle,
     lindblad_trajectory,
     occ_a,
     occ_b,
     occupation_fd,
-    reduced_density,
 )
 
 
@@ -139,29 +137,37 @@ def test_density_matrix_fixed_corners():
         assert rt[3, 3] == r0[3, 3]
 
 
+def _site_reduction(rho, which):
+    """diag(1 - n, n) of one site, tracing out the other.
+
+    Basis order {00, 10, 01, 11}: site a is the first label.
+    """
+    empty, full = ((0, 2), (1, 3)) if which == "a" else ((0, 1), (2, 3))
+    return np.diag([sum(rho[i, i] for i in empty), sum(rho[i, i] for i in full)]).real
+
+
 def test_reduced_density_initial():
     res_a = ReservoirParams(0.5, 0.3)
     res_b = ReservoirParams(0.5, -0.3)
     m = _mode(energy=-1.0, coupling=1.0)
     na = occupation_fd(-1.0, res_a)
-    np.testing.assert_allclose(reduced_density("a", m, res_a, res_b, 0.0),
+    np.testing.assert_allclose(_site_reduction(density_matrix(m, res_a, res_b, 0.0), "a"),
                                np.diag([1.0 - na, na]), atol=1e-15)
 
 
 def test_reduced_density_is_partial_trace():
+    # the single-site reductions of the 4x4 state carry the closed-form
+    # occupations
     res_a = ReservoirParams(0.5, 0.3)
     res_b = ReservoirParams(0.7, -0.1)
     m = _mode(energy=-0.8, coupling=1.2, dephasing=0.15)
     t = 1.9
     rho = density_matrix(m, res_a, res_b, t)
-    # trace out site b: basis order {00, 10, 01, 11}, site a is the first label
-    red_a = np.array([[rho[0, 0] + rho[2, 2], 0.0],
-                      [0.0, rho[1, 1] + rho[3, 3]]]).real
-    np.testing.assert_allclose(reduced_density("a", m, res_a, res_b, t), red_a,
+    n_a0, n_b0 = occupation_fd(-0.8, res_a), occupation_fd(-0.8, res_b)
+    na, nb = occ_a(m, n_a0, n_b0, t), occ_b(m, n_a0, n_b0, t)
+    np.testing.assert_allclose(_site_reduction(rho, "a"), np.diag([1.0 - na, na]),
                                atol=1e-12)
-    red_b = np.array([[rho[0, 0] + rho[1, 1], 0.0],
-                      [0.0, rho[2, 2] + rho[3, 3]]]).real
-    np.testing.assert_allclose(reduced_density("b", m, res_a, res_b, t), red_b,
+    np.testing.assert_allclose(_site_reduction(rho, "b"), np.diag([1.0 - nb, nb]),
                                atol=1e-12)
 
 
@@ -169,22 +175,16 @@ def test_reduced_density_b_is_swap_of_a():
     res_a = ReservoirParams(0.5, 0.3)
     res_b = ReservoirParams(0.7, -0.1)
     m = _mode(energy=-0.8, coupling=1.2, dephasing=0.15)
-    swapped = reduced_density("a", m, res_b, res_a, 2.2)
-    direct = reduced_density("b", m, res_a, res_b, 2.2)
+    swapped = _site_reduction(density_matrix(m, res_b, res_a, 2.2), "a")
+    direct = _site_reduction(density_matrix(m, res_a, res_b, 2.2), "b")
     np.testing.assert_allclose(direct, swapped, atol=1e-14)
-
-
-def test_reduced_density_rejects_unknown_site():
-    m = _mode()
-    with pytest.raises(ValueError):
-        reduced_density("c", m, ReservoirParams(1.0), ReservoirParams(1.0), 0.0)
 
 
 def test_oracle_closed_system_is_unitary():
     m = _mode(coupling=1.0, dephasing=0.0, energy=-1.0)
     res_a = ReservoirParams(0.5, 0.4)
     res_b = ReservoirParams(0.5, -0.4)
-    rho = lindblad_oracle(m, res_a, res_b, 2.0, dt_max=1e-3)
+    rho = lindblad_trajectory(m, res_a, res_b, [2.0], dt_max=1e-3)[0]
     # purity of the closed evolution never changes
     p0 = np.trace(density_matrix(m, res_a, res_b, 0.0) @ density_matrix(m, res_a, res_b, 0.0)).real
     assert np.trace(rho @ rho).real == pytest.approx(p0, abs=1e-9)
@@ -197,7 +197,7 @@ def test_oracle_matches_closed_form_random_thermal():
     for _ in range(3):
         res_a = ReservoirParams(rng.uniform(0.3, 2.0), rng.uniform(-1, 1))
         res_b = ReservoirParams(rng.uniform(0.3, 2.0), rng.uniform(-1, 1))
-        gap = np.abs(lindblad_oracle(m, res_a, res_b, 5.0, dt_max=1e-3)
+        gap = np.abs(lindblad_trajectory(m, res_a, res_b, [5.0], dt_max=1e-3)[0]
                      - density_matrix(m, res_a, res_b, 5.0)).max()
         assert gap < 1e-8
 
@@ -231,7 +231,7 @@ def test_trajectory_rejects_non_finite_or_empty_grid(t_grid):
 @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
 def test_oracle_rejects_bad_time(t):
     with pytest.raises(ValueError, match="t_grid"):
-        lindblad_oracle(_mode(), *_res_pair(), t, dt_max=1e-3)
+        lindblad_trajectory(_mode(), *_res_pair(), [t], dt_max=1e-3)
 
 
 @pytest.mark.parametrize("dt_max", [math.nan, math.inf, 0.0, -1e-3])

@@ -8,14 +8,13 @@ from fermichain import (
     ReservoirParams,
     binary_entropy,
     density_matrix,
+    density_matrix_from_occupations,
     entropy_a_exact,
     entropy_b_exact,
     entropy_coeffs,
     entropy_production,
     entropy_production_integral,
-    entropy_sum,
     entropy_sum_rate,
-    joint_density,
     joint_entropy,
     joint_entropy_exact,
     joint_spectrum,
@@ -23,9 +22,34 @@ from fermichain import (
     mutual_information_exact,
     mutual_information_rate,
     occupation_fd,
-    von_neumann,
 )
 from fermichain.lattice import ModeSpec
+
+
+def von_neumann(rho: np.ndarray, atol: float = 1e-10) -> float:
+    """-Tr rho ln rho of a validated density matrix, by dense eigensolver.
+
+    The independent oracle for the closed-form spectrum behind
+    ``joint_entropy_exact``.
+    """
+    rho = np.asarray(rho)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError("density matrix must be square")
+    if not np.allclose(rho, rho.conj().T, atol=atol):
+        raise ValueError("density matrix must be Hermitian")
+    if abs(np.trace(rho).real - 1.0) > atol:
+        raise ValueError("density matrix must have unit trace")
+    evals = np.linalg.eigvalsh(rho)
+    if evals.min() < -atol:
+        raise ValueError("density matrix has negative eigenvalue %g" % evals.min())
+    weights = evals[evals > 0.0]
+    return float(-(weights * np.log(weights)).sum())
+
+
+def _joint_density(p: EquilibriumModePrep, t: float) -> np.ndarray:
+    """The full 4x4 state of the prepared mode at time t."""
+    return density_matrix_from_occupations(p.occupation_a, p.occupation_b,
+                                           p.coupling, p.dephasing, t)
 
 
 def test_von_neumann_pure_and_mixed():
@@ -186,7 +210,7 @@ def test_joint_entropy_damped_limit():
 def test_joint_spectrum_matches_dense_eigensolver():
     p = EquilibriumModePrep(n_eq=0.35, delta_n=0.14, coupling=1.2, dephasing=0.15)
     for t in (0.0, 0.8, 2.9):
-        rho = joint_density(p, t)
+        rho = _joint_density(p, t)
         dense = np.sort(np.linalg.eigvalsh(rho))
         closed = np.sort(joint_spectrum(p, t))
         np.testing.assert_allclose(closed, dense, atol=1e-13)
@@ -195,7 +219,7 @@ def test_joint_spectrum_matches_dense_eigensolver():
 def test_joint_entropy_exact_consistency_with_von_neumann():
     p = EquilibriumModePrep(n_eq=0.5, delta_n=0.1, coupling=1.0, dephasing=0.2)
     assert joint_entropy_exact(p, 0.7) == pytest.approx(
-        von_neumann(joint_density(p, 0.7)), abs=1e-12)
+        von_neumann(_joint_density(p, 0.7)), abs=1e-12)
 
 
 def test_subadditivity_exact():

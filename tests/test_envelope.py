@@ -3,8 +3,8 @@
 ``lattice.relaxation_envelope`` is the one place that validates t and the
 dephasing rate and forms exp(-lam t); these tests hold every public caller
 in dynamics, entropy and fluctuation to it.  The RK4 stepper
-(``lindblad_trajectory``, ``lindblad_oracle``) keeps its own ``t_grid``
-contract, tested in test_dynamics.py.
+(``lindblad_trajectory``) keeps its own ``t_grid`` contract, tested in
+test_dynamics.py.
 """
 
 import dataclasses
@@ -44,17 +44,13 @@ CALLS = {
         lambda lam, t: dynamics.density_matrix_from_occupations(N_A0, N_B0, 0.8, lam, t),
     "dynamics.density_matrix":
         lambda lam, t: dynamics.density_matrix(_mode(lam), RES_A, RES_B, t),
-    "dynamics.reduced_density":
-        lambda lam, t: dynamics.reduced_density("a", _mode(lam), RES_A, RES_B, t),
     "entropy.entropy_coeffs": lambda lam, t: entropy.entropy_coeffs(_prep(lam), t),
-    "entropy.entropy_sum": lambda lam, t: entropy.entropy_sum(_prep(lam), t),
     "entropy.mutual_information": lambda lam, t: entropy.mutual_information(_prep(lam), t),
     "entropy.joint_entropy": lambda lam, t: entropy.joint_entropy(_prep(lam), t),
     "entropy.entropy_production": lambda lam, t: entropy.entropy_production(_prep(lam), t),
     "entropy.entropy_sum_rate": lambda lam, t: entropy.entropy_sum_rate(_prep(lam), t),
     "entropy.mutual_information_rate":
         lambda lam, t: entropy.mutual_information_rate(_prep(lam), t),
-    "entropy.joint_density": lambda lam, t: entropy.joint_density(_prep(lam), t),
     "entropy.joint_spectrum": lambda lam, t: entropy.joint_spectrum(_prep(lam), t),
     "entropy.joint_entropy_exact": lambda lam, t: entropy.joint_entropy_exact(_prep(lam), t),
     "entropy.entropy_a_exact": lambda lam, t: entropy.entropy_a_exact(_prep(lam), t),
@@ -65,15 +61,13 @@ CALLS = {
         lambda lam, t: fluctuation.transition_weight(_mode(lam), t),
     "fluctuation.exchange_prob":
         lambda lam, t: fluctuation.exchange_prob("a_to_b", _mode(lam), RES_A, RES_B, t),
-    "fluctuation.middle_block_populations":
-        lambda lam, t: fluctuation.middle_block_populations(_mode(lam), N_A0, N_B0, t),
     "fluctuation.ft_log_ratio":
         lambda lam, t: fluctuation.ft_log_ratio(_mode(lam), RES_A, RES_B, t),
     "fluctuation.multi_mode_ft":
         lambda lam, t: fluctuation.multi_mode_ft(
             [ExchangeEvent(_mode(lam), -1), ExchangeEvent(_mode(lam), 1)], RES_A, RES_B, t),
 }
-STEPPER = {"dynamics.lindblad_trajectory", "dynamics.lindblad_oracle"}
+STEPPER = {"dynamics.lindblad_trajectory"}
 
 
 def _numbers(value):
@@ -117,6 +111,20 @@ def test_infinite_time_without_noise_is_undefined(name):
         CALLS[name](0.0, math.inf)
 
 
+# multi_mode_ft checks only t against each event's rate; it never forms a phase
+PHASE_FREE = {"fluctuation.multi_mode_ft"}
+
+
+@pytest.mark.parametrize("name", sorted(set(CALLS) - PHASE_FREE))
+@pytest.mark.parametrize("t", [1.5e308, np.array([1.0, 1.5e308])])
+def test_overflowing_phase_is_rejected_by_name(name, t):
+    # 2 g t = 2.4e308 at g = 0.8: this used to give NaN with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="phase 2 g t overflows"):
+            CALLS[name](0.0, t)
+
+
 def test_damped_limit_values():
     mode = _mode(0.3)
     mean = 0.5 * (N_A0 + N_B0)
@@ -144,6 +152,19 @@ def test_envelope_rejects_bad_dephasing(lam):
         relaxation_envelope(1.0, lam, 1.0)
     with pytest.raises(ValueError, match="dephasing"):
         relaxation_envelope(np.array([1.0, 2.0]), lam, 1.0)
+
+
+def test_envelope_rejects_overflowing_phase_but_not_the_damped_limit():
+    for t in (1e308, np.array([0.0, 1e308])):
+        for g in (1.0, np.float64(1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="phase 2 g t overflows"):
+                    relaxation_envelope(t, 0.0, g)
+        # a huge t with noise is past the floor: the phase is dropped, not formed
+        env, phase = relaxation_envelope(t, 0.1, 1.0)
+        assert np.all(np.asarray(phase)[np.asarray(env) == 0.0] == 0.0)
+    assert relaxation_envelope(math.inf, 0.1, 1e300) == (0.0, 0.0)
 
 
 def test_envelope_scalar_and_array_paths_agree():

@@ -12,7 +12,6 @@ from fermichain import (
     density_matrix_from_occupations,
     exchange_prob,
     ft_log_ratio,
-    middle_block_populations,
     multi_mode_ft,
     occupation_fd,
     transition_weight,
@@ -156,13 +155,15 @@ def test_ft_zero_probability_reported():
 
 
 def test_middle_block_tracks_density_matrix():
+    # the initial one-particle weights p and q mix through w(t)
     n_a0, n_b0 = 0.7, 0.2
+    p, q = n_a0 * (1.0 - n_b0), (1.0 - n_a0) * n_b0
     m = _mode(coupling=0.9, dephasing=0.15)
     for t in (0.0, 0.8, 2.9):
-        pop_a, pop_b = middle_block_populations(m, n_a0, n_b0, t)
+        w = transition_weight(m, t)
         rho = density_matrix_from_occupations(n_a0, n_b0, m.coupling, m.dephasing, t)
-        assert pop_a == pytest.approx(rho[1, 1].real, abs=1e-13)
-        assert pop_b == pytest.approx(rho[2, 2].real, abs=1e-13)
+        assert p * (1.0 - w) + q * w == pytest.approx(rho[1, 1].real, abs=1e-13)
+        assert q * (1.0 - w) + p * w == pytest.approx(rho[2, 2].real, abs=1e-13)
 
 
 def test_single_particle_sector_bookkeeping():
@@ -171,8 +172,8 @@ def test_single_particle_sector_bookkeeping():
     m = _mode(coupling=0.9, dephasing=0.15)
     sector = n_a0 * (1 - n_b0) + (1 - n_a0) * n_b0
     for t in (0.4, 1.9, 6.0):
-        pop_a, pop_b = middle_block_populations(m, n_a0, n_b0, t)
-        assert pop_a + pop_b == pytest.approx(sector, abs=1e-14)
+        rho = density_matrix_from_occupations(n_a0, n_b0, m.coupling, m.dephasing, t)
+        assert (rho[1, 1] + rho[2, 2]).real == pytest.approx(sector, abs=1e-14)
 
 
 def test_multi_mode_single_event_reduces():

@@ -14,8 +14,8 @@ from fermichain.scenarios import (
     LinearResponseWarning,
     Panel,
     ScenarioResult,
-    load_config,
     parse_config,
+    read_config,
     run_scenario,
     write_result,
 )
@@ -98,7 +98,7 @@ def test_load_config_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"scenario": "custom", "t_grid": [0.0, 1.0],
                                 "mu": -0.4}), encoding="utf-8")
-    cfg = load_config(str(path))
+    cfg = parse_config(read_config(str(path)))
     assert cfg.scenario == "custom"
     assert cfg.t_grid == (0.0, 1.0)
     assert cfg.mu == -0.4
@@ -108,7 +108,7 @@ def test_load_config_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError, match="not valid JSON"):
-        load_config(str(path))
+        read_config(str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +394,14 @@ def test_cli_underflowing_temperature_exits_1_with_error_line(tmp_path, capsys):
                    "--set", "temperature=1e-300", "--out", str(tmp_path)])
     assert rc == 1
     assert "error: temperature 1e-300 is too small" in capsys.readouterr().err
+
+
+def test_cli_overflowing_phase_exits_1_with_error_line(tmp_path, capsys):
+    # 2 t overflows at t = 1e308; this used to be a raw OverflowError traceback
+    rc = cli.main(["figure", "custom", "--set", "t_grid=[0, 1e308]",
+                   "--set", "dephasing=0", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "error: phase 2 g t overflows" in capsys.readouterr().err
 
 
 def test_cli_accept_single_fast_criterion(tmp_path, capsys):

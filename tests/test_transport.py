@@ -16,7 +16,6 @@ from fermichain import (
     counters_and_onsager,
     ebar,
     fluxes,
-    integrate_band,
     integrate_interval,
     nbar,
     occupation_fd,
@@ -37,14 +36,18 @@ def _trapezoid_counter(t, res, lam, g, weight=lambda eps: 1.0, nodes=100_001):
     return np.trapezoid(occ * weight(eps) * relax, k) / math.pi
 
 
+def _band(f, quad=QuadratureSpec(), min_panels=1):
+    return integrate_interval(f, 0.0, math.pi, quad, min_panels)
+
+
 def test_integrate_band_constant():
-    val, err = integrate_band(lambda k: np.ones_like(k))
+    val, err = _band(lambda k: np.ones_like(k))
     assert val == pytest.approx(math.pi, rel=1e-14)
     assert err >= 0.0
 
 
 def test_integrate_band_antisymmetric():
-    val, _ = integrate_band(np.cos)
+    val, _ = _band(np.cos)
     assert abs(val) < 1e-14
 
 
@@ -53,7 +56,7 @@ def test_integrate_band_oscillatory_vs_dense_reference():
     f = lambda k: np.cos(2.0 * t * np.sin(k) ** 2)
     k = np.linspace(0.0, math.pi, 1_000_001)
     ref = np.trapezoid(f(k), k)
-    val, _ = integrate_band(f, min_panels=int(math.ceil(4 * t)))
+    val, _ = _band(f, min_panels=int(math.ceil(4 * t)))
     assert val == pytest.approx(ref, abs=1e-10)
 
 
@@ -78,12 +81,12 @@ def test_integrate_interval_groups_converge_on_their_own():
     wavy = lambda k: np.cos(400.0 * np.sin(k) ** 2)[None, :]
     solo_smooth, smooth_levels = _levels(smooth)
     solo_wavy, wavy_levels = _levels(wavy)
-    v_smooth, e_smooth = integrate_band(solo_smooth)
-    v_wavy, e_wavy = integrate_band(solo_wavy)
+    v_smooth, e_smooth = _band(solo_smooth)
+    v_wavy, e_wavy = _band(solo_wavy)
     # the groups stop at different levels, so the smooth one must be frozen
     assert len(smooth_levels) < len(wavy_levels)
     both, both_levels = _levels(lambda k: (smooth(k), wavy(k)))
-    (g_smooth, g_wavy), (ge_smooth, ge_wavy) = integrate_band(both)
+    (g_smooth, g_wavy), (ge_smooth, ge_wavy) = _band(both)
     assert both_levels == wavy_levels
     np.testing.assert_array_equal(g_smooth, v_smooth)
     np.testing.assert_array_equal(g_wavy, v_wavy)
@@ -117,6 +120,19 @@ def test_large_g_t_names_the_panel_budget():
         nbar(1.0, ReservoirParams(0.1, 0.0), 0.05, 1e6)
 
 
+@pytest.mark.parametrize("t, g", [(1e308, 1.0), (1e10, 1e300)])
+def test_overflowing_phase_is_rejected_on_the_band_path(t, g):
+    # 1e308 overflows 2 t inside the envelope helper; g = 1e300 overflows
+    # the panel count g (2 t) formed outside it.  Both used to raise a raw
+    # OverflowError from the panel count.
+    res = ReservoirParams(0.1, 0.0)
+    for fn in (counters, onsager, counters_and_onsager):
+        with pytest.raises(ValueError, match="phase 2 g t overflows"):
+            fn(t, res, 0.0, g)
+    n_inf, _ = counters(math.inf, res, 0.1, g)
+    assert n_inf == nbar(math.inf, res, 0.1, 1.0)
+
+
 def test_integrate_interval_reports_achieved_error():
     spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_panels=64)
     with pytest.raises(QuadratureError) as exc:
@@ -129,8 +145,8 @@ def test_quadrature_doubling_within_error_estimate():
     f = lambda k: np.cos(11.0 * np.sin(k) ** 2)
     base = QuadratureSpec()
     fine = QuadratureSpec(nodes_per_panel=2 * base.nodes_per_panel)
-    v1, e1 = integrate_band(f, quad=base)
-    v2, _ = integrate_band(f, quad=fine)
+    v1, e1 = _band(f, quad=base)
+    v2, _ = _band(f, quad=fine)
     assert abs(v2 - v1) <= max(e1, 1e-14)
 
 
@@ -139,7 +155,7 @@ def test_nbar_zero_at_t0():
 
 
 def test_nbar_damped_limit_is_band_average():
-    ref = -integrate_band(lambda k: occupation_fd(-2.0 * np.cos(k), RES))[0] / math.pi
+    ref = -_band(lambda k: occupation_fd(-2.0 * np.cos(k), RES))[0] / math.pi
     assert nbar(math.inf, RES, 0.35, 1.0) == pytest.approx(ref, rel=1e-10)
 
 
@@ -215,13 +231,6 @@ def test_onsager_parity_spot():
     assert plus.j_q_t == pytest.approx(minus.j_q_t, abs=1e-8)
     assert plus.j_n_t == pytest.approx(-minus.j_n_t, abs=1e-8)
     assert plus.j_q_mu == pytest.approx(-minus.j_q_mu, abs=1e-8)
-
-
-def test_onsager_matrix_layout():
-    blk = onsager(1.0, RES, 0.2, 1.0)
-    m = blk.as_matrix()
-    np.testing.assert_allclose(m, [[blk.j_n_mu, blk.j_n_t],
-                                   [blk.j_q_mu, blk.j_q_t]])
 
 
 def test_fluxes_zero_bias():
@@ -311,7 +320,8 @@ def test_counters_and_onsager_bit_equal_to_separate_calls(temp, mu, lam, g, t, s
     n, e, blk = counters_and_onsager(t, res, lam, g, quad, stats)
     np.testing.assert_array_equal(n, n_solo)
     np.testing.assert_array_equal(e, e_solo)
-    np.testing.assert_array_equal(blk.as_matrix(), solo.as_matrix())
+    for name in ("j_n_mu", "j_n_t", "j_q_mu", "j_q_t"):
+        np.testing.assert_array_equal(getattr(blk, name), getattr(solo, name))
     assert blk.point == solo.point
 
 
