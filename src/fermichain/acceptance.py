@@ -18,7 +18,7 @@ import numpy as np
 
 from . import closedforms, dynamics, entropy, fluctuation, lattice, special, transport
 from .lattice import ModeSpec, ReservoirParams
-from .scenarios import _csv_field, parse_config, run_scenario
+from .scenarios import parse_config, run_scenario, write_csv
 
 
 def _c1():
@@ -289,12 +289,8 @@ def run_acceptance(only: str = None, out_dir: str = None, echo=print) -> int:
     echo("%d/%d criteria passed" % (len(results) - failures, len(results)))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "acceptance.csv")
-        lines = ["criterion,title,passed,detail,seconds"]
-        for r in results:
-            lines.append(",".join([r.cid, _csv_field(r.title),
-                                   "true" if r.passed else "false",
-                                   _csv_field(r.detail), "%.3f" % r.seconds]))
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(os.path.join(out_dir, "acceptance.csv"),
+                  [("criterion", "title", "passed", "detail", "seconds")]
+                  + [(r.cid, r.title, "true" if r.passed else "false", r.detail,
+                      "%.3f" % r.seconds) for r in results])
     return failures

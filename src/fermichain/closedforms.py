@@ -52,13 +52,14 @@ from dataclasses import dataclass
 
 from .lattice import ReservoirParams, relaxation_envelope
 from .special import SpecialFnTable, beta_fn, bessel_i
-from .transport import (OnsagerBlock, QuadratureSpec, TransportPoint,
-                        integrate_interval)
+from .transport import OnsagerBlock, QuadratureSpec, integrate_interval
 
 import numpy as np
 
 _X_SERIES_MAX = 10.0  # alternating-sum cancellation stays under ~1e-11 here
 _Y_SERIES_MAX = 30.0
+_SERIES_TOL = 1e-12  # target error of the omega and Sommerfeld series
+_OMEGA_MAX_TERMS = 200
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -75,15 +76,14 @@ class SeriesResult:
     converged: bool
 
 
-def omega_defining_integral(nu: int, x: float, y: float, tol: float = 1e-12) -> SeriesResult:
+def omega_defining_integral(nu: int, x: float, y: float) -> SeriesResult:
     """Direct quadrature of the omega integrand (fallback and cross-check)."""
     if nu < 0:
         raise ValueError("nu must be a non-negative integer")
     if y < 0.0:
         raise ValueError("y must be >= 0 (no analytic continuation here)")
-    quad = QuadratureSpec(abs_tol=max(tol * 0.1, 1e-14) * max(1.0, math.exp(min(y, 700.0))),
-                          rel_tol=1e-13, max_panels=1 << 14,
-                          nodes_per_panel=16, base_panels=8)
+    quad = QuadratureSpec(abs_tol=_SERIES_TOL * 0.1 * max(1.0, math.exp(min(y, 700.0))),
+                          rel_tol=1e-13, max_panels=1 << 14, base_panels=8)
 
     def f(z):
         return np.cos(z) ** nu * np.exp(y * np.cos(z)) * np.cos(x * np.sin(z) ** 2)
@@ -94,23 +94,21 @@ def omega_defining_integral(nu: int, x: float, y: float, tol: float = 1e-12) -> 
                         terms_used=0, converged=True)
 
 
-def omega(nu: int, x: float, y: float, tol: float = 1e-12,
-          max_terms: int = 200) -> SeriesResult:
+def omega(nu: int, x: float, y: float) -> SeriesResult:
     """omega_nu(x, y) by series inside the stable window, quadrature outside.
 
     The outer series alternates in n; convergence is declared once two
-    successive terms fall below tol/10, and the reported truncation error is
-    the standard alternating-tail bound (the first omitted term).
+    successive terms fall below 1e-13, a tenth of the 1e-12 target, and the
+    reported truncation error is the standard alternating-tail bound (the
+    first omitted term).
     """
     if not isinstance(nu, (int, np.integer)) or nu < 0:
         raise ValueError("nu must be a non-negative integer")
     if y < 0.0:
         raise ValueError("y must be >= 0 (no analytic continuation here)")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     x = abs(float(x))
     if x > _X_SERIES_MAX or y > _Y_SERIES_MAX:
-        return omega_defining_integral(nu, x, y, tol)
+        return omega_defining_integral(nu, x, y)
 
     i = nu % 2
     x2 = x * x
@@ -119,7 +117,7 @@ def omega(nu: int, x: float, y: float, tol: float = 1e-12,
     total = 0.0
     peak = 0.0
     term_abs_prev = math.inf
-    for n in range(max_terms):
+    for n in range(_OMEGA_MAX_TERMS):
         if n:
             x_pow *= x2 / ((2 * n - 1) * (2 * n))
         # inner all-positive sum over m
@@ -137,14 +135,15 @@ def omega(nu: int, x: float, y: float, tol: float = 1e-12,
         term = x_pow * inner / math.pi
         total += -term if n % 2 else term
         peak = max(peak, term)
-        if term < tol / 10.0 and term_abs_prev < tol / 10.0:
+        if term < _SERIES_TOL / 10.0 and term_abs_prev < _SERIES_TOL / 10.0:
             # cancellation among the signed terms limits accuracy to
             # roughly eps * (largest term); fold that into the estimate
             est = term + 2.3e-16 * peak * (n + 1)
             return SeriesResult(value=total, trunc_error_est=est,
                                 terms_used=n + 1, converged=True)
         term_abs_prev = term
-    raise SeriesConvergenceError("omega series needs more than %d terms" % max_terms)
+    raise SeriesConvergenceError("omega series needs more than %d terms"
+                                 % _OMEGA_MAX_TERMS)
 
 
 def _check_boltzmann_prefactor(res: ReservoirParams) -> float:
@@ -224,14 +223,13 @@ def _e_term(theta: float, n: int, cj: float, sj: float) -> float:
 
 
 def _sommerfeld(t: float, res: ReservoirParams, dephasing: float, g: float,
-                n_max: int, tol: float, head, term, bracket,
-                pref: float) -> SeriesResult:
+                n_max: int, head, term, bracket, pref: float) -> SeriesResult:
     """(1/pi) {pref (exp(-lam t) S - h) + (pi^2 T^2 / 6) bracket}, h = head(theta).
 
     S = cos(gt) J_0(gt) h + sum_n (-1)^n term(theta, n, cos(gt) J_2n(gt),
     sin(gt) J_{2n-1}(gt)), so S(t = 0) = h and the counter vanishes there.
-    The sum stops once two successive |terms| fall below tol/10; the last
-    term summed is the truncation estimate.
+    The sum stops once two successive |terms| fall below a tenth of the
+    1e-12 target; the last term summed is the truncation estimate.
     """
     _check_sommerfeld_args(res)
     if not 1 <= n_max <= _SOMMERFELD_N_CAP:
@@ -253,7 +251,7 @@ def _sommerfeld(t: float, res: ReservoirParams, dephasing: float, g: float,
                 sign = -1.0 if n % 2 else 1.0
                 yield sign * term(theta, n, c * table.j(2 * n), s * table.j(2 * n - 1))
 
-        small = tol / 10.0
+        small = _SERIES_TOL / 10.0
         last = math.inf
         converged = False
         for signed in terms():
@@ -272,21 +270,21 @@ def _sommerfeld(t: float, res: ReservoirParams, dephasing: float, g: float,
 
 
 def nbar_fd_sommerfeld(t: float, res: ReservoirParams, dephasing: float, g: float,
-                       n_max: int = 25, tol: float = 1e-12) -> SeriesResult:
+                       n_max: int = 25) -> SeriesResult:
     """Low-temperature particle counter for Fermi-Dirac statistics.
 
     Truncated Bessel series plus the T^2 band-edge-aware correction; exact 0
     at t = 0, damped limit at t = inf (dephasing > 0).  mu must be inside
     the band; accuracy degrades as T or |mu| grow toward the band edge.
     """
-    return _sommerfeld(t, res, dephasing, g, n_max, tol, lambda theta: theta,
+    return _sommerfeld(t, res, dephasing, g, n_max, lambda theta: theta,
                        _n_term, _bracket_derivative_n, 1.0)
 
 
 def ebar_fd_sommerfeld(t: float, res: ReservoirParams, dephasing: float, g: float,
-                       n_max: int = 25, tol: float = 1e-12) -> SeriesResult:
+                       n_max: int = 25) -> SeriesResult:
     """Low-temperature energy counter for Fermi-Dirac statistics."""
-    return _sommerfeld(t, res, dephasing, g, n_max, tol, math.sin,
+    return _sommerfeld(t, res, dephasing, g, n_max, math.sin,
                        _e_term, _bracket_derivative_e, -2.0)
 
 
@@ -309,10 +307,8 @@ def equilibrium_sommerfeld_onsager(res: ReservoirParams) -> OnsagerBlock:
     dnbar_dt = -(math.pi * temp / 3.0) * mu * r32
     debar_dmu = (-mu * r12 - c2 * (3.0 * mu * r32 + 3.0 * mu ** 3 * r52)) / math.pi
     debar_dt = -(math.pi * temp / 3.0) * (r12 + mu * mu * r32)
-    point = TransportPoint(temperature=temp, mu=mu, dephasing=math.nan,
-                           g=math.nan, t=math.inf, stats="fd_sommerfeld")
     return OnsagerBlock(j_n_mu=0.5 * temp * dnbar_dmu,
                         j_n_t=0.5 * temp ** 2 * dnbar_dt,
                         j_q_mu=0.5 * temp * (debar_dmu - mu * dnbar_dmu),
                         j_q_t=0.5 * temp ** 2 * (debar_dt - mu * dnbar_dt),
-                        point=point)
+                        temperature=temp)

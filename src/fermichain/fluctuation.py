@@ -32,8 +32,6 @@ import numpy as np
 from .lattice import (ModeSpec, ReservoirParams, log_occupation_fd,
                       log_vacancy_fd, occupation_fd, relaxation_envelope)
 
-_SIGN = {"gain": 1.0, "loss": -1.0}
-
 
 class ZeroProbabilityError(ValueError):
     """An exchange probability vanished, so its log-ratio is undefined."""
@@ -98,25 +96,19 @@ def _log_thermal_ratio(energy: float, res_a: ReservoirParams,
 
 
 def ft_log_ratio(mode: ModeSpec, res_a: ReservoirParams, res_b: ReservoirParams,
-                 t: float, sign_convention: str = "gain") -> FtCheck:
+                 t: float) -> FtCheck:
     """ln(P_ab/P_ba) against the affinity combination it should equal.
 
     The shared transfer factor is identical in numerator and denominator by
     construction and cancels exactly, so it is not evaluated; this keeps the
     ratio meaningful even at instants where the transfer weight vanishes.
-    'gain' counts a forward event as A handing a particle to B; 'loss'
-    books the same event from B's perspective and flips both sides.
+    The forward event is A handing a particle to B.
     """
     # only the time check: the transfer factor cancels, but must exist at t
     relaxation_envelope(t, mode.dephasing, mode.coupling)
-    try:
-        sign = _SIGN[sign_convention]
-    except KeyError:
-        raise ValueError("sign_convention must be 'gain' or 'loss'") from None
     fh_fm = affinities(res_a, res_b)
-    lhs = sign * _log_thermal_ratio(mode.energy, res_a, res_b)
-    rhs = sign * (mode.energy * fh_fm.f_h + fh_fm.f_m)
-    return FtCheck(lhs=lhs, rhs=rhs)
+    return FtCheck(lhs=_log_thermal_ratio(mode.energy, res_a, res_b),
+                   rhs=mode.energy * fh_fm.f_h + fh_fm.f_m)
 
 
 @dataclass(frozen=True)
@@ -136,16 +128,11 @@ class ExchangeEvent:
 
 
 def multi_mode_ft(events: Iterable[ExchangeEvent], res_a: ReservoirParams,
-                  res_b: ReservoirParams, t: float,
-                  sign_convention: str = "gain") -> FtCheck:
+                  res_b: ReservoirParams, t: float) -> FtCheck:
     """Joint log-ratio for independent modes: contributions add."""
     events = list(events)
     # only the time check: each mode's transfer factor must exist at t
     relaxation_envelope(t, [ev.mode.dephasing for ev in events], 0.0)
-    try:
-        sign = _SIGN[sign_convention]
-    except KeyError:
-        raise ValueError("sign_convention must be 'gain' or 'loss'") from None
     fh_fm = affinities(res_a, res_b)
     lhs = 0.0
     rhs = 0.0
@@ -153,4 +140,4 @@ def multi_mode_ft(events: Iterable[ExchangeEvent], res_a: ReservoirParams,
         direction = -float(ev.delta_n_a)  # +1 when A loses the particle
         lhs += direction * _log_thermal_ratio(ev.mode.energy, res_a, res_b)
         rhs += direction * (ev.mode.energy * fh_fm.f_h + fh_fm.f_m)
-    return FtCheck(lhs=sign * lhs, rhs=sign * rhs)
+    return FtCheck(lhs=lhs, rhs=rhs)

@@ -20,13 +20,13 @@ the one place that validates (t, lam) and forms it.
 
 Occupation helpers are written to be overflow-safe: the Fermi-Dirac form never
 exponentiates a large positive argument, and the Boltzmann form raises once
-exp((mu - eps)/T) would exceed a configurable cap.
+exp((mu - eps)/T) would exceed 1e300.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,9 +43,12 @@ _DAMPING_FLOOR = 1e-280
 
 _PHASE_OVERFLOW = "phase 2 g t overflows: g t is too large to evaluate"
 
+# the largest Boltzmann occupation occupation_boltzmann returns
+_BOLTZMANN_CAP = 1e300
+
 
 class BoltzmannRangeError(ValueError):
-    """exp((mu - eps)/T) would overflow the configured cap."""
+    """exp((mu - eps)/T) would exceed the 1e300 cap."""
 
 
 class EquilibriumUndefinedError(ValueError):
@@ -132,14 +135,12 @@ class ModeSpec:
     energy : float, eps_k = -2 cos(k)
     coupling : float, g_k = g sin(k)^2
     dephasing : float, lambda >= 0
-    bare_coupling : float, the free input g
     """
 
     momentum: float
     energy: float
     coupling: float
     dephasing: float = 0.0
-    bare_coupling: float = field(default=1.0, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.momentum <= math.pi:
@@ -156,8 +157,7 @@ class ModeSpec:
         # dispersion validates k; only cos and sin of 2 g_k t reach an
         # observable, so the sign convention of g_k lives in dynamics
         return cls(momentum=float(k), energy=dispersion(k),
-                   coupling=float(g * np.sin(k) ** 2), dephasing=float(dephasing),
-                   bare_coupling=float(g))
+                   coupling=float(g * np.sin(k) ** 2), dephasing=float(dephasing))
 
 
 def relaxation_envelope(t, dephasing, coupling: float):
@@ -245,17 +245,16 @@ def log_vacancy_fd(energy: float, reservoir: ReservoirParams) -> float:
     return _log_sigmoid((reservoir.mu - energy) / reservoir.temperature)
 
 
-def occupation_boltzmann(energy, reservoir: ReservoirParams, cap: float = 1e300):
+def occupation_boltzmann(energy, reservoir: ReservoirParams):
     """Classical occupation exp(-(eps - mu)/T) with an overflow guard.
 
-    Raises BoltzmannRangeError if any requested value would exceed ``cap``.
+    Raises BoltzmannRangeError if any requested value would exceed 1e300.
     """
-    if cap <= 0.0:
-        raise ValueError("cap must be positive")
     x = (reservoir.mu - np.asarray(energy, dtype=float)) / reservoir.temperature
-    if np.any(x > math.log(cap)):
+    if np.any(x > math.log(_BOLTZMANN_CAP)):
         raise BoltzmannRangeError(
-            "Boltzmann occupation exceeds cap %.3g; state is far outside the dilute regime" % cap)
+            "Boltzmann occupation exceeds cap %.3g; state is far outside the dilute regime"
+            % _BOLTZMANN_CAP)
     out = np.exp(x)
     return float(out) if out.ndim == 0 else out
 
@@ -266,7 +265,6 @@ class BoltzmannValidity:
 
     mu_bound: float
     satisfied: bool
-    e_gap: float  # in units of alpha
 
 
 def boltzmann_validity(m: int, reservoir: ReservoirParams) -> BoltzmannValidity:
@@ -285,10 +283,7 @@ def boltzmann_validity(m: int, reservoir: ReservoirParams) -> BoltzmannValidity:
     if m <= 0:
         raise ValueError("digit count m must be positive")
     mu_bound = -0.5 * m * reservoir.temperature * _LN10 - 2.0
-    e_gap = 0.5 * m * reservoir.temperature * _LN10
-    return BoltzmannValidity(mu_bound=mu_bound,
-                             satisfied=reservoir.mu < mu_bound,
-                             e_gap=e_gap)
+    return BoltzmannValidity(mu_bound=mu_bound, satisfied=reservoir.mu < mu_bound)
 
 
 def band_gap_ev(m: int, temperature_kelvin: float) -> float:

@@ -222,9 +222,20 @@ def _format_value(x: float, digits: int) -> str:
 
 
 def _csv_field(text: str) -> str:
-    if any(ch in text for ch in ',"\n\r'):
+    # plain substring tests: every figure value passes through here
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def write_csv(path: str, rows):
+    """Write rows of text fields as UTF-8 CSV with LF line ends.
+
+    A field holding a comma, double quote, CR or LF is quoted RFC-4180
+    style; the stdlib csv writer would leave a bare CR unquoted.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(",".join(map(_csv_field, row)) + "\n" for row in rows))
 
 
 def write_result(result: ScenarioResult, out_dir: str, sig_digits: int = 12):
@@ -235,13 +246,10 @@ def write_result(result: ScenarioResult, out_dir: str, sig_digits: int = 12):
         stem = result.scenario if not panel.name else (
             "%s_%s" % (result.scenario, panel.name))
         path = os.path.join(out_dir, stem + ".csv")
-        lines = [",".join(_csv_field(h) for h in panel.headers)]
         n_rows = len(panel.columns[0]) if panel.columns else 0
-        for i in range(n_rows):
-            lines.append(",".join(
-                _format_value(float(col[i]), sig_digits) for col in panel.columns))
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(path, [panel.headers] + [
+            [_format_value(float(col[i]), sig_digits) for col in panel.columns]
+            for i in range(n_rows)])
         paths.append(path)
     return paths
 

@@ -14,8 +14,9 @@ library:
     SpecialFnTable       J_0..J_n at one argument, from one pass; the one
                          J_n evaluation path.
 
-J_n uses the ascending series for small argument and a downward (Miller)
-recurrence normalized by J_0 + 2 J_2 + 2 J_4 + ... = 1 otherwise; I_n uses
+J_n uses a downward (Miller) recurrence normalized by
+J_0 + 2 J_2 + 2 J_4 + ... = 1, and its x -> 0 limit (x/2)^n/n! once
+(x/2)^2 < 2^-53, where the dropped terms fall below half an ulp; I_n uses
 the all-positive ascending series, which has no cancellation.
 """
 
@@ -27,7 +28,8 @@ import numpy as np
 
 _J_MAX_ORDER = 60
 _J_MAX_ARG = 100.0
-_J_SERIES_CUTOFF = 8.0
+# (x/2)^2 below this leaves J_n(x) = (x/2)^n/n! to within half an ulp
+_J_LEADING_TERM_MAX = 2.0 ** -53
 
 
 def beta_fn(a: float, b: float) -> float:
@@ -35,19 +37,6 @@ def beta_fn(a: float, b: float) -> float:
     if a <= 0.0 or b <= 0.0:
         raise ValueError("beta_fn requires positive arguments")
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-
-
-def _bessel_j_series(n: int, x: float) -> float:
-    # ascending series; safe from cancellation for |x| < ~8
-    half = 0.5 * x
-    term = half ** n / math.factorial(n)
-    total = term
-    for k in range(1, 60):
-        term *= -(half * half) / (k * (n + k))
-        total += term
-        if abs(term) < 1e-18 * max(1.0, abs(total)):
-            break
-    return total
 
 
 def _bessel_j_all_positive(x: float, n_max: int) -> np.ndarray:
@@ -109,9 +98,9 @@ class SpecialFnTable:
     """Cached orders J_0..J_max_order of the Bessel function at one argument.
 
     Build once per (argument, max order) and read repeatedly; the column
-    comes from a single downward-recurrence pass (or the ascending series
-    at small argument), so filling the table costs no more than the highest
-    order requested.
+    comes from a single downward-recurrence pass (or the leading term
+    (x/2)^n/n! as x -> 0, x = 0 included), so filling the table costs no
+    more than the highest order requested.
     """
 
     def __init__(self, max_order: int, x_bessel_j: float):
@@ -121,11 +110,10 @@ class SpecialFnTable:
             raise ValueError("outside validated Bessel range")
         self.max_order = int(max_order)
         xa = abs(float(x_bessel_j))
-        if xa == 0.0:
-            col = np.zeros(max_order + 1)
-            col[0] = 1.0
-        elif xa < _J_SERIES_CUTOFF:
-            col = np.array([_bessel_j_series(m, xa) for m in range(max_order + 1)])
+        half = 0.5 * xa
+        if half * half < _J_LEADING_TERM_MAX:
+            # the recurrence's 2m/x overflows here (NaN at x <= 1e-100)
+            col = np.array([half ** m / math.factorial(m) for m in range(max_order + 1)])
         else:
             col = _bessel_j_all_positive(xa, max_order)
         if x_bessel_j < 0.0:

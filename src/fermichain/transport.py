@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -73,7 +72,6 @@ class QuadratureSpec:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_panels: int = 1 << 16
-    nodes_per_panel: int = 16
     base_panels: int = 32
 
     def __post_init__(self):
@@ -81,28 +79,25 @@ class QuadratureSpec:
             raise ValueError("abs_tol must be finite and > 0, got %r" % self.abs_tol)
         if not 0.0 <= self.rel_tol < math.inf:
             raise ValueError("rel_tol must be finite and >= 0, got %r" % self.rel_tol)
-        if self.nodes_per_panel < 2 or self.base_panels < 1:
-            raise ValueError("need at least 2 nodes and 1 panel")
+        if self.base_panels < 1:
+            raise ValueError("need at least 1 panel")
         if self.max_panels < self.base_panels:
             raise ValueError("max_panels below base_panels")
 
 
 DEFAULT_QUAD = QuadratureSpec()
 
-
-@lru_cache(maxsize=32)
-def _gauss_nodes(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+# 16-point Gauss-Legendre nodes and weights on [-1, 1], one panel's rule
+_X16, _W16 = np.polynomial.legendre.leggauss(16)
 
 
-def _level_total(vals, panels: int, w0, half: float):
+def _level_total(vals, panels: int, half: float):
     """Integral of one group's node values at one panel level."""
     vals = np.asarray(vals)
-    vals = vals.reshape(vals.shape[:-1] + (panels, w0.size))
+    vals = vals.reshape(vals.shape[:-1] + (panels, _W16.size))
     # reduce within panels first, then across panels in index order:
     # fixed association keeps the sum bit-reproducible
-    per_panel = (vals * w0).sum(axis=-1) * half
+    per_panel = (vals * _W16).sum(axis=-1) * half
     return np.add.reduce(per_panel, axis=-1)
 
 
@@ -128,8 +123,8 @@ def integrate_interval(f, a: float, b: float, quad: QuadratureSpec = DEFAULT_QUA
     Returns
     -------
     (value, err_estimate) where err_estimate is the largest component-wise
-    change in the final doubling; doubling nodes or panels once more changes
-    the result by less than this.  For a tuple integrand both are tuples
+    change in the final doubling; doubling the panels once more changes the
+    result by less than this.  For a tuple integrand both are tuples
     with one entry per group.
     """
     if b <= a:
@@ -137,17 +132,16 @@ def integrate_interval(f, a: float, b: float, quad: QuadratureSpec = DEFAULT_QUA
     panels = max(quad.base_panels, int(min_panels))
     if panels >= quad.max_panels:
         raise QuadratureError(
-            "%d starting panels (min_panels %d, ~4 g t for the band) leave no room "
+            "%.3g starting panels (min_panels %.3g, ~4 g t for the band) leave no room "
             "to refine within max_panels %d" % (panels, min_panels, quad.max_panels),
             achieved_error=math.inf)
-    x0, w0 = _gauss_nodes(quad.nodes_per_panel)
     prev = None  # per-group totals of the previous level
     done = None  # per-group (total, err) once converged
     while True:
         edges = np.linspace(a, b, panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1] - edges[0])
-        nodes = (mid[:, None] + half * x0[None, :]).reshape(-1)
+        nodes = (mid[:, None] + half * _X16[None, :]).reshape(-1)
         out = f(nodes)
         grouped = isinstance(out, tuple)
         groups = out if grouped else (out,)
@@ -159,7 +153,7 @@ def integrate_interval(f, a: float, b: float, quad: QuadratureSpec = DEFAULT_QUA
         for i, vals in enumerate(groups):
             if done[i] is not None:
                 continue
-            total = _level_total(vals, panels, w0, half)
+            total = _level_total(vals, panels, half)
             if not first:
                 err = np.max(np.abs(total - prev[i]))
                 tol = max(quad.abs_tol, quad.rel_tol * float(np.max(np.abs(total))))
@@ -278,18 +272,6 @@ def qbar(t, res: ReservoirParams, dephasing: float, g: float,
 
 
 @dataclass(frozen=True)
-class TransportPoint:
-    """Where an Onsager block was evaluated."""
-
-    temperature: float
-    mu: float
-    dephasing: float
-    g: float
-    t: object  # float or array
-    stats: str
-
-
-@dataclass(frozen=True)
 class OnsagerBlock:
     """The four linear-response coefficients at one evaluation point.
 
@@ -297,14 +279,16 @@ class OnsagerBlock:
     j_q_mu = (T/2) d qbar/d mu        j_q_t = (T^2/2) d qbar/d T
 
     For Fermi-Dirac kernels j_n_t == j_q_mu identically (reciprocity); this
-    falls out of the (eps - mu) weighting rather than being imposed.
+    falls out of the (eps - mu) weighting rather than being imposed.  The
+    block carries the reservoir temperature T it was evaluated at, which
+    ``fluxes`` needs to form the thermodynamic forces.
     """
 
     j_n_mu: object
     j_n_t: object
     j_q_mu: object
     j_q_t: object
-    point: TransportPoint
+    temperature: float
 
 
 def _onsager_kernels(res: ReservoirParams):
@@ -323,17 +307,13 @@ def _onsager_kernels(res: ReservoirParams):
     return kernels
 
 
-def _onsager_block(coeffs, t, res: ReservoirParams, dephasing: float, g: float,
-                   stats: str) -> OnsagerBlock:
+def _onsager_block(coeffs, temp: float) -> OnsagerBlock:
     dnbar_dmu, dnbar_dt, dqbar_dmu, dqbar_dt = coeffs
-    temp = res.temperature
-    point = TransportPoint(temperature=temp, mu=res.mu, dephasing=dephasing,
-                           g=g, t=t, stats=_normalize_stats(stats))
     return OnsagerBlock(j_n_mu=0.5 * temp * dnbar_dmu,
                         j_n_t=0.5 * temp ** 2 * dnbar_dt,
                         j_q_mu=0.5 * temp * dqbar_dmu,
                         j_q_t=0.5 * temp ** 2 * dqbar_dt,
-                        point=point)
+                        temperature=temp)
 
 
 def onsager(t, res: ReservoirParams, dephasing: float, g: float,
@@ -345,7 +325,7 @@ def onsager(t, res: ReservoirParams, dephasing: float, g: float,
     """
     (coeffs,) = _band_average((_onsager_kernels(res),), t, res, dephasing, g,
                               quad, stats)
-    return _onsager_block(coeffs, t, res, dephasing, g, stats)
+    return _onsager_block(coeffs, res.temperature)
 
 
 def counters_and_onsager(t, res: ReservoirParams, dephasing: float, g: float,
@@ -357,7 +337,7 @@ def counters_and_onsager(t, res: ReservoirParams, dephasing: float, g: float,
     """
     (n, e), coeffs = _band_average((_counter_kernels, _onsager_kernels(res)), t,
                                    res, dephasing, g, quad, stats)
-    return n, e, _onsager_block(coeffs, t, res, dephasing, g, stats)
+    return n, e, _onsager_block(coeffs, res.temperature)
 
 
 @dataclass(frozen=True)
@@ -370,9 +350,9 @@ def fluxes(block: OnsagerBlock, delta_mu: float, delta_t: float) -> ParticleHeat
     """Assemble linear-response fluxes from a coefficient block.
 
     The thermodynamic forces are delta_mu/T and delta_t/T^2 with T, and the
-    coefficients, taken at the block's evaluation point.
+    coefficients, taken at the block's temperature.
     """
-    temp = block.point.temperature
+    temp = block.temperature
     temp_sq = temp ** 2
     if temp_sq == 0.0:
         raise ValueError("temperature %r is too small: T**2 underflows to 0" % temp)

@@ -108,17 +108,6 @@ def test_ft_independent_of_time_and_noise():
             assert ft_log_ratio(_mode(dephasing=lam), res_a, res_b, t).lhs == base
 
 
-def test_ft_sign_convention_flips_both_sides():
-    res_a = ReservoirParams(0.3, 0.5)
-    res_b = ReservoirParams(0.7, -0.2)
-    gain = ft_log_ratio(_mode(), res_a, res_b, 1.0, sign_convention="gain")
-    loss = ft_log_ratio(_mode(), res_a, res_b, 1.0, sign_convention="loss")
-    assert loss.lhs == -gain.lhs
-    assert loss.rhs == -gain.rhs
-    with pytest.raises(ValueError):
-        ft_log_ratio(_mode(), res_a, res_b, 1.0, sign_convention="up")
-
-
 def test_ft_sign_tracks_odds_ratio():
     m = _mode(energy=-0.7)
     res_a = ReservoirParams(0.4, 0.6)

@@ -116,7 +116,7 @@ def test_table_matches_direct_evaluation():
             assert tab.j(n) == pytest.approx(bessel_j(n, x), abs=1e-12), (n, x)
 
 
-def test_table_small_argument_uses_series_branch():
+def test_table_small_argument_by_recurrence():
     tab = SpecialFnTable(10, x_bessel_j=2.0)
     assert tab.j(1) == pytest.approx(0.576724807756873387, abs=1e-14)
 
@@ -126,3 +126,28 @@ def test_table_unbuilt_column_rejected():
     for n in (-1, 11):
         with pytest.raises(ValueError, match="order outside table range"):
             tab.j(n)
+
+
+def test_table_matches_high_precision_oracle():
+    # relative error at every order whose value is a normal double well
+    # clear of underflow.  mpmath, not scipy: scipy.special.jv is itself
+    # off by ~1.3e-13 relative where |J_n| ~ 1e-280.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    worst = 0.0
+    for x in np.logspace(-8.0, math.log10(8.0), 40):
+        tab = SpecialFnTable(60, x_bessel_j=float(x))
+        for n in range(61):
+            ref = float(mpmath.besselj(n, mpmath.mpf(float(x))))
+            if abs(ref) > 1e-290:
+                worst = max(worst, abs(tab.j(n) - ref) / abs(ref))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("x", [1e-300, 1e-100, 1e-9])
+def test_table_tiny_argument_is_the_leading_term(x):
+    # the downward recurrence's 2m/x overflows to NaN at x <= 1e-100
+    tab = SpecialFnTable(60, x_bessel_j=x)
+    for n in range(61):
+        assert math.isfinite(tab.j(n))
+        assert tab.j(n) == (0.5 * x) ** n / math.factorial(n), n
