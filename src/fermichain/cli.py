@@ -14,9 +14,6 @@ def _add_shared_flags(parser: argparse.ArgumentParser):
                         help="output directory (overrides the config)")
     parser.add_argument("--tol", type=float, metavar="TOL",
                         help="quadrature tolerance override")
-    parser.add_argument("--threads", type=int, metavar="N",
-                        help="accepted for compatibility; has no effect, "
-                             "every run is single-threaded")
     parser.add_argument("--stats", choices=(transport.STATS_FD,
                                             transport.STATS_BOLTZMANN),
                         help="reservoir statistics override")
@@ -54,8 +51,6 @@ def _apply_flag_overrides(data: dict, args: argparse.Namespace) -> dict:
         data["out_dir"] = args.out
     if args.tol is not None:
         data["tol"] = args.tol
-    if args.threads is not None:
-        data["threads"] = args.threads
     if args.stats is not None:
         data["stats"] = args.stats
     return data

@@ -307,8 +307,6 @@ def equilibrium_sommerfeld_onsager(res: ReservoirParams) -> OnsagerBlock:
     dnbar_dt = -(math.pi * temp / 3.0) * mu * r32
     debar_dmu = (-mu * r12 - c2 * (3.0 * mu * r32 + 3.0 * mu ** 3 * r52)) / math.pi
     debar_dt = -(math.pi * temp / 3.0) * (r12 + mu * mu * r32)
-    return OnsagerBlock(j_n_mu=0.5 * temp * dnbar_dmu,
-                        j_n_t=0.5 * temp ** 2 * dnbar_dt,
-                        j_q_mu=0.5 * temp * (debar_dmu - mu * dnbar_dmu),
-                        j_q_t=0.5 * temp ** 2 * (debar_dt - mu * dnbar_dt),
-                        temperature=temp)
+    return OnsagerBlock.from_derivatives(
+        (dnbar_dmu, dnbar_dt, debar_dmu - mu * dnbar_dmu, debar_dt - mu * dnbar_dt),
+        temp)

@@ -1,14 +1,26 @@
 """Named figure scenarios, config parsing, and deterministic CSV output.
 
-Each scenario computes a small set of panels (one CSV file per panel) with
-the independent variable in the first column and unit-annotated headers,
-e.g. "J_QT[alpha^2]".  Energies are in units of the hopping scale alpha,
-times in 1/alpha, entropies in k_B.  Output is written RFC-4180 style with
-UTF-8 text, LF line endings, and a fixed significant-digit format.  Every
-builder evaluates its grid points in order on the calling thread, and every
+Every scenario is one row of ``SCENARIOS``, ``(build, panels, pins)``:
+
+* ``pins`` are the scenario's own defaults, grids included.  One resolver
+  applies them to every config key the user did not set, so the config that
+  ``parse_config`` returns holds the values the run uses (``onsevo1`` runs
+  at T = 0.005, not at the field default 0.1).  ``run_scenario`` resolves
+  again, so a directly built ``ScenarioConfig`` runs with the same pins.
+* ``panels`` is the config key the panels sweep with its default values, or
+  None for one unnamed panel.  Setting that key gives one panel at its value.
+* ``build(cfg, name)`` returns the headers, columns and comparison reports
+  of one panel, reading every value from ``cfg``.
+
+``run_scenario`` is the one panel loop.  Each panel is one CSV file with the
+independent variable in the first column and unit-annotated headers, e.g.
+"J_QT[alpha^2]".  Energies are in units of the hopping scale alpha, times in
+1/alpha, entropies in k_B.  Output is written RFC-4180 style with UTF-8
+text, LF line endings, and a fixed significant-digit format.  Every builder
+evaluates its grid points in order on the calling thread, and every
 reduction has a fixed association, so output is byte-reproducible.  The
-``threads`` config field is validated but has no effect; it is kept so that
-existing configs still parse.
+``threads`` config key is still range-checked so that old configs parse,
+but it has no field and no effect.
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -43,7 +55,6 @@ class ScenarioConfig:
     g: float = 1.0
     stats: str = transport.STATS_FD
     tol: float = 1e-10
-    threads: int = 1
     sig_digits: int = 12
     out_dir: str = "figures"
     delta_t: float = 0.0
@@ -55,10 +66,6 @@ class ScenarioConfig:
     n_max: int = 25
     linear_response_threshold: float = 0.05
     explicit: frozenset = field(default_factory=frozenset, compare=False)
-
-    def pick(self, key: str, pinned):
-        """Scenario-pinned default unless the user set the key explicitly."""
-        return getattr(self, key) if key in self.explicit else pinned
 
     def quad(self) -> transport.QuadratureSpec:
         return transport.QuadratureSpec(abs_tol=self.tol, rel_tol=self.tol)
@@ -77,7 +84,7 @@ _NUMBER_FIELDS = {
     "linear_response_threshold": lambda v: v > 0.0,
 }
 _INT_FIELDS = {
-    "threads": lambda v: 1 <= v <= 256,
+    "threads": lambda v: 1 <= v <= 256,  # checked, then dropped: no field
     "sig_digits": lambda v: 3 <= v <= 17,
     "n_max": lambda v: 1 <= v <= 30,
 }
@@ -102,7 +109,10 @@ def _check_grid(name: str, values) -> tuple:
 
 
 def parse_config(data: Mapping) -> ScenarioConfig:
-    """Validate a config mapping; reject unknown keys by name."""
+    """Validate a config mapping and resolve its scenario's pins.
+
+    Unknown keys are rejected by name.
+    """
     if not isinstance(data, Mapping):
         raise ConfigError("config must be a JSON object")
     known = set(_NUMBER_FIELDS) | set(_INT_FIELDS) | set(_GRID_FIELDS) | set(_STR_FIELDS)
@@ -130,17 +140,25 @@ def parse_config(data: Mapping) -> ScenarioConfig:
                 raise ConfigError("config field '%s' must be a small positive integer"
                                   % key)
             kwargs[key] = v
+    kwargs.pop("threads", None)
     for key in _GRID_FIELDS:
         if key in data:
             kwargs[key] = _check_grid(key, data[key])
-    if kwargs["scenario"] not in SCENARIOS:
-        raise ConfigError("unknown scenario '%s'" % kwargs["scenario"])
     if "stats" in kwargs and kwargs["stats"] not in (transport.STATS_FD,
                                                      transport.STATS_BOLTZMANN):
         raise ConfigError("config field 'stats' must be 'fd' or 'boltzmann'")
-    cfg = ScenarioConfig(explicit=frozenset(data) - {"scenario"}, **kwargs)
-    _warn_if_beyond_linear_response(cfg)
+    cfg = _resolve(ScenarioConfig(explicit=frozenset(data) - {"scenario"}, **kwargs))
+    _check_split(cfg)
     return cfg
+
+
+def _resolve(cfg: ScenarioConfig) -> ScenarioConfig:
+    """cfg with its scenario's pins on every key the user did not set."""
+    try:
+        pins = SCENARIOS[cfg.scenario][2]
+    except KeyError:
+        raise ConfigError("unknown scenario '%s'" % cfg.scenario) from None
+    return replace(cfg, **{k: v for k, v in pins.items() if k not in cfg.explicit})
 
 
 def read_config(path: str) -> dict:
@@ -155,12 +173,18 @@ def read_config(path: str) -> dict:
     return data
 
 
-def _warn_if_beyond_linear_response(cfg: ScenarioConfig):
+def _check_split(cfg: ScenarioConfig):
+    """Reject a split that leaves no reservoir; warn on a large one."""
     if cfg.delta_t == 0.0 and cfg.delta_mu == 0.0:
         return
-    prep = BipartitePreparation(base=ReservoirParams(cfg.temperature, cfg.mu),
-                                delta_t=cfg.delta_t, delta_mu=cfg.delta_mu,
-                                linear_response_threshold=cfg.linear_response_threshold)
+    base = ReservoirParams(cfg.temperature, cfg.mu)
+    try:
+        prep = BipartitePreparation(
+            base=base, delta_t=cfg.delta_t, delta_mu=cfg.delta_mu,
+            linear_response_threshold=cfg.linear_response_threshold)
+    except ValueError as exc:
+        raise ConfigError("config field 'delta_t' at temperature %g: %s"
+                          % (cfg.temperature, exc)) from None
     for name in prep.linear_response_warnings():
         warnings.warn("%s split exceeds %g of the scale it perturbs; "
                       "linear-response output may be inaccurate"
@@ -264,10 +288,18 @@ def _max_norm_deviation(series, reference) -> float:
 
 
 # ---------------------------------------------------------------------------
-# scenario builders
+# scenario builders: build(cfg, name) -> (headers, columns, reports)
 # ---------------------------------------------------------------------------
 
 _J_HEADERS = ("J_NM[1]", "J_NT[alpha]", "J_QM[alpha]", "J_QT[alpha^2]")
+
+
+def _grid(cfg: ScenarioConfig, name: str) -> np.ndarray:
+    values = getattr(cfg, name)
+    if not values:
+        raise ConfigError("%s scenario requires config field '%s'"
+                          % (cfg.scenario, name))
+    return np.asarray(values)
 
 
 def _block_columns(blocks) -> tuple:
@@ -277,112 +309,61 @@ def _block_columns(blocks) -> tuple:
             np.array([b.j_q_t for b in blocks]))
 
 
-def _ons1(cfg: ScenarioConfig) -> ScenarioResult:
+def _onsager_vs_mu(cfg: ScenarioConfig, name: str):
     """Damped-limit Onsager coefficients across the band vs mu."""
-    mu_grid = np.asarray(cfg.mu_grid or np.linspace(-4.0, 4.0, 161))
-    temps = (cfg.temperature,) if "temperature" in cfg.explicit else (0.1, 0.5)
+    mu_grid = _grid(cfg, "mu_grid")
     quad = cfg.quad()
-    panels = []
-    for temp in temps:
-        blocks = [transport.onsager(math.inf, ReservoirParams(temp, m),
-                                    cfg.dephasing, cfg.g, quad, cfg.stats)
-                  for m in mu_grid]
-        panels.append(Panel(name="T%s" % _tag(temp),
-                            headers=("mu[alpha]",) + _J_HEADERS,
-                            columns=(mu_grid,) + _block_columns(blocks)))
-    return ScenarioResult(scenario=cfg.scenario, panels=tuple(panels))
+    blocks = [transport.onsager(math.inf, ReservoirParams(cfg.temperature, m),
+                                cfg.dephasing, cfg.g, quad, cfg.stats)
+              for m in mu_grid]
+    return ("mu[alpha]",) + _J_HEADERS, (mu_grid,) + _block_columns(blocks), ()
 
 
-def _onsevo1(cfg: ScenarioConfig) -> ScenarioResult:
-    """Coefficient build-up in time at very low temperature, per mu."""
-    temp = cfg.pick("temperature", 0.005)
-    lam = cfg.pick("dephasing", 0.05)
-    mus = (cfg.mu,) if "mu" in cfg.explicit else (0.0, 1.0, 1.9)
-    t_grid = np.asarray(cfg.t_grid or np.linspace(0.0, 40.0, 81))
+def _onsager_vs_t(cfg: ScenarioConfig, name: str):
+    """Onsager coefficients building up in time."""
+    t_grid = _grid(cfg, "t_grid")
+    res = ReservoirParams(cfg.temperature, cfg.mu)
     quad = cfg.quad()
-    panels = []
-    for mu in mus:
-        res = ReservoirParams(temp, mu)
-        blocks = [transport.onsager(float(t), res, lam, cfg.g, quad, cfg.stats)
-                  for t in t_grid]
-        panels.append(Panel(name="mu%s" % _tag(mu),
-                            headers=("t[1/alpha]",) + _J_HEADERS,
-                            columns=(t_grid,) + _block_columns(blocks)))
-    return ScenarioResult(scenario=cfg.scenario, panels=tuple(panels))
+    blocks = [transport.onsager(float(t), res, cfg.dephasing, cfg.g, quad, cfg.stats)
+              for t in t_grid]
+    return ("t[1/alpha]",) + _J_HEADERS, (t_grid,) + _block_columns(blocks), ()
 
 
-def _onsevo2(cfg: ScenarioConfig) -> ScenarioResult:
-    """Time evolution of the coefficients with and without dephasing."""
-    temp = cfg.pick("temperature", 0.1)
-    lams = (cfg.dephasing,) if "dephasing" in cfg.explicit else (0.05, 0.0)
-    t_grid = np.asarray(cfg.t_grid or np.linspace(0.0, 60.0, 121))
-    res = ReservoirParams(temp, cfg.mu)
-    quad = cfg.quad()
-    panels = []
-    for lam in lams:
-        blocks = [transport.onsager(float(t), res, lam, cfg.g, quad, cfg.stats)
-                  for t in t_grid]
-        panels.append(Panel(name="lam%s" % _tag(lam),
-                            headers=("t[1/alpha]",) + _J_HEADERS,
-                            columns=(t_grid,) + _block_columns(blocks)))
-    return ScenarioResult(scenario=cfg.scenario, panels=tuple(panels))
+def _mode_prep(cfg: ScenarioConfig) -> entropy.EquilibriumModePrep:
+    return entropy.EquilibriumModePrep(n_eq=cfg.n_eq, delta_n=cfg.delta_n,
+                                       coupling=cfg.g, dephasing=cfg.dephasing)
 
 
-def _entropy_panels(cfg: ScenarioConfig, n_eq_pin: float, delta_n_pin: float,
-                    column_fn) -> ScenarioResult:
-    n_eq = cfg.pick("n_eq", n_eq_pin)
-    delta_n = cfg.pick("delta_n", delta_n_pin)
-    lams = (cfg.dephasing,) if "dephasing" in cfg.explicit else (0.2, 0.0)
-    t_grid = np.asarray(cfg.t_grid or np.linspace(0.0, 20.0, 401))
-    panels = []
-    for lam in lams:
-        prep = entropy.EquilibriumModePrep(n_eq=n_eq, delta_n=delta_n,
-                                           coupling=cfg.g, dephasing=lam)
-        headers, columns = column_fn(prep, t_grid)
-        panels.append(Panel(name="lam%s" % _tag(lam), headers=headers,
-                            columns=columns))
-    return ScenarioResult(scenario=cfg.scenario, panels=tuple(panels))
-
-
-def _entroevo(cfg: ScenarioConfig) -> ScenarioResult:
+def _entroevo(cfg: ScenarioConfig, name: str):
     """Site entropies and mutual information for a weak split."""
-
-    def cols(prep, t_grid):
-        c = entropy.entropy_coeffs(prep, t_grid)
-        mi = entropy.mutual_information(prep, t_grid)
-        s_ab = entropy.joint_entropy(prep, t_grid)
-        return (("t[1/alpha]", "S_A[k_B]", "S_B[k_B]", "I[k_B]",
-                 "S_sum_minus_I[k_B]", "S_AB[k_B]"),
-                (t_grid, c.entropy_a, c.entropy_b, mi,
-                 c.entropy_a + c.entropy_b - mi, s_ab))
-
-    return _entropy_panels(cfg, 0.1, 0.01, cols)
+    prep, t_grid = _mode_prep(cfg), _grid(cfg, "t_grid")
+    c = entropy.entropy_coeffs(prep, t_grid)
+    mi = entropy.mutual_information(prep, t_grid)
+    s_ab = entropy.joint_entropy(prep, t_grid)
+    return (("t[1/alpha]", "S_A[k_B]", "S_B[k_B]", "I[k_B]",
+             "S_sum_minus_I[k_B]", "S_AB[k_B]"),
+            (t_grid, c.entropy_a, c.entropy_b, mi,
+             c.entropy_a + c.entropy_b - mi, s_ab), ())
 
 
-def _entroprod(cfg: ScenarioConfig) -> ScenarioResult:
+def _entroprod(cfg: ScenarioConfig, name: str):
     """Joint entropy growth and the irreversible rate behind it."""
-
-    def cols(prep, t_grid):
-        return (("t[1/alpha]", "S_AB[k_B]", "S_AB_exact[k_B]", "Pi[k_B*alpha]"),
-                (t_grid, entropy.joint_entropy(prep, t_grid),
-                 entropy.joint_entropy_exact(prep, t_grid),
-                 entropy.entropy_production(prep, t_grid)))
-
-    return _entropy_panels(cfg, 0.5, 0.1, cols)
+    prep, t_grid = _mode_prep(cfg), _grid(cfg, "t_grid")
+    return (("t[1/alpha]", "S_AB[k_B]", "S_AB_exact[k_B]", "Pi[k_B*alpha]"),
+            (t_grid, entropy.joint_entropy(prep, t_grid),
+             entropy.joint_entropy_exact(prep, t_grid),
+             entropy.entropy_production(prep, t_grid)), ())
 
 
-def _mutint(cfg: ScenarioConfig) -> ScenarioResult:
+def _mutint(cfg: ScenarioConfig, name: str):
     """Mutual information: generated by the coupling, erased by noise."""
-
-    def cols(prep, t_grid):
-        return (("t[1/alpha]", "I[k_B]", "I_exact[k_B]"),
-                (t_grid, entropy.mutual_information(prep, t_grid),
-                 entropy.mutual_information_exact(prep, t_grid)))
-
-    return _entropy_panels(cfg, 0.5, 0.1, cols)
+    prep, t_grid = _mode_prep(cfg), _grid(cfg, "t_grid")
+    return (("t[1/alpha]", "I[k_B]", "I_exact[k_B]"),
+            (t_grid, entropy.mutual_information(prep, t_grid),
+             entropy.mutual_information_exact(prep, t_grid)), ())
 
 
-def _onsteste1(cfg: ScenarioConfig) -> ScenarioResult:
+def _onsteste1(cfg: ScenarioConfig, name: str):
     """Damped-limit coefficients: quadrature vs low-T closed form.
 
     The deviations are reported without a pass/fail threshold: the
@@ -391,79 +372,54 @@ def _onsteste1(cfg: ScenarioConfig) -> ScenarioResult:
     (pi T)^2/(4 - mu^2) and visibly grows toward the band edges and with
     T.  Contrasting the two temperatures is the point of this figure.
     """
-    mu_grid = np.asarray(cfg.mu_grid or np.linspace(-1.5, 1.5, 61))
+    mu_grid = _grid(cfg, "mu_grid")
     if np.any(np.abs(mu_grid) >= 2.0):
         raise ConfigError("config field 'mu_grid' must stay inside (-2, 2) here")
-    temps = (cfg.temperature,) if "temperature" in cfg.explicit else (0.1, 0.25)
-    quad = cfg.quad()
-    panels = []
+    _, quad_cols, _ = _onsager_vs_mu(cfg, name)
+    series_cols = _block_columns([
+        closedforms.equilibrium_sommerfeld_onsager(ReservoirParams(cfg.temperature, m))
+        for m in mu_grid])
+    headers = ["mu[alpha]"]
+    columns = [mu_grid]
     reports = []
-    for temp in temps:
-        blocks = [transport.onsager(math.inf, ReservoirParams(temp, m),
-                                    cfg.dephasing, cfg.g, quad, cfg.stats)
-                  for m in mu_grid]
-        closed = [closedforms.equilibrium_sommerfeld_onsager(ReservoirParams(temp, m))
-                  for m in mu_grid]
-        quad_cols = _block_columns(blocks)
-        series_cols = _block_columns(closed)
-        headers = ["mu[alpha]"]
-        columns = [mu_grid]
-        name = "T%s" % _tag(temp)
-        for label, qc, sc in zip(_J_HEADERS, quad_cols, series_cols):
-            base, unit = label.split("[")
-            headers += ["%s_quad[%s" % (base, unit), "%s_series[%s" % (base, unit)]
-            columns += [qc, sc]
-            reports.append(ComparisonReport(
-                panel=name, quantity=base,
-                max_rel_deviation=_max_norm_deviation(sc, qc),
-                threshold=math.inf))
-        panels.append(Panel(name=name, headers=tuple(headers),
-                            columns=tuple(columns)))
-    return ScenarioResult(scenario=cfg.scenario, panels=tuple(panels),
-                          reports=tuple(reports))
+    for label, qc, sc in zip(_J_HEADERS, quad_cols[1:], series_cols):
+        base, unit = label.split("[")
+        headers += ["%s_quad[%s" % (base, unit), "%s_series[%s" % (base, unit)]
+        columns += [qc, sc]
+        reports.append(ComparisonReport(
+            panel=name, quantity=base,
+            max_rel_deviation=_max_norm_deviation(sc, qc), threshold=math.inf))
+    return tuple(headers), tuple(columns), tuple(reports)
 
 
-def _onsteste2(cfg: ScenarioConfig) -> ScenarioResult:
+def _onsteste2(cfg: ScenarioConfig, name: str):
     """Counter evolution: truncated low-T series vs adaptive quadrature."""
-    temp = cfg.pick("temperature", 0.1)
-    lam = cfg.pick("dephasing", 0.35)
-    mus = (cfg.mu,) if "mu" in cfg.explicit else (0.0, 1.0)
-    t_grid = np.asarray(cfg.t_grid or np.linspace(0.0, 10.0, 41))
+    t_grid = _grid(cfg, "t_grid")
+    res = ReservoirParams(cfg.temperature, cfg.mu)
     quad = cfg.quad()
-    panels = []
-    reports = []
-    for mu in mus:
-        res = ReservoirParams(temp, mu)
 
-        def point(t):
-            t = float(t)
-            return transport.counters(t, res, lam, cfg.g, quad) + (
-                closedforms.nbar_fd_sommerfeld(t, res, lam, cfg.g, cfg.n_max).value,
-                closedforms.ebar_fd_sommerfeld(t, res, lam, cfg.g, cfg.n_max).value)
+    def point(t):
+        t = float(t)
+        args = (t, res, cfg.dephasing, cfg.g)
+        return transport.counters(*args, quad) + (
+            closedforms.nbar_fd_sommerfeld(*args, cfg.n_max).value,
+            closedforms.ebar_fd_sommerfeld(*args, cfg.n_max).value)
 
-        rows = [point(t) for t in t_grid]
-        n_quad, e_quad, n_series, e_series = (np.array(col) for col in zip(*rows))
-        name = "mu%s" % _tag(mu)
-        reports.append(ComparisonReport(panel=name, quantity="N",
-                                        max_rel_deviation=_max_norm_deviation(
-                                            n_series, n_quad), threshold=0.05))
-        reports.append(ComparisonReport(panel=name, quantity="E",
-                                        max_rel_deviation=_max_norm_deviation(
-                                            e_series, e_quad), threshold=0.05))
-        panels.append(Panel(
-            name=name,
-            headers=("t[1/alpha]", "N_quad[1]", "N_series[1]",
-                     "E_quad[alpha]", "E_series[alpha]"),
-            columns=(t_grid, n_quad, n_series, e_quad, e_series)))
-    return ScenarioResult(scenario=cfg.scenario, panels=tuple(panels),
-                          reports=tuple(reports))
+    rows = [point(t) for t in t_grid]
+    n_quad, e_quad, n_series, e_series = (np.array(col) for col in zip(*rows))
+    reports = tuple(
+        ComparisonReport(panel=name, quantity=quantity, threshold=0.05,
+                         max_rel_deviation=_max_norm_deviation(series, quad_col))
+        for quantity, series, quad_col in (("N", n_series, n_quad),
+                                           ("E", e_series, e_quad)))
+    return (("t[1/alpha]", "N_quad[1]", "N_series[1]", "E_quad[alpha]",
+             "E_series[alpha]"),
+            (t_grid, n_quad, n_series, e_quad, e_series), reports)
 
 
-def _custom(cfg: ScenarioConfig) -> ScenarioResult:
+def _custom(cfg: ScenarioConfig, name: str):
     """Counters, coefficients, and linear-response fluxes on a user grid."""
-    if not cfg.t_grid:
-        raise ConfigError("custom scenario requires config field 't_grid'")
-    t_grid = np.asarray(cfg.t_grid)
+    t_grid = _grid(cfg, "t_grid")
     res = ReservoirParams(cfg.temperature, cfg.mu)
     quad = cfg.quad()
 
@@ -476,30 +432,59 @@ def _custom(cfg: ScenarioConfig) -> ScenarioResult:
                 block.j_q_t, flux.j_particle, flux.j_heat)
 
     rows = [point(t) for t in t_grid]
-    columns = tuple(np.array(col) for col in zip(*rows))
     headers = ("t[1/alpha]", "N[1]", "E[alpha]", "Q[alpha]") + _J_HEADERS + (
         "flux_N[1]", "flux_Q[alpha]")
-    return ScenarioResult(scenario=cfg.scenario,
-                          panels=(Panel(name="", headers=headers,
-                                        columns=(t_grid,) + columns),))
+    return headers, (t_grid,) + tuple(np.array(col) for col in zip(*rows)), ()
 
 
+def _linspace(a: float, b: float, n: int) -> tuple:
+    # stored as parse_config stores a grid; np.asarray gives back the same floats
+    return tuple(np.linspace(a, b, n).tolist())
+
+
+_ENTROPY_T_GRID = _linspace(0.0, 20.0, 401)
+
+# id -> (build, (panel key, its default values) or None, pins)
 SCENARIOS = {
-    "ons1": _ons1,
-    "onsevo1": _onsevo1,
-    "onsevo2": _onsevo2,
-    "entroevo": _entroevo,
-    "entroprod": _entroprod,
-    "mutint": _mutint,
-    "onsteste1": _onsteste1,
-    "onsteste2": _onsteste2,
-    "custom": _custom,
+    "ons1": (_onsager_vs_mu, ("temperature", (0.1, 0.5)),
+             {"mu_grid": _linspace(-4.0, 4.0, 161)}),
+    "onsevo1": (_onsager_vs_t, ("mu", (0.0, 1.0, 1.9)),
+                {"temperature": 0.005, "dephasing": 0.05,
+                 "t_grid": _linspace(0.0, 40.0, 81)}),
+    "onsevo2": (_onsager_vs_t, ("dephasing", (0.05, 0.0)),
+                {"temperature": 0.1, "t_grid": _linspace(0.0, 60.0, 121)}),
+    "entroevo": (_entroevo, ("dephasing", (0.2, 0.0)),
+                 {"n_eq": 0.1, "delta_n": 0.01, "t_grid": _ENTROPY_T_GRID}),
+    "entroprod": (_entroprod, ("dephasing", (0.2, 0.0)),
+                  {"n_eq": 0.5, "delta_n": 0.1, "t_grid": _ENTROPY_T_GRID}),
+    "mutint": (_mutint, ("dephasing", (0.2, 0.0)),
+               {"n_eq": 0.5, "delta_n": 0.1, "t_grid": _ENTROPY_T_GRID}),
+    "onsteste1": (_onsteste1, ("temperature", (0.1, 0.25)),
+                  {"mu_grid": _linspace(-1.5, 1.5, 61)}),
+    "onsteste2": (_onsteste2, ("mu", (0.0, 1.0)),
+                  {"temperature": 0.1, "dephasing": 0.35,
+                   "t_grid": _linspace(0.0, 10.0, 41)}),
+    "custom": (_custom, None, {}),
 }
+
+_PANEL_PREFIX = {"temperature": "T", "mu": "mu", "dephasing": "lam"}
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
-    try:
-        builder = SCENARIOS[cfg.scenario]
-    except KeyError:
-        raise ConfigError("unknown scenario '%s'" % cfg.scenario) from None
-    return builder(cfg)
+    cfg = _resolve(cfg)
+    build, panels, _ = SCENARIOS[cfg.scenario]
+    if panels is None:
+        runs = [(cfg, "")]
+    else:
+        key, defaults = panels
+        values = (getattr(cfg, key),) if key in cfg.explicit else defaults
+        runs = [(replace(cfg, **{key: v}), _PANEL_PREFIX[key] + _tag(v))
+                for v in values]
+    out = []
+    reports = []
+    for panel_cfg, name in runs:
+        headers, columns, panel_reports = build(panel_cfg, name)
+        out.append(Panel(name=name, headers=headers, columns=columns))
+        reports.extend(panel_reports)
+    return ScenarioResult(scenario=cfg.scenario, panels=tuple(out),
+                          reports=tuple(reports))

@@ -101,6 +101,14 @@ def _level_total(vals, panels: int, half: float):
     return np.add.reduce(per_panel, axis=-1)
 
 
+def _count(n) -> str:
+    """A panel count as '%.3g', also for integers beyond the float range."""
+    if n <= 1e300:
+        return "%.3g" % n
+    digits = str(int(n))
+    return "%.3ge+%d" % (int(digits[:3]) / 100.0, len(digits) - 1)
+
+
 def integrate_interval(f, a: float, b: float, quad: QuadratureSpec = DEFAULT_QUAD,
                        min_panels: int = 1):
     """Adaptive composite Gauss-Legendre integral of f over [a, b].
@@ -116,9 +124,9 @@ def integrate_interval(f, a: float, b: float, quad: QuadratureSpec = DEFAULT_QUA
         so it equals a solo call on that group bit for bit, and the call ends
         when every group has converged.  A plain array is the one-group case.
     min_panels : lower bound on the first panel count (e.g. to resolve a
-        known oscillation).  A first level that leaves no room to double
-        within ``quad.max_panels`` raises QuadratureError before any
-        evaluation.
+        known oscillation); NaN or inf raise ValueError.  A first level that
+        leaves no room to double within ``quad.max_panels`` raises
+        QuadratureError before any evaluation.
 
     Returns
     -------
@@ -129,11 +137,14 @@ def integrate_interval(f, a: float, b: float, quad: QuadratureSpec = DEFAULT_QUA
     """
     if b <= a:
         raise ValueError("need b > a")
+    if isinstance(min_panels, float) and not math.isfinite(min_panels):
+        raise ValueError("min_panels must be a finite count, got %r" % min_panels)
     panels = max(quad.base_panels, int(min_panels))
     if panels >= quad.max_panels:
         raise QuadratureError(
-            "%.3g starting panels (min_panels %.3g, ~4 g t for the band) leave no room "
-            "to refine within max_panels %d" % (panels, min_panels, quad.max_panels),
+            "%s starting panels (min_panels %s, ~4 g t for the band) leave no room "
+            "to refine within max_panels %d"
+            % (_count(panels), _count(min_panels), quad.max_panels),
             achieved_error=math.inf)
     prev = None  # per-group totals of the previous level
     done = None  # per-group (total, err) once converged
@@ -290,6 +301,16 @@ class OnsagerBlock:
     j_q_t: object
     temperature: float
 
+    @classmethod
+    def from_derivatives(cls, derivatives, temp: float) -> OnsagerBlock:
+        """The block at T from (dnbar/dmu, dnbar/dT, dqbar/dmu, dqbar/dT)."""
+        dnbar_dmu, dnbar_dt, dqbar_dmu, dqbar_dt = derivatives
+        return cls(j_n_mu=0.5 * temp * dnbar_dmu,
+                   j_n_t=0.5 * temp ** 2 * dnbar_dt,
+                   j_q_mu=0.5 * temp * dqbar_dmu,
+                   j_q_t=0.5 * temp ** 2 * dqbar_dt,
+                   temperature=temp)
+
 
 def _onsager_kernels(res: ReservoirParams):
     """The four exact derivative kernels of the Onsager block at res."""
@@ -307,15 +328,6 @@ def _onsager_kernels(res: ReservoirParams):
     return kernels
 
 
-def _onsager_block(coeffs, temp: float) -> OnsagerBlock:
-    dnbar_dmu, dnbar_dt, dqbar_dmu, dqbar_dt = coeffs
-    return OnsagerBlock(j_n_mu=0.5 * temp * dnbar_dmu,
-                        j_n_t=0.5 * temp ** 2 * dnbar_dt,
-                        j_q_mu=0.5 * temp * dqbar_dmu,
-                        j_q_t=0.5 * temp ** 2 * dqbar_dt,
-                        temperature=temp)
-
-
 def onsager(t, res: ReservoirParams, dephasing: float, g: float,
             quad: QuadratureSpec = DEFAULT_QUAD, stats: str = STATS_FD) -> OnsagerBlock:
     """Onsager coefficients from exact kernel derivatives, one quadrature.
@@ -325,7 +337,7 @@ def onsager(t, res: ReservoirParams, dephasing: float, g: float,
     """
     (coeffs,) = _band_average((_onsager_kernels(res),), t, res, dephasing, g,
                               quad, stats)
-    return _onsager_block(coeffs, res.temperature)
+    return OnsagerBlock.from_derivatives(coeffs, res.temperature)
 
 
 def counters_and_onsager(t, res: ReservoirParams, dephasing: float, g: float,
@@ -337,7 +349,7 @@ def counters_and_onsager(t, res: ReservoirParams, dephasing: float, g: float,
     """
     (n, e), coeffs = _band_average((_counter_kernels, _onsager_kernels(res)), t,
                                    res, dephasing, g, quad, stats)
-    return n, e, _onsager_block(coeffs, res.temperature)
+    return n, e, OnsagerBlock.from_derivatives(coeffs, res.temperature)
 
 
 @dataclass(frozen=True)

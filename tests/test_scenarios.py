@@ -9,10 +9,12 @@ import pytest
 
 from fermichain import ReservoirParams, cli, transport
 from fermichain.scenarios import (
+    SCENARIOS,
     ComparisonReport,
     ConfigError,
     LinearResponseWarning,
     Panel,
+    ScenarioConfig,
     ScenarioResult,
     parse_config,
     read_config,
@@ -33,7 +35,6 @@ def test_parse_defaults():
     assert cfg.g == 1.0
     assert cfg.stats == "fd"
     assert cfg.tol == 1e-10
-    assert cfg.threads == 1
     assert cfg.sig_digits == 12
     assert cfg.out_dir == "figures"
 
@@ -86,12 +87,60 @@ def test_parse_rejects_bool_masquerading_as_number():
         parse_config({"scenario": "ons1", "mu": True})
 
 
-def test_explicit_tracks_user_keys_and_pick_honors_them():
+def test_parsed_config_holds_the_resolved_pins():
     cfg = parse_config({"scenario": "entroevo", "n_eq": 0.3})
     assert "n_eq" in cfg.explicit
-    assert cfg.pick("n_eq", 0.1) == 0.3
-    bare = parse_config({"scenario": "entroevo"})
-    assert bare.pick("n_eq", 0.1) == 0.1
+    assert cfg.n_eq == 0.3
+    assert parse_config({"scenario": "entroevo"}).n_eq == 0.1
+    onsevo1 = parse_config({"scenario": "onsevo1"})
+    assert (onsevo1.temperature, onsevo1.dephasing) == (0.005, 0.05)
+    assert len(parse_config({"scenario": "ons1"}).mu_grid) == 161
+    assert "threads" not in vars(parse_config({"scenario": "ons1", "threads": 2}))
+
+
+def test_split_check_sees_the_resolved_temperature():
+    # delta_t = 0.02 is harmless at the field default T = 0.1, but onsevo1
+    # runs at T = 0.005, where it would drive reservoir B below zero
+    with pytest.warns(LinearResponseWarning, match="delta_t"):
+        parse_config({"scenario": "custom", "delta_t": 0.02})
+    with pytest.raises(ConfigError, match="'delta_t' at temperature 0.005"):
+        parse_config({"scenario": "onsevo1", "delta_t": 0.02})
+
+
+_PARENT_PANEL_NAMES = {
+    "ons1": ["T0p1", "T0p5"],
+    "onsevo1": ["mu0", "mu1", "mu1p9"],
+    "onsevo2": ["lam0p05", "lam0"],
+    "entroevo": ["lam0p2", "lam0"],
+    "entroprod": ["lam0p2", "lam0"],
+    "mutint": ["lam0p2", "lam0"],
+    "onsteste1": ["T0p1", "T0p25"],
+    "onsteste2": ["mu0", "mu1"],
+    "custom": [""],
+}
+_TINY = {"t_grid": [0.0, 1.0], "mu_grid": [-0.5, 0.5], "tol": 1e-6}
+
+
+@pytest.mark.parametrize("sid", sorted(SCENARIOS))
+def test_every_scenario_panels_and_pins(sid):
+    data = dict(_TINY, scenario=sid)
+    parsed = run_scenario(parse_config(data))
+    assert [p.name for p in parsed.panels] == _PARENT_PANEL_NAMES[sid]
+    # a directly built config runs with the same pins as a parsed one
+    direct = run_scenario(ScenarioConfig(
+        scenario=sid, t_grid=(0.0, 1.0), mu_grid=(-0.5, 0.5), tol=1e-6,
+        explicit=frozenset(_TINY)))
+    assert [p.name for p in direct.panels] == _PARENT_PANEL_NAMES[sid]
+    for a, b in zip(parsed.panels, direct.panels):
+        assert a.headers == b.headers
+        for col_a, col_b in zip(a.columns, b.columns):
+            np.testing.assert_array_equal(col_a, col_b)
+    panels = SCENARIOS[sid][1]
+    if panels is not None:
+        key = panels[0]
+        one = run_scenario(parse_config(dict(data, **{key: 0.15})))
+        assert [p.name for p in one.panels] == [
+            {"temperature": "T", "mu": "mu", "dephasing": "lam"}[key] + "0p15"]
 
 
 def test_load_config_round_trip(tmp_path):
@@ -354,14 +403,21 @@ def test_cli_figure_accepts_inline_overrides(tmp_path):
     assert (tmp_path / "custom.csv").exists()
 
 
-def test_cli_figure_threads_flag_changes_nothing(tmp_path):
-    for sub, threads in (("a", "1"), ("b", "4")):
-        rc = cli.main(["figure", "custom", "--set", "t_grid=[0.0, 0.9]",
-                       "--set", "tol=1e-8", "--threads", threads,
-                       "--out", str(tmp_path / sub)])
-        assert rc == 0
-    assert ((tmp_path / "a" / "custom.csv").read_bytes()
-            == (tmp_path / "b" / "custom.csv").read_bytes())
+def test_cli_threads_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["figure", "custom", "--set", "t_grid=[0.0, 0.9]",
+                  "--threads", "2"])
+    assert exc.value.code == 2
+
+
+def test_cli_split_below_zero_temperature_exits_2(tmp_path, capsys):
+    # used to escape as a plain ValueError from the preparation (exit 1)
+    rc = cli.main(["figure", "custom", "--set", "t_grid=[0,1]",
+                   "--set", "delta_t=0.5", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: config field 'delta_t'" in err
+    assert "T <= 0" in err
 
 
 def test_cli_bad_inputs_exit_2(tmp_path, capsys):

@@ -121,6 +121,20 @@ def test_large_g_t_names_the_panel_budget():
         nbar(1.0, ReservoirParams(0.1, 0.0), 0.05, 1e6)
 
 
+@pytest.mark.parametrize("min_panels, error", [
+    (float("nan"), ValueError),
+    (math.inf, ValueError),
+    (10 ** 400, QuadratureError),  # beyond the float range
+])
+def test_integrate_interval_rejects_bad_min_panels_by_name(min_panels, error):
+    # these used to raise bare OverflowError or ValueError from int()/%.3g
+    with pytest.raises(error) as exc:
+        integrate_interval(np.ones_like, 0.0, 1.0, min_panels=min_panels)
+    message = str(exc.value)
+    assert len(message) < 200
+    assert "min_panels" in message
+
+
 def test_no_room_message_stays_short_for_huge_panel_counts():
     # g t = 1e300 asks for ~4e300 starting panels; printed as exact
     # integers they made a 703-character message
