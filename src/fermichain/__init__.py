@@ -8,10 +8,10 @@ fluctuation theorem, and low-temperature/dilute closed forms, all
 cross-checkable against brute-force integration at runtime.
 """
 
-from .lattice import (BipartitePreparation, BoltzmannRangeError, BoltzmannValidity,
-                      ModeSpec, ReservoirParams, band_gap_ev, boltzmann_validity,
-                      dispersion, log_occupation_fd, log_vacancy_fd,
-                      occupation_boltzmann, occupation_fd)
+from .lattice import (BoltzmannRangeError, BoltzmannValidity, ModeSpec,
+                      ReservoirParams, band_gap_ev, boltzmann_validity, dispersion,
+                      log_occupation_fd, log_vacancy_fd, occupation_boltzmann,
+                      occupation_fd)
 from .dynamics import (IntegrationError, coherence_ab, density_matrix,
                        density_matrix_from_occupations, lindblad_trajectory,
                        occ_a, occ_b)

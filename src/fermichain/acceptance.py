@@ -37,8 +37,7 @@ def _c2():
     t = rng.uniform(0.0, 10.0, count)
     worst = 0.0
     for i in range(count):
-        mode = ModeSpec(momentum=0.5 * math.pi, energy=0.0,
-                        coupling=g_k[i], dephasing=lam[i])
+        mode = ModeSpec(energy=0.0, coupling=g_k[i], dephasing=lam[i])
         total = (dynamics.occ_a(mode, n_a0[i], n_b0[i], t[i])
                  + dynamics.occ_b(mode, n_a0[i], n_b0[i], t[i]))
         worst = max(worst, abs(total - (n_a0[i] + n_b0[i])))
@@ -55,7 +54,7 @@ def _c3():
     eps = float(lattice.dispersion(k))
     res_a = ReservoirParams(0.5, 0.3)
     res_b = ReservoirParams(0.5, -0.3)
-    modes = [ModeSpec(momentum=k, energy=eps, coupling=float(g_k), dephasing=float(lam))
+    modes = [ModeSpec(energy=eps, coupling=float(g_k), dephasing=float(lam))
              for lam in lam_grid for g_k in g_grid]
     states = dynamics.lindblad_trajectory(modes, res_a, res_b, t_grid, dt_max=1e-3)
     worst = 0.0
@@ -85,8 +84,7 @@ def _c4():
                     for mu_b in mus:
                         res_b = ReservoirParams(t_b, mu_b)
                         for eps in energies:
-                            mode = ModeSpec(momentum=0.5 * math.pi, energy=eps,
-                                            coupling=1.0, dephasing=lam)
+                            mode = ModeSpec(energy=eps, coupling=1.0, dephasing=lam)
                             check = fluctuation.ft_log_ratio(mode, res_a, res_b, t)
                             residuals.append(check.residual)
         residuals = np.asarray(residuals)

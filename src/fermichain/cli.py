@@ -6,17 +6,7 @@ import argparse
 import json
 import sys
 
-from . import acceptance, scenarios, transport
-
-
-def _add_shared_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--out", metavar="DIR",
-                        help="output directory (overrides the config)")
-    parser.add_argument("--tol", type=float, metavar="TOL",
-                        help="quadrature tolerance override")
-    parser.add_argument("--stats", choices=(transport.STATS_FD,
-                                            transport.STATS_BOLTZMANN),
-                        help="reservoir statistics override")
+from . import acceptance, scenarios
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -28,32 +18,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the scenario described by a JSON config")
     p_run.add_argument("config", help="path to a JSON config file")
-    _add_shared_flags(p_run)
-
     p_fig = sub.add_parser("figure", help="build the data files for a named scenario")
     p_fig.add_argument("scenario_id", help="one of: %s" % ", ".join(scenarios.SCENARIOS))
-    p_fig.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+    for p in (p_run, p_fig):
+        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        dest="overrides",
-                       help="override a config field (value parsed as JSON "
-                            "when possible); repeatable")
-    _add_shared_flags(p_fig)
+                       help="override a config field, e.g. out_dir=DIR or tol=1e-8 "
+                            "(value parsed as JSON when possible); repeatable")
 
     p_acc = sub.add_parser("accept", help="run the acceptance gate")
-    p_acc.add_argument("--only", metavar="CRITERION",
+    p_acc.add_argument("--only", choices=[c.cid for c in acceptance.CRITERIA],
+                       metavar="CRITERION",
                        help="run a single criterion, e.g. c3")
     p_acc.add_argument("--out", metavar="DIR",
                        help="also write acceptance.csv into DIR")
     return parser
-
-
-def _apply_flag_overrides(data: dict, args: argparse.Namespace) -> dict:
-    if args.out is not None:
-        data["out_dir"] = args.out
-    if args.tol is not None:
-        data["tol"] = args.tol
-    if args.stats is not None:
-        data["stats"] = args.stats
-    return data
 
 
 def _parse_set_pairs(pairs) -> dict:
@@ -70,8 +49,9 @@ def _parse_set_pairs(pairs) -> dict:
     return out
 
 
-def _run_and_write(data: dict, args: argparse.Namespace) -> int:
-    cfg = scenarios.parse_config(_apply_flag_overrides(data, args))
+def _run_and_write(data: dict, overrides) -> int:
+    data.update(_parse_set_pairs(overrides))
+    cfg = scenarios.parse_config(data)
     result = scenarios.run_scenario(cfg)
     paths = scenarios.write_result(result, cfg.out_dir, cfg.sig_digits)
     for path in paths:
@@ -85,17 +65,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            return _run_and_write(scenarios.read_config(args.config), args)
+            return _run_and_write(scenarios.read_config(args.config), args.overrides)
         if args.command == "figure":
-            data = {"scenario": args.scenario_id}
-            data.update(_parse_set_pairs(args.overrides))
-            return _run_and_write(data, args)
+            return _run_and_write({"scenario": args.scenario_id}, args.overrides)
         failures = acceptance.run_acceptance(only=args.only, out_dir=args.out)
         return 1 if failures else 0
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except scenarios.ConfigError as exc:
+    except (OSError, scenarios.ConfigError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

@@ -70,8 +70,7 @@ def density_matrix_from_occupations(n_a0: float, n_b0: float, coupling: float,
     coherence, with entry (1, 2) = <b+a> and (2, 1) = <a+b>.
     """
     _check_occ(n_a0, n_b0)
-    mode = ModeSpec(momentum=0.5 * math.pi, energy=0.0, coupling=coupling,
-                    dephasing=dephasing)
+    mode = ModeSpec(energy=0.0, coupling=coupling, dephasing=dephasing)
     na_t = occ_a(mode, n_a0, n_b0, t)
     nb_t = occ_b(mode, n_a0, n_b0, t)
     c_ab = coherence_ab(mode, n_a0, n_b0, t)

@@ -82,9 +82,8 @@ class EquilibriumModePrep:
         return self.n_eq - 0.5 * self.delta_n
 
     def mode(self) -> ModeSpec:
-        # momentum/energy placeholders: nothing here depends on eps_k
-        return ModeSpec(momentum=0.5 * math.pi, energy=0.0,
-                        coupling=self.coupling, dephasing=self.dephasing)
+        # energy placeholder: nothing here depends on eps_k
+        return ModeSpec(energy=0.0, coupling=self.coupling, dephasing=self.dephasing)
 
 
 @dataclass(frozen=True)

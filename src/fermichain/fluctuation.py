@@ -122,10 +122,6 @@ class ExchangeEvent:
         if self.delta_n_a not in (-1, 1):
             raise ValueError("delta_n_a must be -1 or +1")
 
-    @property
-    def delta_e_a(self) -> float:
-        return self.delta_n_a * self.mode.energy
-
 
 def multi_mode_ft(events: Iterable[ExchangeEvent], res_a: ReservoirParams,
                   res_b: ReservoirParams, t: float) -> FtCheck:

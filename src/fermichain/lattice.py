@@ -14,6 +14,11 @@ The bare inter-half coupling g stays a free input: the finite-lattice matrix
 element between halves scales away with system size, and only the product
 g_k * t enters any observable.
 
+A mode is the triple (eps_k, g_k, lam) of :class:`ModeSpec`, which
+:meth:`ModeSpec.from_momentum` forms from a k that :func:`dispersion`
+validates.  The split (T +- dT/2, mu +- dmu/2) of a base reservoir is checked
+per panel in ``scenarios``.
+
 Dephasing enters only through the envelope exp(-lam t) times cos or sin of
 2 g_k t; :func:`relaxation_envelope`, which every physics module calls, is
 the one place that validates (t, lam) and forms it.
@@ -26,6 +31,7 @@ exp((mu - eps)/T) would exceed 1e300.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +52,9 @@ _PHASE_OVERFLOW = "phase 2 g t overflows: g t is too large to evaluate"
 # the largest Boltzmann occupation occupation_boltzmann returns
 _BOLTZMANN_CAP = 1e300
 
+# the largest temperature whose square (the Onsager block's T**2) is finite
+_TEMPERATURE_MAX = math.sqrt(sys.float_info.max)
+
 
 class BoltzmannRangeError(ValueError):
     """exp((mu - eps)/T) would exceed the 1e300 cap."""
@@ -59,7 +68,7 @@ class EquilibriumUndefinedError(ValueError):
 class ReservoirParams:
     """Grand-canonical reservoir: temperature and chemical potential.
 
-    temperature : float, > 0, in units of alpha/k_B
+    temperature : float, > 0 with a finite square, in units of alpha/k_B
     mu : float, in units of alpha
     """
 
@@ -69,6 +78,9 @@ class ReservoirParams:
     def __post_init__(self):
         if not (self.temperature > 0.0 and math.isfinite(self.temperature)):
             raise ValueError(f"reservoir temperature must be positive, got {self.temperature}")
+        if self.temperature > _TEMPERATURE_MAX:
+            raise ValueError(f"reservoir temperature {self.temperature} is too large: "
+                             "T**2 overflows")
         if not math.isfinite(self.mu):
             raise ValueError(f"reservoir mu must be finite, got {self.mu}")
 
@@ -77,50 +89,14 @@ class ReservoirParams:
         return 1.0 / self.temperature
 
 
-@dataclass(frozen=True)
-class BipartitePreparation:
-    """Symmetric split of a base reservoir into the two halves.
-
-    Half A is prepared at (T + dT/2, mu + dmu/2), half B at (T - dT/2,
-    mu - dmu/2).  The split is meant for linear response, so the relative
-    biases are checked against ``linear_response_threshold`` (default 5%);
-    exceeding it flags the preparation but does not reject it.  The dmu/mu
-    ratio is skipped at mu = 0 where it is undefined.
-    """
-
-    base: ReservoirParams
-    delta_t: float = 0.0
-    delta_mu: float = 0.0
-    linear_response_threshold: float = 0.05
-
-    def __post_init__(self):
-        if self.base.temperature - 0.5 * abs(self.delta_t) <= 0.0:
-            raise ValueError("temperature split drives one reservoir to T <= 0")
-
-    def reservoir_a(self) -> ReservoirParams:
-        return ReservoirParams(self.base.temperature + 0.5 * self.delta_t,
-                               self.base.mu + 0.5 * self.delta_mu)
-
-    def reservoir_b(self) -> ReservoirParams:
-        return ReservoirParams(self.base.temperature - 0.5 * self.delta_t,
-                               self.base.mu - 0.5 * self.delta_mu)
-
-    def linear_response_warnings(self) -> list[str]:
-        """Names of biases that exceed the linear-response threshold."""
-        out = []
-        if abs(self.delta_t) / self.base.temperature > self.linear_response_threshold:
-            out.append("delta_t")
-        if self.base.mu != 0.0 and abs(self.delta_mu / self.base.mu) > self.linear_response_threshold:
-            out.append("delta_mu")
-        return out
-
-
 def dispersion(k):
     """Band energy eps_k = -2 cos(k) for momentum k in [0, pi].
 
-    Accepts scalars or arrays; momenta outside [0, pi] are rejected.
+    Accepts scalars or arrays; NaN and momenta outside [0, pi] are rejected.
     """
     karr = np.asarray(k, dtype=float)
+    if np.any(np.isnan(karr)):
+        raise ValueError("momentum must not be NaN")
     if np.any(karr < 0.0) or np.any(karr > math.pi):
         raise ValueError("momentum outside [0, pi]")
     out = -2.0 * np.cos(karr)
@@ -131,20 +107,16 @@ def dispersion(k):
 class ModeSpec:
     """One momentum mode of the reduced bipartite problem.
 
-    momentum : float, k in [0, pi]
     energy : float, eps_k = -2 cos(k)
     coupling : float, g_k = g sin(k)^2
     dephasing : float, lambda >= 0
     """
 
-    momentum: float
     energy: float
     coupling: float
     dephasing: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.momentum <= math.pi:
-            raise ValueError("momentum outside [0, pi]")
         if math.isnan(self.energy):
             raise ValueError("mode energy must not be NaN")
         if not math.isfinite(self.coupling):
@@ -156,7 +128,7 @@ class ModeSpec:
     def from_momentum(cls, k: float, g: float = 1.0, dephasing: float = 0.0) -> "ModeSpec":
         # dispersion validates k; only cos and sin of 2 g_k t reach an
         # observable, so the sign convention of g_k lives in dynamics
-        return cls(momentum=float(k), energy=dispersion(k),
+        return cls(energy=dispersion(k),
                    coupling=float(g * np.sin(k) ** 2), dephasing=float(dephasing))
 
 

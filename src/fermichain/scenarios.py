@@ -12,15 +12,17 @@ Every scenario is one row of ``SCENARIOS``, ``(build, panels, pins)``:
 * ``build(cfg, name)`` returns the headers, columns and comparison reports
   of one panel, reading every value from ``cfg``.
 
-``run_scenario`` is the one panel loop.  Each panel is one CSV file with the
-independent variable in the first column and unit-annotated headers, e.g.
-"J_QT[alpha^2]".  Energies are in units of the hopping scale alpha, times in
-1/alpha, entropies in k_B.  Output is written RFC-4180 style with UTF-8
-text, LF line endings, and a fixed significant-digit format.  Every builder
-evaluates its grid points in order on the calling thread, and every
-reduction has a fixed association, so output is byte-reproducible.  The
-``threads`` config key is still range-checked so that old configs parse,
-but it has no field and no effect.
+``run_scenario`` is the one panel loop.  Before building any panel it checks
+every panel's reservoir split (T +- dT/2, mu +- dmu/2), for a directly built
+``ScenarioConfig`` too; ``parse_config`` checks fields one by one.  Each
+panel is one CSV file with the independent variable in the first column and
+unit-annotated headers, e.g. "J_QT[alpha^2]".  Energies are in units of the
+hopping scale alpha, times in 1/alpha, entropies in k_B.  Output is written
+RFC-4180 style with UTF-8 text, LF line endings, and a fixed
+significant-digit format.  Every builder evaluates its grid points in order
+on the calling thread, and every reduction has a fixed association, so
+output is byte-reproducible.  The ``threads`` config key is still
+range-checked so that old configs parse, but it has no field and no effect.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Mapping
 import numpy as np
 
 from . import closedforms, entropy, transport
-from .lattice import BipartitePreparation, ReservoirParams
+from .lattice import ReservoirParams
 
 
 class ConfigError(ValueError):
@@ -44,6 +46,10 @@ class ConfigError(ValueError):
 
 class LinearResponseWarning(UserWarning):
     """A reservoir split is large for the linear-response formulas."""
+
+
+# relative split |dT|/T or |dmu/mu| above which a panel is flagged
+_LINEAR_RESPONSE_THRESHOLD = 0.05
 
 
 @dataclass(frozen=True)
@@ -64,7 +70,6 @@ class ScenarioConfig:
     n_eq: float = 0.5
     delta_n: float = 0.1
     n_max: int = 25
-    linear_response_threshold: float = 0.05
     explicit: frozenset = field(default_factory=frozenset, compare=False)
 
     def quad(self) -> transport.QuadratureSpec:
@@ -81,7 +86,6 @@ _NUMBER_FIELDS = {
     "delta_mu": lambda v: math.isfinite(v),
     "n_eq": lambda v: 0.0 < v < 1.0,
     "delta_n": lambda v: math.isfinite(v),
-    "linear_response_threshold": lambda v: v > 0.0,
 }
 _INT_FIELDS = {
     "threads": lambda v: 1 <= v <= 256,  # checked, then dropped: no field
@@ -147,9 +151,7 @@ def parse_config(data: Mapping) -> ScenarioConfig:
     if "stats" in kwargs and kwargs["stats"] not in (transport.STATS_FD,
                                                      transport.STATS_BOLTZMANN):
         raise ConfigError("config field 'stats' must be 'fd' or 'boltzmann'")
-    cfg = _resolve(ScenarioConfig(explicit=frozenset(data) - {"scenario"}, **kwargs))
-    _check_split(cfg)
-    return cfg
+    return _resolve(ScenarioConfig(explicit=frozenset(data) - {"scenario"}, **kwargs))
 
 
 def _resolve(cfg: ScenarioConfig) -> ScenarioConfig:
@@ -174,22 +176,24 @@ def read_config(path: str) -> dict:
 
 
 def _check_split(cfg: ScenarioConfig):
-    """Reject a split that leaves no reservoir; warn on a large one."""
+    """Reject a split that drives one half to T <= 0; warn on a large one.
+
+    dmu/mu is skipped at mu = 0, where it is undefined.
+    """
     if cfg.delta_t == 0.0 and cfg.delta_mu == 0.0:
         return
-    base = ReservoirParams(cfg.temperature, cfg.mu)
-    try:
-        prep = BipartitePreparation(
-            base=base, delta_t=cfg.delta_t, delta_mu=cfg.delta_mu,
-            linear_response_threshold=cfg.linear_response_threshold)
-    except ValueError as exc:
-        raise ConfigError("config field 'delta_t' at temperature %g: %s"
-                          % (cfg.temperature, exc)) from None
-    for name in prep.linear_response_warnings():
-        warnings.warn("%s split exceeds %g of the scale it perturbs; "
-                      "linear-response output may be inaccurate"
-                      % (name, cfg.linear_response_threshold),
-                      LinearResponseWarning, stacklevel=3)
+    if not cfg.temperature - 0.5 * abs(cfg.delta_t) > 0.0:
+        raise ConfigError("config field 'delta_t' at temperature %g: temperature "
+                          "split drives one reservoir to T <= 0" % cfg.temperature)
+    splits = [("delta_t", cfg.delta_t, "T", cfg.temperature)]
+    if cfg.mu != 0.0:
+        splits.append(("delta_mu", cfg.delta_mu, "mu", cfg.mu))
+    for name, delta, symbol, value in splits:
+        if abs(delta / value) > _LINEAR_RESPONSE_THRESHOLD:
+            warnings.warn("%s split exceeds %g of %s = %g; linear-response "
+                          "output may be inaccurate"
+                          % (name, _LINEAR_RESPONSE_THRESHOLD, symbol, value),
+                          LinearResponseWarning, stacklevel=3)
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +484,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         values = (getattr(cfg, key),) if key in cfg.explicit else defaults
         runs = [(replace(cfg, **{key: v}), _PANEL_PREFIX[key] + _tag(v))
                 for v in values]
+    for panel_cfg, _ in runs:
+        _check_split(panel_cfg)
     out = []
     reports = []
     for panel_cfg, name in runs:

@@ -186,13 +186,6 @@ def integrate_interval(f, a: float, b: float, quad: QuadratureSpec = DEFAULT_QUA
         panels *= 2
 
 
-def _normalize_stats(stats: str) -> str:
-    s = stats.lower()
-    if s not in (STATS_FD, STATS_BOLTZMANN):
-        raise ValueError("stats must be 'fd' or 'boltzmann'")
-    return s
-
-
 def _occupation(stats: str, energy, res: ReservoirParams):
     if stats == STATS_FD:
         return occupation_fd(energy, res)
@@ -227,7 +220,8 @@ def _band_average(kernel_groups, t, res: ReservoirParams, dephasing: float,
     """
     if not math.isfinite(g):
         raise ValueError("coupling g must be finite, got %r" % g)
-    stats = _normalize_stats(stats)
+    if not (isinstance(stats, str) and stats in (STATS_FD, STATS_BOLTZMANN)):
+        raise ValueError("stats must be 'fd' or 'boltzmann', got %r" % (stats,))
     scalar = np.ndim(t) == 0
     # scalar t takes the helper's scalar path; the integrand wants arrays
     damping, phase = map(np.atleast_1d, relaxation_envelope(t, dephasing, 1.0))

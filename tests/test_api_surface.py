@@ -5,6 +5,8 @@ A name is used when it is referenced in ``src/fermichain`` beyond its own
 ``demos/`` or in ``perfbench/`` (whose tracer names the functions it wraps
 as strings).  A public name that only tests reach is dead weight: delete it,
 or move it into ``tests/`` if it serves there as an independent oracle.
+The same holds one level down: a public method or property of an exported
+class must be reached as an attribute (``.name``) somewhere in that code.
 
 Likewise a defaulted parameter of an exported callable is a knob: some call
 in that same code must pass it, by position, by keyword or through ``*`` or
@@ -116,3 +118,30 @@ def test_every_defaulted_parameter_is_passed_by_some_caller():
                       for p in signatures[name][1] - used)
     assert not unturned, "defaulted, but every caller leaves at the default: %s" % (
         ", ".join(unturned))
+
+
+def _exported_members() -> list:
+    """(class, member) for every public method or property of an exported class."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    out = []
+    for node in tree.body:
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = ast.parse((PACKAGE / (node.module + ".py")).read_text(encoding="utf-8"))
+        classes = {d.name: d for d in module.body if isinstance(d, ast.ClassDef)}
+        for alias in node.names:
+            if alias.name in classes:
+                out += [(alias.name, d.name) for d in classes[alias.name].body
+                        if isinstance(d, ast.FunctionDef) and not d.name.startswith("_")]
+    return out
+
+
+def test_every_public_member_of_an_exported_class_has_a_user_outside_the_tests():
+    # a member is used when some user text reaches it as an attribute
+    texts = _user_texts()
+    members = _exported_members()
+    assert ("ModeSpec", "from_momentum") in members  # the parse found the members
+    unused = sorted("%s.%s" % (cls, name) for cls, name in members
+                    if not any(re.search(r"\.%s\b" % re.escape(name), text)
+                               for text in texts))
+    assert not unused, "public, but only tests use: %s" % ", ".join(unused)

@@ -17,9 +17,8 @@ from fermichain import (
 )
 
 
-def _mode(coupling=1.0, dephasing=0.0, energy=0.0, k=math.pi / 2):
-    return ModeSpec(momentum=k, energy=energy, coupling=coupling,
-                    dephasing=dephasing)
+def _mode(coupling=1.0, dephasing=0.0, energy=0.0):
+    return ModeSpec(energy=energy, coupling=coupling, dephasing=dephasing)
 
 
 def test_occ_a_initial_condition():

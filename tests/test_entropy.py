@@ -60,7 +60,7 @@ def test_von_neumann_pure_and_mixed():
 def test_von_neumann_initial_product_saturates_subadditivity():
     res_a = ReservoirParams(0.5, 0.3)
     res_b = ReservoirParams(0.5, -0.3)
-    m = ModeSpec(momentum=math.pi / 2, energy=0.0, coupling=1.0, dephasing=0.1)
+    m = ModeSpec(energy=0.0, coupling=1.0, dephasing=0.1)
     rho = density_matrix(m, res_a, res_b, 0.0)
     na = occupation_fd(0.0, res_a)
     nb = occupation_fd(0.0, res_b)

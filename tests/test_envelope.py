@@ -28,7 +28,7 @@ N_A0, N_B0 = 0.7, 0.2
 
 
 def _mode(lam):
-    return ModeSpec(momentum=1.1, energy=-0.9, coupling=0.8, dephasing=lam)
+    return ModeSpec(energy=-0.9, coupling=0.8, dephasing=lam)
 
 
 def _prep(lam):
@@ -195,7 +195,7 @@ def _bits(x):
 @given(ts=st.lists(finite_t, min_size=1, max_size=4), lam=rates, g=couplings,
        n_a0=occupations, n_b0=occupations, n_eq=st.floats(0.05, 0.95))
 def test_closed_forms_are_bit_equal_to_the_inline_envelope(ts, lam, g, n_a0, n_b0, n_eq):
-    mode = ModeSpec(momentum=1.0, energy=0.0, coupling=g, dephasing=lam)
+    mode = ModeSpec(energy=0.0, coupling=g, dephasing=lam)
     prep = EquilibriumModePrep(n_eq=n_eq, delta_n=0.0, coupling=g, dephasing=lam)
     mean = 0.5 * (n_a0 + n_b0)
     half = 0.5 * (n_a0 - n_b0)

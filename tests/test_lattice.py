@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermichain import (
-    BipartitePreparation,
     BoltzmannRangeError,
     ModeSpec,
     ReservoirParams,
@@ -40,6 +40,25 @@ def test_effective_coupling_values():
                                rtol=1e-15)
 
 
+@pytest.mark.parametrize("k", [math.nan, -0.1, math.pi + 1e-9])
+def test_momentum_is_validated_by_dispersion(k):
+    # NaN passes both k < 0 and k > pi, so it used to give eps_k = NaN;
+    # ModeSpec no longer carries k, so from_momentum relies on this check
+    with pytest.raises(ValueError, match="momentum"):
+        dispersion(k)
+    with pytest.raises(ValueError, match="momentum"):
+        dispersion(np.array([0.5, k]))
+    with pytest.raises(ValueError, match="momentum"):
+        ModeSpec.from_momentum(k)
+
+
+def test_mode_spec_holds_energy_coupling_and_dephasing_only():
+    mode = ModeSpec.from_momentum(math.pi / 3, g=2.0, dephasing=0.4)
+    assert list(vars(mode)) == ["energy", "coupling", "dephasing"]
+    with pytest.raises(TypeError):
+        ModeSpec(momentum=1.0, energy=0.0, coupling=1.0)
+
+
 def test_occupation_fd_symmetry_point():
     res = ReservoirParams(temperature=0.7, mu=0.3)
     assert occupation_fd(0.3, res) == 0.5
@@ -68,6 +87,15 @@ def test_occupation_fd_rejects_bad_temperature():
         ReservoirParams(temperature=0.0)
     with pytest.raises(ValueError):
         ReservoirParams(temperature=-1.0)
+
+
+def test_reservoir_rejects_temperature_whose_square_overflows():
+    # T**2 in the Onsager block used to raise a raw OverflowError
+    assert ReservoirParams(1e154).temperature == 1e154
+    for temp in (1.35e154, 1e200, 1.7e308):
+        message = "temperature %g is too large" % temp
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ReservoirParams(temp)
 
 
 def test_particle_hole_sum_is_one():
@@ -168,28 +196,10 @@ def test_boltzmann_error_bound_at_band_bottom():
             assert gap < 10.0 ** (-m)
 
 
-def test_preparation_reservoir_split():
-    prep = BipartitePreparation(base=ReservoirParams(temperature=1.0, mu=0.5),
-                                delta_t=0.2, delta_mu=0.1)
-    assert prep.reservoir_a().temperature == pytest.approx(1.1)
-    assert prep.reservoir_b().temperature == pytest.approx(0.9)
-    assert prep.reservoir_a().mu == pytest.approx(0.55)
-    assert prep.reservoir_b().mu == pytest.approx(0.45)
-
-
-def test_preparation_flags_large_gradients():
-    prep = BipartitePreparation(base=ReservoirParams(temperature=1.0, mu=0.5),
-                                delta_t=0.5, delta_mu=0.0)
-    assert prep.linear_response_warnings() == ["delta_t"]
-    quiet = BipartitePreparation(base=ReservoirParams(temperature=1.0, mu=0.5),
-                                 delta_t=0.01, delta_mu=0.001)
-    assert quiet.linear_response_warnings() == []
-
-
 @pytest.mark.parametrize("dephasing", [-0.1, math.nan, math.inf])
 def test_mode_spec_rejects_bad_dephasing(dephasing):
     with pytest.raises(ValueError, match="dephasing"):
-        ModeSpec(momentum=1.0, energy=0.0, coupling=1.0, dephasing=dephasing)
+        ModeSpec(energy=0.0, coupling=1.0, dephasing=dephasing)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -198,6 +208,6 @@ def test_mode_spec_rejects_bad_dephasing(dephasing):
 ])
 def test_mode_spec_rejects_non_finite_coupling_and_nan_energy(field, value):
     # coupling=nan used to surface later as a misleading IntegrationError
-    kwargs = {"momentum": 1.0, "energy": 0.0, "coupling": 1.0, field: value}
+    kwargs = {"energy": 0.0, "coupling": 1.0, field: value}
     with pytest.raises(ValueError, match=field):
         ModeSpec(**kwargs)

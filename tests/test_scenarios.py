@@ -98,13 +98,16 @@ def test_parsed_config_holds_the_resolved_pins():
     assert "threads" not in vars(parse_config({"scenario": "ons1", "threads": 2}))
 
 
+_TINY = {"t_grid": [0.0, 1.0], "mu_grid": [-0.5, 0.5], "tol": 1e-6}
+
+
 def test_split_check_sees_the_resolved_temperature():
     # delta_t = 0.02 is harmless at the field default T = 0.1, but onsevo1
     # runs at T = 0.005, where it would drive reservoir B below zero
     with pytest.warns(LinearResponseWarning, match="delta_t"):
-        parse_config({"scenario": "custom", "delta_t": 0.02})
+        run_scenario(parse_config(dict(_TINY, scenario="custom", delta_t=0.02)))
     with pytest.raises(ConfigError, match="'delta_t' at temperature 0.005"):
-        parse_config({"scenario": "onsevo1", "delta_t": 0.02})
+        run_scenario(parse_config(dict(_TINY, scenario="onsevo1", delta_t=0.02)))
 
 
 _PARENT_PANEL_NAMES = {
@@ -118,7 +121,6 @@ _PARENT_PANEL_NAMES = {
     "onsteste2": ["mu0", "mu1"],
     "custom": [""],
 }
-_TINY = {"t_grid": [0.0, 1.0], "mu_grid": [-0.5, 0.5], "tol": 1e-6}
 
 
 @pytest.mark.parametrize("sid", sorted(SCENARIOS))
@@ -164,26 +166,72 @@ def test_load_config_rejects_bad_json(tmp_path):
 # linear-response warnings
 # ---------------------------------------------------------------------------
 
+def _split_warnings(scenario="custom", **fields):
+    """Messages of the LinearResponseWarnings one tiny run raises."""
+    cfg = parse_config(dict(_TINY, scenario=scenario, **fields))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_scenario(cfg)
+    return [str(w.message) for w in caught
+            if issubclass(w.category, LinearResponseWarning)]
+
+
 def test_linear_response_warning_names_offending_split():
-    with pytest.warns(LinearResponseWarning, match="delta_t"):
-        parse_config({"scenario": "custom", "t_grid": [0.0, 1.0],
-                      "temperature": 0.2, "delta_t": 0.1})
+    (message,) = _split_warnings(temperature=0.2, delta_t=0.1)
+    assert message.startswith("delta_t split exceeds 0.05 of T = 0.2")
+
+
+def test_preparation_flags_large_gradients():
+    # the dT/T and dmu/mu cases of the removed BipartitePreparation, each
+    # now checked on the panel's own config by run_scenario
+    assert [m.split()[0] for m in _split_warnings(
+        temperature=1.0, mu=0.5, delta_t=0.5)] == ["delta_t"]
+    assert [m.split()[0] for m in _split_warnings(
+        temperature=1.0, mu=0.5, delta_mu=0.1)] == ["delta_mu"]
+    assert _split_warnings(temperature=1.0, mu=0.5, delta_t=0.01, delta_mu=0.001) == []
+    # dmu/mu is undefined at mu = 0 and skipped there
+    assert _split_warnings(temperature=1.0, mu=0.0, delta_mu=0.1) == []
+
+
+def test_split_is_checked_on_every_panel():
+    # onsevo1 sweeps mu over 0, 1 and 1.9: dmu = 0.2 is 20% and 10.5% of
+    # the last two; parse_config used to check only the field default mu = 0
+    messages = _split_warnings("onsevo1", delta_mu=0.2)
+    assert [m.split(";")[0] for m in messages] == [
+        "delta_mu split exceeds 0.05 of mu = 1",
+        "delta_mu split exceeds 0.05 of mu = 1.9"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parse_config(dict(_TINY, scenario="onsevo1", delta_mu=0.2))
+
+
+def test_directly_built_config_split_is_rejected_before_any_panel(monkeypatch):
+    built = []
+    monkeypatch.setattr(transport, "counters_and_onsager",
+                        lambda *args: built.append(args))
+    cfg = ScenarioConfig(scenario="custom", t_grid=(0.0, 1.0), delta_t=0.5,
+                         explicit=frozenset({"t_grid", "delta_t"}))
+    with pytest.raises(ConfigError, match="'delta_t' at temperature 0.1: .*T <= 0"):
+        run_scenario(cfg)
+    assert built == []
 
 
 def test_warned_config_still_runs():
+    cfg = parse_config({"scenario": "custom", "t_grid": [0.0, 0.5],
+                        "temperature": 0.2, "delta_t": 0.1, "tol": 1e-6})
     with pytest.warns(LinearResponseWarning):
-        cfg = parse_config({"scenario": "custom", "t_grid": [0.0, 0.5],
-                            "temperature": 0.2, "delta_t": 0.1, "tol": 1e-6})
-    result = run_scenario(cfg)
+        result = run_scenario(cfg)
     assert len(result.panels) == 1
 
 
 def test_no_warning_for_small_or_zero_bias():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        parse_config({"scenario": "custom", "t_grid": [0.0, 1.0]})
-        parse_config({"scenario": "custom", "t_grid": [0.0, 1.0],
-                      "temperature": 1.0, "delta_mu": 0.01})
+    assert _split_warnings() == []
+    assert _split_warnings(temperature=1.0, delta_mu=0.01) == []
+
+
+def test_threshold_is_not_a_config_key():
+    with pytest.raises(ConfigError, match="'linear_response_threshold'"):
+        parse_config({"scenario": "custom", "linear_response_threshold": 0.1})
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +439,33 @@ def test_cli_run_writes_files(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_DET_CONFIG), encoding="utf-8")
     out = tmp_path / "out"
-    assert cli.main(["run", str(cfg_path), "--out", str(out)]) == 0
+    assert cli.main(["run", str(cfg_path), "--set", "out_dir=%s" % out]) == 0
     assert (out / "custom.csv").exists()
     assert "wrote" in capsys.readouterr().out
 
 
+def test_cli_run_and_figure_share_one_override_path(tmp_path, capsys):
+    # --out, --tol and --stats duplicated the out_dir, tol and stats keys
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_DET_CONFIG), encoding="utf-8")
+    for flag, value in (("--out", str(tmp_path)), ("--tol", "1e-8"), ("--stats", "fd")):
+        for argv in (["run", str(cfg_path)], ["figure", "custom"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv + [flag, value])
+            assert exc.value.code == 2
+    assert cli.main(["run", str(cfg_path), "--set", "t_grid=[0, 0.5]",
+                     "--set", "out_dir=%s" % tmp_path, "--set", "stats=boltzmann",
+                     "--set", "mu=-3"]) == 0
+    assert (tmp_path / "custom.csv").read_text(encoding="utf-8").count("\n") == 3
+    assert cli.main(["run", str(cfg_path), "--set", "stats=FD"]) == 2
+    assert "'stats'" in capsys.readouterr().err
+    assert cli.main(["run", str(cfg_path), "--set", "linear_response_threshold=0.1"]) == 2
+    assert "'linear_response_threshold'" in capsys.readouterr().err
+
+
 def test_cli_figure_accepts_inline_overrides(tmp_path):
     rc = cli.main(["figure", "custom", "--set", "t_grid=[0.0, 1.0]",
-                   "--set", "tol=1e-8", "--out", str(tmp_path)])
+                   "--set", "tol=1e-8", "--set", "out_dir=%s" % tmp_path])
     assert rc == 0
     assert (tmp_path / "custom.csv").exists()
 
@@ -413,7 +480,7 @@ def test_cli_threads_flag_is_gone():
 def test_cli_split_below_zero_temperature_exits_2(tmp_path, capsys):
     # used to escape as a plain ValueError from the preparation (exit 1)
     rc = cli.main(["figure", "custom", "--set", "t_grid=[0,1]",
-                   "--set", "delta_t=0.5", "--out", str(tmp_path)])
+                   "--set", "delta_t=0.5", "--set", "out_dir=%s" % tmp_path])
     assert rc == 2
     err = capsys.readouterr().err
     assert "error: config field 'delta_t'" in err
@@ -439,7 +506,7 @@ def test_cli_bad_inputs_exit_2(tmp_path, capsys):
 def test_cli_infinite_temperature_or_dephasing_exit_2(tmp_path, capsys, field):
     # JSON Infinity used to pass the config check and fail the run (exit 1)
     rc = cli.main(["figure", "custom", "--set", "t_grid=[0, 1]",
-                   "--set", "%s=Infinity" % field, "--out", str(tmp_path)])
+                   "--set", "%s=Infinity" % field, "--set", "out_dir=%s" % tmp_path])
     assert rc == 2
     assert "'%s'" % field in capsys.readouterr().err
 
@@ -447,15 +514,25 @@ def test_cli_infinite_temperature_or_dephasing_exit_2(tmp_path, capsys, field):
 def test_cli_underflowing_temperature_exits_1_with_error_line(tmp_path, capsys):
     # T**2 underflows to 0 in the flux forces; this used to be a traceback
     rc = cli.main(["figure", "custom", "--set", "t_grid=[0, 1]",
-                   "--set", "temperature=1e-300", "--out", str(tmp_path)])
+                   "--set", "temperature=1e-300", "--set", "out_dir=%s" % tmp_path])
     assert rc == 1
     assert "error: temperature 1e-300 is too small" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sid", ["custom", "onsteste1", "onsteste2"])
+def test_cli_overflowing_temperature_square_exits_1_with_error_line(tmp_path, capsys, sid):
+    # T**2 overflows in the Onsager block and the Sommerfeld series; this
+    # used to be a raw OverflowError traceback
+    rc = cli.main(["figure", sid, "--set", "t_grid=[0, 1]", "--set", "mu_grid=[0, 1]",
+                   "--set", "temperature=1e200", "--set", "out_dir=%s" % tmp_path])
+    assert rc == 1
+    assert "error: reservoir temperature 1e+200 is too large" in capsys.readouterr().err
 
 
 def test_cli_overflowing_phase_exits_1_with_error_line(tmp_path, capsys):
     # 2 t overflows at t = 1e308; this used to be a raw OverflowError traceback
     rc = cli.main(["figure", "custom", "--set", "t_grid=[0, 1e308]",
-                   "--set", "dephasing=0", "--out", str(tmp_path)])
+                   "--set", "dephasing=0", "--set", "out_dir=%s" % tmp_path])
     assert rc == 1
     assert "error: phase 2 g t overflows" in capsys.readouterr().err
 
@@ -470,5 +547,9 @@ def test_cli_accept_single_fast_criterion(tmp_path, capsys):
 
 
 def test_cli_accept_unknown_criterion(capsys):
-    assert cli.main(["accept", "--only", "c99"]) == 1
-    assert "unknown criterion" in capsys.readouterr().err
+    # bad input exits 2 with a usage line, as for every other command
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["accept", "--only", "c99"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "invalid choice: 'c99'" in err

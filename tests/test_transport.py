@@ -320,6 +320,15 @@ def test_transport_rejects_non_finite_coupling(name, g):
         _TRANSPORT_ENTRY_POINTS[name](1.0, RES, 0.1, g)
 
 
+@pytest.mark.parametrize("name", ["counters", "onsager", "counters_and_onsager"])
+@pytest.mark.parametrize("stats", ["FD", "Boltzmann", "", None, 1])
+def test_transport_accepts_exactly_fd_and_boltzmann(name, stats):
+    # "FD" used to pass by lower-casing, though a config rejects it, and
+    # None raised AttributeError
+    with pytest.raises(ValueError, match="stats must be 'fd' or 'boltzmann'"):
+        _TRANSPORT_ENTRY_POINTS[name](1.0, RES, 0.1, 1.0, stats=stats)
+
+
 _TIMES = st.one_of(
     st.floats(0.0, 30.0),
     st.just(math.inf),
