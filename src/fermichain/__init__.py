@@ -37,6 +37,6 @@ from .fluctuation import (Affinities, ExchangeEvent, FtCheck,
 from .scenarios import (ComparisonReport, ConfigError, LinearResponseWarning,
                         Panel, ScenarioConfig, ScenarioResult, SCENARIOS,
                         parse_config, run_scenario, write_result)
-from .acceptance import CRITERIA, CriterionResult, run_acceptance
+from .acceptance import CRITERIA, run_acceptance
 
 __version__ = "0.1.0"

@@ -42,7 +42,8 @@ with g_e = 2 g (1 - e^2/4), so the bracket derivatives are taken with the
 full e-dependence and evaluated at e = mu.  Both expansions vanish
 identically at t = 0 and reduce at t = inf (lam > 0) to the damped limits,
 whose mu/T derivatives are also provided here in closed form for
-equilibrium comparisons.
+equilibrium comparisons.  Every Sommerfeld form rejects by name a mu
+outside (-2, 2) and an expansion parameter (pi T)^2/(4 - mu^2) of 1 or more.
 """
 
 from __future__ import annotations
@@ -86,10 +87,10 @@ def omega_defining_integral(nu: int, x: float, y: float) -> SeriesResult:
                           rel_tol=1e-13, max_panels=1 << 14, base_panels=8)
 
     def f(z):
-        return np.cos(z) ** nu * np.exp(y * np.cos(z)) * np.cos(x * np.sin(z) ** 2)
+        return (np.cos(z) ** nu * np.exp(y * np.cos(z)) * np.cos(x * np.sin(z) ** 2),)
 
-    val, err = integrate_interval(f, 0.0, math.pi, quad,
-                                  min_panels=max(8, int(math.ceil(abs(x)))))
+    (val,), (err,) = integrate_interval(f, 0.0, math.pi, quad,
+                                        min_panels=max(8, int(math.ceil(abs(x)))))
     return SeriesResult(value=float(val) / math.pi, trunc_error_est=err / math.pi,
                         terms_used=0, converged=True)
 
@@ -185,6 +186,10 @@ _SOMMERFELD_N_CAP = 30  # keeps Bessel orders within the validated range
 def _check_sommerfeld_args(res: ReservoirParams):
     if abs(res.mu) >= 2.0:
         raise ValueError("Sommerfeld form needs mu strictly inside the band (-2, 2)")
+    # the expansion parameter against 1 without forming T^2, which can overflow
+    if math.pi * res.temperature >= math.sqrt(4.0 - res.mu * res.mu):
+        raise ValueError("Sommerfeld form needs (pi T)^2/(4 - mu^2) < 1, got T = %g "
+                         "at mu = %g" % (res.temperature, res.mu))
 
 
 def _bracket_derivative_n(mu: float, t: float, damping: float, g: float) -> float:

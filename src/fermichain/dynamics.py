@@ -25,9 +25,6 @@ import numpy as np
 
 from .lattice import ModeSpec, ReservoirParams, occupation_fd, relaxation_envelope
 
-_SQ2 = math.sqrt(2.0)
-
-
 class IntegrationError(RuntimeError):
     """Fixed-step integration produced non-finite values (step too large)."""
 

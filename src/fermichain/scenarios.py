@@ -12,17 +12,19 @@ Every scenario is one row of ``SCENARIOS``, ``(build, panels, pins)``:
 * ``build(cfg, name)`` returns the headers, columns and comparison reports
   of one panel, reading every value from ``cfg``.
 
-``run_scenario`` is the one panel loop.  Before building any panel it checks
-every panel's reservoir split (T +- dT/2, mu +- dmu/2), for a directly built
-``ScenarioConfig`` too; ``parse_config`` checks fields one by one.  Each
-panel is one CSV file with the independent variable in the first column and
-unit-annotated headers, e.g. "J_QT[alpha^2]".  Energies are in units of the
-hopping scale alpha, times in 1/alpha, entropies in k_B.  Output is written
-RFC-4180 style with UTF-8 text, LF line endings, and a fixed
-significant-digit format.  Every builder evaluates its grid points in order
-on the calling thread, and every reduction has a fixed association, so
-output is byte-reproducible.  The ``threads`` config key is still
-range-checked so that old configs parse, but it has no field and no effect.
+``run_scenario`` is the one panel loop.  Before building any panel it
+checks every panel's reservoir split (T +- dT/2, mu +- dmu/2), for a
+directly built ``ScenarioConfig`` too; ``parse_config`` checks fields one
+by one (``tol`` must lie in [1e-15, 1): below that the doubling test chases
+round-off).  Each panel is one CSV file with the independent variable in
+the first column and unit-annotated headers, e.g. "J_QT[alpha^2]".
+Energies are in units of the hopping scale alpha, times in 1/alpha,
+entropies in k_B.  Output is written RFC-4180 style with UTF-8 text, LF
+line endings, and a fixed significant-digit format.  Every builder
+evaluates its grid points in order on the calling thread, one band call per
+time or mu, and every reduction has a fixed association, so output is
+byte-reproducible.  The ``threads`` config key is still range-checked so
+that old configs parse, but it has no field and no effect.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ _NUMBER_FIELDS = {
     "mu": lambda v: math.isfinite(v),
     "dephasing": lambda v: 0.0 <= v < math.inf,
     "g": lambda v: math.isfinite(v),
-    "tol": lambda v: 0.0 < v < 1.0,
+    "tol": lambda v: 1e-15 <= v < 1.0,  # below ~1e-15 round-off decides
     "delta_t": lambda v: math.isfinite(v),
     "delta_mu": lambda v: math.isfinite(v),
     "n_eq": lambda v: 0.0 < v < 1.0,
@@ -245,10 +247,6 @@ def _tag(value: float) -> str:
     return ("%g" % value).replace("-", "m").replace(".", "p")
 
 
-def _format_value(x: float, digits: int) -> str:
-    return "%.*g" % (digits, x)
-
-
 def _csv_field(text: str) -> str:
     # plain substring tests: every figure value passes through here
     if "," in text or '"' in text or "\n" in text or "\r" in text:
@@ -266,7 +264,7 @@ def write_csv(path: str, rows):
         fh.write("".join(",".join(map(_csv_field, row)) + "\n" for row in rows))
 
 
-def write_result(result: ScenarioResult, out_dir: str, sig_digits: int = 12):
+def write_result(result: ScenarioResult, out_dir: str, sig_digits: int):
     """One CSV per panel; returns the paths written."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
@@ -274,10 +272,8 @@ def write_result(result: ScenarioResult, out_dir: str, sig_digits: int = 12):
         stem = result.scenario if not panel.name else (
             "%s_%s" % (result.scenario, panel.name))
         path = os.path.join(out_dir, stem + ".csv")
-        n_rows = len(panel.columns[0]) if panel.columns else 0
-        write_csv(path, [panel.headers] + [
-            [_format_value(float(col[i]), sig_digits) for col in panel.columns]
-            for i in range(n_rows)])
+        write_csv(path, [panel.headers] + [["%.*g" % (sig_digits, float(x)) for x in row]
+                                           for row in zip(*panel.columns)])
         paths.append(path)
     return paths
 
@@ -328,8 +324,8 @@ def _onsager_vs_t(cfg: ScenarioConfig, name: str):
     t_grid = _grid(cfg, "t_grid")
     res = ReservoirParams(cfg.temperature, cfg.mu)
     quad = cfg.quad()
-    blocks = [transport.onsager(float(t), res, cfg.dephasing, cfg.g, quad, cfg.stats)
-              for t in t_grid]
+    blocks = [transport.onsager(t, res, cfg.dephasing, cfg.g, quad, cfg.stats)
+              for t in cfg.t_grid]
     return ("t[1/alpha]",) + _J_HEADERS, (t_grid,) + _block_columns(blocks), ()
 
 
@@ -403,13 +399,12 @@ def _onsteste2(cfg: ScenarioConfig, name: str):
     quad = cfg.quad()
 
     def point(t):
-        t = float(t)
         args = (t, res, cfg.dephasing, cfg.g)
         return transport.counters(*args, quad) + (
             closedforms.nbar_fd_sommerfeld(*args, cfg.n_max).value,
             closedforms.ebar_fd_sommerfeld(*args, cfg.n_max).value)
 
-    rows = [point(t) for t in t_grid]
+    rows = [point(t) for t in cfg.t_grid]
     n_quad, e_quad, n_series, e_series = (np.array(col) for col in zip(*rows))
     reports = tuple(
         ComparisonReport(panel=name, quantity=quantity, threshold=0.05,
@@ -428,14 +423,13 @@ def _custom(cfg: ScenarioConfig, name: str):
     quad = cfg.quad()
 
     def point(t):
-        t = float(t)
         n, e, block = transport.counters_and_onsager(t, res, cfg.dephasing, cfg.g,
                                                      quad, cfg.stats)
         flux = transport.fluxes(block, cfg.delta_mu, cfg.delta_t)
         return (n, e, e - cfg.mu * n, block.j_n_mu, block.j_n_t, block.j_q_mu,
                 block.j_q_t, flux.j_particle, flux.j_heat)
 
-    rows = [point(t) for t in t_grid]
+    rows = [point(t) for t in cfg.t_grid]
     headers = ("t[1/alpha]", "N[1]", "E[alpha]", "Q[alpha]") + _J_HEADERS + (
         "flux_N[1]", "flux_Q[alpha]")
     return headers, (t_grid,) + tuple(np.array(col) for col in zip(*rows)), ()

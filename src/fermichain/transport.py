@@ -25,8 +25,9 @@ Requesting t = inf with lam > 0 returns the damped limit (the oscillating
 term is gone); with lam = 0 there is no stationary state and the request is
 rejected with EquilibriumUndefinedError.
 
-Every band integral goes through one path, ``_band_average``: the kernels
-of a quantity are stacked into one group and converged together.
+Every band integral goes through one path, ``_band_average``, at one time
+per call (a time array is rejected by name; a scan over t is a loop of
+calls).  The kernels of a quantity are stacked into one group.
 ``counters`` integrates the group [n, eps n] and ``nbar``, ``ebar`` and
 ``qbar`` are views onto it; ``onsager`` stacks its four derivative kernels
 the same way.  Several groups can share one quadrature: eps, the occupation
@@ -115,14 +116,13 @@ def integrate_interval(f, a: float, b: float, quad: QuadratureSpec = DEFAULT_QUA
 
     Parameters
     ----------
-    f : callable taking a 1-D node array and returning values with the node
-        axis LAST; vector-valued integrands (leading axes) are integrated
-        component-wise and all components must converge.  f may instead
-        return a tuple of such arrays, one per kernel group: every group is
-        evaluated on the same nodes at each level but runs the doubling test
-        on its own rows.  A converged group's total is frozen at that level,
-        so it equals a solo call on that group bit for bit, and the call ends
-        when every group has converged.  A plain array is the one-group case.
+    f : callable taking a 1-D node array and returning a tuple of kernel
+        groups, each an array with the node axis LAST; leading axes are
+        integrated component-wise.  Every group is evaluated on the same
+        nodes at each level but runs the doubling test on its own rows, and
+        all of its components must converge.  A converged group's total is
+        frozen at that level, so it equals a solo call on that group bit for
+        bit, and the call ends when every group has converged.
     min_panels : lower bound on the first panel count (e.g. to resolve a
         known oscillation); NaN or inf raise ValueError.  A first level that
         leaves no room to double within ``quad.max_panels`` raises
@@ -130,10 +130,10 @@ def integrate_interval(f, a: float, b: float, quad: QuadratureSpec = DEFAULT_QUA
 
     Returns
     -------
-    (value, err_estimate) where err_estimate is the largest component-wise
-    change in the final doubling; doubling the panels once more changes the
-    result by less than this.  For a tuple integrand both are tuples
-    with one entry per group.
+    (values, err_estimates), two tuples with one entry per group.  A group's
+    error estimate is its largest component-wise change in the final
+    doubling; doubling the panels once more changes the result by less than
+    this.
     """
     if b <= a:
         raise ValueError("need b > a")
@@ -146,26 +146,20 @@ def integrate_interval(f, a: float, b: float, quad: QuadratureSpec = DEFAULT_QUA
             "to refine within max_panels %d"
             % (_count(panels), _count(min_panels), quad.max_panels),
             achieved_error=math.inf)
-    prev = None  # per-group totals of the previous level
-    done = None  # per-group (total, err) once converged
+    prev = {}  # group index -> its total at the previous level
+    done = {}  # group index -> (total, err) once converged
     while True:
         edges = np.linspace(a, b, panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1] - edges[0])
         nodes = (mid[:, None] + half * _X16[None, :]).reshape(-1)
-        out = f(nodes)
-        grouped = isinstance(out, tuple)
-        groups = out if grouped else (out,)
-        first = prev is None
-        if first:
-            prev = [None] * len(groups)
-            done = [None] * len(groups)
-        failing = []
+        groups = f(nodes)
+        failing = []  # (err, tol) of each group this level did not converge
         for i, vals in enumerate(groups):
-            if done[i] is not None:
+            if i in done:
                 continue
             total = _level_total(vals, panels, half)
-            if not first:
+            if i in prev:
                 err = np.max(np.abs(total - prev[i]))
                 tol = max(quad.abs_tol, quad.rel_tol * float(np.max(np.abs(total))))
                 if err <= tol:
@@ -173,12 +167,12 @@ def integrate_interval(f, a: float, b: float, quad: QuadratureSpec = DEFAULT_QUA
                 else:
                     failing.append((err, tol))
             prev[i] = total
+        if len(done) == len(groups):
+            values, errs = zip(*(done[i] for i in range(len(done))))
+            return values, errs
         # release this level's values before the next, twice as large, is built
-        out = groups = vals = None
-        if not first and not failing:
-            values, errs = zip(*done)
-            return (values, errs) if grouped else (values[0], errs[0])
-        if not first and 2 * panels > quad.max_panels:
+        groups = vals = None
+        if failing and 2 * panels > quad.max_panels:
             err, tol = max(failing, key=lambda pair: pair[0] / pair[1])
             raise QuadratureError(
                 "no convergence within %d panels (achieved %.3g, wanted %.3g)"
@@ -192,39 +186,40 @@ def _occupation(stats: str, energy, res: ReservoirParams):
     return occupation_boltzmann(energy, res)
 
 
-def _relaxation_factor(k, damping, phase, g: float):
-    """D(k, t) = damping * cos(g_k * phase) - 1, shaped (n_t, n_k), where
+def _relaxation_factor(k, damping: float, phase: float, g: float):
+    """D(k, t) = damping * cos(g_k * phase) - 1 over the nodes k, where
     ``phase`` is the unit-coupling phase 2 t (0 wherever damping is)."""
-    gk = g * np.sin(k) ** 2
-    return damping[:, None] * np.cos(gk[None, :] * phase[:, None]) - 1.0
+    return damping * np.cos(g * np.sin(k) ** 2 * phase) - 1.0
 
 
-def _osc_panels(g: float, phase) -> int:
-    # ~4 g t panels for the largest t whose oscillating term still contributes
-    panels = 2.0 * abs(g) * float(np.max(phase, initial=0.0))
+def _osc_panels(g: float, phase: float) -> int:
+    # ~4 g t panels while the oscillating term still contributes
+    panels = 2.0 * abs(g) * phase
     if not math.isfinite(panels):
         raise ValueError("phase 2 g t overflows: g t is too large to evaluate")
     return max(1, int(math.ceil(panels)))
 
 
-def _band_average(kernel_groups, t, res: ReservoirParams, dephasing: float,
+def _band_average(kernel_groups, t: float, res: ReservoirParams, dephasing: float,
                   g: float, quad: QuadratureSpec, stats: str):
     """(1/pi) int_0^pi kernel(eps_k) D(k, t) dk for every kernel of every group.
 
-    Each of ``kernel_groups`` maps ``(eps, occ, stats)`` to stacked kernels
-    shaped (n_kernels, n_k).  eps, the occupation and D(k, t) are computed
-    once per level and shared by all groups; each group converges on its own
-    (see ``integrate_interval``), so its values do not depend on the other
-    groups.  Returns one list per group with one entry per kernel: a float
-    for scalar t and an array over t otherwise.
+    t is one time.  Each of ``kernel_groups`` maps ``(eps, occ, stats)`` to
+    stacked kernels shaped (n_kernels, n_k).  eps, the occupation and
+    D(k, t) are computed once per level and shared by all groups; each group
+    converges on its own (see ``integrate_interval``), so its values do not
+    depend on the other groups.  Returns one list of floats per group, one
+    entry per kernel.
     """
+    for name, value in (("time", t), ("dephasing rate", dephasing)):
+        if np.ndim(value) != 0:
+            raise ValueError("%s must be one scalar per band call, got shape %r"
+                             % (name, np.shape(value)))
     if not math.isfinite(g):
         raise ValueError("coupling g must be finite, got %r" % g)
     if not (isinstance(stats, str) and stats in (STATS_FD, STATS_BOLTZMANN)):
         raise ValueError("stats must be 'fd' or 'boltzmann', got %r" % (stats,))
-    scalar = np.ndim(t) == 0
-    # scalar t takes the helper's scalar path; the integrand wants arrays
-    damping, phase = map(np.atleast_1d, relaxation_envelope(t, dephasing, 1.0))
+    damping, phase = relaxation_envelope(float(t), float(dephasing), 1.0)
 
     def f(k):
         eps = -2.0 * np.cos(k)
@@ -235,50 +230,49 @@ def _band_average(kernel_groups, t, res: ReservoirParams, dephasing: float,
         # peak memory
         del occ
         relax = _relaxation_factor(k, damping, phase, g)
-        return tuple([r[:, None, :] * relax for r in rows])
+        return tuple([r * relax for r in rows])
 
     vals, _ = integrate_interval(f, 0.0, math.pi, quad, _osc_panels(g, phase))
-    vals = [val / math.pi for val in vals]
-    return [[float(v[0]) for v in val] if scalar else list(val) for val in vals]
+    return [[float(v) for v in val / math.pi] for val in vals]
 
 
 def _counter_kernels(eps, occ, stats):
     return np.stack([occ, eps * occ])
 
 
-def counters(t, res: ReservoirParams, dephasing: float, g: float,
+def counters(t: float, res: ReservoirParams, dephasing: float, g: float,
              quad: QuadratureSpec = DEFAULT_QUAD, stats: str = STATS_FD):
     """Particle and energy counters (nbar, ebar) from one quadrature.
 
-    t = inf (scalar) with dephasing > 0 gives the damped limits, e.g.
+    t is one time; t = inf with dephasing > 0 gives the damped limits, e.g.
     nbar = -(1/pi) int nbar(eps_k) dk.
     """
     (n_e,) = _band_average((_counter_kernels,), t, res, dephasing, g, quad, stats)
     return tuple(n_e)
 
 
-def nbar(t, res: ReservoirParams, dephasing: float, g: float,
+def nbar(t: float, res: ReservoirParams, dephasing: float, g: float,
          quad: QuadratureSpec = DEFAULT_QUAD, stats: str = STATS_FD):
-    """Per-site particle transfer counter at time t (scalar or array)."""
+    """Per-site particle transfer counter at one time t."""
     return counters(t, res, dephasing, g, quad, stats)[0]
 
 
-def ebar(t, res: ReservoirParams, dephasing: float, g: float,
+def ebar(t: float, res: ReservoirParams, dephasing: float, g: float,
          quad: QuadratureSpec = DEFAULT_QUAD, stats: str = STATS_FD):
-    """Per-site energy transfer counter at time t (scalar or array)."""
+    """Per-site energy transfer counter at one time t."""
     return counters(t, res, dephasing, g, quad, stats)[1]
 
 
-def qbar(t, res: ReservoirParams, dephasing: float, g: float,
+def qbar(t: float, res: ReservoirParams, dephasing: float, g: float,
          quad: QuadratureSpec = DEFAULT_QUAD, stats: str = STATS_FD):
-    """Heat counter qbar = ebar - mu * nbar (exact composition)."""
+    """Heat counter qbar = ebar - mu * nbar at one time t (exact composition)."""
     n, e = counters(t, res, dephasing, g, quad, stats)
     return e - res.mu * n
 
 
 @dataclass(frozen=True)
 class OnsagerBlock:
-    """The four linear-response coefficients at one evaluation point.
+    """The four linear-response coefficients at one time and temperature.
 
     j_n_mu = (T/2) d nbar/d mu        j_n_t = (T^2/2) d nbar/d T
     j_q_mu = (T/2) d qbar/d mu        j_q_t = (T^2/2) d qbar/d T
@@ -289,10 +283,10 @@ class OnsagerBlock:
     ``fluxes`` needs to form the thermodynamic forces.
     """
 
-    j_n_mu: object
-    j_n_t: object
-    j_q_mu: object
-    j_q_t: object
+    j_n_mu: float
+    j_n_t: float
+    j_q_mu: float
+    j_q_t: float
     temperature: float
 
     @classmethod
@@ -322,9 +316,9 @@ def _onsager_kernels(res: ReservoirParams):
     return kernels
 
 
-def onsager(t, res: ReservoirParams, dephasing: float, g: float,
+def onsager(t: float, res: ReservoirParams, dephasing: float, g: float,
             quad: QuadratureSpec = DEFAULT_QUAD, stats: str = STATS_FD) -> OnsagerBlock:
-    """Onsager coefficients from exact kernel derivatives, one quadrature.
+    """Onsager coefficients at one time t from exact kernel derivatives.
 
     All four integrands share nodes and are converged together, so the block
     is internally consistent at the quadrature tolerance.
@@ -334,9 +328,9 @@ def onsager(t, res: ReservoirParams, dephasing: float, g: float,
     return OnsagerBlock.from_derivatives(coeffs, res.temperature)
 
 
-def counters_and_onsager(t, res: ReservoirParams, dephasing: float, g: float,
+def counters_and_onsager(t: float, res: ReservoirParams, dephasing: float, g: float,
                          quad: QuadratureSpec = DEFAULT_QUAD, stats: str = STATS_FD):
-    """(nbar, ebar, OnsagerBlock) from one quadrature on shared nodes.
+    """(nbar, ebar, OnsagerBlock) at one time t from one shared quadrature.
 
     The counters and the block are two kernel groups that converge
     separately, so each equals ``counters`` and ``onsager`` bit for bit.
@@ -348,8 +342,8 @@ def counters_and_onsager(t, res: ReservoirParams, dephasing: float, g: float,
 
 @dataclass(frozen=True)
 class ParticleHeatFlux:
-    j_particle: object
-    j_heat: object
+    j_particle: float
+    j_heat: float
 
 
 def fluxes(block: OnsagerBlock, delta_mu: float, delta_t: float) -> ParticleHeatFlux:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -216,6 +217,18 @@ def test_sommerfeld_domain_guard():
         nbar_fd_sommerfeld(1.0, res, 0.35, 1.0)
     with pytest.raises(ValueError):
         ebar_fd_sommerfeld(1.0, ReservoirParams(0.1, -2.5), 0.35, 1.0)
+
+
+@pytest.mark.parametrize("temp, mu", [(1.3e154, 0.0), (0.64, 0.0), (0.5, 1.5)])
+def test_sommerfeld_rejects_an_expansion_parameter_of_one_or_more(temp, mu):
+    # (pi T)^2/(4 - mu^2) >= 1 is outside the low-T regime; T = 1.3e154
+    # used to give inf/nan coefficients without complaint
+    res = ReservoirParams(temperature=temp, mu=mu)
+    for call in (lambda: nbar_fd_sommerfeld(1.0, res, 0.35, 1.0),
+                 lambda: ebar_fd_sommerfeld(1.0, res, 0.35, 1.0),
+                 lambda: equilibrium_sommerfeld_onsager(res)):
+        with pytest.raises(ValueError, match=re.escape("(pi T)^2/(4 - mu^2) < 1")):
+            call()
 
 
 def test_sommerfeld_at_tiny_g_t_is_finite():

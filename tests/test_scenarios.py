@@ -79,6 +79,10 @@ def test_parse_range_violations_name_the_field():
         parse_config({"scenario": "ons1", "threads": 0})
     with pytest.raises(ConfigError, match="'stats'"):
         parse_config({"scenario": "ons1", "stats": "be"})
+    # below ~1e-15 the doubling test chases round-off until the budget is spent
+    for tol in (1e-16, 1e-300):
+        with pytest.raises(ConfigError, match="'tol'"):
+            parse_config({"scenario": "custom", "tol": tol})
 
 
 def test_parse_rejects_bool_masquerading_as_number():
@@ -400,7 +404,7 @@ def test_csv_layout(tmp_path):
 def test_csv_sig_digits_control(tmp_path):
     result = ScenarioResult(scenario="probe", panels=(
         Panel(name="", headers=("x[1]",), columns=(np.array([math.pi]),)),))
-    (p12,) = write_result(result, str(tmp_path / "a"))
+    (p12,) = write_result(result, str(tmp_path / "a"), sig_digits=12)
     (p3,) = write_result(result, str(tmp_path / "b"), sig_digits=3)
     assert open(p12).read() == "x[1]\n3.14159265359\n"
     assert open(p3).read() == "x[1]\n3.14\n"
@@ -527,6 +531,17 @@ def test_cli_overflowing_temperature_square_exits_1_with_error_line(tmp_path, ca
                    "--set", "temperature=1e200", "--set", "out_dir=%s" % tmp_path])
     assert rc == 1
     assert "error: reservoir temperature 1e+200 is too large" in capsys.readouterr().err
+
+
+def test_cli_sommerfeld_outside_its_regime_exits_1_with_error_line(tmp_path, capsys):
+    # (pi T)^2/(4 - mu^2) ~ 4e308 at T = 1.3e154; this used to exit 0 and
+    # write inf/nan deviations
+    rc = cli.main(["figure", "onsteste1", "--set", "mu_grid=[0, 1]",
+                   "--set", "temperature=1.3e154", "--set", "tol=1e-6",
+                   "--set", "out_dir=%s" % tmp_path])
+    assert rc == 1
+    assert "error: Sommerfeld form needs (pi T)^2/(4 - mu^2) < 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_overflowing_phase_exits_1_with_error_line(tmp_path, capsys):
