@@ -9,9 +9,9 @@ cross-checkable against brute-force integration at runtime.
 """
 
 from .lattice import (BoltzmannRangeError, BoltzmannValidity, ModeSpec,
-                      ReservoirParams, band_gap_ev, boltzmann_validity, dispersion,
-                      log_occupation_fd, log_vacancy_fd, occupation_boltzmann,
-                      occupation_fd)
+                      RegimeWarning, ReservoirParams, band_gap_ev, boltzmann_validity,
+                      dispersion, log_occupation_fd, log_vacancy_fd,
+                      occupation_boltzmann, occupation_fd)
 from .dynamics import (IntegrationError, coherence_ab, density_matrix,
                        density_matrix_from_occupations, lindblad_trajectory,
                        occ_a, occ_b)

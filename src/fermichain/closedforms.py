@@ -43,15 +43,19 @@ full e-dependence and evaluated at e = mu.  Both expansions vanish
 identically at t = 0 and reduce at t = inf (lam > 0) to the damped limits,
 whose mu/T derivatives are also provided here in closed form for
 equilibrium comparisons.  Every Sommerfeld form rejects by name a mu
-outside (-2, 2) and an expansion parameter (pi T)^2/(4 - mu^2) of 1 or more.
+outside (-2, 2) and an expansion parameter (pi T)^2/(4 - mu^2) of 1 or more,
+and warns with ``RegimeWarning`` when its series stops short of the 1e-12
+target; the Boltzmann forms warn so outside the dilute regime.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
-from .lattice import ReservoirParams, relaxation_envelope
+from .lattice import (ReservoirParams, RegimeWarning, _require, _warn_unless_dilute,
+                      relaxation_envelope)
 from .special import SpecialFnTable, beta_fn, bessel_i
 from .transport import OnsagerBlock, QuadratureSpec, integrate_interval
 
@@ -61,6 +65,8 @@ _X_SERIES_MAX = 10.0  # alternating-sum cancellation stays under ~1e-11 here
 _Y_SERIES_MAX = 30.0
 _SERIES_TOL = 1e-12  # target error of the omega and Sommerfeld series
 _OMEGA_MAX_TERMS = 200
+_Y_MAX = 700.0  # exp(y) in the omega integrand stays finite
+_Y_DOMAIN = "lie in [0, %g] (no analytic continuation; exp(y) stays finite)" % _Y_MAX
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -77,13 +83,17 @@ class SeriesResult:
     converged: bool
 
 
+def _check_omega_args(nu: int, x: float, y: float):
+    _require("nu", nu, isinstance(nu, (int, np.integer)) and nu >= 0,
+             "be a non-negative integer")
+    _require("x", x, math.isfinite(x), "be finite")
+    _require("y", y, 0.0 <= y <= _Y_MAX, _Y_DOMAIN)
+
+
 def omega_defining_integral(nu: int, x: float, y: float) -> SeriesResult:
     """Direct quadrature of the omega integrand (fallback and cross-check)."""
-    if nu < 0:
-        raise ValueError("nu must be a non-negative integer")
-    if y < 0.0:
-        raise ValueError("y must be >= 0 (no analytic continuation here)")
-    quad = QuadratureSpec(abs_tol=_SERIES_TOL * 0.1 * max(1.0, math.exp(min(y, 700.0))),
+    _check_omega_args(nu, x, y)
+    quad = QuadratureSpec(abs_tol=_SERIES_TOL * 0.1 * max(1.0, math.exp(y)),
                           rel_tol=1e-13, max_panels=1 << 14, base_panels=8)
 
     def f(z):
@@ -101,15 +111,13 @@ def omega(nu: int, x: float, y: float) -> SeriesResult:
     The outer series alternates in n; convergence is declared once two
     successive terms fall below 1e-13, a tenth of the 1e-12 target, and the
     reported truncation error is the standard alternating-tail bound (the
-    first omitted term).
+    first omitted term).  nu is a non-negative integer, x finite and
+    0 <= y <= 700.
     """
-    if not isinstance(nu, (int, np.integer)) or nu < 0:
-        raise ValueError("nu must be a non-negative integer")
-    if y < 0.0:
-        raise ValueError("y must be >= 0 (no analytic continuation here)")
     x = abs(float(x))
     if x > _X_SERIES_MAX or y > _Y_SERIES_MAX:
         return omega_defining_integral(nu, x, y)
+    _check_omega_args(nu, x, y)
 
     i = nu % 2
     x2 = x * x
@@ -147,21 +155,17 @@ def omega(nu: int, x: float, y: float) -> SeriesResult:
                                  % _OMEGA_MAX_TERMS)
 
 
-def _check_boltzmann_prefactor(res: ReservoirParams) -> float:
-    arg = res.beta * res.mu
-    if arg > 690.0:
-        raise OverflowError("exp(beta mu) overflows; state far outside dilute regime")
-    return math.exp(arg)
-
-
 def _boltzmann_closed(nu: int, scale: float, t: float, res: ReservoirParams,
                       dephasing: float, g: float) -> float:
     """scale exp(beta mu) [exp(-lam t) omega_nu(2 g t, 2 beta) - I_nu(2 beta)]."""
     damping, phase = relaxation_envelope(t, dephasing, g)
-    pref = _check_boltzmann_prefactor(res)
+    beta_mu = res.beta * res.mu
+    _require("mu/T", beta_mu, beta_mu <= 690.0, "stay <= 690 so that exp(mu/T) is finite: "
+             "the state is far outside the dilute regime")
+    _warn_unless_dilute(res)
     y = 2.0 * res.beta
     osc = float(damping) * omega(nu, phase, y).value if damping > 0.0 else 0.0
-    return scale * pref * (osc - bessel_i(nu, y))
+    return scale * math.exp(beta_mu) * (osc - bessel_i(nu, y))
 
 
 def nbar_boltzmann_closed(t: float, res: ReservoirParams, dephasing: float,
@@ -181,15 +185,16 @@ def ebar_boltzmann_closed(t: float, res: ReservoirParams, dephasing: float,
 # ---------------------------------------------------------------------------
 
 _SOMMERFELD_N_CAP = 30  # keeps Bessel orders within the validated range
+_N_MAX_DOMAIN = "be an integer in [1, %d]" % _SOMMERFELD_N_CAP
 
 
 def _check_sommerfeld_args(res: ReservoirParams):
-    if abs(res.mu) >= 2.0:
-        raise ValueError("Sommerfeld form needs mu strictly inside the band (-2, 2)")
+    _require("mu", res.mu, abs(res.mu) < 2.0,
+             "lie strictly inside the band (-2, 2) for the Sommerfeld form")
     # the expansion parameter against 1 without forming T^2, which can overflow
-    if math.pi * res.temperature >= math.sqrt(4.0 - res.mu * res.mu):
-        raise ValueError("Sommerfeld form needs (pi T)^2/(4 - mu^2) < 1, got T = %g "
-                         "at mu = %g" % (res.temperature, res.mu))
+    _require("temperature", res.temperature,
+             math.pi * res.temperature < math.sqrt(4.0 - res.mu * res.mu),
+             "satisfy (pi T)^2/(4 - mu^2) < 1 for the Sommerfeld form")
 
 
 def _bracket_derivative_n(mu: float, t: float, damping: float, g: float) -> float:
@@ -237,8 +242,9 @@ def _sommerfeld(t: float, res: ReservoirParams, dephasing: float, g: float,
     1e-12 target; the last term summed is the truncation estimate.
     """
     _check_sommerfeld_args(res)
-    if not 1 <= n_max <= _SOMMERFELD_N_CAP:
-        raise ValueError("n_max must be in [1, %d]" % _SOMMERFELD_N_CAP)
+    _require("n_max", n_max,
+             isinstance(n_max, (int, np.integer)) and 1 <= n_max <= _SOMMERFELD_N_CAP,
+             _N_MAX_DOMAIN)
     damping = float(relaxation_envelope(t, dephasing, g)[0])
     theta = math.acos(-0.5 * res.mu)
     h = head(theta)
@@ -270,8 +276,14 @@ def _sommerfeld(t: float, res: ReservoirParams, dephasing: float, g: float,
     value = (pref * damping * series - pref * h
              + (math.pi ** 2 * res.temperature ** 2 / 6.0)
              * bracket(res.mu, t, damping, g)) / math.pi
-    return SeriesResult(value=value, trunc_error_est=abs(pref) * damping * tail / math.pi,
-                        terms_used=terms_used, converged=converged)
+    est = abs(pref) * damping * tail / math.pi
+    if not converged:
+        warnings.warn("Sommerfeld series unconverged at g t = %g: truncation estimate %.3g "
+                      "after %d terms, against a %g target" % (g * t, est, terms_used,
+                                                               _SERIES_TOL),
+                      RegimeWarning, stacklevel=3)
+    return SeriesResult(value=value, trunc_error_est=est, terms_used=terms_used,
+                        converged=converged)
 
 
 def nbar_fd_sommerfeld(t: float, res: ReservoirParams, dephasing: float, g: float,

@@ -23,15 +23,17 @@ import math
 
 import numpy as np
 
-from .lattice import ModeSpec, ReservoirParams, occupation_fd, relaxation_envelope
+from .lattice import (ModeSpec, ReservoirParams, _require, occupation_fd,
+                      relaxation_envelope)
 
 class IntegrationError(RuntimeError):
     """Fixed-step integration produced non-finite values (step too large)."""
 
 
 def _check_occ(n_a0: float, n_b0: float):
-    if not (0.0 <= n_a0 <= 1.0 and 0.0 <= n_b0 <= 1.0):
-        raise ValueError("occupations must lie in [0, 1]")
+    if not (0.0 <= n_a0 <= 1.0 and 0.0 <= n_b0 <= 1.0):  # per sample in c2
+        _require("n_a0", n_a0, 0.0 <= n_a0 <= 1.0, "lie in [0, 1]")
+        _require("n_b0", n_b0, False, "lie in [0, 1]")
 
 
 def occ_a(mode: ModeSpec, n_a0: float, n_b0: float, t):
@@ -46,6 +48,7 @@ def occ_a(mode: ModeSpec, n_a0: float, n_b0: float, t):
 
 def occ_b(mode: ModeSpec, n_a0: float, n_b0: float, t):
     """<b+b> at time t: :func:`occ_a` with the halves swapped, bit for bit."""
+    _check_occ(n_a0, n_b0)  # so that a bad occupation is named as passed
     return occ_a(mode, n_b0, n_a0, t)
 
 
@@ -66,7 +69,6 @@ def density_matrix_from_occupations(n_a0: float, n_b0: float, coupling: float,
     block holds the occupations minus the constant nA*nB weight and the
     coherence, with entry (1, 2) = <b+a> and (2, 1) = <a+b>.
     """
-    _check_occ(n_a0, n_b0)
     mode = ModeSpec(energy=0.0, coupling=coupling, dephasing=dephasing)
     na_t = occ_a(mode, n_a0, n_b0, t)
     nb_t = occ_b(mode, n_a0, n_b0, t)
@@ -150,17 +152,16 @@ def lindblad_trajectory(mode: ModeSpec | list | tuple, res_a: ReservoirParams,
     (len(t_grid), 4, 4) complex array of states for a single ModeSpec, or
     (len(mode), len(t_grid), 4, 4) for a list or tuple of modes.
     """
-    if not (math.isfinite(dt_max) and dt_max > 0.0):
-        raise ValueError("dt_max must be finite and positive")
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if t_grid.ndim != 1 or t_grid.size == 0 or not np.all(np.isfinite(t_grid)):
-        raise ValueError("t_grid must be a non-empty 1-D array of finite times")
-    if np.any(np.diff(t_grid) <= 0.0) or t_grid[0] < 0.0:
-        raise ValueError("t_grid must be strictly increasing and non-negative")
+    _require("dt_max", dt_max, 0.0 < dt_max < math.inf, "be finite and positive")
+    times = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    _require("t_grid", t_grid, times.ndim == 1 and times.size > 0
+             and bool(np.all(np.isfinite(times))) and times[0] >= 0.0
+             and bool(np.all(np.diff(times) > 0.0)),
+             "be a non-empty 1-D array of finite times, strictly increasing from >= 0")
+    t_grid = times
     batch = isinstance(mode, (list, tuple))
     modes = list(mode) if batch else [mode]
-    if not modes:
-        raise ValueError("mode batch is empty")
+    _require("mode", mode, bool(modes), "be a ModeSpec or a non-empty batch of them")
     sup = np.stack([_liouvillian(m.energy, m.coupling, m.dephasing) for m in modes])
     rho0 = np.empty((len(modes), 4, 4), dtype=complex)
     for j, m in enumerate(modes):

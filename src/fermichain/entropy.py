@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .lattice import ModeSpec, relaxation_envelope
+from .lattice import ModeSpec, _require, relaxation_envelope
 
 
 def _xlogx(p):
@@ -48,10 +48,10 @@ def _xlogx(p):
 
 def binary_entropy(p):
     """H(p) = -p ln p - (1-p) ln(1-p), with 0 ln 0 = 0.  Scalar or array."""
-    p = np.asarray(p, dtype=float)
-    if not np.all((p >= -1e-12) & (p <= 1.0 + 1e-12)):
-        raise ValueError("occupation must lie in [0, 1] and not be NaN")
-    p = np.clip(p, 0.0, 1.0)
+    arr = np.asarray(p, dtype=float)
+    _require("occupation p", p, bool(np.all((arr >= -1e-12) & (arr <= 1.0 + 1e-12))),
+             "lie in [0, 1]")
+    p = np.clip(arr, 0.0, 1.0)
     val = -_xlogx(p) - _xlogx(1.0 - p)
     return float(val) if val.ndim == 0 else val
 
@@ -66,12 +66,11 @@ class EquilibriumModePrep:
     dephasing: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.n_eq < 1.0:
-            raise ValueError("n_eq must lie strictly inside (0, 1)")
+        _require("n_eq", self.n_eq, 0.0 < self.n_eq < 1.0, "lie strictly inside (0, 1)")
         self.mode()  # ModeSpec rejects a non-finite coupling or a bad dephasing rate
-        for occ in (self.occupation_a, self.occupation_b):
-            if not 0.0 < occ < 1.0:
-                raise ValueError("delta_n pushes an occupation out of (0, 1)")
+        _require("delta_n", self.delta_n,
+                 0.0 < self.occupation_a < 1.0 and 0.0 < self.occupation_b < 1.0,
+                 "keep both occupations n_eq +- delta_n/2 inside (0, 1)")
 
     @property
     def occupation_a(self) -> float:

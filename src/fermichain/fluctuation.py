@@ -29,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .lattice import (ModeSpec, ReservoirParams, log_occupation_fd,
+from .lattice import (ModeSpec, ReservoirParams, _require, log_occupation_fd,
                       log_vacancy_fd, occupation_fd, relaxation_envelope)
 
 
@@ -62,12 +62,9 @@ def exchange_prob(direction: str, mode: ModeSpec, res_a: ReservoirParams,
     """Directed exchange measure; 'a_to_b' or 'b_to_a'."""
     n_a = occupation_fd(mode.energy, res_a)
     n_b = occupation_fd(mode.energy, res_b)
-    if direction == "a_to_b":
-        thermal = n_a * (1.0 - n_b)
-    elif direction == "b_to_a":
-        thermal = n_b * (1.0 - n_a)
-    else:
-        raise ValueError("direction must be 'a_to_b' or 'b_to_a'")
+    _require("direction", direction, direction in ("a_to_b", "b_to_a"),
+             "be 'a_to_b' or 'b_to_a'")
+    thermal = n_a * (1.0 - n_b) if direction == "a_to_b" else n_b * (1.0 - n_a)
     return thermal * 2.0 * transition_weight(mode, t)
 
 
@@ -90,8 +87,8 @@ def _log_thermal_ratio(energy: float, res_a: ReservoirParams,
     terms = (log_occupation_fd(energy, res_a), log_vacancy_fd(energy, res_b),
              log_occupation_fd(energy, res_b), log_vacancy_fd(energy, res_a))
     if not all(math.isfinite(v) for v in terms):
-        raise ZeroProbabilityError(
-            "occupation saturated at this energy; log-ratio undefined")
+        _require("mode energy", energy, False, "leave every occupation and vacancy above 0 "
+                 "(a saturated one has an undefined log-ratio)", ZeroProbabilityError)
     return terms[0] + terms[1] - terms[2] - terms[3]
 
 
@@ -119,8 +116,7 @@ class ExchangeEvent:
     delta_n_a: int
 
     def __post_init__(self):
-        if self.delta_n_a not in (-1, 1):
-            raise ValueError("delta_n_a must be -1 or +1")
+        _require("delta_n_a", self.delta_n_a, self.delta_n_a in (-1, 1), "be -1 or +1")
 
 
 def multi_mode_ft(events: Iterable[ExchangeEvent], res_a: ReservoirParams,

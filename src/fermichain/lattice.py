@@ -23,15 +23,22 @@ Dephasing enters only through the envelope exp(-lam t) times cos or sin of
 2 g_k t; :func:`relaxation_envelope`, which every physics module calls, is
 the one place that validates (t, lam) and forms it.
 
+``_require`` is the one place that rejects a bad argument: every module
+routes its numeric-domain checks through it, as a ValueError (or a named
+subclass) worded "<name> must <domain>, got <value>".  An approximation used
+outside its regime warns with :class:`RegimeWarning` instead.
+
 Occupation helpers are written to be overflow-safe: the Fermi-Dirac form never
 exponentiates a large positive argument, and the Boltzmann form raises once
-exp((mu - eps)/T) would exceed 1e300.
+exp((mu - eps)/T) would exceed 1e300.  An energy of +-inf is a level that is
+exactly empty or full; a NaN energy is rejected.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,13 +54,14 @@ _LN10 = math.log(10.0)
 # oscillation-resolving panels.
 _DAMPING_FLOOR = 1e-280
 
-_PHASE_OVERFLOW = "phase 2 g t overflows: g t is too large to evaluate"
-
-# the largest Boltzmann occupation occupation_boltzmann returns
-_BOLTZMANN_CAP = 1e300
+# ln of the largest Boltzmann occupation occupation_boltzmann returns, 1e300
+_LOG_BOLTZMANN_CAP = math.log(1e300)
 
 # the largest temperature whose square (the Onsager block's T**2) is finite
 _TEMPERATURE_MAX = math.sqrt(sys.float_info.max)
+
+# the Boltzmann forms warn unless they match Fermi-Dirac to this many digits
+_DILUTE_DIGITS = 1
 
 
 class BoltzmannRangeError(ValueError):
@@ -62,6 +70,28 @@ class BoltzmannRangeError(ValueError):
 
 class EquilibriumUndefinedError(ValueError):
     """t = inf requested with lam = 0: the mode never stops oscillating."""
+
+
+class RegimeWarning(UserWarning):
+    """An approximation was evaluated outside the regime where it holds."""
+
+
+def _require(name: str, value, ok: bool, domain: str, error=ValueError):
+    """Raise ``error("<name> must <domain>, got <value!r>")`` unless ok.
+
+    The caller evaluates ok itself, so a plain-float check costs one
+    comparison; the per-sample scalar paths test inline and call this only
+    once that test has failed.
+    """
+    if not ok:
+        if isinstance(value, np.generic):
+            value = value.item()
+        raise error("%s must %s, got %r" % (name, domain, value))
+
+
+def _check_temperature(temperature: float):
+    _require("temperature", temperature, 0.0 < temperature <= _TEMPERATURE_MAX,
+             "lie in (0, 1.34e+154] so that T**2 is finite")
 
 
 @dataclass(frozen=True)
@@ -76,13 +106,8 @@ class ReservoirParams:
     mu: float = 0.0
 
     def __post_init__(self):
-        if not (self.temperature > 0.0 and math.isfinite(self.temperature)):
-            raise ValueError(f"reservoir temperature must be positive, got {self.temperature}")
-        if self.temperature > _TEMPERATURE_MAX:
-            raise ValueError(f"reservoir temperature {self.temperature} is too large: "
-                             "T**2 overflows")
-        if not math.isfinite(self.mu):
-            raise ValueError(f"reservoir mu must be finite, got {self.mu}")
+        _check_temperature(self.temperature)
+        _require("mu", self.mu, math.isfinite(self.mu), "be finite")
 
     @property
     def beta(self) -> float:
@@ -95,10 +120,7 @@ def dispersion(k):
     Accepts scalars or arrays; NaN and momenta outside [0, pi] are rejected.
     """
     karr = np.asarray(k, dtype=float)
-    if np.any(np.isnan(karr)):
-        raise ValueError("momentum must not be NaN")
-    if np.any(karr < 0.0) or np.any(karr > math.pi):
-        raise ValueError("momentum outside [0, pi]")
+    _require("momentum k", k, np.all((karr >= 0.0) & (karr <= math.pi)), "lie in [0, pi]")
     out = -2.0 * np.cos(karr)
     return float(out) if np.isscalar(k) or karr.ndim == 0 else out
 
@@ -117,12 +139,10 @@ class ModeSpec:
     dephasing: float = 0.0
 
     def __post_init__(self):
-        if math.isnan(self.energy):
-            raise ValueError("mode energy must not be NaN")
-        if not math.isfinite(self.coupling):
-            raise ValueError("mode coupling must be finite, got %r" % self.coupling)
-        if not 0.0 <= self.dephasing < math.inf:
-            raise ValueError("dephasing rate must be finite and >= 0, got %r" % self.dephasing)
+        energy, coupling, dephasing = self.energy, self.coupling, self.dephasing
+        if not (energy == energy and math.isfinite(coupling) and 0.0 <= dephasing < math.inf):
+            _require("mode energy", energy, energy == energy, "not be NaN")
+            _check_envelope_args(0.0, dephasing, coupling)
 
     @classmethod
     def from_momentum(cls, k: float, g: float = 1.0, dephasing: float = 0.0) -> "ModeSpec":
@@ -132,52 +152,77 @@ class ModeSpec:
                    coupling=float(g * np.sin(k) ** 2), dephasing=float(dephasing))
 
 
+def _check_envelope_args(t, dephasing, coupling):
+    """Name the first argument that relaxation_envelope cannot take."""
+    tarr, lam = np.asarray(t, dtype=float), np.asarray(dephasing, dtype=float)
+    _require("time", t, not np.isnan(tarr).any(), "not be NaN")
+    _require("time", t, not (tarr < 0.0).any(), "be >= 0")
+    _require("dephasing rate", dephasing, bool(np.all((lam >= 0.0) & (lam < math.inf))),
+             "be finite and >= 0")
+    _require("coupling g", coupling, math.isfinite(coupling), "be finite")
+    _require("time", t, not (np.isinf(tarr) & (lam == 0.0)).any(),
+             "be finite at dephasing rate 0, where the mode oscillates forever",
+             EquilibriumUndefinedError)
+
+
+def _reject_phase(coupling: float):
+    """Name why the phase 2 g t of a live mode is not finite."""
+    _require("coupling g", coupling, math.isfinite(coupling), "be finite")
+    _require("phase 2 g t", math.inf, False, "be finite: coupling g times time t overflows")
+
+
 def relaxation_envelope(t, dephasing, coupling: float):
     """Validated (envelope, phase) = (exp(-lam t), 2 g t) of one mode.
 
-    t and lam may be scalars or broadcasting arrays.  Rejects NaN or negative
-    t and NaN, negative or infinite lam; t = inf with lam = 0 has no limit and
-    raises EquilibriumUndefinedError.  An envelope below ``_DAMPING_FLOOR`` is
-    set to 0 and takes the phase with it, so t = inf with lam > 0 gives the
-    damped limit rather than 0 * cos(inf); a finite g t whose phase overflows
-    raises ValueError.  The envelope is a numpy float64 for scalar input.
+    t and lam may be scalars or broadcasting arrays, g one scalar.  Rejects
+    NaN or negative t, NaN, negative or infinite lam and a non-finite g;
+    t = inf with lam = 0 has no limit and raises EquilibriumUndefinedError.
+    An envelope below ``_DAMPING_FLOOR`` is set to 0 and takes the phase with
+    it, so t = inf with lam > 0 gives the damped limit rather than
+    0 * cos(inf); a finite g t whose phase overflows raises ValueError.  The
+    envelope is a numpy float64 for scalar input.
     """
-    if isinstance(t, float) and isinstance(dephasing, float):
-        # plain-Python scalar path: the per-mode functions call it per sample
-        if not t >= 0.0:
-            raise ValueError("time must not be NaN" if t != t else "time must be >= 0")
-        if not 0.0 <= dephasing < math.inf:
-            raise ValueError("dephasing rate must be finite and >= 0, got %r" % dephasing)
-        if t == math.inf and dephasing == 0.0:
-            raise EquilibriumUndefinedError(
-                "t = inf with lam = 0 has no limit; the mode oscillates forever")
-        envelope = np.exp(-dephasing * t)
-        if not envelope > _DAMPING_FLOOR:
-            return np.float64(0.0), 0.0
-        phase = 2.0 * float(coupling) * t  # float: no numpy overflow warning
-        if not math.isfinite(phase):
-            raise ValueError(_PHASE_OVERFLOW)
-        return envelope, phase
-    tarr = np.asarray(t, dtype=float)
-    lam = np.asarray(dephasing, dtype=float)
-    if tarr.ndim == 0 and lam.ndim == 0:
-        return relaxation_envelope(float(tarr), float(lam), coupling)
-    if np.any(np.isnan(tarr)):
-        raise ValueError("time must not be NaN")
-    if np.any(tarr < 0.0):
-        raise ValueError("time must be >= 0")
-    if not np.all((lam >= 0.0) & (lam < math.inf)):
-        raise ValueError("dephasing rate must be finite and >= 0, got %r" % dephasing)
-    if np.any(np.isinf(tarr) & (lam == 0.0)):
-        raise EquilibriumUndefinedError(
-            "t = inf with lam = 0 has no limit; the mode oscillates forever")
-    envelope = np.exp(-lam * tarr)
-    alive = envelope > _DAMPING_FLOOR
-    t_alive = np.where(alive, tarr, 0.0)
-    # the largest |phase| in plain floats: overflows without a numpy warning
-    if not math.isfinite(2.0 * abs(float(coupling)) * float(t_alive.max(initial=0.0))):
-        raise ValueError(_PHASE_OVERFLOW)
-    return np.where(alive, envelope, 0.0), 2.0 * coupling * t_alive
+    if not (isinstance(t, float) and isinstance(dephasing, float)):
+        tarr = np.asarray(t, dtype=float)
+        lam = np.asarray(dephasing, dtype=float)
+        if tarr.ndim == 0 and lam.ndim == 0:
+            return relaxation_envelope(float(tarr), float(lam), coupling)
+        _check_envelope_args(t, dephasing, coupling)
+        envelope = np.exp(-lam * tarr)
+        alive = envelope > _DAMPING_FLOOR
+        t_alive = np.where(alive, tarr, 0.0)
+        # the largest |phase| in plain floats: overflows without a numpy warning
+        if not math.isfinite(2.0 * abs(float(coupling)) * float(t_alive.max(initial=0.0))):
+            _reject_phase(coupling)
+        return np.where(alive, envelope, 0.0), 2.0 * coupling * t_alive
+    # plain-Python scalar path, per sample in the per-mode functions: one
+    # inline test, and the named checks only once it fails; a live mode's g
+    # is checked through its phase
+    if not (t >= 0.0 and 0.0 <= dephasing < math.inf) or (t == math.inf and dephasing == 0.0):
+        _check_envelope_args(t, dephasing, coupling)
+    envelope = np.exp(-dephasing * t)
+    if not envelope > _DAMPING_FLOOR:
+        _require("coupling g", coupling, math.isfinite(coupling), "be finite")
+        return np.float64(0.0), 0.0
+    phase = 2.0 * float(coupling) * t  # float: no numpy overflow warning
+    if not math.isfinite(phase):
+        _reject_phase(coupling)
+    return envelope, phase
+
+
+def _reduced_energy(energy, reservoir: ReservoirParams):
+    # past the float range (eps - mu)/T is +-inf, the exact limit of any
+    # occupation: a plain float gets there silently, an array under errstate
+    if type(energy) is float:
+        return np.asarray((energy - reservoir.mu) / reservoir.temperature)
+    with np.errstate(over="ignore"):
+        return (np.asarray(energy, dtype=float) - reservoir.mu) / reservoir.temperature
+
+
+def _fd_of(x):
+    """1/(exp(x) + 1) of the reduced energy x, through exp(-|x|) only."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, e / (1.0 + e), 1.0 / (1.0 + e))
 
 
 def occupation_fd(energy, reservoir: ReservoirParams):
@@ -186,15 +231,18 @@ def occupation_fd(energy, reservoir: ReservoirParams):
     Evaluated through exp(-|x|) only, so arbitrarily large |eps - mu|/T is
     safe on either side.  Accepts scalar or array energies.
     """
-    x = (np.asarray(energy, dtype=float) - reservoir.mu) / reservoir.temperature
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0.0, e / (1.0 + e), 1.0 / (1.0 + e))
+    x = _reduced_energy(energy, reservoir)
+    if np.isnan(x).any() if x.ndim else x != x:
+        _require("energy", energy, False, "not be NaN")
+    out = _fd_of(x)
     return float(out) if out.ndim == 0 else out
 
 
-def _log_sigmoid(x: float) -> float:
+def _log_sigmoid(x: float, energy: float) -> float:
     # ln(1/(e^x + 1)) = -(max(x,0) + log1p(e^{-|x|})), stable on both tails;
-    # max returns its first argument for a NaN x, so NaN stays NaN
+    # x is NaN only for a NaN energy
+    if x != x:
+        _require("energy", energy, False, "not be NaN")
     return -(max(x, 0.0) + math.log1p(math.exp(-abs(x))))
 
 
@@ -205,7 +253,7 @@ def log_occupation_fd(energy: float, reservoir: ReservoirParams) -> float:
     from it loses most of its digits; this form keeps full precision on both
     tails.  Scalar energies only.
     """
-    return _log_sigmoid((energy - reservoir.mu) / reservoir.temperature)
+    return _log_sigmoid((energy - reservoir.mu) / reservoir.temperature, energy)
 
 
 def log_vacancy_fd(energy: float, reservoir: ReservoirParams) -> float:
@@ -214,7 +262,7 @@ def log_vacancy_fd(energy: float, reservoir: ReservoirParams) -> float:
     Uses the particle-hole mirror of :func:`log_occupation_fd` (the vacancy is
     the occupation with the sign of eps - mu flipped).  Scalar energies only.
     """
-    return _log_sigmoid((reservoir.mu - energy) / reservoir.temperature)
+    return _log_sigmoid((reservoir.mu - energy) / reservoir.temperature, energy)
 
 
 def occupation_boltzmann(energy, reservoir: ReservoirParams):
@@ -222,12 +270,13 @@ def occupation_boltzmann(energy, reservoir: ReservoirParams):
 
     Raises BoltzmannRangeError if any requested value would exceed 1e300.
     """
-    x = (reservoir.mu - np.asarray(energy, dtype=float)) / reservoir.temperature
-    if np.any(x > math.log(_BOLTZMANN_CAP)):
-        raise BoltzmannRangeError(
-            "Boltzmann occupation exceeds cap %.3g; state is far outside the dilute regime"
-            % _BOLTZMANN_CAP)
-    out = np.exp(x)
+    x = _reduced_energy(energy, reservoir)
+    top = -float(np.min(x))
+    if not top <= _LOG_BOLTZMANN_CAP:  # NaN too, for a NaN energy
+        _require("energy", energy, top == top, "not be NaN")
+        _require("(mu - energy)/T", top, False, "stay <= ln(1e300), the occupation's cap",
+                 BoltzmannRangeError)
+    out = np.exp(-x)
     return float(out) if out.ndim == 0 else out
 
 
@@ -252,14 +301,23 @@ def boltzmann_validity(m: int, reservoir: ReservoirParams) -> BoltzmannValidity:
     dilute (classical) from the degenerate regime; :func:`band_gap_ev`
     reports it in laboratory units.
     """
-    if m <= 0:
-        raise ValueError("digit count m must be positive")
+    _require("digit count m", m, 0.0 < m < math.inf, "be finite and > 0")
     mu_bound = -0.5 * m * reservoir.temperature * _LN10 - 2.0
     return BoltzmannValidity(mu_bound=mu_bound, satisfied=reservoir.mu < mu_bound)
 
 
 def band_gap_ev(m: int, temperature_kelvin: float) -> float:
     """E_gap = m k_B T ln(10)/2 in eV for a physical temperature in kelvin."""
-    if m <= 0 or temperature_kelvin <= 0.0:
-        raise ValueError("m and temperature must be positive")
+    _require("digit count m", m, 0.0 < m < math.inf, "be finite and > 0")
+    _require("temperature_kelvin", temperature_kelvin, 0.0 < temperature_kelvin < math.inf,
+             "be finite and > 0")
     return 0.5 * m * KB_EV_PER_K * temperature_kelvin * _LN10
+
+
+def _warn_unless_dilute(reservoir: ReservoirParams):
+    """RegimeWarning when the Boltzmann forms miss Fermi-Dirac by a digit."""
+    validity = boltzmann_validity(_DILUTE_DIGITS, reservoir)
+    if not validity.satisfied:
+        warnings.warn("Boltzmann statistics outside the dilute regime: mu = %g is not below "
+                      "%.4g at T = %g" % (reservoir.mu, validity.mu_bound,
+                                          reservoir.temperature), RegimeWarning, stacklevel=4)

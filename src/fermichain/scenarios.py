@@ -12,15 +12,16 @@ Every scenario is one row of ``SCENARIOS``, ``(build, panels, pins)``:
 * ``build(cfg, name)`` returns the headers, columns and comparison reports
   of one panel, reading every value from ``cfg``.
 
+``ScenarioConfig`` checks every field on every build, so a parsed config
+and a directly built one pass the same checks (``tol`` must lie in
+[1e-15, 1): below that the doubling test chases round-off).
 ``run_scenario`` is the one panel loop.  Before building any panel it
-checks every panel's reservoir split (T +- dT/2, mu +- dmu/2), for a
-directly built ``ScenarioConfig`` too; ``parse_config`` checks fields one
-by one (``tol`` must lie in [1e-15, 1): below that the doubling test chases
-round-off).  Each panel is one CSV file with the independent variable in
-the first column and unit-annotated headers, e.g. "J_QT[alpha^2]".
-Energies are in units of the hopping scale alpha, times in 1/alpha,
-entropies in k_B.  Output is written RFC-4180 style with UTF-8 text, LF
-line endings, and a fixed significant-digit format.  Every builder
+checks every panel's reservoir split (T +- dT/2, mu +- dmu/2).  Each panel
+is one CSV file with the independent variable in the first column and
+unit-annotated headers, e.g. "J_QT[alpha^2]".  Energies are in units of the
+hopping scale alpha, times in 1/alpha, entropies in k_B.  Output is written
+RFC-4180 style with UTF-8 text, LF line endings, and a fixed
+significant-digit format.  Every builder
 evaluates its grid points in order on the calling thread, one band call per
 time or mu, and every reduction has a fixed association, so output is
 byte-reproducible.  The ``threads`` config key is still range-checked so
@@ -31,7 +32,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Mapping
@@ -39,7 +42,7 @@ from typing import Mapping
 import numpy as np
 
 from . import closedforms, entropy, transport
-from .lattice import ReservoirParams
+from .lattice import ReservoirParams, _require
 
 
 class ConfigError(ValueError):
@@ -74,85 +77,88 @@ class ScenarioConfig:
     n_max: int = 25
     explicit: frozenset = field(default_factory=frozenset, compare=False)
 
+    def __post_init__(self):
+        # the one check of every field; numbers are stored as floats and grids
+        # as tuples of floats
+        for key in _FIELD_NAMES:
+            _check_field(key, getattr(self, key))
+        for key in _NUMBER_FIELDS:
+            object.__setattr__(self, key, float(getattr(self, key)))
+        for key in _GRID_FIELDS:
+            object.__setattr__(self, key, tuple(map(float, getattr(self, key))))
+
     def quad(self) -> transport.QuadratureSpec:
         return transport.QuadratureSpec(abs_tol=self.tol, rel_tol=self.tol)
 
 
+def _real(v) -> bool:
+    # a JSON integer may lie beyond the float range
+    return isinstance(v, float) or (isinstance(v, int) and not isinstance(v, bool)
+                                    and abs(v) <= sys.float_info.max)
+
+
+def _integer(lo: int, hi: int) -> tuple:
+    return ("be an integer in [%d, %d]" % (lo, hi),
+            lambda v: isinstance(v, int) and not isinstance(v, bool) and lo <= v <= hi)
+
+
+def _increasing(start: str, low: float) -> tuple:
+    # the empty tuple is a field's default: the scenario's pins supply the grid
+    return ("be a strictly increasing list of at least 2 finite numbers" + start,
+            lambda v: (isinstance(v, tuple) and not v) or (
+                isinstance(v, (list, tuple)) and len(v) >= 2 and all(map(_real, v))
+                and all(map(math.isfinite, v)) and all(map(operator.lt, v, v[1:]))
+                and v[0] >= low))
+
+
+_FINITE = ("be a finite number", lambda v: _real(v) and math.isfinite(v))
+_STRING = ("be a string", lambda v: isinstance(v, str))
+
+# config key -> (domain, ok), where ok takes the value as given, of any type
+_STR_FIELDS = {"scenario": _STRING, "out_dir": _STRING,
+               "stats": ("be 'fd' or 'boltzmann'",
+                         lambda v: v in (transport.STATS_FD, transport.STATS_BOLTZMANN))}
 _NUMBER_FIELDS = {
-    "temperature": lambda v: 0.0 < v < math.inf,
-    "mu": lambda v: math.isfinite(v),
-    "dephasing": lambda v: 0.0 <= v < math.inf,
-    "g": lambda v: math.isfinite(v),
-    "tol": lambda v: 1e-15 <= v < 1.0,  # below ~1e-15 round-off decides
-    "delta_t": lambda v: math.isfinite(v),
-    "delta_mu": lambda v: math.isfinite(v),
-    "n_eq": lambda v: 0.0 < v < 1.0,
-    "delta_n": lambda v: math.isfinite(v),
+    "temperature": ("be a finite number > 0", lambda v: _real(v) and 0.0 < v < math.inf),
+    "mu": _FINITE,
+    "dephasing": ("be a finite number >= 0", lambda v: _real(v) and 0.0 <= v < math.inf),
+    "g": _FINITE,
+    "tol": ("be a number in [%g, 1)" % transport.TOL_FLOOR,
+            lambda v: _real(v) and transport.TOL_FLOOR <= v < 1.0),
+    "delta_t": _FINITE,
+    "delta_mu": _FINITE,
+    "n_eq": ("be a number in (0, 1)", lambda v: _real(v) and 0.0 < v < 1.0),
+    "delta_n": _FINITE,
 }
-_INT_FIELDS = {
-    "threads": lambda v: 1 <= v <= 256,  # checked, then dropped: no field
-    "sig_digits": lambda v: 3 <= v <= 17,
-    "n_max": lambda v: 1 <= v <= 30,
-}
-_GRID_FIELDS = ("t_grid", "mu_grid")
-_STR_FIELDS = ("scenario", "stats", "out_dir")
+_INT_FIELDS = {"threads": _integer(1, 256),  # checked, then dropped: no field
+               "sig_digits": _integer(3, 17), "n_max": _integer(1, 30)}
+_GRID_FIELDS = {"t_grid": _increasing(", from a time >= 0", 0.0),
+                "mu_grid": _increasing("", -math.inf)}
+_FIELDS = {**_STR_FIELDS, **_NUMBER_FIELDS, **_INT_FIELDS, **_GRID_FIELDS}
+_FIELD_NAMES = tuple(key for key in _FIELDS if key != "threads")
 
 
-def _check_grid(name: str, values) -> tuple:
-    if not isinstance(values, (list, tuple)) or len(values) < 2:
-        raise ConfigError("config field '%s' must be a list of at least 2 numbers"
-                          % name)
-    arr = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise ConfigError("config field '%s' must contain finite numbers" % name)
-        arr.append(float(v))
-    if any(b <= a for a, b in zip(arr, arr[1:])):
-        raise ConfigError("config field '%s' must be strictly increasing" % name)
-    if name == "t_grid" and arr[0] < 0.0:
-        raise ConfigError("config field 't_grid' must start at a time >= 0")
-    return tuple(arr)
+def _check_field(key: str, value):
+    domain, ok = _FIELDS[key]
+    if not ok(value):
+        _require("config field '%s'" % key, value, False, domain, ConfigError)
 
 
 def parse_config(data: Mapping) -> ScenarioConfig:
-    """Validate a config mapping and resolve its scenario's pins.
+    """Check a config mapping's keys and resolve its scenario's pins.
 
-    Unknown keys are rejected by name.
+    Unknown keys are rejected by name; ``ScenarioConfig`` checks the values.
     """
     if not isinstance(data, Mapping):
         raise ConfigError("config must be a JSON object")
-    known = set(_NUMBER_FIELDS) | set(_INT_FIELDS) | set(_GRID_FIELDS) | set(_STR_FIELDS)
-    unknown = sorted(set(data) - known)
+    unknown = sorted(set(data) - set(_FIELDS))
     if unknown:
         raise ConfigError("unknown config key '%s'" % unknown[0])
     if "scenario" not in data:
         raise ConfigError("config needs a 'scenario' key")
-    kwargs = {}
-    for key in _STR_FIELDS:
-        if key in data:
-            if not isinstance(data[key], str):
-                raise ConfigError("config field '%s' must be a string" % key)
-            kwargs[key] = data[key]
-    for key, ok in _NUMBER_FIELDS.items():
-        if key in data:
-            v = data[key]
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not ok(float(v)):
-                raise ConfigError("config field '%s' is out of range" % key)
-            kwargs[key] = float(v)
-    for key, ok in _INT_FIELDS.items():
-        if key in data:
-            v = data[key]
-            if isinstance(v, bool) or not isinstance(v, int) or not ok(v):
-                raise ConfigError("config field '%s' must be a small positive integer"
-                                  % key)
-            kwargs[key] = v
-    kwargs.pop("threads", None)
-    for key in _GRID_FIELDS:
-        if key in data:
-            kwargs[key] = _check_grid(key, data[key])
-    if "stats" in kwargs and kwargs["stats"] not in (transport.STATS_FD,
-                                                     transport.STATS_BOLTZMANN):
-        raise ConfigError("config field 'stats' must be 'fd' or 'boltzmann'")
+    kwargs = dict(data)
+    if "threads" in kwargs:
+        _check_field("threads", kwargs.pop("threads"))
     return _resolve(ScenarioConfig(explicit=frozenset(data) - {"scenario"}, **kwargs))
 
 
@@ -184,9 +190,9 @@ def _check_split(cfg: ScenarioConfig):
     """
     if cfg.delta_t == 0.0 and cfg.delta_mu == 0.0:
         return
-    if not cfg.temperature - 0.5 * abs(cfg.delta_t) > 0.0:
-        raise ConfigError("config field 'delta_t' at temperature %g: temperature "
-                          "split drives one reservoir to T <= 0" % cfg.temperature)
+    _require("config field 'delta_t' at temperature %g" % cfg.temperature, cfg.delta_t,
+             cfg.temperature - 0.5 * abs(cfg.delta_t) > 0.0,
+             "not drive one reservoir to T <= 0", ConfigError)
     splits = [("delta_t", cfg.delta_t, "T", cfg.temperature)]
     if cfg.mu != 0.0:
         splits.append(("delta_mu", cfg.delta_mu, "mu", cfg.mu))
@@ -266,6 +272,7 @@ def write_csv(path: str, rows):
 
 def write_result(result: ScenarioResult, out_dir: str, sig_digits: int):
     """One CSV per panel; returns the paths written."""
+    _check_field("sig_digits", sig_digits)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for panel in result.panels:
@@ -373,8 +380,8 @@ def _onsteste1(cfg: ScenarioConfig, name: str):
     T.  Contrasting the two temperatures is the point of this figure.
     """
     mu_grid = _grid(cfg, "mu_grid")
-    if np.any(np.abs(mu_grid) >= 2.0):
-        raise ConfigError("config field 'mu_grid' must stay inside (-2, 2) here")
+    _require("config field 'mu_grid'", cfg.mu_grid, bool(np.all(np.abs(mu_grid) < 2.0)),
+             "stay inside (-2, 2) for the Sommerfeld form", ConfigError)
     _, quad_cols, _ = _onsager_vs_mu(cfg, name)
     series_cols = _block_columns([
         closedforms.equilibrium_sommerfeld_onsager(ReservoirParams(cfg.temperature, m))
@@ -436,7 +443,7 @@ def _custom(cfg: ScenarioConfig, name: str):
 
 
 def _linspace(a: float, b: float, n: int) -> tuple:
-    # stored as parse_config stores a grid; np.asarray gives back the same floats
+    # stored as a config stores a grid; np.asarray gives back the same floats
     return tuple(np.linspace(a, b, n).tolist())
 
 

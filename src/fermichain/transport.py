@@ -52,10 +52,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (EquilibriumUndefinedError, ReservoirParams,  # noqa: F401 (re-export)
-                      occupation_boltzmann, occupation_fd, relaxation_envelope)
+                      _check_temperature, _fd_of, _reject_phase, _require,
+                      _warn_unless_dilute, occupation_boltzmann, relaxation_envelope)
 
 STATS_FD = "fd"
 STATS_BOLTZMANN = "boltzmann"
+
+# the smallest tolerance a quadrature takes: a 16-point panel rule cannot get
+# below about 1e-17, and under ~1e-15 the doubling test chases round-off
+TOL_FLOOR = 1e-15
+_TOL_DOMAIN = "be finite and >= %g" % TOL_FLOOR
 
 
 class QuadratureError(RuntimeError):
@@ -76,14 +82,16 @@ class QuadratureSpec:
     base_panels: int = 32
 
     def __post_init__(self):
-        if not 0.0 < self.abs_tol < math.inf:
-            raise ValueError("abs_tol must be finite and > 0, got %r" % self.abs_tol)
-        if not 0.0 <= self.rel_tol < math.inf:
-            raise ValueError("rel_tol must be finite and >= 0, got %r" % self.rel_tol)
-        if self.base_panels < 1:
-            raise ValueError("need at least 1 panel")
-        if self.max_panels < self.base_panels:
-            raise ValueError("max_panels below base_panels")
+        _require("abs_tol", self.abs_tol, TOL_FLOOR <= self.abs_tol < math.inf, _TOL_DOMAIN)
+        _require("rel_tol", self.rel_tol,
+                 self.rel_tol == 0.0 or TOL_FLOOR <= self.rel_tol < math.inf,
+                 "be 0 or " + _TOL_DOMAIN)
+        _require("base_panels", self.base_panels,
+                 isinstance(self.base_panels, int) and self.base_panels >= 1,
+                 "be an integer >= 1 (at least 1 panel)")
+        _require("max_panels", self.max_panels,
+                 isinstance(self.max_panels, int) and self.max_panels >= self.base_panels,
+                 "be an integer >= base_panels")
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -135,10 +143,12 @@ def integrate_interval(f, a: float, b: float, quad: QuadratureSpec = DEFAULT_QUA
     doubling; doubling the panels once more changes the result by less than
     this.
     """
-    if b <= a:
-        raise ValueError("need b > a")
-    if isinstance(min_panels, float) and not math.isfinite(min_panels):
-        raise ValueError("min_panels must be a finite count, got %r" % min_panels)
+    # the panel midpoints are halved sums of neighbouring edges
+    _require("interval [a, b]", (a, b), a < b and math.isfinite(2.0 * max(abs(a), abs(b))),
+             "have a < b and 2 max(|a|, |b|) finite")
+    _require("min_panels", min_panels,
+             not isinstance(min_panels, float) or math.isfinite(min_panels),
+             "be a finite count")
     panels = max(quad.base_panels, int(min_panels))
     if panels >= quad.max_panels:
         raise QuadratureError(
@@ -180,10 +190,11 @@ def integrate_interval(f, a: float, b: float, quad: QuadratureSpec = DEFAULT_QUA
         panels *= 2
 
 
-def _occupation(stats: str, energy, res: ReservoirParams):
+def _occupation(stats: str, eps, res: ReservoirParams):
     if stats == STATS_FD:
-        return occupation_fd(energy, res)
-    return occupation_boltzmann(energy, res)
+        # occupation_fd's kernel: band nodes need no NaN test per node
+        return _fd_of((eps - res.mu) / res.temperature)
+    return occupation_boltzmann(eps, res)
 
 
 def _relaxation_factor(k, damping: float, phase: float, g: float):
@@ -196,7 +207,7 @@ def _osc_panels(g: float, phase: float) -> int:
     # ~4 g t panels while the oscillating term still contributes
     panels = 2.0 * abs(g) * phase
     if not math.isfinite(panels):
-        raise ValueError("phase 2 g t overflows: g t is too large to evaluate")
+        _reject_phase(g)
     return max(1, int(math.ceil(panels)))
 
 
@@ -213,12 +224,13 @@ def _band_average(kernel_groups, t: float, res: ReservoirParams, dephasing: floa
     """
     for name, value in (("time", t), ("dephasing rate", dephasing)):
         if np.ndim(value) != 0:
-            raise ValueError("%s must be one scalar per band call, got shape %r"
-                             % (name, np.shape(value)))
-    if not math.isfinite(g):
-        raise ValueError("coupling g must be finite, got %r" % g)
-    if not (isinstance(stats, str) and stats in (STATS_FD, STATS_BOLTZMANN)):
-        raise ValueError("stats must be 'fd' or 'boltzmann', got %r" % (stats,))
+            _require(name, np.shape(value), False,
+                     "be one scalar per band call, not an array of shape")
+    _require("stats", stats, isinstance(stats, str) and stats in (STATS_FD, STATS_BOLTZMANN),
+             "be 'fd' or 'boltzmann'")
+    _require("coupling g", g, math.isfinite(g), "be finite")
+    if stats == STATS_BOLTZMANN:
+        _warn_unless_dilute(res)
     damping, phase = relaxation_envelope(float(t), float(dephasing), 1.0)
 
     def f(k):
@@ -289,6 +301,12 @@ class OnsagerBlock:
     j_q_t: float
     temperature: float
 
+    def __post_init__(self):
+        for name in ("j_n_mu", "j_n_t", "j_q_mu", "j_q_t"):
+            value = getattr(self, name)
+            _require(name, value, math.isfinite(value), "be finite")
+        _check_temperature(self.temperature)
+
     @classmethod
     def from_derivatives(cls, derivatives, temp: float) -> OnsagerBlock:
         """The block at T from (dnbar/dmu, dnbar/dT, dqbar/dmu, dqbar/dT)."""
@@ -354,9 +372,11 @@ def fluxes(block: OnsagerBlock, delta_mu: float, delta_t: float) -> ParticleHeat
     """
     temp = block.temperature
     temp_sq = temp ** 2
-    if temp_sq == 0.0:
-        raise ValueError("temperature %r is too small: T**2 underflows to 0" % temp)
+    _require("block temperature", temp, temp_sq > 0.0,
+             "not be so small that T**2 underflows to 0")
     f_mu = delta_mu / temp
     f_t = delta_t / temp_sq
+    _require("delta_mu", delta_mu, math.isfinite(f_mu), "give a finite force delta_mu/T")
+    _require("delta_t", delta_t, math.isfinite(f_t), "give a finite force delta_t/T**2")
     return ParticleHeatFlux(j_particle=block.j_n_mu * f_mu + block.j_n_t * f_t,
                             j_heat=block.j_q_mu * f_mu + block.j_q_t * f_t)

@@ -1,10 +1,12 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from fermichain import (
+    RegimeWarning,
     ReservoirParams,
     SeriesConvergenceError,
     bessel_i,
@@ -144,7 +146,8 @@ def test_boltzmann_ebar_high_temperature_form():
 
 def test_boltzmann_prefactor_overflow_guard():
     res = ReservoirParams(temperature=0.001, mu=1.0)
-    with pytest.raises(OverflowError):
+    # exp(mu/T) = exp(1000) used to raise a raw OverflowError
+    with pytest.raises(ValueError, match=r"mu/T must stay <= 690 .*got 1000\.0"):
         nbar_boltzmann_closed(1.0, res, 0.35, 1.0)
 
 
@@ -308,3 +311,26 @@ def test_equilibrium_block_tracks_damped_quadrature():
     assert closed.j_n_mu == pytest.approx(quad.j_n_mu, rel=5e-3)
     # j_q_t leads at order T^3, so its truncation error is T^2 relative (~2%)
     assert closed.j_q_t == pytest.approx(quad.j_q_t, rel=5e-2)
+
+
+def test_unconverged_sommerfeld_series_warns_with_g_t_and_estimate():
+    # from g t = 40 the series used to return converged=False without a word
+    res = ReservoirParams(0.1, 0.5)
+    for fn in (nbar_fd_sommerfeld, ebar_fd_sommerfeld):
+        with pytest.warns(RegimeWarning, match="unconverged at g t = 40: truncation "
+                                               "estimate") as caught:
+            series = fn(40.0, res, 0.0, 1.0)
+        assert not series.converged
+        assert "estimate %.3g after" % series.trunc_error_est in str(caught[0].message)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fn(10.0, res, 0.0, 1.0).converged  # the figures keep g t <= 10
+
+
+def test_boltzmann_closed_forms_outside_the_dilute_regime_warn():
+    for fn in (nbar_boltzmann_closed, ebar_boltzmann_closed):
+        with pytest.warns(RegimeWarning, match="dilute regime: mu = 0 is not below"):
+            fn(2.0, ReservoirParams(0.5, 0.0), 0.35, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fn(2.0, ReservoirParams(0.1, -3.0), 0.35, 1.0)  # c7's reservoir

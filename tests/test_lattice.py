@@ -93,7 +93,8 @@ def test_reservoir_rejects_temperature_whose_square_overflows():
     # T**2 in the Onsager block used to raise a raw OverflowError
     assert ReservoirParams(1e154).temperature == 1e154
     for temp in (1.35e154, 1e200, 1.7e308):
-        message = "temperature %g is too large" % temp
+        message = ("temperature must lie in (0, 1.34e+154] so that T**2 is finite, got %r"
+                   % temp)
         with pytest.raises(ValueError, match=re.escape(message)):
             ReservoirParams(temp)
 
@@ -149,12 +150,22 @@ def test_log_occupations_match_the_array_formula(energy, mu, temp):
 @pytest.mark.parametrize("energy, occupation, vacancy", [
     (math.inf, "-inf", "-0x0.0p+0"),
     (-math.inf, "-0x0.0p+0", "-inf"),
-    (math.nan, "nan", "nan"),
 ])
 def test_log_occupations_at_infinite_and_nan_energy(energy, occupation, vacancy):
     res = ReservoirParams(0.3, 0.2)
     assert log_occupation_fd(energy, res).hex() == occupation
     assert log_vacancy_fd(energy, res).hex() == vacancy
+
+
+@pytest.mark.parametrize("fn", [log_occupation_fd, log_vacancy_fd, occupation_fd,
+                                occupation_boltzmann], ids=lambda fn: fn.__name__)
+def test_occupations_reject_nan_energy_by_name(fn):
+    # each of these used to return NaN
+    with pytest.raises(ValueError, match=r"^energy must not be NaN, got nan$"):
+        fn(math.nan, ReservoirParams(0.3, -3.0))
+    if fn in (occupation_fd, occupation_boltzmann):
+        with pytest.raises(ValueError, match="energy must not be NaN"):
+            fn(np.array([0.0, math.nan]), ReservoirParams(0.3, -3.0))
 
 
 def test_occupation_boltzmann_values():

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fermichain import ReservoirParams, cli, transport
+from fermichain import RegimeWarning, ReservoirParams, cli, transport
 from fermichain.scenarios import (
     SCENARIOS,
     ComparisonReport,
@@ -215,7 +215,7 @@ def test_directly_built_config_split_is_rejected_before_any_panel(monkeypatch):
                         lambda *args: built.append(args))
     cfg = ScenarioConfig(scenario="custom", t_grid=(0.0, 1.0), delta_t=0.5,
                          explicit=frozenset({"t_grid", "delta_t"}))
-    with pytest.raises(ConfigError, match="'delta_t' at temperature 0.1: .*T <= 0"):
+    with pytest.raises(ConfigError, match="'delta_t' at temperature 0.1 must .*T <= 0"):
         run_scenario(cfg)
     assert built == []
 
@@ -520,7 +520,8 @@ def test_cli_underflowing_temperature_exits_1_with_error_line(tmp_path, capsys):
     rc = cli.main(["figure", "custom", "--set", "t_grid=[0, 1]",
                    "--set", "temperature=1e-300", "--set", "out_dir=%s" % tmp_path])
     assert rc == 1
-    assert "error: temperature 1e-300 is too small" in capsys.readouterr().err
+    assert ("error: block temperature must not be so small that T**2 underflows to 0, "
+            "got 1e-300") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sid", ["custom", "onsteste1", "onsteste2"])
@@ -530,7 +531,8 @@ def test_cli_overflowing_temperature_square_exits_1_with_error_line(tmp_path, ca
     rc = cli.main(["figure", sid, "--set", "t_grid=[0, 1]", "--set", "mu_grid=[0, 1]",
                    "--set", "temperature=1e200", "--set", "out_dir=%s" % tmp_path])
     assert rc == 1
-    assert "error: reservoir temperature 1e+200 is too large" in capsys.readouterr().err
+    assert ("error: temperature must lie in (0, 1.34e+154] so that T**2 is finite, "
+            "got 1e+200") in capsys.readouterr().err
 
 
 def test_cli_sommerfeld_outside_its_regime_exits_1_with_error_line(tmp_path, capsys):
@@ -540,7 +542,8 @@ def test_cli_sommerfeld_outside_its_regime_exits_1_with_error_line(tmp_path, cap
                    "--set", "temperature=1.3e154", "--set", "tol=1e-6",
                    "--set", "out_dir=%s" % tmp_path])
     assert rc == 1
-    assert "error: Sommerfeld form needs (pi T)^2/(4 - mu^2) < 1" in capsys.readouterr().err
+    assert ("error: temperature must satisfy (pi T)^2/(4 - mu^2) < 1 for the Sommerfeld "
+            "form") in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -549,7 +552,7 @@ def test_cli_overflowing_phase_exits_1_with_error_line(tmp_path, capsys):
     rc = cli.main(["figure", "custom", "--set", "t_grid=[0, 1e308]",
                    "--set", "dephasing=0", "--set", "out_dir=%s" % tmp_path])
     assert rc == 1
-    assert "error: phase 2 g t overflows" in capsys.readouterr().err
+    assert "error: phase 2 g t must be finite" in capsys.readouterr().err
 
 
 def test_cli_accept_single_fast_criterion(tmp_path, capsys):
@@ -568,3 +571,33 @@ def test_cli_accept_unknown_criterion(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "invalid choice: 'c99'" in err
+
+
+def test_directly_built_config_is_checked_like_a_parsed_one():
+    # a direct ScenarioConfig used to accept these until a panel ran
+    for key, value in (("temperature", math.nan), ("tol", 1e-16), ("n_max", 31),
+                       ("stats", "FD"), ("t_grid", (1.0, 0.0)), ("sig_digits", 2.5)):
+        with pytest.raises(ConfigError, match="config field '%s' must" % key) as direct:
+            ScenarioConfig(scenario="custom", **{key: value})
+        with pytest.raises(ConfigError) as parsed:
+            parse_config({"scenario": "custom", key: value})
+        assert str(parsed.value) == str(direct.value)
+
+
+def test_cli_integer_beyond_the_float_range_exits_2(tmp_path, capsys):
+    # float() of this JSON integer raised a raw OverflowError traceback
+    rc = cli.main(["figure", "custom", "--set", "mu=1" + "0" * 400,
+                   "--set", "out_dir=%s" % tmp_path])
+    assert rc == 2
+    assert "error: config field 'mu' must be a finite number" in capsys.readouterr().err
+
+
+def test_cli_unconverged_sommerfeld_series_warns_and_exits_0(tmp_path):
+    # the series is unconverged from g t = 40 on; this used to pass silently
+    with pytest.warns(RegimeWarning, match="Sommerfeld series unconverged at g t = 60"):
+        rc = cli.main(["figure", "onsteste2", "--set", "t_grid=[0,30,60,90]",
+                       "--set", "dephasing=0.0", "--set", "out_dir=%s" % tmp_path])
+    assert rc == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the default grids keep g t <= 10
+        assert cli.main(["figure", "onsteste2", "--set", "out_dir=%s" % tmp_path]) == 0

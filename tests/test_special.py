@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -124,7 +125,8 @@ def test_table_small_argument_by_recurrence():
 def test_table_unbuilt_column_rejected():
     tab = SpecialFnTable(10, x_bessel_j=2.0)
     for n in (-1, 11):
-        with pytest.raises(ValueError, match="order outside table range"):
+        with pytest.raises(ValueError, match=re.escape("order n must lie in the table's "
+                                                        "[0, max_order]")):
             tab.j(n)
 
 

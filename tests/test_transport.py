@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fermichain import (
+    ConfigError,
     EquilibriumUndefinedError,
     OnsagerBlock,
     QuadratureError,
     QuadratureSpec,
+    RegimeWarning,
     ReservoirParams,
     counters,
     counters_and_onsager,
@@ -20,8 +23,10 @@ from fermichain import (
     nbar,
     occupation_fd,
     onsager,
+    parse_config,
     qbar,
 )
+from fermichain.transport import TOL_FLOOR
 
 RES = ReservoirParams(temperature=0.1, mu=0.0)
 
@@ -97,7 +102,7 @@ def test_integrate_interval_groups_converge_on_their_own():
 
 
 def test_integrate_interval_unconverged_group_fails_the_call():
-    spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_panels=64)
+    spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_panels=64)
     hard = lambda x: np.sin(37.0 * x) ** 2 / (1e-3 + x)
     with pytest.raises(QuadratureError) as solo:
         integrate_interval(lambda x: (hard(x),), 0.0, 1.0, quad=spec)
@@ -156,14 +161,14 @@ def test_overflowing_phase_is_rejected_on_the_band_path(t, g):
     # OverflowError from the panel count.
     res = ReservoirParams(0.1, 0.0)
     for fn in (counters, onsager, counters_and_onsager):
-        with pytest.raises(ValueError, match="phase 2 g t overflows"):
+        with pytest.raises(ValueError, match="phase 2 g t must be finite"):
             fn(t, res, 0.0, g)
     n_inf, _ = counters(math.inf, res, 0.1, g)
     assert n_inf == nbar(math.inf, res, 0.1, 1.0)
 
 
 def test_integrate_interval_reports_achieved_error():
-    spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_panels=64)
+    spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_panels=64)
     with pytest.raises(QuadratureError) as exc:
         integrate_interval(lambda x: (np.sin(37.0 * x) ** 2 / (1e-3 + x),), 0.0, 1.0,
                            quad=spec)
@@ -375,12 +380,34 @@ def test_counters_are_the_single_counter_path(stats, t):
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=-1.0)
-    # abs_tol=nan used to burn the whole panel budget; rel_tol=nan was ignored
+    # abs_tol=nan used to burn the whole panel budget; rel_tol=nan was ignored;
+    # a tolerance below the 1e-15 floor used to spend every panel and then fail
     for field in ("abs_tol", "rel_tol"):
-        for value in (math.nan, math.inf):
+        for value in (math.nan, math.inf, 1e-16, 1e-300):
             with pytest.raises(ValueError, match=field):
                 QuadratureSpec(**{field: value})
+    assert QuadratureSpec(abs_tol=1e-15, rel_tol=0.0).rel_tol == 0.0
     with pytest.raises(ValueError, match="at least 1 panel"):
         QuadratureSpec(base_panels=0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_panels=0)
+
+
+def test_quadrature_floor_is_the_config_floor():
+    # one constant: parse_config's tol range reuses the QuadratureSpec floor
+    floor = QuadratureSpec(abs_tol=TOL_FLOOR, rel_tol=TOL_FLOOR)
+    assert floor.abs_tol == TOL_FLOOR == 1e-15
+    assert parse_config({"scenario": "custom", "tol": TOL_FLOOR}).quad() == floor
+    with pytest.raises(ConfigError, match="'tol'"):
+        parse_config({"scenario": "custom", "tol": 0.5 * TOL_FLOOR})
+
+
+def test_boltzmann_band_outside_the_dilute_regime_warns():
+    # nbar = -9.98e83 here used to come back without a warning
+    res = ReservoirParams(0.01, 0.0)
+    with pytest.warns(RegimeWarning, match="dilute regime: mu = 0 is not below"):
+        counters(1.0, res, 0.05, 1.0, stats="boltzmann")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counters(1.0, res, 0.05, 1.0)  # Fermi-Dirac has no such regime
+        counters(1.0, ReservoirParams(0.1, -3.0), 0.35, 1.0, stats="boltzmann")  # c7
