@@ -45,7 +45,8 @@ whose mu/T derivatives are also provided here in closed form for
 equilibrium comparisons.  Every Sommerfeld form rejects by name a mu
 outside (-2, 2) and an expansion parameter (pi T)^2/(4 - mu^2) of 1 or more,
 and warns with ``RegimeWarning`` when its series stops short of the 1e-12
-target; the Boltzmann forms warn so outside the dilute regime.
+target; the Boltzmann forms warn so outside the dilute regime, and reject
+by name a temperature below 0.02, where 2/T leaves the validated I_n range.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 
 from .lattice import (ReservoirParams, RegimeWarning, _require, _warn_unless_dilute,
                       relaxation_envelope)
-from .special import SpecialFnTable, beta_fn, bessel_i
+from .special import _J_MAX_ARG, SpecialFnTable, beta_fn, bessel_i
 from .transport import OnsagerBlock, QuadratureSpec, integrate_interval
 
 import numpy as np
@@ -67,6 +68,7 @@ _SERIES_TOL = 1e-12  # target error of the omega and Sommerfeld series
 _OMEGA_MAX_TERMS = 200
 _Y_MAX = 700.0  # exp(y) in the omega integrand stays finite
 _Y_DOMAIN = "lie in [0, %g] (no analytic continuation; exp(y) stays finite)" % _Y_MAX
+_I_ARG_DOMAIN = "keep 2/T <= %g, the validated I_n range" % _J_MAX_ARG
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -162,8 +164,9 @@ def _boltzmann_closed(nu: int, scale: float, t: float, res: ReservoirParams,
     beta_mu = res.beta * res.mu
     _require("mu/T", beta_mu, beta_mu <= 690.0, "stay <= 690 so that exp(mu/T) is finite: "
              "the state is far outside the dilute regime")
-    _warn_unless_dilute(res)
     y = 2.0 * res.beta
+    _require("temperature", res.temperature, y <= _J_MAX_ARG, _I_ARG_DOMAIN)
+    _warn_unless_dilute(res)
     osc = float(damping) * omega(nu, phase, y).value if damping > 0.0 else 0.0
     return scale * math.exp(beta_mu) * (osc - bessel_i(nu, y))
 
@@ -239,7 +242,9 @@ def _sommerfeld(t: float, res: ReservoirParams, dephasing: float, g: float,
     S = cos(gt) J_0(gt) h + sum_n (-1)^n term(theta, n, cos(gt) J_2n(gt),
     sin(gt) J_{2n-1}(gt)), so S(t = 0) = h and the counter vanishes there.
     The sum stops once two successive |terms| fall below a tenth of the
-    1e-12 target; the last term summed is the truncation estimate.
+    1e-12 target; the last term summed is the truncation estimate.  A sum
+    that runs out of terms still counts as converged when that estimate is
+    within the target.
     """
     _check_sommerfeld_args(res)
     _require("n_max", n_max,
@@ -277,6 +282,8 @@ def _sommerfeld(t: float, res: ReservoirParams, dephasing: float, g: float,
              + (math.pi ** 2 * res.temperature ** 2 / 6.0)
              * bracket(res.mu, t, damping, g)) / math.pi
     est = abs(pref) * damping * tail / math.pi
+    # out of terms, but the estimate already meets the target: converged
+    converged = converged or est <= _SERIES_TOL
     if not converged:
         warnings.warn("Sommerfeld series unconverged at g t = %g: truncation estimate %.3g "
                       "after %d terms, against a %g target" % (g * t, est, terms_used,

@@ -37,8 +37,11 @@ test on its own and is frozen at the level where it converged, so
 separate ``counters`` and ``onsager`` calls at the cost of one.  Quadrature
 is a composite Gauss-Legendre panel rule with deterministic fixed-order
 reduction; the panel count is doubled until two successive levels agree,
-and never starts below ~4 g t panels so the oscillation is resolved.
-Identical inputs give bit-identical results.
+and never starts below ~4 g t panels so the oscillation is resolved.  A
+level is evaluated in blocks of at most 4,096 panels, one integrand call per
+block, so memory stays bounded at large g t; the blocks only split the
+evaluation, and results do not depend on the block size.  Identical inputs
+give bit-identical results.
 
 ``lattice.relaxation_envelope`` validates t and the dephasing rate, as in
 every other module; the coupling g must be finite.
@@ -74,7 +77,15 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budgets for the composite panel rule."""
+    """Tolerances and budgets for the composite panel rule.
+
+    Known overrun: ``max_panels`` is checked only once a level has failed
+    the doubling test, and the first level has nothing to compare with, so
+    a first level just under the budget is doubled past it (c9's
+    ``onsager(1e4, ...)`` starts at 40,000 panels and evaluates 80,000).
+    The blocked evaluation in ``integrate_interval`` bounds the memory of
+    such a level, not its time.
+    """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
@@ -99,15 +110,10 @@ DEFAULT_QUAD = QuadratureSpec()
 # 16-point Gauss-Legendre nodes and weights on [-1, 1], one panel's rule
 _X16, _W16 = np.polynomial.legendre.leggauss(16)
 
-
-def _level_total(vals, panels: int, half: float):
-    """Integral of one group's node values at one panel level."""
-    vals = np.asarray(vals)
-    vals = vals.reshape(vals.shape[:-1] + (panels, _W16.size))
-    # reduce within panels first, then across panels in index order:
-    # fixed association keeps the sum bit-reproducible
-    per_panel = (vals * _W16).sum(axis=-1) * half
-    return np.add.reduce(per_panel, axis=-1)
+# panels per call of the integrand (65,536 nodes): bounds a level's memory.
+# The default figure and sweep levels stay below it and run as one block;
+# smaller blocks would add per-call overhead to them
+_BLOCK_PANELS = 4096
 
 
 def _count(n) -> str:
@@ -126,11 +132,16 @@ def integrate_interval(f, a: float, b: float, quad: QuadratureSpec = DEFAULT_QUA
     ----------
     f : callable taking a 1-D node array and returning a tuple of kernel
         groups, each an array with the node axis LAST; leading axes are
-        integrated component-wise.  Every group is evaluated on the same
-        nodes at each level but runs the doubling test on its own rows, and
-        all of its components must converge.  A converged group's total is
-        frozen at that level, so it equals a solo call on that group bit for
-        bit, and the call ends when every group has converged.
+        integrated component-wise.  f runs once per block of at most
+        ``_BLOCK_PANELS`` panels (65,536 nodes), in panel order, so a level
+        never holds more than one block of integrand values.  The per-panel
+        sums of a level are reduced in one fixed order after its last block,
+        so results do not depend on the block size.  Every group is
+        evaluated on the same nodes at each level but runs the doubling test
+        on its own rows, and all of its components must converge.  A
+        converged group's total is frozen at that level, so it equals a solo
+        call on that group bit for bit, and the call ends when every group
+        has converged.
     min_panels : lower bound on the first panel count (e.g. to resolve a
         known oscillation); NaN or inf raise ValueError.  A first level that
         leaves no room to double within ``quad.max_panels`` raises
@@ -162,13 +173,31 @@ def integrate_interval(f, a: float, b: float, quad: QuadratureSpec = DEFAULT_QUA
         edges = np.linspace(a, b, panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1] - edges[0])
-        nodes = (mid[:, None] + half * _X16[None, :]).reshape(-1)
-        groups = f(nodes)
+        offsets = half * _X16
+        sums = {}  # unconverged group index -> its per-panel sums at this level
+        for start in range(0, panels, _BLOCK_PANELS):
+            block = mid[start:start + _BLOCK_PANELS]
+            groups = f((block[:, None] + offsets).reshape(-1))
+            for i, vals in enumerate(groups):
+                if i in done:
+                    continue
+                vals = np.asarray(vals)
+                weighted = vals.reshape(vals.shape[:-1] + (block.size, _W16.size)) * _W16
+                if i not in sums:
+                    sums[i] = np.empty(weighted.shape[:-2] + (panels,), weighted.dtype)
+                # this block's panels, summed in place: no per-block temporary
+                out = sums[i][..., start:start + block.size]
+                np.multiply(weighted.sum(axis=-1, out=out), half, out=out)
+            n_groups = len(groups)
+            # release this block's values before f builds the next one: held
+            # across that call, they keep the allocator from reusing their
+            # pages, and every block faults in fresh ones
+            groups = vals = weighted = None
         failing = []  # (err, tol) of each group this level did not converge
-        for i, vals in enumerate(groups):
-            if i in done:
-                continue
-            total = _level_total(vals, panels, half)
+        for i, per_panel in sums.items():
+            # across panels in index order, whatever the blocks: fixed
+            # association keeps the sum bit-reproducible
+            total = np.add.reduce(per_panel, axis=-1)
             if i in prev:
                 err = np.max(np.abs(total - prev[i]))
                 tol = max(quad.abs_tol, quad.rel_tol * float(np.max(np.abs(total))))
@@ -177,11 +206,9 @@ def integrate_interval(f, a: float, b: float, quad: QuadratureSpec = DEFAULT_QUA
                 else:
                     failing.append((err, tol))
             prev[i] = total
-        if len(done) == len(groups):
+        if len(done) == n_groups:
             values, errs = zip(*(done[i] for i in range(len(done))))
             return values, errs
-        # release this level's values before the next, twice as large, is built
-        groups = vals = None
         if failing and 2 * panels > quad.max_panels:
             err, tol = max(failing, key=lambda pair: pair[0] / pair[1])
             raise QuadratureError(
@@ -237,9 +264,8 @@ def _band_average(kernel_groups, t: float, res: ReservoirParams, dephasing: floa
         eps = -2.0 * np.cos(k)
         occ = _occupation(stats, eps, res)
         rows = [kernels(eps, occ, stats) for kernels in kernel_groups]
-        # evaluate the kernels and drop occ before D(k, t) is built, so their
-        # temporaries never coexist: at ~1e6 nodes per level this sets the
-        # peak memory
+        # drop occ before D(k, t) is built, so their temporaries never
+        # coexist and the allocator reuses pages instead of faulting in more
         del occ
         relax = _relaxation_factor(k, damping, phase, g)
         return tuple([r * relax for r in rows])

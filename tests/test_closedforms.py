@@ -269,8 +269,9 @@ _PINNED = {
         ("0x1.1f0a13fcd42cfp-1", "0x1.fa40f7ebcf638p-14", 4, False),
         ("-0x1.d5f7462b60677p-5", "0x1.b0ab2576ef078p-4")),
     (33.0, -1.4999, 0.1, 25): (
-        ("-0x1.d04011e2c648cp-3", "0x1.3eeafc6eb5a20p-43", 26, False),
-        ("0x1.a5f6aa0005781p-2", "0x1.df107bf8755ffp-43", 26, False),
+        # out of terms, but both estimates meet the 1e-12 target
+        ("-0x1.d04011e2c648cp-3", "0x1.3eeafc6eb5a20p-43", 26, True),
+        ("0x1.a5f6aa0005781p-2", "0x1.df107bf8755ffp-43", 26, True),
         ("-0x1.5f4fa7604a826p-40", "0x1.56699f4fb25ccp-39")),
     (math.inf, 1.5, 0.1, 25): (
         ("-0x1.8bf31bc119e8dp-1", "0x0.0p+0", 0, True),
@@ -285,9 +286,14 @@ def test_series_and_closed_forms_are_pinned(point):
     n_pin, e_pin, boltzmann_pin = _PINNED[point]
     res = ReservoirParams(temp, mu)
     for fn, pin in ((nbar_fd_sommerfeld, n_pin), (ebar_fd_sommerfeld, e_pin)):
-        r = fn(t, res, 0.35, 1.0, n_max)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            r = fn(t, res, 0.35, 1.0, n_max)
         assert (r.value.hex(), r.trunc_error_est.hex(), r.terms_used,
                 r.converged) == pin, fn.__name__
+        # a RegimeWarning exactly when the series reports itself unconverged
+        warned = [w for w in caught if issubclass(w.category, RegimeWarning)]
+        assert len(warned) == (not r.converged), fn.__name__
     dilute = ReservoirParams(temp, mu - 3.0)
     assert (nbar_boltzmann_closed(t, dilute, 0.35, 1.0).hex(),
             ebar_boltzmann_closed(t, dilute, 0.35, 1.0).hex()) == boltzmann_pin

@@ -256,6 +256,10 @@ PROBES = {
         ("coupling", lambda: fc.nbar_boltzmann_closed(2.0, DILUTE, 0.1, math.nan)),
     "nbar_fd_sommerfeld(g=nan)":
         ("coupling", lambda: fc.nbar_fd_sommerfeld(2.0, RES, 0.1, math.nan)),
+    # "y must lie in the validated range", about 2/T, which the caller never passed
+    "nbar_boltzmann_closed(T=0.015)":
+        ("temperature", lambda: fc.nbar_boltzmann_closed(1.0, fc.ReservoirParams(0.015, -3.0),
+                                                         0.1, 1.0)),
     # spent 65,536 panels, then reported "achieved nan"
     "integrate_interval(a=nan)":
         ("a", lambda: fc.integrate_interval(lambda x: (np.sin(x),), math.nan, 1.0)),

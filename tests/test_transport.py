@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,7 +27,8 @@ from fermichain import (
     parse_config,
     qbar,
 )
-from fermichain.transport import TOL_FLOOR
+from fermichain import transport
+from fermichain.transport import _W16, _X16, TOL_FLOOR
 
 RES = ReservoirParams(temperature=0.1, mu=0.0)
 
@@ -182,6 +184,88 @@ def test_quadrature_doubling_within_error_estimate():
     v1, e1 = _band(f, quad=base)
     v2, _ = _band(f, quad=fine)
     assert abs(v2 - v1) <= max(e1, 1e-14)
+
+
+def _one_array_integrate(f, a, b, quad, min_panels):
+    # reference: every level as one array, one f call per level
+    panels = max(quad.base_panels, int(min_panels))
+    prev, done = {}, {}
+    while True:
+        edges = np.linspace(a, b, panels + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1] - edges[0])
+        groups = f((mid[:, None] + half * _X16[None, :]).reshape(-1))
+        for i, vals in enumerate(groups):
+            if i in done:
+                continue
+            vals = np.asarray(vals)
+            vals = vals.reshape(vals.shape[:-1] + (panels, _W16.size))
+            total = np.add.reduce((vals * _W16).sum(axis=-1) * half, axis=-1)
+            if i in prev:
+                err = np.max(np.abs(total - prev[i]))
+                if err <= max(quad.abs_tol, quad.rel_tol * float(np.max(np.abs(total)))):
+                    done[i] = (total, float(err))
+            prev[i] = total
+        if len(done) == len(groups):
+            return tuple(zip(*(done[i] for i in range(len(done)))))
+        assert 2 * panels <= quad.max_panels
+        panels *= 2
+
+
+def _hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def test_blocked_levels_equal_one_array_levels_bit_for_bit():
+    block = transport._BLOCK_PANELS
+    first = 3 * block + 5  # three full blocks and a short one, then seven blocks
+    f = lambda k: (np.stack([np.cos(40.0 * np.sin(k) ** 2), np.exp(np.sin(k))]),
+                   np.cos(k) ** 2)
+    counted, calls = _levels(f)
+    values, errs = integrate_interval(counted, 0.0, math.pi, QuadratureSpec(), first)
+    ref_values, ref_errs = _one_array_integrate(f, 0.0, math.pi, QuadratureSpec(), first)
+    assert [_hexes(v) for v in values] == [_hexes(v) for v in ref_values]
+    assert _hexes(errs) == _hexes(ref_errs)
+    nodes = block * _X16.size
+    assert calls == [nodes] * 3 + [5 * _X16.size] + [nodes] * 6 + [10 * _X16.size]
+
+
+def test_long_time_onsager_streams_its_levels_in_blocks(monkeypatch):
+    # c9's t = 1e4 call: its second level has 80,000 panels (1.28M nodes)
+    sizes = []
+    inner = transport.integrate_interval
+
+    def watched(f, *args):
+        return inner(lambda k: sizes.append(k.size) or f(k), *args)
+
+    monkeypatch.setattr(transport, "integrate_interval", watched)
+    tracemalloc.start()
+    try:
+        block = onsager(1e4, ReservoirParams(0.1, 0.5), 0.05, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _hexes([block.j_n_mu, block.j_n_t, block.j_q_mu, block.j_q_t]) == [
+        "-0x1.0ecb0f5a4d6f7p-7", "-0x1.442ce5821aa55p-15", "-0x1.442ce5821aa51p-15",
+        "-0x1.22876cdf8a492p-12"]
+    assert sum(sizes) == (40_000 + 80_000) * _X16.size
+    assert max(sizes) <= transport._BLOCK_PANELS * _X16.size
+    assert peak < 24e6  # the one-array level peaked near 120 MB
+
+
+def test_round_off_band_outputs_are_pinned():
+    # Both values are pure round-off (0 by symmetry), so the benchmark's
+    # reference check, which compares each CSV column within tol times that
+    # column's own maximum, fails on any change of their bits.  Pinned here,
+    # a band change that moves bits fails in seconds instead.
+    # seed-0 sweep draw 218 at its sixth time: n == 1 at mu = 2.47, so E ~ 0
+    _, e = counters(3.280649809283286, ReservoirParams(0.0016606945462125109,
+                                                       2.472060508555624),
+                    0.16218759258965046, 0.5504718641154456)
+    assert e.hex() == "0x1.1d34a60108f73p-54"
+    # the custom figure's J_NT at mu = 0, t = 2.5
+    assert onsager(2.5, ReservoirParams(0.1, 0.0), 0.05, 1.0).j_n_t.hex() == (
+        "0x1.a1371305e714dp-61")
 
 
 def test_nbar_zero_at_t0():
