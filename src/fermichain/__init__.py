@@ -20,8 +20,8 @@ from .transport import (STATS_BOLTZMANN, STATS_FD, EquilibriumUndefinedError,
                         QuadratureSpec, counters,
                         counters_and_onsager, ebar, fluxes, integrate_interval,
                         nbar, onsager, qbar)
-from .special import SpecialFnTable, bessel_i, bessel_j, beta_fn
-from .closedforms import (SeriesConvergenceError, SeriesResult,
+from .special import SpecialFnTable, bessel_i, bessel_j
+from .closedforms import (SeriesResult,
                           ebar_boltzmann_closed, ebar_fd_sommerfeld,
                           equilibrium_sommerfeld_onsager, nbar_boltzmann_closed,
                           nbar_fd_sommerfeld, omega, omega_defining_integral)

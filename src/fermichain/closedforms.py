@@ -1,78 +1,83 @@
 """Closed-form evaluations of the band-averaged transfer counters.
 
-The workhorse is the two-parameter integral family
+Both closed forms are one Jacobi-Anger Bessel sum (DLMF 10.12) with
+analytic coefficients.  The oscillation of a band average is
+cos(2 z sin(k)^2) = cos(z - z cos 2k) with z = g t, and
 
-    omega_nu(x, y) = (1/pi) int_0^pi cos(z)^nu exp(y cos z) cos(x sin(z)^2) dz
+    (1/pi) int_0^pi K(k) cos(z - z cos 2k) dk = B(z, a),
+    B(z, a) = cos z (J_0(z) a_0 + 2 sum_{m>=1} (-1)^m J_2m(z) a_2m)
+              + sin z 2 sum_{m>=0} (-1)^m J_2m+1(z) a_2m+1,
+    a_j = (1/pi) int_0^pi K(k) cos(2 j k) dk,
 
-which collapses the Boltzmann-statistics band integrals exactly:
+which ``special.bessel_band_sum`` evaluates.  Its length follows z (orders
+past ``SpecialFnTable.band_orders(z)``, about z + 12 z^(1/3), have
+|J_n(z)| < 2^-60) and the tail of the coefficients.
+
+For Boltzmann statistics the two-parameter family
+
+    omega_nu(x, y) = (1/pi) int_0^pi cos(k)^nu exp(y cos k) cos(x sin(k)^2) dk
+
+collapses the band integrals exactly:
 
     nbar_B(t) = exp(beta mu) [exp(-lam t) omega_0(2 g t, 2 beta) - I_0(2 beta)]
     ebar_B(t) = -2 exp(beta mu) [exp(-lam t) omega_1(2 g t, 2 beta) - I_1(2 beta)]
 
-omega is evaluated by the double series
-
-    (1/pi) sum_n (-1)^n x^(2n)/(2n)! sum_m y^(2m+i)/(2m+i)!
-                 * B(2n + 1/2, (nu + 2m + 1 + i)/2),     i = nu mod 2
-
-(alternating in n, all-positive in m) with a direct-quadrature fallback once
-|x| or y leaves the series-stable window.  Useful identities, verified in the
-test suite: omega_nu(0, y) = I_nu(y) for nu in {0, 1}, and
-omega_0(x, 0) = cos(x/2) J_0(x/2).
+and omega_nu(x, y) = B(x/2, a) with a_j = I_2j(y) for nu = 0 and
+a_j = (I_2j-1(y) + I_2j+1(y))/2 for nu = 1 (each further power of cos k
+averages neighbouring orders once more).  Past order 9 sqrt(y) + 10,
+I_n(y) < 2^-60 I_0(y), which bounds the coefficient tail.  Useful identities,
+verified in the test suite: omega_nu(0, y) = I_nu(y) for nu in {0, 1}, and
+omega_0(x, 0) = cos(x/2) J_0(x/2).  ``omega_defining_integral`` is the
+direct quadrature, kept as an independent cross-check.
 
 For Fermi-Dirac statistics at low temperature the same integrals admit a
-Sommerfeld expansion.  Writing th = arccos(-mu/2) and expanding the
-oscillation cos(2 g t sin(k)^2) = cos(g t - g t cos 2k) over harmonics
-(argument g t, not 2 g t), the partial-band integrals int_0^th cos(j k) dk =
-sin(j th)/j give
+Sommerfeld expansion.  With th = arccos(-mu/2) the T = 0 occupation is the
+step up to th, whose coefficients are partial-band integrals
+int_0^th cos(j k) dk = sin(j th)/j:
 
-  nbar_FD = (1/pi) { exp(-lam t) S_N - th
+  nbar_FD = (1/pi) { exp(-lam t) B(gt, a^N) - th
                      + (pi^2 T^2 / 6) d/de[(exp(-lam t) cos(g_e t) - 1)
                                            / sqrt(4 - e^2)]_{e=mu} }
-  S_N = cos(gt) J_0(gt) th + sum_{n>=1} (-1)^n [ cos(gt) J_2n(gt) sin(4n th)/(2n)
-        - sin(gt) J_{2n-1}(gt) sin((4n-2) th)/(2n-1) ]
+  a^N_0 = th,  a^N_j = sin(2 j th)/(2 j)
 
-  ebar_FD = (1/pi) { -2 exp(-lam t) S_E + 2 sin(th)
+  ebar_FD = (1/pi) { -2 exp(-lam t) B(gt, a^E) + 2 sin(th)
                      + (pi^2 T^2 / 6) d/de[e (exp(-lam t) cos(g_e t) - 1)
                                            / sqrt(4 - e^2)]_{e=mu} }
-  S_E = cos(gt) J_0(gt) sin(th) + sum_{n>=1} (-1)^n [ cos(gt) J_2n(gt)
-        (sin((4n+1)th)/(4n+1) + sin((4n-1)th)/(4n-1))
-        - sin(gt) J_{2n-1}(gt) (sin((4n-1)th)/(4n-1) + sin((4n-3)th)/(4n-3)) ]
+  a^E_j = (sin((2j+1) th)/(2j+1) + sin((2j-1) th)/(2j-1))/2,  a^E_0 = sin(th)
 
 with g_e = 2 g (1 - e^2/4), so the bracket derivatives are taken with the
 full e-dependence and evaluated at e = mu.  Both expansions vanish
 identically at t = 0 and reduce at t = inf (lam > 0) to the damped limits,
 whose mu/T derivatives are also provided here in closed form for
 equilibrium comparisons.  Every Sommerfeld form rejects by name a mu
-outside (-2, 2) and an expansion parameter (pi T)^2/(4 - mu^2) of 1 or more,
-and warns with ``RegimeWarning`` when its series stops short of the 1e-12
-target; the Boltzmann forms warn so outside the dilute regime, and reject
-by name a temperature below 0.02, where 2/T leaves the validated I_n range.
+outside (-2, 2) and an expansion parameter (pi T)^2/(4 - mu^2) of 1 or more.
+Every closed form rejects |g t| above 1e4, the validated J_n range; the
+Boltzmann forms warn with ``RegimeWarning`` outside the dilute regime, and
+reject by name a temperature with (max(mu, 0) + 2)/T above 700, where
+exp(mu/T) I_nu(2/T) <= exp((mu + 2)/T) or 2/T leaves the float range.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
-from .lattice import (ReservoirParams, RegimeWarning, _require, _warn_unless_dilute,
-                      relaxation_envelope)
-from .special import _J_MAX_ARG, SpecialFnTable, beta_fn, bessel_i
+from .lattice import ReservoirParams, _require, _warn_unless_dilute, relaxation_envelope
+from .special import (_I_MAX_ARG, _J_MAX_ARG, SpecialFnTable, _column, bessel_band_sum,
+                      bessel_i)
 from .transport import OnsagerBlock, QuadratureSpec, integrate_interval
 
 import numpy as np
 
-_X_SERIES_MAX = 10.0  # alternating-sum cancellation stays under ~1e-11 here
-_Y_SERIES_MAX = 30.0
-_SERIES_TOL = 1e-12  # target error of the omega and Sommerfeld series
-_OMEGA_MAX_TERMS = 200
-_Y_MAX = 700.0  # exp(y) in the omega integrand stays finite
-_Y_DOMAIN = "lie in [0, %g] (no analytic continuation; exp(y) stays finite)" % _Y_MAX
-_I_ARG_DOMAIN = "keep 2/T <= %g, the validated I_n range" % _J_MAX_ARG
-
-
-class SeriesConvergenceError(RuntimeError):
-    """Series did not meet tolerance within the term budget."""
+_SERIES_TOL = 1e-12  # target error of the omega and Sommerfeld sums
+_NU_MAX = 1000  # keeps omega's I column, 2 orders + nu, inside its range
+_NU_DOMAIN = "be an integer in [0, %d]" % _NU_MAX
+_X_DOMAIN = "lie in [-%g, %g], where J_n(x/2) is validated" % (2 * _J_MAX_ARG,
+                                                                2 * _J_MAX_ARG)
+_Y_DOMAIN = "lie in [0, %g] (no analytic continuation; exp(y) stays finite)" % _I_MAX_ARG
+_GT_DOMAIN = "lie in [-%g, %g], the validated J_n range" % (_J_MAX_ARG, _J_MAX_ARG)
+_BOLTZMANN_DOMAIN = ("keep (max(mu, 0) + 2)/T <= %g so that exp(mu/T) I_nu(2/T) "
+                     "and 2/T stay finite" % _I_MAX_ARG)
 
 
 @dataclass(frozen=True)
@@ -86,14 +91,14 @@ class SeriesResult:
 
 
 def _check_omega_args(nu: int, x: float, y: float):
-    _require("nu", nu, isinstance(nu, (int, np.integer)) and nu >= 0,
-             "be a non-negative integer")
-    _require("x", x, math.isfinite(x), "be finite")
-    _require("y", y, 0.0 <= y <= _Y_MAX, _Y_DOMAIN)
+    _require("nu", nu, isinstance(nu, (int, np.integer)) and 0 <= nu <= _NU_MAX,
+             _NU_DOMAIN)
+    _require("x", x, abs(x) <= 2 * _J_MAX_ARG, _X_DOMAIN)
+    _require("y", y, 0.0 <= y <= _I_MAX_ARG, _Y_DOMAIN)
 
 
 def omega_defining_integral(nu: int, x: float, y: float) -> SeriesResult:
-    """Direct quadrature of the omega integrand (fallback and cross-check)."""
+    """Direct quadrature of the omega integrand (the independent cross-check)."""
     _check_omega_args(nu, x, y)
     quad = QuadratureSpec(abs_tol=_SERIES_TOL * 0.1 * max(1.0, math.exp(y)),
                           rel_tol=1e-13, max_panels=1 << 14, base_panels=8)
@@ -108,67 +113,46 @@ def omega_defining_integral(nu: int, x: float, y: float) -> SeriesResult:
 
 
 def omega(nu: int, x: float, y: float) -> SeriesResult:
-    """omega_nu(x, y) by series inside the stable window, quadrature outside.
+    """omega_nu(x, y) as the band sum B(x/2, a) with modified-Bessel coefficients.
 
-    The outer series alternates in n; convergence is declared once two
-    successive terms fall below 1e-13, a tenth of the 1e-12 target, and the
-    reported truncation error is the standard alternating-tail bound (the
-    first omitted term).  nu is a non-negative integer, x finite and
-    0 <= y <= 700.
+    The sum stops at the first of ``SpecialFnTable.band_orders(x/2)`` and the
+    coefficient tail; the magnitude of its last two terms is the truncation
+    estimate, and the sum counts as converged when that is within 1e-12 of
+    max(1, a_0), a_0 = I_nu(y) being the scale of the value.  nu is an
+    integer in [0, 1000], |x| <= 2e4 and 0 <= y <= 700.
     """
-    x = abs(float(x))
-    if x > _X_SERIES_MAX or y > _Y_SERIES_MAX:
-        return omega_defining_integral(nu, x, y)
     _check_omega_args(nu, x, y)
+    z = 0.5 * float(x)
+    # a_j needs I_n up to n = 2 j + nu, and I_n < 2^-60 I_0 past 9 sqrt(y) + 10
+    orders = min(SpecialFnTable.band_orders(z), int(4.5 * math.sqrt(y) + 0.5 * nu) + 6)
+    coeffs = _column(2 * orders + nu, y, True)  # the checked y and nu keep it in range
+    for _ in range(nu):  # cos(k) c(k): c'_m = (c_|m-1| + c_m+1)/2
+        coeffs = 0.5 * (np.concatenate((coeffs[1:2], coeffs[:-2])) + coeffs[1:])
+    coeffs = coeffs[0:2 * orders:2]
+    value, tail = bessel_band_sum(z, coeffs)
+    return SeriesResult(value=value, trunc_error_est=tail, terms_used=orders,
+                        converged=tail <= _SERIES_TOL * max(1.0, float(coeffs[0])))
 
-    i = nu % 2
-    x2 = x * x
-    y2 = y * y
-    x_pow = 1.0  # x^(2n)/(2n)!
-    total = 0.0
-    peak = 0.0
-    term_abs_prev = math.inf
-    for n in range(_OMEGA_MAX_TERMS):
-        if n:
-            x_pow *= x2 / ((2 * n - 1) * (2 * n))
-        # inner all-positive sum over m
-        y_term = y ** i / math.factorial(i)
-        inner = 0.0
-        m = 0
-        while True:
-            if m:
-                y_term *= y2 / ((2 * m + i - 1) * (2 * m + i))
-            contrib = y_term * beta_fn(2 * n + 0.5, 0.5 * (nu + 2 * m + 1 + i))
-            inner += contrib
-            m += 1
-            if contrib < 1e-18 * inner or m > 400:
-                break
-        term = x_pow * inner / math.pi
-        total += -term if n % 2 else term
-        peak = max(peak, term)
-        if term < _SERIES_TOL / 10.0 and term_abs_prev < _SERIES_TOL / 10.0:
-            # cancellation among the signed terms limits accuracy to
-            # roughly eps * (largest term); fold that into the estimate
-            est = term + 2.3e-16 * peak * (n + 1)
-            return SeriesResult(value=total, trunc_error_est=est,
-                                terms_used=n + 1, converged=True)
-        term_abs_prev = term
-    raise SeriesConvergenceError("omega series needs more than %d terms"
-                                 % _OMEGA_MAX_TERMS)
+
+def _closed_envelope(t: float, dephasing: float, g: float) -> tuple:
+    """(exp(-lam t), g t) of a closed form; a damped-out envelope has g t = 0."""
+    damping, phase = relaxation_envelope(t, dephasing, g)
+    gt = 0.5 * phase
+    _require("g t", gt, abs(gt) <= _J_MAX_ARG, _GT_DOMAIN)
+    return float(damping), gt
 
 
 def _boltzmann_closed(nu: int, scale: float, t: float, res: ReservoirParams,
                       dephasing: float, g: float) -> float:
     """scale exp(beta mu) [exp(-lam t) omega_nu(2 g t, 2 beta) - I_nu(2 beta)]."""
-    damping, phase = relaxation_envelope(t, dephasing, g)
-    beta_mu = res.beta * res.mu
-    _require("mu/T", beta_mu, beta_mu <= 690.0, "stay <= 690 so that exp(mu/T) is finite: "
-             "the state is far outside the dilute regime")
+    damping, gt = _closed_envelope(t, dephasing, g)
+    # |omega_nu| <= I_0(y) <= e^y, so the value is at most exp((mu + 2)/T)
+    _require("temperature", res.temperature,
+             (max(res.mu, 0.0) + 2.0) * res.beta <= _I_MAX_ARG, _BOLTZMANN_DOMAIN)
     y = 2.0 * res.beta
-    _require("temperature", res.temperature, y <= _J_MAX_ARG, _I_ARG_DOMAIN)
     _warn_unless_dilute(res)
-    osc = float(damping) * omega(nu, phase, y).value if damping > 0.0 else 0.0
-    return scale * math.exp(beta_mu) * (osc - bessel_i(nu, y))
+    osc = damping * omega(nu, 2.0 * gt, y).value
+    return scale * math.exp(res.beta * res.mu) * (osc - bessel_i(nu, y))
 
 
 def nbar_boltzmann_closed(t: float, res: ReservoirParams, dephasing: float,
@@ -186,9 +170,6 @@ def ebar_boltzmann_closed(t: float, res: ReservoirParams, dephasing: float,
 # ---------------------------------------------------------------------------
 # Sommerfeld expansion for Fermi-Dirac statistics
 # ---------------------------------------------------------------------------
-
-_SOMMERFELD_N_CAP = 30  # keeps Bessel orders within the validated range
-_N_MAX_DOMAIN = "be an integer in [1, %d]" % _SOMMERFELD_N_CAP
 
 
 def _check_sommerfeld_args(res: ReservoirParams):
@@ -223,93 +204,56 @@ def _bracket_derivative_e(mu: float, t: float, damping: float, g: float) -> floa
     return (osc - 1.0) / math.sqrt(root) + mu * _bracket_derivative_n(mu, t, damping, g)
 
 
-def _n_term(theta: float, n: int, cj: float, sj: float) -> float:
-    return (cj * math.sin(4 * n * theta) / (2 * n)
-            - sj * math.sin((4 * n - 2) * theta) / (2 * n - 1))
+def _n_coeffs(theta: float, orders: int) -> np.ndarray:
+    """a^N_j = sin(2 j th)/(2 j), a^N_0 = th: the step function's band coefficients."""
+    even = 2.0 * np.arange(orders)
+    coeffs = np.sin(even * theta) / np.maximum(even, 1.0)
+    coeffs[0] = theta
+    return coeffs
 
 
-def _e_term(theta: float, n: int, cj: float, sj: float) -> float:
-    upper = math.sin((4 * n + 1) * theta) / (4 * n + 1)
-    middle = math.sin((4 * n - 1) * theta) / (4 * n - 1)
-    lower = math.sin((4 * n - 3) * theta) / (4 * n - 3)
-    return cj * (upper + middle) - sj * (middle + lower)
+def _e_coeffs(theta: float, orders: int) -> np.ndarray:
+    """a^E_j = (sin((2j+1) th)/(2j+1) + sin((2j-1) th)/(2j-1))/2, a^E_0 = sin(th)."""
+    odd = 2.0 * np.arange(orders) + 1.0
+    return 0.5 * (np.sin(odd * theta) / odd + np.sin((odd - 2.0) * theta) / (odd - 2.0))
 
 
 def _sommerfeld(t: float, res: ReservoirParams, dephasing: float, g: float,
-                n_max: int, head, term, bracket, pref: float) -> SeriesResult:
-    """(1/pi) {pref (exp(-lam t) S - h) + (pi^2 T^2 / 6) bracket}, h = head(theta).
+                coeffs_of, bracket, pref: float) -> SeriesResult:
+    """(1/pi) {pref (exp(-lam t) B(gt, a) - a_0) + (pi^2 T^2 / 6) bracket}.
 
-    S = cos(gt) J_0(gt) h + sum_n (-1)^n term(theta, n, cos(gt) J_2n(gt),
-    sin(gt) J_{2n-1}(gt)), so S(t = 0) = h and the counter vanishes there.
-    The sum stops once two successive |terms| fall below a tenth of the
-    1e-12 target; the last term summed is the truncation estimate.  A sum
-    that runs out of terms still counts as converged when that estimate is
-    within the target.
+    a = coeffs_of(theta, orders) for orders = ``SpecialFnTable.band_orders(gt)``;
+    B(0, a) = a_0, so the counter vanishes at t = 0.  The truncation estimate
+    is the magnitude of the last two terms summed, scaled like the value.
     """
     _check_sommerfeld_args(res)
-    _require("n_max", n_max,
-             isinstance(n_max, (int, np.integer)) and 1 <= n_max <= _SOMMERFELD_N_CAP,
-             _N_MAX_DOMAIN)
-    damping = float(relaxation_envelope(t, dephasing, g)[0])
-    theta = math.acos(-0.5 * res.mu)
-    h = head(theta)
-    series = tail = 0.0
-    terms_used = 0
-    converged = True
-    if damping > 0.0:
-        gt = g * t
-        table = SpecialFnTable(max_order=2 * n_max, x_bessel_j=gt)
-        c, s = math.cos(gt), math.sin(gt)
-
-        def terms():
-            yield c * table.j(0) * h
-            for n in range(1, n_max + 1):
-                sign = -1.0 if n % 2 else 1.0
-                yield sign * term(theta, n, c * table.j(2 * n), s * table.j(2 * n - 1))
-
-        small = _SERIES_TOL / 10.0
-        last = math.inf
-        converged = False
-        for signed in terms():
-            series += signed
-            terms_used += 1
-            tail = abs(signed)
-            if tail < small and last < small:
-                converged = True
-                break
-            last = tail
-    value = (pref * damping * series - pref * h
+    damping, gt = _closed_envelope(t, dephasing, g)
+    orders = SpecialFnTable.band_orders(gt)
+    coeffs = coeffs_of(math.acos(-0.5 * res.mu), orders)
+    series, tail = bessel_band_sum(gt, coeffs)
+    value = (pref * damping * series - pref * coeffs[0]
              + (math.pi ** 2 * res.temperature ** 2 / 6.0)
              * bracket(res.mu, t, damping, g)) / math.pi
     est = abs(pref) * damping * tail / math.pi
-    # out of terms, but the estimate already meets the target: converged
-    converged = converged or est <= _SERIES_TOL
-    if not converged:
-        warnings.warn("Sommerfeld series unconverged at g t = %g: truncation estimate %.3g "
-                      "after %d terms, against a %g target" % (g * t, est, terms_used,
-                                                               _SERIES_TOL),
-                      RegimeWarning, stacklevel=3)
-    return SeriesResult(value=value, trunc_error_est=est, terms_used=terms_used,
-                        converged=converged)
+    return SeriesResult(value=value, trunc_error_est=est, terms_used=orders,
+                        converged=est <= _SERIES_TOL)
 
 
-def nbar_fd_sommerfeld(t: float, res: ReservoirParams, dephasing: float, g: float,
-                       n_max: int = 25) -> SeriesResult:
+def nbar_fd_sommerfeld(t: float, res: ReservoirParams, dephasing: float,
+                       g: float) -> SeriesResult:
     """Low-temperature particle counter for Fermi-Dirac statistics.
 
-    Truncated Bessel series plus the T^2 band-edge-aware correction; exact 0
-    at t = 0, damped limit at t = inf (dephasing > 0).  mu must be inside
-    the band; accuracy degrades as T or |mu| grow toward the band edge.
+    The T = 0 band sum plus the T^2 band-edge-aware correction; exact 0 at
+    t = 0, damped limit at t = inf (dephasing > 0).  mu must be inside the
+    band; accuracy degrades as T or |mu| grow toward the band edge.
     """
-    return _sommerfeld(t, res, dephasing, g, n_max, lambda theta: theta,
-                       _n_term, _bracket_derivative_n, 1.0)
+    return _sommerfeld(t, res, dephasing, g, _n_coeffs, _bracket_derivative_n, 1.0)
 
 
-def ebar_fd_sommerfeld(t: float, res: ReservoirParams, dephasing: float, g: float,
-                       n_max: int = 25) -> SeriesResult:
+def ebar_fd_sommerfeld(t: float, res: ReservoirParams, dephasing: float,
+                       g: float) -> SeriesResult:
     """Low-temperature energy counter for Fermi-Dirac statistics."""
-    return _sommerfeld(t, res, dephasing, g, n_max, math.sin,
-                       _e_term, _bracket_derivative_e, -2.0)
+    return _sommerfeld(t, res, dephasing, g, _e_coeffs, _bracket_derivative_e, -2.0)
 
 
 def equilibrium_sommerfeld_onsager(res: ReservoirParams) -> OnsagerBlock:

@@ -26,7 +26,9 @@ the one place that validates (t, lam) and forms it.
 ``_require`` is the one place that rejects a bad argument: every module
 routes its numeric-domain checks through it, as a ValueError (or a named
 subclass) worded "<name> must <domain>, got <value>".  An approximation used
-outside its regime warns with :class:`RegimeWarning` instead.
+outside its regime warns with :class:`RegimeWarning` instead; its one cause
+is Boltzmann statistics outside the dilute regime, since the closed forms'
+Bessel sums converge over their whole validated range.
 
 Occupation helpers are written to be overflow-safe: the Fermi-Dirac form never
 exponentiates a large positive argument, and the Boltzmann form raises once

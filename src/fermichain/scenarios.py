@@ -74,7 +74,6 @@ class ScenarioConfig:
     mu_grid: tuple = ()
     n_eq: float = 0.5
     delta_n: float = 0.1
-    n_max: int = 25
     explicit: frozenset = field(default_factory=frozenset, compare=False)
 
     def __post_init__(self):
@@ -131,7 +130,7 @@ _NUMBER_FIELDS = {
     "delta_n": _FINITE,
 }
 _INT_FIELDS = {"threads": _integer(1, 256),  # checked, then dropped: no field
-               "sig_digits": _integer(3, 17), "n_max": _integer(1, 30)}
+               "sig_digits": _integer(3, 17)}
 _GRID_FIELDS = {"t_grid": _increasing(", from a time >= 0", 0.0),
                 "mu_grid": _increasing("", -math.inf)}
 _FIELDS = {**_STR_FIELDS, **_NUMBER_FIELDS, **_INT_FIELDS, **_GRID_FIELDS}
@@ -408,8 +407,8 @@ def _onsteste2(cfg: ScenarioConfig, name: str):
     def point(t):
         args = (t, res, cfg.dephasing, cfg.g)
         return transport.counters(*args, quad) + (
-            closedforms.nbar_fd_sommerfeld(*args, cfg.n_max).value,
-            closedforms.ebar_fd_sommerfeld(*args, cfg.n_max).value)
+            closedforms.nbar_fd_sommerfeld(*args).value,
+            closedforms.ebar_fd_sommerfeld(*args).value)
 
     rows = [point(t) for t in cfg.t_grid]
     n_quad, e_quad, n_series, e_series = (np.array(col) for col in zip(*rows))

@@ -4,21 +4,23 @@ Everything here is implemented in-repo against documented accuracy
 contracts so the analytic results do not silently depend on an external
 library:
 
-    beta_fn(a, b)        Euler beta through log-gamma; relative error < 1e-13
-                         for a, b in (0, 50], growing to about 3e-11 at the
-                         largest argument taken, 1e4.
-    bessel_j(n, x)       integer-order J_n; absolute error < 1e-12 for
-                         |x| <= 100, 0 <= n <= 60 (validated range); a view
-                         onto the last order of SpecialFnTable(n, x).
-    bessel_i(n, y)       modified I_n; relative error < 1e-12 for |y| <= 100,
-                         0 <= n <= 60.
+    bessel_j(n, x)       integer-order J_n for 0 <= n <= 20000, |x| <= 1e4;
+                         absolute error < 1e-15 against mpmath; a view onto
+                         the last order of SpecialFnTable(n, x).
+    bessel_i(n, y)       modified I_n for 0 <= n <= 20000, |y| <= 700 (e^y
+                         stays finite); relative error < 5e-15 wherever
+                         I_n(y) is a normal double; a view onto one I column.
     SpecialFnTable       J_0..J_n at one argument, from one pass; the one
                          J_n evaluation path.
+    bessel_band_sum      the Jacobi-Anger sum B(z, a) that both closed forms
+                         reduce to (see its docstring).
 
-J_n uses a downward (Miller) recurrence normalized by
-J_0 + 2 J_2 + 2 J_4 + ... = 1, and its x -> 0 limit (x/2)^n/n! once
-(x/2)^2 < 2^-53, where the dropped terms fall below half an ulp; I_n uses
-the all-positive ascending series, which has no cancellation.
+Both columns come from one downward (Miller) recurrence,
+f_{m-1} = (2m/x) f_m -+ f_{m+1}, started past max(n, x + 10 x^(1/3)) + 60
+(the transition region of J_n(x) is about x^(1/3) orders wide) and
+normalized by J_0 + 2 J_2 + 2 J_4 + ... = 1 or I_0 + 2 I_1 + 2 I_2 + ... =
+e^y.  Below (x/2)^2 < 2^-53 the dropped terms fall below half an ulp and a
+column is its leading term (x/2)^n/n!.
 """
 
 from __future__ import annotations
@@ -29,43 +31,38 @@ import numpy as np
 
 from .lattice import _require
 
-_J_MAX_ORDER = 60
-_J_MAX_ARG = 100.0
-_ORDER_DOMAIN = "be an integer in [0, %d]" % _J_MAX_ORDER
-_ARG_DOMAIN = "lie in the validated range [-%g, %g]" % (_J_MAX_ARG, _J_MAX_ARG)
-# (x/2)^2 below this leaves J_n(x) = (x/2)^n/n! to within half an ulp
-_J_LEADING_TERM_MAX = 2.0 ** -53
-# past this log-gamma differences lose the beta function's relative accuracy
-_BETA_ARG_MAX = 1e4
-_BETA_DOMAIN = "lie in (0, %g]" % _BETA_ARG_MAX
+_MAX_ORDER = 20_000
+_J_MAX_ARG = 1e4
+_I_MAX_ARG = 700.0  # e^y stays finite
+_ORDER_DOMAIN = "be an integer in [0, %d]" % _MAX_ORDER
+_J_ARG_DOMAIN = "lie in the validated range [-%g, %g]" % (_J_MAX_ARG, _J_MAX_ARG)
+_I_ARG_DOMAIN = "lie in the validated range [-%g, %g]" % (_I_MAX_ARG, _I_MAX_ARG)
+# (x/2)^2 below this leaves J_n(x) and I_n(x) = (x/2)^n/n! to within half an ulp
+_LEADING_TERM_MAX = 2.0 ** -53
+# 170! is the largest factorial below the float range; beyond it the leading
+# term (x/2)^n/n! underflows to 0 wherever it is used
+_LEADING_TERM_ORDERS = 171
 
 
-def _check_bessel_args(order_name: str, order: int, arg_name: str, arg: float):
-    """The validated range of every Bessel evaluation: 0 <= n <= 60, |x| <= 100."""
-    ok = isinstance(order, (int, np.integer)) and 0 <= order <= _J_MAX_ORDER
+def _check_bessel_args(order_name: str, order: int, arg_name: str, arg: float,
+                       arg_max: float, arg_domain: str):
+    ok = isinstance(order, (int, np.integer)) and 0 <= order <= _MAX_ORDER
     _require(order_name, order, ok, _ORDER_DOMAIN)
-    _require(arg_name, arg, abs(arg) <= _J_MAX_ARG, _ARG_DOMAIN)
+    _require(arg_name, arg, abs(arg) <= arg_max, arg_domain)
 
 
-def beta_fn(a: float, b: float) -> float:
-    """Euler beta B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b) for a, b in (0, 1e4]."""
-    if not (0.0 < a <= _BETA_ARG_MAX and 0.0 < b <= _BETA_ARG_MAX):  # per series term
-        _require("a", a, 0.0 < a <= _BETA_ARG_MAX, _BETA_DOMAIN)
-        _require("b", b, False, _BETA_DOMAIN)
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-
-
-def _bessel_j_all_positive(x: float, n_max: int) -> np.ndarray:
-    """J_0..J_n_max at x > 0 by downward recurrence with sum normalization."""
-    start = int(max(n_max, math.ceil(x)) + 60)
+def _miller(x: float, max_order: int, modified: bool) -> np.ndarray:
+    """J_0..J_max_order (I_0.. when modified) at x > 0, by downward recurrence."""
+    start = int(max(max_order, x + 10.0 * x ** (1.0 / 3.0)) + 60)
     if start % 2:
         start += 1
-    fp = 0.0  # J_{m+1} surrogate
-    fc = 1e-300  # J_m surrogate
-    out = np.zeros(n_max + 1)
+    sign = 1.0 if modified else -1.0
+    fp = 0.0  # f_{m+1} surrogate
+    fc = 1e-300  # f_m surrogate
+    out = np.zeros(max_order + 1)
     norm = 0.0
     for m in range(start, 0, -1):
-        fm = (2.0 * m / x) * fc - fp
+        fm = (2.0 * m / x) * fc + sign * fp
         fp, fc = fc, fm
         if abs(fc) > 1e250:
             fc *= 1e-250
@@ -73,36 +70,45 @@ def _bessel_j_all_positive(x: float, n_max: int) -> np.ndarray:
             out *= 1e-250
             norm *= 1e-250
         idx = m - 1
-        if idx <= n_max:
+        if idx <= max_order:
             out[idx] = fc
-        if idx % 2 == 0:
+        if modified or idx % 2 == 0:
             norm += 2.0 * fc if idx else fc
+    if modified:
+        # out * (e^x / norm) overflows from x of about 400
+        return (out / norm) * math.exp(x)
     return out / norm
 
 
+def _column(max_order: int, x: float, modified: bool) -> np.ndarray:
+    """Orders 0..max_order of J (I when modified) at x; the caller checks both."""
+    xa = abs(float(x))
+    half = 0.5 * xa
+    if half * half < _LEADING_TERM_MAX:
+        # the recurrence's 2m/x overflows here (NaN at x <= 1e-100)
+        col = np.zeros(max_order + 1)
+        lead = min(max_order + 1, _LEADING_TERM_ORDERS)
+        col[:lead] = [half ** m / math.factorial(m) for m in range(lead)]
+    else:
+        col = _miller(xa, max_order, modified)
+    if x < 0.0:
+        col[1::2] *= -1.0
+    return col
+
+
 def bessel_j(n: int, x: float) -> float:
-    """Bessel function J_n(x) for integer n in [0, 60], |x| <= 100.
+    """Bessel function J_n(x) for integer n in [0, 20000], |x| <= 1e4.
 
     A view onto the last order of ``SpecialFnTable(n, x)``.
     """
-    _check_bessel_args("order n", n, "x", x)
+    _check_bessel_args("order n", n, "x", x, _J_MAX_ARG, _J_ARG_DOMAIN)
     return SpecialFnTable(n, x).j(n)
 
 
 def bessel_i(n: int, y: float) -> float:
-    """Modified Bessel function I_n(y) for integer n in [0, 60], |y| <= 100."""
-    _check_bessel_args("order n", n, "y", y)
-    sign = -1.0 if (y < 0.0 and n % 2) else 1.0
-    y = abs(float(y))
-    half = 0.5 * y
-    term = half ** n / math.factorial(n)
-    total = term
-    for k in range(1, 400):
-        term *= (half * half) / (k * (n + k))
-        total += term
-        if term < 1e-17 * total:
-            break
-    return sign * total
+    """Modified Bessel function I_n(y) for integer n in [0, 20000], |y| <= 700."""
+    _check_bessel_args("order n", n, "y", y, _I_MAX_ARG, _I_ARG_DOMAIN)
+    return float(_column(int(n), y, True)[n])
 
 
 class SpecialFnTable:
@@ -115,20 +121,47 @@ class SpecialFnTable:
     """
 
     def __init__(self, max_order: int, x_bessel_j: float):
-        _check_bessel_args("max_order", max_order, "x_bessel_j", x_bessel_j)
+        _check_bessel_args("max_order", max_order, "x_bessel_j", x_bessel_j,
+                           _J_MAX_ARG, _J_ARG_DOMAIN)
         self.max_order = int(max_order)
-        xa = abs(float(x_bessel_j))
-        half = 0.5 * xa
-        if half * half < _J_LEADING_TERM_MAX:
-            # the recurrence's 2m/x overflows here (NaN at x <= 1e-100)
-            col = np.array([half ** m / math.factorial(m) for m in range(max_order + 1)])
-        else:
-            col = _bessel_j_all_positive(xa, max_order)
-        if x_bessel_j < 0.0:
-            col = col * np.where(np.arange(max_order + 1) % 2, -1.0, 1.0)
-        self._j = col
+        self._j = _column(self.max_order, x_bessel_j, False)
+
+    @staticmethod
+    def band_orders(x: float) -> int:
+        """How many orders J_0.. at x a sum needs: |J_n(x)| < 2^-60 from there on.
+
+        x + 12 x^(1/3) + 10 bounds the last such order for |x| <= 1e4 (checked
+        against scipy's J_n); past it J_n falls faster than geometrically.
+        """
+        xa = abs(x)
+        return int(xa + 12.0 * xa ** (1.0 / 3.0)) + 10
 
     def j(self, n: int) -> float:
         if not 0 <= n <= self.max_order:  # per series term
             _require("order n", n, False, "lie in the table's [0, max_order]")
         return float(self._j[n])
+
+
+def bessel_band_sum(z: float, coeffs) -> tuple:
+    """(B(z, a), tail) of the Jacobi-Anger band sum over the given coefficients.
+
+    With a_j = (1/pi) int_0^pi K(k) cos(2 j k) dk, Jacobi-Anger (DLMF 10.12)
+    turns (1/pi) int_0^pi K(k) cos(z - z cos 2k) dk into
+
+        B(z, a) = cos z (J_0(z) a_0 + 2 sum_{m>=1} (-1)^m J_2m(z) a_2m)
+                  + sin z 2 sum_{m>=0} (-1)^m J_2m+1(z) a_2m+1,
+
+    the time-dependent part of every band average at z = g t.  The sum runs
+    over all len(coeffs) orders, which the caller sizes by
+    ``SpecialFnTable.band_orders(z)`` and by the tail of its coefficients;
+    tail, the magnitude of the last two terms summed, is its truncation
+    estimate.  |z| <= 1e4.
+    """
+    a = np.asarray(coeffs, dtype=float)
+    n = np.arange(len(a))
+    # (-1)^(n//2), doubled for every order but 0
+    weight = np.where(n % 4 < 2, 2.0, -2.0)
+    weight[0] = 1.0
+    terms = SpecialFnTable(len(a) - 1, z)._j * weight * a
+    value = math.cos(z) * math.fsum(terms[0::2]) + math.sin(z) * math.fsum(terms[1::2])
+    return value, float(np.sum(np.abs(terms[-2:])))

@@ -4,13 +4,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermichain import (
     RegimeWarning,
     ReservoirParams,
-    SeriesConvergenceError,
+    SpecialFnTable,
     bessel_i,
     bessel_j,
+    counters,
     ebar,
     ebar_boltzmann_closed,
     ebar_fd_sommerfeld,
@@ -21,7 +24,7 @@ from fermichain import (
     omega,
     omega_defining_integral,
 )
-from fermichain import closedforms
+from fermichain.closedforms import _bracket_derivative_e, _bracket_derivative_n
 from fermichain.transport import STATS_BOLTZMANN
 
 _DAMPED_ENTRY_POINTS = {
@@ -76,7 +79,8 @@ def test_omega_frozen_reference_values():
 
 
 def test_omega_quadrature_fallback_region():
-    # |x| beyond the series window switches to the defining integral
+    # |x| beyond the window of the retired double series, whose quadrature
+    # fallback gave these values
     assert omega(0, 15.0, 3.0).value == pytest.approx(1.08279435381381146, abs=1e-10)
     assert omega(1, 25.0, 0.5).value == pytest.approx(0.0411156671711922582, abs=1e-10)
 
@@ -102,10 +106,44 @@ def test_omega_converged_means_within_tolerance():
     assert s.terms_used > 0
 
 
-def test_omega_budget_exhaustion_raises(monkeypatch):
-    monkeypatch.setattr(closedforms, "_OMEGA_MAX_TERMS", 3)
-    with pytest.raises(SeriesConvergenceError, match="more than 3 terms"):
-        omega(0, 9.5, 25.0)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(nu=st.sampled_from([0, 1, 2]), x=st.floats(-60.0, 60.0), y=st.floats(0.0, 60.0))
+def test_omega_matches_its_defining_integral(nu, x, y):
+    # the band sum against direct quadrature, on the scale max(1, e^y) of
+    # both evaluations' own error targets
+    s = omega(nu, x, y)
+    q = omega_defining_integral(nu, x, y)
+    assert s.converged
+    assert abs(s.value - q.value) <= 1e-12 * max(1.0, math.exp(y))
+
+
+@pytest.mark.parametrize("nu, x, y", [(0, 0.0, 700.0), (0, 5.0, 700.0), (1, 40.0, 500.0),
+                                      (1, -120.0, 30.0)])
+def test_omega_covers_its_whole_range(nu, x, y):
+    # the retired double series handled |x| <= 10 and y <= 30 only
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    ref = mpmath.quad(lambda k: mpmath.cos(k) ** nu * mpmath.exp(y * mpmath.cos(k))
+                      * mpmath.cos(x * mpmath.sin(k) ** 2),
+                      mpmath.linspace(0, mpmath.pi, 2 + int(abs(x)) // 4)) / mpmath.pi
+    s = omega(nu, x, y)
+    assert s.converged
+    assert abs(s.value - float(ref)) <= 1e-13 * max(1.0, math.exp(y))
+
+
+def test_omega_at_the_edge_of_the_j_range():
+    # omega_0(x, 0) = cos(x/2) J_0(x/2); the old quadrature fallback stopped
+    # near |x| = 16k
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    for x in (2e4, -1.5e4):
+        ref = mpmath.cos(x / 2) * mpmath.besselj(0, x / 2)
+        assert omega(0, x, 0.0).value == pytest.approx(float(ref), abs=1e-15)
+
+
+def test_omega_rejects_x_beyond_the_j_range():
+    with pytest.raises(ValueError, match=r"x must lie in \[-20000, 20000\]"):
+        omega(0, 2.0001e4, 1.0)
 
 
 def test_boltzmann_closed_t0_and_damped_limit():
@@ -147,8 +185,23 @@ def test_boltzmann_ebar_high_temperature_form():
 def test_boltzmann_prefactor_overflow_guard():
     res = ReservoirParams(temperature=0.001, mu=1.0)
     # exp(mu/T) = exp(1000) used to raise a raw OverflowError
-    with pytest.raises(ValueError, match=r"mu/T must stay <= 690 .*got 1000\.0"):
+    with pytest.raises(ValueError, match=re.escape("temperature must keep (max(mu, 0) + 2)/T "
+                                                   "<= 700") + ".*got 0\\.001"):
         nbar_boltzmann_closed(1.0, res, 0.35, 1.0)
+
+
+@pytest.mark.parametrize("fn", [nbar_boltzmann_closed, ebar_boltzmann_closed])
+def test_boltzmann_closed_form_below_t_0p02_matches_quadrature(fn):
+    # T = 0.015 took 2/T = 133 out of the old I_n range and raised; the wider
+    # I column covers it
+    res = ReservoirParams(0.015, -3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fn(1.0, res, 0.1, 1.0)
+        n_quad, e_quad = counters(1.0, res, 0.1, 1.0, stats=STATS_BOLTZMANN)
+    want = n_quad if fn is nbar_boltzmann_closed else e_quad
+    assert math.isfinite(got)
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-300)
 
 
 def test_sommerfeld_zero_at_t0():
@@ -247,56 +300,141 @@ def test_sommerfeld_series_bookkeeping():
     assert s.trunc_error_est >= 0.0
 
 
-# (t, mu, T, n_max) -> float.hex of value and trunc_error_est, terms_used and
+# (t, mu, T) -> float.hex of value and trunc_error_est, terms_used and
 # converged of nbar_fd_sommerfeld and ebar_fd_sommerfeld, then float.hex of
 # nbar_boltzmann_closed and ebar_boltzmann_closed at mu - 3; lam = 0.35, g = 1.
-# Frozen values: any rewrite of the shared series loop or the closed-form body
-# must reproduce them bit for bit.
+# Frozen values: any rewrite of the band sum or the closed-form body must
+# reproduce them bit for bit.  Re-pinned when both closed forms moved to the
+# one Jacobi-Anger band sum.  Against the term-by-term series the Sommerfeld
+# values moved by at most 1.3e-15 relative (7e-17 absolute), except at
+# (9.5, 0.7, 0.3), pinned at n_max = 3, where that series was unconverged
+# (6e-4 relative), and at (33, -1.4999, 0.1), where it ran out of terms
+# (9e-14 relative).  The Boltzmann values moved by at most 1.2e-14 relative
+# (2e-27 absolute), and at t = 0 they are now the exact 0 rather than
+# round-off around it.
 _PINNED = {
-    (0.0, 0.0, 0.1, 25): (
-        ("0x0.0p+0", "0x0.0p+0", 3, True), ("0x0.0p+0", "0x0.0p+0", 3, True),
-        ("0x1.da1bcdb020f64p-68", "-0x1.a56e0c2ac7f75p-67")),
-    (0.37, -1.5, 0.1, 25): (
-        ("-0x1.f0f6c78c572e2p-6", "0x1.6c40076cd36b5p-62", 7, True),
-        ("0x1.bdc485c3ec9b9p-5", "0x1.97ec2d18e6912p-62", 7, True),
-        ("-0x1.59985b8e967bap-43", "0x1.506921d70570dp-42")),
-    (2.0, 1.4999, 0.05, 25): (
-        ("-0x1.caeb8ccbbe627p-1", "0x1.a7273b1162a09p-57", 10, True),
-        ("0x1.11b8fa158e7edp-2", "0x1.4b8f829a7d534p-56", 10, True),
-        ("-0x1.62eeb9e413b4cp+9", "0x1.5e3d20004f0c2p+10")),
-    (9.5, 0.7, 0.3, 3): (
-        ("-0x1.3c8021824abfcp-1", "0x1.512f10e59af6ep-13", 4, False),
-        ("0x1.1f0a13fcd42cfp-1", "0x1.fa40f7ebcf638p-14", 4, False),
-        ("-0x1.d5f7462b60677p-5", "0x1.b0ab2576ef078p-4")),
-    (33.0, -1.4999, 0.1, 25): (
-        # out of terms, but both estimates meet the 1e-12 target
-        ("-0x1.d04011e2c648cp-3", "0x1.3eeafc6eb5a20p-43", 26, True),
-        ("0x1.a5f6aa0005781p-2", "0x1.df107bf8755ffp-43", 26, True),
-        ("-0x1.5f4fa7604a826p-40", "0x1.56699f4fb25ccp-39")),
-    (math.inf, 1.5, 0.1, 25): (
-        ("-0x1.8bf31bc119e8dp-1", "0x0.0p+0", 0, True),
-        ("0x1.a5ed260f249aep-2", "0x0.0p+0", 0, True),
-        ("-0x1.aa62f4fe053ebp+3", "0x1.9f961e0c8b234p+4")),
+    (0.0, 0.0, 0.1): (
+        ("0x0.0p+0", "0x0.0p+0", 10, True), ("0x0.0p+0", "0x0.0p+0", 10, True),
+        ("0x0.0p+0", "-0x0.0p+0")),
+    (0.37, -1.5, 0.1): (
+        ("-0x1.f0f6c78c572e2p-6", "0x1.c5df9b50f4d25p-90", 18, True),
+        ("0x1.bdc485c3ec9afp-5", "0x1.507d7e6811f65p-89", 18, True),
+        ("-0x1.59985b8e967fep-43", "0x1.506921d705738p-42")),
+    (2.0, 1.4999, 0.05): (
+        ("-0x1.caeb8ccbbe627p-1", "0x1.f3409a6cb5046p-92", 27, True),
+        ("0x1.11b8fa158e7eep-2", "0x1.76e086771e2bep-91", 27, True),
+        ("-0x1.62eeb9e413b4fp+9", "0x1.5e3d20004f0c6p+10")),
+    (9.5, 0.7, 0.3): (
+        ("-0x1.3c4d568c0d751p-1", "0x1.f5d04c85266aap-89", 44, True),
+        ("0x1.1f299ffa60632p-1", "0x1.5c6659ed442bcp-89", 44, True),
+        ("-0x1.d5f7462b60676p-5", "0x1.b0ab2576ef078p-4")),
+    (33.0, -1.4999, 0.1): (
+        ("-0x1.d04011e2c6191p-3", "0x1.4dcd92c01acdap-99", 81, True),
+        ("0x1.a5f6aa0005545p-2", "0x1.f3f0251d3254ep-99", 81, True),
+        ("-0x1.5f4fa7604a828p-40", "0x1.56699f4fb25c9p-39")),
+    (math.inf, 1.5, 0.1): (
+        ("-0x1.8bf31bc119e8dp-1", "0x0.0p+0", 10, True),
+        ("0x1.a5ed260f249aep-2", "0x0.0p+0", 10, True),
+        ("-0x1.aa62f4fe053eep+3", "0x1.9f961e0c8b230p+4")),
 }
 
 
 @pytest.mark.parametrize("point", sorted(_PINNED))
 def test_series_and_closed_forms_are_pinned(point):
-    t, mu, temp, n_max = point
+    t, mu, temp = point
     n_pin, e_pin, boltzmann_pin = _PINNED[point]
     res = ReservoirParams(temp, mu)
     for fn, pin in ((nbar_fd_sommerfeld, n_pin), (ebar_fd_sommerfeld, e_pin)):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            r = fn(t, res, 0.35, 1.0, n_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = fn(t, res, 0.35, 1.0)
         assert (r.value.hex(), r.trunc_error_est.hex(), r.terms_used,
                 r.converged) == pin, fn.__name__
-        # a RegimeWarning exactly when the series reports itself unconverged
-        warned = [w for w in caught if issubclass(w.category, RegimeWarning)]
-        assert len(warned) == (not r.converged), fn.__name__
     dilute = ReservoirParams(temp, mu - 3.0)
-    assert (nbar_boltzmann_closed(t, dilute, 0.35, 1.0).hex(),
-            ebar_boltzmann_closed(t, dilute, 0.35, 1.0).hex()) == boltzmann_pin
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)  # three points are not dilute
+        assert (nbar_boltzmann_closed(t, dilute, 0.35, 1.0).hex(),
+                ebar_boltzmann_closed(t, dilute, 0.35, 1.0).hex()) == boltzmann_pin
+
+
+def sommerfeld_oracle(t, res, dephasing, g, energy, n_max):
+    """The term-by-term Sommerfeld series that the band sum replaced.
+
+    S = cos(gt) J_0(gt) h + sum_n (-1)^n term_n with hand-paired terms in
+    cos(gt) J_2n(gt) and sin(gt) J_2n-1(gt), h = th (N) or sin(th) (E), summed
+    until two successive |terms| fall below 1e-13 or n_max runs out; returns
+    the counter's value and whether the stopping rule was met.  The T^2
+    bracket is the library's own: only the Bessel series is independent.
+    """
+    damping = math.exp(-dephasing * t)
+    gt = g * t
+    theta = math.acos(-0.5 * res.mu)
+    h = math.sin(theta) if energy else theta
+    table = SpecialFnTable(2 * n_max, gt)
+    c, s = math.cos(gt), math.sin(gt)
+
+    def term(n):
+        cj, sj = c * table.j(2 * n), s * table.j(2 * n - 1)
+        if not energy:
+            return (cj * math.sin(4 * n * theta) / (2 * n)
+                    - sj * math.sin((4 * n - 2) * theta) / (2 * n - 1))
+        upper = math.sin((4 * n + 1) * theta) / (4 * n + 1)
+        middle = math.sin((4 * n - 1) * theta) / (4 * n - 1)
+        lower = math.sin((4 * n - 3) * theta) / (4 * n - 3)
+        return cj * (upper + middle) - sj * (middle + lower)
+
+    series = c * table.j(0) * h
+    last = math.inf
+    converged = False
+    for n in range(1, n_max + 1):
+        signed = (-1.0 if n % 2 else 1.0) * term(n)
+        series += signed
+        if abs(signed) < 1e-13 and last < 1e-13:
+            converged = True
+            break
+        last = abs(signed)
+    pref = -2.0 if energy else 1.0
+    bracket = (_bracket_derivative_e if energy else _bracket_derivative_n)(
+        res.mu, t, damping, g)
+    value = (pref * damping * series - pref * h
+             + (math.pi ** 2 * res.temperature ** 2 / 6.0) * bracket) / math.pi
+    return value, converged
+
+
+def test_band_sum_matches_the_term_by_term_series_on_the_c8_grid():
+    # c8's grid: the onsteste2 comparison at T = 0.1 and 0.25, seven mu
+    worst = 0.0
+    for temp in (0.1, 0.25):
+        for mu in np.linspace(-1.5, 1.5, 7):
+            res = ReservoirParams(temp, float(mu))
+            for t in np.linspace(0.0, 10.0, 11):
+                for energy, fn in ((False, nbar_fd_sommerfeld), (True, ebar_fd_sommerfeld)):
+                    want, converged = sommerfeld_oracle(float(t), res, 0.35, 1.0, energy, 25)
+                    assert converged
+                    worst = max(worst, abs(fn(float(t), res, 0.35, 1.0).value - want))
+    assert worst <= 1e-15
+
+
+@pytest.mark.parametrize("gt", [40.0, 60.0])
+def test_sommerfeld_converges_at_large_g_t(gt):
+    # from g t = 40 the old series ran out of its n_max = 25 terms, returned
+    # converged=False and warned; the band sum's length follows g t
+    res = ReservoirParams(0.1, 0.5)
+    for energy, fn in ((False, nbar_fd_sommerfeld), (True, ebar_fd_sommerfeld)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = fn(gt, res, 0.0, 1.0)
+        want, converged = sommerfeld_oracle(gt, res, 0.0, 1.0, energy, 60)
+        assert converged and series.converged
+        assert series.trunc_error_est <= 1e-12
+        assert series.value == pytest.approx(want, abs=1e-14)
+
+
+def test_sommerfeld_rejects_g_t_beyond_the_j_range():
+    with pytest.raises(ValueError, match=r"g t must lie in \[-10000, 10000\]"):
+        nbar_fd_sommerfeld(1.0001e4, ReservoirParams(0.1, 0.5), 0.0, 1.0)
+    # the old series raised from g t = 100; the range now reaches 1e4
+    assert ebar_fd_sommerfeld(1e4, ReservoirParams(0.1, 0.5), 0.0, 1.0).converged
 
 
 def test_equilibrium_block_reciprocity_and_parity():
@@ -317,20 +455,6 @@ def test_equilibrium_block_tracks_damped_quadrature():
     assert closed.j_n_mu == pytest.approx(quad.j_n_mu, rel=5e-3)
     # j_q_t leads at order T^3, so its truncation error is T^2 relative (~2%)
     assert closed.j_q_t == pytest.approx(quad.j_q_t, rel=5e-2)
-
-
-def test_unconverged_sommerfeld_series_warns_with_g_t_and_estimate():
-    # from g t = 40 the series used to return converged=False without a word
-    res = ReservoirParams(0.1, 0.5)
-    for fn in (nbar_fd_sommerfeld, ebar_fd_sommerfeld):
-        with pytest.warns(RegimeWarning, match="unconverged at g t = 40: truncation "
-                                               "estimate") as caught:
-            series = fn(40.0, res, 0.0, 1.0)
-        assert not series.converged
-        assert "estimate %.3g after" % series.trunc_error_est in str(caught[0].message)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert fn(10.0, res, 0.0, 1.0).converged  # the figures keep g t <= 10
 
 
 def test_boltzmann_closed_forms_outside_the_dilute_regime_warn():

@@ -74,11 +74,10 @@ CALLS = {
     "SpecialFnTable": _call(3, 2.5),
     "bessel_i": _call(2, 2.5),
     "bessel_j": _call(2, 2.5),
-    "beta_fn": _call(2.5, 1.5),
     "nbar_boltzmann_closed": _call(2.0, DILUTE, 0.1, 1.0),
     "ebar_boltzmann_closed": _call(2.0, DILUTE, 0.1, 1.0),
-    "nbar_fd_sommerfeld": _call(2.0, RES, 0.1, 1.0, 25),
-    "ebar_fd_sommerfeld": _call(2.0, RES, 0.1, 1.0, 25),
+    "nbar_fd_sommerfeld": _call(2.0, RES, 0.1, 1.0),
+    "ebar_fd_sommerfeld": _call(2.0, RES, 0.1, 1.0),
     "equilibrium_sommerfeld_onsager": _call(RES),
     "omega": _call(0, 2.0, 3.0),
     "omega_defining_integral": _call(1, 2.0, 3.0),
@@ -104,7 +103,7 @@ CALLS = {
     "transition_weight": _call(MODE, 1.5),
     "ScenarioConfig": _call("custom", temperature=0.1, mu=0.0, dephasing=0.05, g=1.0,
                             tol=1e-10, sig_digits=12, delta_t=0.0, delta_mu=0.0,
-                            n_eq=0.5, delta_n=0.1, n_max=25),
+                            n_eq=0.5, delta_n=0.1),
     "parse_config": _call({"scenario": "entroprod"}),
     "run_scenario": _call(fc.ScenarioConfig("entroprod")),
     "write_result": _call(fc.ScenarioResult("s", (fc.Panel("", ("x",), ((0.5,),)),)),
@@ -236,14 +235,13 @@ PROBES = {
     "fluxes(delta_mu=nan)": ("delta_mu", lambda: fc.fluxes(BLOCK, math.nan, 0.0)),
     "fluxes(delta_t=inf)": ("delta_t", lambda: fc.fluxes(BLOCK, 0.0, math.inf)),
     "bessel_i(y=nan)": ("y", lambda: fc.bessel_i(0, math.nan)),
-    "beta_fn(a=nan)": ("a", lambda: fc.beta_fn(math.nan, 1.0)),
     "band_gap_ev(T=nan)": ("temperature_kelvin", lambda: fc.band_gap_ev(3, math.nan)),
     "band_gap_ev(T=inf)": ("temperature_kelvin", lambda: fc.band_gap_ev(3, math.inf)),
     "boltzmann_validity(m=nan)": ("m", lambda: fc.boltzmann_validity(math.nan, RES)),
     "OnsagerBlock(j_n_mu=nan)": ("j_n_mu", lambda: fc.OnsagerBlock(math.nan, 0, 0, 0, 0.1)),
     # fluxes took such a block and returned a number
     "OnsagerBlock(T=-1)": ("temperature", lambda: fc.OnsagerBlock(0.1, 0, 0, 0, -1.0)),
-    # omega raised SeriesConvergenceError, a raw OverflowError or a RuntimeWarning
+    # omega raised a series-budget error, a raw OverflowError or a RuntimeWarning
     "omega(x=nan)": ("x", lambda: fc.omega(0, math.nan, 1.0)),
     "omega(y=nan)": ("y", lambda: fc.omega(0, 1.0, math.nan)),
     "omega(x=inf)": ("x", lambda: fc.omega(0, math.inf, 1.0)),
@@ -256,9 +254,12 @@ PROBES = {
         ("coupling", lambda: fc.nbar_boltzmann_closed(2.0, DILUTE, 0.1, math.nan)),
     "nbar_fd_sommerfeld(g=nan)":
         ("coupling", lambda: fc.nbar_fd_sommerfeld(2.0, RES, 0.1, math.nan)),
-    # "y must lie in the validated range", about 2/T, which the caller never passed
-    "nbar_boltzmann_closed(T=0.015)":
-        ("temperature", lambda: fc.nbar_boltzmann_closed(1.0, fc.ReservoirParams(0.015, -3.0),
+    # -inf and inf with only a RegimeWarning: exp(mu/T) I_0(2/T) overflows
+    "nbar_boltzmann_closed(T=0.02, mu=13)":
+        ("temperature", lambda: fc.nbar_boltzmann_closed(1.0, fc.ReservoirParams(0.02, 13.0),
+                                                         0.1, 1.0)),
+    "ebar_boltzmann_closed(T=0.02, mu=13)":
+        ("temperature", lambda: fc.ebar_boltzmann_closed(1.0, fc.ReservoirParams(0.02, 13.0),
                                                          0.1, 1.0)),
     # spent 65,536 panels, then reported "achieved nan"
     "integrate_interval(a=nan)":

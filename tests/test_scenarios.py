@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fermichain import RegimeWarning, ReservoirParams, cli, transport
+from fermichain import ReservoirParams, cli, transport
 from fermichain.scenarios import (
     SCENARIOS,
     ComparisonReport,
@@ -21,6 +21,7 @@ from fermichain.scenarios import (
     run_scenario,
     write_result,
 )
+from test_closedforms import sommerfeld_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +576,7 @@ def test_cli_accept_unknown_criterion(capsys):
 
 def test_directly_built_config_is_checked_like_a_parsed_one():
     # a direct ScenarioConfig used to accept these until a panel ran
-    for key, value in (("temperature", math.nan), ("tol", 1e-16), ("n_max", 31),
+    for key, value in (("temperature", math.nan), ("tol", 1e-16), ("sig_digits", 18),
                        ("stats", "FD"), ("t_grid", (1.0, 0.0)), ("sig_digits", 2.5)):
         with pytest.raises(ConfigError, match="config field '%s' must" % key) as direct:
             ScenarioConfig(scenario="custom", **{key: value})
@@ -592,12 +593,32 @@ def test_cli_integer_beyond_the_float_range_exits_2(tmp_path, capsys):
     assert "error: config field 'mu' must be a finite number" in capsys.readouterr().err
 
 
-def test_cli_unconverged_sommerfeld_series_warns_and_exits_0(tmp_path):
-    # the series is unconverged from g t = 40 on; this used to pass silently
-    with pytest.warns(RegimeWarning, match="Sommerfeld series unconverged at g t = 60"):
-        rc = cli.main(["figure", "onsteste2", "--set", "t_grid=[0,30,60,90]",
+def test_cli_sommerfeld_series_converges_at_large_g_t(tmp_path):
+    # the old series ran out of its n_max terms from g t = 40 on and warned;
+    # the band sum follows g t, agrees with the term-by-term oracle and is quiet
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["figure", "onsteste2", "--set", "t_grid=[0,40,60]",
                        "--set", "dephasing=0.0", "--set", "out_dir=%s" % tmp_path])
     assert rc == 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the default grids keep g t <= 10
-        assert cli.main(["figure", "onsteste2", "--set", "out_dir=%s" % tmp_path]) == 0
+    for mu, name in ((0.0, "onsteste2_mu0.csv"), (1.0, "onsteste2_mu1.csv")):
+        rows = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)
+        res = ReservoirParams(0.1, mu)
+        for t, _, n_series, _, e_series in rows:
+            for energy, got in ((False, n_series), (True, e_series)):
+                want, converged = sommerfeld_oracle(t, res, 0.0, 1.0, energy, 60)
+                assert converged
+                assert got == pytest.approx(want, rel=1e-11, abs=1e-12)
+
+
+def test_n_max_is_not_a_config_key(tmp_path, capsys):
+    # the series length follows g t; the knob is gone, and an old config
+    # that sets it is rejected by name
+    with pytest.raises(ConfigError, match="'n_max'"):
+        parse_config({"scenario": "onsteste2", "n_max": 25})
+    assert cli.main(["figure", "onsteste2", "--set", "n_max=25",
+                     "--set", "out_dir=%s" % tmp_path]) == 2
+    assert "'n_max'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+

@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from fermichain import SpecialFnTable, bessel_i, bessel_j, beta_fn
+from fermichain import SpecialFnTable, bessel_i, bessel_j
+from fermichain.special import bessel_band_sum
 
 # reference values computed with mpmath at 30 significant digits
 _J_REF = {
@@ -29,30 +30,6 @@ _I_REF = {
     (2, 25.0): 5321931396.07601421,
     (0, 30.0): 781672297823.97749,
 }
-
-
-def test_beta_trivial():
-    assert beta_fn(1.0, 1.0) == pytest.approx(1.0, rel=1e-15)
-    assert beta_fn(0.5, 0.5) == pytest.approx(math.pi, rel=1e-14)
-
-
-def test_beta_half_integer():
-    # B(2.5, 3.5) = 3 pi / 256
-    assert beta_fn(2.5, 3.5) == pytest.approx(3.0 * math.pi / 256.0, rel=1e-13)
-
-
-def test_beta_symmetry_and_recurrence():
-    assert beta_fn(3.2, 1.7) == pytest.approx(beta_fn(1.7, 3.2), rel=1e-14)
-    # B(a+1, b) = B(a, b) * a / (a + b)
-    a, b = 2.3, 4.1
-    assert beta_fn(a + 1.0, b) == pytest.approx(beta_fn(a, b) * a / (a + b), rel=1e-13)
-
-
-def test_beta_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        beta_fn(0.0, 1.0)
-    with pytest.raises(ValueError):
-        beta_fn(1.0, -2.0)
 
 
 def test_bessel_j_at_zero():
@@ -84,12 +61,14 @@ def test_bessel_j_negative_argument_parity():
 
 
 def test_bessel_j_range_guard():
-    with pytest.raises(ValueError):
-        bessel_j(61, 1.0)
-    with pytest.raises(ValueError):
-        bessel_j(0, 101.0)
+    with pytest.raises(ValueError, match=re.escape("order n must be an integer in [0, 20000]")):
+        bessel_j(20001, 1.0)
+    with pytest.raises(ValueError, match=re.escape("x must lie in the validated range")):
+        bessel_j(0, 1.0001e4)
     with pytest.raises(ValueError):
         bessel_j(-1, 1.0)
+    with pytest.raises(ValueError, match=re.escape("y must lie in the validated range")):
+        bessel_i(0, 700.5)
 
 
 def test_bessel_i_at_zero():
@@ -153,3 +132,58 @@ def test_table_tiny_argument_is_the_leading_term(x):
     for n in range(61):
         assert math.isfinite(tab.j(n))
         assert tab.j(n) == (0.5 * x) ** n / math.factorial(n), n
+
+
+def test_j_column_matches_mpmath_over_the_whole_range():
+    # |x| <= 1e4 with as few orders as bessel_j asks for and as many as a
+    # band sum does; mpmath, not scipy: scipy.special.jv is itself off by
+    # up to 9e-14 at x = 1e4
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 25
+    worst = 0.0
+    for x in (8.5, 99.0, 730.0, -4e3, 1e4):
+        top = SpecialFnTable.band_orders(x) - 1
+        for max_order in (2, top):
+            tab = SpecialFnTable(max_order, x)
+            # mpmath takes seconds per order at x = 1e4 inside the band
+            middle = {max_order // 2, max(0, max_order - 40)} if abs(x) < 1e4 else set()
+            for n in sorted({0, 1, 2, max_order} | middle):
+                ref = float(mpmath.besselj(n, x, maxprec=100_000))
+                worst = max(worst, abs(tab.j(n) - ref))
+    assert worst <= 1e-15
+
+
+def test_band_orders_leave_only_negligible_orders():
+    # past band_orders(x), |J_n(x)| < 2^-60
+    for x in (0.0, 0.3, 5.0, 64.0, 1e3, 1e4):
+        n = SpecialFnTable.band_orders(x)
+        tab = SpecialFnTable(n + 40, x)
+        assert max(abs(tab.j(m)) for m in range(n, n + 41)) < 2.0 ** -60, x
+
+
+def test_i_column_matches_mpmath_over_the_whole_range():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 25
+    worst = 0.0
+    for y in (1e-9, 0.3, 7.0, 60.0, 250.0, 699.0, 700.0, -700.0):
+        for n in (0, 1, 5, 40, 120, 300):
+            ref = float(mpmath.besseli(n, y))
+            if abs(ref) > 1e-290:
+                worst = max(worst, abs(bessel_i(n, y) - ref) / abs(ref))
+    assert worst <= 5e-15
+
+
+def test_band_sum_is_jacobi_anger():
+    # a_0 = 1, a_j = 0 otherwise: (1/pi) int cos(z - z cos 2k) dk = cos(z) J_0(z)
+    for z in (0.0, 2.5, -40.0, 1e3):
+        value, tail = bessel_band_sum(z, [1.0] + [0.0] * (SpecialFnTable.band_orders(z) - 1))
+        assert value == pytest.approx(math.cos(z) * bessel_j(0, z), abs=1e-15)
+        assert tail == 0.0
+    # a single order j: cos(z) or sin(z) times 2 (-1)^(j//2) J_j(z)
+    z = 7.5
+    for j in range(1, 6):
+        coeffs = [0.0] * 12
+        coeffs[j] = 1.0
+        trig = math.sin(z) if j % 2 else math.cos(z)
+        want = 2.0 * (-1.0) ** (j // 2) * trig * bessel_j(j, z)
+        assert bessel_band_sum(z, coeffs)[0] == pytest.approx(want, abs=1e-15)

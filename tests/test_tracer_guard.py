@@ -1,0 +1,47 @@
+"""The benchmark's tracer still finds every name it wraps.
+
+``perfbench/tracer.py`` wraps fermichain's public functions by name and
+reads ``terms_used`` and ``converged`` off the series results.  A rename in
+``src/`` would break it, yet its own tests live under ``perfbench/tests``,
+which the package suite does not run.  This module loads the tracer from
+its file, read only, installs it and runs the closed forms through it.
+"""
+
+import importlib.util
+import pathlib
+import sys
+
+import fermichain as fc
+
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look the module up by name
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_tracer_installs_and_reads_the_series_results():
+    tracer_module = _load_tracer()
+    res = fc.ReservoirParams(0.1, 0.5)
+    with tracer_module.Tracer().install(fc) as tracer:  # MissingName if a name is gone
+        series = fc.nbar_fd_sommerfeld(3.0, res, 0.35, 1.0)
+        fc.ebar_fd_sommerfeld(3.0, res, 0.35, 1.0)
+        fc.omega(1, 12.0, 3.0)
+        fc.omega_defining_integral(0, 2.0, 1.0)
+        counts = tracer.pass_metrics()
+    assert series.converged and series.terms_used > 0
+    assert counts["closedforms.sommerfeld.calls"] == 2
+    assert counts["closedforms.sommerfeld.terms"] == 2 * series.terms_used
+    assert counts["closedforms.sommerfeld.unconverged"] == 0
+    assert counts["closedforms.omega.calls"] == 2
+    assert counts["closedforms.omega.terms"] > 0
+    assert counts["closedforms.omega.fallbacks"] == 1
+    assert counts["special.table.calls"] >= 3  # each band sum builds one J column
+    assert fc.closedforms.SpecialFnTable is fc.special.SpecialFnTable  # uninstalled
