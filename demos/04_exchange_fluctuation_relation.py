@@ -12,7 +12,8 @@ for every noise strength.
 import numpy as np
 
 from fermichain import (ExchangeEvent, ModeSpec, ReservoirParams, affinities,
-                        exchange_prob, ft_log_ratio, multi_mode_ft,
+                        exchange_prob, ft_log_ratio, log_occupation_fd,
+                        log_vacancy_fd, multi_mode_ft, occupation_fd,
                         transition_weight)
 
 mode = ModeSpec.from_momentum(2.0, g=1.0, dephasing=0.4)
@@ -40,9 +41,15 @@ print("\nft_log_ratio: lhs %.12f, rhs %.12f, residual %.2e"
 # log-ratio is formed from the exponents directly and stays exact
 deep_a = ReservoirParams(temperature=0.05, mu=2.0)
 deep_b = ReservoirParams(temperature=0.05, mu=-2.0)
-deep = ft_log_ratio(ModeSpec.from_momentum(1.2, g=1.0), deep_a, deep_b, t=1.0)
+deep_mode = ModeSpec.from_momentum(1.2, g=1.0)
+deep = ft_log_ratio(deep_mode, deep_a, deep_b, t=1.0)
 print("deep saturation: lhs - rhs = %.2e with lhs = %.3f"
       % (deep.residual, deep.lhs))
+# the logs it is built from: 1 - n rounds to 0 here, ln(1 - n) does not
+n_deep = occupation_fd(deep_mode.energy, deep_a)
+print("side A: 1 - n = %.1f, yet ln n = %.3e and ln(1 - n) = %.4f"
+      % (1.0 - n_deep, log_occupation_fd(deep_mode.energy, deep_a),
+         log_vacancy_fd(deep_mode.energy, deep_a)))
 
 # several modes at once: the log-ratios just add per event
 events = [ExchangeEvent(ModeSpec.from_momentum(0.8), delta_n_a=-1),

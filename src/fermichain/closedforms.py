@@ -71,6 +71,7 @@ import numpy as np
 
 _SERIES_TOL = 1e-12  # target error of the omega and Sommerfeld sums
 _NU_MAX = 1000  # keeps omega's I column, 2 orders + nu, inside its range
+_DEFINING_MAX_PANELS = 1 << 14  # omega_defining_integral's panel budget
 _NU_DOMAIN = "be an integer in [0, %d]" % _NU_MAX
 _X_DOMAIN = "lie in [-%g, %g], where J_n(x/2) is validated" % (2 * _J_MAX_ARG,
                                                                 2 * _J_MAX_ARG)
@@ -98,10 +99,19 @@ def _check_omega_args(nu: int, x: float, y: float):
 
 
 def omega_defining_integral(nu: int, x: float, y: float) -> SeriesResult:
-    """Direct quadrature of the omega integrand (the independent cross-check)."""
+    """Direct quadrature of the omega integrand (the independent cross-check).
+
+    It starts at ceil(|x|) panels to resolve the oscillation, and that start
+    must stay below its 16,384-panel budget, so |x| <= 16383 (``omega``
+    reaches 2e4).
+    """
     _check_omega_args(nu, x, y)
+    _require("x", x, abs(x) <= _DEFINING_MAX_PANELS - 1,
+             "have |x| <= %d, where the direct quadrature's ceil(|x|) starting "
+             "panels stay below its %d-panel budget"
+             % (_DEFINING_MAX_PANELS - 1, _DEFINING_MAX_PANELS))
     quad = QuadratureSpec(abs_tol=_SERIES_TOL * 0.1 * max(1.0, math.exp(y)),
-                          rel_tol=1e-13, max_panels=1 << 14, base_panels=8)
+                          rel_tol=1e-13, max_panels=_DEFINING_MAX_PANELS, base_panels=8)
 
     def f(z):
         return (np.cos(z) ** nu * np.exp(y * np.cos(z)) * np.cos(x * np.sin(z) ** 2),)

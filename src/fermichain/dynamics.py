@@ -12,13 +12,17 @@ solution is
 
 and the 4x4 density matrix in the Fock basis {|0>, a+|0>, b+|0>, a+b+|0>}
 keeps constant corners (1-nA)(1-nB) and nA*nB while the single-excitation
-block carries the oscillation.  The integrator in this module makes no use of
-the closed forms; it steps the master equation with a classical fixed-step
-4th-order scheme and exists to certify them.
+block carries the oscillation.  The closed forms broadcast: occupations,
+times and a ModeSpec whose coupling and dephasing are arrays evaluate a whole
+batch of modes in one call.  The integrator in this module makes no use of
+the closed forms; it takes a classical fixed-step 4th-order scheme, whose
+step is one fixed matrix P for a time-independent generator, and applies P^n
+by repeated squaring.  It exists to certify the closed forms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -30,15 +34,26 @@ class IntegrationError(RuntimeError):
     """Fixed-step integration produced non-finite values (step too large)."""
 
 
-def _check_occ(n_a0: float, n_b0: float):
-    if not (0.0 <= n_a0 <= 1.0 and 0.0 <= n_b0 <= 1.0):  # per sample in c2
-        _require("n_a0", n_a0, 0.0 <= n_a0 <= 1.0, "lie in [0, 1]")
-        _require("n_b0", n_b0, False, "lie in [0, 1]")
+def _check_occ(n_a0, n_b0):
+    """The checked (n_a0, n_b0): plain floats as given, anything else as arrays."""
+    if isinstance(n_a0, float) and isinstance(n_b0, float) and (
+            0.0 <= n_a0 <= 1.0 and 0.0 <= n_b0 <= 1.0):  # per sample: one inline test
+        return n_a0, n_b0
+    checked = []
+    for name, n in (("n_a0", n_a0), ("n_b0", n_b0)):
+        occ = np.asarray(n, dtype=float)
+        _require(name, n, bool(np.all((occ >= 0.0) & (occ <= 1.0))), "lie in [0, 1]")
+        checked.append(occ)
+    return checked
 
 
-def occ_a(mode: ModeSpec, n_a0: float, n_b0: float, t):
-    """<a+a> at time t for initial occupations (n_a0, n_b0)."""
-    _check_occ(n_a0, n_b0)
+def occ_a(mode: ModeSpec, n_a0, n_b0, t):
+    """<a+a> at time t for initial occupations (n_a0, n_b0).
+
+    The occupations, t and the mode's coupling and dephasing may be
+    broadcasting arrays; each entry equals the scalar call bit for bit.
+    """
+    n_a0, n_b0 = _check_occ(n_a0, n_b0)
     envelope, phase = relaxation_envelope(t, mode.dephasing, mode.coupling)
     mean = 0.5 * (n_a0 + n_b0)
     half = 0.5 * (n_a0 - n_b0)
@@ -46,15 +61,15 @@ def occ_a(mode: ModeSpec, n_a0: float, n_b0: float, t):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def occ_b(mode: ModeSpec, n_a0: float, n_b0: float, t):
+def occ_b(mode: ModeSpec, n_a0, n_b0, t):
     """<b+b> at time t: :func:`occ_a` with the halves swapped, bit for bit."""
     _check_occ(n_a0, n_b0)  # so that a bad occupation is named as passed
     return occ_a(mode, n_b0, n_a0, t)
 
 
-def coherence_ab(mode: ModeSpec, n_a0: float, n_b0: float, t):
+def coherence_ab(mode: ModeSpec, n_a0, n_b0, t):
     """Inter-half coherence <a+b> = (i/2)(n_a0 - n_b0) exp(-lam t) sin(2 g_k t)."""
-    _check_occ(n_a0, n_b0)
+    n_a0, n_b0 = _check_occ(n_a0, n_b0)
     envelope, phase = relaxation_envelope(t, mode.dephasing, mode.coupling)
     half = 0.5 * (n_a0 - n_b0)
     out = 1j * half * envelope * np.sin(phase)
@@ -85,9 +100,16 @@ def density_matrix_from_occupations(n_a0: float, n_b0: float, coupling: float,
     return rho
 
 
+def _check_one_mode(mode: ModeSpec):
+    # a ModeSpec of arrays is a batch for the closed forms, not one 4x4 state
+    _require("mode", mode, np.ndim(mode.energy) == np.ndim(mode.coupling)
+             == np.ndim(mode.dephasing) == 0, "have scalar fields (one mode, not a batch)")
+
+
 def density_matrix(mode: ModeSpec, res_a: ReservoirParams, res_b: ReservoirParams,
                    t: float) -> np.ndarray:
     """Mode state for halves prepared thermally at res_a / res_b."""
+    _check_one_mode(mode)
     n_a0 = occupation_fd(mode.energy, res_a)
     n_b0 = occupation_fd(mode.energy, res_b)
     return density_matrix_from_occupations(n_a0, n_b0, mode.coupling, mode.dephasing, t)
@@ -130,6 +152,19 @@ def _liouvillian(energy: float, coupling: float, dephasing: float) -> np.ndarray
     return sup
 
 
+@functools.lru_cache(maxsize=1)
+def _liouvillian_parts():
+    """(L_E, L_g, L_lam): the generator is E L_E + g L_g + lam L_lam.
+
+    Built on first use, so importing the package does not pay for them, and
+    read-only, since every call shares them.
+    """
+    parts = tuple(_liouvillian(*unit) for unit in np.eye(3).tolist())
+    for part in parts:
+        part.setflags(write=False)
+    return parts
+
+
 def lindblad_trajectory(mode: ModeSpec | list | tuple, res_a: ReservoirParams,
                         res_b: ReservoirParams, t_grid, dt_max: float = 1e-3) -> np.ndarray:
     """Integrate the dephasing master equation, reporting at each grid time.
@@ -139,7 +174,12 @@ def lindblad_trajectory(mode: ModeSpec | list | tuple, res_a: ReservoirParams,
     every step is one classical RK4 step.  Because the generator L is
     time-independent, that step is the fixed matrix
     ``P = I + dt L + (dt L)^2/2 + (dt L)^3/6 + (dt L)^4/24``, built once per
-    interval and applied ``n`` times; all modes of a batch advance together.
+    interval and applied as ``P^n`` by repeated squaring (about log2 n
+    matrix products instead of n); the next interval reuses ``P^n`` when it
+    has the same span and step count.  All modes of a batch advance
+    together.  A step outside RK4's stability region for any part of a
+    mode's generator can overflow ``P^n``; a non-finite state raises
+    IntegrationError.
 
     Parameters
     ----------
@@ -162,7 +202,12 @@ def lindblad_trajectory(mode: ModeSpec | list | tuple, res_a: ReservoirParams,
     batch = isinstance(mode, (list, tuple))
     modes = list(mode) if batch else [mode]
     _require("mode", mode, bool(modes), "be a ModeSpec or a non-empty batch of them")
-    sup = np.stack([_liouvillian(m.energy, m.coupling, m.dephasing) for m in modes])
+    for m in modes:
+        _check_one_mode(m)
+    l_e, l_g, l_lam = _liouvillian_parts()
+    params = np.array([(m.energy, m.coupling, m.dephasing) for m in modes], dtype=float)
+    energy, coupling, dephasing = params.T[:, :, None, None]
+    sup = energy * l_e + coupling * l_g + dephasing * l_lam
     rho0 = np.empty((len(modes), 4, 4), dtype=complex)
     for j, m in enumerate(modes):
         n_a0 = occupation_fd(m.energy, res_a)
@@ -173,14 +218,17 @@ def lindblad_trajectory(mode: ModeSpec | list | tuple, res_a: ReservoirParams,
     eye = np.eye(16, dtype=complex)
     out = np.empty((len(modes), len(t_grid), 4, 4), dtype=complex)
     t_now = 0.0
+    interval = None  # (span, n_steps) that ``power`` advances
     for i, t_stop in enumerate(t_grid):
         span = t_stop - t_now
         if span > 0.0:
             n_steps = max(1, int(math.ceil(span / dt_max)))
-            hl = (span / n_steps) * sup
-            step = eye + hl @ (eye + hl @ (eye + hl @ (eye + hl / 4.0) / 3.0) / 2.0)
-            for _ in range(n_steps):
-                y = step @ y
+            if interval != (span, n_steps):
+                interval = (span, n_steps)
+                hl = (span / n_steps) * sup
+                step = eye + hl @ (eye + hl @ (eye + hl @ (eye + hl / 4.0) / 3.0) / 2.0)
+                power = np.linalg.matrix_power(step, n_steps)
+            y = power @ y
             t_now = t_stop
         bad = ~np.all(np.isfinite(y.view(float)), axis=(1, 2))
         if np.any(bad):

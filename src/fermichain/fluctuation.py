@@ -29,8 +29,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .lattice import (ModeSpec, ReservoirParams, _require, log_occupation_fd,
-                      log_vacancy_fd, occupation_fd, relaxation_envelope)
+from .lattice import (ModeSpec, ReservoirParams, _log_fd_pair, _require, occupation_fd,
+                      relaxation_envelope)
 
 
 class ZeroProbabilityError(ValueError):
@@ -83,13 +83,15 @@ class FtCheck:
 def _log_thermal_ratio(energy: float, res_a: ReservoirParams,
                        res_b: ReservoirParams) -> float:
     # logs taken directly from (eps - mu)/T; forming the occupation first
-    # and re-logging it would throw away digits wherever it rounds to 1
-    terms = (log_occupation_fd(energy, res_a), log_vacancy_fd(energy, res_b),
-             log_occupation_fd(energy, res_b), log_vacancy_fd(energy, res_a))
-    if not all(math.isfinite(v) for v in terms):
+    # and re-logging it would throw away digits wherever it rounds to 1.
+    # Each reservoir's ln n and ln(1 - n) share one log1p; a log is never
+    # NaN or positive, so -inf is its one non-finite value
+    occ_a, vac_a = _log_fd_pair(energy, res_a)
+    occ_b, vac_b = _log_fd_pair(energy, res_b)
+    if -math.inf in (occ_a, vac_b, occ_b, vac_a):
         _require("mode energy", energy, False, "leave every occupation and vacancy above 0 "
                  "(a saturated one has an undefined log-ratio)", ZeroProbabilityError)
-    return terms[0] + terms[1] - terms[2] - terms[3]
+    return occ_a + vac_b - occ_b - vac_a
 
 
 def ft_log_ratio(mode: ModeSpec, res_a: ReservoirParams, res_b: ReservoirParams,

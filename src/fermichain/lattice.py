@@ -134,6 +134,9 @@ class ModeSpec:
     energy : float, eps_k = -2 cos(k)
     coupling : float, g_k = g sin(k)^2
     dephasing : float, lambda >= 0
+
+    coupling and dephasing may also be broadcasting arrays, a batch of modes
+    for the closed forms in ``dynamics``.
     """
 
     energy: float
@@ -142,8 +145,11 @@ class ModeSpec:
 
     def __post_init__(self):
         energy, coupling, dephasing = self.energy, self.coupling, self.dephasing
-        if not (energy == energy and math.isfinite(coupling) and 0.0 <= dephasing < math.inf):
-            _require("mode energy", energy, energy == energy, "not be NaN")
+        # plain floats, one per mode in the gate's loops, take one inline test
+        if not (isinstance(coupling, float) and isinstance(dephasing, float)
+                and isinstance(energy, float) and energy == energy
+                and math.isfinite(coupling) and 0.0 <= dephasing < math.inf):
+            _require("mode energy", energy, not np.isnan(energy).any(), "not be NaN")
             _check_envelope_args(0.0, dephasing, coupling)
 
     @classmethod
@@ -161,22 +167,22 @@ def _check_envelope_args(t, dephasing, coupling):
     _require("time", t, not (tarr < 0.0).any(), "be >= 0")
     _require("dephasing rate", dephasing, bool(np.all((lam >= 0.0) & (lam < math.inf))),
              "be finite and >= 0")
-    _require("coupling g", coupling, math.isfinite(coupling), "be finite")
+    _require("coupling g", coupling, bool(np.isfinite(coupling).all()), "be finite")
     _require("time", t, not (np.isinf(tarr) & (lam == 0.0)).any(),
              "be finite at dephasing rate 0, where the mode oscillates forever",
              EquilibriumUndefinedError)
 
 
-def _reject_phase(coupling: float):
+def _reject_phase(coupling):
     """Name why the phase 2 g t of a live mode is not finite."""
-    _require("coupling g", coupling, math.isfinite(coupling), "be finite")
+    _require("coupling g", coupling, bool(np.isfinite(coupling).all()), "be finite")
     _require("phase 2 g t", math.inf, False, "be finite: coupling g times time t overflows")
 
 
-def relaxation_envelope(t, dephasing, coupling: float):
+def relaxation_envelope(t, dephasing, coupling):
     """Validated (envelope, phase) = (exp(-lam t), 2 g t) of one mode.
 
-    t and lam may be scalars or broadcasting arrays, g one scalar.  Rejects
+    t, lam and g may be scalars or broadcasting arrays.  Rejects
     NaN or negative t, NaN, negative or infinite lam and a non-finite g;
     t = inf with lam = 0 has no limit and raises EquilibriumUndefinedError.
     An envelope below ``_DAMPING_FLOOR`` is set to 0 and takes the phase with
@@ -184,19 +190,22 @@ def relaxation_envelope(t, dephasing, coupling: float):
     0 * cos(inf); a finite g t whose phase overflows raises ValueError.  The
     envelope is a numpy float64 for scalar input.
     """
-    if not (isinstance(t, float) and isinstance(dephasing, float)):
+    if not (isinstance(t, float) and isinstance(dephasing, float)
+            and isinstance(coupling, float)):
         tarr = np.asarray(t, dtype=float)
         lam = np.asarray(dephasing, dtype=float)
-        if tarr.ndim == 0 and lam.ndim == 0:
-            return relaxation_envelope(float(tarr), float(lam), coupling)
+        if tarr.ndim == 0 and lam.ndim == 0 and np.ndim(coupling) == 0:
+            return relaxation_envelope(float(tarr), float(lam), float(coupling))
         _check_envelope_args(t, dephasing, coupling)
         envelope = np.exp(-lam * tarr)
         alive = envelope > _DAMPING_FLOOR
         t_alive = np.where(alive, tarr, 0.0)
-        # the largest |phase| in plain floats: overflows without a numpy warning
-        if not math.isfinite(2.0 * abs(float(coupling)) * float(t_alive.max(initial=0.0))):
+        # the checked g is finite, so only the product can overflow
+        with np.errstate(over="ignore"):
+            phase = 2.0 * coupling * t_alive
+        if not np.isfinite(phase).all():
             _reject_phase(coupling)
-        return np.where(alive, envelope, 0.0), 2.0 * coupling * t_alive
+        return np.where(alive, envelope, 0.0), phase
     # plain-Python scalar path, per sample in the per-mode functions: one
     # inline test, and the named checks only once it fails; a live mode's g
     # is checked through its phase
@@ -240,12 +249,18 @@ def occupation_fd(energy, reservoir: ReservoirParams):
     return float(out) if out.ndim == 0 else out
 
 
-def _log_sigmoid(x: float, energy: float) -> float:
-    # ln(1/(e^x + 1)) = -(max(x,0) + log1p(e^{-|x|})), stable on both tails;
-    # x is NaN only for a NaN energy
+def _log_fd_pair(energy: float, reservoir: ReservoirParams):
+    """(ln n, ln(1 - n)) of the Fermi-Dirac occupation from one log1p.
+
+    With x = (eps - mu)/T, ln n = -(max(x, 0) + log1p(e^{-|x|})) and the
+    vacancy is its particle-hole mirror at -x, so both share the log1p term;
+    stable on both tails.  x is NaN only for a NaN energy.
+    """
+    x = (energy - reservoir.mu) / reservoir.temperature
     if x != x:
         _require("energy", energy, False, "not be NaN")
-    return -(max(x, 0.0) + math.log1p(math.exp(-abs(x))))
+    tail = math.log1p(math.exp(-abs(x)))
+    return -(max(x, 0.0) + tail), -(max(-x, 0.0) + tail)
 
 
 def log_occupation_fd(energy: float, reservoir: ReservoirParams) -> float:
@@ -255,7 +270,7 @@ def log_occupation_fd(energy: float, reservoir: ReservoirParams) -> float:
     from it loses most of its digits; this form keeps full precision on both
     tails.  Scalar energies only.
     """
-    return _log_sigmoid((energy - reservoir.mu) / reservoir.temperature, energy)
+    return _log_fd_pair(energy, reservoir)[0]
 
 
 def log_vacancy_fd(energy: float, reservoir: ReservoirParams) -> float:
@@ -264,7 +279,7 @@ def log_vacancy_fd(energy: float, reservoir: ReservoirParams) -> float:
     Uses the particle-hole mirror of :func:`log_occupation_fd` (the vacancy is
     the occupation with the sign of eps - mu flipped).  Scalar energies only.
     """
-    return _log_sigmoid((reservoir.mu - energy) / reservoir.temperature, energy)
+    return _log_fd_pair(energy, reservoir)[1]
 
 
 def occupation_boltzmann(energy, reservoir: ReservoirParams):

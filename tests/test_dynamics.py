@@ -15,6 +15,7 @@ from fermichain import (
     occ_b,
     occupation_fd,
 )
+from fermichain import dynamics
 
 
 def _mode(coupling=1.0, dephasing=0.0, energy=0.0):
@@ -269,3 +270,58 @@ def test_trajectory_unstable_mode_in_batch_raises():
     modes = [_mode(coupling=1.0), _mode(coupling=1e4), _mode(coupling=0.5)]
     with pytest.raises(IntegrationError, match="mode 1"):
         lindblad_trajectory(modes, *_res_pair(), [1.0], dt_max=1e-3)
+
+
+def test_generator_parts_rebuild_every_per_mode_generator_bit_for_bit():
+    l_e, l_g, l_lam = dynamics._liouvillian_parts()
+    rng = np.random.default_rng(11)
+    for eps, g, lam in zip(rng.uniform(-2, 2, 200), rng.uniform(0, 2, 200),
+                           np.where(rng.random(200) < 0.1, 0.0, rng.uniform(0, 1, 200))):
+        assert np.array_equal(eps * l_e + g * l_g + lam * l_lam,
+                              dynamics._liouvillian(eps, g, lam))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
+def test_repeated_squaring_matches_n_explicit_steps(n):
+    # dt = 2**-6 divides each span exactly, so the stepper takes n steps of
+    # dt per interval; the three equal intervals reuse one P^n
+    dt = 2.0 ** -6
+    mode = _mode(coupling=0.8, dephasing=0.3, energy=-0.9)
+    res_a, res_b = _res_pair()
+    n_a0, n_b0 = occupation_fd(mode.energy, res_a), occupation_fd(mode.energy, res_b)
+    y = np.diag([(1 - n_a0) * (1 - n_b0), n_a0 * (1 - n_b0), (1 - n_a0) * n_b0,
+                 n_a0 * n_b0]).astype(complex).reshape(16, 1)
+    hl = dt * dynamics._liouvillian(mode.energy, mode.coupling, mode.dephasing)
+    eye = np.eye(16, dtype=complex)
+    step = eye + hl @ (eye + hl @ (eye + hl @ (eye + hl / 4.0) / 3.0) / 2.0)
+    traj = lindblad_trajectory(mode, res_a, res_b, n * dt * np.arange(1, 4), dt_max=dt)
+    for state in traj:
+        for _ in range(n):
+            y = step @ y
+        np.testing.assert_allclose(state, y.reshape(4, 4), rtol=0.0, atol=1e-13)
+
+
+def _c2_draws():
+    # acceptance criterion c2's own draws
+    rng = np.random.default_rng(20260822)
+    n_a0, n_b0, lam, g_k, t = (rng.uniform(0.0, hi, 10_000)
+                               for hi in (1.0, 1.0, 1.0, 2.0, 10.0))
+    return n_a0, n_b0, lam, g_k, t
+
+
+def test_batched_occupations_equal_the_scalar_calls_bit_for_bit():
+    n_a0, n_b0, lam, g_k, t = _c2_draws()
+    batch = ModeSpec(energy=0.0, coupling=g_k, dephasing=lam)
+    got_a, got_b = occ_a(batch, n_a0, n_b0, t), occ_b(batch, n_a0, n_b0, t)
+    for i in range(len(t)):
+        mode = ModeSpec(energy=0.0, coupling=g_k[i], dephasing=lam[i])
+        assert got_a[i].hex() == occ_a(mode, n_a0[i], n_b0[i], t[i]).hex()
+        assert got_b[i].hex() == occ_b(mode, n_a0[i], n_b0[i], t[i]).hex()
+
+
+def test_occupation_lists_broadcast_like_arrays():
+    mode = _mode(coupling=0.8, dephasing=0.1, energy=-0.9)
+    n_a0, n_b0, t = [0.2, 0.9], [0.1, 0.4], [1.0, 2.5]
+    for fn in (occ_a, occ_b, coherence_ab):
+        np.testing.assert_array_equal(fn(mode, n_a0, n_b0, t),
+                                      fn(mode, np.array(n_a0), np.array(n_b0), np.array(t)))

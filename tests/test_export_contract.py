@@ -269,6 +269,33 @@ PROBES = {
         ("temperature", lambda: fc.ScenarioConfig(scenario="custom", temperature=math.nan)),
     # spent all 65,536 panels (about 0.2 s) before failing
     "QuadratureSpec(abs_tol=1e-300)": ("abs_tol", lambda: fc.QuadratureSpec(1e-300, 1e-300)),
+    # a QuadratureError worded for the band: "~4 g t for the band"
+    "omega_defining_integral(x=17000)":
+        ("x", lambda: fc.omega_defining_integral(0, 17000.0, 1.0)),
+    # batches of modes: one bad entry of an array is named like a bad scalar
+    "ModeSpec(energy=[0, nan])":
+        ("energy", lambda: fc.ModeSpec(np.array([0.0, math.nan]), np.array([1.0, 1.0]), 0.1)),
+    "ModeSpec(coupling=[1, nan])":
+        ("coupling", lambda: fc.ModeSpec(0.0, np.array([1.0, math.nan]), 0.1)),
+    "ModeSpec(dephasing=[0.1, -1])":
+        ("dephasing", lambda: fc.ModeSpec(0.0, np.array([1.0, 2.0]), np.array([0.1, -1.0]))),
+    "occ_a(n_a0=[0.2, nan])":
+        ("n_a0", lambda: fc.occ_a(MODE, np.array([0.2, math.nan]), 0.3, 1.5)),
+    "occ_b(n_b0=[0.2, 1.5])":
+        ("n_b0", lambda: fc.occ_b(MODE, 0.7, np.array([0.2, 1.5]), 1.5)),
+    "occ_a(t=[1, nan], batch)":
+        ("t", lambda: fc.occ_a(fc.ModeSpec(0.0, np.array([1.0, 2.0]), np.array([0.1, 0.2])),
+                               np.array([0.7, 0.6]), np.array([0.2, 0.1]),
+                               np.array([1.0, math.nan]))),
+    # a batch of modes is not one 4x4 state: raw numpy errors otherwise
+    "density_matrix(batched mode)":
+        ("mode", lambda: fc.density_matrix(fc.ModeSpec(0.0, np.array([1.0, 2.0]), 0.1),
+                                           RES, RES, 1.5)),
+    "lindblad_trajectory(batched mode)":
+        ("mode", lambda: fc.lindblad_trajectory([MODE, fc.ModeSpec(0.0, [1.0, 2.0], 0.1)],
+                                                RES, RES, [1.5])),
+    "coherence_ab(n_a0=[-1, 0.5])":
+        ("n_a0", lambda: fc.coherence_ab(MODE, np.array([-1.0, 0.5]), 0.3, 1.5)),
 }
 
 

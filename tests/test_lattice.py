@@ -147,6 +147,17 @@ def test_log_occupations_match_the_array_formula(energy, mu, temp):
         assert abs(got - want) <= 4.0 * np.spacing(abs(want)), (fn.__name__, x)
 
 
+@settings(max_examples=300, deadline=None)
+@given(energy=st.floats(allow_nan=False), mu=st.floats(-1e3, 1e3),
+       temp=st.floats(1e-6, 1e6))
+def test_log_vacancy_mirror_keeps_every_bit(energy, mu, temp):
+    # ln(1 - n) shares ln n's log1p at -x; forming (mu - eps)/T instead
+    # gives the same bits, because IEEE subtraction is sign-symmetric
+    x = (mu - energy) / temp
+    want = -(max(x, 0.0) + math.log1p(math.exp(-abs(x))))
+    assert log_vacancy_fd(energy, ReservoirParams(temp, mu)).hex() == want.hex()
+
+
 @pytest.mark.parametrize("energy, occupation, vacancy", [
     (math.inf, "-inf", "-0x0.0p+0"),
     (-math.inf, "-0x0.0p+0", "-inf"),

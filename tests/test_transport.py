@@ -253,6 +253,37 @@ def test_long_time_onsager_streams_its_levels_in_blocks(monkeypatch):
     assert peak < 24e6  # the one-array level peaked near 120 MB
 
 
+@pytest.mark.parametrize("t, lam, flat, want", [
+    # the damped limit: exp(-lam t) = 0
+    (math.inf, 0.05, True, ["-0x1.295f0ee3dd8bap-1", "0x1.3a1a5565eb3c7p-1",
+                            "-0x1.0ecb0f5a4d6f9p-7", "-0x1.442ce5821a95fp-15",
+                            "-0x1.442ce5821a964p-15", "-0x1.22876cdf8a4c2p-12"]),
+    # exp(-37.4) = 5.8e-17, just above 2**-54 = 5.55e-17: D(k, t) is formed
+    (37.4, 1.0, False, ["-0x1.295f0ee3dd8bap-1", "0x1.3a1a5565eb3c9p-1",
+                        "-0x1.0ecb0f5a4d6f7p-7", "-0x1.442ce5821aa08p-15",
+                        "-0x1.442ce5821aa10p-15", "-0x1.22876cdf8a494p-12"]),
+    # exp(-37.5) = 5.2e-17, just below: the kernels are negated
+    (37.5, 1.0, True, ["-0x1.295f0ee3dd8bap-1", "0x1.3a1a5565eb3c9p-1",
+                       "-0x1.0ecb0f5a4d6f7p-7", "-0x1.442ce5821aa08p-15",
+                       "-0x1.442ce5821aa14p-15", "-0x1.22876cdf8a494p-12"]),
+], ids=["t=inf", "above-2**-54", "below-2**-54"])
+def test_flat_relaxation_factor_keeps_every_bit(monkeypatch, t, lam, flat, want):
+    # Pinned from the form that always builds D(k, t) = damping cos(.) - 1;
+    # at or below damping 2**-54 that is exactly -1.0, and the integrand
+    # negates the kernels instead
+    formed = []
+    inner = transport._relaxation_factor
+
+    def watched(*args):
+        formed.append(True)
+        return inner(*args)
+
+    monkeypatch.setattr(transport, "_relaxation_factor", watched)
+    n, e, blk = counters_and_onsager(t, ReservoirParams(0.1, 0.5), lam, 1.0)
+    assert _hexes([n, e, blk.j_n_mu, blk.j_n_t, blk.j_q_mu, blk.j_q_t]) == want
+    assert bool(formed) is not flat
+
+
 def test_round_off_band_outputs_are_pinned():
     # Both values are pure round-off (0 by symmetry), so the benchmark's
     # reference check, which compares each CSV column within tol times that
