@@ -13,21 +13,21 @@ import math
 
 import numpy as np
 
-from fermichain import QuadratureSpec, ReservoirParams, counters, fluxes, onsager
+from fermichain import ReservoirParams, counters, fluxes, onsager
 
 res = ReservoirParams(temperature=0.1, mu=0.5)
 lam, g = 0.05, 1.0
-quad = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)
+tol = 1e-9  # quadrature tolerance, relative to max(1, |value|)
 
 # counters grow from zero and saturate once the dephasing kills the swaps;
 # N and E come from one quadrature, and heat is Q = E - mu N
 print("     t      N(t)        E(t)        Q(t)")
 for t in (0.0, 2.0, 10.0, 50.0, math.inf):
-    n, e = counters(t, res, lam, g, quad)
+    n, e = counters(t, res, lam, g, tol)
     print("%6s  %10.6f  %10.6f  %10.6f" % (t, n, e, e - res.mu * n))
 
 # the fully damped block: reciprocity holds to quadrature accuracy
-block = onsager(math.inf, res, lam, g, quad)
+block = onsager(math.inf, res, lam, g, tol)
 print("\ndamped-limit coefficients at mu = %.1f:" % res.mu)
 print("  J_NM = %11.4e   J_NT = %11.4e" % (block.j_n_mu, block.j_n_t))
 print("  J_QM = %11.4e   J_QT = %11.4e" % (block.j_q_mu, block.j_q_t))
@@ -36,7 +36,7 @@ print("  off-diagonal mismatch: %.2e" % abs(block.j_n_t - block.j_q_mu))
 # scan the band: diagonal entries even in mu, off-diagonal odd,
 # everything suppressed outside |mu| < 2
 mus = np.linspace(-4.0, 4.0, 33)
-rows = [onsager(math.inf, ReservoirParams(0.1, float(m)), lam, g, quad)
+rows = [onsager(math.inf, ReservoirParams(0.1, float(m)), lam, g, tol)
         for m in mus]
 j_nm = np.array([b.j_n_mu for b in rows])
 j_nt = np.array([b.j_n_t for b in rows])

@@ -13,12 +13,12 @@ import math
 
 import numpy as np
 
-from fermichain import (QuadratureSpec, ReservoirParams, STATS_BOLTZMANN,
+from fermichain import (ReservoirParams, STATS_BOLTZMANN,
                         bessel_i, bessel_j, boltzmann_validity, ebar,
                         ebar_boltzmann_closed, ebar_fd_sommerfeld, nbar,
                         nbar_boltzmann_closed, nbar_fd_sommerfeld, omega)
 
-quad = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
+tol = 1e-10  # quadrature tolerance, relative to max(1, |value|)
 
 # --- the two-argument band integral and its special cases ----------------
 print("omega(0, 0, y) recovers I_0:     %.12f vs %.12f"
@@ -36,9 +36,9 @@ print("\ndilute check: 6 agreeing digits need mu <= %.3f, have %.1f: %s"
 lam, g = 0.1, 1.0
 for t in (0.5, 2.0, 8.0):
     closed_n = nbar_boltzmann_closed(t, res, lam, g)
-    quad_n = nbar(t, res, lam, g, quad, STATS_BOLTZMANN)
+    quad_n = nbar(t, res, lam, g, tol, STATS_BOLTZMANN)
     closed_e = ebar_boltzmann_closed(t, res, lam, g)
-    quad_e = ebar(t, res, lam, g, quad, STATS_BOLTZMANN)
+    quad_e = ebar(t, res, lam, g, tol, STATS_BOLTZMANN)
     print("t=%4.1f   N gap %.1e   E gap %.1e"
           % (t, abs(closed_n - quad_n), abs(closed_e - quad_e)))
 
@@ -51,14 +51,14 @@ for temp in (0.05, 0.1, 0.25):
     gaps_e = []
     for t in np.linspace(0.0, 6.0, 13):
         gaps_n.append(abs(nbar_fd_sommerfeld(float(t), res_t, lam, g).value
-                          - nbar(float(t), res_t, lam, g, quad)))
+                          - nbar(float(t), res_t, lam, g, tol)))
         gaps_e.append(abs(ebar_fd_sommerfeld(float(t), res_t, lam, g).value
-                          - ebar(float(t), res_t, lam, g, quad)))
+                          - ebar(float(t), res_t, lam, g, tol)))
     print("  %.2f    %.3e     %.3e" % (temp, max(gaps_n), max(gaps_e)))
 print("the error shrinks with T^2: the truncation is doing the damage")
 
 # at mu = 0 the particle counter needs no temperature correction at all
 res0 = ReservoirParams(temperature=0.3, mu=0.0)
 gap0 = abs(nbar_fd_sommerfeld(2.0, res0, lam, g).value
-           - nbar(2.0, res0, lam, g, quad))
+           - nbar(2.0, res0, lam, g, tol))
 print("N series at mu=0, T=0.3: gap %.1e (exact by symmetry)" % gap0)

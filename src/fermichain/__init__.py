@@ -16,8 +16,7 @@ from .dynamics import (IntegrationError, coherence_ab, density_matrix,
                        density_matrix_from_occupations, lindblad_trajectory,
                        occ_a, occ_b)
 from .transport import (STATS_BOLTZMANN, STATS_FD, EquilibriumUndefinedError,
-                        OnsagerBlock, ParticleHeatFlux, QuadratureError,
-                        QuadratureSpec, counters,
+                        OnsagerBlock, ParticleHeatFlux, QuadratureError, counters,
                         counters_and_onsager, ebar, fluxes, integrate_interval,
                         nbar, onsager, qbar)
 from .special import SpecialFnTable, bessel_i, bessel_j

@@ -97,9 +97,8 @@ def _c5():
           - entropy.joint_entropy(prep, 1.0 - h)) / (2.0 * h)
     err_rate = abs(entropy.entropy_production(prep, 1.0) - fd)
 
-    quad = transport.QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)
     (total,), _ = transport.integrate_interval(
-        lambda tt: (entropy.entropy_production(prep, tt),), 0.0, 200.0, quad,
+        lambda tt: (entropy.entropy_production(prep, tt),), 0.0, 200.0, 1e-13,
         min_panels=64)
     err_total = abs(float(total) - entropy.entropy_production_integral(prep))
 

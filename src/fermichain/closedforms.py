@@ -65,13 +65,12 @@ from dataclasses import dataclass
 from .lattice import ReservoirParams, _require, _warn_unless_dilute, relaxation_envelope
 from .special import (_I_MAX_ARG, _J_MAX_ARG, SpecialFnTable, _column, bessel_band_sum,
                       bessel_i)
-from .transport import OnsagerBlock, QuadratureSpec, integrate_interval
+from .transport import OnsagerBlock, integrate_interval
 
 import numpy as np
 
 _SERIES_TOL = 1e-12  # target error of the omega and Sommerfeld sums
 _NU_MAX = 1000  # keeps omega's I column, 2 orders + nu, inside its range
-_DEFINING_MAX_PANELS = 1 << 14  # omega_defining_integral's panel budget
 _NU_DOMAIN = "be an integer in [0, %d]" % _NU_MAX
 _X_DOMAIN = "lie in [-%g, %g], where J_n(x/2) is validated" % (2 * _J_MAX_ARG,
                                                                 2 * _J_MAX_ARG)
@@ -101,23 +100,16 @@ def _check_omega_args(nu: int, x: float, y: float):
 def omega_defining_integral(nu: int, x: float, y: float) -> SeriesResult:
     """Direct quadrature of the omega integrand (the independent cross-check).
 
-    It starts at ceil(|x|) panels to resolve the oscillation, and that start
-    must stay below its 16,384-panel budget, so |x| <= 16383 (``omega``
-    reaches 2e4).
+    It starts at ceil(|x|) panels to resolve the oscillation and covers all
+    of ``omega``'s range.
     """
     _check_omega_args(nu, x, y)
-    _require("x", x, abs(x) <= _DEFINING_MAX_PANELS - 1,
-             "have |x| <= %d, where the direct quadrature's ceil(|x|) starting "
-             "panels stay below its %d-panel budget"
-             % (_DEFINING_MAX_PANELS - 1, _DEFINING_MAX_PANELS))
-    quad = QuadratureSpec(abs_tol=_SERIES_TOL * 0.1 * max(1.0, math.exp(y)),
-                          rel_tol=1e-13, max_panels=_DEFINING_MAX_PANELS, base_panels=8)
 
     def f(z):
-        return (np.cos(z) ** nu * np.exp(y * np.cos(z)) * np.cos(x * np.sin(z) ** 2),)
+        cos = np.cos(z)
+        return (cos ** nu * np.exp(y * cos) * np.cos(x * np.sin(z) ** 2),)
 
-    (val,), (err,) = integrate_interval(f, 0.0, math.pi, quad,
-                                        min_panels=max(8, int(math.ceil(abs(x)))))
+    (val,), (err,) = integrate_interval(f, 0.0, math.pi, 1e-13, math.ceil(abs(x)))
     return SeriesResult(value=float(val) / math.pi, trunc_error_est=err / math.pi,
                         terms_used=0, converged=True)
 

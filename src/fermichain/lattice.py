@@ -59,8 +59,10 @@ _DAMPING_FLOOR = 1e-280
 # ln of the largest Boltzmann occupation occupation_boltzmann returns, 1e300
 _LOG_BOLTZMANN_CAP = math.log(1e300)
 
-# the largest temperature whose square (the Onsager block's T**2) is finite
+# the largest temperature whose square (the Onsager block's T**2) is finite;
+# the config key 'temperature' shares this domain
 _TEMPERATURE_MAX = math.sqrt(sys.float_info.max)
+_TEMPERATURE_DOMAIN = "lie in (0, %.3g] so that T**2 is finite" % _TEMPERATURE_MAX
 
 # the Boltzmann forms warn unless they match Fermi-Dirac to this many digits
 _DILUTE_DIGITS = 1
@@ -93,7 +95,7 @@ def _require(name: str, value, ok: bool, domain: str, error=ValueError):
 
 def _check_temperature(temperature: float):
     _require("temperature", temperature, 0.0 < temperature <= _TEMPERATURE_MAX,
-             "lie in (0, 1.34e+154] so that T**2 is finite")
+             _TEMPERATURE_DOMAIN)
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,8 @@ class ModeSpec:
     dephasing : float, lambda >= 0
 
     coupling and dephasing may also be broadcasting arrays, a batch of modes
-    for the closed forms in ``dynamics``.
+    for the closed forms in ``dynamics``.  Modes compare field by field,
+    batches included; a batch is not hashable.
     """
 
     energy: float
@@ -151,6 +154,16 @@ class ModeSpec:
                 and math.isfinite(coupling) and 0.0 <= dephasing < math.inf):
             _require("mode energy", energy, not np.isnan(energy).any(), "not be NaN")
             _check_envelope_args(0.0, dephasing, coupling)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
+
+    def __hash__(self):
+        if any(map(np.ndim, vars(self).values())):
+            raise TypeError("a batch of modes (a ModeSpec with array fields) is unhashable")
+        return hash(tuple(vars(self).values()))
 
     @classmethod
     def from_momentum(cls, k: float, g: float = 1.0, dephasing: float = 0.0) -> "ModeSpec":

@@ -13,8 +13,8 @@ Every scenario is one row of ``SCENARIOS``, ``(build, panels, pins)``:
   of one panel, reading every value from ``cfg``.
 
 ``ScenarioConfig`` checks every field on every build, so a parsed config
-and a directly built one pass the same checks (``tol`` must lie in
-[1e-15, 1): below that the doubling test chases round-off).
+and a directly built one pass the same checks; ``tol`` and ``temperature``
+have the domains of the quadrature and of ``ReservoirParams``.
 ``run_scenario`` is the one panel loop.  Before building any panel it
 checks every panel's reservoir split (T +- dT/2, mu +- dmu/2).  Each panel
 is one CSV file with the independent variable in the first column and
@@ -42,7 +42,7 @@ from typing import Mapping
 import numpy as np
 
 from . import closedforms, entropy, transport
-from .lattice import ReservoirParams, _require
+from .lattice import _TEMPERATURE_DOMAIN, _TEMPERATURE_MAX, ReservoirParams, _require
 
 
 class ConfigError(ValueError):
@@ -65,7 +65,7 @@ class ScenarioConfig:
     dephasing: float = 0.05
     g: float = 1.0
     stats: str = transport.STATS_FD
-    tol: float = 1e-10
+    tol: float = transport.DEFAULT_TOL
     sig_digits: int = 12
     out_dir: str = "figures"
     delta_t: float = 0.0
@@ -85,9 +85,6 @@ class ScenarioConfig:
             object.__setattr__(self, key, float(getattr(self, key)))
         for key in _GRID_FIELDS:
             object.__setattr__(self, key, tuple(map(float, getattr(self, key))))
-
-    def quad(self) -> transport.QuadratureSpec:
-        return transport.QuadratureSpec(abs_tol=self.tol, rel_tol=self.tol)
 
 
 def _real(v) -> bool:
@@ -118,12 +115,11 @@ _STR_FIELDS = {"scenario": _STRING, "out_dir": _STRING,
                "stats": ("be 'fd' or 'boltzmann'",
                          lambda v: v in (transport.STATS_FD, transport.STATS_BOLTZMANN))}
 _NUMBER_FIELDS = {
-    "temperature": ("be a finite number > 0", lambda v: _real(v) and 0.0 < v < math.inf),
+    "temperature": (_TEMPERATURE_DOMAIN, lambda v: _real(v) and 0.0 < v <= _TEMPERATURE_MAX),
     "mu": _FINITE,
     "dephasing": ("be a finite number >= 0", lambda v: _real(v) and 0.0 <= v < math.inf),
     "g": _FINITE,
-    "tol": ("be a number in [%g, 1)" % transport.TOL_FLOOR,
-            lambda v: _real(v) and transport.TOL_FLOOR <= v < 1.0),
+    "tol": (transport._TOL_DOMAIN, lambda v: _real(v) and transport.TOL_FLOOR <= v < 1.0),
     "delta_t": _FINITE,
     "delta_mu": _FINITE,
     "n_eq": ("be a number in (0, 1)", lambda v: _real(v) and 0.0 < v < 1.0),
@@ -318,9 +314,8 @@ def _block_columns(blocks) -> tuple:
 def _onsager_vs_mu(cfg: ScenarioConfig, name: str):
     """Damped-limit Onsager coefficients across the band vs mu."""
     mu_grid = _grid(cfg, "mu_grid")
-    quad = cfg.quad()
     blocks = [transport.onsager(math.inf, ReservoirParams(cfg.temperature, m),
-                                cfg.dephasing, cfg.g, quad, cfg.stats)
+                                cfg.dephasing, cfg.g, cfg.tol, cfg.stats)
               for m in mu_grid]
     return ("mu[alpha]",) + _J_HEADERS, (mu_grid,) + _block_columns(blocks), ()
 
@@ -329,8 +324,7 @@ def _onsager_vs_t(cfg: ScenarioConfig, name: str):
     """Onsager coefficients building up in time."""
     t_grid = _grid(cfg, "t_grid")
     res = ReservoirParams(cfg.temperature, cfg.mu)
-    quad = cfg.quad()
-    blocks = [transport.onsager(t, res, cfg.dephasing, cfg.g, quad, cfg.stats)
+    blocks = [transport.onsager(t, res, cfg.dephasing, cfg.g, cfg.tol, cfg.stats)
               for t in cfg.t_grid]
     return ("t[1/alpha]",) + _J_HEADERS, (t_grid,) + _block_columns(blocks), ()
 
@@ -402,11 +396,10 @@ def _onsteste2(cfg: ScenarioConfig, name: str):
     """Counter evolution: truncated low-T series vs adaptive quadrature."""
     t_grid = _grid(cfg, "t_grid")
     res = ReservoirParams(cfg.temperature, cfg.mu)
-    quad = cfg.quad()
 
     def point(t):
         args = (t, res, cfg.dephasing, cfg.g)
-        return transport.counters(*args, quad) + (
+        return transport.counters(*args, cfg.tol) + (
             closedforms.nbar_fd_sommerfeld(*args).value,
             closedforms.ebar_fd_sommerfeld(*args).value)
 
@@ -426,11 +419,10 @@ def _custom(cfg: ScenarioConfig, name: str):
     """Counters, coefficients, and linear-response fluxes on a user grid."""
     t_grid = _grid(cfg, "t_grid")
     res = ReservoirParams(cfg.temperature, cfg.mu)
-    quad = cfg.quad()
 
     def point(t):
         n, e, block = transport.counters_and_onsager(t, res, cfg.dephasing, cfg.g,
-                                                     quad, cfg.stats)
+                                                     cfg.tol, cfg.stats)
         flux = transport.fluxes(block, cfg.delta_mu, cfg.delta_t)
         return (n, e, e - cfg.mu * n, block.j_n_mu, block.j_n_t, block.j_q_mu,
                 block.j_q_t, flux.j_particle, flux.j_heat)

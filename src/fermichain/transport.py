@@ -40,8 +40,9 @@ test on its own and is frozen at the level where it converged, so
 ``counters_and_onsager`` gives the counters and the block bit-identical to
 separate ``counters`` and ``onsager`` calls at the cost of one.  Quadrature
 is a composite Gauss-Legendre panel rule with deterministic fixed-order
-reduction; the panel count is doubled until two successive levels agree,
-and never starts below ~4 g t panels so the oscillation is resolved.  A
+reduction; the panel count is doubled until two successive levels agree
+to the one tolerance ``tol``, and never starts below ~4 g t panels so the
+oscillation is resolved.  No level above 131,072 panels is built.  A
 level is evaluated in blocks of at most 4,096 panels, one integrand call per
 block, so memory stays bounded at large g t; the blocks only split the
 evaluation, and results do not depend on the block size.  Identical inputs
@@ -65,10 +66,15 @@ from .lattice import (EquilibriumUndefinedError, ReservoirParams,  # noqa: F401 
 STATS_FD = "fd"
 STATS_BOLTZMANN = "boltzmann"
 
+DEFAULT_TOL = 1e-10  # the quadrature's one knob
 # the smallest tolerance a quadrature takes: a 16-point panel rule cannot get
-# below about 1e-17, and under ~1e-15 the doubling test chases round-off
+# below about 1e-17, and under ~1e-15 the doubling test chases round-off.
+# The config key 'tol' shares this domain
 TOL_FLOOR = 1e-15
-_TOL_DOMAIN = "be finite and >= %g" % TOL_FLOOR
+_TOL_DOMAIN = "be a number in [%g, 1)" % TOL_FLOOR
+
+_BASE_PANELS = 32  # the least first level
+_MAX_PANELS = 1 << 17  # the budget: no level above it is ever built
 
 
 class QuadratureError(RuntimeError):
@@ -78,38 +84,6 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.achieved_error = achieved_error
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and budgets for the composite panel rule.
-
-    Known overrun: ``max_panels`` is checked only once a level has failed
-    the doubling test, and the first level has nothing to compare with, so
-    a first level just under the budget is doubled past it (c9's
-    ``onsager(1e4, ...)`` starts at 40,000 panels and evaluates 80,000).
-    The blocked evaluation in ``integrate_interval`` bounds the memory of
-    such a level, not its time.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_panels: int = 1 << 16
-    base_panels: int = 32
-
-    def __post_init__(self):
-        _require("abs_tol", self.abs_tol, TOL_FLOOR <= self.abs_tol < math.inf, _TOL_DOMAIN)
-        _require("rel_tol", self.rel_tol,
-                 self.rel_tol == 0.0 or TOL_FLOOR <= self.rel_tol < math.inf,
-                 "be 0 or " + _TOL_DOMAIN)
-        _require("base_panels", self.base_panels,
-                 isinstance(self.base_panels, int) and self.base_panels >= 1,
-                 "be an integer >= 1 (at least 1 panel)")
-        _require("max_panels", self.max_panels,
-                 isinstance(self.max_panels, int) and self.max_panels >= self.base_panels,
-                 "be an integer >= base_panels")
-
-
-DEFAULT_QUAD = QuadratureSpec()
 
 # 16-point Gauss-Legendre nodes and weights on [-1, 1], one panel's rule
 _X16, _W16 = np.polynomial.legendre.leggauss(16)
@@ -133,7 +107,7 @@ def _count(n) -> str:
     return "%.3ge+%d" % (int(digits[:3]) / 100.0, len(digits) - 1)
 
 
-def integrate_interval(f, a: float, b: float, quad: QuadratureSpec = DEFAULT_QUAD,
+def integrate_interval(f, a: float, b: float, tol: float = DEFAULT_TOL,
                        min_panels: int = 1):
     """Adaptive composite Gauss-Legendre integral of f over [a, b].
 
@@ -151,10 +125,12 @@ def integrate_interval(f, a: float, b: float, quad: QuadratureSpec = DEFAULT_QUA
         converged group's total is frozen at that level, so it equals a solo
         call on that group bit for bit, and the call ends when every group
         has converged.
+    tol : in [1e-15, 1); a group converges once two successive levels
+        differ by at most tol * max(1, max|total|) in every component.
     min_panels : lower bound on the first panel count (e.g. to resolve a
-        known oscillation); NaN or inf raise ValueError.  A first level that
-        leaves no room to double within ``quad.max_panels`` raises
-        QuadratureError before any evaluation.
+        known oscillation); NaN or inf raise ValueError.  A first level whose
+        double exceeds the ``_MAX_PANELS`` budget raises QuadratureError
+        before any evaluation.
 
     Returns
     -------
@@ -166,16 +142,15 @@ def integrate_interval(f, a: float, b: float, quad: QuadratureSpec = DEFAULT_QUA
     # the panel midpoints are halved sums of neighbouring edges
     _require("interval [a, b]", (a, b), a < b and math.isfinite(2.0 * max(abs(a), abs(b))),
              "have a < b and 2 max(|a|, |b|) finite")
+    _require("tol", tol, TOL_FLOOR <= tol < 1.0, _TOL_DOMAIN)
     _require("min_panels", min_panels,
              not isinstance(min_panels, float) or math.isfinite(min_panels),
              "be a finite count")
-    panels = max(quad.base_panels, int(min_panels))
-    if panels >= quad.max_panels:
-        raise QuadratureError(
-            "%s starting panels (min_panels %s, base_panels %d) leave no room "
-            "to refine within max_panels %d"
-            % (_count(panels), _count(min_panels), quad.base_panels, quad.max_panels),
-            achieved_error=math.inf)
+    panels = max(_BASE_PANELS, int(min_panels))
+    if 2 * panels > _MAX_PANELS:  # then panels is min_panels
+        raise QuadratureError("min_panels %s leaves no room to refine within the %d-panel "
+                              "budget" % (_count(min_panels), _MAX_PANELS),
+                              achieved_error=math.inf)
     prev = {}  # group index -> its total at the previous level
     done = {}  # group index -> (total, err) once converged
     while True:
@@ -202,27 +177,27 @@ def integrate_interval(f, a: float, b: float, quad: QuadratureSpec = DEFAULT_QUA
             # across that call, they keep the allocator from reusing their
             # pages, and every block faults in fresh ones
             groups = vals = weighted = None
-        failing = []  # (err, tol) of each group this level did not converge
+        failing = []  # (err, wanted) of each group this level did not converge
         for i, per_panel in sums.items():
             # across panels in index order, whatever the blocks: fixed
             # association keeps the sum bit-reproducible
             total = np.add.reduce(per_panel, axis=-1)
             if i in prev:
                 err = np.max(np.abs(total - prev[i]))
-                tol = max(quad.abs_tol, quad.rel_tol * float(np.max(np.abs(total))))
-                if err <= tol:
+                wanted = tol * max(1.0, float(np.max(np.abs(total))))
+                if err <= wanted:
                     done[i] = (total, float(err))
                 else:
-                    failing.append((err, tol))
+                    failing.append((err, wanted))
             prev[i] = total
         if len(done) == n_groups:
             values, errs = zip(*(done[i] for i in range(len(done))))
             return values, errs
-        if failing and 2 * panels > quad.max_panels:
-            err, tol = max(failing, key=lambda pair: pair[0] / pair[1])
+        if 2 * panels > _MAX_PANELS:  # only after a level has failed the test
+            err, wanted = max(failing, key=lambda pair: pair[0] / pair[1])
             raise QuadratureError(
-                "no convergence within %d panels (achieved %.3g, wanted %.3g)"
-                % (quad.max_panels, err, tol), achieved_error=float(err))
+                "no convergence within the %d-panel budget (achieved %.3g, wanted %.3g)"
+                % (_MAX_PANELS, err, wanted), achieved_error=float(err))
         panels *= 2
 
 
@@ -248,7 +223,7 @@ def _osc_panels(g: float, phase: float) -> int:
 
 
 def _band_average(kernel_groups, t: float, res: ReservoirParams, dephasing: float,
-                  g: float, quad: QuadratureSpec, stats: str):
+                  g: float, tol: float, stats: str):
     """(1/pi) int_0^pi kernel(eps_k) D(k, t) dk for every kernel of every group.
 
     t is one time.  Each of ``kernel_groups`` maps ``(eps, occ, stats)`` to
@@ -282,7 +257,7 @@ def _band_average(kernel_groups, t: float, res: ReservoirParams, dephasing: floa
         relax = _relaxation_factor(k, damping, phase, g)
         return tuple([r * relax for r in rows])
 
-    vals, _ = integrate_interval(f, 0.0, math.pi, quad, _osc_panels(g, phase))
+    vals, _ = integrate_interval(f, 0.0, math.pi, tol, _osc_panels(g, phase))
     return [[float(v) for v in val / math.pi] for val in vals]
 
 
@@ -291,32 +266,32 @@ def _counter_kernels(eps, occ, stats):
 
 
 def counters(t: float, res: ReservoirParams, dephasing: float, g: float,
-             quad: QuadratureSpec = DEFAULT_QUAD, stats: str = STATS_FD):
+             tol: float = DEFAULT_TOL, stats: str = STATS_FD):
     """Particle and energy counters (nbar, ebar) from one quadrature.
 
     t is one time; t = inf with dephasing > 0 gives the damped limits, e.g.
     nbar = -(1/pi) int nbar(eps_k) dk.
     """
-    (n_e,) = _band_average((_counter_kernels,), t, res, dephasing, g, quad, stats)
+    (n_e,) = _band_average((_counter_kernels,), t, res, dephasing, g, tol, stats)
     return tuple(n_e)
 
 
 def nbar(t: float, res: ReservoirParams, dephasing: float, g: float,
-         quad: QuadratureSpec = DEFAULT_QUAD, stats: str = STATS_FD):
+         tol: float = DEFAULT_TOL, stats: str = STATS_FD):
     """Per-site particle transfer counter at one time t."""
-    return counters(t, res, dephasing, g, quad, stats)[0]
+    return counters(t, res, dephasing, g, tol, stats)[0]
 
 
 def ebar(t: float, res: ReservoirParams, dephasing: float, g: float,
-         quad: QuadratureSpec = DEFAULT_QUAD, stats: str = STATS_FD):
+         tol: float = DEFAULT_TOL, stats: str = STATS_FD):
     """Per-site energy transfer counter at one time t."""
-    return counters(t, res, dephasing, g, quad, stats)[1]
+    return counters(t, res, dephasing, g, tol, stats)[1]
 
 
 def qbar(t: float, res: ReservoirParams, dephasing: float, g: float,
-         quad: QuadratureSpec = DEFAULT_QUAD, stats: str = STATS_FD):
+         tol: float = DEFAULT_TOL, stats: str = STATS_FD):
     """Heat counter qbar = ebar - mu * nbar at one time t (exact composition)."""
-    n, e = counters(t, res, dephasing, g, quad, stats)
+    n, e = counters(t, res, dephasing, g, tol, stats)
     return e - res.mu * n
 
 
@@ -373,26 +348,26 @@ def _onsager_kernels(res: ReservoirParams):
 
 
 def onsager(t: float, res: ReservoirParams, dephasing: float, g: float,
-            quad: QuadratureSpec = DEFAULT_QUAD, stats: str = STATS_FD) -> OnsagerBlock:
+            tol: float = DEFAULT_TOL, stats: str = STATS_FD) -> OnsagerBlock:
     """Onsager coefficients at one time t from exact kernel derivatives.
 
     All four integrands share nodes and are converged together, so the block
     is internally consistent at the quadrature tolerance.
     """
     (coeffs,) = _band_average((_onsager_kernels(res),), t, res, dephasing, g,
-                              quad, stats)
+                              tol, stats)
     return OnsagerBlock.from_derivatives(coeffs, res.temperature)
 
 
 def counters_and_onsager(t: float, res: ReservoirParams, dephasing: float, g: float,
-                         quad: QuadratureSpec = DEFAULT_QUAD, stats: str = STATS_FD):
+                         tol: float = DEFAULT_TOL, stats: str = STATS_FD):
     """(nbar, ebar, OnsagerBlock) at one time t from one shared quadrature.
 
     The counters and the block are two kernel groups that converge
     separately, so each equals ``counters`` and ``onsager`` bit for bit.
     """
     (n, e), coeffs = _band_average((_counter_kernels, _onsager_kernels(res)), t,
-                                   res, dephasing, g, quad, stats)
+                                   res, dephasing, g, tol, stats)
     return n, e, OnsagerBlock.from_derivatives(coeffs, res.temperature)
 
 

@@ -35,8 +35,7 @@ RES = fc.ReservoirParams(0.1, 0.3)
 DILUTE = fc.ReservoirParams(0.5, -3.0)  # inside the Boltzmann regime
 MODE = fc.ModeSpec(-0.9, 0.8, 0.1)
 PREP = fc.EquilibriumModePrep(0.4, 0.1, 0.8, 0.1)
-QUAD = fc.QuadratureSpec(1e-8, 1e-8)
-BAND = (2.0, RES, 0.1, 1.0, QUAD, fc.STATS_FD)
+BAND = (2.0, RES, 0.1, 1.0, 1e-8, fc.STATS_FD)
 BLOCK = fc.OnsagerBlock(0.1, 0.02, 0.03, 0.2, 0.1)
 
 
@@ -62,7 +61,6 @@ CALLS = {
     "occ_a": _call(MODE, 0.7, 0.2, 1.5),
     "occ_b": _call(MODE, 0.7, 0.2, 1.5),
     "OnsagerBlock": _call(0.1, 0.02, 0.03, 0.2, 0.1),
-    "QuadratureSpec": _call(1e-10, 1e-10, 1 << 16, 32),
     "counters": _call(*BAND),
     "counters_and_onsager": _call(*BAND),
     "nbar": _call(*BAND),
@@ -70,7 +68,7 @@ CALLS = {
     "qbar": _call(*BAND),
     "onsager": _call(*BAND),
     "fluxes": _call(BLOCK, 0.01, 0.002),
-    "integrate_interval": _call(lambda x: (np.sin(x),), 0.0, 1.0, QUAD, 1),
+    "integrate_interval": _call(lambda x: (np.sin(x),), 0.0, 1.0, 1e-8, 1),
     "SpecialFnTable": _call(3, 2.5),
     "bessel_i": _call(2, 2.5),
     "bessel_j": _call(2, 2.5),
@@ -267,11 +265,11 @@ PROBES = {
     # accepted until a panel ran
     "ScenarioConfig(temperature=nan)":
         ("temperature", lambda: fc.ScenarioConfig(scenario="custom", temperature=math.nan)),
-    # spent all 65,536 panels (about 0.2 s) before failing
-    "QuadratureSpec(abs_tol=1e-300)": ("abs_tol", lambda: fc.QuadratureSpec(1e-300, 1e-300)),
-    # a QuadratureError worded for the band: "~4 g t for the band"
-    "omega_defining_integral(x=17000)":
-        ("x", lambda: fc.omega_defining_integral(0, 17000.0, 1.0)),
+    # a tolerance below the floor spent all 65,536 panels (about 0.2 s) before failing
+    "nbar(tol=1e-300)": ("tol", lambda: fc.nbar(10.0, RES, 0.1, 1.0, 1e-300)),
+    # the direct quadrature covers omega's range and stops where omega does
+    "omega_defining_integral(x=20001)":
+        ("x", lambda: fc.omega_defining_integral(0, 20001.0, 1.0)),
     # batches of modes: one bad entry of an array is named like a bad scalar
     "ModeSpec(energy=[0, nan])":
         ("energy", lambda: fc.ModeSpec(np.array([0.0, math.nan]), np.array([1.0, 1.0]), 0.1)),

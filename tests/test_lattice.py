@@ -59,6 +59,24 @@ def test_mode_spec_holds_energy_coupling_and_dephasing_only():
         ModeSpec(momentum=1.0, energy=0.0, coupling=1.0)
 
 
+def test_mode_spec_batches_compare_field_by_field_and_do_not_hash():
+    # the generated __eq__ compared field tuples, which numpy's array
+    # truth value made ambiguous for a batch
+    batch = ModeSpec(0.0, np.array([1.0, 2.0]), 0.1)
+    assert batch == ModeSpec(0.0, np.array([1.0, 2.0]), 0.1)
+    assert batch != ModeSpec(0.0, np.array([1.0, 3.0]), 0.1)
+    assert batch != ModeSpec(0.0, np.array([1.0, 2.0, 2.0]), 0.1)
+    assert batch != ModeSpec(0.0, np.array([1.0, 2.0]), np.array([0.1, 0.2]))
+    with pytest.raises(TypeError, match="batch of modes"):
+        hash(batch)
+    # one mode keeps its value equality and its hash
+    mode = ModeSpec(-0.5, 1.0, 0.1)
+    assert mode == ModeSpec(-0.5, 1.0, 0.1) and mode != ModeSpec(-0.5, 1.0, 0.2)
+    assert mode != (-0.5, 1.0, 0.1)
+    assert hash(mode) == hash(ModeSpec(-0.5, 1.0, 0.1)) == hash((-0.5, 1.0, 0.1))
+    assert {mode: 1}[ModeSpec(-0.5, 1.0, 0.1)] == 1
+
+
 def test_occupation_fd_symmetry_point():
     res = ReservoirParams(temperature=0.7, mu=0.3)
     assert occupation_fd(0.3, res) == 0.5

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -276,7 +277,7 @@ def test_custom_counters_are_bit_equal_to_nbar_and_ebar():
     col = dict(zip(panel.headers, panel.columns))
     res = ReservoirParams(cfg.temperature, cfg.mu)
     for i, t in enumerate(cfg.t_grid):
-        args = (t, res, cfg.dephasing, cfg.g, cfg.quad(), cfg.stats)
+        args = (t, res, cfg.dephasing, cfg.g, cfg.tol, cfg.stats)
         assert col["N[1]"][i] == transport.nbar(*args)
         assert col["E[alpha]"][i] == transport.ebar(*args)
 
@@ -300,7 +301,7 @@ def test_custom_block_is_bit_equal_to_onsager():
     col = dict(zip(panel.headers, panel.columns))
     res = ReservoirParams(cfg.temperature, cfg.mu)
     for i, t in enumerate(cfg.t_grid):
-        blk = transport.onsager(t, res, cfg.dephasing, cfg.g, cfg.quad(), cfg.stats)
+        blk = transport.onsager(t, res, cfg.dephasing, cfg.g, cfg.tol, cfg.stats)
         assert col["J_NM[1]"][i] == blk.j_n_mu
         assert col["J_NT[alpha]"][i] == blk.j_n_t
         assert col["J_QM[alpha]"][i] == blk.j_q_mu
@@ -526,14 +527,24 @@ def test_cli_underflowing_temperature_exits_1_with_error_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("sid", ["custom", "onsteste1", "onsteste2"])
-def test_cli_overflowing_temperature_square_exits_1_with_error_line(tmp_path, capsys, sid):
+def test_cli_temperature_with_an_overflowing_square_exits_2(tmp_path, capsys, sid):
     # T**2 overflows in the Onsager block and the Sommerfeld series; this
-    # used to be a raw OverflowError traceback
+    # was a raw OverflowError traceback, then a run that parsed and exited 1
+    # with the ReservoirParams message.  The config key now has that domain.
     rc = cli.main(["figure", sid, "--set", "t_grid=[0, 1]", "--set", "mu_grid=[0, 1]",
                    "--set", "temperature=1e200", "--set", "out_dir=%s" % tmp_path])
-    assert rc == 1
-    assert ("error: temperature must lie in (0, 1.34e+154] so that T**2 is finite, "
-            "got 1e+200") in capsys.readouterr().err
+    assert rc == 2
+    assert ("error: config field 'temperature' must lie in (0, 1.34e+154] so that T**2 "
+            "is finite, got 1e+200") in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_config_temperature_accepts_the_whole_reservoir_range():
+    top = math.sqrt(sys.float_info.max)
+    assert parse_config({"scenario": "custom", "temperature": top}).temperature == top
+    ReservoirParams(top)
+    with pytest.raises(ConfigError, match="'temperature' must lie in"):
+        parse_config({"scenario": "custom", "temperature": math.nextafter(top, math.inf)})
 
 
 def test_cli_sommerfeld_outside_its_regime_exits_1_with_error_line(tmp_path, capsys):

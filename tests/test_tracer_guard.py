@@ -1,15 +1,19 @@
 """The benchmark's tracer still finds every name it wraps.
 
 ``perfbench/tracer.py`` wraps fermichain's public functions by name and
-reads ``terms_used`` and ``converged`` off the series results.  A rename in
-``src/`` would break it, yet its own tests live under ``perfbench/tests``,
-which the package suite does not run.  This module loads the tracer from
-its file, read only, installs it and runs the closed forms through it.
+reads ``terms_used`` and ``converged`` off the series results; its
+quadrature hook rebinds ``integrate_interval``'s argument ``f`` by name.  A
+rename or a signature change in ``src/`` would break it, yet its own tests
+live under ``perfbench/tests``, which the package suite does not run.  This
+module loads the tracer from its file, read only, installs it and runs the
+closed forms and the band quadrature through it.
 """
 
 import importlib.util
 import pathlib
 import sys
+
+import numpy as np
 
 import fermichain as fc
 
@@ -45,3 +49,19 @@ def test_tracer_installs_and_reads_the_series_results():
     assert counts["closedforms.omega.fallbacks"] == 1
     assert counts["special.table.calls"] >= 3  # each band sum builds one J column
     assert fc.closedforms.SpecialFnTable is fc.special.SpecialFnTable  # uninstalled
+
+
+def test_tracer_counts_the_band_quadrature():
+    tracer_module = _load_tracer()
+    res = fc.ReservoirParams(0.1, 0.5)
+    with tracer_module.Tracer().install(fc) as tracer:
+        fc.nbar(2.0, res, 0.35, 1.0)
+        (value,), _ = fc.transport.integrate_interval(lambda x: (np.cos(x),), 0.0, 1.0,
+                                                      1e-12, 40)
+        counts = tracer.pass_metrics()
+    assert abs(value - np.sin(1.0)) < 1e-12
+    assert counts["transport.counters.calls"] == 1
+    assert counts["transport.integrate.calls"] == 2
+    for key in ("levels", "nodes"):
+        assert counts["transport.integrate.%s" % key] > 0
+    assert fc.transport.integrate_interval is fc.integrate_interval  # uninstalled

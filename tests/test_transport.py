@@ -13,7 +13,6 @@ from fermichain import (
     EquilibriumUndefinedError,
     OnsagerBlock,
     QuadratureError,
-    QuadratureSpec,
     RegimeWarning,
     ReservoirParams,
     counters,
@@ -28,7 +27,7 @@ from fermichain import (
     qbar,
 )
 from fermichain import transport
-from fermichain.transport import _W16, _X16, TOL_FLOOR
+from fermichain.transport import _BASE_PANELS, _MAX_PANELS, _W16, _X16, DEFAULT_TOL, TOL_FLOOR
 
 RES = ReservoirParams(temperature=0.1, mu=0.0)
 
@@ -43,10 +42,9 @@ def _trapezoid_counter(t, res, lam, g, weight=lambda eps: 1.0, nodes=100_001):
     return np.trapezoid(occ * weight(eps) * relax, k) / math.pi
 
 
-def _band(f, quad=QuadratureSpec(), min_panels=1):
+def _band(f, tol=DEFAULT_TOL, min_panels=1):
     # one kernel group: the plain integrand's value and error estimate
-    (val,), (err,) = integrate_interval(lambda k: (f(k),), 0.0, math.pi, quad,
-                                        min_panels)
+    (val,), (err,) = integrate_interval(lambda k: (f(k),), 0.0, math.pi, tol, min_panels)
     return val, err
 
 
@@ -103,31 +101,60 @@ def test_integrate_interval_groups_converge_on_their_own():
     assert (ge_smooth, ge_wavy) == (e_smooth, e_wavy)
 
 
-def test_integrate_interval_unconverged_group_fails_the_call():
-    spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_panels=64)
+def test_integrate_interval_unconverged_group_fails_the_call(monkeypatch):
+    monkeypatch.setattr(transport, "_MAX_PANELS", 64)
     hard = lambda x: np.sin(37.0 * x) ** 2 / (1e-3 + x)
     with pytest.raises(QuadratureError) as solo:
-        integrate_interval(lambda x: (hard(x),), 0.0, 1.0, quad=spec)
+        integrate_interval(lambda x: (hard(x),), 0.0, 1.0, tol=1e-15)
     with pytest.raises(QuadratureError) as both:
-        integrate_interval(lambda x: (np.ones_like(x), hard(x)), 0.0, 1.0, quad=spec)
+        integrate_interval(lambda x: (np.ones_like(x), hard(x)), 0.0, 1.0, tol=1e-15)
     assert both.value.achieved_error == solo.value.achieved_error > 0.0
 
 
 @pytest.mark.parametrize("min_panels", [64, 1000])
-def test_integrate_interval_without_room_to_refine_fails_before_evaluating(min_panels):
+def test_integrate_interval_without_room_to_refine_fails_before_evaluating(
+        monkeypatch, min_panels):
+    # a first level of 64 panels cannot double within a budget of 64
     calls = []
-    spec = QuadratureSpec(max_panels=64)
+    monkeypatch.setattr(transport, "_MAX_PANELS", 64)
     with pytest.raises(QuadratureError,
-                       match=re.escape("min_panels %.3g," % min_panels) + ".*max_panels 64"):
+                       match=re.escape("min_panels %.3g leaves" % min_panels) + ".*the 64-panel"):
         integrate_interval(lambda x: calls.append(x.size) or (np.ones_like(x),), 0.0,
-                           1.0, quad=spec, min_panels=min_panels)
+                           1.0, min_panels=min_panels)
     assert calls == []
 
 
+def test_a_start_whose_double_overruns_the_budget_fails_before_evaluating():
+    calls = []
+    f = lambda x: calls.append(x.size) or (np.ones_like(x),)
+    with pytest.raises(QuadratureError, match="no room to refine within the 131072-panel"):
+        integrate_interval(f, 0.0, 1.0, min_panels=_MAX_PANELS // 2 + 1)
+    assert calls == []
+    # the largest start that fits builds its double, and nothing above it
+    integrate_interval(f, 0.0, 1.0, min_panels=_MAX_PANELS // 2)
+    assert sum(calls) == (_MAX_PANELS // 2 + _MAX_PANELS) * _X16.size
+
+
+def _block_sizes(levels):
+    # the node counts f sees for these levels, one call per block of panels
+    block = transport._BLOCK_PANELS
+    return [min(block, p - start) * _X16.size for p in levels for start in range(0, p, block)]
+
+
+def test_no_level_above_the_budget_is_ever_built():
+    # a step kernel converges only as fast as the panel width shrinks, so it
+    # walks every level from 32 panels up to the budget and then fails
+    counted, calls = _levels(lambda x: (np.sign(np.sin(1000.0 * x)),))
+    with pytest.raises(QuadratureError, match="no convergence within the 131072-panel"):
+        integrate_interval(counted, 0.0, 1.0)
+    assert calls == _block_sizes([_BASE_PANELS << j for j in range(13)])
+    assert _BASE_PANELS << 12 == _MAX_PANELS
+
+
 def test_large_g_t_names_the_panel_budget():
-    # g t = 1e6 needs ~4e6 starting panels against the default 65,536; this
-    # used to evaluate a full 1,048,576-node level before failing
-    with pytest.raises(QuadratureError, match=r"min_panels 4e\+06.*max_panels 65536"):
+    # g t = 1e6 needs ~4e6 starting panels against the budget of 131,072;
+    # this used to evaluate a full 1,048,576-node level before failing
+    with pytest.raises(QuadratureError, match=r"min_panels 4e\+06.*131072-panel budget"):
         nbar(1.0, ReservoirParams(0.1, 0.0), 0.05, 1e6)
 
 
@@ -153,7 +180,7 @@ def test_no_room_message_stays_short_for_huge_panel_counts():
         nbar(10.0, ReservoirParams(0.1, 0.0), 0.0, 1e300)
     message = str(exc.value)
     assert len(message) < 200
-    assert "max_panels 65536" in message
+    assert "131072-panel budget" in message
 
 
 @pytest.mark.parametrize("t, g", [(1e308, 1.0), (1e10, 1e300)])
@@ -169,26 +196,24 @@ def test_overflowing_phase_is_rejected_on_the_band_path(t, g):
     assert n_inf == nbar(math.inf, res, 0.1, 1.0)
 
 
-def test_integrate_interval_reports_achieved_error():
-    spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_panels=64)
+def test_integrate_interval_reports_achieved_error(monkeypatch):
+    monkeypatch.setattr(transport, "_MAX_PANELS", 64)
     with pytest.raises(QuadratureError) as exc:
         integrate_interval(lambda x: (np.sin(37.0 * x) ** 2 / (1e-3 + x),), 0.0, 1.0,
-                           quad=spec)
+                           tol=1e-15)
     assert exc.value.achieved_error > 0.0
 
 
 def test_quadrature_doubling_within_error_estimate():
     f = lambda k: np.cos(11.0 * np.sin(k) ** 2)
-    base = QuadratureSpec()
-    fine = QuadratureSpec(base_panels=2 * base.base_panels)
-    v1, e1 = _band(f, quad=base)
-    v2, _ = _band(f, quad=fine)
+    v1, e1 = _band(f)
+    v2, _ = _band(f, min_panels=2 * _BASE_PANELS)
     assert abs(v2 - v1) <= max(e1, 1e-14)
 
 
-def _one_array_integrate(f, a, b, quad, min_panels):
+def _one_array_integrate(f, a, b, tol, min_panels):
     # reference: every level as one array, one f call per level
-    panels = max(quad.base_panels, int(min_panels))
+    panels = max(_BASE_PANELS, int(min_panels))
     prev, done = {}, {}
     while True:
         edges = np.linspace(a, b, panels + 1)
@@ -203,12 +228,12 @@ def _one_array_integrate(f, a, b, quad, min_panels):
             total = np.add.reduce((vals * _W16).sum(axis=-1) * half, axis=-1)
             if i in prev:
                 err = np.max(np.abs(total - prev[i]))
-                if err <= max(quad.abs_tol, quad.rel_tol * float(np.max(np.abs(total)))):
+                if err <= tol * max(1.0, float(np.max(np.abs(total)))):
                     done[i] = (total, float(err))
             prev[i] = total
         if len(done) == len(groups):
             return tuple(zip(*(done[i] for i in range(len(done)))))
-        assert 2 * panels <= quad.max_panels
+        assert 2 * panels <= _MAX_PANELS
         panels *= 2
 
 
@@ -222,8 +247,8 @@ def test_blocked_levels_equal_one_array_levels_bit_for_bit():
     f = lambda k: (np.stack([np.cos(40.0 * np.sin(k) ** 2), np.exp(np.sin(k))]),
                    np.cos(k) ** 2)
     counted, calls = _levels(f)
-    values, errs = integrate_interval(counted, 0.0, math.pi, QuadratureSpec(), first)
-    ref_values, ref_errs = _one_array_integrate(f, 0.0, math.pi, QuadratureSpec(), first)
+    values, errs = integrate_interval(counted, 0.0, math.pi, DEFAULT_TOL, first)
+    ref_values, ref_errs = _one_array_integrate(f, 0.0, math.pi, DEFAULT_TOL, first)
     assert [_hexes(v) for v in values] == [_hexes(v) for v in ref_values]
     assert _hexes(errs) == _hexes(ref_errs)
     nodes = block * _X16.size
@@ -231,7 +256,8 @@ def test_blocked_levels_equal_one_array_levels_bit_for_bit():
 
 
 def test_long_time_onsager_streams_its_levels_in_blocks(monkeypatch):
-    # c9's t = 1e4 call: its second level has 80,000 panels (1.28M nodes)
+    # c9's t = 1e4 call: levels of 40,000 and 80,000 panels (1.28M nodes),
+    # both inside the 131,072-panel budget
     sizes = []
     inner = transport.integrate_interval
 
@@ -248,7 +274,7 @@ def test_long_time_onsager_streams_its_levels_in_blocks(monkeypatch):
     assert _hexes([block.j_n_mu, block.j_n_t, block.j_q_mu, block.j_q_t]) == [
         "-0x1.0ecb0f5a4d6f7p-7", "-0x1.442ce5821aa55p-15", "-0x1.442ce5821aa51p-15",
         "-0x1.22876cdf8a492p-12"]
-    assert sum(sizes) == (40_000 + 80_000) * _X16.size
+    assert sizes == _block_sizes([40_000, 80_000])  # exactly these two levels
     assert max(sizes) <= transport._BLOCK_PANELS * _X16.size
     assert peak < 24e6  # the one-array level peaked near 120 MB
 
@@ -464,16 +490,16 @@ _TIMES = st.one_of(st.floats(0.0, 30.0), st.just(math.inf))
 def test_counters_and_onsager_bit_equal_to_separate_calls(temp, mu, lam, g, t, stats):
     assume(not (math.isinf(t) and lam == 0.0))
     res = ReservoirParams(temp, mu)
-    quad = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)
+    tol = 1e-9
     try:
-        n_solo, e_solo = counters(t, res, lam, g, quad, stats)
-        solo = onsager(t, res, lam, g, quad, stats)
+        n_solo, e_solo = counters(t, res, lam, g, tol, stats)
+        solo = onsager(t, res, lam, g, tol, stats)
     except QuadratureError:
         # each group converges as its solo call would, so it fails with it
         with pytest.raises(QuadratureError):
-            counters_and_onsager(t, res, lam, g, quad, stats)
+            counters_and_onsager(t, res, lam, g, tol, stats)
         return
-    n, e, blk = counters_and_onsager(t, res, lam, g, quad, stats)
+    n, e, blk = counters_and_onsager(t, res, lam, g, tol, stats)
     np.testing.assert_array_equal(n, n_solo)
     np.testing.assert_array_equal(e, e_solo)
     for name in ("j_n_mu", "j_n_t", "j_q_mu", "j_q_t"):
@@ -493,28 +519,31 @@ def test_counters_are_the_single_counter_path(stats, t):
 
 
 def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=-1.0)
-    # abs_tol=nan used to burn the whole panel budget; rel_tol=nan was ignored;
-    # a tolerance below the 1e-15 floor used to spend every panel and then fail
-    for field in ("abs_tol", "rel_tol"):
-        for value in (math.nan, math.inf, 1e-16, 1e-300):
-            with pytest.raises(ValueError, match=field):
-                QuadratureSpec(**{field: value})
-    assert QuadratureSpec(abs_tol=1e-15, rel_tol=0.0).rel_tol == 0.0
-    with pytest.raises(ValueError, match="at least 1 panel"):
-        QuadratureSpec(base_panels=0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_panels=0)
+    # the quadrature's one knob, tol, lies in [1e-15, 1): a NaN tolerance
+    # used to burn the whole panel budget, and one below the floor spent
+    # every panel and then failed
+    calls = []
+    f = lambda x: calls.append(x.size) or (np.ones_like(x),)
+    for value in (math.nan, math.inf, -1.0, 0.0, 1e-16, 1e-300, 1.0):
+        with pytest.raises(ValueError, match=r"^tol must be a number in \[1e-15, 1\)"):
+            integrate_interval(f, 0.0, 1.0, value)
+        with pytest.raises(ValueError, match=r"^tol must"):
+            nbar(1.0, RES, 0.1, 1.0, value)
+    assert calls == []
 
 
 def test_quadrature_floor_is_the_config_floor():
-    # one constant: parse_config's tol range reuses the QuadratureSpec floor
-    floor = QuadratureSpec(abs_tol=TOL_FLOOR, rel_tol=TOL_FLOOR)
-    assert floor.abs_tol == TOL_FLOOR == 1e-15
-    assert parse_config({"scenario": "custom", "tol": TOL_FLOOR}).quad() == floor
-    with pytest.raises(ConfigError, match="'tol'"):
-        parse_config({"scenario": "custom", "tol": 0.5 * TOL_FLOOR})
+    # one domain: parse_config's tol range is the quadrature's own
+    assert TOL_FLOOR == 1e-15
+    cfg = parse_config({"scenario": "custom", "tol": TOL_FLOOR})
+    assert cfg.tol == TOL_FLOOR
+    integrate_interval(lambda x: (np.ones_like(x),), 0.0, 1.0, cfg.tol)
+    assert parse_config({"scenario": "custom"}).tol == DEFAULT_TOL
+    for value in (0.5 * TOL_FLOOR, 1.0):
+        with pytest.raises(ConfigError, match=r"'tol' must be a number in \[1e-15, 1\)"):
+            parse_config({"scenario": "custom", "tol": value})
+        with pytest.raises(ValueError, match=r"^tol must be a number in \[1e-15, 1\)"):
+            integrate_interval(lambda x: (np.ones_like(x),), 0.0, 1.0, value)
 
 
 def test_boltzmann_band_outside_the_dilute_regime_warns():
