@@ -12,12 +12,14 @@ solution is
 
 and the 4x4 density matrix in the Fock basis {|0>, a+|0>, b+|0>, a+b+|0>}
 keeps constant corners (1-nA)(1-nB) and nA*nB while the single-excitation
-block carries the oscillation.  The closed forms broadcast: occupations,
-times and a ModeSpec whose coupling and dephasing are arrays evaluate a whole
-batch of modes in one call.  The integrator in this module makes no use of
-the closed forms; it takes a classical fixed-step 4th-order scheme, whose
-step is one fixed matrix P for a time-independent generator, and applies P^n
-by repeated squaring.  It exists to certify the closed forms.
+block carries the oscillation.  The closed forms, the density matrices
+included, broadcast: occupations, times and a ModeSpec with array fields
+evaluate a whole batch of modes in one call, each entry equal to its scalar
+call bit for bit, and a batch of shape S gives states of shape (*S, 4, 4).
+The reservoirs stay one pair per call.  The integrator in this module makes
+no use of the closed forms; it takes a classical fixed-step 4th-order
+scheme, whose step is one fixed matrix P for a time-independent generator,
+and applies P^n by repeated squaring.  It exists to certify the closed forms.
 """
 
 from __future__ import annotations
@@ -35,10 +37,7 @@ class IntegrationError(RuntimeError):
 
 
 def _check_occ(n_a0, n_b0):
-    """The checked (n_a0, n_b0): plain floats as given, anything else as arrays."""
-    if isinstance(n_a0, float) and isinstance(n_b0, float) and (
-            0.0 <= n_a0 <= 1.0 and 0.0 <= n_b0 <= 1.0):  # per sample: one inline test
-        return n_a0, n_b0
+    """The checked (n_a0, n_b0) as arrays."""
     checked = []
     for name, n in (("n_a0", n_a0), ("n_b0", n_b0)):
         occ = np.asarray(n, dtype=float)
@@ -76,40 +75,34 @@ def coherence_ab(mode: ModeSpec, n_a0, n_b0, t):
     return complex(out) if np.ndim(out) == 0 else out
 
 
-def density_matrix_from_occupations(n_a0: float, n_b0: float, coupling: float,
-                                    dephasing: float, t: float) -> np.ndarray:
+def density_matrix_from_occupations(n_a0, n_b0, coupling, dephasing, t) -> np.ndarray:
     """4x4 mode state at time t in the basis {|0>, a+|0>, b+|0>, a+b+|0>}.
 
     Corners (vacuum and doubly occupied) are constants of motion; the central
     block holds the occupations minus the constant nA*nB weight and the
-    coherence, with entry (1, 2) = <b+a> and (2, 1) = <a+b>.
+    coherence, with entry (1, 2) = <b+a> and (2, 1) = <a+b>.  The arguments
+    broadcast like :func:`occ_a`'s; a batch of shape S gives (*S, 4, 4).
     """
     mode = ModeSpec(energy=0.0, coupling=coupling, dephasing=dephasing)
     na_t = occ_a(mode, n_a0, n_b0, t)
     nb_t = occ_b(mode, n_a0, n_b0, t)
     c_ab = coherence_ab(mode, n_a0, n_b0, t)
+    n_a0, n_b0 = _check_occ(n_a0, n_b0)
     both = n_a0 * n_b0
-    none = (1.0 - n_a0) * (1.0 - n_b0)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = none
-    rho[1, 1] = na_t - both
-    rho[2, 2] = nb_t - both
-    rho[1, 2] = np.conj(c_ab)
-    rho[2, 1] = c_ab
-    rho[3, 3] = both
+    rho = np.zeros(np.shape(na_t) + (4, 4), dtype=complex)
+    rho[..., 0, 0] = (1.0 - n_a0) * (1.0 - n_b0)
+    rho[..., 1, 1] = na_t - both
+    rho[..., 2, 2] = nb_t - both
+    rho[..., 1, 2] = np.conj(c_ab)
+    rho[..., 2, 1] = c_ab
+    rho[..., 3, 3] = both
     return rho
 
 
-def _check_one_mode(mode: ModeSpec):
-    # a ModeSpec of arrays is a batch for the closed forms, not one 4x4 state
-    _require("mode", mode, np.ndim(mode.energy) == np.ndim(mode.coupling)
-             == np.ndim(mode.dephasing) == 0, "have scalar fields (one mode, not a batch)")
-
-
 def density_matrix(mode: ModeSpec, res_a: ReservoirParams, res_b: ReservoirParams,
-                   t: float) -> np.ndarray:
-    """Mode state for halves prepared thermally at res_a / res_b."""
-    _check_one_mode(mode)
+                   t) -> np.ndarray:
+    """Mode state for halves prepared thermally at res_a / res_b; a batched
+    mode and an array t broadcast as in :func:`density_matrix_from_occupations`."""
     n_a0 = occupation_fd(mode.energy, res_a)
     n_b0 = occupation_fd(mode.energy, res_b)
     return density_matrix_from_occupations(n_a0, n_b0, mode.coupling, mode.dephasing, t)
@@ -202,19 +195,19 @@ def lindblad_trajectory(mode: ModeSpec | list | tuple, res_a: ReservoirParams,
     batch = isinstance(mode, (list, tuple))
     modes = list(mode) if batch else [mode]
     _require("mode", mode, bool(modes), "be a ModeSpec or a non-empty batch of them")
-    for m in modes:
-        _check_one_mode(m)
+    # a ModeSpec of arrays is a batch for the closed forms, not one 4x4 state
+    _require("mode", mode, not any(np.ndim(v) for m in modes for v in vars(m).values()),
+             "have scalar fields (one mode, not a batch)")
     l_e, l_g, l_lam = _liouvillian_parts()
     params = np.array([(m.energy, m.coupling, m.dephasing) for m in modes], dtype=float)
     energy, coupling, dephasing = params.T[:, :, None, None]
     sup = energy * l_e + coupling * l_g + dephasing * l_lam
-    rho0 = np.empty((len(modes), 4, 4), dtype=complex)
-    for j, m in enumerate(modes):
-        n_a0 = occupation_fd(m.energy, res_a)
-        n_b0 = occupation_fd(m.energy, res_b)
-        rho0[j] = np.diag([(1.0 - n_a0) * (1.0 - n_b0), n_a0 * (1.0 - n_b0),
-                           (1.0 - n_a0) * n_b0, n_a0 * n_b0])
-    y = rho0.reshape(-1, 16, 1)
+    n_a0 = occupation_fd(params[:, 0], res_a)
+    n_b0 = occupation_fd(params[:, 0], res_b)
+    y = np.zeros((len(modes), 16, 1), dtype=complex)
+    # the diagonal of each row-major vec(rho0): a product of thermal states
+    y[:, ::5, 0] = np.stack([(1.0 - n_a0) * (1.0 - n_b0), n_a0 * (1.0 - n_b0),
+                             (1.0 - n_a0) * n_b0, n_a0 * n_b0], axis=-1)
     eye = np.eye(16, dtype=complex)
     out = np.empty((len(modes), len(t_grid), 4, 4), dtype=complex)
     t_now = 0.0

@@ -19,11 +19,13 @@ independent of t, lam, and g: a detailed fluctuation theorem with the
 thermal affinity F_H = beta_B - beta_A conjugate to the energy carried
 and the chemical affinity F_M = beta_A mu_A - beta_B mu_B conjugate to
 the particle number.  Independent modes contribute additively in the log.
+A ModeSpec with array fields is a batch of modes; with an array t it
+broadcasts, each entry equal to its scalar call bit for bit, while a scalar
+call returns plain floats.  The reservoirs stay one pair per call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -70,7 +72,7 @@ def exchange_prob(direction: str, mode: ModeSpec, res_a: ReservoirParams,
 
 @dataclass(frozen=True)
 class FtCheck:
-    """Both sides of the detailed fluctuation theorem at one evaluation."""
+    """Both sides of the detailed fluctuation theorem: floats, or arrays for a batch."""
 
     lhs: float
     rhs: float
@@ -80,34 +82,34 @@ class FtCheck:
         return self.lhs - self.rhs
 
 
-def _log_thermal_ratio(energy: float, res_a: ReservoirParams,
-                       res_b: ReservoirParams) -> float:
-    # logs taken directly from (eps - mu)/T; forming the occupation first
-    # and re-logging it would throw away digits wherever it rounds to 1.
-    # Each reservoir's ln n and ln(1 - n) share one log1p; a log is never
-    # NaN or positive, so -inf is its one non-finite value
-    occ_a, vac_a = _log_fd_pair(energy, res_a)
-    occ_b, vac_b = _log_fd_pair(energy, res_b)
-    if -math.inf in (occ_a, vac_b, occ_b, vac_a):
-        _require("mode energy", energy, False, "leave every occupation and vacancy above 0 "
-                 "(a saturated one has an undefined log-ratio)", ZeroProbabilityError)
-    return occ_a + vac_b - occ_b - vac_a
-
-
 def ft_log_ratio(mode: ModeSpec, res_a: ReservoirParams, res_b: ReservoirParams,
-                 t: float) -> FtCheck:
+                 t) -> FtCheck:
     """ln(P_ab/P_ba) against the affinity combination it should equal.
 
     The shared transfer factor is identical in numerator and denominator by
     construction and cancels exactly, so it is not evaluated; this keeps the
     ratio meaningful even at instants where the transfer weight vanishes.
-    The forward event is A handing a particle to B.
+    The forward event is A handing a particle to B.  A batched mode and an
+    array t broadcast: both sides then are arrays of the joint shape.
     """
-    # only the time check: the transfer factor cancels, but must exist at t
-    relaxation_envelope(t, mode.dephasing, mode.coupling)
+    # the transfer factor cancels, but must exist at t; its envelope
+    # carries the (lam, g, t) axes of the batch
+    envelope, _ = relaxation_envelope(t, mode.dephasing, mode.coupling)
+    # logs taken directly from (eps - mu)/T; forming the occupation first
+    # and re-logging it would throw away digits wherever it rounds to 1.
+    # Each reservoir's ln n and ln(1 - n) share one log1p; a saturated
+    # level makes a log -inf, and the ratio -inf or NaN
+    occ_a, vac_a = _log_fd_pair(mode.energy, res_a)
+    occ_b, vac_b = _log_fd_pair(mode.energy, res_b)
+    with np.errstate(invalid="ignore"):
+        log_ratio = occ_a + vac_b - occ_b - vac_a
+    _require("mode energy", mode.energy, np.isfinite(log_ratio).all(), "leave every "
+             "occupation and vacancy above 0 (a saturated one has an undefined log-ratio)",
+             ZeroProbabilityError)
     fh_fm = affinities(res_a, res_b)
-    return FtCheck(lhs=_log_thermal_ratio(mode.energy, res_a, res_b),
-                   rhs=mode.energy * fh_fm.f_h + fh_fm.f_m)
+    lhs, rhs, _ = np.broadcast_arrays(log_ratio, mode.energy * fh_fm.f_h + fh_fm.f_m,
+                                      envelope)
+    return FtCheck(float(lhs), float(rhs)) if lhs.ndim == 0 else FtCheck(lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -125,13 +127,9 @@ def multi_mode_ft(events: Iterable[ExchangeEvent], res_a: ReservoirParams,
                   res_b: ReservoirParams, t: float) -> FtCheck:
     """Joint log-ratio for independent modes: contributions add."""
     events = list(events)
-    # only the time check: each mode's transfer factor must exist at t
-    relaxation_envelope(t, [ev.mode.dephasing for ev in events], 0.0)
-    fh_fm = affinities(res_a, res_b)
-    lhs = 0.0
-    rhs = 0.0
-    for ev in events:
-        direction = -float(ev.delta_n_a)  # +1 when A loses the particle
-        lhs += direction * _log_thermal_ratio(ev.mode.energy, res_a, res_b)
-        rhs += direction * (ev.mode.energy * fh_fm.f_h + fh_fm.f_m)
-    return FtCheck(lhs=lhs, rhs=rhs)
+    fields = np.array([[ev.mode.energy, ev.mode.coupling, ev.mode.dephasing]
+                       for ev in events], dtype=float).reshape(-1, 3).T
+    each = ft_log_ratio(ModeSpec(*fields), res_a, res_b, t)
+    # +1 when A loses the particle
+    sign = -np.array([ev.delta_n_a for ev in events], dtype=float)
+    return FtCheck(lhs=float(sign @ each.lhs), rhs=float(sign @ each.rhs))

@@ -84,8 +84,8 @@ def _require(name: str, value, ok: bool, domain: str, error=ValueError):
     """Raise ``error("<name> must <domain>, got <value!r>")`` unless ok.
 
     The caller evaluates ok itself, so a plain-float check costs one
-    comparison; the per-sample scalar paths test inline and call this only
-    once that test has failed.
+    comparison; :func:`relaxation_envelope`'s scalar path tests inline and
+    calls this only once that test has failed.
     """
     if not ok:
         if isinstance(value, np.generic):
@@ -110,6 +110,8 @@ class ReservoirParams:
     mu: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            _require(name, value, np.ndim(value) == 0, "be one scalar, not an array")
         _check_temperature(self.temperature)
         _require("mu", self.mu, math.isfinite(self.mu), "be finite")
 
@@ -137,9 +139,9 @@ class ModeSpec:
     coupling : float, g_k = g sin(k)^2
     dephasing : float, lambda >= 0
 
-    coupling and dephasing may also be broadcasting arrays, a batch of modes
-    for the closed forms in ``dynamics``.  Modes compare field by field,
-    batches included; a batch is not hashable.
+    Any field may also be a broadcasting array: a batch of modes for the
+    closed forms in ``dynamics`` and ``fluctuation``.  Modes compare field by
+    field, batches included; a batch is not hashable.
     """
 
     energy: float
@@ -147,13 +149,8 @@ class ModeSpec:
     dephasing: float = 0.0
 
     def __post_init__(self):
-        energy, coupling, dephasing = self.energy, self.coupling, self.dephasing
-        # plain floats, one per mode in the gate's loops, take one inline test
-        if not (isinstance(coupling, float) and isinstance(dephasing, float)
-                and isinstance(energy, float) and energy == energy
-                and math.isfinite(coupling) and 0.0 <= dephasing < math.inf):
-            _require("mode energy", energy, not np.isnan(energy).any(), "not be NaN")
-            _check_envelope_args(0.0, dephasing, coupling)
+        _require("mode energy", self.energy, not np.isnan(self.energy).any(), "not be NaN")
+        _check_envelope_args(0.0, self.dephasing, self.coupling)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -235,12 +232,12 @@ def relaxation_envelope(t, dephasing, coupling):
 
 
 def _reduced_energy(energy, reservoir: ReservoirParams):
-    # past the float range (eps - mu)/T is +-inf, the exact limit of any
-    # occupation: a plain float gets there silently, an array under errstate
-    if type(energy) is float:
-        return np.asarray((energy - reservoir.mu) / reservoir.temperature)
+    # x = (eps - mu)/T: past the float range +-inf, the exact limit of any
+    # occupation, and NaN only for a NaN energy, which is rejected
     with np.errstate(over="ignore"):
-        return (np.asarray(energy, dtype=float) - reservoir.mu) / reservoir.temperature
+        x = (np.asarray(energy, dtype=float) - reservoir.mu) / reservoir.temperature
+    _require("energy", energy, not np.isnan(x).any(), "not be NaN")
+    return x
 
 
 def _fd_of(x):
@@ -255,44 +252,42 @@ def occupation_fd(energy, reservoir: ReservoirParams):
     Evaluated through exp(-|x|) only, so arbitrarily large |eps - mu|/T is
     safe on either side.  Accepts scalar or array energies.
     """
-    x = _reduced_energy(energy, reservoir)
-    if np.isnan(x).any() if x.ndim else x != x:
-        _require("energy", energy, False, "not be NaN")
-    out = _fd_of(x)
+    out = _fd_of(_reduced_energy(energy, reservoir))
     return float(out) if out.ndim == 0 else out
 
 
-def _log_fd_pair(energy: float, reservoir: ReservoirParams):
+def _log_fd_pair(energy, reservoir: ReservoirParams):
     """(ln n, ln(1 - n)) of the Fermi-Dirac occupation from one log1p.
 
     With x = (eps - mu)/T, ln n = -(max(x, 0) + log1p(e^{-|x|})) and the
     vacancy is its particle-hole mirror at -x, so both share the log1p term;
-    stable on both tails.  x is NaN only for a NaN energy.
+    stable on both tails.  Scalar or array energies; numpy values either way.
     """
-    x = (energy - reservoir.mu) / reservoir.temperature
-    if x != x:
-        _require("energy", energy, False, "not be NaN")
-    tail = math.log1p(math.exp(-abs(x)))
-    return -(max(x, 0.0) + tail), -(max(-x, 0.0) + tail)
+    x = _reduced_energy(energy, reservoir)
+    tail = np.log1p(np.exp(-np.abs(x)))
+    return -(np.maximum(x, 0.0) + tail), -(np.maximum(-x, 0.0) + tail)
 
 
-def log_occupation_fd(energy: float, reservoir: ReservoirParams) -> float:
+def log_occupation_fd(energy, reservoir: ReservoirParams):
     """ln of the Fermi-Dirac occupation, computed without forming the occupation.
 
     Near full filling the occupation rounds to 1 and ``log(1 - n)`` computed
     from it loses most of its digits; this form keeps full precision on both
-    tails.  Scalar energies only.
+    tails.  Accepts scalar or array energies.
     """
-    return _log_fd_pair(energy, reservoir)[0]
+    out = _log_fd_pair(energy, reservoir)[0]
+    return float(out) if out.ndim == 0 else out
 
 
-def log_vacancy_fd(energy: float, reservoir: ReservoirParams) -> float:
+def log_vacancy_fd(energy, reservoir: ReservoirParams):
     """ln(1 - n) for the Fermi-Dirac occupation n, stable on both tails.
 
     Uses the particle-hole mirror of :func:`log_occupation_fd` (the vacancy is
-    the occupation with the sign of eps - mu flipped).  Scalar energies only.
+    the occupation with the sign of eps - mu flipped).  Accepts scalar or
+    array energies.
     """
-    return _log_fd_pair(energy, reservoir)[1]
+    out = _log_fd_pair(energy, reservoir)[1]
+    return float(out) if out.ndim == 0 else out
 
 
 def occupation_boltzmann(energy, reservoir: ReservoirParams):
@@ -302,10 +297,8 @@ def occupation_boltzmann(energy, reservoir: ReservoirParams):
     """
     x = _reduced_energy(energy, reservoir)
     top = -float(np.min(x))
-    if not top <= _LOG_BOLTZMANN_CAP:  # NaN too, for a NaN energy
-        _require("energy", energy, top == top, "not be NaN")
-        _require("(mu - energy)/T", top, False, "stay <= ln(1e300), the occupation's cap",
-                 BoltzmannRangeError)
+    _require("(mu - energy)/T", top, top <= _LOG_BOLTZMANN_CAP,
+             "stay <= ln(1e300), the occupation's cap", BoltzmannRangeError)
     out = np.exp(-x)
     return float(out) if out.ndim == 0 else out
 

@@ -42,11 +42,13 @@ separate ``counters`` and ``onsager`` calls at the cost of one.  Quadrature
 is a composite Gauss-Legendre panel rule with deterministic fixed-order
 reduction; the panel count is doubled until two successive levels agree
 to the one tolerance ``tol``, and never starts below ~4 g t panels so the
-oscillation is resolved.  No level above 131,072 panels is built.  A
-level is evaluated in blocks of at most 4,096 panels, one integrand call per
-block, so memory stays bounded at large g t; the blocks only split the
-evaluation, and results do not depend on the block size.  Identical inputs
-give bit-identical results.
+oscillation is resolved.  No level above 131,072 panels is built, so an
+oscillating mode's reach is |g| t <= 16,384; past it a band call raises
+QuadratureError, naming g t, before any evaluation.  A level is evaluated
+in blocks of at most 4,096 panels, one integrand call per block, so memory
+stays bounded at large g t; the blocks only split the evaluation, and
+results do not depend on the block size.  Identical inputs give
+bit-identical results.
 
 ``lattice.relaxation_envelope`` validates t and the dephasing rate, as in
 every other module; the coupling g must be finite.
@@ -142,6 +144,7 @@ def integrate_interval(f, a: float, b: float, tol: float = DEFAULT_TOL,
     # the panel midpoints are halved sums of neighbouring edges
     _require("interval [a, b]", (a, b), a < b and math.isfinite(2.0 * max(abs(a), abs(b))),
              "have a < b and 2 max(|a|, |b|) finite")
+    _require("tol", tol, np.ndim(tol) == 0, "be one scalar in [%g, 1)" % TOL_FLOOR)
     _require("tol", tol, TOL_FLOOR <= tol < 1.0, _TOL_DOMAIN)
     _require("min_panels", min_panels,
              not isinstance(min_panels, float) or math.isfinite(min_panels),
@@ -215,10 +218,16 @@ def _relaxation_factor(k, damping: float, phase: float, g: float):
 
 
 def _osc_panels(g: float, phase: float) -> int:
-    # ~4 g t panels while the oscillating term still contributes
+    # ~4 g t panels while the oscillating term still contributes; past the
+    # budget's reach, g t is named before any evaluation
     panels = 2.0 * abs(g) * phase
     if not math.isfinite(panels):
         _reject_phase(g)
+    if 2.0 * panels > _MAX_PANELS:
+        raise QuadratureError(
+            "|g| t must be <= %d while the mode oscillates, so that its ~4 g t panels leave "
+            "room to refine within the %d-panel budget, got %r"
+            % (_MAX_PANELS // 8, _MAX_PANELS, 0.25 * panels), achieved_error=math.inf)
     return max(1, int(math.ceil(panels)))
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermichain import (
     IntegrationError,
@@ -325,3 +327,20 @@ def test_occupation_lists_broadcast_like_arrays():
     for fn in (occ_a, occ_b, coherence_ab):
         np.testing.assert_array_equal(fn(mode, n_a0, n_b0, t),
                                       fn(mode, np.array(n_a0), np.array(n_b0), np.array(t)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(fields=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-3.0, 3.0),
+                                 st.floats(0.0, 5.0)), min_size=1, max_size=4),
+       ts=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=4),
+       temps=st.tuples(st.floats(0.05, 5.0), st.floats(0.05, 5.0)), mu=st.floats(-1.0, 1.0))
+def test_batched_density_matrix_equals_the_scalar_calls_bit_for_bit(fields, ts, temps, mu):
+    # modes along the first axis, times along the second
+    res_a, res_b = ReservoirParams(temps[0], mu), ReservoirParams(temps[1], -mu)
+    eps, g, lam = (np.array(column)[:, None] for column in zip(*fields))
+    got = density_matrix(ModeSpec(eps, g, lam), res_a, res_b, np.array(ts))
+    assert got.shape == (len(fields), len(ts), 4, 4)
+    for i, one_mode in enumerate(fields):
+        for j, t in enumerate(ts):
+            want = density_matrix(ModeSpec(*one_mode), res_a, res_b, t)
+            assert got[i, j].tobytes() == want.tobytes()

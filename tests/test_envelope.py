@@ -111,11 +111,7 @@ def test_infinite_time_without_noise_is_undefined(name):
         CALLS[name](0.0, math.inf)
 
 
-# multi_mode_ft checks only t against each event's rate; it never forms a phase
-PHASE_FREE = {"fluctuation.multi_mode_ft"}
-
-
-@pytest.mark.parametrize("name", sorted(set(CALLS) - PHASE_FREE))
+@pytest.mark.parametrize("name", sorted(CALLS))
 @pytest.mark.parametrize("t", [1.5e308, np.array([1.0, 1.5e308])])
 def test_overflowing_phase_is_rejected_by_name(name, t):
     # 2 g t = 2.4e308 at g = 0.8: this used to give NaN with a RuntimeWarning

@@ -267,6 +267,14 @@ PROBES = {
         ("temperature", lambda: fc.ScenarioConfig(scenario="custom", temperature=math.nan)),
     # a tolerance below the floor spent all 65,536 panels (about 0.2 s) before failing
     "nbar(tol=1e-300)": ("tol", lambda: fc.nbar(10.0, RES, 0.1, 1.0, 1e-300)),
+    # numpy's "truth value of an array is ambiguous" before
+    "nbar(tol=[1e-10, 1e-9])":
+        ("tol", lambda: fc.nbar(1.0, RES, 0.1, 1.0, np.array([1e-10, 1e-9]))),
+    # a reservoir is one (T, mu): numpy's "ambiguous" for T, a TypeError for mu
+    "ReservoirParams(temperature=[0.1, 0.2])":
+        ("temperature", lambda: fc.ReservoirParams(np.array([0.1, 0.2]))),
+    "ReservoirParams(mu=[0.1, 0.2])":
+        ("mu", lambda: fc.ReservoirParams(0.1, np.array([0.1, 0.2]))),
     # the direct quadrature covers omega's range and stops where omega does
     "omega_defining_integral(x=20001)":
         ("x", lambda: fc.omega_defining_integral(0, 20001.0, 1.0)),
@@ -285,10 +293,10 @@ PROBES = {
         ("t", lambda: fc.occ_a(fc.ModeSpec(0.0, np.array([1.0, 2.0]), np.array([0.1, 0.2])),
                                np.array([0.7, 0.6]), np.array([0.2, 0.1]),
                                np.array([1.0, math.nan]))),
-    # a batch of modes is not one 4x4 state: raw numpy errors otherwise
-    "density_matrix(batched mode)":
-        ("mode", lambda: fc.density_matrix(fc.ModeSpec(0.0, np.array([1.0, 2.0]), 0.1),
-                                           RES, RES, 1.5)),
+    "density_matrix(t=[1, nan], batch)":
+        ("t", lambda: fc.density_matrix(fc.ModeSpec(0.0, np.array([[1.0], [2.0]]), 0.1),
+                                        RES, RES, np.array([1.0, math.nan]))),
+    # the stepper integrates one 4x4 state per mode: raw numpy errors otherwise
     "lindblad_trajectory(batched mode)":
         ("mode", lambda: fc.lindblad_trajectory([MODE, fc.ModeSpec(0.0, [1.0, 2.0], 0.1)],
                                                 RES, RES, [1.5])),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermichain import (
     ExchangeEvent,
@@ -189,6 +191,40 @@ def test_multi_mode_opposite_directions():
              * exchange_prob("a_to_b", m2, res_a, res_b, 2.0))
     assert joint.lhs == pytest.approx(math.log(p_fwd / p_rev), abs=1e-12)
     assert abs(joint.residual) < 1e-12
+
+
+def test_multi_mode_ft_is_the_signed_sum_of_single_calls():
+    rng = np.random.default_rng(7)
+    res_a, res_b = ReservoirParams(0.4, 0.6), ReservoirParams(1.3, -0.5)
+    events = [ExchangeEvent(_mode(energy=e, coupling=g, dephasing=lam), int(s))
+              for e, g, lam, s in zip(rng.uniform(-2.0, 2.0, 12), rng.uniform(-1.0, 1.0, 12),
+                                      rng.uniform(0.0, 1.0, 12), rng.choice([-1, 1], 12))]
+    joint = multi_mode_ft(events, res_a, res_b, 2.5)
+    singles = [ft_log_ratio(ev.mode, res_a, res_b, 2.5) for ev in events]
+    assert type(joint.lhs) is float and type(joint.rhs) is float
+    signs = [-ev.delta_n_a for ev in events]  # +1 when A loses the particle
+    assert abs(joint.lhs - sum(s * one.lhs for s, one in zip(signs, singles))) <= 1e-14
+    assert abs(joint.rhs - sum(s * one.rhs for s, one in zip(signs, singles))) <= 1e-14
+
+
+# one field triple (eps, g, lam) per mode of a batch
+mode_fields = st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-3.0, 3.0),
+                                 st.floats(0.0, 5.0)), min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fields=mode_fields, ts=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=4),
+       temps=st.tuples(st.floats(0.05, 5.0), st.floats(0.05, 5.0)),
+       mus=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_batched_ft_log_ratio_equals_the_scalar_calls_bit_for_bit(fields, ts, temps, mus):
+    res_a, res_b = ReservoirParams(temps[0], mus[0]), ReservoirParams(temps[1], mus[1])
+    eps, g, lam = (np.array(column)[:, None] for column in zip(*fields))
+    chk = ft_log_ratio(ModeSpec(eps, g, lam), res_a, res_b, np.array(ts))
+    assert chk.lhs.shape == chk.rhs.shape == (len(fields), len(ts))
+    for i, one_mode in enumerate(fields):
+        for j, t in enumerate(ts):
+            one = ft_log_ratio(ModeSpec(*one_mode), res_a, res_b, t)
+            assert (chk.lhs[i, j].hex(), chk.rhs[i, j].hex()) == (one.lhs.hex(), one.rhs.hex())
 
 
 def test_multi_mode_empty():

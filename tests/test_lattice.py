@@ -117,6 +117,12 @@ def test_reservoir_rejects_temperature_whose_square_overflows():
             ReservoirParams(temp)
 
 
+def test_reservoir_takes_numpy_scalars():
+    # arrays are rejected by name (see the export-contract probes); 0-d values are not arrays
+    res = ReservoirParams(np.float64(0.25), np.array(0.5))
+    assert res.beta == 4.0 and res.mu == 0.5
+
+
 def test_particle_hole_sum_is_one():
     # n(eps, mu) + n(-eps, -mu) = 1 exactly; random sweep
     rng = np.random.default_rng(7)
@@ -154,15 +160,16 @@ def test_log_occupation_stays_accurate_where_occupation_rounds():
 @given(energy=st.floats(-60.0, 60.0), mu=st.floats(-5.0, 5.0),
        temp=st.floats(1e-3, 10.0))
 def test_log_occupations_match_the_array_formula(energy, mu, temp):
-    # the numpy form of ln(1/(e^x + 1)); the scalar math path agrees to a
-    # few ulp (libm and numpy round exp and log1p differently)
+    # the numpy form of ln(1/(e^x + 1)), exactly: scalars and arrays take
+    # one path, and it is this one
     res = ReservoirParams(temp, mu)
     for fn, x in ((log_occupation_fd, (np.float64(energy) - mu) / temp),
                   (log_vacancy_fd, (mu - np.float64(energy)) / temp)):
         want = float(-(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))))
         got = fn(energy, res)
         assert type(got) is float
-        assert abs(got - want) <= 4.0 * np.spacing(abs(want)), (fn.__name__, x)
+        assert got.hex() == want.hex(), (fn.__name__, x)
+        assert fn(np.array([energy, energy]), res).tolist() == [got, got]
 
 
 @settings(max_examples=300, deadline=None)
@@ -171,8 +178,9 @@ def test_log_occupations_match_the_array_formula(energy, mu, temp):
 def test_log_vacancy_mirror_keeps_every_bit(energy, mu, temp):
     # ln(1 - n) shares ln n's log1p at -x; forming (mu - eps)/T instead
     # gives the same bits, because IEEE subtraction is sign-symmetric
-    x = (mu - energy) / temp
-    want = -(max(x, 0.0) + math.log1p(math.exp(-abs(x))))
+    with np.errstate(over="ignore"):
+        x = (mu - np.float64(energy)) / temp
+    want = float(-(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))))
     assert log_vacancy_fd(energy, ReservoirParams(temp, mu)).hex() == want.hex()
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 import sys
 import warnings
 
@@ -380,7 +381,7 @@ def _run_to_bytes(tmp_path, name, threads):
     cfg = parse_config(dict(_DET_CONFIG, threads=threads))
     out = tmp_path / name
     paths = write_result(run_scenario(cfg), str(out), cfg.sig_digits)
-    return [open(p, "rb").read() for p in sorted(paths)]
+    return [pathlib.Path(p).read_bytes() for p in sorted(paths)]
 
 
 def test_csv_bytes_identical_across_thread_counts(tmp_path):
@@ -390,7 +391,7 @@ def test_csv_bytes_identical_across_thread_counts(tmp_path):
 def test_csv_layout(tmp_path):
     cfg = parse_config({"scenario": "custom", "t_grid": [0.0, 1.0], "tol": 1e-8})
     (path,) = write_result(run_scenario(cfg), str(tmp_path), cfg.sig_digits)
-    raw = open(path, "rb").read()
+    raw = pathlib.Path(path).read_bytes()
     assert b"\r" not in raw  # LF only, even on Windows
     assert raw.endswith(b"\n") and not raw.endswith(b"\n\n")
     lines = raw.decode("utf-8").splitlines()
@@ -408,8 +409,8 @@ def test_csv_sig_digits_control(tmp_path):
         Panel(name="", headers=("x[1]",), columns=(np.array([math.pi]),)),))
     (p12,) = write_result(result, str(tmp_path / "a"), sig_digits=12)
     (p3,) = write_result(result, str(tmp_path / "b"), sig_digits=3)
-    assert open(p12).read() == "x[1]\n3.14159265359\n"
-    assert open(p3).read() == "x[1]\n3.14\n"
+    assert pathlib.Path(p12).read_text() == "x[1]\n3.14159265359\n"
+    assert pathlib.Path(p3).read_text() == "x[1]\n3.14\n"
 
 
 def test_write_result_names_one_file_per_panel(tmp_path):

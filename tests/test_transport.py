@@ -124,6 +124,18 @@ def test_integrate_interval_without_room_to_refine_fails_before_evaluating(
     assert calls == []
 
 
+def test_a_band_call_beyond_its_reach_names_g_t_before_evaluating(monkeypatch):
+    monkeypatch.setattr(transport, "integrate_interval", lambda *a: pytest.fail("evaluated"))
+    with pytest.raises(QuadratureError, match=r"^\|g\| t must be <= 16384 .*, got 20000\.0$"):
+        onsager(2e4, ReservoirParams(0.1, 0.5), 0.0, 1.0)
+    with pytest.raises(QuadratureError, match=r"\|g\| t must be <= 16384"):
+        nbar(1.0, ReservoirParams(0.1, 0.5), 0.0, -2e4)
+    # the edge: 4 g t panels fill half the budget, and their double all of it
+    assert transport._osc_panels(1.0, 2.0 * 16384.0) == _MAX_PANELS // 2
+    with pytest.raises(QuadratureError, match=r"\|g\| t must be <= 16384"):
+        transport._osc_panels(1.0, 2.0 * math.nextafter(16384.0, math.inf))
+
+
 def test_a_start_whose_double_overruns_the_budget_fails_before_evaluating():
     calls = []
     f = lambda x: calls.append(x.size) or (np.ones_like(x),)
@@ -153,8 +165,10 @@ def test_no_level_above_the_budget_is_ever_built():
 
 def test_large_g_t_names_the_panel_budget():
     # g t = 1e6 needs ~4e6 starting panels against the budget of 131,072;
-    # this used to evaluate a full 1,048,576-node level before failing
-    with pytest.raises(QuadratureError, match=r"min_panels 4e\+06.*131072-panel budget"):
+    # this used to evaluate a full 1,048,576-node level before failing, then
+    # named min_panels, which the caller never passed
+    with pytest.raises(QuadratureError, match=r"^\|g\| t must be <= 16384 .*131072-panel "
+                                              r"budget, got 1000000\.0$"):
         nbar(1.0, ReservoirParams(0.1, 0.0), 0.05, 1e6)
 
 
