@@ -49,12 +49,12 @@ with g_e = 2 g (1 - e^2/4), so the bracket derivatives are taken with the
 full e-dependence and evaluated at e = mu.  Both expansions vanish
 identically at t = 0 and reduce at t = inf (lam > 0) to the damped limits,
 whose mu/T derivatives are also provided here in closed form for
-equilibrium comparisons.  Every Sommerfeld form rejects by name a mu
-outside (-2, 2) and an expansion parameter (pi T)^2/(4 - mu^2) of 1 or more.
-Every closed form rejects |g t| above 1e4, the validated J_n range; the
-Boltzmann forms warn with ``RegimeWarning`` outside the dilute regime, and
-reject by name a temperature with (max(mu, 0) + 2)/T above 700, where
-exp(mu/T) I_nu(2/T) <= exp((mu + 2)/T) or 2/T leaves the float range.
+equilibrium comparisons.  Each reach named below is a row of
+``lattice._REACH``.  Every Sommerfeld form rejects by name a mu outside the
+band and an expansion parameter (pi T)^2/(4 - mu^2) of 1 or more.  Every
+closed form rejects a g t outside the J argument reach; the Boltzmann forms
+warn with ``RegimeWarning`` outside the dilute regime, and reject by name a
+temperature whose (max(mu, 0) + 2)/T leaves the Boltzmann reach.
 """
 
 from __future__ import annotations
@@ -62,22 +62,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lattice import ReservoirParams, _require, _warn_unless_dilute, relaxation_envelope
-from .special import (_I_MAX_ARG, _J_MAX_ARG, SpecialFnTable, _column, bessel_band_sum,
-                      bessel_i)
+from .lattice import (ReservoirParams, _check_reach, _require, _warn_unless_dilute,
+                      relaxation_envelope)
+from .special import SpecialFnTable, _column, bessel_band_sum, bessel_i
 from .transport import OnsagerBlock, integrate_interval
 
 import numpy as np
 
 _SERIES_TOL = 1e-12  # target error of the omega and Sommerfeld sums
-_NU_MAX = 1000  # keeps omega's I column, 2 orders + nu, inside its range
-_NU_DOMAIN = "be an integer in [0, %d]" % _NU_MAX
-_X_DOMAIN = "lie in [-%g, %g], where J_n(x/2) is validated" % (2 * _J_MAX_ARG,
-                                                                2 * _J_MAX_ARG)
-_Y_DOMAIN = "lie in [0, %g] (no analytic continuation; exp(y) stays finite)" % _I_MAX_ARG
-_GT_DOMAIN = "lie in [-%g, %g], the validated J_n range" % (_J_MAX_ARG, _J_MAX_ARG)
-_BOLTZMANN_DOMAIN = ("keep (max(mu, 0) + 2)/T <= %g so that exp(mu/T) I_nu(2/T) "
-                     "and 2/T stay finite" % _I_MAX_ARG)
 
 
 @dataclass(frozen=True)
@@ -90,20 +82,15 @@ class SeriesResult:
     converged: bool
 
 
-def _check_omega_args(nu: int, x: float, y: float):
-    _require("nu", nu, isinstance(nu, (int, np.integer)) and 0 <= nu <= _NU_MAX,
-             _NU_DOMAIN)
-    _require("x", x, abs(x) <= 2 * _J_MAX_ARG, _X_DOMAIN)
-    _require("y", y, 0.0 <= y <= _I_MAX_ARG, _Y_DOMAIN)
-
-
 def omega_defining_integral(nu: int, x: float, y: float) -> SeriesResult:
     """Direct quadrature of the omega integrand (the independent cross-check).
 
     It starts at ceil(|x|) panels to resolve the oscillation and covers all
     of ``omega``'s range.
     """
-    _check_omega_args(nu, x, y)
+    _check_reach("omega nu", "nu", nu)
+    _check_reach("J argument", "x/2", 0.5 * x)  # omega_nu(x, y) = B(x/2, a)
+    _check_reach("omega y", "y", y)
 
     def f(z):
         cos = np.cos(z)
@@ -120,10 +107,12 @@ def omega(nu: int, x: float, y: float) -> SeriesResult:
     The sum stops at the first of ``SpecialFnTable.band_orders(x/2)`` and the
     coefficient tail; the magnitude of its last two terms is the truncation
     estimate, and the sum counts as converged when that is within 1e-12 of
-    max(1, a_0), a_0 = I_nu(y) being the scale of the value.  nu is an
-    integer in [0, 1000], |x| <= 2e4 and 0 <= y <= 700.
+    max(1, a_0), a_0 = I_nu(y) being the scale of the value.  nu, x/2 and
+    y lie in the omega nu, J argument and omega y reaches.
     """
-    _check_omega_args(nu, x, y)
+    _check_reach("omega nu", "nu", nu)
+    _check_reach("J argument", "x/2", 0.5 * x)  # omega_nu(x, y) = B(x/2, a)
+    _check_reach("omega y", "y", y)
     z = 0.5 * float(x)
     # a_j needs I_n up to n = 2 j + nu, and I_n < 2^-60 I_0 past 9 sqrt(y) + 10
     orders = min(SpecialFnTable.band_orders(z), int(4.5 * math.sqrt(y) + 0.5 * nu) + 6)
@@ -140,7 +129,7 @@ def _closed_envelope(t: float, dephasing: float, g: float) -> tuple:
     """(exp(-lam t), g t) of a closed form; a damped-out envelope has g t = 0."""
     damping, phase = relaxation_envelope(t, dephasing, g)
     gt = 0.5 * phase
-    _require("g t", gt, abs(gt) <= _J_MAX_ARG, _GT_DOMAIN)
+    _check_reach("J argument", "g t", gt)
     return float(damping), gt
 
 
@@ -149,8 +138,8 @@ def _boltzmann_closed(nu: int, scale: float, t: float, res: ReservoirParams,
     """scale exp(beta mu) [exp(-lam t) omega_nu(2 g t, 2 beta) - I_nu(2 beta)]."""
     damping, gt = _closed_envelope(t, dephasing, g)
     # |omega_nu| <= I_0(y) <= e^y, so the value is at most exp((mu + 2)/T)
-    _require("temperature", res.temperature,
-             (max(res.mu, 0.0) + 2.0) * res.beta <= _I_MAX_ARG, _BOLTZMANN_DOMAIN)
+    _check_reach("Boltzmann", "temperature %r, whose (max(mu, 0) + 2)/T," % res.temperature,
+                 (max(res.mu, 0.0) + 2.0) * res.beta)
     y = 2.0 * res.beta
     _warn_unless_dilute(res)
     osc = damping * omega(nu, 2.0 * gt, y).value
@@ -175,8 +164,7 @@ def ebar_boltzmann_closed(t: float, res: ReservoirParams, dephasing: float,
 
 
 def _check_sommerfeld_args(res: ReservoirParams):
-    _require("mu", res.mu, abs(res.mu) < 2.0,
-             "lie strictly inside the band (-2, 2) for the Sommerfeld form")
+    _check_reach("Sommerfeld mu", "mu", res.mu)
     # the expansion parameter against 1 without forming T^2, which can overflow
     _require("temperature", res.temperature,
              math.pi * res.temperature < math.sqrt(4.0 - res.mu * res.mu),

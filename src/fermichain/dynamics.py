@@ -29,21 +29,23 @@ import math
 
 import numpy as np
 
-from .lattice import (ModeSpec, ReservoirParams, _require, occupation_fd,
-                      relaxation_envelope)
+from .lattice import (ModeSpec, ReservoirParams, _check_reach, _plain, _require,
+                      occupation_fd, relaxation_envelope)
+
 
 class IntegrationError(RuntimeError):
     """Fixed-step integration produced non-finite values (step too large)."""
 
 
-def _check_occ(n_a0, n_b0):
-    """The checked (n_a0, n_b0) as arrays."""
-    checked = []
-    for name, n in (("n_a0", n_a0), ("n_b0", n_b0)):
-        occ = np.asarray(n, dtype=float)
-        _require(name, n, bool(np.all((occ >= 0.0) & (occ <= 1.0))), "lie in [0, 1]")
-        checked.append(occ)
-    return checked
+def _terms(mode: ModeSpec, n_a0, n_b0, t):
+    """(n_a0, n_b0, mean, half, envelope, phase), formed once per call: the
+    checked occupations as arrays, their mean and half difference, and the
+    mode's envelope exp(-lam t) and phase 2 g_k t."""
+    _check_reach("occupation", "n_a0", n_a0)
+    _check_reach("occupation", "n_b0", n_b0)
+    n_a0, n_b0 = np.asarray(n_a0, dtype=float), np.asarray(n_b0, dtype=float)
+    envelope, phase = relaxation_envelope(t, mode.dephasing, mode.coupling)
+    return n_a0, n_b0, 0.5 * (n_a0 + n_b0), 0.5 * (n_a0 - n_b0), envelope, phase
 
 
 def occ_a(mode: ModeSpec, n_a0, n_b0, t):
@@ -52,27 +54,20 @@ def occ_a(mode: ModeSpec, n_a0, n_b0, t):
     The occupations, t and the mode's coupling and dephasing may be
     broadcasting arrays; each entry equals the scalar call bit for bit.
     """
-    n_a0, n_b0 = _check_occ(n_a0, n_b0)
-    envelope, phase = relaxation_envelope(t, mode.dephasing, mode.coupling)
-    mean = 0.5 * (n_a0 + n_b0)
-    half = 0.5 * (n_a0 - n_b0)
-    out = mean + half * envelope * np.cos(phase)
-    return float(out) if np.ndim(out) == 0 else out
+    _, _, mean, half, envelope, phase = _terms(mode, n_a0, n_b0, t)
+    return _plain(mean + half * envelope * np.cos(phase))
 
 
 def occ_b(mode: ModeSpec, n_a0, n_b0, t):
-    """<b+b> at time t: :func:`occ_a` with the halves swapped, bit for bit."""
-    _check_occ(n_a0, n_b0)  # so that a bad occupation is named as passed
-    return occ_a(mode, n_b0, n_a0, t)
+    """<b+b> at time t: :func:`occ_a` with the halves swapped (half negated)."""
+    _, _, mean, half, envelope, phase = _terms(mode, n_a0, n_b0, t)
+    return _plain(mean - half * envelope * np.cos(phase))
 
 
 def coherence_ab(mode: ModeSpec, n_a0, n_b0, t):
     """Inter-half coherence <a+b> = (i/2)(n_a0 - n_b0) exp(-lam t) sin(2 g_k t)."""
-    n_a0, n_b0 = _check_occ(n_a0, n_b0)
-    envelope, phase = relaxation_envelope(t, mode.dephasing, mode.coupling)
-    half = 0.5 * (n_a0 - n_b0)
-    out = 1j * half * envelope * np.sin(phase)
-    return complex(out) if np.ndim(out) == 0 else out
+    _, _, _, half, envelope, phase = _terms(mode, n_a0, n_b0, t)
+    return _plain(1j * half * envelope * np.sin(phase))
 
 
 def density_matrix_from_occupations(n_a0, n_b0, coupling, dephasing, t) -> np.ndarray:
@@ -84,15 +79,14 @@ def density_matrix_from_occupations(n_a0, n_b0, coupling, dephasing, t) -> np.nd
     broadcast like :func:`occ_a`'s; a batch of shape S gives (*S, 4, 4).
     """
     mode = ModeSpec(energy=0.0, coupling=coupling, dephasing=dephasing)
-    na_t = occ_a(mode, n_a0, n_b0, t)
-    nb_t = occ_b(mode, n_a0, n_b0, t)
-    c_ab = coherence_ab(mode, n_a0, n_b0, t)
-    n_a0, n_b0 = _check_occ(n_a0, n_b0)
+    n_a0, n_b0, mean, half, envelope, phase = _terms(mode, n_a0, n_b0, t)
+    swing = half * envelope * np.cos(phase)
+    c_ab = 1j * half * envelope * np.sin(phase)
     both = n_a0 * n_b0
-    rho = np.zeros(np.shape(na_t) + (4, 4), dtype=complex)
+    rho = np.zeros(np.shape(swing) + (4, 4), dtype=complex)
     rho[..., 0, 0] = (1.0 - n_a0) * (1.0 - n_b0)
-    rho[..., 1, 1] = na_t - both
-    rho[..., 2, 2] = nb_t - both
+    rho[..., 1, 1] = mean + swing - both
+    rho[..., 2, 2] = mean - swing - both
     rho[..., 1, 2] = np.conj(c_ab)
     rho[..., 2, 1] = c_ab
     rho[..., 3, 3] = both
@@ -185,7 +179,7 @@ def lindblad_trajectory(mode: ModeSpec | list | tuple, res_a: ReservoirParams,
     (len(t_grid), 4, 4) complex array of states for a single ModeSpec, or
     (len(mode), len(t_grid), 4, 4) for a list or tuple of modes.
     """
-    _require("dt_max", dt_max, 0.0 < dt_max < math.inf, "be finite and positive")
+    _check_reach("positive", "dt_max", dt_max)
     times = np.atleast_1d(np.asarray(t_grid, dtype=float))
     _require("t_grid", t_grid, times.ndim == 1 and times.size > 0
              and bool(np.all(np.isfinite(times))) and times[0] >= 0.0

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .lattice import ModeSpec, _require, relaxation_envelope
+from .lattice import ModeSpec, _check_reach, _plain, _require, relaxation_envelope
 
 
 def _xlogx(p):
@@ -52,8 +52,7 @@ def binary_entropy(p):
     _require("occupation p", p, bool(np.all((arr >= -1e-12) & (arr <= 1.0 + 1e-12))),
              "lie in [0, 1]")
     p = np.clip(arr, 0.0, 1.0)
-    val = -_xlogx(p) - _xlogx(1.0 - p)
-    return float(val) if val.ndim == 0 else val
+    return _plain(-_xlogx(p) - _xlogx(1.0 - p))
 
 
 @dataclass(frozen=True)
@@ -66,11 +65,10 @@ class EquilibriumModePrep:
     dephasing: float = 0.0
 
     def __post_init__(self):
-        _require("n_eq", self.n_eq, 0.0 < self.n_eq < 1.0, "lie strictly inside (0, 1)")
+        _check_reach("n_eq", "n_eq", self.n_eq)
         self.mode()  # ModeSpec rejects a non-finite coupling or a bad dephasing rate
-        _require("delta_n", self.delta_n,
-                 0.0 < self.occupation_a < 1.0 and 0.0 < self.occupation_b < 1.0,
-                 "keep both occupations n_eq +- delta_n/2 inside (0, 1)")
+        _check_reach("n_eq", "occupations n_eq +- delta_n/2 at delta_n %r" % self.delta_n,
+                     (self.occupation_a, self.occupation_b))
 
     @property
     def occupation_a(self) -> float:
@@ -118,8 +116,7 @@ def mutual_information(prep: EquilibriumModePrep, t):
     """I(A:B) through O(dn^2): the coherence carries the correlations."""
     env, phase = relaxation_envelope(t, prep.dephasing, prep.coupling)
     n = prep.n_eq
-    out = (env * np.sin(phase)) ** 2 * prep.delta_n ** 2 / (4.0 * n * (1.0 - n))
-    return float(out) if np.ndim(out) == 0 else out
+    return _plain((env * np.sin(phase)) ** 2 * prep.delta_n ** 2 / (4.0 * n * (1.0 - n)))
 
 
 def joint_entropy(prep: EquilibriumModePrep, t):
@@ -127,16 +124,14 @@ def joint_entropy(prep: EquilibriumModePrep, t):
     env, _ = relaxation_envelope(t, prep.dephasing, prep.coupling)
     n = prep.n_eq
     s0 = binary_entropy(n)
-    out = 2.0 * s0 - prep.delta_n ** 2 * env ** 2 / (4.0 * n * (1.0 - n))
-    return float(out) if np.ndim(out) == 0 else out
+    return _plain(2.0 * s0 - prep.delta_n ** 2 * env ** 2 / (4.0 * n * (1.0 - n)))
 
 
 def entropy_production(prep: EquilibriumModePrep, t):
     """Irreversible entropy rate Pi(t) through O(dn^2); zero at lam = 0."""
     env, _ = relaxation_envelope(t, prep.dephasing, prep.coupling)
     n = prep.n_eq
-    out = 0.5 * prep.dephasing * env ** 2 * prep.delta_n ** 2 / (n * (1.0 - n))
-    return float(out) if np.ndim(out) == 0 else out
+    return _plain(0.5 * prep.dephasing * env ** 2 * prep.delta_n ** 2 / (n * (1.0 - n)))
 
 
 def entropy_production_integral(prep: EquilibriumModePrep) -> float:
@@ -152,10 +147,9 @@ def entropy_sum_rate(prep: EquilibriumModePrep, t):
     env, phase = relaxation_envelope(t, prep.dephasing, prep.coupling)
     n = prep.n_eq
     lam, g = prep.dephasing, prep.coupling
-    out = (prep.delta_n ** 2 * env ** 2
-           * (2.0 * lam * np.cos(phase) ** 2 + 2.0 * g * np.sin(2.0 * phase))
-           / (4.0 * n * (1.0 - n)))
-    return float(out) if np.ndim(out) == 0 else out
+    return _plain(prep.delta_n ** 2 * env ** 2
+                  * (2.0 * lam * np.cos(phase) ** 2 + 2.0 * g * np.sin(2.0 * phase))
+                  / (4.0 * n * (1.0 - n)))
 
 
 def mutual_information_rate(prep: EquilibriumModePrep, t):
@@ -163,10 +157,9 @@ def mutual_information_rate(prep: EquilibriumModePrep, t):
     env, phase = relaxation_envelope(t, prep.dephasing, prep.coupling)
     n = prep.n_eq
     lam, g = prep.dephasing, prep.coupling
-    out = (prep.delta_n ** 2 * env ** 2
-           * (-2.0 * lam * np.sin(phase) ** 2 + 2.0 * g * np.sin(2.0 * phase))
-           / (4.0 * n * (1.0 - n)))
-    return float(out) if np.ndim(out) == 0 else out
+    return _plain(prep.delta_n ** 2 * env ** 2
+                  * (-2.0 * lam * np.sin(phase) ** 2 + 2.0 * g * np.sin(2.0 * phase))
+                  / (4.0 * n * (1.0 - n)))
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +183,7 @@ def joint_spectrum(prep: EquilibriumModePrep, t):
 def joint_entropy_exact(prep: EquilibriumModePrep, t):
     """-Tr rho ln rho of the two-site state, from the closed-form spectrum."""
     evals = joint_spectrum(prep, t)
-    out = -_xlogx(evals).sum(axis=0)
-    return float(out) if np.ndim(out) == 0 else out
+    return _plain(-_xlogx(evals).sum(axis=0))
 
 
 def entropy_a_exact(prep: EquilibriumModePrep, t):

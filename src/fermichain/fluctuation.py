@@ -31,8 +31,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .lattice import (ModeSpec, ReservoirParams, _log_fd_pair, _require, occupation_fd,
-                      relaxation_envelope)
+from .lattice import (ModeSpec, ReservoirParams, _Fieldwise, _log_fd_pair, _plain, _require,
+                      occupation_fd, relaxation_envelope)
 
 
 class ZeroProbabilityError(ValueError):
@@ -55,8 +55,7 @@ def affinities(res_a: ReservoirParams, res_b: ReservoirParams) -> Affinities:
 def transition_weight(mode: ModeSpec, t) -> object:
     """Per-particle transfer weight w(t) in [0, 1]."""
     envelope, phase = relaxation_envelope(t, mode.dephasing, mode.coupling)
-    out = 0.5 * (1.0 - envelope * np.cos(phase))
-    return float(out) if np.ndim(out) == 0 else out
+    return _plain(0.5 * (1.0 - envelope * np.cos(phase)))
 
 
 def exchange_prob(direction: str, mode: ModeSpec, res_a: ReservoirParams,
@@ -70,8 +69,8 @@ def exchange_prob(direction: str, mode: ModeSpec, res_a: ReservoirParams,
     return thermal * 2.0 * transition_weight(mode, t)
 
 
-@dataclass(frozen=True)
-class FtCheck:
+@dataclass(frozen=True, eq=False)
+class FtCheck(_Fieldwise):
     """Both sides of the detailed fluctuation theorem: floats, or arrays for a batch."""
 
     lhs: float
@@ -109,7 +108,7 @@ def ft_log_ratio(mode: ModeSpec, res_a: ReservoirParams, res_b: ReservoirParams,
     fh_fm = affinities(res_a, res_b)
     lhs, rhs, _ = np.broadcast_arrays(log_ratio, mode.energy * fh_fm.f_h + fh_fm.f_m,
                                       envelope)
-    return FtCheck(float(lhs), float(rhs)) if lhs.ndim == 0 else FtCheck(lhs, rhs)
+    return FtCheck(_plain(lhs), _plain(rhs))
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,12 @@ Dephasing enters only through the envelope exp(-lam t) times cos or sin of
 2 g_k t; :func:`relaxation_envelope`, which every physics module calls, is
 the one place that validates (t, lam) and forms it.
 
-``_require`` is the one place that rejects a bad argument: every module
-routes its numeric-domain checks through it, as a ValueError (or a named
-subclass) worded "<name> must <domain>, got <value>".  An approximation used
-outside its regime warns with :class:`RegimeWarning` instead; its one cause
-is Boltzmann statistics outside the dilute regime, since the closed forms'
-Bessel sums converge over their whole validated range.
+``_require`` words every rejection "<name> must <domain>, got <value>", as a
+ValueError or a named subclass; every bounded quantity has one ``_REACH``
+row (limits, wording, error class) that ``_check_reach`` applies everywhere,
+the config included.  An approximation used outside its regime warns with
+:class:`RegimeWarning`; its one cause is Boltzmann statistics outside the
+dilute regime, since the closed forms' Bessel sums converge over their reach.
 
 Occupation helpers are written to be overflow-safe: the Fermi-Dirac form never
 exponentiates a large positive argument, and the Boltzmann form raises once
@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,14 +56,6 @@ _LN10 = math.log(10.0)
 # double precision: it reads as 0, and the band quadrature then needs no
 # oscillation-resolving panels.
 _DAMPING_FLOOR = 1e-280
-
-# ln of the largest Boltzmann occupation occupation_boltzmann returns, 1e300
-_LOG_BOLTZMANN_CAP = math.log(1e300)
-
-# the largest temperature whose square (the Onsager block's T**2) is finite;
-# the config key 'temperature' shares this domain
-_TEMPERATURE_MAX = math.sqrt(sys.float_info.max)
-_TEMPERATURE_DOMAIN = "lie in (0, %.3g] so that T**2 is finite" % _TEMPERATURE_MAX
 
 # the Boltzmann forms warn unless they match Fermi-Dirac to this many digits
 _DILUTE_DIGITS = 1
@@ -80,22 +73,124 @@ class RegimeWarning(UserWarning):
     """An approximation was evaluated outside the regime where it holds."""
 
 
+class QuadratureError(RuntimeError):
+    """Panel budget exhausted, or too small to start (achieved_error inf)."""
+
+    def __init__(self, message: str, achieved_error: float = math.inf):
+        super().__init__(message)
+        self.achieved_error = achieved_error
+
+
 def _require(name: str, value, ok: bool, domain: str, error=ValueError):
     """Raise ``error("<name> must <domain>, got <value!r>")`` unless ok.
 
     The caller evaluates ok itself, so a plain-float check costs one
-    comparison; :func:`relaxation_envelope`'s scalar path tests inline and
-    calls this only once that test has failed.
+    comparison.  An integer beyond the float range is shown to 3 digits.
     """
     if not ok:
         if isinstance(value, np.generic):
             value = value.item()
-        raise error("%s must %s, got %r" % (name, domain, value))
+        shown = repr(value)
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            import decimal  # only here: the float formats overflow on it
+            shown = format(decimal.Decimal(value), ".3g")
+        raise error("%s must %s, got %s" % (name, domain, shown))
 
 
-def _check_temperature(temperature: float):
-    _require("temperature", temperature, 0.0 < temperature <= _TEMPERATURE_MAX,
-             _TEMPERATURE_DOMAIN)
+# the band quadrature's panel budget: no level above it is ever built
+_MAX_PANELS = 1 << 17
+_I_REACH = 700.0  # |y| of I_n(y): e^y stays finite
+_Reach = namedtuple("_Reach", "lo hi first last domain error")
+
+
+def _reach(lo, hi, ends: str, words: str, error=ValueError) -> _Reach:
+    """lo..hi, each end closed or open as ``ends`` ("[]", "(]", "[)" or "()")
+    says, worded by ``words`` with %(interval)s, %(hi)g and %(budget)d; first
+    and last are the least and the greatest value inside."""
+    interval = "%s%g, %g%s" % (ends[0], lo, hi, ends[1])
+    return _Reach(lo, hi, lo if ends[0] == "[" else math.nextafter(lo, math.inf),
+                  hi if ends[1] == "]" else math.nextafter(hi, -math.inf),
+                  words % {"interval": interval, "hi": hi, "budget": _MAX_PANELS}, error)
+
+
+# quantity -> its one reach, which every check of it, the config's included,
+# reads through _check_reach
+_REACH = {
+    "temperature": _reach(0.0, math.sqrt(sys.float_info.max), "(]",
+                          "lie in %(interval)s so that T**2 is finite"),
+    # a 16-point panel rule cannot get below about 1e-17, and under ~1e-15
+    # the doubling test chases round-off
+    "tol": _reach(1e-15, 1.0, "[)", "be a number in %(interval)s"),
+    "finite": _reach(-math.inf, math.inf, "()", "be finite"),
+    "positive": _reach(0.0, math.inf, "()", "be finite and > 0"),
+    "dephasing rate": _reach(0.0, math.inf, "[)", "be finite and >= 0"),
+    "n_eq": _reach(0.0, 1.0, "()", "lie in %(interval)s"),
+    "occupation": _reach(0.0, 1.0, "[]", "lie in %(interval)s"),
+    "momentum": _reach(0.0, math.pi, "[]", "lie in [0, pi]"),
+    "Bessel order": _reach(0, 20_000, "[]", "be an integer in %(interval)s"),
+    "J argument": _reach(-1e4, 1e4, "[]", "lie in %(interval)s, the validated J_n range"),
+    "I argument": _reach(-_I_REACH, _I_REACH, "[]",
+                         "lie in %(interval)s, the validated I_n range"),
+    # keeps omega's I column, 2 orders + nu, inside the Bessel order reach
+    "omega nu": _reach(0, 1000, "[]", "be an integer in %(interval)s"),
+    "omega y": _reach(0.0, _I_REACH, "[]",
+                      "lie in %(interval)s (no analytic continuation; exp(y) stays finite)"),
+    # (max(mu, 0) + 2)/T: a Boltzmann closed form is at most exp((mu + 2)/T)
+    "Boltzmann": _reach(0.0, _I_REACH, "[]",
+                        "be <= %(hi)g so that exp(mu/T) I_nu(2/T) and 2/T stay finite"),
+    # ln of the largest occupation occupation_boltzmann returns, 1e300
+    "Boltzmann occupation": _reach(-math.inf, math.log(1e300), "[]",
+                                   "stay <= ln(1e300), the occupation's cap",
+                                   BoltzmannRangeError),
+    "Sommerfeld mu": _reach(-2.0, 2.0, "()", "lie strictly inside the band %(interval)s "
+                                             "for the Sommerfeld form"),
+    # |g| t: the band path's ~4 g t first panels, whose double fits the budget
+    "band g t": _reach(0.0, _MAX_PANELS / 8, "[]",
+                       "be <= %(hi)g while the mode oscillates, so that its ~4 g t panels "
+                       "leave room to refine within the %(budget)d-panel budget",
+                       QuadratureError),
+    "first level": _reach(-math.inf, _MAX_PANELS // 2, "[]",
+                          "be <= %(hi)g, or the first level leaves no room to refine "
+                          "within the %(budget)d-panel budget", QuadratureError),
+}
+
+
+def _check_reach(row: str, name: str, value, error=None, ok: bool = True):
+    """Raise the ``_REACH`` row's error, naming ``name``, unless ok and every
+    entry of value lies in the row's reach (two float comparisons for a plain
+    number).  ok is the caller's own test of the value's type, and error
+    replaces the row's class (a config raises ConfigError)."""
+    reach = _REACH[row]
+    if ok and isinstance(reach.last, int):  # a row with integer limits takes integers
+        ok = isinstance(value, (int, np.integer))
+    if ok:
+        if isinstance(value, (float, int)):
+            ok = reach.first <= value <= reach.last
+        else:
+            arr = np.asarray(value, dtype=float)
+            ok = bool(np.all((reach.first <= arr) & (arr <= reach.last)))
+    _require(name, value, ok, reach.domain, error or reach.error)
+
+
+def _plain(out):
+    """A scalar result as a Python float (or complex), an array as it is."""
+    return np.asarray(out).item() if np.ndim(out) == 0 else out
+
+
+class _Fieldwise:
+    """Field-by-field equality, array fields included, for a frozen dataclass
+    declared with eq=False; a batch (any field an array) is not hashable."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
+
+    def __hash__(self):
+        if any(map(np.ndim, vars(self).values())):
+            raise TypeError("a batched %s (one with array fields) is unhashable"
+                            % type(self).__name__)
+        return hash(tuple(vars(self).values()))
 
 
 @dataclass(frozen=True)
@@ -112,8 +207,8 @@ class ReservoirParams:
     def __post_init__(self):
         for name, value in vars(self).items():
             _require(name, value, np.ndim(value) == 0, "be one scalar, not an array")
-        _check_temperature(self.temperature)
-        _require("mu", self.mu, math.isfinite(self.mu), "be finite")
+        _check_reach("temperature", "temperature", self.temperature)
+        _check_reach("finite", "mu", self.mu)
 
     @property
     def beta(self) -> float:
@@ -125,14 +220,12 @@ def dispersion(k):
 
     Accepts scalars or arrays; NaN and momenta outside [0, pi] are rejected.
     """
-    karr = np.asarray(k, dtype=float)
-    _require("momentum k", k, np.all((karr >= 0.0) & (karr <= math.pi)), "lie in [0, pi]")
-    out = -2.0 * np.cos(karr)
-    return float(out) if np.isscalar(k) or karr.ndim == 0 else out
+    _check_reach("momentum", "momentum k", k)
+    return _plain(-2.0 * np.cos(np.asarray(k, dtype=float)))
 
 
-@dataclass(frozen=True)
-class ModeSpec:
+@dataclass(frozen=True, eq=False)
+class ModeSpec(_Fieldwise):
     """One momentum mode of the reduced bipartite problem.
 
     energy : float, eps_k = -2 cos(k)
@@ -152,16 +245,6 @@ class ModeSpec:
         _require("mode energy", self.energy, not np.isnan(self.energy).any(), "not be NaN")
         _check_envelope_args(0.0, self.dephasing, self.coupling)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
-
-    def __hash__(self):
-        if any(map(np.ndim, vars(self).values())):
-            raise TypeError("a batch of modes (a ModeSpec with array fields) is unhashable")
-        return hash(tuple(vars(self).values()))
-
     @classmethod
     def from_momentum(cls, k: float, g: float = 1.0, dephasing: float = 0.0) -> "ModeSpec":
         # dispersion validates k; only cos and sin of 2 g_k t reach an
@@ -172,20 +255,19 @@ class ModeSpec:
 
 def _check_envelope_args(t, dephasing, coupling):
     """Name the first argument that relaxation_envelope cannot take."""
-    tarr, lam = np.asarray(t, dtype=float), np.asarray(dephasing, dtype=float)
+    tarr = np.asarray(t, dtype=float)
     _require("time", t, not np.isnan(tarr).any(), "not be NaN")
     _require("time", t, not (tarr < 0.0).any(), "be >= 0")
-    _require("dephasing rate", dephasing, bool(np.all((lam >= 0.0) & (lam < math.inf))),
-             "be finite and >= 0")
-    _require("coupling g", coupling, bool(np.isfinite(coupling).all()), "be finite")
-    _require("time", t, not (np.isinf(tarr) & (lam == 0.0)).any(),
+    _check_reach("dephasing rate", "dephasing rate", dephasing)
+    _check_reach("finite", "coupling g", coupling)
+    _require("time", t, not (np.isinf(tarr) & (np.asarray(dephasing) == 0.0)).any(),
              "be finite at dephasing rate 0, where the mode oscillates forever",
              EquilibriumUndefinedError)
 
 
 def _reject_phase(coupling):
     """Name why the phase 2 g t of a live mode is not finite."""
-    _require("coupling g", coupling, bool(np.isfinite(coupling).all()), "be finite")
+    _check_reach("finite", "coupling g", coupling)
     _require("phase 2 g t", math.inf, False, "be finite: coupling g times time t overflows")
 
 
@@ -216,14 +298,15 @@ def relaxation_envelope(t, dephasing, coupling):
         if not np.isfinite(phase).all():
             _reject_phase(coupling)
         return np.where(alive, envelope, 0.0), phase
-    # plain-Python scalar path, per sample in the per-mode functions: one
-    # inline test, and the named checks only once it fails; a live mode's g
-    # is checked through its phase
-    if not (t >= 0.0 and 0.0 <= dephasing < math.inf) or (t == math.inf and dephasing == 0.0):
+    # plain-Python scalar path, once per band call: one inline test of t, and
+    # the named time checks only once it fails; a live mode's g is checked
+    # through its phase
+    if not t >= 0.0 or (t == math.inf and dephasing == 0.0):
         _check_envelope_args(t, dephasing, coupling)
+    _check_reach("dephasing rate", "dephasing rate", dephasing)
     envelope = np.exp(-dephasing * t)
     if not envelope > _DAMPING_FLOOR:
-        _require("coupling g", coupling, math.isfinite(coupling), "be finite")
+        _check_reach("finite", "coupling g", coupling)
         return np.float64(0.0), 0.0
     phase = 2.0 * float(coupling) * t  # float: no numpy overflow warning
     if not math.isfinite(phase):
@@ -252,8 +335,7 @@ def occupation_fd(energy, reservoir: ReservoirParams):
     Evaluated through exp(-|x|) only, so arbitrarily large |eps - mu|/T is
     safe on either side.  Accepts scalar or array energies.
     """
-    out = _fd_of(_reduced_energy(energy, reservoir))
-    return float(out) if out.ndim == 0 else out
+    return _plain(_fd_of(_reduced_energy(energy, reservoir)))
 
 
 def _log_fd_pair(energy, reservoir: ReservoirParams):
@@ -275,8 +357,7 @@ def log_occupation_fd(energy, reservoir: ReservoirParams):
     from it loses most of its digits; this form keeps full precision on both
     tails.  Accepts scalar or array energies.
     """
-    out = _log_fd_pair(energy, reservoir)[0]
-    return float(out) if out.ndim == 0 else out
+    return _plain(_log_fd_pair(energy, reservoir)[0])
 
 
 def log_vacancy_fd(energy, reservoir: ReservoirParams):
@@ -286,8 +367,7 @@ def log_vacancy_fd(energy, reservoir: ReservoirParams):
     the occupation with the sign of eps - mu flipped).  Accepts scalar or
     array energies.
     """
-    out = _log_fd_pair(energy, reservoir)[1]
-    return float(out) if out.ndim == 0 else out
+    return _plain(_log_fd_pair(energy, reservoir)[1])
 
 
 def occupation_boltzmann(energy, reservoir: ReservoirParams):
@@ -296,11 +376,8 @@ def occupation_boltzmann(energy, reservoir: ReservoirParams):
     Raises BoltzmannRangeError if any requested value would exceed 1e300.
     """
     x = _reduced_energy(energy, reservoir)
-    top = -float(np.min(x))
-    _require("(mu - energy)/T", top, top <= _LOG_BOLTZMANN_CAP,
-             "stay <= ln(1e300), the occupation's cap", BoltzmannRangeError)
-    out = np.exp(-x)
-    return float(out) if out.ndim == 0 else out
+    _check_reach("Boltzmann occupation", "(mu - energy)/T", -float(np.min(x)))
+    return _plain(np.exp(-x))
 
 
 @dataclass(frozen=True)
@@ -324,16 +401,15 @@ def boltzmann_validity(m: int, reservoir: ReservoirParams) -> BoltzmannValidity:
     dilute (classical) from the degenerate regime; :func:`band_gap_ev`
     reports it in laboratory units.
     """
-    _require("digit count m", m, 0.0 < m < math.inf, "be finite and > 0")
+    _check_reach("positive", "digit count m", m)
     mu_bound = -0.5 * m * reservoir.temperature * _LN10 - 2.0
     return BoltzmannValidity(mu_bound=mu_bound, satisfied=reservoir.mu < mu_bound)
 
 
 def band_gap_ev(m: int, temperature_kelvin: float) -> float:
     """E_gap = m k_B T ln(10)/2 in eV for a physical temperature in kelvin."""
-    _require("digit count m", m, 0.0 < m < math.inf, "be finite and > 0")
-    _require("temperature_kelvin", temperature_kelvin, 0.0 < temperature_kelvin < math.inf,
-             "be finite and > 0")
+    _check_reach("positive", "digit count m", m)
+    _check_reach("positive", "temperature_kelvin", temperature_kelvin)
     return 0.5 * m * KB_EV_PER_K * temperature_kelvin * _LN10
 
 

@@ -13,8 +13,8 @@ Every scenario is one row of ``SCENARIOS``, ``(build, panels, pins)``:
   of one panel, reading every value from ``cfg``.
 
 ``ScenarioConfig`` checks every field on every build, so a parsed config
-and a directly built one pass the same checks; ``tol`` and ``temperature``
-have the domains of the quadrature and of ``ReservoirParams``.
+and a directly built one pass the same checks.  A numeric key shares its
+``lattice._REACH`` row with the library, adding only a JSON type test.
 ``run_scenario`` is the one panel loop.  Before building any panel it
 checks every panel's reservoir split (T +- dT/2, mu +- dmu/2).  Each panel
 is one CSV file with the independent variable in the first column and
@@ -42,7 +42,7 @@ from typing import Mapping
 import numpy as np
 
 from . import closedforms, entropy, transport
-from .lattice import _TEMPERATURE_DOMAIN, _TEMPERATURE_MAX, ReservoirParams, _require
+from .lattice import ReservoirParams, _check_reach, _require
 
 
 class ConfigError(ValueError):
@@ -107,24 +107,14 @@ def _increasing(start: str, low: float) -> tuple:
                 and v[0] >= low))
 
 
-_FINITE = ("be a finite number", lambda v: _real(v) and math.isfinite(v))
 _STRING = ("be a string", lambda v: isinstance(v, str))
 
 # config key -> (domain, ok), where ok takes the value as given, of any type
-_STR_FIELDS = {"scenario": _STRING, "out_dir": _STRING,
-               "stats": ("be 'fd' or 'boltzmann'",
-                         lambda v: v in (transport.STATS_FD, transport.STATS_BOLTZMANN))}
-_NUMBER_FIELDS = {
-    "temperature": (_TEMPERATURE_DOMAIN, lambda v: _real(v) and 0.0 < v <= _TEMPERATURE_MAX),
-    "mu": _FINITE,
-    "dephasing": ("be a finite number >= 0", lambda v: _real(v) and 0.0 <= v < math.inf),
-    "g": _FINITE,
-    "tol": (transport._TOL_DOMAIN, lambda v: _real(v) and transport.TOL_FLOOR <= v < 1.0),
-    "delta_t": _FINITE,
-    "delta_mu": _FINITE,
-    "n_eq": ("be a number in (0, 1)", lambda v: _real(v) and 0.0 < v < 1.0),
-    "delta_n": _FINITE,
-}
+_STR_FIELDS = {"scenario": _STRING, "out_dir": _STRING, "stats": transport._STATS}
+# config key -> the lattice._REACH row it shares with the library
+_NUMBER_FIELDS = {"temperature": "temperature", "mu": "finite", "dephasing": "dephasing rate",
+                  "g": "finite", "tol": "tol", "delta_t": "finite", "delta_mu": "finite",
+                  "n_eq": "n_eq", "delta_n": "finite"}
 _INT_FIELDS = {"threads": _integer(1, 256),  # checked, then dropped: no field
                "sig_digits": _integer(3, 17)}
 _GRID_FIELDS = {"t_grid": _increasing(", from a time >= 0", 0.0),
@@ -134,9 +124,11 @@ _FIELD_NAMES = tuple(key for key in _FIELDS if key != "threads")
 
 
 def _check_field(key: str, value):
-    domain, ok = _FIELDS[key]
-    if not ok(value):
-        _require("config field '%s'" % key, value, False, domain, ConfigError)
+    name, rule = "config field '%s'" % key, _FIELDS[key]
+    if key in _NUMBER_FIELDS:
+        _check_reach(rule, name, value, ConfigError, ok=_real(value))
+    else:
+        _require(name, value, rule[1](value), rule[0], ConfigError)
 
 
 def parse_config(data: Mapping) -> ScenarioConfig:
@@ -373,8 +365,7 @@ def _onsteste1(cfg: ScenarioConfig, name: str):
     T.  Contrasting the two temperatures is the point of this figure.
     """
     mu_grid = _grid(cfg, "mu_grid")
-    _require("config field 'mu_grid'", cfg.mu_grid, bool(np.all(np.abs(mu_grid) < 2.0)),
-             "stay inside (-2, 2) for the Sommerfeld form", ConfigError)
+    _check_reach("Sommerfeld mu", "config field 'mu_grid'", cfg.mu_grid, ConfigError)
     _, quad_cols, _ = _onsager_vs_mu(cfg, name)
     series_cols = _block_columns([
         closedforms.equilibrium_sommerfeld_onsager(ReservoirParams(cfg.temperature, m))

@@ -1,14 +1,12 @@
 """Special functions needed by the closed-form expressions.
 
 Everything here is implemented in-repo against documented accuracy
-contracts so the analytic results do not silently depend on an external
-library:
+contracts, over the reaches of ``lattice._REACH``, so the analytic results
+do not silently depend on an external library:
 
-    bessel_j(n, x)       integer-order J_n for 0 <= n <= 20000, |x| <= 1e4;
-                         absolute error < 1e-15 against mpmath; a view onto
-                         the last order of SpecialFnTable(n, x).
-    bessel_i(n, y)       modified I_n for 0 <= n <= 20000, |y| <= 700 (e^y
-                         stays finite); relative error < 5e-15 wherever
+    bessel_j(n, x)       integer-order J_n; absolute error < 1e-15 against
+                         mpmath; the last order of SpecialFnTable(n, x).
+    bessel_i(n, y)       modified I_n; relative error < 5e-15 wherever
                          I_n(y) is a normal double; a view onto one I column.
     SpecialFnTable       J_0..J_n at one argument, from one pass; the one
                          J_n evaluation path.
@@ -29,26 +27,13 @@ import math
 
 import numpy as np
 
-from .lattice import _require
+from .lattice import _check_reach, _require
 
-_MAX_ORDER = 20_000
-_J_MAX_ARG = 1e4
-_I_MAX_ARG = 700.0  # e^y stays finite
-_ORDER_DOMAIN = "be an integer in [0, %d]" % _MAX_ORDER
-_J_ARG_DOMAIN = "lie in the validated range [-%g, %g]" % (_J_MAX_ARG, _J_MAX_ARG)
-_I_ARG_DOMAIN = "lie in the validated range [-%g, %g]" % (_I_MAX_ARG, _I_MAX_ARG)
 # (x/2)^2 below this leaves J_n(x) and I_n(x) = (x/2)^n/n! to within half an ulp
 _LEADING_TERM_MAX = 2.0 ** -53
 # 170! is the largest factorial below the float range; beyond it the leading
 # term (x/2)^n/n! underflows to 0 wherever it is used
 _LEADING_TERM_ORDERS = 171
-
-
-def _check_bessel_args(order_name: str, order: int, arg_name: str, arg: float,
-                       arg_max: float, arg_domain: str):
-    ok = isinstance(order, (int, np.integer)) and 0 <= order <= _MAX_ORDER
-    _require(order_name, order, ok, _ORDER_DOMAIN)
-    _require(arg_name, arg, abs(arg) <= arg_max, arg_domain)
 
 
 def _miller(x: float, max_order: int, modified: bool) -> np.ndarray:
@@ -97,17 +82,19 @@ def _column(max_order: int, x: float, modified: bool) -> np.ndarray:
 
 
 def bessel_j(n: int, x: float) -> float:
-    """Bessel function J_n(x) for integer n in [0, 20000], |x| <= 1e4.
+    """Bessel function J_n(x) over the Bessel order and J argument reaches.
 
     A view onto the last order of ``SpecialFnTable(n, x)``.
     """
-    _check_bessel_args("order n", n, "x", x, _J_MAX_ARG, _J_ARG_DOMAIN)
+    _check_reach("Bessel order", "order n", n)
+    _check_reach("J argument", "x", x)
     return SpecialFnTable(n, x).j(n)
 
 
 def bessel_i(n: int, y: float) -> float:
-    """Modified Bessel function I_n(y) for integer n in [0, 20000], |y| <= 700."""
-    _check_bessel_args("order n", n, "y", y, _I_MAX_ARG, _I_ARG_DOMAIN)
+    """Modified Bessel function I_n(y) over the Bessel order and I argument reaches."""
+    _check_reach("Bessel order", "order n", n)
+    _check_reach("I argument", "y", y)
     return float(_column(int(n), y, True)[n])
 
 
@@ -121,8 +108,8 @@ class SpecialFnTable:
     """
 
     def __init__(self, max_order: int, x_bessel_j: float):
-        _check_bessel_args("max_order", max_order, "x_bessel_j", x_bessel_j,
-                           _J_MAX_ARG, _J_ARG_DOMAIN)
+        _check_reach("Bessel order", "max_order", max_order)
+        _check_reach("J argument", "x_bessel_j", x_bessel_j)
         self.max_order = int(max_order)
         self._j = _column(self.max_order, x_bessel_j, False)
 
@@ -130,8 +117,9 @@ class SpecialFnTable:
     def band_orders(x: float) -> int:
         """How many orders J_0.. at x a sum needs: |J_n(x)| < 2^-60 from there on.
 
-        x + 12 x^(1/3) + 10 bounds the last such order for |x| <= 1e4 (checked
-        against scipy's J_n); past it J_n falls faster than geometrically.
+        x + 12 x^(1/3) + 10 bounds the last such order over the J argument
+        reach (checked against scipy's J_n); past it J_n falls faster than
+        geometrically.
         """
         xa = abs(x)
         return int(xa + 12.0 * xa ** (1.0 / 3.0)) + 10
@@ -155,7 +143,7 @@ def bessel_band_sum(z: float, coeffs) -> tuple:
     over all len(coeffs) orders, which the caller sizes by
     ``SpecialFnTable.band_orders(z)`` and by the tail of its coefficients;
     tail, the magnitude of the last two terms summed, is its truncation
-    estimate.  |z| <= 1e4.
+    estimate.  z lies in the J argument reach.
     """
     a = np.asarray(coeffs, dtype=float)
     n = np.arange(len(a))

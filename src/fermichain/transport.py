@@ -42,16 +42,14 @@ separate ``counters`` and ``onsager`` calls at the cost of one.  Quadrature
 is a composite Gauss-Legendre panel rule with deterministic fixed-order
 reduction; the panel count is doubled until two successive levels agree
 to the one tolerance ``tol``, and never starts below ~4 g t panels so the
-oscillation is resolved.  No level above 131,072 panels is built, so an
-oscillating mode's reach is |g| t <= 16,384; past it a band call raises
-QuadratureError, naming g t, before any evaluation.  A level is evaluated
+oscillation is resolved.  No level above the ``_MAX_PANELS`` budget is
+built, which gives |g| t a reach; past it a band call raises
+QuadratureError, naming g t, before any evaluation.  That reach, ``tol``'s
+and ``min_panels``' are rows of ``lattice._REACH``.  A level is evaluated
 in blocks of at most 4,096 panels, one integrand call per block, so memory
 stays bounded at large g t; the blocks only split the evaluation, and
 results do not depend on the block size.  Identical inputs give
 bit-identical results.
-
-``lattice.relaxation_envelope`` validates t and the dephasing rate, as in
-every other module; the coupling g must be finite.
 """
 
 from __future__ import annotations
@@ -61,30 +59,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (EquilibriumUndefinedError, ReservoirParams,  # noqa: F401 (re-export)
-                      _check_temperature, _fd_of, _reject_phase, _require,
-                      _warn_unless_dilute, occupation_boltzmann, relaxation_envelope)
+from .lattice import (EquilibriumUndefinedError, QuadratureError,  # noqa: F401 (re-export)
+                      ReservoirParams, _MAX_PANELS, _check_reach, _fd_of, _reject_phase,
+                      _require, _warn_unless_dilute, occupation_boltzmann,
+                      relaxation_envelope)
 
 STATS_FD = "fd"
 STATS_BOLTZMANN = "boltzmann"
+# (domain, ok): the one check of a statistics name, the config key's included
+_STATS = ("be 'fd' or 'boltzmann'",
+          lambda v: isinstance(v, str) and v in (STATS_FD, STATS_BOLTZMANN))
 
 DEFAULT_TOL = 1e-10  # the quadrature's one knob
-# the smallest tolerance a quadrature takes: a 16-point panel rule cannot get
-# below about 1e-17, and under ~1e-15 the doubling test chases round-off.
-# The config key 'tol' shares this domain
-TOL_FLOOR = 1e-15
-_TOL_DOMAIN = "be a number in [%g, 1)" % TOL_FLOOR
-
 _BASE_PANELS = 32  # the least first level
-_MAX_PANELS = 1 << 17  # the budget: no level above it is ever built
-
-
-class QuadratureError(RuntimeError):
-    """Panel budget exhausted before reaching the requested tolerance."""
-
-    def __init__(self, message: str, achieved_error: float):
-        super().__init__(message)
-        self.achieved_error = achieved_error
 
 
 # 16-point Gauss-Legendre nodes and weights on [-1, 1], one panel's rule
@@ -99,14 +86,6 @@ _BLOCK_PANELS = 4096
 # exp(-lam t) cos(2 g_k t) - 1 rounds to exactly -1.0: the integrand negates
 # the kernels instead
 _FLAT_DAMPING = 2.0 ** -54
-
-
-def _count(n) -> str:
-    """A panel count as '%.3g', also for integers beyond the float range."""
-    if n <= 1e300:
-        return "%.3g" % n
-    digits = str(int(n))
-    return "%.3ge+%d" % (int(digits[:3]) / 100.0, len(digits) - 1)
 
 
 def integrate_interval(f, a: float, b: float, tol: float = DEFAULT_TOL,
@@ -127,12 +106,13 @@ def integrate_interval(f, a: float, b: float, tol: float = DEFAULT_TOL,
         converged group's total is frozen at that level, so it equals a solo
         call on that group bit for bit, and the call ends when every group
         has converged.
-    tol : in [1e-15, 1); a group converges once two successive levels
-        differ by at most tol * max(1, max|total|) in every component.
+    tol : one scalar in the "tol" reach of ``lattice._REACH``; a group
+        converges once two successive levels differ by at most
+        tol * max(1, max|total|) in every component.
     min_panels : lower bound on the first panel count (e.g. to resolve a
         known oscillation); NaN or inf raise ValueError.  A first level whose
-        double exceeds the ``_MAX_PANELS`` budget raises QuadratureError
-        before any evaluation.
+        double exceeds the ``_MAX_PANELS`` budget (the "first level" reach)
+        raises QuadratureError before any evaluation.
 
     Returns
     -------
@@ -144,16 +124,12 @@ def integrate_interval(f, a: float, b: float, tol: float = DEFAULT_TOL,
     # the panel midpoints are halved sums of neighbouring edges
     _require("interval [a, b]", (a, b), a < b and math.isfinite(2.0 * max(abs(a), abs(b))),
              "have a < b and 2 max(|a|, |b|) finite")
-    _require("tol", tol, np.ndim(tol) == 0, "be one scalar in [%g, 1)" % TOL_FLOOR)
-    _require("tol", tol, TOL_FLOOR <= tol < 1.0, _TOL_DOMAIN)
+    _check_reach("tol", "tol", tol, ok=np.ndim(tol) == 0)
     _require("min_panels", min_panels,
              not isinstance(min_panels, float) or math.isfinite(min_panels),
              "be a finite count")
+    _check_reach("first level", "min_panels", int(min_panels))
     panels = max(_BASE_PANELS, int(min_panels))
-    if 2 * panels > _MAX_PANELS:  # then panels is min_panels
-        raise QuadratureError("min_panels %s leaves no room to refine within the %d-panel "
-                              "budget" % (_count(min_panels), _MAX_PANELS),
-                              achieved_error=math.inf)
     prev = {}  # group index -> its total at the previous level
     done = {}  # group index -> (total, err) once converged
     while True:
@@ -223,11 +199,7 @@ def _osc_panels(g: float, phase: float) -> int:
     panels = 2.0 * abs(g) * phase
     if not math.isfinite(panels):
         _reject_phase(g)
-    if 2.0 * panels > _MAX_PANELS:
-        raise QuadratureError(
-            "|g| t must be <= %d while the mode oscillates, so that its ~4 g t panels leave "
-            "room to refine within the %d-panel budget, got %r"
-            % (_MAX_PANELS // 8, _MAX_PANELS, 0.25 * panels), achieved_error=math.inf)
+    _check_reach("band g t", "|g| t", 0.25 * panels)
     return max(1, int(math.ceil(panels)))
 
 
@@ -246,9 +218,8 @@ def _band_average(kernel_groups, t: float, res: ReservoirParams, dephasing: floa
         if np.ndim(value) != 0:
             _require(name, np.shape(value), False,
                      "be one scalar per band call, not an array of shape")
-    _require("stats", stats, isinstance(stats, str) and stats in (STATS_FD, STATS_BOLTZMANN),
-             "be 'fd' or 'boltzmann'")
-    _require("coupling g", g, math.isfinite(g), "be finite")
+    _require("stats", stats, _STATS[1](stats), _STATS[0])
+    _check_reach("finite", "coupling g", g)
     if stats == STATS_BOLTZMANN:
         _warn_unless_dilute(res)
     damping, phase = relaxation_envelope(float(t), float(dephasing), 1.0)
@@ -325,9 +296,8 @@ class OnsagerBlock:
 
     def __post_init__(self):
         for name in ("j_n_mu", "j_n_t", "j_q_mu", "j_q_t"):
-            value = getattr(self, name)
-            _require(name, value, math.isfinite(value), "be finite")
-        _check_temperature(self.temperature)
+            _check_reach("finite", name, getattr(self, name))
+        _check_reach("temperature", "temperature", self.temperature)
 
     @classmethod
     def from_derivatives(cls, derivatives, temp: float) -> OnsagerBlock:

@@ -344,3 +344,33 @@ def test_batched_density_matrix_equals_the_scalar_calls_bit_for_bit(fields, ts, 
         for j, t in enumerate(ts):
             want = density_matrix(ModeSpec(*one_mode), res_a, res_b, t)
             assert got[i, j].tobytes() == want.tobytes()
+
+
+def test_one_density_matrix_call_forms_one_envelope(monkeypatch):
+    # the state used to run the envelope three times (occ_a, occ_b through
+    # occ_a, coherence_ab) and check the occupations five times
+    calls = []
+    inner = dynamics.relaxation_envelope
+    monkeypatch.setattr(dynamics, "relaxation_envelope",
+                        lambda *args: calls.append(args) or inner(*args))
+    batch = ModeSpec(np.array([[-1.0], [0.5]]), np.array([[0.8], [1.3]]), 0.2)
+    rho = density_matrix(batch, ReservoirParams(0.3, 0.2), ReservoirParams(0.7, -0.4),
+                         np.array([0.0, 1.5, 40.0]))
+    assert len(calls) == 1 and rho.shape == (2, 3, 4, 4)
+    calls.clear()
+    density_matrix_from_occupations(0.7, 0.2, 0.8, 0.1, 1.5)
+    assert len(calls) == 1
+
+
+def test_state_entries_equal_the_per_entry_functions_bit_for_bit():
+    # one shared envelope: occ_b is mean - swing, the same bits as occ_a with
+    # the halves swapped
+    n_a0, n_b0 = np.array([0.7, 0.1, 0.35]), np.array([0.2, 0.9, 0.35])
+    mode = _mode(coupling=np.array([0.8, -1.3, 2.0]), dephasing=np.array([0.0, 0.3, 1.0]))
+    t = 3.7
+    rho = density_matrix_from_occupations(n_a0, n_b0, mode.coupling, mode.dephasing, t)
+    both = n_a0 * n_b0
+    np.testing.assert_array_equal(rho[:, 1, 1].real, occ_a(mode, n_a0, n_b0, t) - both)
+    np.testing.assert_array_equal(rho[:, 2, 2].real, occ_b(mode, n_a0, n_b0, t) - both)
+    np.testing.assert_array_equal(occ_b(mode, n_a0, n_b0, t), occ_a(mode, n_b0, n_a0, t))
+    np.testing.assert_array_equal(rho[:, 2, 1], coherence_ab(mode, n_a0, n_b0, t))

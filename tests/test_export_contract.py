@@ -14,6 +14,10 @@ whose message names the argument it was given (the messages call ``t``
 ``IntegrationError``, are allowed too, and ``INFINITIES`` lists the exact
 infinities a result may hold.  Every warning is an error here, so a numpy
 RuntimeWarning on the way to a NaN fails the test.
+
+Every row of ``lattice._REACH`` is probed through an export at its last
+values inside (a finite result), its first values outside (the row's error,
+naming the argument) and interior points, and README must quote its limits.
 """
 
 import dataclasses
@@ -21,6 +25,7 @@ import inspect
 import math
 import numbers
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -29,7 +34,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fermichain as fc
-from test_api_surface import _exported_names
+from fermichain.lattice import _REACH
+from test_api_surface import ROOT, _exported_names
 
 RES = fc.ReservoirParams(0.1, 0.3)
 DILUTE = fc.ReservoirParams(0.5, -3.0)  # inside the Boltzmann regime
@@ -313,3 +319,161 @@ def test_probe_case_raises_a_value_error_naming_its_argument(probe):
         with pytest.raises(ValueError) as exc:
             call()
     assert _names(str(exc.value), arg), str(exc.value)
+
+
+# every declared reach of lattice._REACH, probed at its edges through exports
+
+def _ones(x):
+    return (np.ones_like(x),)
+
+
+def _edges(row, ends="lo hi", outside_too=()):
+    """(inside, outside, interior) of a _REACH row: its last values inside at
+    the given ends, their first neighbours outside, and a strategy that draws
+    from the whole reach."""
+    reach = _REACH[row]
+    integer = isinstance(reach.last, int)
+    inside, outside = [], list(outside_too)
+    for end, value, away in (("lo", reach.first, -1), ("hi", reach.last, 1)):
+        if end in ends:
+            inside.append(value)
+            outside.append(value + away if integer else math.nextafter(value, away * math.inf))
+    lo, hi = max(reach.first, -sys.float_info.max), min(reach.last, sys.float_info.max)
+    return inside, outside, st.integers(int(lo), int(hi)) if integer else st.floats(lo, hi)
+
+
+def _coldest_boltzmann_temperature(mu):
+    """The least T inside the Boltzmann reach at this mu < 0, where the
+    checked (max(mu, 0) + 2)/T is 2 beta."""
+    last = _REACH["Boltzmann"].last
+    temp = 2.0 / last
+    while (max(mu, 0.0) + 2.0) * (1.0 / temp) > last:
+        temp = math.nextafter(temp, math.inf)
+    while (max(mu, 0.0) + 2.0) * (1.0 / math.nextafter(temp, 0.0)) <= last:
+        temp = math.nextafter(temp, 0.0)
+    return temp
+
+
+_COLD = _coldest_boltzmann_temperature(-3.0)  # -3 keeps it dilute: no RegimeWarning
+
+# (reach row, argument its error must name, call of one input, edges): every
+# row through at least one export.  An end no input can cross (an infinite
+# one, or |g| t = 0) is left out; g t and x/2 reach the J argument row
+# through the closed forms, and the Boltzmann row is probed in T
+REACH_PROBES = [
+    ("temperature", "temperature", lambda v: fc.occupation_fd(0.5, fc.ReservoirParams(v)),
+     _edges("temperature")),
+    ("tol", "tol", lambda v: fc.integrate_interval(_ones, 0.0, 1.0, v), _edges("tol")),
+    ("finite", "mu", lambda v: fc.occupation_fd(0.5, fc.ReservoirParams(0.1, v)),
+     _edges("finite")),
+    ("positive", "temperature_kelvin", lambda v: fc.band_gap_ev(1, v), _edges("positive")),
+    ("dephasing rate", "dephasing",
+     lambda v: fc.transition_weight(fc.ModeSpec(0.0, 1.0, v), 2.0), _edges("dephasing rate")),
+    ("n_eq", "n_eq", lambda v: fc.joint_entropy(fc.EquilibriumModePrep(v, 0.0, 1.0), 1.0),
+     _edges("n_eq")),
+    ("occupation", "n_a0", lambda v: fc.occ_a(MODE, v, 0.5, 1.5), _edges("occupation")),
+    ("momentum", "k", lambda v: fc.ModeSpec.from_momentum(v, 1.0, 0.1), _edges("momentum")),
+    ("Bessel order", "n", lambda v: fc.bessel_j(v, 1.0), _edges("Bessel order")),
+    ("J argument", "x", lambda v: fc.bessel_j(0, v), _edges("J argument")),
+    ("J argument", "t",  # g t = t at g = +-1
+     lambda v: fc.nbar_fd_sommerfeld(abs(v), RES, 0.0, math.copysign(1.0, v)),
+     _edges("J argument")),
+    ("J argument", "x", lambda v: fc.omega(0, 2.0 * v, 1.0), _edges("J argument")),
+    ("I argument", "y", lambda v: fc.bessel_i(0, v), _edges("I argument")),
+    ("omega nu", "nu", lambda v: fc.omega(v, 1.0, 1.0), _edges("omega nu")),
+    ("omega y", "y", lambda v: fc.omega(0, 1.0, v), _edges("omega y")),
+    ("Boltzmann", "temperature",
+     lambda v: fc.nbar_boltzmann_closed(1.0, fc.ReservoirParams(v, -3.0), 0.1, 1.0),
+     ([_COLD], [math.nextafter(_COLD, 0.0)], st.floats(_COLD, 0.8))),
+    ("Boltzmann occupation", "energy",
+     lambda v: fc.occupation_boltzmann(-v, fc.ReservoirParams(1.0, 0.0)),
+     _edges("Boltzmann occupation", "hi")),
+    ("Sommerfeld mu", "mu",
+     lambda v: fc.equilibrium_sommerfeld_onsager(fc.ReservoirParams(1e-9, v)),
+     _edges("Sommerfeld mu")),
+    ("band g t", "t", lambda v: fc.nbar(v, RES, 0.0, 1.0), _edges("band g t", "hi")),
+    # 10**400 used to need its own formatting to stay out of float overflow
+    ("first level", "min_panels", lambda v: fc.integrate_interval(_ones, 0.0, 1.0, 1e-8, v),
+     _edges("first level", "hi", outside_too=[10 ** 400])),
+]
+_PROBE_IDS = ["%s-%d" % (probe[0].replace(" ", "_"), i) for i, probe in enumerate(REACH_PROBES)]
+
+
+def _finite_call(call, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bad = [x for x in _numbers(call(value)) if not math.isfinite(x)]
+    assert not bad, "%r: %r" % (value, bad[:3])
+
+
+def test_every_reach_has_an_edge_probe():
+    assert {probe[0] for probe in REACH_PROBES} == set(_REACH)
+
+
+@pytest.mark.parametrize("probe", REACH_PROBES, ids=_PROBE_IDS)
+def test_the_last_values_inside_a_reach_give_finite_numbers(probe):
+    _, _, call, (inside, _, _) = probe
+    assert inside
+    for value in inside:
+        _finite_call(call, value)
+
+
+@pytest.mark.parametrize("probe", REACH_PROBES, ids=_PROBE_IDS)
+def test_the_first_values_outside_a_reach_raise_its_error_by_name(probe):
+    row, arg, call, (_, outside, _) = probe
+    for value in outside:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(_REACH[row].error) as exc:
+                call(value)
+        assert _names(str(exc.value), arg) and len(str(exc.value)) < 300, str(exc.value)
+
+
+@pytest.mark.parametrize("probe", REACH_PROBES, ids=_PROBE_IDS)
+def test_interior_points_of_a_reach_give_finite_numbers(probe):
+    _, _, call, (_, _, interior) = probe
+
+    @settings(max_examples=5, deadline=None, derandomize=True, database=None)
+    @given(interior)
+    def inside(value):
+        _finite_call(call, value)
+
+    inside()
+
+
+def test_readme_quotes_every_reach():
+    # README's tables quote each row's limits as the messages word them
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    missing = ["%s: %g" % (row, limit) for row, reach in _REACH.items()
+               for limit in (reach.lo, reach.hi) if math.isfinite(limit)
+               and not re.search(r"(?<![\w.])%s(?![\w.])" % re.escape("%g" % limit), readme)]
+    assert not missing, "README does not show %s" % ", ".join(missing)
+
+
+# every export that returns one number per input: a scalar call gives a
+# plain Python float (complex for the coherence), each entry of a batch the same
+SCALAR_RESULTS = {
+    "dispersion": lambda: fc.dispersion(1.0),
+    "occupation_fd": lambda: fc.occupation_fd(0.5, RES),
+    "log_occupation_fd": lambda: fc.log_occupation_fd(0.5, RES),
+    "log_vacancy_fd": lambda: fc.log_vacancy_fd(0.5, RES),
+    "occupation_boltzmann": lambda: fc.occupation_boltzmann(-1.0, DILUTE),
+    "occ_a": lambda: fc.occ_a(MODE, 0.7, 0.2, 1.5),
+    "occ_b": lambda: fc.occ_b(MODE, 0.7, 0.2, 1.5),
+    "coherence_ab": lambda: fc.coherence_ab(MODE, 0.7, 0.2, 1.5),
+    "binary_entropy": lambda: fc.binary_entropy(0.3),
+    "mutual_information": lambda: fc.mutual_information(PREP, 1.5),
+    "joint_entropy": lambda: fc.joint_entropy(PREP, 1.5),
+    "entropy_production": lambda: fc.entropy_production(PREP, 1.5),
+    "entropy_sum_rate": lambda: fc.entropy_sum_rate(PREP, 1.5),
+    "mutual_information_rate": lambda: fc.mutual_information_rate(PREP, 1.5),
+    "joint_entropy_exact": lambda: fc.joint_entropy_exact(PREP, 1.5),
+    "transition_weight": lambda: fc.transition_weight(MODE, 1.5),
+    "ft_log_ratio.lhs": lambda: fc.ft_log_ratio(MODE, RES, DILUTE, 1.5).lhs,
+    "ft_log_ratio.rhs": lambda: fc.ft_log_ratio(MODE, RES, DILUTE, 1.5).rhs,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_RESULTS))
+def test_a_scalar_call_returns_a_plain_python_number(name):
+    assert type(SCALAR_RESULTS[name]()) is (complex if name == "coherence_ab" else float)

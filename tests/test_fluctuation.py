@@ -235,3 +235,21 @@ def test_multi_mode_empty():
 def test_exchange_event_validation():
     with pytest.raises(ValueError):
         ExchangeEvent(mode=_mode(), delta_n_a=0)
+
+
+def test_batched_checks_compare_field_by_field_and_do_not_hash():
+    # the generated __eq__ compared field tuples, which numpy's array truth
+    # value made ambiguous for a batch
+    res = ReservoirParams(0.5, 0.1)
+    batch = ModeSpec(np.array([0.0, 1.0]), 1.0, 0.1)
+    check = ft_log_ratio(batch, res, res, 1.0)
+    assert check == ft_log_ratio(batch, res, res, 1.0)
+    assert check != ft_log_ratio(ModeSpec(np.array([0.0, 1.5]), 1.0, 0.1),
+                                 ReservoirParams(0.4, 0.1), res, 1.0)
+    assert check != ft_log_ratio(ModeSpec(np.array([0.0, 1.0, 2.0]), 1.0, 0.1), res, res, 1.0)
+    with pytest.raises(TypeError, match="batched FtCheck"):
+        hash(check)
+    # one check keeps its value equality and its hash
+    one = ft_log_ratio(_mode(), res, ReservoirParams(0.4, 0.1), 1.0)
+    assert one == ft_log_ratio(_mode(), res, ReservoirParams(0.4, 0.1), 1.0)
+    assert hash(one) == hash((one.lhs, one.rhs)) and one != (one.lhs, one.rhs)

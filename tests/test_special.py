@@ -63,11 +63,13 @@ def test_bessel_j_negative_argument_parity():
 def test_bessel_j_range_guard():
     with pytest.raises(ValueError, match=re.escape("order n must be an integer in [0, 20000]")):
         bessel_j(20001, 1.0)
-    with pytest.raises(ValueError, match=re.escape("x must lie in the validated range")):
+    with pytest.raises(ValueError, match=re.escape("x must lie in [-10000, 10000], the validated "
+                                                   "J_n range")):
         bessel_j(0, 1.0001e4)
     with pytest.raises(ValueError):
         bessel_j(-1, 1.0)
-    with pytest.raises(ValueError, match=re.escape("y must lie in the validated range")):
+    with pytest.raises(ValueError, match=re.escape("y must lie in [-700, 700], the validated "
+                                                   "I_n range")):
         bessel_i(0, 700.5)
 
 

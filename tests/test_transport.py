@@ -27,7 +27,8 @@ from fermichain import (
     qbar,
 )
 from fermichain import transport
-from fermichain.transport import _BASE_PANELS, _MAX_PANELS, _W16, _X16, DEFAULT_TOL, TOL_FLOOR
+from fermichain.lattice import _REACH
+from fermichain.transport import _BASE_PANELS, _MAX_PANELS, _W16, _X16, DEFAULT_TOL
 
 RES = ReservoirParams(temperature=0.1, mu=0.0)
 
@@ -111,14 +112,14 @@ def test_integrate_interval_unconverged_group_fails_the_call(monkeypatch):
     assert both.value.achieved_error == solo.value.achieved_error > 0.0
 
 
-@pytest.mark.parametrize("min_panels", [64, 1000])
-def test_integrate_interval_without_room_to_refine_fails_before_evaluating(
-        monkeypatch, min_panels):
-    # a first level of 64 panels cannot double within a budget of 64
+@pytest.mark.parametrize("excess", [64, 1000])
+def test_integrate_interval_without_room_to_refine_fails_before_evaluating(excess):
+    # a first level above half the budget cannot double within it
     calls = []
-    monkeypatch.setattr(transport, "_MAX_PANELS", 64)
+    min_panels = _MAX_PANELS // 2 + excess
     with pytest.raises(QuadratureError,
-                       match=re.escape("min_panels %.3g leaves" % min_panels) + ".*the 64-panel"):
+                       match=r"^min_panels must be <= 65536, or the first level leaves no room "
+                             r"to refine within the 131072-panel budget, got %d$" % min_panels):
         integrate_interval(lambda x: calls.append(x.size) or (np.ones_like(x),), 0.0,
                            1.0, min_panels=min_panels)
     assert calls == []
@@ -548,6 +549,7 @@ def test_quadrature_spec_validation():
 
 def test_quadrature_floor_is_the_config_floor():
     # one domain: parse_config's tol range is the quadrature's own
+    TOL_FLOOR = _REACH["tol"].lo
     assert TOL_FLOOR == 1e-15
     cfg = parse_config({"scenario": "custom", "tol": TOL_FLOOR})
     assert cfg.tol == TOL_FLOOR
