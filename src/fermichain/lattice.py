@@ -134,7 +134,8 @@ _REACH = {
     # keeps omega's I column, 2 orders + nu, inside the Bessel order reach
     "omega nu": _reach(0, 1000, "[]", "be an integer in %(interval)s"),
     "omega y": _reach(0.0, _I_REACH, "[]",
-                      "lie in %(interval)s (no analytic continuation; exp(y) stays finite)"),
+                      "lie in %(interval)s (the 4.5 sqrt(y) coefficient count is "
+                      "calibrated for y >= 0; exp(y) stays finite)"),
     # (max(mu, 0) + 2)/T: a Boltzmann closed form is at most exp((mu + 2)/T)
     "Boltzmann": _reach(0.0, _I_REACH, "[]",
                         "be <= %(hi)g so that exp(mu/T) I_nu(2/T) and 2/T stay finite"),
@@ -324,18 +325,25 @@ def _reduced_energy(energy, reservoir: ReservoirParams):
 
 
 def _fd_of(x):
-    """1/(exp(x) + 1) of the reduced energy x, through exp(-|x|) only."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, e / (1.0 + e), 1.0 / (1.0 + e))
+    """1/(exp(x) + 1) of the reduced energies x, exponentiating no positive
+    argument: exp(-max(x, 0)) is e = exp(-|x|) where x >= 0 and exactly 1
+    below, so one quotient gives e/(1 + e) or 1/(1 + e), each branch's bits.
+    Overwrites the float array x."""
+    occ = np.maximum(x, 0.0)
+    np.exp(np.negative(occ, out=occ), out=occ)
+    e = np.exp(np.negative(np.abs(x, out=x), out=x), out=x)
+    return np.divide(occ, np.add(e, 1.0, out=e), out=occ)
 
 
 def occupation_fd(energy, reservoir: ReservoirParams):
     """Fermi-Dirac occupation 1/(exp((eps - mu)/T) + 1).
 
-    Evaluated through exp(-|x|) only, so arbitrarily large |eps - mu|/T is
-    safe on either side.  Accepts scalar or array energies.
+    Evaluated through exponentials of non-positive arguments only, so
+    arbitrarily large |eps - mu|/T is safe on either side.  Accepts scalar
+    or array energies.
     """
-    return _plain(_fd_of(_reduced_energy(energy, reservoir)))
+    x = _reduced_energy(energy, reservoir)
+    return _plain(_fd_of(np.atleast_1d(x)).reshape(np.shape(x)))
 
 
 def _log_fd_pair(energy, reservoir: ReservoirParams):
@@ -376,7 +384,8 @@ def occupation_boltzmann(energy, reservoir: ReservoirParams):
     Raises BoltzmannRangeError if any requested value would exceed 1e300.
     """
     x = _reduced_energy(energy, reservoir)
-    _check_reach("Boltzmann occupation", "(mu - energy)/T", -float(np.min(x)))
+    if np.size(x):  # an empty array has no least energy to check
+        _check_reach("Boltzmann occupation", "(mu - energy)/T", -float(np.min(x)))
     return _plain(np.exp(-x))
 
 

@@ -31,19 +31,23 @@ the oscillating form.
 
 Every band integral goes through one path, ``_band_average``, at one time
 per call (a time array is rejected by name; a scan over t is a loop of
-calls).  The kernels of a quantity are stacked into one group.
+calls).  The kernels of a quantity are the rows of one array, one group.
 ``counters`` integrates the group [n, eps n] and ``nbar``, ``ebar`` and
-``qbar`` are views onto it; ``onsager`` stacks its four derivative kernels
+``qbar`` are views onto it; ``onsager`` writes its four derivative kernels
 the same way.  Several groups can share one quadrature: eps, the occupation
 and D(k, t) are computed once per node, but each group runs the doubling
 test on its own and is frozen at the level where it converged, so
 ``counters_and_onsager`` gives the counters and the block bit-identical to
-separate ``counters`` and ``onsager`` calls at the cost of one.  Quadrature
-is a composite Gauss-Legendre panel rule with deterministic fixed-order
-reduction; the panel count is doubled until two successive levels agree
-to the one tolerance ``tol``, and never starts below ~4 g t panels so the
-oscillation is resolved.  No level above the ``_MAX_PANELS`` budget is
-built, which gives |g| t a reach; past it a band call raises
+separate ``counters`` and ``onsager`` calls at the cost of one.  The
+integrand forms each array in place, in buffers it owns, with the IEEE
+operations of the plain expressions in their order, so every bit is theirs;
+a group's kernels and their product with D(k, t) are formed only when the
+quadrature reads the group, which it does not once the group is frozen.
+Quadrature is a composite Gauss-Legendre panel rule with deterministic
+fixed-order reduction; the panel count is doubled until two successive
+levels agree to the one tolerance ``tol``, and never starts below ~4 g t
+panels so the oscillation is resolved.  No level above the ``_MAX_PANELS``
+budget is built, which gives |g| t a reach; past it a band call raises
 QuadratureError, naming g t, before any evaluation.  That reach, ``tol``'s
 and ``min_panels``' are rows of ``lattice._REACH``.  A level is evaluated
 in blocks of at most 4,096 panels, one integrand call per block, so memory
@@ -94,9 +98,12 @@ def integrate_interval(f, a: float, b: float, tol: float = DEFAULT_TOL,
 
     Parameters
     ----------
-    f : callable taking a 1-D node array and returning a tuple of kernel
+    f : callable taking a 1-D node array and returning a sequence of kernel
         groups, each an array with the node axis LAST; leading axes are
-        integrated component-wise.  f runs once per block of at most
+        integrated component-wise.  The groups are read by index, and a
+        group is read only while it has not converged, so a sequence that
+        forms a group when it is read does no work for a frozen one.  An
+        array read is never written to.  f runs once per block of at most
         ``_BLOCK_PANELS`` panels (65,536 nodes), in panel order, so a level
         never holds more than one block of integrand values.  The per-panel
         sums of a level are reduced in one fixed order after its last block,
@@ -141,17 +148,17 @@ def integrate_interval(f, a: float, b: float, tol: float = DEFAULT_TOL,
         for start in range(0, panels, _BLOCK_PANELS):
             block = mid[start:start + _BLOCK_PANELS]
             groups = f((block[:, None] + offsets).reshape(-1))
-            for i, vals in enumerate(groups):
-                if i in done:
+            n_groups = len(groups)
+            for i in range(n_groups):
+                if i in done:  # a frozen group is not read
                     continue
-                vals = np.asarray(vals)
+                vals = np.asarray(groups[i])
                 weighted = vals.reshape(vals.shape[:-1] + (block.size, _W16.size)) * _W16
                 if i not in sums:
                     sums[i] = np.empty(weighted.shape[:-2] + (panels,), weighted.dtype)
                 # this block's panels, summed in place: no per-block temporary
                 out = sums[i][..., start:start + block.size]
                 np.multiply(weighted.sum(axis=-1, out=out), half, out=out)
-            n_groups = len(groups)
             # release this block's values before f builds the next one: held
             # across that call, they keep the allocator from reusing their
             # pages, and every block faults in fresh ones
@@ -183,14 +190,36 @@ def integrate_interval(f, a: float, b: float, tol: float = DEFAULT_TOL,
 def _occupation(stats: str, eps, res: ReservoirParams):
     if stats == STATS_FD:
         # occupation_fd's kernel: band nodes need no NaN test per node
-        return _fd_of((eps - res.mu) / res.temperature)
+        x = np.subtract(eps, res.mu)
+        return _fd_of(np.divide(x, res.temperature, out=x))
     return occupation_boltzmann(eps, res)
 
 
 def _relaxation_factor(k, damping: float, phase: float, g: float):
-    """D(k, t) = damping * cos(g_k * phase) - 1 over the nodes k, where
-    ``phase`` is the unit-coupling phase 2 t (0 wherever damping is)."""
-    return damping * np.cos(g * np.sin(k) ** 2 * phase) - 1.0
+    """D(k, t) = damping * cos(g_k * phase) - 1 over the nodes k, in one array,
+    where ``phase`` is the unit-coupling phase 2 t (0 wherever damping is)."""
+    relax = np.square(np.sin(k))
+    np.multiply(np.multiply(relax, g, out=relax), phase, out=relax)
+    np.multiply(np.cos(relax, out=relax), damping, out=relax)
+    return np.subtract(relax, 1.0, out=relax)
+
+
+class _Groups:
+    """The kernel groups at one block of nodes, read by index: a group is
+    formed and multiplied by D(k, t) (negated where D is flat) only when it
+    is read, so a group ``integrate_interval`` has frozen costs nothing."""
+
+    def __init__(self, kernel_groups, eps, occ, stats: str, relax):
+        self.kernel_groups, self.args, self.relax = kernel_groups, (eps, occ, stats), relax
+
+    def __len__(self):
+        return len(self.kernel_groups)
+
+    def __getitem__(self, i):
+        rows = self.kernel_groups[i](*self.args)
+        if self.relax is None:
+            return np.negative(rows, out=rows)
+        return np.multiply(rows, self.relax, out=rows)
 
 
 def _osc_panels(g: float, phase: float) -> int:
@@ -208,7 +237,8 @@ def _band_average(kernel_groups, t: float, res: ReservoirParams, dephasing: floa
     """(1/pi) int_0^pi kernel(eps_k) D(k, t) dk for every kernel of every group.
 
     t is one time.  Each of ``kernel_groups`` maps ``(eps, occ, stats)`` to
-    stacked kernels shaped (n_kernels, n_k).  eps, the occupation and
+    a new array of its kernels shaped (n_kernels, n_k), which the integrand
+    then multiplies by D(k, t) in place.  eps, the occupation and
     D(k, t) are computed once per level and shared by all groups; each group
     converges on its own (see ``integrate_interval``), so its values do not
     depend on the other groups.  Returns one list of floats per group, one
@@ -226,23 +256,20 @@ def _band_average(kernel_groups, t: float, res: ReservoirParams, dephasing: floa
     flat = damping <= _FLAT_DAMPING
 
     def f(k):
-        eps = -2.0 * np.cos(k)
-        occ = _occupation(stats, eps, res)
-        rows = [kernels(eps, occ, stats) for kernels in kernel_groups]
-        # drop occ before D(k, t) is built, so their temporaries never
-        # coexist and the allocator reuses pages instead of faulting in more
-        del occ
-        if flat:
-            return tuple([-r for r in rows])
-        relax = _relaxation_factor(k, damping, phase, g)
-        return tuple([r * relax for r in rows])
+        eps = np.cos(k)
+        np.multiply(eps, -2.0, out=eps)
+        relax = None if flat else _relaxation_factor(k, damping, phase, g)
+        return _Groups(kernel_groups, eps, _occupation(stats, eps, res), stats, relax)
 
     vals, _ = integrate_interval(f, 0.0, math.pi, tol, _osc_panels(g, phase))
     return [[float(v) for v in val / math.pi] for val in vals]
 
 
 def _counter_kernels(eps, occ, stats):
-    return np.stack([occ, eps * occ])
+    rows = np.empty((2, eps.size))
+    rows[0] = occ
+    np.multiply(eps, occ, out=rows[1])
+    return rows
 
 
 def counters(t: float, res: ReservoirParams, dephasing: float, g: float,
@@ -315,13 +342,16 @@ def _onsager_kernels(res: ReservoirParams):
     temp = res.temperature
 
     def kernels(eps, occ, stats):
-        if stats == STATS_FD:
-            dn_dmu = occ * (1.0 - occ) / temp
-        else:
-            dn_dmu = occ / temp
-        w = eps - res.mu
-        dn_dt = w * dn_dmu / temp
-        return np.stack([dn_dmu, dn_dt, w * dn_dmu, w * dn_dt])
+        rows = np.empty((4, eps.size))
+        dn_dmu, dn_dt, w_dn_dmu, w_dn_dt = rows
+        if stats == STATS_FD:  # n(1 - n) over T; Boltzmann's is n over T
+            occ = np.multiply(occ, np.subtract(1.0, occ, out=dn_dmu), out=dn_dmu)
+        np.divide(occ, temp, out=dn_dmu)
+        w = np.subtract(eps, res.mu, out=w_dn_dt)  # eps - mu, until the last row
+        np.multiply(w, dn_dmu, out=w_dn_dmu)
+        np.divide(w_dn_dmu, temp, out=dn_dt)
+        np.multiply(w, dn_dt, out=w_dn_dt)
+        return rows
 
     return kernels
 

@@ -205,6 +205,14 @@ def test_occupations_reject_nan_energy_by_name(fn):
             fn(np.array([0.0, math.nan]), ReservoirParams(0.3, -3.0))
 
 
+@pytest.mark.parametrize("fn", [occupation_fd, occupation_boltzmann],
+                         ids=lambda fn: fn.__name__)
+def test_occupations_of_an_empty_array_are_empty(fn):
+    # the Boltzmann cap check once took the least energy of no energies
+    out = fn(np.array([]), ReservoirParams(0.3, -3.0))
+    assert isinstance(out, np.ndarray) and out.shape == (0,) and out.dtype == float
+
+
 def test_occupation_boltzmann_values():
     res = ReservoirParams(temperature=0.1, mu=-3.0)
     assert occupation_boltzmann(-3.0, res) == 1.0
