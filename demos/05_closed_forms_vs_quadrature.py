@@ -6,7 +6,8 @@ The band averages admit closed forms in two regimes: exactly, for dilute
 (exponential) statistics, through a two-argument generalization of the
 Bessel functions; and approximately, at low temperature, through a
 truncated expansion around the degenerate limit.  Both are checked here
-against the adaptive integrator they replace.
+against the adaptive integrator they replace, and so is the dilute Onsager
+block, whose particle and cross coefficients are closed counters over 2.
 """
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 from fermichain import (ReservoirParams, STATS_BOLTZMANN,
                         bessel_i, bessel_j, boltzmann_validity, ebar,
                         ebar_boltzmann_closed, ebar_fd_sommerfeld, nbar,
-                        nbar_boltzmann_closed, nbar_fd_sommerfeld, omega)
+                        nbar_boltzmann_closed, nbar_fd_sommerfeld, omega, onsager)
 
 tol = 1e-10  # quadrature tolerance, relative to max(1, |value|)
 
@@ -41,6 +42,18 @@ for t in (0.5, 2.0, 8.0):
     quad_e = ebar(t, res, lam, g, tol, STATS_BOLTZMANN)
     print("t=%4.1f   N gap %.1e   E gap %.1e"
           % (t, abs(closed_n - quad_n), abs(closed_e - quad_e)))
+
+# dilute statistics have dn/dmu = n/T, so the Onsager block's particle and
+# cross coefficients are the closed counters over 2: J_NM = N/2 and
+# J_NT = J_QM = Q/2 with Q = E - mu N
+print("\ndilute Onsager block from quadrature vs closed counters:")
+for t in (0.5, 2.0, 8.0):
+    block = onsager(t, res, lam, g, tol, STATS_BOLTZMANN)
+    closed_n = nbar_boltzmann_closed(t, res, lam, g)
+    closed_q = ebar_boltzmann_closed(t, res, lam, g) - res.mu * closed_n
+    print("t=%4.1f   J_NM gap %.1e   J_NT gap %.1e   J_QM gap %.1e"
+          % (t, abs(block.j_n_mu - 0.5 * closed_n), abs(block.j_n_t - 0.5 * closed_q),
+             abs(block.j_q_mu - 0.5 * closed_q)))
 
 # --- degenerate statistics: truncated series, controlled error -----------
 print("\nlow-temperature series vs quadrature, mu = 0.6:")

@@ -85,8 +85,8 @@ class SeriesResult:
 def omega_defining_integral(nu: int, x: float, y: float) -> SeriesResult:
     """Direct quadrature of the omega integrand (the independent cross-check).
 
-    It starts at ceil(|x|) panels to resolve the oscillation and covers all
-    of ``omega``'s range.
+    It starts at max(8, ceil(|x|)) panels to resolve the oscillation and
+    covers all of ``omega``'s range.
     """
     _check_reach("omega nu", "nu", nu)
     _check_reach("J argument", "x/2", 0.5 * x)  # omega_nu(x, y) = B(x/2, a)
@@ -96,7 +96,8 @@ def omega_defining_integral(nu: int, x: float, y: float) -> SeriesResult:
         cos = np.cos(z)
         return (cos ** nu * np.exp(y * cos) * np.cos(x * np.sin(z) ** 2),)
 
-    (val,), (err,) = integrate_interval(f, 0.0, math.pi, 1e-13, math.ceil(abs(x)))
+    (val,), (err,) = integrate_interval(f, 0.0, math.pi, 1e-13,
+                                     max(8, math.ceil(abs(x))))
     return SeriesResult(value=float(val) / math.pi, trunc_error_est=err / math.pi,
                         terms_used=0, converged=True)
 

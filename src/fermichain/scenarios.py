@@ -21,11 +21,11 @@ is one CSV file with the independent variable in the first column and
 unit-annotated headers, e.g. "J_QT[alpha^2]".  Energies are in units of the
 hopping scale alpha, times in 1/alpha, entropies in k_B.  Output is written
 RFC-4180 style with UTF-8 text, LF line endings, and a fixed
-significant-digit format.  Every builder
-evaluates its grid points in order on the calling thread, one band call per
-time or mu, and every reduction has a fixed association, so output is
-byte-reproducible.  The ``threads`` config key is still range-checked so
-that old configs parse, but it has no field and no effect.
+significant-digit format.  Every builder evaluates on the calling thread; a
+band builder makes one scan per panel over its t or mu grid, in which each
+point keeps the bits of its solo call, and every reduction has a fixed
+association, so output is byte-reproducible.  The ``threads`` config key is still
+range-checked so that old configs parse, but it has no field and no effect.
 """
 
 from __future__ import annotations
@@ -303,12 +303,21 @@ def _block_columns(blocks) -> tuple:
             np.array([b.j_q_t for b in blocks]))
 
 
+def _scan(cfg: ScenarioConfig, kernel_groups, points):
+    """One band quadrature over a panel's (t, res) points."""
+    return transport._scan(kernel_groups, points, cfg.dephasing, cfg.g, cfg.tol, cfg.stats)
+
+
+def _blocks(cfg: ScenarioConfig, points) -> list:
+    return [transport.OnsagerBlock.from_derivatives(coeffs, res.temperature)
+            for (coeffs,), (_, res) in zip(
+                _scan(cfg, (transport._onsager_kernels,), points), points)]
+
+
 def _onsager_vs_mu(cfg: ScenarioConfig, name: str):
     """Damped-limit Onsager coefficients across the band vs mu."""
     mu_grid = _grid(cfg, "mu_grid")
-    blocks = [transport.onsager(math.inf, ReservoirParams(cfg.temperature, m),
-                                cfg.dephasing, cfg.g, cfg.tol, cfg.stats)
-              for m in mu_grid]
+    blocks = _blocks(cfg, [(math.inf, ReservoirParams(cfg.temperature, m)) for m in mu_grid])
     return ("mu[alpha]",) + _J_HEADERS, (mu_grid,) + _block_columns(blocks), ()
 
 
@@ -316,8 +325,7 @@ def _onsager_vs_t(cfg: ScenarioConfig, name: str):
     """Onsager coefficients building up in time."""
     t_grid = _grid(cfg, "t_grid")
     res = ReservoirParams(cfg.temperature, cfg.mu)
-    blocks = [transport.onsager(t, res, cfg.dephasing, cfg.g, cfg.tol, cfg.stats)
-              for t in cfg.t_grid]
+    blocks = _blocks(cfg, [(t, res) for t in cfg.t_grid])
     return ("t[1/alpha]",) + _J_HEADERS, (t_grid,) + _block_columns(blocks), ()
 
 
@@ -387,15 +395,12 @@ def _onsteste2(cfg: ScenarioConfig, name: str):
     """Counter evolution: truncated low-T series vs adaptive quadrature."""
     t_grid = _grid(cfg, "t_grid")
     res = ReservoirParams(cfg.temperature, cfg.mu)
-
-    def point(t):
-        args = (t, res, cfg.dephasing, cfg.g)
-        return transport.counters(*args, cfg.tol) + (
-            closedforms.nbar_fd_sommerfeld(*args).value,
-            closedforms.ebar_fd_sommerfeld(*args).value)
-
-    rows = [point(t) for t in cfg.t_grid]
-    n_quad, e_quad, n_series, e_series = (np.array(col) for col in zip(*rows))
+    quad = transport._scan((transport._counter_kernels,), [(t, res) for t in cfg.t_grid],
+                           cfg.dephasing, cfg.g, cfg.tol, transport.STATS_FD)
+    n_quad, e_quad = (np.array(col) for col in zip(*(n_e for (n_e,) in quad)))
+    n_series, e_series = (np.array([fn(t, res, cfg.dephasing, cfg.g).value for t in cfg.t_grid])
+                          for fn in (closedforms.nbar_fd_sommerfeld,
+                                     closedforms.ebar_fd_sommerfeld))
     reports = tuple(
         ComparisonReport(panel=name, quantity=quantity, threshold=0.05,
                          max_rel_deviation=_max_norm_deviation(series, quad_col))
@@ -410,15 +415,17 @@ def _custom(cfg: ScenarioConfig, name: str):
     """Counters, coefficients, and linear-response fluxes on a user grid."""
     t_grid = _grid(cfg, "t_grid")
     res = ReservoirParams(cfg.temperature, cfg.mu)
+    points = [(t, res) for t in cfg.t_grid]
 
-    def point(t):
-        n, e, block = transport.counters_and_onsager(t, res, cfg.dephasing, cfg.g,
-                                                     cfg.tol, cfg.stats)
+    def row(n_e, coeffs):
+        n, e = n_e
+        block = transport.OnsagerBlock.from_derivatives(coeffs, res.temperature)
         flux = transport.fluxes(block, cfg.delta_mu, cfg.delta_t)
         return (n, e, e - cfg.mu * n, block.j_n_mu, block.j_n_t, block.j_q_mu,
                 block.j_q_t, flux.j_particle, flux.j_heat)
 
-    rows = [point(t) for t in cfg.t_grid]
+    rows = [row(*groups) for groups in
+            _scan(cfg, (transport._counter_kernels, transport._onsager_kernels), points)]
     headers = ("t[1/alpha]", "N[1]", "E[alpha]", "Q[alpha]") + _J_HEADERS + (
         "flux_N[1]", "flux_Q[alpha]")
     return headers, (t_grid,) + tuple(np.array(col) for col in zip(*rows)), ()

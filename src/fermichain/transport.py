@@ -29,29 +29,34 @@ negates the kernels: the same bits at a fraction of the cost (the damped
 limit and c9's t = 1e4 call at lam = 0.05).  The panel counts stay those of
 the oscillating form.
 
-Every band integral goes through one path, ``_band_average``, at one time
-per call (a time array is rejected by name; a scan over t is a loop of
-calls).  The kernels of a quantity are the rows of one array, one group.
-``counters`` integrates the group [n, eps n] and ``nbar``, ``ebar`` and
-``qbar`` are views onto it; ``onsager`` writes its four derivative kernels
-the same way.  Several groups can share one quadrature: eps, the occupation
-and D(k, t) are computed once per node, but each group runs the doubling
-test on its own and is frozen at the level where it converged, so
-``counters_and_onsager`` gives the counters and the block bit-identical to
-separate ``counters`` and ``onsager`` calls at the cost of one.  The
-integrand forms each array in place, in buffers it owns, with the IEEE
-operations of the plain expressions in their order, so every bit is theirs;
-a group's kernels and their product with D(k, t) are formed only when the
-quadrature reads the group, which it does not once the group is frozen.
-Quadrature is a composite Gauss-Legendre panel rule with deterministic
-fixed-order reduction; the panel count is doubled until two successive
-levels agree to the one tolerance ``tol``, and never starts below ~4 g t
-panels so the oscillation is resolved.  No level above the ``_MAX_PANELS``
-budget is built, which gives |g| t a reach; past it a band call raises
+Every band integral goes through one path, ``_scan``, which evaluates a
+list of (t, reservoir) points in one quadrature.  ``counters``, ``onsager``
+and ``counters_and_onsager`` are one-point scans at one time per call (a
+time array is rejected by name); the scenario builders make one scan per
+panel, over its t or mu grid.  The kernels of a quantity are the rows of one
+array, one group.  ``counters`` integrates the group [n, eps n] and
+``nbar``, ``ebar`` and ``qbar`` are views onto it; ``onsager`` writes its
+four derivative kernels the same way.  Every (point, group) pair runs its
+own doubling schedule from its point's first level and is frozen at the
+level where it converged, so each equals its one-point, one-group call bit
+for bit: ``counters_and_onsager`` gives the counters and the block of
+separate ``counters`` and ``onsager`` calls at the cost of one, and a scan
+gives every point's solo values.  The quadrature evaluates the least
+pending panel count next, once for all the pairs at it: eps and sin(k)^2
+are formed once per block of nodes, the occupation and the kernel rows once
+per reservoir, D(k, t) once per point.  The integrand forms each array with
+the IEEE operations of the plain expressions in their order, so every bit
+is theirs; a pair's product with D(k, t) is formed only when the quadrature
+reads it, which it does not once the pair is frozen.  Quadrature is a
+composite Gauss-Legendre panel rule with deterministic fixed-order
+reduction; the panel count is doubled until two successive levels agree to
+the one tolerance ``tol``, and never starts below max(32, ~4 g t) panels so
+the oscillation is resolved.  No level above the ``_MAX_PANELS`` budget is
+built, which gives |g| t a reach; past it a band call raises
 QuadratureError, naming g t, before any evaluation.  That reach, ``tol``'s
-and ``min_panels``' are rows of ``lattice._REACH``.  A level is evaluated
-in blocks of at most 4,096 panels, one integrand call per block, so memory
-stays bounded at large g t; the blocks only split the evaluation, and
+and ``min_panels``' are rows of ``lattice._REACH``.  A level is evaluated in
+blocks of at most ``_BLOCK_PANELS`` panels, one integrand call per block, so
+memory stays bounded at large g t; the blocks only split the evaluation, and
 results do not depend on the block size.  Identical inputs give
 bit-identical results.
 """
@@ -75,16 +80,19 @@ _STATS = ("be 'fd' or 'boltzmann'",
           lambda v: isinstance(v, str) and v in (STATS_FD, STATS_BOLTZMANN))
 
 DEFAULT_TOL = 1e-10  # the quadrature's one knob
-_BASE_PANELS = 32  # the least first level
+_BASE_PANELS = 32  # the band path's least first level, integrate_interval's default
 
 
 # 16-point Gauss-Legendre nodes and weights on [-1, 1], one panel's rule
 _X16, _W16 = np.polynomial.legendre.leggauss(16)
 
-# panels per call of the integrand (65,536 nodes): bounds a level's memory.
-# The default figure and sweep levels stay below it and run as one block;
-# smaller blocks would add per-call overhead to them
-_BLOCK_PANELS = 4096
+# panels per call of the integrand (4,096 nodes): bounds a level's memory.
+# A scan keeps a reservoir's kernel rows beside each read's product with
+# D(k, t), and from 512 panels up a block's arrays outgrow what the allocator
+# keeps mapped between blocks, so each block faults in fresh pages: over 96
+# seed-0 sweep draws, 1,024-panel blocks took 124k page faults and 1.05 s,
+# 256-panel blocks 4.4k and 0.92 s; 128 slowed c9's large levels by a fifth
+_BLOCK_PANELS = 256
 
 # at or below this envelope (half the float spacing just below 1) D(k, t) =
 # exp(-lam t) cos(2 g_k t) - 1 rounds to exactly -1.0: the integrand negates
@@ -93,33 +101,35 @@ _FLAT_DAMPING = 2.0 ** -54
 
 
 def integrate_interval(f, a: float, b: float, tol: float = DEFAULT_TOL,
-                       min_panels: int = 1):
+                       min_panels=_BASE_PANELS):
     """Adaptive composite Gauss-Legendre integral of f over [a, b].
 
     Parameters
     ----------
     f : callable taking a 1-D node array and returning a sequence of kernel
         groups, each an array with the node axis LAST; leading axes are
-        integrated component-wise.  The groups are read by index, and a
-        group is read only while it has not converged, so a sequence that
-        forms a group when it is read does no work for a frozen one.  An
-        array read is never written to.  f runs once per block of at most
-        ``_BLOCK_PANELS`` panels (65,536 nodes), in panel order, so a level
-        never holds more than one block of integrand values.  The per-panel
-        sums of a level are reduced in one fixed order after its last block,
-        so results do not depend on the block size.  Every group is
-        evaluated on the same nodes at each level but runs the doubling test
-        on its own rows, and all of its components must converge.  A
-        converged group's total is frozen at that level, so it equals a solo
-        call on that group bit for bit, and the call ends when every group
-        has converged.
+        integrated component-wise.  The groups are read by index, in
+        increasing order, and a group is read only at its own levels and
+        while it has not converged, so a sequence that forms a group when it
+        is read does no work for a frozen one.  An array read is never
+        written to.  f runs once per block of at most ``_BLOCK_PANELS``
+        panels, in panel order, so a level never holds more than one block
+        of integrand values.  The per-panel sums of a level are reduced in
+        one fixed order after its last block, so results do not depend on
+        the block size.  Each group runs its own doubling schedule from its
+        first level, and all of its components must converge.  The least
+        pending panel count is evaluated next, once for every group that is
+        at it, so a group's total equals a solo call on that group bit for
+        bit; the call ends when every group has converged.
     tol : one scalar in the "tol" reach of ``lattice._REACH``; a group
         converges once two successive levels differ by at most
         tol * max(1, max|total|) in every component.
-    min_panels : lower bound on the first panel count (e.g. to resolve a
-        known oscillation); NaN or inf raise ValueError.  A first level whose
-        double exceeds the ``_MAX_PANELS`` budget (the "first level" reach)
-        raises QuadratureError before any evaluation.
+    min_panels : the first panel count, one count for every group or a
+        sequence of one count per group (e.g. to resolve a known
+        oscillation); NaN or inf raise ValueError, and a count below 1 means
+        one panel.  A first level whose double exceeds the ``_MAX_PANELS``
+        budget (the "first level" reach) raises QuadratureError before any
+        evaluation.
 
     Returns
     -------
@@ -132,26 +142,32 @@ def integrate_interval(f, a: float, b: float, tol: float = DEFAULT_TOL,
     _require("interval [a, b]", (a, b), a < b and math.isfinite(2.0 * max(abs(a), abs(b))),
              "have a < b and 2 max(|a|, |b|) finite")
     _check_reach("tol", "tol", tol, ok=np.ndim(tol) == 0)
-    _require("min_panels", min_panels,
-             not isinstance(min_panels, float) or math.isfinite(min_panels),
-             "be a finite count")
-    _check_reach("first level", "min_panels", int(min_panels))
-    panels = max(_BASE_PANELS, int(min_panels))
-    prev = {}  # group index -> its total at the previous level
+    firsts = [min_panels] if np.ndim(min_panels) == 0 else list(min_panels)
+    _require("min_panels", firsts, bool(firsts), "hold one count, or one per kernel group")
+    for count in firsts:
+        _require("min_panels", count, not isinstance(count, float) or math.isfinite(count),
+                 "be a finite count")
+        _check_reach("first level", "min_panels", int(count))
+    firsts = [max(1, int(count)) for count in firsts]
+    pending = None  # group index -> panel count of its next level, once f has run
+    prev = {}  # group index -> its total at its previous level
     done = {}  # group index -> (total, err) once converged
+    panels = min(firsts)
     while True:
         edges = np.linspace(a, b, panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1] - edges[0])
         offsets = half * _X16
-        sums = {}  # unconverged group index -> its per-panel sums at this level
+        sums = {}  # index of a group at this level -> its per-panel sums
         for start in range(0, panels, _BLOCK_PANELS):
             block = mid[start:start + _BLOCK_PANELS]
             groups = f((block[:, None] + offsets).reshape(-1))
-            n_groups = len(groups)
-            for i in range(n_groups):
-                if i in done:  # a frozen group is not read
-                    continue
+            if pending is None:
+                _require("min_panels", firsts, len(firsts) in (1, len(groups)),
+                         "hold one count, or one per kernel group (%d)" % len(groups))
+                pending = dict(enumerate(firsts * len(groups) if len(firsts) == 1
+                                         else firsts))
+            for i in [i for i, at in pending.items() if at == panels]:
                 vals = np.asarray(groups[i])
                 weighted = vals.reshape(vals.shape[:-1] + (block.size, _W16.size)) * _W16
                 if i not in sums:
@@ -173,18 +189,20 @@ def integrate_interval(f, a: float, b: float, tol: float = DEFAULT_TOL,
                 wanted = tol * max(1.0, float(np.max(np.abs(total))))
                 if err <= wanted:
                     done[i] = (total, float(err))
-                else:
-                    failing.append((err, wanted))
+                    del pending[i]
+                    continue
+                failing.append((err, wanted))
             prev[i] = total
-        if len(done) == n_groups:
+            pending[i] = 2 * panels
+        if not pending:
             values, errs = zip(*(done[i] for i in range(len(done))))
             return values, errs
-        if 2 * panels > _MAX_PANELS:  # only after a level has failed the test
+        if failing and 2 * panels > _MAX_PANELS:  # a failed level with no room to double
             err, wanted = max(failing, key=lambda pair: pair[0] / pair[1])
             raise QuadratureError(
                 "no convergence within the %d-panel budget (achieved %.3g, wanted %.3g)"
                 % (_MAX_PANELS, err, wanted), achieved_error=float(err))
-        panels *= 2
+        panels = min(pending.values())
 
 
 def _occupation(stats: str, eps, res: ReservoirParams):
@@ -195,77 +213,97 @@ def _occupation(stats: str, eps, res: ReservoirParams):
     return occupation_boltzmann(eps, res)
 
 
-def _relaxation_factor(k, damping: float, phase: float, g: float):
-    """D(k, t) = damping * cos(g_k * phase) - 1 over the nodes k, in one array,
-    where ``phase`` is the unit-coupling phase 2 t (0 wherever damping is)."""
-    relax = np.square(np.sin(k))
-    np.multiply(np.multiply(relax, g, out=relax), phase, out=relax)
+def _relaxation_factor(sin2, damping: float, phase: float, g: float):
+    """D(k, t) = damping * cos(g sin(k)^2 * phase) - 1 from sin2 = sin(k)^2, in
+    one new array, where ``phase`` is the unit-coupling phase 2 t (0 wherever
+    damping is)."""
+    relax = np.multiply(sin2, g)
+    np.multiply(relax, phase, out=relax)
     np.multiply(np.cos(relax, out=relax), damping, out=relax)
     return np.subtract(relax, 1.0, out=relax)
 
 
-class _Groups:
-    """The kernel groups at one block of nodes, read by index: a group is
-    formed and multiplied by D(k, t) (negated where D is flat) only when it
-    is read, so a group ``integrate_interval`` has frozen costs nothing."""
+class _Scan:
+    """The kernel groups of every scan point at one block of nodes k, read by
+    index point * len(kernel_groups) + group.  eps is formed once per block
+    and sin(k)^2 at most once; the occupation and a group's kernel rows once
+    per reservoir, held only while that reservoir's points are read; D(k, t)
+    once per point.  A (point, group) pair is formed, as the rows times D(k, t)
+    or negated where D is flat, only when it is read, so one that
+    ``integrate_interval`` has frozen or not yet reached costs nothing."""
 
-    def __init__(self, kernel_groups, eps, occ, stats: str, relax):
-        self.kernel_groups, self.args, self.relax = kernel_groups, (eps, occ, stats), relax
+    def __init__(self, k, kernel_groups, points, g: float, stats: str):
+        eps = np.cos(k)
+        self.eps = np.multiply(eps, -2.0, out=eps)
+        self.k, self.kernel_groups, self.points, self.g, self.stats = (
+            k, kernel_groups, points, g, stats)
+        self.sin2 = self.res = self.point = None
 
     def __len__(self):
-        return len(self.kernel_groups)
+        return len(self.points) * len(self.kernel_groups)
 
     def __getitem__(self, i):
-        rows = self.kernel_groups[i](*self.args)
-        if self.relax is None:
-            return np.negative(rows, out=rows)
-        return np.multiply(rows, self.relax, out=rows)
+        point, j = divmod(i, len(self.kernel_groups))
+        res, damping, phase = self.points[point]
+        if res is not self.res:  # the last reservoir's arrays are let go
+            self.res, self.rows = res, [None] * len(self.kernel_groups)
+            self.occ = _occupation(self.stats, self.eps, res)
+        if self.rows[j] is None:
+            self.rows[j] = self.kernel_groups[j](self.eps, self.occ, res, self.stats)
+        if damping <= _FLAT_DAMPING:
+            return np.negative(self.rows[j])
+        if point != self.point:
+            if self.sin2 is None:
+                self.sin2 = np.square(np.sin(self.k))
+            self.point = point
+            self.relax = _relaxation_factor(self.sin2, damping, phase, self.g)
+        return np.multiply(self.rows[j], self.relax)
 
 
 def _osc_panels(g: float, phase: float) -> int:
-    # ~4 g t panels while the oscillating term still contributes; past the
-    # budget's reach, g t is named before any evaluation
+    # ~4 g t panels while the oscillating term still contributes, and never
+    # fewer than _BASE_PANELS; past the budget's reach, g t is named before
+    # any evaluation
     panels = 2.0 * abs(g) * phase
     if not math.isfinite(panels):
         _reject_phase(g)
     _check_reach("band g t", "|g| t", 0.25 * panels)
-    return max(1, int(math.ceil(panels)))
+    return max(_BASE_PANELS, int(math.ceil(panels)))
 
 
-def _band_average(kernel_groups, t: float, res: ReservoirParams, dephasing: float,
-                  g: float, tol: float, stats: str):
-    """(1/pi) int_0^pi kernel(eps_k) D(k, t) dk for every kernel of every group.
+def _scan(kernel_groups, points, dephasing: float, g: float, tol: float, stats: str):
+    """(1/pi) int_0^pi kernel(eps_k) D(k, t) dk for every kernel of every group
+    at every (t, res) point of ``points``, from one quadrature.
 
-    t is one time.  Each of ``kernel_groups`` maps ``(eps, occ, stats)`` to
-    a new array of its kernels shaped (n_kernels, n_k), which the integrand
-    then multiplies by D(k, t) in place.  eps, the occupation and
-    D(k, t) are computed once per level and shared by all groups; each group
-    converges on its own (see ``integrate_interval``), so its values do not
-    depend on the other groups.  Returns one list of floats per group, one
-    entry per kernel.
+    Each of ``kernel_groups`` maps ``(eps, occ, res, stats)`` to a new array of
+    its kernels shaped (n_kernels, n_k), which is shared by the points of one
+    reservoir.  Every point is checked, its reach included, before any
+    evaluation.  Each (point, group) pair starts at its point's first level
+    and converges on its own (see ``integrate_interval``), so its values are
+    those of a one-point scan bit for bit.  Returns, per point, one list of
+    floats per group, one entry per kernel.
     """
-    for name, value in (("time", t), ("dephasing rate", dephasing)):
+    for name, value in [("time", t) for t, _ in points] + [("dephasing rate", dephasing)]:
         if np.ndim(value) != 0:
             _require(name, np.shape(value), False,
                      "be one scalar per band call, not an array of shape")
     _require("stats", stats, _STATS[1](stats), _STATS[0])
     _check_reach("finite", "coupling g", g)
-    if stats == STATS_BOLTZMANN:
-        _warn_unless_dilute(res)
-    damping, phase = relaxation_envelope(float(t), float(dephasing), 1.0)
-    flat = damping <= _FLAT_DAMPING
+    envelopes, firsts = [], []
+    for t, res in points:
+        if stats == STATS_BOLTZMANN:
+            _warn_unless_dilute(res)
+        damping, phase = relaxation_envelope(float(t), float(dephasing), 1.0)
+        envelopes.append((res, damping, phase))
+        firsts += [_osc_panels(g, phase)] * len(kernel_groups)
+    vals, _ = integrate_interval(lambda k: _Scan(k, kernel_groups, envelopes, g, stats),
+                                 0.0, math.pi, tol, firsts)
+    vals = [[float(v) for v in val / math.pi] for val in vals]
+    n = len(kernel_groups)
+    return [vals[i:i + n] for i in range(0, len(vals), n)]
 
-    def f(k):
-        eps = np.cos(k)
-        np.multiply(eps, -2.0, out=eps)
-        relax = None if flat else _relaxation_factor(k, damping, phase, g)
-        return _Groups(kernel_groups, eps, _occupation(stats, eps, res), stats, relax)
 
-    vals, _ = integrate_interval(f, 0.0, math.pi, tol, _osc_panels(g, phase))
-    return [[float(v) for v in val / math.pi] for val in vals]
-
-
-def _counter_kernels(eps, occ, stats):
+def _counter_kernels(eps, occ, res, stats):
     rows = np.empty((2, eps.size))
     rows[0] = occ
     np.multiply(eps, occ, out=rows[1])
@@ -279,7 +317,7 @@ def counters(t: float, res: ReservoirParams, dephasing: float, g: float,
     t is one time; t = inf with dephasing > 0 gives the damped limits, e.g.
     nbar = -(1/pi) int nbar(eps_k) dk.
     """
-    (n_e,) = _band_average((_counter_kernels,), t, res, dephasing, g, tol, stats)
+    ((n_e,),) = _scan((_counter_kernels,), ((t, res),), dephasing, g, tol, stats)
     return tuple(n_e)
 
 
@@ -337,23 +375,19 @@ class OnsagerBlock:
                    temperature=temp)
 
 
-def _onsager_kernels(res: ReservoirParams):
+def _onsager_kernels(eps, occ, res: ReservoirParams, stats):
     """The four exact derivative kernels of the Onsager block at res."""
     temp = res.temperature
-
-    def kernels(eps, occ, stats):
-        rows = np.empty((4, eps.size))
-        dn_dmu, dn_dt, w_dn_dmu, w_dn_dt = rows
-        if stats == STATS_FD:  # n(1 - n) over T; Boltzmann's is n over T
-            occ = np.multiply(occ, np.subtract(1.0, occ, out=dn_dmu), out=dn_dmu)
-        np.divide(occ, temp, out=dn_dmu)
-        w = np.subtract(eps, res.mu, out=w_dn_dt)  # eps - mu, until the last row
-        np.multiply(w, dn_dmu, out=w_dn_dmu)
-        np.divide(w_dn_dmu, temp, out=dn_dt)
-        np.multiply(w, dn_dt, out=w_dn_dt)
-        return rows
-
-    return kernels
+    rows = np.empty((4, eps.size))
+    dn_dmu, dn_dt, w_dn_dmu, w_dn_dt = rows
+    if stats == STATS_FD:  # n(1 - n) over T; Boltzmann's is n over T
+        occ = np.multiply(occ, np.subtract(1.0, occ, out=dn_dmu), out=dn_dmu)
+    np.divide(occ, temp, out=dn_dmu)
+    w = np.subtract(eps, res.mu, out=w_dn_dt)  # eps - mu, until the last row
+    np.multiply(w, dn_dmu, out=w_dn_dmu)
+    np.divide(w_dn_dmu, temp, out=dn_dt)
+    np.multiply(w, dn_dt, out=w_dn_dt)
+    return rows
 
 
 def onsager(t: float, res: ReservoirParams, dephasing: float, g: float,
@@ -363,8 +397,7 @@ def onsager(t: float, res: ReservoirParams, dephasing: float, g: float,
     All four integrands share nodes and are converged together, so the block
     is internally consistent at the quadrature tolerance.
     """
-    (coeffs,) = _band_average((_onsager_kernels(res),), t, res, dephasing, g,
-                              tol, stats)
+    ((coeffs,),) = _scan((_onsager_kernels,), ((t, res),), dephasing, g, tol, stats)
     return OnsagerBlock.from_derivatives(coeffs, res.temperature)
 
 
@@ -375,8 +408,8 @@ def counters_and_onsager(t: float, res: ReservoirParams, dephasing: float, g: fl
     The counters and the block are two kernel groups that converge
     separately, so each equals ``counters`` and ``onsager`` bit for bit.
     """
-    (n, e), coeffs = _band_average((_counter_kernels, _onsager_kernels(res)), t,
-                                   res, dephasing, g, tol, stats)
+    (((n, e), coeffs),) = _scan((_counter_kernels, _onsager_kernels), ((t, res),),
+                                dephasing, g, tol, stats)
     return n, e, OnsagerBlock.from_derivatives(coeffs, res.temperature)
 
 

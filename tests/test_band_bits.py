@@ -7,7 +7,9 @@ numpy expressions: ``np.stack`` kernels, D(k, t) = damping cos(g sin(k)^2
 Fermi-Dirac form.  It runs through the same ``integrate_interval``, so any
 difference is a difference of the integrand, and the two must agree to the
 last bit.  A group the quadrature has frozen is not read again, and its
-kernels are not formed.
+kernels are not formed.  Every point of a scan over t or mu equals its solo
+calls bit for bit, while the points of one reservoir at one panel count
+share its occupation and kernel rows.
 """
 
 import math
@@ -142,12 +144,11 @@ class _CountedReads:
         return self.groups[i]
 
 
-def test_a_frozen_group_is_neither_read_nor_formed(monkeypatch):
-    # at T = 0.02, mu = 1, t = 2.5 the counters converge at the second level
-    # and the block at the third
-    reads, formed = [], []
+def _watch(monkeypatch):
+    """Per integrand call, the indexes read; and for each named array the
+    integrand forms, the integrand call it was formed in."""
+    reads, formed = [], {"occupation": [], "counters": [], "D": []}
     inner_integrate = transport.integrate_interval
-    inner_kernels = transport._counter_kernels
 
     def watched(f, *args):
         def counted(k):
@@ -155,17 +156,112 @@ def test_a_frozen_group_is_neither_read_nor_formed(monkeypatch):
             return _CountedReads(f(k), reads[-1])
         return inner_integrate(counted, *args)
 
-    def counter_kernels(*args):
-        formed.append(len(reads))
-        return inner_kernels(*args)
-
     monkeypatch.setattr(transport, "integrate_interval", watched)
-    monkeypatch.setattr(transport, "_counter_kernels", counter_kernels)
-    res = ReservoirParams(0.02, 1.0)
-    n, e, block = counters_and_onsager(2.5, res, 0.05, 1.0)
-    assert reads == [[0, 1], [0, 1], [1]]
-    assert formed == [1, 2]  # not at the third level
-    monkeypatch.undo()
-    assert _hexes([n, e]) == _hexes(counters(2.5, res, 0.05, 1.0))
-    assert _block_hexes(block) == _block_hexes(onsager(2.5, res, 0.05, 1.0))
+    for key, name in (("occupation", "_occupation"), ("counters", "_counter_kernels"),
+                      ("D", "_relaxation_factor")):
+        def formed_by(*args, inner=getattr(transport, name), key=key):
+            formed[key].append(len(reads))
+            return inner(*args)
+        monkeypatch.setattr(transport, name, formed_by)
+    return reads, formed
 
+
+def test_a_frozen_group_is_neither_read_nor_formed(monkeypatch):
+    # at T = 0.02, mu = 1 the counters converge at the second level and the
+    # block at the third, at t = 2.5 and at t = 2.0 alike; both start at 32
+    # panels, t = 30 at 120 (every level is one block)
+    reads, formed = _watch(monkeypatch)
+    res = ReservoirParams(0.02, 1.0)
+    times = (2.5, 2.0, 30.0)
+    scan = transport._scan((transport._counter_kernels, transport._onsager_kernels),
+                           [(t, res) for t in times], 0.05, 1.0, transport.DEFAULT_TOL, "fd")
+    # the least pending panel count first: 32, 64, 120, 128, 240
+    assert reads == [[0, 1, 2, 3], [0, 1, 2, 3], [4, 5], [1, 3], [4, 5]]
+    # the one reservoir's occupation and counter kernels once per block,
+    # shared by the points at it, and not at 128 panels, where only blocks
+    # are read; D(k, t) once per point read
+    assert formed == {"occupation": [1, 2, 3, 4, 5], "counters": [1, 2, 3, 5],
+                      "D": [1, 1, 2, 2, 3, 4, 4, 5]}
+    monkeypatch.undo()
+    for t, ((n_e, coeffs)) in zip(times, scan):
+        n, e, block = counters_and_onsager(t, res, 0.05, 1.0)
+        assert _hexes(n_e) == _hexes([n, e]) == _hexes(counters(t, res, 0.05, 1.0))
+        block = OnsagerBlock.from_derivatives(coeffs, res.temperature)
+        assert _block_hexes(block) == _block_hexes(onsager(t, res, 0.05, 1.0))
+
+
+def test_a_point_reads_the_levels_of_its_solo_call(monkeypatch):
+    # k points of one reservoir at one panel count share its occupation and
+    # kernels, yet each (point, group) is read at exactly the levels of its
+    # own solo call: none is read once frozen
+    res = ReservoirParams(0.01, 1.0)
+    times = (0.0, 0.7, 1.5, 1.5, 6.0, 25.0, math.inf)
+    reads, _ = _watch(monkeypatch)
+    transport._scan((transport._counter_kernels, transport._onsager_kernels),
+                    [(t, res) for t in times], 0.05, 0.8, transport.DEFAULT_TOL, "fd")
+    scanned = [sum(row.count(i) for row in reads) for i in range(2 * len(times))]
+    solo = []
+    for t in times:
+        del reads[:]
+        counters_and_onsager(t, res, 0.05, 0.8)
+        solo += [sum(row.count(i) for row in reads) for i in range(2)]
+    assert scanned == solo
+    assert len(set(solo)) > 1  # the groups freeze at different levels
+
+
+def _scan_hexes(groups, points, lam, g, stats):
+    def convert(name, values, res):
+        if name == "counters":
+            return _hexes(values)
+        return _block_hexes(OnsagerBlock.from_derivatives(values, res.temperature))
+
+    names, kernels = zip(*groups)
+    return _or_error(lambda: [
+        [convert(name, values, res) for name, values in zip(names, point)]
+        for point, (_, res) in zip(
+            transport._scan(kernels, points, lam, g, transport.DEFAULT_TOL, stats), points)])
+
+
+def _solo_hexes(t, res, lam, g, stats):
+    """Per point: counters, onsager and counters_and_onsager, as hex."""
+    def shared():
+        n, e, block = counters_and_onsager(t, res, lam, g, stats=stats)
+        return [_hexes([n, e]), _block_hexes(block)]
+
+    return (_or_error(lambda: [_hexes(counters(t, res, lam, g, stats=stats))]),
+            _or_error(lambda: [_block_hexes(onsager(t, res, lam, g, stats=stats))]),
+            _or_error(shared))
+
+
+_GROUPS = (("counters", transport._counter_kernels), ("onsager", transport._onsager_kernels))
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_temp=st.floats(-3.0, 0.0), mus=st.lists(st.floats(-2.5, 2.5), min_size=1, max_size=3),
+       lam=st.one_of(st.just(0.0), st.floats(0.1, 1.0)), g=st.floats(0.2, 1.5),
+       times=st.lists(st.tuples(st.sampled_from(_KINDS), st.floats(0.0, 1.0)), min_size=1,
+                      max_size=4),
+       along=st.sampled_from(["t", "mu"]), stats=st.sampled_from(["fd", "boltzmann"]))
+def test_every_scan_point_equals_its_solo_calls_bit_for_bit(log_temp, mus, lam, g, times,
+                                                           along, stats):
+    # a t-scan at the first mu, or a mu-scan at the first time; points that
+    # share a first level (t = 0, small t, or one time across mu) and points
+    # that do not, flat and oscillating D(k, t) and t = inf
+    assume(lam > 0.0 or all(kind not in ("flat", "inf") for kind, _ in times))
+    temp = 10.0 ** log_temp
+    if stats == "boltzmann":  # dilute: below the one-digit bound by at least 0.01
+        bound = boltzmann_validity(1, ReservoirParams(temp)).mu_bound - 0.01
+        mus = [bound - abs(mu) for mu in mus]
+    ts = [_time(kind, u, lam) for kind, u in times]
+    if along == "t":
+        points = [(t, ReservoirParams(temp, mus[0])) for t in ts]
+    else:
+        points = [(ts[0], ReservoirParams(temp, mu)) for mu in mus]
+    solo = [_solo_hexes(t, res, lam, g, stats) for t, res in points]
+    for which, groups in enumerate(([_GROUPS[0]], [_GROUPS[1]], _GROUPS)):
+        want = [calls[which] for calls in solo]
+        got = _scan_hexes(groups, points, lam, g, stats)
+        if "QuadratureError" in want:  # a scan fails when one of its points does
+            assert got == "QuadratureError"
+        else:
+            assert got == want

@@ -309,22 +309,21 @@ def test_custom_block_is_bit_equal_to_onsager():
         assert col["J_QT[alpha^2]"][i] == blk.j_q_t
 
 
-def test_custom_runs_one_quadrature_per_time(monkeypatch):
-    cfg = parse_config({"scenario": "custom", "t_grid": [0.0, 1.0, 2.5, 4.0, 6.0],
-                        "tol": 1e-8})
-    calls = _count_quadratures(monkeypatch)
-    run_scenario(cfg)
-    # counters and Onsager block share the nodes of one quadrature
-    assert len(calls) == len(cfg.t_grid)
-
-
-def test_onsteste2_runs_one_quadrature_per_time_and_panel(monkeypatch):
-    cfg = parse_config({"scenario": "onsteste2", "t_grid": [0.0, 1.0, 2.5, 4.0],
-                        "tol": 1e-8})
+@pytest.mark.parametrize("data", [
+    {"scenario": "custom", "t_grid": [0.0, 1.0, 2.5, 4.0, 6.0]},
+    {"scenario": "onsteste2", "t_grid": [0.0, 1.0, 2.5, 4.0]},
+    {"scenario": "onsevo2", "t_grid": [0.0, 1.0, 2.5, 4.0, 30.0]},
+    {"scenario": "ons1", "mu_grid": [-1.5, 0.0, 0.4, 1.9]},
+    {"scenario": "onsteste1", "mu_grid": [-1.0, 0.0, 1.0]},
+], ids=lambda data: data["scenario"])
+def test_a_band_scenario_runs_one_quadrature_per_panel(monkeypatch, data):
+    cfg = parse_config(dict(data, tol=1e-8))
     calls = _count_quadratures(monkeypatch)
     result = run_scenario(cfg)
-    assert len(result.panels) == 2
-    assert len(calls) == len(result.panels) * len(cfg.t_grid)
+    # every point of a panel, and the counters and the Onsager block of a
+    # custom point, share the nodes of one quadrature
+    assert len(result.panels) == (1 if SCENARIOS[cfg.scenario][1] is None else 2)
+    assert len(calls) == len(result.panels)
 
 
 def test_entroevo_closed_system_conserves_total_correlation():

@@ -43,8 +43,9 @@ def _trapezoid_counter(t, res, lam, g, weight=lambda eps: 1.0, nodes=100_001):
     return np.trapezoid(occ * weight(eps) * relax, k) / math.pi
 
 
-def _band(f, tol=DEFAULT_TOL, min_panels=1):
-    # one kernel group: the plain integrand's value and error estimate
+def _band(f, tol=DEFAULT_TOL, min_panels=_BASE_PANELS):
+    # one kernel group: the plain integrand's value and error estimate, from
+    # integrate_interval's default first level
     (val,), (err,) = integrate_interval(lambda k: (f(k),), 0.0, math.pi, tol, min_panels)
     return val, err
 
@@ -100,6 +101,26 @@ def test_integrate_interval_groups_converge_on_their_own():
     np.testing.assert_array_equal(g_smooth, v_smooth)
     np.testing.assert_array_equal(g_wavy, v_wavy)
     assert (ge_smooth, ge_wavy) == (e_smooth, e_wavy)
+
+
+def test_each_group_doubles_from_its_own_first_level():
+    wavy = lambda k: np.cos(40.0 * np.sin(k) ** 2)[None, :]
+    smooth = lambda k: np.stack([np.ones_like(k), np.sin(k)])
+    (v_wavy,), (e_wavy,) = integrate_interval(lambda k: (wavy(k),), 0.0, math.pi,
+                                              DEFAULT_TOL, 160)
+    (v_smooth,), (e_smooth,) = integrate_interval(lambda k: (smooth(k),), 0.0, math.pi,
+                                                  DEFAULT_TOL, 40)
+    both, levels = _levels(lambda k: (wavy(k), smooth(k)))
+    values, errs = integrate_interval(both, 0.0, math.pi, DEFAULT_TOL, [160, 40])
+    assert [_hexes(v) for v in values] == [_hexes(v_wavy), _hexes(v_smooth)]
+    assert _hexes(errs) == _hexes([e_wavy, e_smooth])
+    # the least pending panel count first: 40, 80, then 160 and up
+    assert levels[:3] == [40 * _X16.size, 80 * _X16.size, 160 * _X16.size]
+    with pytest.raises(ValueError, match=r"^min_panels must hold one count, or one per "
+                                         r"kernel group \(2\), got \[32, 64, 16\]$"):
+        integrate_interval(both, 0.0, math.pi, DEFAULT_TOL, [32, 64, 16])
+    with pytest.raises(ValueError, match="min_panels must hold one count"):
+        integrate_interval(both, 0.0, math.pi, DEFAULT_TOL, [])
 
 
 def test_integrate_interval_unconverged_group_fails_the_call(monkeypatch):
@@ -360,7 +381,7 @@ def test_nbar_equilibrium_without_noise_rejected():
 
 
 def test_band_entry_points_reject_a_time_array():
-    # one band call takes one time; a scan over t is a loop of calls
+    # one band call takes one time; a grid is scanned by the scenario builders
     ts = np.array([0.0, 0.7, 2.0])
     for fn in (nbar, ebar, qbar, counters, onsager, counters_and_onsager):
         with pytest.raises(ValueError, match=r"time must be one scalar.*\(3,\)"):
