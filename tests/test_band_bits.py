@@ -178,12 +178,12 @@ def test_a_frozen_group_is_neither_read_nor_formed(monkeypatch):
     # the least pending panel count first: 32, 64, 120, 128, 240
     assert reads == [[0, 1, 2, 3], [0, 1, 2, 3], [4, 5], [1, 3], [4, 5]]
     # the one reservoir's occupation and counter kernels once per block,
-    # shared by the points at it, and not at 128 panels, where only blocks
-    # are read; D(k, t) once per point read
+    # shared by the points at it, and not at 128 panels, where only the
+    # Onsager blocks are read; D(k, t) once per point read
     assert formed == {"occupation": [1, 2, 3, 4, 5], "counters": [1, 2, 3, 5],
                       "D": [1, 1, 2, 2, 3, 4, 4, 5]}
     monkeypatch.undo()
-    for t, ((n_e, coeffs)) in zip(times, scan):
+    for t, (n_e, coeffs) in zip(times, scan):
         n, e, block = counters_and_onsager(t, res, 0.05, 1.0)
         assert _hexes(n_e) == _hexes([n, e]) == _hexes(counters(t, res, 0.05, 1.0))
         block = OnsagerBlock.from_derivatives(coeffs, res.temperature)
