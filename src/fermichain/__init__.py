@@ -17,8 +17,7 @@ from .dynamics import (IntegrationError, coherence_ab, density_matrix,
                        occ_a, occ_b)
 from .transport import (STATS_BOLTZMANN, STATS_FD, EquilibriumUndefinedError,
                         OnsagerBlock, ParticleHeatFlux, QuadratureError, counters,
-                        counters_and_onsager, ebar, fluxes, integrate_interval,
-                        nbar, onsager, qbar)
+                        ebar, fluxes, integrate_interval, nbar, onsager, qbar)
 from .special import SpecialFnTable, bessel_i, bessel_j
 from .closedforms import (SeriesResult,
                           ebar_boltzmann_closed, ebar_fd_sommerfeld,

@@ -6,7 +6,8 @@ Every scenario is one row of ``SCENARIOS``, ``(build, panels, pins)``:
   applies them to every config key the user did not set, so the config that
   ``parse_config`` returns holds the values the run uses (``onsevo1`` runs
   at T = 0.005, not at the field default 0.1).  ``run_scenario`` resolves
-  again, so a directly built ``ScenarioConfig`` runs with the same pins.
+  again, so a directly built or replaced ``ScenarioConfig`` runs with the
+  same pins: there a field left at its field default takes the pin.
 * ``panels`` is the config key the panels sweep with its default values, or
   None for one unnamed panel.  Setting that key gives one panel at its value.
 * ``build(cfg, name)`` returns the headers, columns and comparison reports
@@ -36,7 +37,7 @@ import operator
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Mapping
 
 import numpy as np
@@ -150,12 +151,16 @@ def parse_config(data: Mapping) -> ScenarioConfig:
 
 
 def _resolve(cfg: ScenarioConfig) -> ScenarioConfig:
-    """cfg with its scenario's pins on every key the user did not set."""
+    """cfg with its scenario's pins on every key the user did not set (not in
+    ``explicit`` and at its field default); the set keys become ``explicit``."""
     try:
         pins = SCENARIOS[cfg.scenario][2]
     except KeyError:
         raise ConfigError("unknown scenario '%s'" % cfg.scenario) from None
-    return replace(cfg, **{k: v for k, v in pins.items() if k not in cfg.explicit})
+    explicit = cfg.explicit | {f.name for f in fields(cfg) if f.default is not MISSING
+                               and getattr(cfg, f.name) != f.default}
+    return replace(cfg, explicit=explicit,
+                   **{k: v for k, v in pins.items() if k not in explicit})
 
 
 def read_config(path: str) -> dict:
@@ -296,37 +301,31 @@ def _grid(cfg: ScenarioConfig, name: str) -> np.ndarray:
     return np.asarray(values)
 
 
-def _block_columns(blocks) -> tuple:
-    return (np.array([b.j_n_mu for b in blocks]),
-            np.array([b.j_n_t for b in blocks]),
-            np.array([b.j_q_mu for b in blocks]),
-            np.array([b.j_q_t for b in blocks]))
-
-
 def _scan(cfg: ScenarioConfig, kernel_groups, points):
-    """One band quadrature over a panel's (t, res) points."""
-    return transport._scan(kernel_groups, points, cfg.dephasing, cfg.g, cfg.tol, cfg.stats)
+    """One band quadrature over a panel's (t, res) points: per group, its columns."""
+    return [kernels.T for kernels in transport._scan(
+        kernel_groups, points, cfg.dephasing, cfg.g, cfg.tol, cfg.stats)]
 
 
-def _blocks(cfg: ScenarioConfig, points) -> list:
-    return [transport.OnsagerBlock.from_derivatives(coeffs, res.temperature)
-            for (coeffs,), (_, res) in zip(
-                _scan(cfg, (transport._onsager_kernels,), points), points)]
+def _block(cfg: ScenarioConfig, points) -> transport.OnsagerBlock:
+    """The Onsager block of a panel's points, one entry per point."""
+    (coeffs,) = _scan(cfg, (transport._onsager_kernels,), points)
+    return transport.OnsagerBlock.from_derivatives(coeffs, cfg.temperature)
 
 
 def _onsager_vs_mu(cfg: ScenarioConfig, name: str):
     """Damped-limit Onsager coefficients across the band vs mu."""
     mu_grid = _grid(cfg, "mu_grid")
-    blocks = _blocks(cfg, [(math.inf, ReservoirParams(cfg.temperature, m)) for m in mu_grid])
-    return ("mu[alpha]",) + _J_HEADERS, (mu_grid,) + _block_columns(blocks), ()
+    block = _block(cfg, [(math.inf, ReservoirParams(cfg.temperature, m)) for m in mu_grid])
+    return ("mu[alpha]",) + _J_HEADERS, (mu_grid,) + block.columns, ()
 
 
 def _onsager_vs_t(cfg: ScenarioConfig, name: str):
     """Onsager coefficients building up in time."""
     t_grid = _grid(cfg, "t_grid")
     res = ReservoirParams(cfg.temperature, cfg.mu)
-    blocks = _blocks(cfg, [(t, res) for t in cfg.t_grid])
-    return ("t[1/alpha]",) + _J_HEADERS, (t_grid,) + _block_columns(blocks), ()
+    block = _block(cfg, [(t, res) for t in cfg.t_grid])
+    return ("t[1/alpha]",) + _J_HEADERS, (t_grid,) + block.columns, ()
 
 
 def _mode_prep(cfg: ScenarioConfig) -> entropy.EquilibriumModePrep:
@@ -372,16 +371,15 @@ def _onsteste1(cfg: ScenarioConfig, name: str):
     (pi T)^2/(4 - mu^2) and visibly grows toward the band edges and with
     T.  Contrasting the two temperatures is the point of this figure.
     """
-    mu_grid = _grid(cfg, "mu_grid")
     _check_reach("Sommerfeld mu", "config field 'mu_grid'", cfg.mu_grid, ConfigError)
-    _, quad_cols, _ = _onsager_vs_mu(cfg, name)
-    series_cols = _block_columns([
-        closedforms.equilibrium_sommerfeld_onsager(ReservoirParams(cfg.temperature, m))
-        for m in mu_grid])
+    _, (mu_grid, *quad_cols), _ = _onsager_vs_mu(cfg, name)
+    series_cols = np.array([
+        closedforms.equilibrium_sommerfeld_onsager(ReservoirParams(cfg.temperature, m)).columns
+        for m in mu_grid]).T
     headers = ["mu[alpha]"]
     columns = [mu_grid]
     reports = []
-    for label, qc, sc in zip(_J_HEADERS, quad_cols[1:], series_cols):
+    for label, qc, sc in zip(_J_HEADERS, quad_cols, series_cols):
         base, unit = label.split("[")
         headers += ["%s_quad[%s" % (base, unit), "%s_series[%s" % (base, unit)]
         columns += [qc, sc]
@@ -395,9 +393,9 @@ def _onsteste2(cfg: ScenarioConfig, name: str):
     """Counter evolution: truncated low-T series vs adaptive quadrature."""
     t_grid = _grid(cfg, "t_grid")
     res = ReservoirParams(cfg.temperature, cfg.mu)
-    quad = transport._scan((transport._counter_kernels,), [(t, res) for t in cfg.t_grid],
-                           cfg.dephasing, cfg.g, cfg.tol, transport.STATS_FD)
-    n_quad, e_quad = (np.array(col) for col in zip(*(n_e for (n_e,) in quad)))
+    (quad,) = transport._scan((transport._counter_kernels,), [(t, res) for t in cfg.t_grid],
+                              cfg.dephasing, cfg.g, cfg.tol, transport.STATS_FD)
+    n_quad, e_quad = quad.T
     n_series, e_series = (np.array([fn(t, res, cfg.dephasing, cfg.g).value for t in cfg.t_grid])
                           for fn in (closedforms.nbar_fd_sommerfeld,
                                      closedforms.ebar_fd_sommerfeld))
@@ -415,20 +413,14 @@ def _custom(cfg: ScenarioConfig, name: str):
     """Counters, coefficients, and linear-response fluxes on a user grid."""
     t_grid = _grid(cfg, "t_grid")
     res = ReservoirParams(cfg.temperature, cfg.mu)
-    points = [(t, res) for t in cfg.t_grid]
-
-    def row(n_e, coeffs):
-        n, e = n_e
-        block = transport.OnsagerBlock.from_derivatives(coeffs, res.temperature)
-        flux = transport.fluxes(block, cfg.delta_mu, cfg.delta_t)
-        return (n, e, e - cfg.mu * n, block.j_n_mu, block.j_n_t, block.j_q_mu,
-                block.j_q_t, flux.j_particle, flux.j_heat)
-
-    rows = [row(*groups) for groups in
-            _scan(cfg, (transport._counter_kernels, transport._onsager_kernels), points)]
+    (n, e), coeffs = _scan(cfg, (transport._counter_kernels, transport._onsager_kernels),
+                           [(t, res) for t in cfg.t_grid])
+    block = transport.OnsagerBlock.from_derivatives(coeffs, cfg.temperature)
+    flux = transport.fluxes(block, cfg.delta_mu, cfg.delta_t)
     headers = ("t[1/alpha]", "N[1]", "E[alpha]", "Q[alpha]") + _J_HEADERS + (
         "flux_N[1]", "flux_Q[alpha]")
-    return headers, (t_grid,) + tuple(np.array(col) for col in zip(*rows)), ()
+    return headers, (t_grid, n, e, e - cfg.mu * n) + block.columns + (
+        flux.j_particle, flux.j_heat), ()
 
 
 def _linspace(a: float, b: float, n: int) -> tuple:

@@ -30,18 +30,17 @@ limit and c9's t = 1e4 call at lam = 0.05).  The panel counts stay those of
 the oscillating form.
 
 Every band integral goes through one path, ``_scan``, which evaluates a
-list of (t, reservoir) points in one quadrature.  ``counters``, ``onsager``
-and ``counters_and_onsager`` are one-point scans at one time per call (a
-time array is rejected by name); the scenario builders make one scan per
-panel, over its t or mu grid.  The kernels of a quantity are the rows of one
-array, one group.  ``counters`` integrates the group [n, eps n] and
-``nbar``, ``ebar`` and ``qbar`` are views onto it; ``onsager`` writes its
-four derivative kernels the same way.  Every (point, group) pair runs its
-own doubling schedule from its point's first level and is frozen at the
-level where it converged, so each equals its one-point, one-group call bit
-for bit: ``counters_and_onsager`` gives the counters and the block of
-separate ``counters`` and ``onsager`` calls at the cost of one, and a scan
-gives every point's solo values.  The quadrature evaluates the least
+list of (t, reservoir) points in one quadrature and returns one array per
+kernel group, shaped (points, kernels).  ``counters`` and ``onsager`` are
+one-point scans at one time per call (a time array is rejected by name)
+that return plain floats; the scenario builders make one scan per panel,
+over its t or mu grid, and read its columns, an ``OnsagerBlock`` holding one
+entry per point.  The kernels of a quantity are the rows of one array, one
+group: [n, eps n] for ``counters``, of which ``nbar``, ``ebar`` and
+``qbar`` are views, and the four derivative kernels for ``onsager``.  Every
+(point, group) pair runs its own doubling schedule from its point's first
+level and is frozen at the level where it converged, so each equals its
+one-point, one-group call bit for bit.  The quadrature evaluates the least
 pending panel count next, once for all the pairs at it: eps and sin(k)^2
 are formed once per block of nodes, the occupation and the kernel rows once
 per reservoir, D(k, t) once per point.  The integrand forms each array with
@@ -69,8 +68,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (EquilibriumUndefinedError, QuadratureError,  # noqa: F401 (re-export)
-                      ReservoirParams, _MAX_PANELS, _check_reach, _fd_of, _reject_phase,
-                      _require, _warn_unless_dilute, occupation_boltzmann,
+                      ReservoirParams, _MAX_PANELS, _Fieldwise, _check_reach, _fd_of,
+                      _reject_phase, _require, _warn_unless_dilute, occupation_boltzmann,
                       relaxation_envelope)
 
 STATS_FD = "fd"
@@ -278,10 +277,10 @@ def _scan(kernel_groups, points, dephasing: float, g: float, tol: float, stats: 
     Each of ``kernel_groups`` maps ``(eps, occ, res, stats)`` to a new array of
     its kernels shaped (n_kernels, n_k), which is shared by the points of one
     reservoir.  Every point is checked, its reach included, before any
-    evaluation.  Each (point, group) pair starts at its point's first level
-    and converges on its own (see ``integrate_interval``), so its values are
-    those of a one-point scan bit for bit.  Returns, per point, one list of
-    floats per group, one entry per kernel.
+    evaluation, and Boltzmann statistics warn once per non-dilute reservoir.
+    Each (point, group) pair converges on its own from its point's first
+    level (see ``integrate_interval``), so it equals a one-point scan bit
+    for bit.  Returns one array per group, shaped (points, n_kernels).
     """
     for name, value in [("time", t) for t, _ in points] + [("dephasing rate", dephasing)]:
         if np.ndim(value) != 0:
@@ -289,18 +288,18 @@ def _scan(kernel_groups, points, dephasing: float, g: float, tol: float, stats: 
                      "be one scalar per band call, not an array of shape")
     _require("stats", stats, _STATS[1](stats), _STATS[0])
     _check_reach("finite", "coupling g", g)
+    if stats == STATS_BOLTZMANN:
+        for res in dict.fromkeys(res for _, res in points):
+            _warn_unless_dilute(res)
     envelopes, firsts = [], []
     for t, res in points:
-        if stats == STATS_BOLTZMANN:
-            _warn_unless_dilute(res)
         damping, phase = relaxation_envelope(float(t), float(dephasing), 1.0)
         envelopes.append((res, damping, phase))
         firsts += [_osc_panels(g, phase)] * len(kernel_groups)
     vals, _ = integrate_interval(lambda k: _Scan(k, kernel_groups, envelopes, g, stats),
                                  0.0, math.pi, tol, firsts)
-    vals = [[float(v) for v in val / math.pi] for val in vals]
     n = len(kernel_groups)
-    return [vals[i:i + n] for i in range(0, len(vals), n)]
+    return tuple(np.array(vals[j::n]) / math.pi for j in range(n))
 
 
 def _counter_kernels(eps, occ, res, stats):
@@ -317,8 +316,8 @@ def counters(t: float, res: ReservoirParams, dephasing: float, g: float,
     t is one time; t = inf with dephasing > 0 gives the damped limits, e.g.
     nbar = -(1/pi) int nbar(eps_k) dk.
     """
-    ((n_e,),) = _scan((_counter_kernels,), ((t, res),), dephasing, g, tol, stats)
-    return tuple(n_e)
+    (n_e,) = _scan((_counter_kernels,), ((t, res),), dephasing, g, tol, stats)
+    return tuple(n_e[0].tolist())
 
 
 def nbar(t: float, res: ReservoirParams, dephasing: float, g: float,
@@ -340,8 +339,8 @@ def qbar(t: float, res: ReservoirParams, dephasing: float, g: float,
     return e - res.mu * n
 
 
-@dataclass(frozen=True)
-class OnsagerBlock:
+@dataclass(frozen=True, eq=False)
+class OnsagerBlock(_Fieldwise):
     """The four linear-response coefficients at one time and temperature.
 
     j_n_mu = (T/2) d nbar/d mu        j_n_t = (T^2/2) d nbar/d T
@@ -350,7 +349,9 @@ class OnsagerBlock:
     For Fermi-Dirac kernels j_n_t == j_q_mu identically (reciprocity); this
     falls out of the (eps - mu) weighting rather than being imposed.  The
     block carries the reservoir temperature T it was evaluated at, which
-    ``fluxes`` needs to form the thermodynamic forces.
+    ``fluxes`` needs to form the thermodynamic forces.  The coefficients may
+    be arrays, one entry per point of a scan at one temperature: a batched
+    block, which is not hashable (blocks compare field by field).
     """
 
     j_n_mu: float
@@ -363,6 +364,10 @@ class OnsagerBlock:
         for name in ("j_n_mu", "j_n_t", "j_q_mu", "j_q_t"):
             _check_reach("finite", name, getattr(self, name))
         _check_reach("temperature", "temperature", self.temperature)
+
+    @property
+    def columns(self) -> tuple:
+        return self.j_n_mu, self.j_n_t, self.j_q_mu, self.j_q_t
 
     @classmethod
     def from_derivatives(cls, derivatives, temp: float) -> OnsagerBlock:
@@ -397,24 +402,12 @@ def onsager(t: float, res: ReservoirParams, dephasing: float, g: float,
     All four integrands share nodes and are converged together, so the block
     is internally consistent at the quadrature tolerance.
     """
-    ((coeffs,),) = _scan((_onsager_kernels,), ((t, res),), dephasing, g, tol, stats)
-    return OnsagerBlock.from_derivatives(coeffs, res.temperature)
+    (coeffs,) = _scan((_onsager_kernels,), ((t, res),), dephasing, g, tol, stats)
+    return OnsagerBlock.from_derivatives(coeffs[0].tolist(), res.temperature)
 
 
-def counters_and_onsager(t: float, res: ReservoirParams, dephasing: float, g: float,
-                         tol: float = DEFAULT_TOL, stats: str = STATS_FD):
-    """(nbar, ebar, OnsagerBlock) at one time t from one shared quadrature.
-
-    The counters and the block are two kernel groups that converge
-    separately, so each equals ``counters`` and ``onsager`` bit for bit.
-    """
-    (((n, e), coeffs),) = _scan((_counter_kernels, _onsager_kernels), ((t, res),),
-                                dephasing, g, tol, stats)
-    return n, e, OnsagerBlock.from_derivatives(coeffs, res.temperature)
-
-
-@dataclass(frozen=True)
-class ParticleHeatFlux:
+@dataclass(frozen=True, eq=False)
+class ParticleHeatFlux(_Fieldwise):
     j_particle: float
     j_heat: float
 
@@ -422,8 +415,8 @@ class ParticleHeatFlux:
 def fluxes(block: OnsagerBlock, delta_mu: float, delta_t: float) -> ParticleHeatFlux:
     """Assemble linear-response fluxes from a coefficient block.
 
-    The thermodynamic forces are delta_mu/T and delta_t/T^2 with T, and the
-    coefficients, taken at the block's temperature.
+    The forces are delta_mu/T and delta_t/T^2 at the block's temperature, as
+    are its coefficients; a batched block gives one flux per entry.
     """
     temp = block.temperature
     temp_sq = temp ** 2

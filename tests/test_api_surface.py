@@ -1,12 +1,14 @@
 """Every name and every knob the package exports is used outside the tests.
 
-A name is used when it is referenced in ``src/fermichain`` beyond its own
-``def``/``class`` line (the package ``__init__`` does not count), in
-``demos/`` or in ``perfbench/`` (whose tracer names the functions it wraps
-as strings).  A public name that only tests reach is dead weight: delete it,
-or move it into ``tests/`` if it serves there as an independent oracle.
-The same holds one level down: a public method or property of an exported
-class must be reached as an attribute (``.name``) somewhere in that code.
+A name is used when code in ``src/fermichain`` (the package ``__init__``
+does not count), in ``demos/`` or in ``perfbench/`` refers to it: as a name
+or an attribute, or as a string that is exactly the name (the tracer names
+the functions it wraps that way).  A definition, an import, or a mention in
+a docstring or a comment is not a use.  A public name that only tests reach
+is dead weight: delete it, or move it into ``tests/`` if it serves there as
+an independent oracle.  The same holds one level down: a public method or
+property of an exported class must be reached as an attribute (``.name``)
+somewhere in that code.
 
 Likewise a defaulted parameter of an exported callable is a knob: some call
 in that same code must pass it, by position, by keyword or through ``*`` or
@@ -16,7 +18,6 @@ disguise: make it a module constant.
 
 import ast
 import pathlib
-import re
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fermichain"
@@ -35,18 +36,27 @@ def _user_texts() -> list:
     return [p.read_text(encoding="utf-8") for p in sources]
 
 
-def _is_used(name: str, texts) -> bool:
-    word = re.compile(r"\b%s\b" % re.escape(name))
-    own_line = re.compile(r"^\s*(def|class)\s+%s\b" % re.escape(name))
-    return any(word.search(line) and not own_line.match(line)
-               for text in texts for line in text.splitlines())
+def _code_uses(texts) -> tuple:
+    """(identifiers, attributes) the code refers to: every ast Name and
+    Attribute, and every string constant that is exactly an identifier."""
+    names, attributes = set(), set()
+    for text in texts:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value.isidentifier()):
+                names.add(node.value)
+    return names | attributes, attributes
 
 
 def test_every_exported_name_has_a_user_outside_the_tests():
-    texts = _user_texts()
+    used, _ = _code_uses(_user_texts())
     names = _exported_names()
     assert len(names) > 50  # the parse found the export list
-    unused = sorted(name for name in names if not _is_used(name, texts))
+    unused = sorted(set(names) - used)
     assert not unused, "exported, but only tests use: %s" % ", ".join(unused)
 
 
@@ -137,11 +147,10 @@ def _exported_members() -> list:
 
 
 def test_every_public_member_of_an_exported_class_has_a_user_outside_the_tests():
-    # a member is used when some user text reaches it as an attribute
-    texts = _user_texts()
+    # a member is used when some code reaches it as an attribute
+    _, attributes = _code_uses(_user_texts())
     members = _exported_members()
     assert ("ModeSpec", "from_momentum") in members  # the parse found the members
     unused = sorted("%s.%s" % (cls, name) for cls, name in members
-                    if not any(re.search(r"\.%s\b" % re.escape(name), text)
-                               for text in texts))
+                    if name not in attributes)
     assert not unused, "public, but only tests use: %s" % ", ".join(unused)

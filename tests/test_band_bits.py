@@ -20,8 +20,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fermichain import (OnsagerBlock, QuadratureError, ReservoirParams, boltzmann_validity,
-                        counters, counters_and_onsager, integrate_interval, onsager,
-                        occupation_boltzmann, occupation_fd, transport)
+                        counters, integrate_interval, onsager, occupation_boltzmann,
+                        occupation_fd, transport)
 from fermichain.lattice import relaxation_envelope
 
 
@@ -66,6 +66,18 @@ def _hexes(values):
 
 def _block_hexes(block):
     return _hexes([block.j_n_mu, block.j_n_t, block.j_q_mu, block.j_q_t])
+
+
+def _both():
+    # read when called, so a patched kernel is the one scanned
+    return transport._counter_kernels, transport._onsager_kernels
+
+
+def _both_hexes(t, res, lam, g, stats="fd"):
+    """The counters and the block of a one-point scan of both groups, as hex."""
+    (n_e,), (coeffs,) = transport._scan(_both(), ((t, res),), lam, g, transport.DEFAULT_TOL,
+                                        stats)
+    return [_hexes(n_e), _block_hexes(OnsagerBlock.from_derivatives(coeffs, res.temperature))]
 
 
 def _or_error(fn):
@@ -118,16 +130,13 @@ def test_band_outputs_equal_the_expression_form_bit_for_bit(log_temp, mu, lam, g
         _expression_band_average([_onsager_rows], t, res, lam, g, stats)[0], temp)))
     assert got == want
 
-    def shared():
-        n, e, block = counters_and_onsager(t, res, lam, g, stats=stats)
-        return _hexes([n, e]) + _block_hexes(block)
-
     def expression_shared():
         n_e, coeffs = _expression_band_average([_counter_rows, _onsager_rows], t, res,
                                                lam, g, stats)
-        return _hexes(n_e) + _block_hexes(OnsagerBlock.from_derivatives(coeffs, temp))
+        return [_hexes(n_e), _block_hexes(OnsagerBlock.from_derivatives(coeffs, temp))]
 
-    assert _or_error(shared) == _or_error(expression_shared)
+    assert (_or_error(lambda: _both_hexes(t, res, lam, g, stats))
+            == _or_error(expression_shared))
 
 
 class _CountedReads:
@@ -173,8 +182,8 @@ def test_a_frozen_group_is_neither_read_nor_formed(monkeypatch):
     reads, formed = _watch(monkeypatch)
     res = ReservoirParams(0.02, 1.0)
     times = (2.5, 2.0, 30.0)
-    scan = transport._scan((transport._counter_kernels, transport._onsager_kernels),
-                           [(t, res) for t in times], 0.05, 1.0, transport.DEFAULT_TOL, "fd")
+    scan = transport._scan(_both(), [(t, res) for t in times], 0.05, 1.0,
+                           transport.DEFAULT_TOL, "fd")
     # the least pending panel count first: 32, 64, 120, 128, 240
     assert reads == [[0, 1, 2, 3], [0, 1, 2, 3], [4, 5], [1, 3], [4, 5]]
     # the one reservoir's occupation and counter kernels once per block,
@@ -183,11 +192,11 @@ def test_a_frozen_group_is_neither_read_nor_formed(monkeypatch):
     assert formed == {"occupation": [1, 2, 3, 4, 5], "counters": [1, 2, 3, 5],
                       "D": [1, 1, 2, 2, 3, 4, 4, 5]}
     monkeypatch.undo()
-    for t, (n_e, coeffs) in zip(times, scan):
-        n, e, block = counters_and_onsager(t, res, 0.05, 1.0)
-        assert _hexes(n_e) == _hexes([n, e]) == _hexes(counters(t, res, 0.05, 1.0))
+    for t, n_e, coeffs in zip(times, *scan):
+        n_e_solo, block_solo = _both_hexes(t, res, 0.05, 1.0)
+        assert _hexes(n_e) == n_e_solo == _hexes(counters(t, res, 0.05, 1.0))
         block = OnsagerBlock.from_derivatives(coeffs, res.temperature)
-        assert _block_hexes(block) == _block_hexes(onsager(t, res, 0.05, 1.0))
+        assert _block_hexes(block) == block_solo == _block_hexes(onsager(t, res, 0.05, 1.0))
 
 
 def test_a_point_reads_the_levels_of_its_solo_call(monkeypatch):
@@ -197,40 +206,41 @@ def test_a_point_reads_the_levels_of_its_solo_call(monkeypatch):
     res = ReservoirParams(0.01, 1.0)
     times = (0.0, 0.7, 1.5, 1.5, 6.0, 25.0, math.inf)
     reads, _ = _watch(monkeypatch)
-    transport._scan((transport._counter_kernels, transport._onsager_kernels),
-                    [(t, res) for t in times], 0.05, 0.8, transport.DEFAULT_TOL, "fd")
+    transport._scan(_both(), [(t, res) for t in times], 0.05, 0.8, transport.DEFAULT_TOL,
+                    "fd")
     scanned = [sum(row.count(i) for row in reads) for i in range(2 * len(times))]
     solo = []
     for t in times:
         del reads[:]
-        counters_and_onsager(t, res, 0.05, 0.8)
+        _both_hexes(t, res, 0.05, 0.8)
         solo += [sum(row.count(i) for row in reads) for i in range(2)]
     assert scanned == solo
     assert len(set(solo)) > 1  # the groups freeze at different levels
 
 
 def _scan_hexes(groups, points, lam, g, stats):
-    def convert(name, values, res):
-        if name == "counters":
-            return _hexes(values)
-        return _block_hexes(OnsagerBlock.from_derivatives(values, res.temperature))
-
+    """Per point, one list of hexes per group: its counters, or its entry of
+    the scan's batched block (every point is at one temperature)."""
     names, kernels = zip(*groups)
-    return _or_error(lambda: [
-        [convert(name, values, res) for name, values in zip(names, point)]
-        for point, (_, res) in zip(
-            transport._scan(kernels, points, lam, g, transport.DEFAULT_TOL, stats), points)])
+    temp = points[0][1].temperature
+
+    def scan():
+        per_group = []
+        for name, values in zip(names, transport._scan(kernels, points, lam, g,
+                                                       transport.DEFAULT_TOL, stats)):
+            if name == "onsager":  # read back through the batched block
+                values = zip(*OnsagerBlock.from_derivatives(values.T, temp).columns)
+            per_group.append([_hexes(entry) for entry in values])
+        return [list(point) for point in zip(*per_group)]
+
+    return _or_error(scan)
 
 
 def _solo_hexes(t, res, lam, g, stats):
-    """Per point: counters, onsager and counters_and_onsager, as hex."""
-    def shared():
-        n, e, block = counters_and_onsager(t, res, lam, g, stats=stats)
-        return [_hexes([n, e]), _block_hexes(block)]
-
+    """Per point: counters, onsager and a one-point scan of both groups, as hex."""
     return (_or_error(lambda: [_hexes(counters(t, res, lam, g, stats=stats))]),
             _or_error(lambda: [_block_hexes(onsager(t, res, lam, g, stats=stats))]),
-            _or_error(shared))
+            _or_error(lambda: _both_hexes(t, res, lam, g, stats)))
 
 
 _GROUPS = (("counters", transport._counter_kernels), ("onsager", transport._onsager_kernels))

@@ -68,7 +68,6 @@ CALLS = {
     "occ_b": _call(MODE, 0.7, 0.2, 1.5),
     "OnsagerBlock": _call(0.1, 0.02, 0.03, 0.2, 0.1),
     "counters": _call(*BAND),
-    "counters_and_onsager": _call(*BAND),
     "nbar": _call(*BAND),
     "ebar": _call(*BAND),
     "qbar": _call(*BAND),

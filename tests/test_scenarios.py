@@ -5,11 +5,12 @@ import math
 import pathlib
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fermichain import ReservoirParams, cli, transport
+from fermichain import RegimeWarning, ReservoirParams, cli, transport
 from fermichain.scenarios import (
     SCENARIOS,
     ComparisonReport,
@@ -130,6 +131,48 @@ _PARENT_PANEL_NAMES = {
 }
 
 
+def test_a_field_off_its_default_keeps_its_value_over_the_pins():
+    # set on a directly built or replaced config, a value used to be dropped
+    # for the pin unless ``explicit`` named its key
+    result = run_scenario(ScenarioConfig("ons1", temperature=0.3, mu_grid=(-0.5, 0.5)))
+    assert [p.name for p in result.panels] == ["T0p3"]
+    mu, j_n_mu = result.panels[0].columns[:2]
+    assert mu.tolist() == [-0.5, 0.5]
+    assert j_n_mu.tolist() == [transport.onsager(math.inf, ReservoirParams(0.3, m), 0.05,
+                                                 1.0).j_n_mu for m in (-0.5, 0.5)]
+    parsed = parse_config({"scenario": "onsevo1", "t_grid": [0, 1]})
+    assert parsed.temperature == 0.005
+    for temp, cfg in ((0.3, replace(parsed, temperature=0.3)),
+                      (0.005, parsed),
+                      (0.005, ScenarioConfig("onsevo1", t_grid=(0.0, 1.0)))):  # at its default
+        result = run_scenario(cfg)
+        assert [p.name for p in result.panels] == ["mu0", "mu1", "mu1p9"]
+        for panel, mu in zip(result.panels, (0.0, 1.0, 1.9)):
+            block = transport.onsager(1.0, ReservoirParams(temp, mu), 0.05, 1.0)
+            assert panel.columns[1].tolist() == [0.0, block.j_n_mu]
+
+
+def _regime_warnings(data) -> list:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_scenario(parse_config(data))
+    return [str(w.message) for w in caught if w.category is RegimeWarning]
+
+
+def test_a_boltzmann_scan_warns_once_per_reservoir():
+    # onsevo2's 121 times share one reservoir, far from dilute at mu = 0:
+    # that panel used to warn once per point
+    messages = _regime_warnings({"scenario": "onsevo2", "stats": "boltzmann",
+                                 "dephasing": 0.05})
+    assert len(messages) == 1
+    assert "mu = 0 is not below" in messages[0]
+    # a mu-scan still names each reservoir outside the dilute regime
+    messages = _regime_warnings({"scenario": "ons1", "stats": "boltzmann",
+                                 "temperature": 0.1, "mu_grid": [-3.5, -0.5, 0.5]})
+    assert [m.split(": ")[1].split(" is not")[0] for m in messages] == [
+        "mu = -0.5", "mu = 0.5"]
+
+
 @pytest.mark.parametrize("sid", sorted(SCENARIOS))
 def test_every_scenario_panels_and_pins(sid):
     data = dict(_TINY, scenario=sid)
@@ -213,9 +256,10 @@ def test_split_is_checked_on_every_panel():
 
 
 def test_directly_built_config_split_is_rejected_before_any_panel(monkeypatch):
+    # every band panel is one transport._scan; it records, then runs
     built = []
-    monkeypatch.setattr(transport, "counters_and_onsager",
-                        lambda *args: built.append(args))
+    inner = transport._scan
+    monkeypatch.setattr(transport, "_scan", lambda *args: built.append(args) or inner(*args))
     cfg = ScenarioConfig(scenario="custom", t_grid=(0.0, 1.0), delta_t=0.5,
                          explicit=frozenset({"t_grid", "delta_t"}))
     with pytest.raises(ConfigError, match="'delta_t' at temperature 0.1 must .*T <= 0"):

@@ -16,7 +16,6 @@ from fermichain import (
     RegimeWarning,
     ReservoirParams,
     counters,
-    counters_and_onsager,
     ebar,
     fluxes,
     integrate_interval,
@@ -31,6 +30,17 @@ from fermichain.lattice import _REACH
 from fermichain.transport import _BASE_PANELS, _MAX_PANELS, _W16, _X16, DEFAULT_TOL
 
 RES = ReservoirParams(temperature=0.1, mu=0.0)
+
+
+def counters_and_onsager(t, res, dephasing, g, tol=DEFAULT_TOL, stats="fd"):
+    """(nbar, ebar, OnsagerBlock) at one time from one one-point scan of the
+    two kernel groups, the counters' and the block's, as the custom panel
+    forms them."""
+    (n_e,), (coeffs,) = transport._scan((transport._counter_kernels,
+                                         transport._onsager_kernels),
+                                        ((t, res),), dephasing, g, tol, stats)
+    n, e = n_e.tolist()
+    return n, e, OnsagerBlock.from_derivatives(coeffs.tolist(), res.temperature)
 
 
 def _trapezoid_counter(t, res, lam, g, weight=lambda eps: 1.0, nodes=100_001):
@@ -478,6 +488,45 @@ def test_fluxes_reject_underflowing_temperature():
     # T**2 is 0 in double precision; this used to raise ZeroDivisionError
     with pytest.raises(ValueError, match="T\\*\\*2 underflows"):
         fluxes(blk, 0.0, 1e-3)
+
+
+def _scanned_block(temp=0.1, mus=(-0.5, 0.0, 1.0, 1.9)):
+    # the ons1 way: one mu-scan at t = inf, read as one batched block
+    (coeffs,) = transport._scan((transport._onsager_kernels,),
+                                [(math.inf, ReservoirParams(temp, mu)) for mu in mus],
+                                0.05, 1.0, DEFAULT_TOL, "fd")
+    return OnsagerBlock.from_derivatives(coeffs.T, temp)
+
+
+def test_batched_blocks_compare_field_by_field_and_refuse_hash():
+    block = _scanned_block()
+    assert block == _scanned_block()
+    assert block != _scanned_block(mus=(-0.5, 0.0, 1.0, 1.8))
+    assert block != _scanned_block(temp=0.2)
+    with pytest.raises(TypeError, match="batched OnsagerBlock"):
+        hash(block)
+    one = OnsagerBlock(0.1, 0.02, 0.03, 0.2, 0.1)
+    assert one == OnsagerBlock(0.1, 0.02, 0.03, 0.2, 0.1) and len({one, one}) == 1
+    with pytest.raises(ValueError, match="j_q_t must be finite"):
+        OnsagerBlock(*block.columns[:3], np.array([0.0, math.nan, 0.0, 0.0]), 0.1)
+
+
+def test_fluxes_of_a_batched_block_are_its_entries_fluxes_bit_for_bit():
+    block = _scanned_block()
+    flux = fluxes(block, 0.003, -0.002)
+    assert flux == fluxes(_scanned_block(), 0.003, -0.002)  # field by field
+    assert flux != fluxes(block, 0.003, -0.001)
+    for i, entry in enumerate(zip(*block.columns)):
+        solo = fluxes(OnsagerBlock(*entry, temperature=0.1), 0.003, -0.002)
+        assert _hexes([flux.j_particle[i], flux.j_heat[i]]) == _hexes(
+            [solo.j_particle, solo.j_heat])
+
+
+def test_one_point_band_calls_return_plain_floats():
+    n, e = counters(2.0, RES, 0.05, 1.0)
+    block = onsager(2.0, RES, 0.05, 1.0)
+    assert all(type(v) is float for v in (n, e) + block.columns)
+    assert all(type(fn(2.0, RES, 0.05, 1.0)) is float for fn in (nbar, ebar, qbar))
 
 
 _TRANSPORT_ENTRY_POINTS = {"nbar": nbar, "ebar": ebar, "qbar": qbar,
