@@ -97,6 +97,13 @@ def _require(name: str, value, ok: bool, domain: str, error=ValueError):
         raise error("%s must %s, got %s" % (name, domain, shown))
 
 
+def _require_scalars(*named):
+    """Raise ValueError naming the first (name, value) whose value is an array."""
+    for name, value in named:
+        if not isinstance(value, (float, int)) and np.ndim(value):
+            _require(name, np.shape(value), False, "be one scalar, not an array of shape")
+
+
 # the band quadrature's panel budget: no level above it is ever built
 _MAX_PANELS = 1 << 17
 _I_REACH = 700.0  # |y| of I_n(y): e^y stays finite
@@ -163,7 +170,8 @@ def _check_reach(row: str, name: str, value, error=None, ok: bool = True):
     replaces the row's class (a config raises ConfigError)."""
     reach = _REACH[row]
     if ok and isinstance(reach.last, int):  # a row with integer limits takes integers
-        ok = isinstance(value, (int, np.integer))
+        ok = isinstance(value, (int, np.integer)) or (
+            isinstance(value, np.ndarray) and value.dtype.kind in "iu")
     if ok:
         if isinstance(value, (float, int)):
             ok = reach.first <= value <= reach.last
@@ -206,8 +214,7 @@ class ReservoirParams:
     mu: float = 0.0
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            _require(name, value, np.ndim(value) == 0, "be one scalar, not an array")
+        _require_scalars(*vars(self).items())
         _check_reach("temperature", "temperature", self.temperature)
         _check_reach("finite", "mu", self.mu)
 

@@ -396,7 +396,7 @@ def _onsteste2(cfg: ScenarioConfig, name: str):
     (quad,) = transport._scan((transport._counter_kernels,), [(t, res) for t in cfg.t_grid],
                               cfg.dephasing, cfg.g, cfg.tol, transport.STATS_FD)
     n_quad, e_quad = quad.T
-    n_series, e_series = (np.array([fn(t, res, cfg.dephasing, cfg.g).value for t in cfg.t_grid])
+    n_series, e_series = (fn(t_grid, res, cfg.dephasing, cfg.g).value
                           for fn in (closedforms.nbar_fd_sommerfeld,
                                      closedforms.ebar_fd_sommerfeld))
     reports = tuple(

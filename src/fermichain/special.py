@@ -8,17 +8,19 @@ do not silently depend on an external library:
                          mpmath; the last order of SpecialFnTable(n, x).
     bessel_i(n, y)       modified I_n; relative error < 5e-15 wherever
                          I_n(y) is a normal double; a view onto one I column.
-    SpecialFnTable       J_0..J_n at one argument, from one pass; the one
-                         J_n evaluation path.
+    SpecialFnTable       J_0..J_n at one argument or at each of a 1-D array
+                         of them, from one pass; the one J_n evaluation path.
     bessel_band_sum      the Jacobi-Anger sum B(z, a) that both closed forms
-                         reduce to (see its docstring).
+                         reduce to, at one z or at each of an array of them.
 
-Both columns come from one downward (Miller) recurrence,
+Every column comes from one downward (Miller) recurrence,
 f_{m-1} = (2m/x) f_m -+ f_{m+1}, started past max(n, x + 10 x^(1/3)) + 60
 (the transition region of J_n(x) is about x^(1/3) orders wide) and
 normalized by J_0 + 2 J_2 + 2 J_4 + ... = 1 or I_0 + 2 I_1 + 2 I_2 + ... =
 e^y.  Below (x/2)^2 < 2^-53 the dropped terms fall below half an ulp and a
-column is its leading term (x/2)^n/n!.
+column is its leading term (x/2)^n/n!.  One recurrence serves an array of
+arguments, each from its own start and rescaled on its own, so every column
+has the bits it has alone.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 
 import numpy as np
 
-from .lattice import _check_reach, _require
+from .lattice import _check_reach, _require, _require_scalars
 
 # (x/2)^2 below this leaves J_n(x) and I_n(x) = (x/2)^n/n! to within half an ulp
 _LEADING_TERM_MAX = 2.0 ** -53
@@ -36,48 +38,82 @@ _LEADING_TERM_MAX = 2.0 ** -53
 _LEADING_TERM_ORDERS = 171
 
 
-def _miller(x: float, max_order: int, modified: bool) -> np.ndarray:
-    """J_0..J_max_order (I_0.. when modified) at x > 0, by downward recurrence."""
-    start = int(max(max_order, x + 10.0 * x ** (1.0 / 3.0)) + 60)
-    if start % 2:
-        start += 1
-    sign = 1.0 if modified else -1.0
-    fp = 0.0  # f_{m+1} surrogate
-    fc = 1e-300  # f_m surrogate
-    out = np.zeros(max_order + 1)
-    norm = 0.0
-    for m in range(start, 0, -1):
-        fm = (2.0 * m / x) * fc + sign * fp
-        fp, fc = fc, fm
-        if abs(fc) > 1e250:
-            fc *= 1e-250
-            fp *= 1e-250
-            out *= 1e-250
-            norm *= 1e-250
-        idx = m - 1
-        if idx <= max_order:
-            out[idx] = fc
-        if modified or idx % 2 == 0:
-            norm += 2.0 * fc if idx else fc
-    if modified:
-        # out * (e^x / norm) overflows from x of about 400
-        return (out / norm) * math.exp(x)
-    return out / norm
+def _calm_steps(fc, fp, peak, growth: float) -> int:
+    """Steps that keep every |f| at most 1e250, one spare, when max |f| grows
+    at most 10^growth-fold a step."""
+    return max(0, int((250.0 - math.log10(max(peak(fc), peak(fp), 1e-300))) / growth) - 1)
 
 
-def _column(max_order: int, x: float, modified: bool) -> np.ndarray:
-    """Orders 0..max_order of J (I when modified) at x; the caller checks both."""
-    xa = abs(float(x))
-    half = 0.5 * xa
-    if half * half < _LEADING_TERM_MAX:
-        # the recurrence's 2m/x overflows here (NaN at x <= 1e-100)
-        col = np.zeros(max_order + 1)
-        lead = min(max_order + 1, _LEADING_TERM_ORDERS)
-        col[:lead] = [half ** m / math.factorial(m) for m in range(lead)]
-    else:
+def _miller(x: list, max_order: list, modified: bool) -> np.ndarray:
+    """Row i: J_0..J_max_order[i] (I_0.. when modified) at x[i] > 0, 0 past
+    them, from one recurrence on plain floats for one x (faster than
+    1-element arrays) or on arrays for many, by the same statements."""
+    rows, one = max(max_order) + 1, len(x) == 1
+    # past max(n, x + 10 x^(1/3)) + 60, rounded up to even
+    start = [-2 * (-int(max(n, xi + 10.0 * xi ** (1.0 / 3.0)) + 60) // 2)
+             for xi, n in zip(x, max_order)]
+    if not one:  # sorted by start, the arguments under way are a prefix
+        order = sorted(range(len(x)), key=start.__getitem__, reverse=True)
+        start, x = [start[i] for i in order], np.array([x[i] for i in order])
+    # fp, fc: f_{m+1} and f_m of the k arguments under way, and their norms
+    out, k, fp, fc, norm = np.zeros((rows, len(x))), 0, (), (), ()
+    peak = abs if one else (lambda a: np.maximum.reduce(np.abs(a)))  # the largest |f_m|
+    tops = start if one else sorted(set(start), reverse=True)
+    for top, below in zip(tops, tops[1:] + [0]):
+        new = k + start.count(top)  # these join as f_{m+1} = 0, f_m = 1e-300
+        if one:
+            fp, fc, norm, xk, x_low, dest = 0.0, 1e-300, 0.0, x[0], x[0], out[:, 0]
+        else:
+            fp, fc, norm = (np.concatenate((a, [v] * (new - k)))
+                            for a, v in ((fp, 0.0), (fc, 1e-300), (norm, 0.0)))
+            k, xk, x_low, dest = new, x[:new], float(x[:new].min()), out[:, :new]
+        # |f| grows at most (2 top/x + 1)-fold a step (1.001: slack for the rounding),
+        # so no |f| passes 1e250 before the step due
+        growth = math.log10((2.0 * top / x_low + 1.0) * 1.001)
+        kept, due = [], top - _calm_steps(fc, fp, peak, growth)  # kept: orders < rows
+        for m in range(top, below, -1):
+            fp, fc = fc, (2.0 * m / xk * fc + fp) if modified else (2.0 * m / xk * fc - fp)
+            if m == due:
+                if peak(fc) > 1e250:
+                    scale = 1e-250 if one else np.where(np.abs(fc) > 1e250, 1e-250, 1.0)
+                    fp, fc, norm = fp * scale, fc * scale, norm * scale  # 1.0 keeps the bits
+                    dest *= scale
+                    kept[:] = [f * scale for f in kept]
+                due = m - 1 - _calm_steps(fc, fp, peak, growth)
+            if m <= rows:
+                kept.append(fc)
+            if modified or m % 2:  # order m - 1 even
+                norm = norm + (2.0 * fc if m > 1 else fc)
+        if kept:
+            dest[below:below + len(kept)] = kept[::-1]
+    col = out / norm
+    if modified:  # out * (e^x / norm) overflows from x of about 400
+        col *= math.exp(x[0]) if one else [math.exp(v) for v in x.tolist()]
+    col = col.T if one else col.T[np.argsort(order)]
+    for i, n in enumerate([] if one else max_order):
+        col[i, n + 1:] = 0.0
+    return col
+
+
+def _column(max_order: list, x: list, modified: bool) -> np.ndarray:
+    """Row i: orders 0..max_order[i] of J (I when modified) at x[i], 0 past
+    them.  The caller checks both."""
+    # (x/2)^2, bit for bit: below the bound a column is its leading term, where
+    # the recurrence's 2m/x overflows (NaN at x <= 1e-100)
+    rest = [i for i, xi in enumerate(x) if 0.25 * xi * xi >= _LEADING_TERM_MAX]
+    xa = [abs(xi) for xi in x]
+    if x and len(rest) == len(x):
         col = _miller(xa, max_order, modified)
-    if x < 0.0:
-        col[1::2] *= -1.0
+    else:
+        col = np.zeros((len(x), max(max_order, default=0) + 1))
+        for i in set(range(len(x))).difference(rest):
+            half, top = 0.5 * xa[i], min(max_order[i] + 1, _LEADING_TERM_ORDERS)
+            col[i, :top] = [half ** m / math.factorial(m) for m in range(top)]
+        if rest:
+            miller = _miller([xa[i] for i in rest], [max_order[i] for i in rest], modified)
+            col[rest, :miller.shape[1]] = miller
+    if x and min(x) < 0.0:
+        col[[i for i, xi in enumerate(x) if xi < 0.0], 1::2] *= -1.0
     return col
 
 
@@ -86,6 +122,7 @@ def bessel_j(n: int, x: float) -> float:
 
     A view onto the last order of ``SpecialFnTable(n, x)``.
     """
+    _require_scalars(("order n", n), ("x", x))
     _check_reach("Bessel order", "order n", n)
     _check_reach("J argument", "x", x)
     return SpecialFnTable(n, x).j(n)
@@ -93,9 +130,10 @@ def bessel_j(n: int, x: float) -> float:
 
 def bessel_i(n: int, y: float) -> float:
     """Modified Bessel function I_n(y) over the Bessel order and I argument reaches."""
+    _require_scalars(("order n", n), ("y", y))
     _check_reach("Bessel order", "order n", n)
     _check_reach("I argument", "y", y)
-    return float(_column(int(n), y, True)[n])
+    return float(_column([int(n)], [float(y)], True)[0, n])
 
 
 class SpecialFnTable:
@@ -104,14 +142,27 @@ class SpecialFnTable:
     Build once per (argument, max order) and read repeatedly; the column
     comes from a single downward-recurrence pass (or the leading term
     (x/2)^n/n! as x -> 0, x = 0 included), so filling the table costs no
-    more than the highest order requested.
+    more than the highest order requested.  A 1-D array of x_bessel_j, with
+    max_order one int or one per entry, gives one row per entry from one
+    pass, each with the bits of its one-argument table.
     """
 
-    def __init__(self, max_order: int, x_bessel_j: float):
+    def __init__(self, max_order, x_bessel_j):
+        # np.shape of a plain number costs more than the rest of the check
+        shape = () if isinstance(x_bessel_j, (int, float)) else np.shape(x_bessel_j)
+        per_x = () if isinstance(max_order, (int, np.integer)) else np.shape(max_order)
+        _require("x_bessel_j and max_order", (shape, per_x),
+                 per_x in ((), shape) and len(shape) < 2,
+                 "be one scalar or a 1-D array and one int or one per entry, not of shapes")
         _check_reach("Bessel order", "max_order", max_order)
         _check_reach("J argument", "x_bessel_j", x_bessel_j)
-        self.max_order = int(max_order)
-        self._j = _column(self.max_order, x_bessel_j, False)
+        if shape:
+            self.max_order, self._j = max_order, _column(
+                np.broadcast_to(max_order, shape).tolist(), np.asarray(x_bessel_j, float).tolist(),
+                False)
+        else:
+            self.max_order = int(max_order)
+            self._j = _column([self.max_order], [float(x_bessel_j)], False)[0]
 
     @staticmethod
     def band_orders(x: float) -> int:
@@ -124,13 +175,16 @@ class SpecialFnTable:
         xa = abs(x)
         return int(xa + 12.0 * xa ** (1.0 / 3.0)) + 10
 
-    def j(self, n: int) -> float:
-        if not 0 <= n <= self.max_order:  # per series term
+    def j(self, n: int):
+        """J_n at the table's argument, or at each of its arguments."""
+        least = (self.max_order if self._j.ndim == 1
+                 else int(np.min(self.max_order, initial=self._j.shape[1] - 1)))
+        if not 0 <= n <= least:  # per series term
             _require("order n", n, False, "lie in the table's [0, max_order]")
-        return float(self._j[n])
+        return float(self._j[n]) if self._j.ndim == 1 else self._j[:, n]
 
 
-def bessel_band_sum(z: float, coeffs) -> tuple:
+def bessel_band_sum(z, coeffs, orders=None) -> tuple:
     """(B(z, a), tail) of the Jacobi-Anger band sum over the given coefficients.
 
     With a_j = (1/pi) int_0^pi K(k) cos(2 j k) dk, Jacobi-Anger (DLMF 10.12)
@@ -140,16 +194,26 @@ def bessel_band_sum(z: float, coeffs) -> tuple:
                   + sin z 2 sum_{m>=0} (-1)^m J_2m+1(z) a_2m+1,
 
     the time-dependent part of every band average at z = g t.  The sum runs
-    over all len(coeffs) orders, which the caller sizes by
-    ``SpecialFnTable.band_orders(z)`` and by the tail of its coefficients;
-    tail, the magnitude of the last two terms summed, is its truncation
-    estimate.  z lies in the J argument reach.
+    over the first ``orders`` coefficients (all len(coeffs) by default),
+    which the caller sizes by ``SpecialFnTable.band_orders(z)`` and by the
+    tail of its coefficients; tail, the magnitude of the last two terms
+    summed, is its truncation estimate.  z lies in the J argument reach; a
+    1-D array of z, with ``orders`` one count each, gives arrays from one J
+    table, each entry with the bits of its one-point sum.
     """
     a = np.asarray(coeffs, dtype=float)
-    n = np.arange(len(a))
+    scalar = isinstance(z, (int, float)) or np.ndim(z) == 0
+    zs = [z] if scalar else np.asarray(z, float).tolist()
+    counts = [len(a)] * len(zs) if orders is None else list(orders)
+    n = np.arange(max(counts, default=1))
     # (-1)^(n//2), doubled for every order but 0
     weight = np.where(n % 4 < 2, 2.0, -2.0)
     weight[0] = 1.0
-    terms = SpecialFnTable(len(a) - 1, z)._j * weight * a
-    value = math.cos(z) * math.fsum(terms[0::2]) + math.sin(z) * math.fsum(terms[1::2])
-    return value, float(np.sum(np.abs(terms[-2:])))
+    table = SpecialFnTable(counts[0] - 1 if scalar else np.array(counts, int) - 1, z)
+    terms = (table._j * weight * a[:len(n)]).reshape(len(zs), len(n)).tolist()
+    value, tail = [], []
+    for zi, row, count in zip(zs, terms, counts):
+        row = row[:count]
+        value.append(math.cos(zi) * math.fsum(row[0::2]) + math.sin(zi) * math.fsum(row[1::2]))
+        tail.append(sum(map(abs, row[-2:])))
+    return (value[0], tail[0]) if scalar else (np.array(value), np.array(tail))

@@ -69,8 +69,8 @@ import numpy as np
 
 from .lattice import (EquilibriumUndefinedError, QuadratureError,  # noqa: F401 (re-export)
                       ReservoirParams, _MAX_PANELS, _Fieldwise, _check_reach, _fd_of,
-                      _reject_phase, _require, _warn_unless_dilute, occupation_boltzmann,
-                      relaxation_envelope)
+                      _reject_phase, _require, _require_scalars, _warn_unless_dilute,
+                      occupation_boltzmann, relaxation_envelope)
 
 STATS_FD = "fd"
 STATS_BOLTZMANN = "boltzmann"
@@ -282,10 +282,7 @@ def _scan(kernel_groups, points, dephasing: float, g: float, tol: float, stats: 
     level (see ``integrate_interval``), so it equals a one-point scan bit
     for bit.  Returns one array per group, shaped (points, n_kernels).
     """
-    for name, value in [("time", t) for t, _ in points] + [("dephasing rate", dephasing)]:
-        if np.ndim(value) != 0:
-            _require(name, np.shape(value), False,
-                     "be one scalar per band call, not an array of shape")
+    _require_scalars(*[("time", t) for t, _ in points], ("dephasing rate", dephasing))
     _require("stats", stats, _STATS[1](stats), _STATS[0])
     _check_reach("finite", "coupling g", g)
     if stats == STATS_BOLTZMANN:
@@ -363,6 +360,7 @@ class OnsagerBlock(_Fieldwise):
     def __post_init__(self):
         for name in ("j_n_mu", "j_n_t", "j_q_mu", "j_q_t"):
             _check_reach("finite", name, getattr(self, name))
+        _require_scalars(("temperature", self.temperature))  # a batch is at one T
         _check_reach("temperature", "temperature", self.temperature)
 
     @property

@@ -216,6 +216,31 @@ def test_boltzmann_closed_form_below_t_0p02_matches_quadrature(fn):
     assert got == pytest.approx(want, rel=1e-9, abs=1e-300)
 
 
+@pytest.mark.parametrize("fn, nu, scale", [(nbar_boltzmann_closed, 0, 1.0),
+                                          (ebar_boltzmann_closed, 1, -2.0)])
+def test_boltzmann_closed_forms_keep_their_absolute_bound_at_small_t(fn, nu, scale):
+    # at t = 1e-6 the two terms, about 8e-9, cancel to about 4e-23: the error
+    # is within 1e-12 |scale| exp(beta mu) max(1, I_nu(2 beta)), as the
+    # docstrings say, not within any fraction of the value
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    temp, mu, t, g = 0.0625, -3.0, 1e-6, 1.0
+    beta = 1 / mpmath.mpf(temp)
+    y, x = 2 * beta, 2 * g * mpmath.mpf(t)
+
+    def integrand(k):  # cos(x sin^2 k) - 1 without the cancellation
+        return (mpmath.cos(k) ** nu * mpmath.exp(y * mpmath.cos(k))
+                * -2 * mpmath.sin(x * mpmath.sin(k) ** 2 / 2) ** 2)
+
+    exact = float(scale * mpmath.exp(beta * mu)
+                  * mpmath.quad(integrand, [0, mpmath.pi / 2, mpmath.pi]) / mpmath.pi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fn(t, ReservoirParams(temp, mu), 0.0, g)
+    bound = 1e-12 * abs(scale) * float(mpmath.exp(beta * mu) * max(1, mpmath.besseli(nu, y)))
+    assert abs(got - exact) <= bound, (got, exact, bound)
+
+
 def test_sommerfeld_zero_at_t0():
     res = ReservoirParams(temperature=0.1, mu=0.7)
     assert nbar_fd_sommerfeld(0.0, res, 0.35, 1.0).value == pytest.approx(0.0, abs=1e-12)
@@ -367,6 +392,30 @@ def test_series_and_closed_forms_are_pinned(point):
         warnings.simplefilter("ignore", RegimeWarning)  # three points are not dilute
         assert (nbar_boltzmann_closed(t, dilute, 0.35, 1.0).hex(),
                 ebar_boltzmann_closed(t, dilute, 0.35, 1.0).hex()) == boltzmann_pin
+
+
+# |g t| that reach every branch of the J column: 0, the leading term ((g t/2)^2
+# below 2^-53, under about 2.1e-8), the recurrence that rescales (to about
+# 5e-7) and the plain one, up to the J argument reach
+_GT = st.one_of(st.just(0.0), st.floats(1e-300, 2e-8), st.floats(2.2e-8, 5e-7),
+                st.floats(5e-7, 1e3), st.floats(1e3, 9999.0))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(gts=st.lists(_GT, min_size=1, max_size=5), g=st.sampled_from([1.0, -1.0, 0.35, -2.5]),
+       lam=st.sampled_from([0.0, 0.35]), mu=st.floats(-1.5, 1.5), temp=st.floats(0.01, 0.3))
+def test_a_time_array_gives_each_time_the_bits_of_its_scalar_call(gts, g, lam, mu, temp):
+    times = [gt / abs(g) for gt in gts] + ([math.inf] if lam > 0.0 else [])
+    times.append(times[0])  # a repeated time
+    res = ReservoirParams(temp, mu)
+    for fn in (nbar_fd_sommerfeld, ebar_fd_sommerfeld):
+        batch = fn(np.array(times), res, lam, g)
+        solo = [fn(t, res, lam, g) for t in times]
+        assert [v.hex() for v in batch.value.tolist()] == [r.value.hex() for r in solo]
+        assert ([v.hex() for v in batch.trunc_error_est.tolist()]
+                == [r.trunc_error_est.hex() for r in solo])
+        assert batch.terms_used == sum(r.terms_used for r in solo)
+        assert batch.converged == all(r.converged for r in solo)
 
 
 def sommerfeld_oracle(t, res, dephasing, g, energy, n_max):

@@ -307,6 +307,25 @@ PROBES = {
                                                 RES, RES, [1.5])),
     "coherence_ab(n_a0=[-1, 0.5])":
         ("n_a0", lambda: fc.coherence_ab(MODE, np.array([-1.0, 0.5]), 0.3, 1.5)),
+    # a batched block is at one temperature: fluxes raised numpy's "ambiguous"
+    "OnsagerBlock(temperature=[0.1, 0.2])":
+        ("temperature", lambda: fc.OnsagerBlock(1.0, 1.0, 1.0, 1.0, np.array([0.1, 0.2]))),
+    # arguments that stay one scalar: numpy's "only 0-dimensional arrays" TypeError
+    "nbar_boltzmann_closed(t=[1, 2])":
+        ("t", lambda: fc.nbar_boltzmann_closed(np.array([1.0, 2.0]), DILUTE, 0.1, 1.0)),
+    "ebar_boltzmann_closed(t=[1, 2])":
+        ("t", lambda: fc.ebar_boltzmann_closed(np.array([1.0, 2.0]), DILUTE, 0.1, 1.0)),
+    "omega(x=[1, 2])": ("x", lambda: fc.omega(0, np.array([1.0, 2.0]), 1.0)),
+    "bessel_j(x=[1, 2])": ("x", lambda: fc.bessel_j(2, np.array([1.0, 2.0]))),
+    "bessel_i(y=[1, 2])": ("y", lambda: fc.bessel_i(2, np.array([1.0, 2.0]))),
+    "nbar_fd_sommerfeld(dephasing=[0.1, 0.2])":
+        ("dephasing", lambda: fc.nbar_fd_sommerfeld(2.0, RES, np.array([0.1, 0.2]), 1.0)),
+    "nbar_fd_sommerfeld(g=[1, 2])":
+        ("g", lambda: fc.nbar_fd_sommerfeld(2.0, RES, 0.1, np.array([1.0, 2.0]))),
+    "ebar_fd_sommerfeld(dephasing=[0.1, 0.2])":
+        ("dephasing", lambda: fc.ebar_fd_sommerfeld(2.0, RES, np.array([0.1, 0.2]), 1.0)),
+    "ebar_fd_sommerfeld(g=[1, 2])":
+        ("g", lambda: fc.ebar_fd_sommerfeld(2.0, RES, 0.1, np.array([1.0, 2.0]))),
 }
 
 

@@ -3,9 +3,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermichain import SpecialFnTable, bessel_i, bessel_j
-from fermichain.special import bessel_band_sum
+from fermichain.special import _column, bessel_band_sum
 
 # reference values computed with mpmath at 30 significant digits
 _J_REF = {
@@ -189,3 +191,79 @@ def test_band_sum_is_jacobi_anger():
         trig = math.sin(z) if j % 2 else math.cos(z)
         want = 2.0 * (-1.0) ** (j // 2) * trig * bessel_j(j, z)
         assert bessel_band_sum(z, coeffs)[0] == pytest.approx(want, abs=1e-15)
+
+
+def _hexes(values) -> list:
+    return [float(v).hex() for v in np.ravel(values).tolist()]
+
+
+# arguments that reach every branch of a column: 0, the leading term
+# ((x/2)^2 below 2^-53), the recurrence that rescales (J to about 5e-7, I
+# further) and the plain one, up to the J argument reach; either sign
+_X = st.one_of(st.just(0.0), st.floats(1e-300, 2e-8), st.floats(2.2e-8, 5e-7),
+               st.floats(5e-7, 1e3), st.floats(1e3, 1e4)).flatmap(
+                   lambda x: st.sampled_from([x, -x]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(xs=st.lists(_X, min_size=1, max_size=6), spare=st.lists(st.integers(0, 40), min_size=7,
+                                                                max_size=7))
+def test_a_table_over_an_array_gives_each_column_its_one_argument_bits(xs, spare):
+    xs = xs + xs[:1]  # a repeated argument
+    orders = [SpecialFnTable.band_orders(x) + extra for x, extra in zip(xs, spare)]
+    table = SpecialFnTable(np.array(orders) - 1, np.array(xs))
+    for row, x, n in zip(table._j, xs, orders):
+        assert _hexes(row[:n]) == _hexes(SpecialFnTable(n - 1, x)._j)
+        assert not row[n:].any()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(xs=st.lists(_X, min_size=1, max_size=6), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_band_sum_over_an_array_gives_each_point_its_one_point_bits(xs, seed):
+    xs = xs + xs[:1]
+    orders = [SpecialFnTable.band_orders(x) for x in xs]
+    coeffs = np.random.default_rng(seed).standard_normal(max(orders))
+    values, tails = bessel_band_sum(np.array(xs), coeffs, orders)
+    for x, n, value, tail in zip(xs, orders, values, tails):
+        assert _hexes([value, tail]) == _hexes(bessel_band_sum(x, coeffs[:n]))
+
+
+def _one_column_loop(max_order: int, x: float, modified: bool) -> list:
+    """The scalar downward recurrence the array one replaced, kept as the
+    reference: orders 0..max_order of J (I when modified) at x."""
+    xa, sign = abs(x), 1.0 if modified else -1.0
+    half = 0.5 * xa
+    if half * half < 2.0 ** -53:
+        lead = min(max_order + 1, 171)
+        col = [half ** m / math.factorial(m) for m in range(lead)] + [0.0] * (max_order + 1 - lead)
+    else:
+        start = int(max(max_order, xa + 10.0 * xa ** (1.0 / 3.0)) + 60)
+        start += start % 2
+        fp, fc, norm, out = 0.0, 1e-300, 0.0, np.zeros(max_order + 1)
+        for m in range(start, 0, -1):
+            fm = (2.0 * m / xa) * fc + sign * fp
+            fp, fc = fc, fm
+            if abs(fc) > 1e250:
+                fc, fp, norm = fc * 1e-250, fp * 1e-250, norm * 1e-250
+                out *= 1e-250
+            if m - 1 <= max_order:
+                out[m - 1] = fc
+            if modified or (m - 1) % 2 == 0:
+                norm += 2.0 * fc if m - 1 else fc
+        col = ((out / norm) * math.exp(xa) if modified else out / norm).tolist()
+    return [-v if x < 0.0 and n % 2 else v for n, v in enumerate(col)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(modified=st.booleans(), xs=st.lists(_X, min_size=1, max_size=6),
+       orders=st.lists(st.integers(0, 400), min_size=7, max_size=7))
+def test_every_row_of_a_column_array_is_the_one_argument_loop_bit_for_bit(modified, xs, orders):
+    if modified:  # the I argument reach
+        xs = [min(max(x, -700.0), 700.0) for x in xs]
+    xs, orders = xs + xs[:1], orders[:len(xs) + 1]
+    rows = _column(orders, xs, modified)
+    for row, x, n in zip(rows, xs, orders):
+        want = _hexes(_one_column_loop(n, x, modified))
+        assert _hexes(_column([n], [x], modified)[0]) == want
+        assert _hexes(row[:n + 1]) == want
+        assert not row[n + 1:].any()

@@ -65,3 +65,20 @@ def test_tracer_counts_the_band_quadrature():
     for key in ("levels", "nodes"):
         assert counts["transport.integrate.%s" % key] > 0
     assert fc.transport.integrate_interval is fc.integrate_interval  # uninstalled
+
+
+def test_tracer_reads_a_sommerfeld_call_over_a_time_array():
+    tracer_module = _load_tracer()
+    res = fc.ReservoirParams(0.1, 0.5)
+    times = np.linspace(0.0, 10.0, 41)
+    names = ("nbar_fd_sommerfeld", "ebar_fd_sommerfeld")
+    solo_terms = sum(getattr(fc, name)(float(t), res, 0.35, 1.0).terms_used
+                     for name in names for t in times)
+    with tracer_module.Tracer().install(fc) as tracer:
+        for name in names:  # looked up here: the tracer rebinds them
+            assert getattr(fc, name)(times, res, 0.35, 1.0).converged
+        counts = tracer.pass_metrics()
+    assert counts["closedforms.sommerfeld.calls"] == 2
+    assert counts["closedforms.sommerfeld.terms"] == solo_terms
+    assert counts["closedforms.sommerfeld.unconverged"] == 0
+    assert counts["special.table.calls"] == 2  # one J table per call
