@@ -21,7 +21,8 @@ per panel in ``scenarios``.
 
 Dephasing enters only through the envelope exp(-lam t) times cos or sin of
 2 g_k t; :func:`relaxation_envelope`, which every physics module calls, is
-the one place that validates (t, lam) and forms it.
+the one place that validates (t, lam, g) and forms it, in one body for
+scalars and arrays alike (a band scan forms all its envelopes in one call).
 
 ``_require`` words every rejection "<name> must <domain>, got <value>", as a
 ValueError or a named subclass; every bounded quantity has one ``_REACH``
@@ -88,7 +89,7 @@ def _require(name: str, value, ok: bool, domain: str, error=ValueError):
     comparison.  An integer beyond the float range is shown to 3 digits.
     """
     if not ok:
-        if isinstance(value, np.generic):
+        if isinstance(value, (np.generic, np.ndarray)) and value.ndim == 0:
             value = value.item()
         shown = repr(value)
         if isinstance(value, int) and abs(value) > sys.float_info.max:
@@ -108,6 +109,7 @@ def _require_scalars(*named):
 _MAX_PANELS = 1 << 17
 _I_REACH = 700.0  # |y| of I_n(y): e^y stays finite
 _Reach = namedtuple("_Reach", "lo hi first last domain error")
+_REAL_KINDS = frozenset("biuf")  # numpy dtype kinds of a real number: bool, int, float
 
 
 def _reach(lo, hi, ends: str, words: str, error=ValueError) -> _Reach:
@@ -165,9 +167,9 @@ _REACH = {
 
 def _check_reach(row: str, name: str, value, error=None, ok: bool = True):
     """Raise the ``_REACH`` row's error, naming ``name``, unless ok and every
-    entry of value lies in the row's reach (two float comparisons for a plain
-    number).  ok is the caller's own test of the value's type, and error
-    replaces the row's class (a config raises ConfigError)."""
+    entry of value is a number (not a str) in the row's reach (two float
+    comparisons for a plain number).  ok is the caller's own test of the
+    value's type, and error replaces the row's class (a config raises ConfigError)."""
     reach = _REACH[row]
     if ok and isinstance(reach.last, int):  # a row with integer limits takes integers
         ok = isinstance(value, (int, np.integer)) or (
@@ -176,8 +178,9 @@ def _check_reach(row: str, name: str, value, error=None, ok: bool = True):
         if isinstance(value, (float, int)):
             ok = reach.first <= value <= reach.last
         else:
-            arr = np.asarray(value, dtype=float)
-            ok = bool(np.all((reach.first <= arr) & (arr <= reach.last)))
+            arr = np.asarray(value)
+            ok = arr.dtype.kind in _REAL_KINDS and bool(
+                np.all((reach.first <= arr) & (arr <= reach.last)))
     _require(name, value, ok, reach.domain, error or reach.error)
 
 
@@ -263,7 +266,8 @@ class ModeSpec(_Fieldwise):
 
 def _check_envelope_args(t, dephasing, coupling):
     """Name the first argument that relaxation_envelope cannot take."""
-    tarr = np.asarray(t, dtype=float)
+    tarr = np.asarray(t)
+    _require("time", t, tarr.dtype.kind in _REAL_KINDS, "be a real number in the float range")
     _require("time", t, not np.isnan(tarr).any(), "not be NaN")
     _require("time", t, not (tarr < 0.0).any(), "be >= 0")
     _check_reach("dephasing rate", "dephasing rate", dephasing)
@@ -282,44 +286,32 @@ def _reject_phase(coupling):
 def relaxation_envelope(t, dephasing, coupling):
     """Validated (envelope, phase) = (exp(-lam t), 2 g t) of one mode.
 
-    t, lam and g may be scalars or broadcasting arrays.  Rejects
-    NaN or negative t, NaN, negative or infinite lam and a non-finite g;
-    t = inf with lam = 0 has no limit and raises EquilibriumUndefinedError.
-    An envelope below ``_DAMPING_FLOOR`` is set to 0 and takes the phase with
-    it, so t = inf with lam > 0 gives the damped limit rather than
-    0 * cos(inf); a finite g t whose phase overflows raises ValueError.  The
-    envelope is a numpy float64 for scalar input.
+    t, lam and g may be scalars or broadcasting arrays.  Rejects a t, lam
+    or g that is not a real number, NaN or negative t, NaN, negative or
+    infinite lam and a non-finite g; t = inf with lam = 0 has no limit and
+    raises EquilibriumUndefinedError.  An envelope below ``_DAMPING_FLOOR``
+    is set to 0 and takes the phase with it, so t = inf with lam > 0 gives
+    the damped limit rather than 0 * cos(inf); a finite g t whose phase
+    overflows raises ValueError.  Scalar input gives numpy float64 scalars.
     """
-    if not (isinstance(t, float) and isinstance(dephasing, float)
-            and isinstance(coupling, float)):
-        tarr = np.asarray(t, dtype=float)
-        lam = np.asarray(dephasing, dtype=float)
-        if tarr.ndim == 0 and lam.ndim == 0 and np.ndim(coupling) == 0:
-            return relaxation_envelope(float(tarr), float(lam), float(coupling))
+    args = np.asarray(t), np.asarray(dephasing), np.asarray(coupling)
+    if not {a.dtype.kind for a in args} <= _REAL_KINDS:
         _check_envelope_args(t, dephasing, coupling)
+    tarr, lam, g = (np.asarray(a, dtype=float)[()] for a in args)  # 0-d: numpy scalars
+    # an invalid input's inf or NaN only fails the test below; a damped-out
+    # entry's phase, inf or 0 * inf, is dropped
+    with np.errstate(over="ignore", invalid="ignore"):
         envelope = np.exp(-lam * tarr)
         alive = envelope > _DAMPING_FLOOR
-        t_alive = np.where(alive, tarr, 0.0)
-        # the checked g is finite, so only the product can overflow
-        with np.errstate(over="ignore"):
-            phase = 2.0 * coupling * t_alive
+        phase = np.where(alive, 2.0 * g * tarr, 0.0)[()]
+    # one combined test (envelope <= 1 fails at inf t with lam 0); the named
+    # checks run once it fails, or an empty argument leaves nothing to test
+    if not (phase.size and ((lam >= 0.0) & (lam < math.inf) & (abs(g) < math.inf) & (tarr >= 0.0)
+                            & (envelope <= 1.0) & (abs(phase) < math.inf)).all()):
+        _check_envelope_args(t, dephasing, coupling)
         if not np.isfinite(phase).all():
             _reject_phase(coupling)
-        return np.where(alive, envelope, 0.0), phase
-    # plain-Python scalar path, once per band call: one inline test of t, and
-    # the named time checks only once it fails; a live mode's g is checked
-    # through its phase
-    if not t >= 0.0 or (t == math.inf and dephasing == 0.0):
-        _check_envelope_args(t, dephasing, coupling)
-    _check_reach("dephasing rate", "dephasing rate", dephasing)
-    envelope = np.exp(-dephasing * t)
-    if not envelope > _DAMPING_FLOOR:
-        _check_reach("finite", "coupling g", coupling)
-        return np.float64(0.0), 0.0
-    phase = 2.0 * float(coupling) * t  # float: no numpy overflow warning
-    if not math.isfinite(phase):
-        _reject_phase(coupling)
-    return envelope, phase
+    return envelope * alive, phase
 
 
 def _reduced_energy(energy, reservoir: ReservoirParams):

@@ -31,13 +31,15 @@ the oscillating form.
 
 Every band integral goes through one path, ``_scan``, which evaluates a
 list of (t, reservoir) points in one quadrature and returns one array per
-kernel group, shaped (points, kernels).  ``counters`` and ``onsager`` are
-one-point scans at one time per call (a time array is rejected by name)
-that return plain floats; the scenario builders make one scan per panel,
-over its t or mu grid, and read its columns, an ``OnsagerBlock`` holding one
-entry per point.  The kernels of a quantity are the rows of one array, one
-group: [n, eps n] for ``counters``, of which ``nbar``, ``ebar`` and
-``qbar`` are views, and the four derivative kernels for ``onsager``.  Every
+kernel group, shaped (points, kernels); one ``relaxation_envelope`` call
+forms every point's envelope, and from its phase the point's first level.
+``counters`` and ``onsager`` are one-point scans at one time per call (a
+time array is rejected by name) that return plain floats; the scenario
+builders make one scan per panel, over its t or mu grid, and read its
+columns, an ``OnsagerBlock`` holding one entry per point.  The kernels of a
+quantity are the rows of one array, one group: [n, eps n] for ``counters``,
+of which ``nbar``, ``ebar`` and ``qbar`` are views, and the four derivative
+kernels for ``onsager``.  Every
 (point, group) pair runs its own doubling schedule from its point's first
 level and is frozen at the level where it converged, so each equals its
 one-point, one-group call bit for bit.  The quadrature evaluates the least
@@ -68,9 +70,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (EquilibriumUndefinedError, QuadratureError,  # noqa: F401 (re-export)
-                      ReservoirParams, _MAX_PANELS, _Fieldwise, _check_reach, _fd_of,
-                      _reject_phase, _require, _require_scalars, _warn_unless_dilute,
-                      occupation_boltzmann, relaxation_envelope)
+                      ReservoirParams, _MAX_PANELS, _Fieldwise, _check_envelope_args,
+                      _check_reach, _fd_of, _reject_phase, _require, _require_scalars,
+                      _warn_unless_dilute, occupation_boltzmann, relaxation_envelope)
 
 STATS_FD = "fd"
 STATS_BOLTZMANN = "boltzmann"
@@ -259,15 +261,15 @@ class _Scan:
         return np.multiply(self.rows[j], self.relax)
 
 
-def _osc_panels(g: float, phase: float) -> int:
-    # ~4 g t panels while the oscillating term still contributes, and never
-    # fewer than _BASE_PANELS; past the budget's reach, g t is named before
-    # any evaluation
-    panels = 2.0 * abs(g) * phase
-    if not math.isfinite(panels):
+def _osc_panels(g: float, phase):
+    # ~4 g t panels per phase while the oscillating term still contributes,
+    # and never fewer than _BASE_PANELS; past the budget's reach, the largest
+    # g t is named before any evaluation (a plain float: no overflow warning)
+    top = 2.0 * abs(g) * float(np.asarray(phase).max(initial=0.0))
+    if not math.isfinite(top):
         _reject_phase(g)
-    _check_reach("band g t", "|g| t", 0.25 * panels)
-    return max(_BASE_PANELS, int(math.ceil(panels)))
+    _check_reach("band g t", "|g| t", 0.25 * top)
+    return np.maximum(_BASE_PANELS, np.ceil(2.0 * abs(g) * phase)).astype(int)
 
 
 def _scan(kernel_groups, points, dephasing: float, g: float, tol: float, stats: str):
@@ -278,6 +280,7 @@ def _scan(kernel_groups, points, dephasing: float, g: float, tol: float, stats: 
     its kernels shaped (n_kernels, n_k), which is shared by the points of one
     reservoir.  Every point is checked, its reach included, before any
     evaluation, and Boltzmann statistics warn once per non-dilute reservoir.
+    A rejected time is named as the caller gave it, not as an array.
     Each (point, group) pair converges on its own from its point's first
     level (see ``integrate_interval``), so it equals a one-point scan bit
     for bit.  Returns one array per group, shaped (points, n_kernels).
@@ -288,11 +291,14 @@ def _scan(kernel_groups, points, dephasing: float, g: float, tol: float, stats: 
     if stats == STATS_BOLTZMANN:
         for res in dict.fromkeys(res for _, res in points):
             _warn_unless_dilute(res)
-    envelopes, firsts = [], []
-    for t, res in points:
-        damping, phase = relaxation_envelope(float(t), float(dephasing), 1.0)
-        envelopes.append((res, damping, phase))
-        firsts += [_osc_panels(g, phase)] * len(kernel_groups)
+    try:  # the times as given: a numeric string is not cast to a time
+        damping, phase = relaxation_envelope(np.array([t for t, _ in points]), dephasing, 1.0)
+    except ValueError:
+        for t, _ in points:  # name the caller's scalar, not the array
+            _check_envelope_args(t, dephasing, 1.0)
+        raise
+    firsts = np.repeat(_osc_panels(g, phase), len(kernel_groups)).tolist()
+    envelopes = list(zip([res for _, res in points], damping.tolist(), phase.tolist()))
     vals, _ = integrate_interval(lambda k: _Scan(k, kernel_groups, envelopes, g, stats),
                                  0.0, math.pi, tol, firsts)
     n = len(kernel_groups)

@@ -218,6 +218,19 @@ def test_a_point_reads_the_levels_of_its_solo_call(monkeypatch):
     assert len(set(solo)) > 1  # the groups freeze at different levels
 
 
+def test_a_scan_forms_every_envelope_in_one_call(monkeypatch):
+    # the envelope and, from its phase, the first level of every point come
+    # from one call over the scan's times, not one call per point
+    calls = []
+    inner = transport.relaxation_envelope
+    monkeypatch.setattr(transport, "relaxation_envelope",
+                        lambda *args: calls.append(args) or inner(*args))
+    times = (0.0, 0.7, 2.0, 25.0, math.inf)
+    transport._scan(_both(), [(t, ReservoirParams(0.1, 0.3)) for t in times], 0.05, 0.8,
+                    transport.DEFAULT_TOL, "fd")
+    assert len(calls) == 1 and calls[0][0].tolist() == list(times)
+
+
 def _scan_hexes(groups, points, lam, g, stats):
     """Per point, one list of hexes per group: its counters, or its entry of
     the scan's batched block (every point is at one temperature)."""

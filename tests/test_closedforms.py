@@ -304,6 +304,19 @@ def test_sommerfeld_damped_limit_matches_quadrature():
     assert n_series == pytest.approx(n_quad, rel=2e-3)
 
 
+@pytest.mark.parametrize("fn", [nbar_fd_sommerfeld, ebar_fd_sommerfeld])
+def test_sommerfeld_over_a_time_array_at_overflowing_lam_t_is_the_damped_limit(fn):
+    # lam t overflows to inf: a time array used to warn "overflow encountered
+    # in multiply" where one scalar time gave the damped limit
+    res = ReservoirParams(temperature=0.1, mu=0.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fn(np.array([1.0, 2.0]), res, 1e308, 1.0)
+    damped = fn(math.inf, res, 0.5, 1.0)
+    assert got.value.tolist() == [damped.value] * 2
+    assert got.trunc_error_est.tolist() == [0.0, 0.0] and got.converged
+
+
 def test_sommerfeld_domain_guard():
     res = ReservoirParams(temperature=0.1, mu=2.0)
     with pytest.raises(ValueError):

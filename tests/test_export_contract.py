@@ -326,6 +326,19 @@ PROBES = {
         ("dephasing", lambda: fc.ebar_fd_sommerfeld(2.0, RES, np.array([0.1, 0.2]), 1.0)),
     "ebar_fd_sommerfeld(g=[1, 2])":
         ("g", lambda: fc.ebar_fd_sommerfeld(2.0, RES, 0.1, np.array([1.0, 2.0]))),
+    # a number given as a string: stored as the str, or cast and accepted
+    "ReservoirParams(temperature='0.1')":
+        ("temperature", lambda: fc.ReservoirParams("0.1", 0.0)),
+    "ModeSpec(coupling='1')": ("coupling", lambda: fc.ModeSpec(0.0, "1", 0.1)),
+    "OnsagerBlock(j_n_mu='1')":
+        ("j_n_mu", lambda: fc.OnsagerBlock("1", 1.0, 1.0, 1.0, 0.1)),
+    "counters(t='2')": ("t", lambda: fc.counters("2", RES, 0.1, 1.0)),
+    "occ_a(t='1.5')": ("t", lambda: fc.occ_a(MODE, 0.7, 0.2, "1.5")),
+    # a raw TypeError from float()
+    "counters(t=None)": ("t", lambda: fc.counters(None, RES, 0.1, 1.0)),
+    "counters(dephasing=None)": ("dephasing", lambda: fc.counters(1.0, RES, None, 1.0)),
+    "nbar_boltzmann_closed(g=None)":
+        ("coupling", lambda: fc.nbar_boltzmann_closed(1.0, DILUTE, 0.1, None)),
 }
 
 

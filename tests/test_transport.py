@@ -548,6 +548,18 @@ def test_transport_rejects_bad_time_or_dephasing(name, t, lam, match):
         _TRANSPORT_ENTRY_POINTS[name](t, RES, lam, 1.0)
 
 
+@pytest.mark.parametrize("t, shown", [(math.nan, "nan"), (np.array(math.nan), "nan"),
+                                      (-1, "-1"), ("2", "'2'"), (None, "None")])
+def test_a_scan_names_a_rejected_time_as_the_caller_gave_it(t, shown):
+    # one envelope call forms every point's: the error still shows the
+    # caller's scalar, not the scan's array of times
+    points = [(1.0, RES), (t, RES), (math.nan, RES)]
+    with pytest.raises(ValueError, match=r"^time must .*, got %s$" % re.escape(shown)):
+        transport._scan((transport._counter_kernels,), points, 0.1, 1.0, DEFAULT_TOL, "fd")
+    with pytest.raises(ValueError, match=r"^time must .*, got %s$" % re.escape(shown)):
+        onsager(t, RES, 0.1, 1.0)
+
+
 @pytest.mark.parametrize("name", ["counters", "onsager", "counters_and_onsager"])
 @pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
 def test_transport_rejects_non_finite_coupling(name, g):
