@@ -142,24 +142,26 @@ def entropy_production_integral(prep: EquilibriumModePrep) -> float:
     return prep.delta_n ** 2 / (4.0 * n * (1.0 - n))
 
 
-def entropy_sum_rate(prep: EquilibriumModePrep, t):
-    """d(S_A + S_B)/dt through O(dn^2)."""
+def _rate(prep: EquilibriumModePrep, t, lam_term):
+    """delta_n^2 env^2 (lam_term(2 lam, phase) + 2 g sin(2 phase)) / (4 n (1 - n))."""
     env, phase = relaxation_envelope(t, prep.dephasing, prep.coupling)
     n = prep.n_eq
-    lam, g = prep.dephasing, prep.coupling
+    # a damped-out entry (env = 0, phase = 0) takes lam = 0, so it reads the
+    # damped limit 0: past lam = 9e307 its bracket would be inf or NaN
+    two_lam = np.where(env > 0.0, 2.0 * prep.dephasing, 0.0)
     return _plain(prep.delta_n ** 2 * env ** 2
-                  * (2.0 * lam * np.cos(phase) ** 2 + 2.0 * g * np.sin(2.0 * phase))
+                  * (lam_term(two_lam, phase) + 2.0 * prep.coupling * np.sin(2.0 * phase))
                   / (4.0 * n * (1.0 - n)))
+
+
+def entropy_sum_rate(prep: EquilibriumModePrep, t):
+    """d(S_A + S_B)/dt through O(dn^2)."""
+    return _rate(prep, t, lambda two_lam, phase: two_lam * np.cos(phase) ** 2)
 
 
 def mutual_information_rate(prep: EquilibriumModePrep, t):
     """dI/dt through O(dn^2)."""
-    env, phase = relaxation_envelope(t, prep.dephasing, prep.coupling)
-    n = prep.n_eq
-    lam, g = prep.dephasing, prep.coupling
-    return _plain(prep.delta_n ** 2 * env ** 2
-                  * (-2.0 * lam * np.sin(phase) ** 2 + 2.0 * g * np.sin(2.0 * phase))
-                  / (4.0 * n * (1.0 - n)))
+    return _rate(prep, t, lambda two_lam, phase: -two_lam * np.sin(phase) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,10 @@ class ModeSpec(_Fieldwise):
     dephasing: float = 0.0
 
     def __post_init__(self):
-        _require("mode energy", self.energy, not np.isnan(self.energy).any(), "not be NaN")
+        energy = np.asarray(self.energy)
+        _require("mode energy", self.energy, energy.dtype.kind in _REAL_KINDS,
+                 "be a real number in the float range")
+        _require("mode energy", self.energy, not np.isnan(energy).any(), "not be NaN")
         _check_envelope_args(0.0, self.dephasing, self.coupling)
 
     @classmethod
@@ -317,8 +320,11 @@ def relaxation_envelope(t, dephasing, coupling):
 def _reduced_energy(energy, reservoir: ReservoirParams):
     # x = (eps - mu)/T: past the float range +-inf, the exact limit of any
     # occupation, and NaN only for a NaN energy, which is rejected
+    energies = np.asarray(energy)
+    _require("energy", energy, energies.dtype.kind in _REAL_KINDS,
+             "be a real number in the float range")
     with np.errstate(over="ignore"):
-        x = (np.asarray(energy, dtype=float) - reservoir.mu) / reservoir.temperature
+        x = (energies.astype(float, copy=False) - reservoir.mu) / reservoir.temperature
     _require("energy", energy, not np.isnan(x).any(), "not be NaN")
     return x
 

@@ -10,23 +10,26 @@ Every scenario is one row of ``SCENARIOS``, ``(build, panels, pins)``:
   same pins: there a field left at its field default takes the pin.
 * ``panels`` is the config key the panels sweep with its default values, or
   None for one unnamed panel.  Setting that key gives one panel at its value.
-* ``build(cfg, name)`` returns the headers, columns and comparison reports
-  of one panel, reading every value from ``cfg``.
+* ``build(runs)`` takes the (cfg, name) of every panel at once and returns
+  each panel's headers, columns and comparison reports, reading every value
+  from its ``cfg``.
 
 ``ScenarioConfig`` checks every field on every build, so a parsed config
 and a directly built one pass the same checks.  A numeric key shares its
 ``lattice._REACH`` row with the library, adding only a JSON type test.
-``run_scenario`` is the one panel loop.  Before building any panel it
-checks every panel's reservoir split (T +- dT/2, mu +- dmu/2).  Each panel
-is one CSV file with the independent variable in the first column and
+``run_scenario`` makes the panels.  Before building any panel it checks
+every panel's reservoir split (T +- dT/2, mu +- dmu/2).  Each panel is one
+CSV file with the independent variable in the first column and
 unit-annotated headers, e.g. "J_QT[alpha^2]".  Energies are in units of the
 hopping scale alpha, times in 1/alpha, entropies in k_B.  Output is written
 RFC-4180 style with UTF-8 text, LF line endings, and a fixed
 significant-digit format.  Every builder evaluates on the calling thread; a
-band builder makes one scan per panel over its t or mu grid, in which each
-point keeps the bits of its solo call, and every reduction has a fixed
-association, so output is byte-reproducible.  The ``threads`` config key is still
-range-checked so that old configs parse, but it has no field and no effect.
+band builder makes one scan over the t or mu grids of all its panels (its
+panels share g, tol and stats), in which each point keeps the bits of its
+solo call, so a panel's CSV is the one it writes when run alone; every
+reduction has a fixed association, so output is byte-reproducible.  The
+``threads`` config key is still range-checked so that old configs parse,
+but it has no field and no effect.
 """
 
 from __future__ import annotations
@@ -287,10 +290,12 @@ def _max_norm_deviation(series, reference) -> float:
 
 
 # ---------------------------------------------------------------------------
-# scenario builders: build(cfg, name) -> (headers, columns, reports)
+# scenario builders: build(runs) -> for each (cfg, name) panel of runs, its
+# (headers, columns, reports)
 # ---------------------------------------------------------------------------
 
 _J_HEADERS = ("J_NM[1]", "J_NT[alpha]", "J_QM[alpha]", "J_QT[alpha^2]")
+_ONSAGER = (transport._onsager_kernels,)
 
 
 def _grid(cfg: ScenarioConfig, name: str) -> np.ndarray:
@@ -301,31 +306,55 @@ def _grid(cfg: ScenarioConfig, name: str) -> np.ndarray:
     return np.asarray(values)
 
 
-def _scan(cfg: ScenarioConfig, kernel_groups, points):
-    """One band quadrature over a panel's (t, res) points: per group, its columns."""
-    return [kernels.T for kernels in transport._scan(
-        kernel_groups, points, cfg.dephasing, cfg.g, cfg.tol, cfg.stats)]
+def _each(build):
+    """The builder of every panel from ``build(cfg, name)``, one panel's."""
+    return lambda runs: [build(cfg, name) for cfg, name in runs]
 
 
-def _block(cfg: ScenarioConfig, points) -> transport.OnsagerBlock:
-    """The Onsager block of a panel's points, one entry per point."""
-    (coeffs,) = _scan(cfg, (transport._onsager_kernels,), points)
-    return transport.OnsagerBlock.from_derivatives(coeffs, cfg.temperature)
+def _scanned(build, kernel_groups, points_of, stats=None):
+    """The builder of every panel from ``build(cfg, name, scanned)``, one
+    panel's, where ``scanned`` holds per kernel group the panel's columns of
+    one band quadrature over the (t, res, dephasing) points that
+    ``points_of(cfg)`` gives every panel.  The panels share g, tol and stats
+    (``stats`` overrides theirs)."""
+    def build_all(runs):
+        cfg = runs[0][0]
+        if len({(c.g, c.tol, c.stats) for c, _ in runs}) > 1:
+            raise ConfigError("the panels of one scan must share g, tol and stats")
+        panels = [points_of(c) for c, _ in runs]
+        values = transport._scan(kernel_groups, [p for points in panels for p in points],
+                                 cfg.g, cfg.tol, stats or cfg.stats)
+        built, start = [], 0
+        for (c, name), points in zip(runs, panels):
+            end = start + len(points)
+            built.append(build(c, name, [kernels[start:end].T for kernels in values]))
+            start = end
+        return built
+    return build_all
 
 
-def _onsager_vs_mu(cfg: ScenarioConfig, name: str):
-    """Damped-limit Onsager coefficients across the band vs mu."""
-    mu_grid = _grid(cfg, "mu_grid")
-    block = _block(cfg, [(math.inf, ReservoirParams(cfg.temperature, m)) for m in mu_grid])
-    return ("mu[alpha]",) + _J_HEADERS, (mu_grid,) + block.columns, ()
+def _mu_points(cfg: ScenarioConfig) -> list:
+    return [(math.inf, ReservoirParams(cfg.temperature, m), cfg.dephasing)
+            for m in _grid(cfg, "mu_grid").tolist()]
 
 
-def _onsager_vs_t(cfg: ScenarioConfig, name: str):
-    """Onsager coefficients building up in time."""
-    t_grid = _grid(cfg, "t_grid")
+def _time_points(cfg: ScenarioConfig) -> list:
     res = ReservoirParams(cfg.temperature, cfg.mu)
-    block = _block(cfg, [(t, res) for t in cfg.t_grid])
-    return ("t[1/alpha]",) + _J_HEADERS, (t_grid,) + block.columns, ()
+    return [(t, res, cfg.dephasing) for t in _grid(cfg, "t_grid").tolist()]
+
+
+def _onsager_vs_mu(cfg: ScenarioConfig, name: str, scanned):
+    """Damped-limit Onsager coefficients across the band vs mu."""
+    (coeffs,) = scanned
+    block = transport.OnsagerBlock.from_derivatives(coeffs, cfg.temperature)
+    return ("mu[alpha]",) + _J_HEADERS, (_grid(cfg, "mu_grid"),) + block.columns, ()
+
+
+def _onsager_vs_t(cfg: ScenarioConfig, name: str, scanned):
+    """Onsager coefficients building up in time."""
+    (coeffs,) = scanned
+    block = transport.OnsagerBlock.from_derivatives(coeffs, cfg.temperature)
+    return ("t[1/alpha]",) + _J_HEADERS, (_grid(cfg, "t_grid"),) + block.columns, ()
 
 
 def _mode_prep(cfg: ScenarioConfig) -> entropy.EquilibriumModePrep:
@@ -362,7 +391,12 @@ def _mutint(cfg: ScenarioConfig, name: str):
              entropy.mutual_information_exact(prep, t_grid)), ())
 
 
-def _onsteste1(cfg: ScenarioConfig, name: str):
+def _sommerfeld_mu_points(cfg: ScenarioConfig) -> list:
+    _check_reach("Sommerfeld mu", "config field 'mu_grid'", cfg.mu_grid, ConfigError)
+    return _mu_points(cfg)
+
+
+def _onsteste1(cfg: ScenarioConfig, name: str, scanned):
     """Damped-limit coefficients: quadrature vs low-T closed form.
 
     The deviations are reported without a pass/fail threshold: the
@@ -371,8 +405,7 @@ def _onsteste1(cfg: ScenarioConfig, name: str):
     (pi T)^2/(4 - mu^2) and visibly grows toward the band edges and with
     T.  Contrasting the two temperatures is the point of this figure.
     """
-    _check_reach("Sommerfeld mu", "config field 'mu_grid'", cfg.mu_grid, ConfigError)
-    _, (mu_grid, *quad_cols), _ = _onsager_vs_mu(cfg, name)
+    _, (mu_grid, *quad_cols), _ = _onsager_vs_mu(cfg, name, scanned)
     series_cols = np.array([
         closedforms.equilibrium_sommerfeld_onsager(ReservoirParams(cfg.temperature, m)).columns
         for m in mu_grid]).T
@@ -389,13 +422,11 @@ def _onsteste1(cfg: ScenarioConfig, name: str):
     return tuple(headers), tuple(columns), tuple(reports)
 
 
-def _onsteste2(cfg: ScenarioConfig, name: str):
+def _onsteste2(cfg: ScenarioConfig, name: str, scanned):
     """Counter evolution: truncated low-T series vs adaptive quadrature."""
     t_grid = _grid(cfg, "t_grid")
     res = ReservoirParams(cfg.temperature, cfg.mu)
-    (quad,) = transport._scan((transport._counter_kernels,), [(t, res) for t in cfg.t_grid],
-                              cfg.dephasing, cfg.g, cfg.tol, transport.STATS_FD)
-    n_quad, e_quad = quad.T
+    ((n_quad, e_quad),) = scanned
     n_series, e_series = (fn(t_grid, res, cfg.dephasing, cfg.g).value
                           for fn in (closedforms.nbar_fd_sommerfeld,
                                      closedforms.ebar_fd_sommerfeld))
@@ -409,12 +440,10 @@ def _onsteste2(cfg: ScenarioConfig, name: str):
             (t_grid, n_quad, n_series, e_quad, e_series), reports)
 
 
-def _custom(cfg: ScenarioConfig, name: str):
+def _custom(cfg: ScenarioConfig, name: str, scanned):
     """Counters, coefficients, and linear-response fluxes on a user grid."""
     t_grid = _grid(cfg, "t_grid")
-    res = ReservoirParams(cfg.temperature, cfg.mu)
-    (n, e), coeffs = _scan(cfg, (transport._counter_kernels, transport._onsager_kernels),
-                           [(t, res) for t in cfg.t_grid])
+    (n, e), coeffs = scanned
     block = transport.OnsagerBlock.from_derivatives(coeffs, cfg.temperature)
     flux = transport.fluxes(block, cfg.delta_mu, cfg.delta_t)
     headers = ("t[1/alpha]", "N[1]", "E[alpha]", "Q[alpha]") + _J_HEADERS + (
@@ -432,25 +461,27 @@ _ENTROPY_T_GRID = _linspace(0.0, 20.0, 401)
 
 # id -> (build, (panel key, its default values) or None, pins)
 SCENARIOS = {
-    "ons1": (_onsager_vs_mu, ("temperature", (0.1, 0.5)),
+    "ons1": (_scanned(_onsager_vs_mu, _ONSAGER, _mu_points), ("temperature", (0.1, 0.5)),
              {"mu_grid": _linspace(-4.0, 4.0, 161)}),
-    "onsevo1": (_onsager_vs_t, ("mu", (0.0, 1.0, 1.9)),
+    "onsevo1": (_scanned(_onsager_vs_t, _ONSAGER, _time_points), ("mu", (0.0, 1.0, 1.9)),
                 {"temperature": 0.005, "dephasing": 0.05,
                  "t_grid": _linspace(0.0, 40.0, 81)}),
-    "onsevo2": (_onsager_vs_t, ("dephasing", (0.05, 0.0)),
+    "onsevo2": (_scanned(_onsager_vs_t, _ONSAGER, _time_points), ("dephasing", (0.05, 0.0)),
                 {"temperature": 0.1, "t_grid": _linspace(0.0, 60.0, 121)}),
-    "entroevo": (_entroevo, ("dephasing", (0.2, 0.0)),
+    "entroevo": (_each(_entroevo), ("dephasing", (0.2, 0.0)),
                  {"n_eq": 0.1, "delta_n": 0.01, "t_grid": _ENTROPY_T_GRID}),
-    "entroprod": (_entroprod, ("dephasing", (0.2, 0.0)),
+    "entroprod": (_each(_entroprod), ("dephasing", (0.2, 0.0)),
                   {"n_eq": 0.5, "delta_n": 0.1, "t_grid": _ENTROPY_T_GRID}),
-    "mutint": (_mutint, ("dephasing", (0.2, 0.0)),
+    "mutint": (_each(_mutint), ("dephasing", (0.2, 0.0)),
                {"n_eq": 0.5, "delta_n": 0.1, "t_grid": _ENTROPY_T_GRID}),
-    "onsteste1": (_onsteste1, ("temperature", (0.1, 0.25)),
-                  {"mu_grid": _linspace(-1.5, 1.5, 61)}),
-    "onsteste2": (_onsteste2, ("mu", (0.0, 1.0)),
+    "onsteste1": (_scanned(_onsteste1, _ONSAGER, _sommerfeld_mu_points),
+                  ("temperature", (0.1, 0.25)), {"mu_grid": _linspace(-1.5, 1.5, 61)}),
+    "onsteste2": (_scanned(_onsteste2, (transport._counter_kernels,), _time_points,
+                           transport.STATS_FD), ("mu", (0.0, 1.0)),
                   {"temperature": 0.1, "dephasing": 0.35,
                    "t_grid": _linspace(0.0, 10.0, 41)}),
-    "custom": (_custom, None, {}),
+    "custom": (_scanned(_custom, (transport._counter_kernels, transport._onsager_kernels),
+                        _time_points), None, {}),
 }
 
 _PANEL_PREFIX = {"temperature": "T", "mu": "mu", "dephasing": "lam"}
@@ -470,8 +501,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         _check_split(panel_cfg)
     out = []
     reports = []
-    for panel_cfg, name in runs:
-        headers, columns, panel_reports = build(panel_cfg, name)
+    for (_, name), (headers, columns, panel_reports) in zip(runs, build(runs)):
         out.append(Panel(name=name, headers=headers, columns=columns))
         reports.extend(panel_reports)
     return ScenarioResult(scenario=cfg.scenario, panels=tuple(out),

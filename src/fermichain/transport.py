@@ -30,27 +30,32 @@ limit and c9's t = 1e4 call at lam = 0.05).  The panel counts stay those of
 the oscillating form.
 
 Every band integral goes through one path, ``_scan``, which evaluates a
-list of (t, reservoir) points in one quadrature and returns one array per
-kernel group, shaped (points, kernels); one ``relaxation_envelope`` call
-forms every point's envelope, and from its phase the point's first level.
-``counters`` and ``onsager`` are one-point scans at one time per call (a
-time array is rejected by name) that return plain floats; the scenario
-builders make one scan per panel, over its t or mu grid, and read its
-columns, an ``OnsagerBlock`` holding one entry per point.  The kernels of a
-quantity are the rows of one array, one group: [n, eps n] for ``counters``,
-of which ``nbar``, ``ebar`` and ``qbar`` are views, and the four derivative
-kernels for ``onsager``.  Every
-(point, group) pair runs its own doubling schedule from its point's first
-level and is frozen at the level where it converged, so each equals its
-one-point, one-group call bit for bit.  The quadrature evaluates the least
-pending panel count next, once for all the pairs at it: eps and sin(k)^2
-are formed once per block of nodes, the occupation and the kernel rows once
-per reservoir, D(k, t) once per point.  The integrand forms each array with
-the IEEE operations of the plain expressions in their order, so every bit
-is theirs; a pair's product with D(k, t) is formed only when the quadrature
-reads it, which it does not once the pair is frozen.  Quadrature is a
-composite Gauss-Legendre panel rule with deterministic fixed-order
-reduction; the panel count is doubled until two successive levels agree to
+list of (t, reservoir, dephasing) points in one quadrature and returns one
+array per kernel group, shaped (points, kernels); one ``relaxation_envelope``
+call forms every point's envelope, and from its phase the point's first
+level.  ``counters`` and ``onsager`` are one-point scans at one time per
+call (a time array is rejected by name) that return plain floats; a
+scenario builder makes one scan over the points of all its panels, each
+panel's t or mu grid, and reads each panel's columns back, an
+``OnsagerBlock`` holding one entry per point.  The kernels of a quantity
+are the rows of one array, one group: [n, eps n] for ``counters``, of which
+``nbar``, ``ebar`` and ``qbar`` are views, and the four derivative kernels
+for ``onsager``.  Every (point, group) pair runs its own doubling schedule
+from its point's first level and is frozen at the level where it converged,
+so each equals its one-point, one-group call bit for bit.  The quadrature
+evaluates the least pending panel count next, once for all the pairs at it:
+eps and sin(k)^2 are formed once per block of nodes, the occupation and the
+kernel rows once per run of points at one reservoir, D(k, t) once per point,
+or once per block for a (damping, phase) that several points share, and
+cos(g sin(k)^2 2t) once per block for a phase that points of several
+dampings share (panels at one time and different lam).  A phase no other
+point shares is let go with its point, so a scan of distinct times keeps no
+array past its point.  The integrand forms each array with the IEEE
+operations of the plain expressions in their order, so every bit is theirs;
+a pair's product with D(k, t) is formed only when the quadrature reads it,
+which it does not once the pair is frozen.  Quadrature is a composite
+Gauss-Legendre panel rule with deterministic fixed-order reduction; the
+panel count is doubled until two successive levels agree to
 the one tolerance ``tol``, and never starts below max(32, ~4 g t) panels so
 the oscillation is resolved.  No level above the ``_MAX_PANELS`` budget is
 built, which gives |g| t a reach; past it a band call raises
@@ -65,6 +70,7 @@ bit-identical results.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,13 +220,18 @@ def _occupation(stats: str, eps, res: ReservoirParams):
     return occupation_boltzmann(eps, res)
 
 
-def _relaxation_factor(sin2, damping: float, phase: float, g: float):
-    """D(k, t) = damping * cos(g sin(k)^2 * phase) - 1 from sin2 = sin(k)^2, in
-    one new array, where ``phase`` is the unit-coupling phase 2 t (0 wherever
-    damping is)."""
-    relax = np.multiply(sin2, g)
-    np.multiply(relax, phase, out=relax)
-    np.multiply(np.cos(relax, out=relax), damping, out=relax)
+def _band_cosine(sin2, g: float, phase: float):
+    """cos(g sin(k)^2 * phase) from sin2 = sin(k)^2, in one new array, where
+    ``phase`` is the unit-coupling phase 2 t."""
+    cos = np.multiply(sin2, g)
+    np.multiply(cos, phase, out=cos)
+    return np.cos(cos, out=cos)
+
+
+def _relaxation_factor(cos, damping: float, out=None):
+    """D(k, t) = damping * cos - 1 from ``_band_cosine``'s array, in ``out``
+    (the cosine's own array, when no other point reads it) or a new one."""
+    relax = np.multiply(cos, damping, out=out)
     return np.subtract(relax, 1.0, out=relax)
 
 
@@ -228,16 +239,21 @@ class _Scan:
     """The kernel groups of every scan point at one block of nodes k, read by
     index point * len(kernel_groups) + group.  eps is formed once per block
     and sin(k)^2 at most once; the occupation and a group's kernel rows once
-    per reservoir, held only while that reservoir's points are read; D(k, t)
-    once per point.  A (point, group) pair is formed, as the rows times D(k, t)
-    or negated where D is flat, only when it is read, so one that
-    ``integrate_interval`` has frozen or not yet reached costs nothing."""
+    per run of consecutive points at one reservoir, held only while that run
+    is read; D(k, t) once per point, or once per block for a (damping, phase)
+    that several points share, and its cosine once per block for a phase that
+    points of several dampings share.  A (point, group) pair is formed, as the
+    rows times D(k, t) or negated where D is flat, only when it is read, so
+    one that ``integrate_interval`` has frozen or not yet reached costs
+    nothing."""
 
-    def __init__(self, k, kernel_groups, points, g: float, stats: str):
+    def __init__(self, k, kernel_groups, points, shared, g: float, stats: str):
         eps = np.cos(k)
         self.eps = np.multiply(eps, -2.0, out=eps)
         self.k, self.kernel_groups, self.points, self.g, self.stats = (
             k, kernel_groups, points, g, stats)
+        self.shared_phases, self.shared_pairs = shared
+        self.cosines, self.factors = {}, {}  # this block's shared arrays
         self.sin2 = self.res = self.point = None
 
     def __len__(self):
@@ -246,7 +262,7 @@ class _Scan:
     def __getitem__(self, i):
         point, j = divmod(i, len(self.kernel_groups))
         res, damping, phase = self.points[point]
-        if res is not self.res:  # the last reservoir's arrays are let go
+        if res is not self.res:  # the last run's arrays are let go
             self.res, self.rows = res, [None] * len(self.kernel_groups)
             self.occ = _occupation(self.stats, self.eps, res)
         if self.rows[j] is None:
@@ -254,11 +270,26 @@ class _Scan:
         if damping <= _FLAT_DAMPING:
             return np.negative(self.rows[j])
         if point != self.point:
+            self.point = point
+            self.relax = self._factor(damping, phase)
+        return np.multiply(self.rows[j], self.relax)
+
+    def _factor(self, damping: float, phase: float):
+        relax = self.factors.get((damping, phase))
+        if relax is not None:
+            return relax
+        cos = self.cosines.get(phase)
+        if cos is None:
             if self.sin2 is None:
                 self.sin2 = np.square(np.sin(self.k))
-            self.point = point
-            self.relax = _relaxation_factor(self.sin2, damping, phase, self.g)
-        return np.multiply(self.rows[j], self.relax)
+            cos = _band_cosine(self.sin2, self.g, phase)
+            if phase in self.shared_phases:
+                self.cosines[phase] = cos
+        # a cosine no other point reads becomes D(k, t) in place
+        relax = _relaxation_factor(cos, damping, None if phase in self.cosines else cos)
+        if (damping, phase) in self.shared_pairs:
+            self.factors[damping, phase] = relax
+        return relax
 
 
 def _osc_panels(g: float, phase):
@@ -272,34 +303,44 @@ def _osc_panels(g: float, phase):
     return np.maximum(_BASE_PANELS, np.ceil(2.0 * abs(g) * phase)).astype(int)
 
 
-def _scan(kernel_groups, points, dephasing: float, g: float, tol: float, stats: str):
+def _scan(kernel_groups, points, g: float, tol: float, stats: str):
     """(1/pi) int_0^pi kernel(eps_k) D(k, t) dk for every kernel of every group
-    at every (t, res) point of ``points``, from one quadrature.
+    at every (t, res, dephasing) point of ``points``, from one quadrature.
 
     Each of ``kernel_groups`` maps ``(eps, occ, res, stats)`` to a new array of
-    its kernels shaped (n_kernels, n_k), which is shared by the points of one
-    reservoir.  Every point is checked, its reach included, before any
-    evaluation, and Boltzmann statistics warn once per non-dilute reservoir.
-    A rejected time is named as the caller gave it, not as an array.
-    Each (point, group) pair converges on its own from its point's first
-    level (see ``integrate_interval``), so it equals a one-point scan bit
-    for bit.  Returns one array per group, shaped (points, n_kernels).
+    its kernels shaped (n_kernels, n_k), which is shared by a run of
+    consecutive points at equal reservoirs (equal by value).  Every point is
+    checked, its reach included, before any evaluation, and Boltzmann
+    statistics warn once per non-dilute reservoir.  A rejected time or
+    dephasing rate is named as the caller gave it, not as an array.  Each
+    (point, group) pair converges on its own from its point's first level
+    (see ``integrate_interval``), so it equals a one-point scan bit for bit.
+    Returns one array per group, shaped (points, n_kernels).
     """
-    _require_scalars(*[("time", t) for t, _ in points], ("dephasing rate", dephasing))
+    _require_scalars(*[named for t, _, lam in points
+                       for named in (("time", t), ("dephasing rate", lam))])
     _require("stats", stats, _STATS[1](stats), _STATS[0])
     _check_reach("finite", "coupling g", g)
+    distinct = {}  # equal reservoirs become one object: a run of them shares its arrays
+    reservoirs = [distinct.setdefault(res, res) for _, res, _ in points]
     if stats == STATS_BOLTZMANN:
-        for res in dict.fromkeys(res for _, res in points):
+        for res in distinct:
             _warn_unless_dilute(res)
-    try:  # the times as given: a numeric string is not cast to a time
-        damping, phase = relaxation_envelope(np.array([t for t, _ in points]), dephasing, 1.0)
+    try:  # the values as given: a numeric string is not cast to a time
+        damping, phase = relaxation_envelope(np.array([t for t, _, _ in points]),
+                                             np.array([lam for _, _, lam in points]), 1.0)
     except ValueError:
-        for t, _ in points:  # name the caller's scalar, not the array
-            _check_envelope_args(t, dephasing, 1.0)
+        for t, _, lam in points:  # name the caller's scalar, not the array
+            _check_envelope_args(t, lam, 1.0)
         raise
     firsts = np.repeat(_osc_panels(g, phase), len(kernel_groups)).tolist()
-    envelopes = list(zip([res for _, res in points], damping.tolist(), phase.tolist()))
-    vals, _ = integrate_interval(lambda k: _Scan(k, kernel_groups, envelopes, g, stats),
+    envelopes = list(zip(reservoirs, damping.tolist(), phase.tolist()))
+    # the (damping, phase) pairs of several live points, and the phases of
+    # several dampings: only these outlast the point that forms them
+    pairs = Counter((d, p) for _, d, p in envelopes if d > _FLAT_DAMPING)
+    shared = ({p for p, n in Counter(p for _, p in pairs).items() if n > 1},
+              {pair for pair, n in pairs.items() if n > 1})
+    vals, _ = integrate_interval(lambda k: _Scan(k, kernel_groups, envelopes, shared, g, stats),
                                  0.0, math.pi, tol, firsts)
     n = len(kernel_groups)
     return tuple(np.array(vals[j::n]) / math.pi for j in range(n))
@@ -319,7 +360,7 @@ def counters(t: float, res: ReservoirParams, dephasing: float, g: float,
     t is one time; t = inf with dephasing > 0 gives the damped limits, e.g.
     nbar = -(1/pi) int nbar(eps_k) dk.
     """
-    (n_e,) = _scan((_counter_kernels,), ((t, res),), dephasing, g, tol, stats)
+    (n_e,) = _scan((_counter_kernels,), ((t, res, dephasing),), g, tol, stats)
     return tuple(n_e[0].tolist())
 
 
@@ -406,7 +447,7 @@ def onsager(t: float, res: ReservoirParams, dephasing: float, g: float,
     All four integrands share nodes and are converged together, so the block
     is internally consistent at the quadrature tolerance.
     """
-    (coeffs,) = _scan((_onsager_kernels,), ((t, res),), dephasing, g, tol, stats)
+    (coeffs,) = _scan((_onsager_kernels,), ((t, res, dephasing),), g, tol, stats)
     return OnsagerBlock.from_derivatives(coeffs[0].tolist(), res.temperature)
 
 

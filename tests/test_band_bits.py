@@ -7,12 +7,14 @@ numpy expressions: ``np.stack`` kernels, D(k, t) = damping cos(g sin(k)^2
 Fermi-Dirac form.  It runs through the same ``integrate_interval``, so any
 difference is a difference of the integrand, and the two must agree to the
 last bit.  A group the quadrature has frozen is not read again, and its
-kernels are not formed.  Every point of a scan over t or mu equals its solo
-calls bit for bit, while the points of one reservoir at one panel count
-share its occupation and kernel rows.
+kernels are not formed.  Every point of a scan over t or mu, or over the
+times of several panels, equals its solo calls bit for bit, while the
+points of one reservoir at one panel count share its occupation and kernel
+rows, and the points at one time share its cosine.
 """
 
 import math
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -75,7 +77,7 @@ def _both():
 
 def _both_hexes(t, res, lam, g, stats="fd"):
     """The counters and the block of a one-point scan of both groups, as hex."""
-    (n_e,), (coeffs,) = transport._scan(_both(), ((t, res),), lam, g, transport.DEFAULT_TOL,
+    (n_e,), (coeffs,) = transport._scan(_both(), ((t, res, lam),), g, transport.DEFAULT_TOL,
                                         stats)
     return [_hexes(n_e), _block_hexes(OnsagerBlock.from_derivatives(coeffs, res.temperature))]
 
@@ -182,7 +184,7 @@ def test_a_frozen_group_is_neither_read_nor_formed(monkeypatch):
     reads, formed = _watch(monkeypatch)
     res = ReservoirParams(0.02, 1.0)
     times = (2.5, 2.0, 30.0)
-    scan = transport._scan(_both(), [(t, res) for t in times], 0.05, 1.0,
+    scan = transport._scan(_both(), [(t, res, 0.05) for t in times], 1.0,
                            transport.DEFAULT_TOL, "fd")
     # the least pending panel count first: 32, 64, 120, 128, 240
     assert reads == [[0, 1, 2, 3], [0, 1, 2, 3], [4, 5], [1, 3], [4, 5]]
@@ -206,7 +208,7 @@ def test_a_point_reads_the_levels_of_its_solo_call(monkeypatch):
     res = ReservoirParams(0.01, 1.0)
     times = (0.0, 0.7, 1.5, 1.5, 6.0, 25.0, math.inf)
     reads, _ = _watch(monkeypatch)
-    transport._scan(_both(), [(t, res) for t in times], 0.05, 0.8, transport.DEFAULT_TOL,
+    transport._scan(_both(), [(t, res, 0.05) for t in times], 0.8, transport.DEFAULT_TOL,
                     "fd")
     scanned = [sum(row.count(i) for row in reads) for i in range(2 * len(times))]
     solo = []
@@ -226,23 +228,73 @@ def test_a_scan_forms_every_envelope_in_one_call(monkeypatch):
     monkeypatch.setattr(transport, "relaxation_envelope",
                         lambda *args: calls.append(args) or inner(*args))
     times = (0.0, 0.7, 2.0, 25.0, math.inf)
-    transport._scan(_both(), [(t, ReservoirParams(0.1, 0.3)) for t in times], 0.05, 0.8,
+    transport._scan(_both(), [(t, ReservoirParams(0.1, 0.3), 0.05) for t in times], 0.8,
                     transport.DEFAULT_TOL, "fd")
     assert len(calls) == 1 and calls[0][0].tolist() == list(times)
 
 
-def _scan_hexes(groups, points, lam, g, stats):
+@pytest.mark.parametrize("panels", [
+    # onsevo2's kind: one reservoir, lam = 0.05 and 0 (one phase, two dampings)
+    [(ReservoirParams(0.1, 0.0), 0.05), (ReservoirParams(0.1, 0.0), 0.0)],
+    # onsevo1's kind: mu = 0, 1 and 1.9 at one lam (one damping and phase)
+    [(ReservoirParams(0.02, mu), 0.05) for mu in (0.0, 1.0, 1.9)],
+], ids=["lam", "mu"])
+def test_a_time_shared_by_panels_forms_its_cosine_once_per_block(monkeypatch, panels):
+    # points are panel-major, as a scenario scans them; t = 2 twice per panel
+    times = (0.0, 0.7, 2.0, 2.0, 25.0)
+    points = [(t, res, lam) for res, lam in panels for t in times]
+    reads, formed = _watch(monkeypatch)
+    cosines = []
+    inner = transport._band_cosine
+
+    def cosine(sin2, g, phase):
+        cosines.append((len(reads), phase))
+        return inner(sin2, g, phase)
+
+    monkeypatch.setattr(transport, "_band_cosine", cosine)
+    scan = transport._scan(_both(), points, 1.0, transport.DEFAULT_TOL, "fd")
+    # each block forms the cosine of every phase its points read, once
+    assert len(cosines) == len(set(cosines))
+    assert sorted(cosines) == sorted({(block, 2.0 * points[i // 2][0])
+                                      for block, row in enumerate(reads, 1) for i in row})
+    # two equal reservoirs are one: its occupation is formed once per block
+    if len(set(res for res, _ in panels)) == 1:
+        assert formed["occupation"] == list(range(1, len(reads) + 1))
+    monkeypatch.undo()
+    for (t, res, lam), n_e, coeffs in zip(points, *scan):
+        assert [_hexes(n_e), _block_hexes(OnsagerBlock.from_derivatives(
+            coeffs, res.temperature))] == _both_hexes(t, res, lam, 1.0)
+
+
+def test_a_phase_no_other_point_shares_is_formed_in_place(monkeypatch):
+    # one panel of distinct times keeps no array past its point
+    in_place = []
+    inner = transport._relaxation_factor
+    monkeypatch.setattr(transport, "_relaxation_factor",
+                        lambda cos, damping, out: in_place.append(out is cos)
+                        or inner(cos, damping, out))
+    transport._scan(_both(), [(t, ReservoirParams(0.1, 0.3), 0.05) for t in (0.0, 0.7, 2.0)],
+                    1.0, transport.DEFAULT_TOL, "fd")
+    assert in_place and all(in_place)
+
+
+def _scan_hexes(groups, points, g, stats):
     """Per point, one list of hexes per group: its counters, or its entry of
-    the scan's batched block (every point is at one temperature)."""
+    a batched block, one block per run of points at one temperature."""
     names, kernels = zip(*groups)
-    temp = points[0][1].temperature
 
     def scan():
         per_group = []
-        for name, values in zip(names, transport._scan(kernels, points, lam, g,
+        for name, values in zip(names, transport._scan(kernels, points, g,
                                                        transport.DEFAULT_TOL, stats)):
-            if name == "onsager":  # read back through the batched block
-                values = zip(*OnsagerBlock.from_derivatives(values.T, temp).columns)
+            if name == "onsager":  # read back through the batched blocks
+                entries, start = [], 0
+                for temp, run in groupby(res.temperature for _, res, _ in points):
+                    end = start + len(list(run))
+                    entries += zip(*OnsagerBlock.from_derivatives(values[start:end].T,
+                                                                  temp).columns)
+                    start = end
+                values = entries
             per_group.append([_hexes(entry) for entry in values])
         return [list(point) for point in zip(*per_group)]
 
@@ -259,31 +311,57 @@ def _solo_hexes(t, res, lam, g, stats):
 _GROUPS = (("counters", transport._counter_kernels), ("onsager", transport._onsager_kernels))
 
 
-@settings(max_examples=40, deadline=None)
+def _dilute(temp, mu, stats):
+    # a Boltzmann mu below the one-digit bound by at least 0.01
+    if stats == "boltzmann":
+        return boltzmann_validity(1, ReservoirParams(temp)).mu_bound - 0.01 - abs(mu)
+    return mu
+
+
+@settings(max_examples=60, deadline=None)
 @given(log_temp=st.floats(-3.0, 0.0), mus=st.lists(st.floats(-2.5, 2.5), min_size=1, max_size=3),
        lam=st.one_of(st.just(0.0), st.floats(0.1, 1.0)), g=st.floats(0.2, 1.5),
        times=st.lists(st.tuples(st.sampled_from(_KINDS), st.floats(0.0, 1.0)), min_size=1,
                       max_size=4),
-       along=st.sampled_from(["t", "mu"]), stats=st.sampled_from(["fd", "boltzmann"]))
+       along=st.sampled_from(["t", "mu", "panels"]),
+       key=st.sampled_from(["temperature", "mu", "dephasing"]),
+       others=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2),
+       stats=st.sampled_from(["fd", "boltzmann"]))
 def test_every_scan_point_equals_its_solo_calls_bit_for_bit(log_temp, mus, lam, g, times,
-                                                           along, stats):
-    # a t-scan at the first mu, or a mu-scan at the first time; points that
-    # share a first level (t = 0, small t, or one time across mu) and points
-    # that do not, flat and oscillating D(k, t) and t = inf
+                                                           along, key, others, stats):
+    # a t-scan at the first mu, a mu-scan at the first time, or the t-scans
+    # of 2-3 panels that differ in T, mu or lam over one list of times, as a
+    # scenario's panels are scanned; points that share a first level (t = 0,
+    # small t, or one time across mu or panels) and points that do not,
+    # flat and oscillating D(k, t) and t = inf
     assume(lam > 0.0 or all(kind not in ("flat", "inf") for kind, _ in times))
     temp = 10.0 ** log_temp
-    if stats == "boltzmann":  # dilute: below the one-digit bound by at least 0.01
-        bound = boltzmann_validity(1, ReservoirParams(temp)).mu_bound - 0.01
-        mus = [bound - abs(mu) for mu in mus]
     ts = [_time(kind, u, lam) for kind, u in times]
     if along == "t":
-        points = [(t, ReservoirParams(temp, mus[0])) for t in ts]
+        points = [(t, ReservoirParams(temp, _dilute(temp, mus[0], stats)), lam) for t in ts]
+    elif along == "mu":
+        points = [(ts[0], ReservoirParams(temp, _dilute(temp, mu, stats)), lam) for mu in mus]
     else:
-        points = [(ts[0], ReservoirParams(temp, mu)) for mu in mus]
-    solo = [_solo_hexes(t, res, lam, g, stats) for t, res in points]
+        # a repeated time, an oscillating one, and a flat one wherever the
+        # first panel is damped
+        ts += [ts[0], _time("mid", others[0], lam)] + (
+            [_time("flat", others[0], lam)] if lam > 0.0 else [])
+        temps, panel_mus, lams = [temp], [mus[0]], [lam]
+        for u in others:
+            {"temperature": temps, "mu": panel_mus, "dephasing": lams}[key].append(
+                {"temperature": 10.0 ** (-3.0 + 3.0 * u), "mu": -2.5 + 5.0 * u,
+                 "dephasing": 0.0 if u < 0.3 else 0.1 + 0.9 * u}[key])
+        assume(min(lams) > 0.0 or math.inf not in ts)
+        n = len(others) + 1
+        panels = [(ReservoirParams(temps[i % len(temps)],
+                                   _dilute(temps[i % len(temps)],
+                                           panel_mus[i % len(panel_mus)], stats)),
+                   lams[i % len(lams)]) for i in range(n)]
+        points = [(t, res, panel_lam) for res, panel_lam in panels for t in ts]
+    solo = [_solo_hexes(t, res, point_lam, g, stats) for t, res, point_lam in points]
     for which, groups in enumerate(([_GROUPS[0]], [_GROUPS[1]], _GROUPS)):
         want = [calls[which] for calls in solo]
-        got = _scan_hexes(groups, points, lam, g, stats)
+        got = _scan_hexes(groups, points, g, stats)
         if "QuadratureError" in want:  # a scan fails when one of its points does
             assert got == "QuadratureError"
         else:

@@ -105,22 +105,16 @@ def test_infinite_time_with_noise_is_the_damped_limit(name):
     assert values and all(math.isfinite(v) for v in values)
 
 
-# the two entropy rates form 2 lam, which overflows past lam = 9e307 with
-# one scalar t too: their own fault, not the envelope's
-_RATE_OVERFLOW = pytest.mark.xfail(strict=True, raises=RuntimeWarning,
-                                   reason="2 lam overflows in the rate's bracket")
-
-
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=_RATE_OVERFLOW) if name.endswith("_rate") else name
-    for name in sorted(set(CALLS) - {"fluctuation.multi_mode_ft"})])
+@pytest.mark.parametrize("name", sorted(set(CALLS) - {"fluctuation.multi_mode_ft"}))
 def test_overflowing_lam_t_over_a_time_array_is_the_damped_limit(name):
     # lam t overflows to inf: a time array used to warn "overflow encountered
     # in multiply" where one scalar time gave the damped limit
-    # (multi_mode_ft takes one scalar t)
+    # (multi_mode_ft takes one scalar t); the entropy rates' brackets, inf
+    # or NaN past lam = 9e307, made NaN of the limit for one time too
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = _numbers(CALLS[name](1e308, np.array([1.0, 2.0])))
+        values += _numbers(CALLS[name](1e308, 1.0))
     assert values and all(math.isfinite(v) for v in values)
 
 

@@ -334,6 +334,10 @@ PROBES = {
         ("j_n_mu", lambda: fc.OnsagerBlock("1", 1.0, 1.0, 1.0, 0.1)),
     "counters(t='2')": ("t", lambda: fc.counters("2", RES, 0.1, 1.0)),
     "occ_a(t='1.5')": ("t", lambda: fc.occ_a(MODE, 0.7, 0.2, "1.5")),
+    "occupation_fd(energy='0.5')": ("energy", lambda: fc.occupation_fd("0.5", RES)),
+    "log_occupation_fd(energy='0.5')": ("energy", lambda: fc.log_occupation_fd("0.5", RES)),
+    # numpy's raw "ufunc 'isnan' not supported" TypeError
+    "ModeSpec(energy='0')": ("energy", lambda: fc.ModeSpec("0", 1.0, 0.1)),
     # a raw TypeError from float()
     "counters(t=None)": ("t", lambda: fc.counters(None, RES, 0.1, 1.0)),
     "counters(dephasing=None)": ("dephasing", lambda: fc.counters(1.0, RES, None, 1.0)),

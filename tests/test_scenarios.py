@@ -166,6 +166,11 @@ def test_a_boltzmann_scan_warns_once_per_reservoir():
                                  "dephasing": 0.05})
     assert len(messages) == 1
     assert "mu = 0 is not below" in messages[0]
+    # its two default panels (lam = 0.05 and 0) share that reservoir and one
+    # scan: one warning, not one per panel
+    messages = _regime_warnings({"scenario": "onsevo2", "stats": "boltzmann",
+                                 "t_grid": [0.0, 1.0, 2.0]})
+    assert len(messages) == 1
     # a mu-scan still names each reservoir outside the dilute regime
     messages = _regime_warnings({"scenario": "ons1", "stats": "boltzmann",
                                  "temperature": 0.1, "mu_grid": [-3.5, -0.5, 0.5]})
@@ -256,7 +261,7 @@ def test_split_is_checked_on_every_panel():
 
 
 def test_directly_built_config_split_is_rejected_before_any_panel(monkeypatch):
-    # every band panel is one transport._scan; it records, then runs
+    # every band scenario is one transport._scan; it records, then runs
     built = []
     inner = transport._scan
     monkeypatch.setattr(transport, "_scan", lambda *args: built.append(args) or inner(*args))
@@ -356,18 +361,34 @@ def test_custom_block_is_bit_equal_to_onsager():
 @pytest.mark.parametrize("data", [
     {"scenario": "custom", "t_grid": [0.0, 1.0, 2.5, 4.0, 6.0]},
     {"scenario": "onsteste2", "t_grid": [0.0, 1.0, 2.5, 4.0]},
+    {"scenario": "onsevo1", "t_grid": [0.0, 1.0, 2.5, 4.0]},
     {"scenario": "onsevo2", "t_grid": [0.0, 1.0, 2.5, 4.0, 30.0]},
     {"scenario": "ons1", "mu_grid": [-1.5, 0.0, 0.4, 1.9]},
     {"scenario": "onsteste1", "mu_grid": [-1.0, 0.0, 1.0]},
 ], ids=lambda data: data["scenario"])
-def test_a_band_scenario_runs_one_quadrature_per_panel(monkeypatch, data):
+def test_a_band_scenario_runs_one_quadrature(monkeypatch, data):
     cfg = parse_config(dict(data, tol=1e-8))
     calls = _count_quadratures(monkeypatch)
+    scans = []
+    inner = transport._scan
+    monkeypatch.setattr(transport, "_scan", lambda *args: scans.append(args) or inner(*args))
     result = run_scenario(cfg)
-    # every point of a panel, and the counters and the Onsager block of a
-    # custom point, share the nodes of one quadrature
-    assert len(result.panels) == (1 if SCENARIOS[cfg.scenario][1] is None else 2)
-    assert len(calls) == len(result.panels)
+    # every point of every panel, and the counters and the Onsager block of
+    # a custom point, share the nodes of one quadrature
+    assert [p.name for p in result.panels] == _PARENT_PANEL_NAMES[cfg.scenario]
+    assert len(scans) == len(calls) == 1
+
+
+@pytest.mark.parametrize("sid", [sid for sid in sorted(SCENARIOS) if SCENARIOS[sid][1]])
+def test_panels_scanned_together_write_the_bytes_of_each_panel_alone(tmp_path, sid):
+    # at the default grids: each panel run on its own, with the panel key set
+    joint = write_result(run_scenario(parse_config({"scenario": sid})), str(tmp_path / "all"), 12)
+    key, values = SCENARIOS[sid][1]
+    alone = [path for v in values for path in write_result(
+        run_scenario(parse_config({"scenario": sid, key: v})), str(tmp_path / "one"), 12)]
+    assert [pathlib.Path(p).name for p in joint] == [pathlib.Path(p).name for p in alone]
+    for a, b in zip(joint, alone):
+        assert pathlib.Path(a).read_bytes() == pathlib.Path(b).read_bytes(), a
 
 
 def test_entroevo_closed_system_conserves_total_correlation():

@@ -38,7 +38,7 @@ def counters_and_onsager(t, res, dephasing, g, tol=DEFAULT_TOL, stats="fd"):
     forms them."""
     (n_e,), (coeffs,) = transport._scan((transport._counter_kernels,
                                          transport._onsager_kernels),
-                                        ((t, res),), dephasing, g, tol, stats)
+                                        ((t, res, dephasing),), g, tol, stats)
     n, e = n_e.tolist()
     return n, e, OnsagerBlock.from_derivatives(coeffs.tolist(), res.temperature)
 
@@ -493,8 +493,8 @@ def test_fluxes_reject_underflowing_temperature():
 def _scanned_block(temp=0.1, mus=(-0.5, 0.0, 1.0, 1.9)):
     # the ons1 way: one mu-scan at t = inf, read as one batched block
     (coeffs,) = transport._scan((transport._onsager_kernels,),
-                                [(math.inf, ReservoirParams(temp, mu)) for mu in mus],
-                                0.05, 1.0, DEFAULT_TOL, "fd")
+                                [(math.inf, ReservoirParams(temp, mu), 0.05) for mu in mus],
+                                1.0, DEFAULT_TOL, "fd")
     return OnsagerBlock.from_derivatives(coeffs.T, temp)
 
 
@@ -553,9 +553,9 @@ def test_transport_rejects_bad_time_or_dephasing(name, t, lam, match):
 def test_a_scan_names_a_rejected_time_as_the_caller_gave_it(t, shown):
     # one envelope call forms every point's: the error still shows the
     # caller's scalar, not the scan's array of times
-    points = [(1.0, RES), (t, RES), (math.nan, RES)]
+    points = [(1.0, RES, 0.1), (t, RES, 0.1), (math.nan, RES, 0.1)]
     with pytest.raises(ValueError, match=r"^time must .*, got %s$" % re.escape(shown)):
-        transport._scan((transport._counter_kernels,), points, 0.1, 1.0, DEFAULT_TOL, "fd")
+        transport._scan((transport._counter_kernels,), points, 1.0, DEFAULT_TOL, "fd")
     with pytest.raises(ValueError, match=r"^time must .*, got %s$" % re.escape(shown)):
         onsager(t, RES, 0.1, 1.0)
 
