@@ -143,25 +143,24 @@ def entropy_production_integral(prep: EquilibriumModePrep) -> float:
 
 
 def _rate(prep: EquilibriumModePrep, t, lam_term):
-    """delta_n^2 env^2 (lam_term(2 lam, phase) + 2 g sin(2 phase)) / (4 n (1 - n))."""
+    """delta_n^2 env^2 (lam_term(lam, phase) + g sin(2 phase)) / (2 n (1 - n)):
+    the bracket and denominator halved, exactly, so that no lam overflows it
+    and a damped-out entry (env = 0, phase = 0) reads the limit 0."""
     env, phase = relaxation_envelope(t, prep.dephasing, prep.coupling)
     n = prep.n_eq
-    # a damped-out entry (env = 0, phase = 0) takes lam = 0, so it reads the
-    # damped limit 0: past lam = 9e307 its bracket would be inf or NaN
-    two_lam = np.where(env > 0.0, 2.0 * prep.dephasing, 0.0)
     return _plain(prep.delta_n ** 2 * env ** 2
-                  * (lam_term(two_lam, phase) + 2.0 * prep.coupling * np.sin(2.0 * phase))
-                  / (4.0 * n * (1.0 - n)))
+                  * (lam_term(prep.dephasing, phase) + prep.coupling * np.sin(2.0 * phase))
+                  / (2.0 * n * (1.0 - n)))
 
 
 def entropy_sum_rate(prep: EquilibriumModePrep, t):
     """d(S_A + S_B)/dt through O(dn^2)."""
-    return _rate(prep, t, lambda two_lam, phase: two_lam * np.cos(phase) ** 2)
+    return _rate(prep, t, lambda lam, phase: lam * np.cos(phase) ** 2)
 
 
 def mutual_information_rate(prep: EquilibriumModePrep, t):
     """dI/dt through O(dn^2)."""
-    return _rate(prep, t, lambda two_lam, phase: -two_lam * np.sin(phase) ** 2)
+    return _rate(prep, t, lambda lam, phase: -lam * np.sin(phase) ** 2)
 
 
 # ---------------------------------------------------------------------------

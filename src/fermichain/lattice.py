@@ -204,6 +204,15 @@ class _Fieldwise:
                             % type(self).__name__)
         return hash(tuple(vars(self).values()))
 
+    def _require_broadcast(self):
+        """Raise ValueError listing the fields' shapes unless they broadcast."""
+        if not all(isinstance(v, (float, int)) for v in vars(self).values()):
+            shapes = {name: np.shape(v) for name, v in vars(self).items()}
+            try:
+                np.broadcast_shapes(*shapes.values())
+            except ValueError:
+                _require("%s fields" % type(self).__name__, shapes, False, "broadcast together")
+
 
 @dataclass(frozen=True)
 class ReservoirParams:
@@ -243,9 +252,9 @@ class ModeSpec(_Fieldwise):
     coupling : float, g_k = g sin(k)^2
     dephasing : float, lambda >= 0
 
-    Any field may also be a broadcasting array: a batch of modes for the
-    closed forms in ``dynamics`` and ``fluctuation``.  Modes compare field by
-    field, batches included; a batch is not hashable.
+    Any field may also be an array, if the three broadcast together: a batch
+    of modes for the closed forms in ``dynamics`` and ``fluctuation``.  Modes
+    compare field by field, batches included; a batch is not hashable.
     """
 
     energy: float
@@ -257,7 +266,9 @@ class ModeSpec(_Fieldwise):
         _require("mode energy", self.energy, energy.dtype.kind in _REAL_KINDS,
                  "be a real number in the float range")
         _require("mode energy", self.energy, not np.isnan(energy).any(), "not be NaN")
-        _check_envelope_args(0.0, self.dephasing, self.coupling)
+        _check_reach("dephasing rate", "dephasing rate", self.dephasing)
+        _check_reach("finite", "coupling g", self.coupling)
+        self._require_broadcast()
 
     @classmethod
     def from_momentum(cls, k: float, g: float = 1.0, dephasing: float = 0.0) -> "ModeSpec":

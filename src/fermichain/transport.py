@@ -394,8 +394,9 @@ class OnsagerBlock(_Fieldwise):
     falls out of the (eps - mu) weighting rather than being imposed.  The
     block carries the reservoir temperature T it was evaluated at, which
     ``fluxes`` needs to form the thermodynamic forces.  The coefficients may
-    be arrays, one entry per point of a scan at one temperature: a batched
-    block, which is not hashable (blocks compare field by field).
+    be arrays that broadcast together, one entry per point of a scan at one
+    temperature: a batched block, which is not hashable (blocks compare field
+    by field).
     """
 
     j_n_mu: float
@@ -409,6 +410,7 @@ class OnsagerBlock(_Fieldwise):
             _check_reach("finite", name, getattr(self, name))
         _require_scalars(("temperature", self.temperature))  # a batch is at one T
         _check_reach("temperature", "temperature", self.temperature)
+        self._require_broadcast()
 
     @property
     def columns(self) -> tuple:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fermichain import (
     EquilibriumModePrep,
@@ -23,7 +25,7 @@ from fermichain import (
     mutual_information_rate,
     occupation_fd,
 )
-from fermichain.lattice import ModeSpec
+from fermichain.lattice import ModeSpec, relaxation_envelope
 
 
 def von_neumann(rho: np.ndarray, atol: float = 1e-10) -> float:
@@ -178,6 +180,44 @@ def test_joint_entropy_rate_identity_exact_forms():
         lhs = entropy_production(p, t)
         rhs = entropy_sum_rate(p, t) - mutual_information_rate(p, t)
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def test_rates_at_the_largest_dephasing_rates_are_finite():
+    # the bracket used to be formed in 2 lam, inf past lam = 9e307: dI/dt
+    # read NaN with a RuntimeWarning and d(S_A + S_B)/dt read inf
+    p = EquilibriumModePrep(0.4, 0.1, 0.8, 1e308)
+    assert mutual_information_rate(p, 0.0) == 0.0
+    assert entropy_sum_rate(p, 0.0) == pytest.approx(0.1 ** 2 * 1e308 / (2.0 * 0.4 * 0.6),
+                                                     rel=1e-15)
+    assert entropy_sum_rate(p, np.array([0.0, 1.0]))[1] == 0.0  # damped out
+
+
+def _rate_before_halving(prep, t, lam_term):
+    """The rates as formed before their bracket was halved: the oracle."""
+    env, phase = relaxation_envelope(t, prep.dephasing, prep.coupling)
+    n = prep.n_eq
+    two_lam = np.where(env > 0.0, 2.0 * prep.dephasing, 0.0)
+    return (prep.delta_n ** 2 * env ** 2
+            * (lam_term(two_lam, phase) + 2.0 * prep.coupling * np.sin(2.0 * phase))
+            / (4.0 * n * (1.0 - n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_eq=st.floats(0.01, 0.99), split=st.floats(-0.9, 0.9),
+       coupling=st.floats(-100.0, 100.0),
+       dephasing=st.one_of(st.just(0.0), st.floats(1e-6, 10.0), st.floats(10.0, 1e300)),
+       times=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=4))
+def test_halved_rates_keep_the_bits_of_the_doubled_form(n_eq, split, coupling, dephasing,
+                                                        times):
+    p = EquilibriumModePrep(n_eq, split * 2.0 * min(n_eq, 1.0 - n_eq), coupling, dephasing)
+    t = np.array(times)
+    for rate, lam_term in ((entropy_sum_rate, lambda lam, ph: lam * np.cos(ph) ** 2),
+                           (mutual_information_rate, lambda lam, ph: -lam * np.sin(ph) ** 2)):
+        want = _rate_before_halving(p, t, lam_term)
+        # in the subnormal range a halving rounds; every normal value is exact
+        assume(np.all((want == 0.0) | (np.abs(want) > 1e-290)))
+        assert [x.hex() for x in rate(p, t).tolist()] == [x.hex() for x in want.tolist()]
+        assert rate(p, times[0]).hex() == want[0].hex()
 
 
 def test_joint_entropy_rate_matches_finite_difference():

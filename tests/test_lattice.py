@@ -77,6 +77,36 @@ def test_mode_spec_batches_compare_field_by_field_and_do_not_hash():
     assert {mode: 1}[ModeSpec(-0.5, 1.0, 0.1)] == 1
 
 
+# every broadcasting batch the suite builds: (n,) with scalars, (n,) with
+# (n,), (n, 1) with (n, 1), a list field, and (n, 1) against (m,)
+_BATCHES = [
+    (0.0, np.array([1.0, 2.0]), 0.1),
+    (np.array([0.0, 1.0]), 1.0, 0.1),
+    (0.0, [1.0, 2.0], 0.1),
+    (np.zeros(3), np.ones(3), np.array([0.1, 0.2, 0.3])),
+    (np.array([[-1.0], [0.5]]), np.array([[0.8], [1.3]]), 0.2),
+    (0.0, np.array([[1.0], [2.0]]), 0.1),
+    (np.array([[-1.0], [0.5]]), np.array([0.8, 1.3, 2.0]), np.array([0.0, 0.1, 0.2])),
+]
+
+
+@pytest.mark.parametrize("fields", _BATCHES)
+def test_mode_spec_batches_that_broadcast_still_construct(fields):
+    batch = ModeSpec(*fields)
+    assert batch == ModeSpec(*fields)
+
+
+def test_mode_spec_fields_that_do_not_broadcast_are_rejected_by_name():
+    # this built, then occ_a ignored the energies and ft_log_ratio the
+    # couplings, and density_matrix raised numpy's unnamed broadcast error
+    with pytest.raises(ValueError, match=re.escape(
+            "ModeSpec fields must broadcast together, got {'energy': (2,), "
+            "'coupling': (3,), 'dephasing': ()}")):
+        ModeSpec(energy=np.zeros(2), coupling=np.ones(3), dephasing=0.1)
+    with pytest.raises(ValueError, match=r"'dephasing': \(3,\)"):
+        ModeSpec(0.0, np.ones(2), np.full(3, 0.1))
+
+
 def test_occupation_fd_symmetry_point():
     res = ReservoirParams(temperature=0.7, mu=0.3)
     assert occupation_fd(0.3, res) == 0.5

@@ -420,6 +420,46 @@ def test_onsteste2_series_tracks_quadrature_within_reports():
         assert "ok" in report.line()
 
 
+def test_onsteste2_runs_the_statistics_its_config_names():
+    # its scan used to run Fermi-Dirac whatever the config said, so a
+    # Boltzmann config wrote the FD columns byte for byte, without a warning
+    data = {"scenario": "onsteste2", "t_grid": [0.0, 1.0, 2.5], "tol": 1e-8}
+    fd = run_scenario(parse_config(data))
+    with pytest.warns(RegimeWarning, match="outside the dilute regime"):
+        boltzmann = run_scenario(parse_config(dict(data, stats="boltzmann")))
+    for a, b in zip(fd.panels, boltzmann.panels):
+        col_a, col_b = dict(zip(a.headers, a.columns)), dict(zip(b.headers, b.columns))
+        for quad in ("N_quad[1]", "E_quad[alpha]"):
+            assert col_a[quad].tolist() != col_b[quad].tolist()
+        for series in ("N_series[1]", "E_series[alpha]"):  # the FD Sommerfeld form
+            assert col_a[series].tolist() == col_b[series].tolist()
+    # the gap between Boltzmann quadrature and FD series is reported
+    assert [r.within for r in boltzmann.reports] == [False] * 4
+
+
+_BAND = {"ons1", "onsevo1", "onsevo2", "onsteste1", "onsteste2", "custom"}
+
+
+class _Scanned(Exception):
+    pass
+
+
+@pytest.mark.parametrize("sid", sorted(SCENARIOS))
+def test_every_band_scan_runs_the_statistics_its_config_names(monkeypatch, sid):
+    stats = []
+
+    def scan(kernel_groups, points, g, tol, scan_stats):
+        stats.append(scan_stats)
+        raise _Scanned  # the arguments are all this test reads
+
+    monkeypatch.setattr(transport, "_scan", scan)
+    try:
+        run_scenario(parse_config(dict(_TINY, scenario=sid, stats="boltzmann")))
+    except _Scanned:
+        pass
+    assert stats == (["boltzmann"] if sid in _BAND else [])
+
+
 def test_onsteste1_reports_are_informational():
     cfg = parse_config({"scenario": "onsteste1", "temperature": 0.1,
                         "mu_grid": [-0.5, 0.0, 0.5], "tol": 1e-8})

@@ -2,14 +2,17 @@
 
 ``perfbench/tracer.py`` wraps fermichain's public functions by name and
 reads ``terms_used`` and ``converged`` off the series results; its
-quadrature hook rebinds ``integrate_interval``'s argument ``f`` by name.  A
-rename or a signature change in ``src/`` would break it, yet its own tests
-live under ``perfbench/tests``, which the package suite does not run.  This
-module loads the tracer from its file, read only, installs it and runs the
-closed forms and the band quadrature through it.
+quadrature hook rebinds ``integrate_interval``'s argument ``f`` by name, and
+its scenario hooks read ``cfg.scenario``, each panel's ``columns`` and the
+written paths.  A rename or a signature change in ``src/`` would break it,
+yet its own tests live under ``perfbench/tests``, which the package suite
+does not run.  This module loads the tracer from its file, read only,
+installs it and runs the closed forms, the band quadrature and a scenario
+run and write through it.
 """
 
 import importlib.util
+import os
 import pathlib
 import sys
 
@@ -82,3 +85,19 @@ def test_tracer_reads_a_sommerfeld_call_over_a_time_array():
     assert counts["closedforms.sommerfeld.terms"] == solo_terms
     assert counts["closedforms.sommerfeld.unconverged"] == 0
     assert counts["special.table.calls"] == 2  # one J table per call
+
+
+def test_tracer_reads_a_multi_panel_scenario_and_its_csv_files(tmp_path):
+    tracer_module = _load_tracer()
+    cfg = fc.parse_config({"scenario": "onsteste2", "t_grid": [0.0, 1.0, 2.5],
+                           "tol": 1e-8})
+    with tracer_module.Tracer().install(fc) as tracer:
+        result = fc.run_scenario(cfg)
+        paths = fc.write_result(result, str(tmp_path), 12)
+        counts = tracer.pass_metrics()
+    assert len(paths) == len(result.panels) == 2
+    assert counts["scenarios.onsteste2.s"] > 0
+    rows = [len(pathlib.Path(p).read_text(encoding="utf-8").splitlines()) - 1 for p in paths]
+    assert counts["scenarios.write.rows"] == sum(rows) == 6  # headers are not rows
+    assert counts["scenarios.write.bytes"] == sum(map(os.path.getsize, paths))
+    assert fc.scenarios.run_scenario is fc.run_scenario  # uninstalled

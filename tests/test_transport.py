@@ -511,6 +511,15 @@ def test_batched_blocks_compare_field_by_field_and_refuse_hash():
         OnsagerBlock(*block.columns[:3], np.array([0.0, math.nan, 0.0, 0.0]), 0.1)
 
 
+def test_block_fields_that_do_not_broadcast_are_rejected_by_name():
+    # this built, then fluxes raised numpy's unnamed broadcast error
+    with pytest.raises(ValueError, match=re.escape(
+            "OnsagerBlock fields must broadcast together, got {'j_n_mu': (2,), "
+            "'j_n_t': (3,), 'j_q_mu': (), 'j_q_t': (), 'temperature': ()}")):
+        OnsagerBlock(np.zeros(2), np.zeros(3), 0.0, 0.0, 0.1)
+    assert OnsagerBlock(np.zeros(3), np.zeros(3), 0.0, np.zeros((2, 1)), 0.1).j_q_mu == 0.0
+
+
 def test_fluxes_of_a_batched_block_are_its_entries_fluxes_bit_for_bit():
     block = _scanned_block()
     flux = fluxes(block, 0.003, -0.002)
