@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from . import acceptance, scenarios
 
@@ -61,21 +62,29 @@ def _run_and_write(data: dict, overrides) -> int:
     return 0
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print("warning: %s" % message, file=sys.stderr)
+
+
 def main(argv=None) -> int:
+    """Exit 0 on success, 1 on a failed run or gate, 2 on bad input; a warning
+    is one "warning: ..." line on stderr."""
     args = build_parser().parse_args(argv)
-    try:
-        if args.command == "run":
-            return _run_and_write(scenarios.read_config(args.config), args.overrides)
-        if args.command == "figure":
-            return _run_and_write({"scenario": args.scenario_id}, args.overrides)
-        failures = acceptance.run_acceptance(only=args.only, out_dir=args.out)
-        return 1 if failures else 0
-    except (OSError, scenarios.ConfigError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            if args.command == "run":
+                return _run_and_write(scenarios.read_config(args.config), args.overrides)
+            if args.command == "figure":
+                return _run_and_write({"scenario": args.scenario_id}, args.overrides)
+            failures = acceptance.run_acceptance(only=args.only, out_dir=args.out)
+            return 1 if failures else 0
+        except (OSError, scenarios.ConfigError) as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
+        except (ValueError, RuntimeError, Warning) as exc:  # a Warning: one made an error
+            print("error: %s" % exc, file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

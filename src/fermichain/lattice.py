@@ -30,6 +30,8 @@ row (limits, wording, error class) that ``_check_reach`` applies everywhere,
 the config included.  An approximation used outside its regime warns with
 :class:`RegimeWarning`; its one cause is Boltzmann statistics outside the
 dilute regime, since the closed forms' Bessel sums converge over their reach.
+Every fermichain warning names as its source the first calling frame outside
+the package (``_warn``), so it points at the user's line.
 
 Occupation helpers are written to be overflow-safe: the Fermi-Dirac form never
 exponentiates a large positive argument, and the Boltzmann form raises once
@@ -40,6 +42,7 @@ exactly empty or full; a NaN energy is rejected.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import warnings
 from collections import namedtuple
@@ -60,6 +63,9 @@ _DAMPING_FLOOR = 1e-280
 
 # the Boltzmann forms warn unless they match Fermi-Dirac to this many digits
 _DILUTE_DIGITS = 1
+
+# a warning's source is the first frame whose file is not under this directory
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 class BoltzmannRangeError(ValueError):
@@ -438,10 +444,18 @@ def band_gap_ev(m: int, temperature_kelvin: float) -> float:
     return 0.5 * m * KB_EV_PER_K * temperature_kelvin * _LN10
 
 
+def _warn(message: str, category: type):
+    """warnings.warn with the first calling frame outside this package as its source."""
+    frame, level = sys._getframe(1), 2  # stacklevel 2: the caller of _warn
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
+
+
 def _warn_unless_dilute(reservoir: ReservoirParams):
     """RegimeWarning when the Boltzmann forms miss Fermi-Dirac by a digit."""
     validity = boltzmann_validity(_DILUTE_DIGITS, reservoir)
     if not validity.satisfied:
-        warnings.warn("Boltzmann statistics outside the dilute regime: mu = %g is not below "
-                      "%.4g at T = %g" % (reservoir.mu, validity.mu_bound,
-                                          reservoir.temperature), RegimeWarning, stacklevel=4)
+        _warn("Boltzmann statistics outside the dilute regime: mu = %g is not below %.4g at "
+              "T = %g" % (reservoir.mu, validity.mu_bound, reservoir.temperature),
+              RegimeWarning)

@@ -25,16 +25,19 @@ CSV file with the independent variable in the first column and
 unit-annotated headers, e.g. "J_QT[alpha^2]".  Energies are in units of the
 hopping scale alpha, times in 1/alpha, entropies in k_B.  Output is written
 RFC-4180 style with UTF-8 text, LF line endings, and a fixed
-significant-digit format.  Every builder evaluates on the calling thread; a
-band builder makes one scan over the t or mu grids of all its panels, at
-the g, tol and stats of its config, in which each point keeps the bits of
-its solo call, so a panel's CSV is the one it writes when run alone; every
-reduction has a fixed association, so output is byte-reproducible.  The
-``onsteste`` series are the Fermi-Dirac Sommerfeld forms whatever the
-stats: a Boltzmann run compares them with a Boltzmann quadrature, warns
-outside the dilute regime, and reports the gap.  The
-``threads`` config key is still range-checked so that old configs parse,
-but it has no field and no effect.
+significant-digit format: the headers are quoted where they need it, and
+each row is one %-format of its floats.  Every builder evaluates on the
+calling thread; a band builder makes one scan over the t or mu grids of all
+its panels, at the g, tol and stats of its config, in which each point keeps
+the bits of its solo call, so a panel's CSV is the one it writes when run
+alone; every reduction has a fixed association, so output is
+byte-reproducible.  The ``onsteste`` series are the Fermi-Dirac Sommerfeld
+forms whatever the stats: a Boltzmann run compares them with a Boltzmann
+quadrature, warns outside the dilute regime, and reports the gap.
+``run_scenario`` builds inside one ``special._shared_tables`` block, so the
+series calls of every panel on one g t grid share one J table, which goes
+when the run ends or raises.  The ``threads`` config key is still
+range-checked so that old configs parse, but it has no field and no effect.
 """
 
 from __future__ import annotations
@@ -45,14 +48,13 @@ import math
 import operator
 import os
 import sys
-import warnings
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Mapping
 
 import numpy as np
 
-from . import closedforms, entropy, transport
-from .lattice import ReservoirParams, _check_reach, _require
+from . import closedforms, entropy, special, transport
+from .lattice import ReservoirParams, _check_reach, _require, _warn
 
 
 class ConfigError(ValueError):
@@ -199,10 +201,8 @@ def _check_split(cfg: ScenarioConfig):
         splits.append(("delta_mu", cfg.delta_mu, "mu", cfg.mu))
     for name, delta, symbol, value in splits:
         if abs(delta / value) > _LINEAR_RESPONSE_THRESHOLD:
-            warnings.warn("%s split exceeds %g of %s = %g; linear-response "
-                          "output may be inaccurate"
-                          % (name, _LINEAR_RESPONSE_THRESHOLD, symbol, value),
-                          LinearResponseWarning, stacklevel=3)
+            _warn("%s split exceeds %g of %s = %g; linear-response output may be inaccurate"
+                  % (name, _LINEAR_RESPONSE_THRESHOLD, symbol, value), LinearResponseWarning)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +261,10 @@ def _csv_field(text: str) -> str:
     return text
 
 
+def _csv_line(row) -> str:
+    return ",".join(map(_csv_field, row)) + "\n"
+
+
 def write_csv(path: str, rows):
     """Write rows of text fields as UTF-8 CSV with LF line ends.
 
@@ -268,11 +272,12 @@ def write_csv(path: str, rows):
     style; the stdlib csv writer would leave a bare CR unquoted.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("".join(",".join(map(_csv_field, row)) + "\n" for row in rows))
+        fh.write("".join(map(_csv_line, rows)))
 
 
 def write_result(result: ScenarioResult, out_dir: str, sig_digits: int):
-    """One CSV per panel; returns the paths written."""
+    """One CSV per panel, in ``write_csv``'s format; returns the paths written.
+    Each row is one %-format of its floats: a %g field never needs quoting."""
     _check_field("sig_digits", sig_digits)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
@@ -280,8 +285,10 @@ def write_result(result: ScenarioResult, out_dir: str, sig_digits: int):
         stem = result.scenario if not panel.name else (
             "%s_%s" % (result.scenario, panel.name))
         path = os.path.join(out_dir, stem + ".csv")
-        write_csv(path, [panel.headers] + [["%.*g" % (sig_digits, float(x)) for x in row]
-                                           for row in zip(*panel.columns)])
+        row = ",".join(["%%.%dg" % sig_digits] * len(panel.columns)) + "\n"
+        values = zip(*(np.asarray(c, float).tolist() for c in panel.columns))
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(_csv_line(panel.headers) + "".join(map(row.__mod__, values)))
         paths.append(path)
     return paths
 
@@ -489,7 +496,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                 for v in values]
     for panel_cfg, _ in runs:
         _check_split(panel_cfg)
-    built = build(runs)
+    with special._shared_tables():  # one J table per z grid for the whole run
+        built = build(runs)
     panels = tuple(Panel(name, headers, columns)
                    for (_, name), (headers, columns, _) in zip(runs, built))
     return ScenarioResult(cfg.scenario, panels, tuple(r for *_, rs in built for r in rs))

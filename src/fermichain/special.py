@@ -21,10 +21,16 @@ e^y.  Below (x/2)^2 < 2^-53 the dropped terms fall below half an ulp and a
 column is its leading term (x/2)^n/n!.  One recurrence serves an array of
 arguments, each from its own start and rescaled on its own, so every column
 has the bits it has alone.
+
+``bessel_band_sum`` builds one J table per call; inside a ``_shared_tables``
+block (per thread, one per ``run_scenario`` call) sums on the same z bits and
+order counts share one, which goes with the block.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 
 import numpy as np
@@ -36,6 +42,10 @@ _LEADING_TERM_MAX = 2.0 ** -53
 # 170! is the largest factorial below the float range; beyond it the leading
 # term (x/2)^n/n! underflows to 0 wherever it is used
 _LEADING_TERM_ORDERS = 171
+
+# the open _shared_tables block's J tables by (order counts, z bytes); unset
+# outside a block
+_run_tables = contextvars.ContextVar("fermichain_run_tables")
 
 
 def _calm_steps(fc, fp, peak, growth: float) -> int:
@@ -184,6 +194,16 @@ class SpecialFnTable:
         return float(self._j[n]) if self._j.ndim == 1 else self._j[:, n]
 
 
+@contextlib.contextmanager
+def _shared_tables():
+    """Within the block, band sums on the same z and order counts share one J table."""
+    token = _run_tables.set({})
+    try:
+        yield
+    finally:
+        _run_tables.reset(token)
+
+
 def bessel_band_sum(z, coeffs, orders=None) -> tuple:
     """(B(z, a), tail) of the Jacobi-Anger band sum over the given coefficients.
 
@@ -199,7 +219,9 @@ def bessel_band_sum(z, coeffs, orders=None) -> tuple:
     tail of its coefficients; tail, the magnitude of the last two terms
     summed, is its truncation estimate.  z lies in the J argument reach; a
     1-D array of z, with ``orders`` one count each, gives arrays from one J
-    table, each entry with the bits of its one-point sum.
+    table, each entry with the bits of its one-point sum.  Inside a
+    ``_shared_tables`` block that table is shared with every other sum on
+    the same z and counts.
     """
     a = np.asarray(coeffs, dtype=float)
     scalar = isinstance(z, (int, float)) or np.ndim(z) == 0
@@ -209,8 +231,11 @@ def bessel_band_sum(z, coeffs, orders=None) -> tuple:
     # (-1)^(n//2), doubled for every order but 0
     weight = np.where(n % 4 < 2, 2.0, -2.0)
     weight[0] = 1.0
-    table = SpecialFnTable(counts[0] - 1 if scalar else np.array(counts, int) - 1, z)
-    terms = (table._j * weight * a[:len(n)]).reshape(len(zs), len(n)).tolist()
+    memo = _run_tables.get({})  # outside a _shared_tables block: a throwaway memo
+    key = (tuple(counts), np.asarray(z, float).tobytes())
+    if key not in memo:
+        memo[key] = SpecialFnTable(counts[0] - 1 if scalar else np.array(counts, int) - 1, z)
+    terms = (memo[key]._j * weight * a[:len(n)]).reshape(len(zs), len(n)).tolist()
     value, tail = [], []
     for zi, row, count in zip(zs, terms, counts):
         row = row[:count]

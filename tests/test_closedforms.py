@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermichain import special
 from fermichain import (
     RegimeWarning,
     ReservoirParams,
@@ -429,6 +431,40 @@ def test_a_time_array_gives_each_time_the_bits_of_its_scalar_call(gts, g, lam, m
                 == [r.trunc_error_est.hex() for r in solo])
         assert batch.terms_used == sum(r.terms_used for r in solo)
         assert batch.converged == all(r.converged for r in solo)
+
+
+def _sommerfeld_bits(r):
+    return ([v.hex() for v in np.ravel(r.value).tolist()],
+            [v.hex() for v in np.ravel(r.trunc_error_est).tolist()],
+            np.shape(r.value), r.terms_used, r.converged)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(grids=st.lists(st.lists(_GT, min_size=1, max_size=5), min_size=1, max_size=3),
+       g=st.sampled_from([1.0, -1.0, 0.35, -2.5]), lam=st.sampled_from([0.0, 0.35]),
+       mus=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=2), temp=st.floats(0.01, 0.3))
+def test_a_shared_table_block_keeps_every_sommerfeld_bit(grids, g, lam, mus, temp):
+    # the first grid comes back last, so later calls read tables that earlier
+    # ones built; its first time also runs as a scalar and as a 1-element array
+    first = grids[0][0] / abs(g)
+    times = [np.array([gt / abs(g) for gt in grid]) for grid in grids + grids[:1]]
+    times += [first, np.array([first])]
+    calls = [(fn, t, ReservoirParams(temp, mu)) for t in times for mu in mus
+             for fn in (nbar_fd_sommerfeld, ebar_fd_sommerfeld)]
+    alone = [fn(t, res, lam, g) for fn, t, res in calls]
+    with special._shared_tables():
+        shared = [fn(t, res, lam, g) for fn, t, res in calls]
+    assert special._run_tables.get(None) is None
+    assert list(map(_sommerfeld_bits, shared)) == list(map(_sommerfeld_bits, alone))
+
+
+def test_a_shared_table_block_is_not_seen_from_another_thread():
+    seen = []
+    with special._shared_tables():
+        worker = threading.Thread(target=lambda: seen.append(special._run_tables.get(None)))
+        worker.start()
+        worker.join(timeout=30)
+    assert not worker.is_alive() and seen == [None]
 
 
 def sommerfeld_oracle(t, res, dephasing, g, energy, n_max):

@@ -9,8 +9,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fermichain import RegimeWarning, ReservoirParams, cli, transport
+from fermichain import RegimeWarning, ReservoirParams, cli, closedforms, special, transport
 from fermichain.scenarios import (
     SCENARIOS,
     ComparisonReport,
@@ -22,6 +24,7 @@ from fermichain.scenarios import (
     parse_config,
     read_config,
     run_scenario,
+    write_csv,
     write_result,
 )
 from test_closedforms import sommerfeld_oracle
@@ -477,6 +480,45 @@ def test_onsteste1_reports_are_informational():
 # determinism and CSV output
 # ---------------------------------------------------------------------------
 
+def _count_tables(monkeypatch) -> list:
+    """The arguments of every J table built from here on."""
+    built = []
+
+    class Counted(special.SpecialFnTable):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(special, "SpecialFnTable", Counted)
+    return built
+
+
+def test_an_onsteste2_run_builds_one_j_table_and_a_second_run_its_own(monkeypatch):
+    built = _count_tables(monkeypatch)
+    cfg = parse_config({"scenario": "onsteste2"})
+    first = run_scenario(cfg)
+    assert len(built) == 1  # two panels x (N, E) built four
+    second = run_scenario(cfg)
+    assert len(built) == 2  # no table outlives its run
+    assert special._run_tables.get(None) is None
+    for a, b in zip(first.panels, second.panels):
+        assert [c.tolist() for c in a.columns] == [c.tolist() for c in b.columns]
+
+
+def test_a_run_that_raises_closes_its_table_block(monkeypatch):
+    def fail(*args):
+        raise RuntimeError("probe")
+
+    monkeypatch.setattr(closedforms, "ebar_fd_sommerfeld", fail)  # after N built its table
+    with pytest.raises(RuntimeError, match="probe"):
+        run_scenario(parse_config({"scenario": "onsteste2", "t_grid": [0.0, 1.0]}))
+    assert special._run_tables.get(None) is None
+    built = _count_tables(monkeypatch)
+    for _ in range(2):
+        closedforms.nbar_fd_sommerfeld(np.array([0.0, 1.0]), ReservoirParams(0.1, 0.0), 0.35, 1.0)
+    assert len(built) == 2  # outside a run, one table per call
+
+
 _DET_CONFIG = {"scenario": "custom", "t_grid": [0.0, 0.7, 1.3, 2.1],
                "mu": 0.6, "tol": 1e-8}
 
@@ -515,6 +557,24 @@ def test_csv_sig_digits_control(tmp_path):
     (p3,) = write_result(result, str(tmp_path / "b"), sig_digits=3)
     assert pathlib.Path(p12).read_text() == "x[1]\n3.14159265359\n"
     assert pathlib.Path(p3).read_text() == "x[1]\n3.14\n"
+
+
+_CELL = st.one_of(st.floats(), st.integers(-2 ** 70, 2 ** 70))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sig=st.integers(3, 17), columns=st.integers(0, 4).flatmap(
+    lambda rows: st.lists(st.lists(_CELL, min_size=rows, max_size=rows), min_size=1,
+                          max_size=4)))
+def test_write_result_writes_the_bytes_of_one_quoted_field_at_a_time(tmp_path_factory, sig,
+                                                                    columns):
+    out = tmp_path_factory.mktemp("rows")
+    headers = ('x "quoted", [1]',) + tuple("c%d[1]" % i for i in range(1, len(columns)))
+    result = ScenarioResult("probe", (Panel("", headers, tuple(map(tuple, columns))),))
+    (path,) = write_result(result, str(out), sig)
+    write_csv(str(out / "ref.csv"), [headers] + [["%.*g" % (sig, float(x)) for x in row]
+                                                for row in zip(*columns)])
+    assert pathlib.Path(path).read_bytes() == (out / "ref.csv").read_bytes()
 
 
 def test_write_result_names_one_file_per_panel(tmp_path):
@@ -670,6 +730,31 @@ def test_cli_overflowing_phase_exits_1_with_error_line(tmp_path, capsys):
                    "--set", "dephasing=0", "--set", "out_dir=%s" % tmp_path])
     assert rc == 1
     assert "error: phase 2 g t must be finite" in capsys.readouterr().err
+
+
+def test_warnings_name_the_calling_line_as_their_source():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_scenario(parse_config({"scenario": "onsteste2", "stats": "boltzmann",
+                                   "t_grid": [0.0, 1.0]}))
+        run_scenario(parse_config({"scenario": "custom", "t_grid": [0.0, 1.0],
+                                   "delta_t": 0.05}))
+        closedforms.nbar_boltzmann_closed(1.0, ReservoirParams(0.1, 0.0), 0.35, 1.0)
+    assert [w.category for w in caught] == [RegimeWarning] * 2 + [LinearResponseWarning,
+                                                                  RegimeWarning]
+    assert {w.filename for w in caught} == {__file__}
+
+
+def test_cli_prints_each_warning_as_one_line(tmp_path, capsys):
+    argv = ["figure", "onsteste2", "--set", "stats=boltzmann", "--set", "t_grid=[0, 1]",
+            "--set", "out_dir=%s" % tmp_path]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert [line[:len("warning: Boltzmann")] for line in lines] == ["warning: Boltzmann"] * 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning made an error fails the run
+        assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: Boltzmann statistics")
 
 
 def test_cli_accept_single_fast_criterion(tmp_path, capsys):
