@@ -68,13 +68,15 @@ def _c4():
     temps = (0.2, 0.5, 1.0, 2.0, 5.0)
     mus = (-1.0, -0.5, 0.0, 0.5, 1.0)
     energies = (-2.0, -1.0, 0.0, 1.0, 2.0)
-    reservoirs = [ReservoirParams(temp, mu) for temp in temps for mu in mus]
-    # one batch per reservoir pair, with axes (energy, noise, t)
+    # the 25 reservoirs (T, mu) on the axis of A, and again on the axis of B
+    temp, mu = (grid.reshape(25, 1, 1, 1, 1) for grid in np.meshgrid(temps, mus, indexing="ij"))
+    res_a = ReservoirParams(temp, mu)
+    res_b = ReservoirParams(temp.reshape(1, 25, 1, 1, 1), mu.reshape(1, 25, 1, 1, 1))
+    # one batch of every reservoir pair, with axes (A, B, energy, noise, t)
     modes = ModeSpec(energy=np.array(energies)[:, None, None], coupling=1.0,
                      dephasing=np.array([0.0, 0.1, 0.5])[:, None])
     t = np.array([0.3, 3.0, 30.0])
-    residuals = np.array([fluctuation.ft_log_ratio(modes, res_a, res_b, t).residual
-                          for res_a in reservoirs for res_b in reservoirs])
+    residuals = fluctuation.ft_log_ratio(modes, res_a, res_b, t).residual.reshape(625, 5, 3, 3)
     worst = float(np.max(np.abs(residuals)))
     identical = bool(np.all(residuals == residuals[..., :1, :1]))
     ok = worst < 1e-12 and identical

@@ -55,7 +55,8 @@ band and an expansion parameter (pi T)^2/(4 - mu^2) of 1 or more.  Every
 closed form rejects a g t outside the J argument reach; the Boltzmann forms
 warn with ``RegimeWarning`` outside the dilute regime, and reject by name a
 temperature whose (max(mu, 0) + 2)/T leaves the Boltzmann reach.  Only the
-Sommerfeld counters' t may be an array; any other array is rejected by name.
+Sommerfeld counters' t and the equilibrium block's mu may be arrays; any
+other array, a reservoir batch's fields included, is rejected by name.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lattice import (ReservoirParams, _check_reach, _require, _require_scalars,
+from .lattice import (ReservoirParams, _check_reach, _plain, _require, _require_scalars,
                       _warn_unless_dilute, relaxation_envelope)
 from .special import SpecialFnTable, _column, bessel_band_sum, bessel_i
 from .transport import OnsagerBlock, integrate_interval
@@ -142,7 +143,8 @@ def _closed_envelope(t, dephasing: float, g: float) -> tuple:
 def _boltzmann_closed(nu: int, scale: float, t: float, res: ReservoirParams,
                       dephasing: float, g: float) -> float:
     """scale exp(beta mu) [exp(-lam t) omega_nu(2 g t, 2 beta) - I_nu(2 beta)]."""
-    _require_scalars(("time", t), ("dephasing rate", dephasing), ("coupling g", g))
+    _require_scalars(("time", t), ("dephasing rate", dephasing), ("coupling g", g),
+                     *vars(res).items())
     damping, gt = _closed_envelope(t, dephasing, g)
     # |omega_nu| <= I_0(y) <= e^y, so the value is at most exp((mu + 2)/T)
     _check_reach("Boltzmann", "temperature %r, whose (max(mu, 0) + 2)/T," % res.temperature,
@@ -177,11 +179,19 @@ def ebar_boltzmann_closed(t: float, res: ReservoirParams, dephasing: float,
 
 
 def _check_sommerfeld_args(res: ReservoirParams):
+    """Name the first field of res, a batch's entries included, outside the
+    Sommerfeld form's reach."""
     _check_reach("Sommerfeld mu", "mu", res.mu)
     # the expansion parameter against 1 without forming T^2, which can overflow
     _require("temperature", res.temperature,
-             math.pi * res.temperature < math.sqrt(4.0 - res.mu * res.mu),
+             bool(np.all(math.pi * res.temperature < np.sqrt(4.0 - res.mu * res.mu))),
              "satisfy (pi T)^2/(4 - mu^2) < 1 for the Sommerfeld form")
+
+
+def _scalar_pow(base, exponent: float):
+    """base ** exponent by Python's float pow, entry by entry: numpy's vector
+    power may round an entry otherwise, and each entry keeps its scalar bits."""
+    return _plain(np.asarray(np.power(np.asarray(base, dtype=object), exponent), dtype=float))
 
 
 def _bracket_derivative_n(mu: float, t: float, damping: float, g: float) -> float:
@@ -231,8 +241,8 @@ def _sommerfeld(t, res: ReservoirParams, dephasing: float, g: float,
     Over an array of times a is formed once, at the most orders, and each
     time sums its own leading orders of it from one J table.
     """
+    _require_scalars(("dephasing rate", dephasing), ("coupling g", g), *vars(res).items())
     _check_sommerfeld_args(res)
-    _require_scalars(("dephasing rate", dephasing), ("coupling g", g))
     damping, gt = (np.ravel(v) for v in _closed_envelope(t, dephasing, g))
     orders = [SpecialFnTable.band_orders(z) for z in gt.tolist()]
     coeffs = coeffs_of(math.acos(-0.5 * res.mu), max(orders, default=1))
@@ -274,18 +284,18 @@ def equilibrium_sommerfeld_onsager(res: ReservoirParams) -> OnsagerBlock:
     Differentiates the t = inf Sommerfeld counters analytically (kernel
     convention: the explicit mu weight in the heat counter is not
     differentiated), for comparison against the quadrature coefficients.
+    A reservoir batched over mu at one temperature gives a batched block,
+    each entry equal to its scalar call bit for bit.
     """
     _check_sommerfeld_args(res)
     mu = res.mu
     temp = res.temperature
     root = 4.0 - mu * mu
-    r12 = root ** -0.5
-    r32 = root ** -1.5
-    r52 = root ** -2.5
+    r12, r32, r52 = (_scalar_pow(root, p) for p in (-0.5, -1.5, -2.5))
     c2 = math.pi ** 2 * temp ** 2 / 6.0
     dnbar_dmu = -(r12 + c2 * (r32 + 3.0 * mu * mu * r52)) / math.pi
     dnbar_dt = -(math.pi * temp / 3.0) * mu * r32
-    debar_dmu = (-mu * r12 - c2 * (3.0 * mu * r32 + 3.0 * mu ** 3 * r52)) / math.pi
+    debar_dmu = (-mu * r12 - c2 * (3.0 * mu * r32 + 3.0 * _scalar_pow(mu, 3) * r52)) / math.pi
     debar_dt = -(math.pi * temp / 3.0) * (r12 + mu * mu * r32)
     return OnsagerBlock.from_derivatives(
         (dnbar_dmu, dnbar_dt, debar_dmu - mu * dnbar_dmu, debar_dt - mu * dnbar_dt),

@@ -15,11 +15,12 @@ keeps constant corners (1-nA)(1-nB) and nA*nB while the single-excitation
 block carries the oscillation.  The closed forms, the density matrices
 included, broadcast: occupations, times and a ModeSpec with array fields
 evaluate a whole batch of modes in one call, each entry equal to its scalar
-call bit for bit, and a batch of shape S gives states of shape (*S, 4, 4).
-The reservoirs stay one pair per call.  The integrator in this module makes
-no use of the closed forms; it takes a classical fixed-step 4th-order
-scheme, whose step is one fixed matrix P for a time-independent generator,
-and applies P^n by repeated squaring.  It exists to certify the closed forms.
+call bit for bit, and a batch of shape S gives states of shape (*S, 4, 4);
+a batched ReservoirParams broadcasts with them.  The integrator in this
+module takes one reservoir pair, rejecting a batch by name, and makes no
+use of the closed forms; it takes a classical fixed-step 4th-order scheme,
+whose step is one fixed matrix P for a time-independent generator, and
+applies P^n by repeated squaring.  It exists to certify the closed forms.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 import numpy as np
 
 from .lattice import (ModeSpec, ReservoirParams, _check_reach, _plain, _require,
-                      occupation_fd, relaxation_envelope)
+                      _require_scalars, occupation_fd, relaxation_envelope)
 
 
 class IntegrationError(RuntimeError):
@@ -192,6 +193,7 @@ def lindblad_trajectory(mode: ModeSpec | list | tuple, res_a: ReservoirParams,
     # a ModeSpec of arrays is a batch for the closed forms, not one 4x4 state
     _require("mode", mode, not any(np.ndim(v) for m in modes for v in vars(m).values()),
              "have scalar fields (one mode, not a batch)")
+    _require_scalars(*vars(res_a).items(), *vars(res_b).items())
     l_e, l_g, l_lam = _liouvillian_parts()
     params = np.array([(m.energy, m.coupling, m.dephasing) for m in modes], dtype=float)
     energy, coupling, dephasing = params.T[:, :, None, None]

@@ -19,9 +19,11 @@ independent of t, lam, and g: a detailed fluctuation theorem with the
 thermal affinity F_H = beta_B - beta_A conjugate to the energy carried
 and the chemical affinity F_M = beta_A mu_A - beta_B mu_B conjugate to
 the particle number.  Independent modes contribute additively in the log.
-A ModeSpec with array fields is a batch of modes; with an array t it
-broadcasts, each entry equal to its scalar call bit for bit, while a scalar
-call returns plain floats.  The reservoirs stay one pair per call.
+A ModeSpec with array fields is a batch of modes, and a ReservoirParams
+with array fields a batch of reservoirs; with an array t they all
+broadcast together, each entry equal to its scalar call bit for bit, while
+a scalar call returns plain floats.  One call thus checks every pair of two
+reservoir batches whose axes are kept apart (e.g. shapes (n, 1) and (m,)).
 """
 
 from __future__ import annotations
@@ -32,16 +34,17 @@ from typing import Iterable
 import numpy as np
 
 from .lattice import (ModeSpec, ReservoirParams, _Fieldwise, _log_fd_pair, _plain, _require,
-                      occupation_fd, relaxation_envelope)
+                      _require_scalars, occupation_fd, relaxation_envelope)
 
 
 class ZeroProbabilityError(ValueError):
     """An exchange probability vanished, so its log-ratio is undefined."""
 
 
-@dataclass(frozen=True)
-class Affinities:
-    """Thermodynamic forces between the two reservoirs."""
+@dataclass(frozen=True, eq=False)
+class Affinities(_Fieldwise):
+    """Thermodynamic forces between the two reservoirs: floats, or arrays for
+    a batch of reservoirs."""
 
     f_h: float  # beta_B - beta_A, conjugate to transferred energy
     f_m: float  # beta_A mu_A - beta_B mu_B, conjugate to transferred number
@@ -88,8 +91,9 @@ def ft_log_ratio(mode: ModeSpec, res_a: ReservoirParams, res_b: ReservoirParams,
     The shared transfer factor is identical in numerator and denominator by
     construction and cancels exactly, so it is not evaluated; this keeps the
     ratio meaningful even at instants where the transfer weight vanishes.
-    The forward event is A handing a particle to B.  A batched mode and an
-    array t broadcast: both sides then are arrays of the joint shape.
+    The forward event is A handing a particle to B.  A batched mode, batched
+    reservoirs and an array t broadcast: both sides then are arrays of the
+    joint shape.
     """
     # the transfer factor cancels, but must exist at t; its envelope
     # carries the (lam, g, t) axes of the batch
@@ -106,8 +110,8 @@ def ft_log_ratio(mode: ModeSpec, res_a: ReservoirParams, res_b: ReservoirParams,
              "occupation and vacancy above 0 (a saturated one has an undefined log-ratio)",
              ZeroProbabilityError)
     fh_fm = affinities(res_a, res_b)
-    lhs, rhs, _ = np.broadcast_arrays(log_ratio, mode.energy * fh_fm.f_h + fh_fm.f_m,
-                                      envelope)
+    rhs = np.multiply(mode.energy, fh_fm.f_h) + fh_fm.f_m  # a list of energies reads as an array
+    lhs, rhs, _ = np.broadcast_arrays(log_ratio, rhs, envelope)
     return FtCheck(_plain(lhs), _plain(rhs))
 
 
@@ -124,7 +128,10 @@ class ExchangeEvent:
 
 def multi_mode_ft(events: Iterable[ExchangeEvent], res_a: ReservoirParams,
                   res_b: ReservoirParams, t: float) -> FtCheck:
-    """Joint log-ratio for independent modes: contributions add."""
+    """Joint log-ratio for independent modes at one reservoir pair:
+    contributions add."""
+    # a batch would pair its reservoirs with the events entry by entry
+    _require_scalars(*vars(res_a).items(), *vars(res_b).items())
     events = list(events)
     fields = np.array([[ev.mode.energy, ev.mode.coupling, ev.mode.dephasing]
                        for ev in events], dtype=float).reshape(-1, 3).T

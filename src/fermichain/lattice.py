@@ -17,7 +17,9 @@ g_k * t enters any observable.
 A mode is the triple (eps_k, g_k, lam) of :class:`ModeSpec`, which
 :meth:`ModeSpec.from_momentum` forms from a k that :func:`dispersion`
 validates.  The split (T +- dT/2, mu +- dmu/2) of a base reservoir is checked
-per panel in ``scenarios``.
+per panel in ``scenarios``.  A mode or a reservoir whose fields are arrays
+that broadcast together is a batch (``_Fieldwise``), which the occupation
+functions take like an array of energies.
 
 Dephasing enters only through the envelope exp(-lam t) times cos or sin of
 2 g_k t; :func:`relaxation_envelope`, which every physics module calls, is
@@ -42,6 +44,7 @@ exactly empty or full; a NaN energy is rejected.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import sys
 import warnings
@@ -197,22 +200,43 @@ def _plain(out):
 
 class _Fieldwise:
     """Field-by-field equality, array fields included, for a frozen dataclass
-    declared with eq=False; a batch (any field an array) is not hashable."""
+    declared with eq=False; a batch (any field an array) is not hashable.
+    Plain-number fields compare and hash as one tuple, as a dataclass's do.
+    ``__post_init__`` rejects fields that do not broadcast together; a
+    subclass with checks of its own calls ``_require_broadcast`` after them."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the fields in dataclass order: a base's first, then the class's own
+        names = [name for base in reversed(cls.__mro__)
+                 for name in vars(base).get("__annotations__", ())]
+        cls._values = operator.attrgetter(*dict.fromkeys(names))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
+        mine, theirs = self._values(self), self._values(other)
+        try:
+            hash((mine, theirs))  # raises on an array field
+        except TypeError:
+            return all(map(np.array_equal, mine, theirs))
+        return mine == theirs
 
     def __hash__(self):
-        if any(map(np.ndim, vars(self).values())):
+        try:
+            return hash(self._values(self))
+        except TypeError:  # an array field
             raise TypeError("a batched %s (one with array fields) is unhashable"
-                            % type(self).__name__)
-        return hash(tuple(vars(self).values()))
+                            % type(self).__name__) from None
+
+    def __post_init__(self):
+        self._require_broadcast()
 
     def _require_broadcast(self):
         """Raise ValueError listing the fields' shapes unless they broadcast."""
-        if not all(isinstance(v, (float, int)) for v in vars(self).values()):
+        try:
+            hash(self)  # no array field: nothing to broadcast
+        except TypeError:
             shapes = {name: np.shape(v) for name, v in vars(self).items()}
             try:
                 np.broadcast_shapes(*shapes.values())
@@ -220,25 +244,33 @@ class _Fieldwise:
                 _require("%s fields" % type(self).__name__, shapes, False, "broadcast together")
 
 
-@dataclass(frozen=True)
-class ReservoirParams:
+@dataclass(frozen=True, eq=False)
+class ReservoirParams(_Fieldwise):
     """Grand-canonical reservoir: temperature and chemical potential.
 
     temperature : float, > 0 with a finite square, in units of alpha/k_B
     mu : float, in units of alpha
+
+    Either field may also be an array, if the two broadcast together: a batch
+    of reservoirs for the occupation functions and ``fluctuation``, each entry
+    equal to its scalar reservoir's call bit for bit.  Reservoirs compare field
+    by field; a batch is not hashable, and a consumer that takes one reservoir
+    (the band scan, the closed-form counters, the stepper, the multi-mode
+    relation, the Boltzmann validity bound) rejects one by naming temperature
+    or mu.
     """
 
     temperature: float
     mu: float = 0.0
 
     def __post_init__(self):
-        _require_scalars(*vars(self).items())
         _check_reach("temperature", "temperature", self.temperature)
         _check_reach("finite", "mu", self.mu)
+        self._require_broadcast()
 
     @property
     def beta(self) -> float:
-        return 1.0 / self.temperature
+        return _plain(np.divide(1.0, self.temperature))  # a list field reads as an array
 
 
 def dispersion(k):
@@ -433,6 +465,7 @@ def boltzmann_validity(m: int, reservoir: ReservoirParams) -> BoltzmannValidity:
     reports it in laboratory units.
     """
     _check_reach("positive", "digit count m", m)
+    _require_scalars(*vars(reservoir).items())
     mu_bound = -0.5 * m * reservoir.temperature * _LN10 - 2.0
     return BoltzmannValidity(mu_bound=mu_bound, satisfied=reservoir.mu < mu_bound)
 

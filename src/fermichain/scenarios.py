@@ -420,9 +420,8 @@ def _onsteste1(cfg: ScenarioConfig, name: str, scanned):
     T.  Contrasting the two temperatures is the point of this figure.
     """
     block = transport.OnsagerBlock.from_derivatives(scanned[0], cfg.temperature)
-    series = np.array([
-        closedforms.equilibrium_sommerfeld_onsager(ReservoirParams(cfg.temperature, m)).columns
-        for m in _grid(cfg, "mu_grid")]).T
+    series = closedforms.equilibrium_sommerfeld_onsager(
+        ReservoirParams(cfg.temperature, _grid(cfg, "mu_grid"))).columns
     return _quad_vs_series(cfg, name, _MU_AXIS, _J_HEADERS, block.columns, series, math.inf)
 
 

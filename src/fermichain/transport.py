@@ -33,20 +33,21 @@ Every band integral goes through one path, ``_scan``, which evaluates a
 list of (t, reservoir, dephasing) points in one quadrature and returns one
 array per kernel group, shaped (points, kernels); one ``relaxation_envelope``
 call forms every point's envelope, and from its phase the point's first
-level.  ``counters`` and ``onsager`` are one-point scans at one time per
-call (a time array is rejected by name) that return plain floats; a
-scenario builder makes one scan over the points of all its panels, each
-panel's t or mu grid, and reads each panel's columns back, an
-``OnsagerBlock`` holding one entry per point.  The kernels of a quantity
-are the rows of one array, one group: [n, eps n] for ``counters``, of which
-``nbar``, ``ebar`` and ``qbar`` are views, and the four derivative kernels
-for ``onsager``.  Every (point, group) pair runs its own doubling schedule
-from its point's first level and is frozen at the level where it converged,
-so each equals its one-point, one-group call bit for bit.  The quadrature
-evaluates the least pending panel count next, once for all the pairs at it:
-eps and sin(k)^2 are formed once per block of nodes, the occupation and the
-kernel rows once per run of points at one reservoir, D(k, t) once per point,
-or once per block for a (damping, phase) that several points share, and
+level.  ``counters`` and ``onsager`` are one-point scans at one time and
+one reservoir per call (a time array or a reservoir batch is rejected by
+name) that return plain floats; a scenario builder makes one scan over the
+points of all its panels, each panel's t or mu grid, and reads each panel's
+columns back, an ``OnsagerBlock`` holding one entry per point.  The
+kernels of a quantity are the rows of one array, one group: [n, eps n] for
+``counters``, of which ``nbar``, ``ebar`` and ``qbar`` are views, and the
+four derivative kernels for ``onsager``.  Every (point, group) pair runs
+its own doubling schedule from its point's first level and is frozen at
+the level where it converged, so each equals its one-point, one-group call
+bit for bit.  The quadrature evaluates the least pending panel count
+next, once for all the pairs at it: eps and sin(k)^2 are formed once per
+block of nodes, the occupation and the kernel rows once per run of points
+at one reservoir, D(k, t) once per point, or once per block for a
+(damping, phase) that several points share, and
 cos(g sin(k)^2 2t) once per block for a phase that points of several
 dampings share (panels at one time and different lam).  A phase no other
 point shares is let go with its point, so a scan of distinct times keeps no
@@ -317,8 +318,8 @@ def _scan(kernel_groups, points, g: float, tol: float, stats: str):
     (see ``integrate_interval``), so it equals a one-point scan bit for bit.
     Returns one array per group, shaped (points, n_kernels).
     """
-    _require_scalars(*[named for t, _, lam in points
-                       for named in (("time", t), ("dephasing rate", lam))])
+    _require_scalars(*[named for t, res, lam in points
+                       for named in (("time", t), ("dephasing rate", lam), *vars(res).items())])
     _require("stats", stats, _STATS[1](stats), _STATS[0])
     _check_reach("finite", "coupling g", g)
     distinct = {}  # equal reservoirs become one object: a run of them shares its arrays

@@ -433,6 +433,20 @@ def test_a_time_array_gives_each_time_the_bits_of_its_scalar_call(gts, g, lam, m
         assert batch.converged == all(r.converged for r in solo)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(mus=st.lists(st.floats(-1.95, 1.95), min_size=1, max_size=8), temp=st.floats(1e-3, 0.3))
+def test_a_mu_batch_gives_each_mu_the_bits_of_its_scalar_equilibrium_block(mus, temp):
+    mus = [mu for mu in mus if math.pi * temp < math.sqrt(4.0 - mu * mu)] or [0.0]
+    batch = equilibrium_sommerfeld_onsager(ReservoirParams(temp, np.array(mus)))
+    assert batch.temperature == temp
+    for i, mu in enumerate(mus):
+        solo = equilibrium_sommerfeld_onsager(ReservoirParams(temp, mu))
+        assert [col[i].hex() for col in batch.columns] == [v.hex() for v in solo.columns]
+    # a batch over temperature is not one block: its temperature is named
+    with pytest.raises(ValueError, match="temperature must be one scalar"):
+        equilibrium_sommerfeld_onsager(ReservoirParams(np.array([temp, temp]), 0.0))
+
+
 def _sommerfeld_bits(r):
     return ([v.hex() for v in np.ravel(r.value).tolist()],
             [v.hex() for v in np.ravel(r.trunc_error_est).tolist()],

@@ -43,6 +43,7 @@ MODE = fc.ModeSpec(-0.9, 0.8, 0.1)
 PREP = fc.EquilibriumModePrep(0.4, 0.1, 0.8, 0.1)
 BAND = (2.0, RES, 0.1, 1.0, 1e-8, fc.STATS_FD)
 BLOCK = fc.OnsagerBlock(0.1, 0.02, 0.03, 0.2, 0.1)
+RES_BATCH = fc.ReservoirParams(np.array([0.1, 0.2]), 0.3)
 
 
 def _call(*args, **kwargs):
@@ -275,11 +276,25 @@ PROBES = {
     # numpy's "truth value of an array is ambiguous" before
     "nbar(tol=[1e-10, 1e-9])":
         ("tol", lambda: fc.nbar(1.0, RES, 0.1, 1.0, np.array([1e-10, 1e-9]))),
-    # a reservoir is one (T, mu): numpy's "ambiguous" for T, a TypeError for mu
-    "ReservoirParams(temperature=[0.1, 0.2])":
-        ("temperature", lambda: fc.ReservoirParams(np.array([0.1, 0.2]))),
-    "ReservoirParams(mu=[0.1, 0.2])":
-        ("mu", lambda: fc.ReservoirParams(0.1, np.array([0.1, 0.2]))),
+    # a reservoir batch is valid, but each consumer of one (T, mu) names the
+    # batch's field: numpy's "ambiguous", or the scan's unhashable TypeError
+    "counters(res=batch)": ("temperature", lambda: fc.counters(1.0, RES_BATCH, 0.1, 1.0)),
+    "nbar_boltzmann_closed(res=batch)":
+        ("mu", lambda: fc.nbar_boltzmann_closed(
+            1.0, fc.ReservoirParams(0.5, np.array([-3.0, -2.5])), 0.1, 1.0)),
+    "nbar_fd_sommerfeld(res=batch)":
+        ("mu", lambda: fc.nbar_fd_sommerfeld(1.0, fc.ReservoirParams(0.1, np.array([0.1, 0.2])),
+                                             0.1, 1.0)),
+    "lindblad_trajectory(res=batch)":
+        ("temperature", lambda: fc.lindblad_trajectory(MODE, RES, RES_BATCH, [1.5])),
+    "boltzmann_validity(res=batch)": ("temperature", lambda: fc.boltzmann_validity(1, RES_BATCH)),
+    # paired each reservoir of a (2,) batch with one of the two events, silently
+    "multi_mode_ft(res=batch)":
+        ("temperature", lambda: fc.multi_mode_ft([fc.ExchangeEvent(MODE, 1)] * 2, RES_BATCH,
+                                                 RES, 1.5)),
+    # fields that do not broadcast: the error lists each field's shape
+    "ReservoirParams(temperature=[0.1, 0.2], mu=[0, 0.1, 0.2])":
+        ("temperature", lambda: fc.ReservoirParams(np.array([0.1, 0.2]), np.zeros(3))),
     # the direct quadrature covers omega's range and stops where omega does
     "omega_defining_integral(x=20001)":
         ("x", lambda: fc.omega_defining_integral(0, 20001.0, 1.0)),

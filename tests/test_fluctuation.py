@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermichain import (
+    Affinities,
     ExchangeEvent,
+    FtCheck,
     ModeSpec,
     ReservoirParams,
     ZeroProbabilityError,
@@ -14,6 +17,8 @@ from fermichain import (
     density_matrix_from_occupations,
     exchange_prob,
     ft_log_ratio,
+    log_occupation_fd,
+    log_vacancy_fd,
     multi_mode_ft,
     occupation_fd,
     transition_weight,
@@ -227,6 +232,64 @@ def test_batched_ft_log_ratio_equals_the_scalar_calls_bit_for_bit(fields, ts, te
             assert (chk.lhs[i, j].hex(), chk.rhs[i, j].hex()) == (one.lhs.hex(), one.rhs.hex())
 
 
+# (shape of A's fields, shape of B's fields) for n and m reservoirs: two
+# scalars, a batch against a scalar, two aligned batches, and every pair
+_RESERVOIR_LAYOUTS = (lambda n, m: ((), ()), lambda n, m: ((n,), ()),
+                      lambda n, m: ((), (n,)), lambda n, m: ((n,), (n,)),
+                      lambda n, m: ((n, 1), (m,)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), layout=st.sampled_from(_RESERVOIR_LAYOUTS),
+       n=st.integers(1, 3), m=st.integers(1, 3), fields=mode_fields,
+       ts=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=3))
+def test_reservoir_batches_equal_their_scalar_calls_bit_for_bit(data, layout, n, m, fields, ts):
+    def reservoirs(shape):
+        """A batch of this shape, with trailing axes for (mode, t), and its
+        entries as scalar reservoirs of plain floats."""
+        size = math.prod(shape)
+        temps = data.draw(st.lists(st.floats(0.05, 5.0), min_size=size, max_size=size))
+        mus = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size))
+        batch = ReservoirParams(*(np.reshape(v, shape + (1, 1)) if shape else v[0]
+                                  for v in (temps, mus)))
+        return batch, np.reshape([ReservoirParams(*pair) for pair in zip(temps, mus)], shape)
+
+    shape_a, shape_b = layout(n, m)
+    (res_a, each_a), (res_b, each_b) = reservoirs(shape_a), reservoirs(shape_b)
+    eps, g, lam = (np.array(column)[:, None] for column in zip(*fields))
+    modes = ModeSpec(eps, g, lam)
+    chk = ft_log_ratio(modes, res_a, res_b, np.array(ts))
+    pairs = np.broadcast_shapes(shape_a, shape_b)
+    forces = affinities(res_a, res_b)
+    f_h, f_m = (np.broadcast_to(f, pairs + (1, 1)) for f in (forces.f_h, forces.f_m))
+    occs = [fn(eps, res_a) for fn in (occupation_fd, log_occupation_fd, log_vacancy_fd)]
+    assert chk.lhs.shape == chk.rhs.shape == pairs + (len(fields), len(ts))
+    for r in np.ndindex(pairs):
+        one_a, one_b = (np.broadcast_to(each, pairs)[r] for each in (each_a, each_b))
+        one = affinities(one_a, one_b)
+        assert (f_h[r + (0, 0)].hex(), f_m[r + (0, 0)].hex()) == (one.f_h.hex(), one.f_m.hex())
+        for i, one_mode in enumerate(fields):
+            for j, t in enumerate(ts):
+                one = ft_log_ratio(ModeSpec(*one_mode), one_a, one_b, t)
+                assert (chk.lhs[r + (i, j)].hex(), chk.rhs[r + (i, j)].hex()) == (
+                    one.lhs.hex(), one.rhs.hex())
+    for a in np.ndindex(shape_a):
+        for i, (e, *_) in enumerate(fields):
+            singles = (occupation_fd(e, each_a[a]), log_occupation_fd(e, each_a[a]),
+                       log_vacancy_fd(e, each_a[a]))
+            assert [occ[a + (i, 0)].hex() for occ in occs] == [x.hex() for x in singles]
+
+
+def test_list_fields_read_as_arrays():
+    # a list of energies or of temperatures raised a raw TypeError here
+    res = ReservoirParams(0.3, 0.1)
+    by_list = ft_log_ratio(ModeSpec([0.0, 1.0], 1.0, 0.1),
+                           ReservoirParams([0.1, 0.2], [0.0, 0.5]), res, 1.0)
+    by_array = ft_log_ratio(ModeSpec(np.array([0.0, 1.0]), 1.0, 0.1),
+                            ReservoirParams(np.array([0.1, 0.2]), np.array([0.0, 0.5])), res, 1.0)
+    assert by_list == by_array and by_list.lhs.shape == (2,)
+
+
 def test_multi_mode_empty():
     chk = multi_mode_ft([], ReservoirParams(0.3, 0.5), ReservoirParams(0.7, -0.2), 1.0)
     assert chk.lhs == 0.0 and chk.rhs == 0.0 and chk.residual == 0.0
@@ -253,3 +316,13 @@ def test_batched_checks_compare_field_by_field_and_do_not_hash():
     one = ft_log_ratio(_mode(), res, ReservoirParams(0.4, 0.1), 1.0)
     assert one == ft_log_ratio(_mode(), res, ReservoirParams(0.4, 0.1), 1.0)
     assert hash(one) == hash((one.lhs, one.rhs)) and one != (one.lhs, one.rhs)
+
+
+@pytest.mark.parametrize("record, names", [(FtCheck, ("lhs", "rhs")),
+                                           (Affinities, ("f_h", "f_m"))])
+def test_batched_records_whose_fields_do_not_broadcast_are_rejected_by_name(record, names):
+    with pytest.raises(ValueError, match=re.escape(
+            "%s fields must broadcast together, got {'%s': (2,), '%s': (3,)}"
+            % ((record.__name__,) + names))):
+        record(np.zeros(2), np.zeros(3))
+    assert record(np.zeros((2, 1)), np.zeros(3)) == record(np.zeros((2, 1)), np.zeros(3))

@@ -107,6 +107,43 @@ def test_mode_spec_fields_that_do_not_broadcast_are_rejected_by_name():
         ModeSpec(0.0, np.ones(2), np.full(3, 0.1))
 
 
+def test_reservoir_batches_compare_field_by_field_and_do_not_hash():
+    batch = ReservoirParams(np.array([0.1, 0.2]), 0.3)
+    assert batch == ReservoirParams(np.array([0.1, 0.2]), 0.3)
+    assert batch != ReservoirParams(np.array([0.1, 0.3]), 0.3)
+    assert batch != ReservoirParams(np.array([[0.1], [0.2]]), 0.3)
+    # shapes count: one entry is not the scalar, nor an empty batch another
+    assert ReservoirParams(np.array([0.1]), 0.3) != ReservoirParams(0.1, 0.3)
+    assert ReservoirParams(np.array([]), 0.3) != ReservoirParams(np.array([]), np.array([]))
+    assert batch != ReservoirParams(np.array([0.1, 0.2]), np.array([0.3, 0.3]))
+    with pytest.raises(TypeError, match="batched ReservoirParams"):
+        hash(batch)
+    # one reservoir keeps the value equality and hash of a dataclass
+    res = ReservoirParams(0.1, 0.3)
+    assert res == ReservoirParams(0.1, 0.3) and res != ReservoirParams(0.1, -0.3)
+    assert res == ReservoirParams(0.1, np.float64(0.3)) and res != (0.1, 0.3)
+    assert hash(res) == hash(ReservoirParams(0.1, 0.3)) == hash((0.1, 0.3))
+    assert {res: 1}[ReservoirParams(0.1, 0.3)] == 1
+
+    class Subclassed(ReservoirParams):  # inherits the fields, and the contract
+        pass
+
+    assert Subclassed(0.1, 0.3) == Subclassed(0.1, 0.3) != Subclassed(0.2, 0.3)
+    assert hash(Subclassed(0.1, 0.3)) == hash((0.1, 0.3))
+
+
+def test_reservoir_fields_that_do_not_broadcast_are_rejected_by_name():
+    with pytest.raises(ValueError, match=re.escape(
+            "ReservoirParams fields must broadcast together, got {'temperature': (2,), "
+            "'mu': (3,)}")):
+        ReservoirParams(np.array([0.1, 0.2]), np.zeros(3))
+    # one bad entry of a batch is named like a bad scalar
+    with pytest.raises(ValueError, match="temperature must lie in"):
+        ReservoirParams(np.array([0.1, -0.2]), np.zeros(2))
+    with pytest.raises(ValueError, match="mu must be finite"):
+        ReservoirParams(0.1, np.array([0.0, math.nan]))
+
+
 def test_occupation_fd_symmetry_point():
     res = ReservoirParams(temperature=0.7, mu=0.3)
     assert occupation_fd(0.3, res) == 0.5

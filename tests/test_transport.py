@@ -518,6 +518,10 @@ def test_block_fields_that_do_not_broadcast_are_rejected_by_name():
             "'j_n_t': (3,), 'j_q_mu': (), 'j_q_t': (), 'temperature': ()}")):
         OnsagerBlock(np.zeros(2), np.zeros(3), 0.0, 0.0, 0.1)
     assert OnsagerBlock(np.zeros(3), np.zeros(3), 0.0, np.zeros((2, 1)), 0.1).j_q_mu == 0.0
+    with pytest.raises(ValueError, match=re.escape(
+            "ParticleHeatFlux fields must broadcast together, got {'j_particle': (2,), "
+            "'j_heat': (3,)}")):
+        transport.ParticleHeatFlux(np.zeros(2), np.zeros(3))
 
 
 def test_fluxes_of_a_batched_block_are_its_entries_fluxes_bit_for_bit():
