@@ -18,7 +18,7 @@ import numpy as np
 
 from . import closedforms, dynamics, entropy, fluctuation, lattice, special, transport
 from .lattice import ModeSpec, ReservoirParams
-from .scenarios import parse_config, run_scenario, write_csv
+from .scenarios import _run_panels, _tag, parse_config, run_scenario, write_csv
 
 
 def _c1():
@@ -148,16 +148,18 @@ def _c7():
 
 def _c8():
     t_grid = [float(t) for t in np.linspace(0.0, 10.0, 11)]
-
-    def deviation(temp, mu):
-        # the onsteste2 figure's own quadrature-vs-series comparison
-        cfg = parse_config({"scenario": "onsteste2", "temperature": temp, "mu": mu,
-                            "dephasing": 0.35, "g": 1.0, "t_grid": t_grid})
-        return max(r.max_rel_deviation for r in run_scenario(cfg).reports)
-
-    at_low_t = {mu: deviation(0.1, mu) for mu in np.linspace(-1.5, 1.5, 7).tolist()}
+    settings = [(0.1, mu) for mu in np.linspace(-1.5, 1.5, 7).tolist()] + [
+        (0.25, -1.5), (0.25, 1.5)]
+    # the onsteste2 figure's own quadrature-vs-series comparison, all nine
+    # settings in one build: one scan and one J table
+    runs = [(parse_config({"scenario": "onsteste2", "temperature": temp, "mu": mu,
+                           "dephasing": 0.35, "g": 1.0, "t_grid": t_grid}),
+             "T%s_mu%s" % (_tag(temp), _tag(mu))) for temp, mu in settings]
+    devs = [r.max_rel_deviation for r in _run_panels(runs).reports]  # N, E per panel
+    deviation = dict(zip(settings, map(max, devs[0::2], devs[1::2])))
+    at_low_t = {mu: deviation[temp, mu] for temp, mu in settings[:7]}
     worst = max(at_low_t.values())
-    grows = all(deviation(0.25, mu) > at_low_t[mu] for mu in (-1.5, 1.5))
+    grows = all(deviation[0.25, mu] > at_low_t[mu] for mu in (-1.5, 1.5))
     ok = worst < 0.05 and grows
     return ok, ("max deviation %.3f at T=0.1; worsens at T=0.25: %s" % (worst, grows))
 

@@ -64,8 +64,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lattice import (ReservoirParams, _check_reach, _plain, _require, _require_scalars,
-                      _warn_unless_dilute, relaxation_envelope)
+from .lattice import (ReservoirParams, _Fieldwise, _check_reach, _plain, _require,
+                      _require_scalars, _warn_unless_dilute, relaxation_envelope)
 from .special import SpecialFnTable, _column, bessel_band_sum, bessel_i
 from .transport import OnsagerBlock, integrate_interval
 
@@ -74,10 +74,11 @@ import numpy as np
 _SERIES_TOL = 1e-12  # target error of the omega and Sommerfeld sums
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+@dataclass(frozen=True, eq=False)
+class SeriesResult(_Fieldwise):
     """A truncated-series value with its own error bookkeeping; over an array
-    of times, values and estimates like t, terms summed, converged if all are."""
+    of times, values and estimates like t, terms summed, converged if all are.
+    Such a batch compares field by field and is not hashable."""
 
     value: float
     trunc_error_est: float

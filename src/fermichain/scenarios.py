@@ -19,24 +19,24 @@ Every scenario is one row of ``SCENARIOS``, ``(build, panels, pins)``:
 ``ScenarioConfig`` checks every field on every build, so a parsed config
 and a directly built one pass the same checks.  A numeric key shares its
 ``lattice._REACH`` row with the library, adding only a JSON type test.
-``run_scenario`` makes the panels.  Before building any panel it checks
-every panel's reservoir split (T +- dT/2, mu +- dmu/2).  Each panel is one
-CSV file with the independent variable in the first column and
+``run_scenario`` makes the panels and ``_run_panels`` builds them, first
+checking every panel's reservoir split (T +- dT/2, mu +- dmu/2).  Each panel
+is one CSV file with the independent variable in the first column and
 unit-annotated headers, e.g. "J_QT[alpha^2]".  Energies are in units of the
 hopping scale alpha, times in 1/alpha, entropies in k_B.  Output is written
 RFC-4180 style with UTF-8 text, LF line endings, and a fixed
 significant-digit format: the headers are quoted where they need it, and
 each row is one %-format of its floats.  Every builder evaluates on the
 calling thread; a band builder makes one scan over the t or mu grids of all
-its panels, at the g, tol and stats of its config, in which each point keeps
+its panels, at the g, tol and stats they share, in which each point keeps
 the bits of its solo call, so a panel's CSV is the one it writes when run
 alone; every reduction has a fixed association, so output is
 byte-reproducible.  The ``onsteste`` series are the Fermi-Dirac Sommerfeld
 forms whatever the stats: a Boltzmann run compares them with a Boltzmann
 quadrature, warns outside the dilute regime, and reports the gap.
-``run_scenario`` builds inside one ``special._shared_tables`` block, so the
+A scenario build runs inside one ``special._shared_tables`` block, so the
 series calls of every panel on one g t grid share one J table, which goes
-when the run ends or raises.  The ``threads`` config key is still
+when the build ends or raises.  The ``threads`` config key is still
 range-checked so that old configs parse, but it has no field and no effect.
 """
 
@@ -326,9 +326,8 @@ def _scanned(build, kernel_groups, points_of):
     """The builder of every panel from ``build(cfg, name, scanned)``, one
     panel's, where ``scanned`` holds per kernel group the panel's columns of
     one band quadrature over the (t, res, dephasing) points that
-    ``points_of(cfg)`` gives every panel.  ``run_scenario`` makes the panels
-    from one config, so they differ only in their panel key and share the
-    g, tol and stats the scan runs at."""
+    ``points_of(cfg)`` gives every panel.  The panels share the g, tol and
+    stats the scan runs at, which ``_run_panels`` checks."""
     def build_all(runs):
         cfg = runs[0][0]
         panels = [points_of(c) for c, _ in runs]
@@ -481,22 +480,33 @@ SCENARIOS = {
 }
 
 _PANEL_PREFIX = {"temperature": "T", "mu": "mu", "dephasing": "lam"}
+# the config keys a build runs at, which all its panels share
+_BUILD_KEYS = ("scenario", "g", "tol", "stats")
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     cfg = _resolve(cfg)
-    build, panels, _ = SCENARIOS[cfg.scenario]
+    panels = SCENARIOS[cfg.scenario][1]
     if panels is None:
-        runs = [(cfg, "")]
-    else:
-        key, defaults = panels
-        values = (getattr(cfg, key),) if key in cfg.explicit else defaults
-        runs = [(replace(cfg, **{key: v}), _PANEL_PREFIX[key] + _tag(v))
-                for v in values]
+        return _run_panels([(cfg, "")])
+    key, defaults = panels
+    values = (getattr(cfg, key),) if key in cfg.explicit else defaults
+    return _run_panels([(replace(cfg, **{key: v}), _PANEL_PREFIX[key] + _tag(v))
+                        for v in values])
+
+
+def _run_panels(runs) -> ScenarioResult:
+    """One scenario build of the (cfg, name) panels of ``runs``: resolved
+    configs that share each ``_BUILD_KEYS`` key, the first that differs named."""
+    _require("scenario runs", runs, bool(runs), "hold at least one panel", ConfigError)
+    cfg = runs[0][0]
+    for key in _BUILD_KEYS:
+        if any(getattr(c, key) != getattr(cfg, key) for c, _ in runs):
+            raise ConfigError("the panels of one build differ in config field '%s'" % key)
     for panel_cfg, _ in runs:
         _check_split(panel_cfg)
-    with special._shared_tables():  # one J table per z grid for the whole run
-        built = build(runs)
+    with special._shared_tables():  # one J table per z grid for the whole build
+        built = SCENARIOS[cfg.scenario][0](runs)
     panels = tuple(Panel(name, headers, columns)
                    for (_, name), (headers, columns, _) in zip(runs, built))
     return ScenarioResult(cfg.scenario, panels, tuple(r for *_, rs in built for r in rs))

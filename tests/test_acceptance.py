@@ -7,7 +7,7 @@ criterion takes more than about one.
 
 import pytest
 
-from fermichain import acceptance, fluctuation
+from fermichain import acceptance, fluctuation, special, transport
 from fermichain.acceptance import CRITERIA
 from fermichain.fluctuation import ft_log_ratio
 
@@ -34,3 +34,25 @@ def test_c4_checks_every_reservoir_pair_in_one_call(monkeypatch):
     assert len(calls) == 1 and passed is True
     assert detail == ("max |residual| 3.55e-15 over 5^5 states; "
                       "identical at all 9 (noise, t): True")
+
+
+def test_c8_runs_its_nine_settings_as_one_scan_and_one_j_table(monkeypatch):
+    # nine settings x 11 times in one quadrature, and one table for the
+    # 18 Sommerfeld calls, not one of each per setting
+    scans, tables = [], []
+    scan = transport._scan
+
+    def counted_scan(kernel_groups, points, *args):
+        scans.append(len(points))
+        return scan(kernel_groups, points, *args)
+
+    class Counted(special.SpecialFnTable):
+        def __init__(self, *args):
+            tables.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(transport, "_scan", counted_scan)
+    monkeypatch.setattr(special, "SpecialFnTable", Counted)
+    passed, detail = acceptance._c8()
+    assert scans == [99] and len(tables) == 1 and passed is True
+    assert detail == "max deviation 0.011 at T=0.1; worsens at T=0.25: True"

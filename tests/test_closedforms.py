@@ -26,7 +26,7 @@ from fermichain import (
     omega,
     omega_defining_integral,
 )
-from fermichain.closedforms import _bracket_derivative_e, _bracket_derivative_n
+from fermichain.closedforms import SeriesResult, _bracket_derivative_e, _bracket_derivative_n
 from fermichain.transport import STATS_BOLTZMANN
 
 _DAMPED_ENTRY_POINTS = {
@@ -350,6 +350,30 @@ def test_sommerfeld_series_bookkeeping():
     assert s.converged
     assert s.terms_used >= 1
     assert s.trunc_error_est >= 0.0
+
+
+def test_series_batches_compare_field_by_field_and_do_not_hash():
+    # the generated __eq__ compared field tuples, which numpy's array truth
+    # value made ambiguous, and hash raised a raw unhashable TypeError
+    t, res = np.array([1.0, 2.0]), ReservoirParams(0.1, 0.3)
+    batch = nbar_fd_sommerfeld(t, res, 0.1, 1.0)
+    assert batch == nbar_fd_sommerfeld(t, res, 0.1, 1.0)
+    assert batch != ebar_fd_sommerfeld(t, res, 0.1, 1.0)
+    assert batch != nbar_fd_sommerfeld(np.array([1.0, 2.5]), res, 0.1, 1.0)
+    with pytest.raises(TypeError, match="batched SeriesResult"):
+        hash(batch)
+    # one time keeps the value equality and hash of a dataclass
+    one = nbar_fd_sommerfeld(1.0, res, 0.1, 1.0)
+    assert one == nbar_fd_sommerfeld(1.0, res, 0.1, 1.0) != nbar_fd_sommerfeld(2.0, res, 0.1, 1.0)
+    assert hash(one) == hash((one.value, one.trunc_error_est, one.terms_used, one.converged))
+    assert {one: 1}[nbar_fd_sommerfeld(1.0, res, 0.1, 1.0)] == 1
+
+
+def test_series_fields_that_do_not_broadcast_are_rejected_by_name():
+    with pytest.raises(ValueError, match=re.escape(
+            "SeriesResult fields must broadcast together, got {'value': (2,), "
+            "'trunc_error_est': (3,), 'terms_used': (), 'converged': ()}")):
+        SeriesResult(np.zeros(2), np.zeros(3), 20, True)
 
 
 # (t, mu, T) -> float.hex of value and trunc_error_est, terms_used and

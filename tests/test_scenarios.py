@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermichain import RegimeWarning, ReservoirParams, cli, closedforms, special, transport
+from fermichain import (RegimeWarning, ReservoirParams, acceptance, cli, closedforms, special,
+                        transport)
 from fermichain.scenarios import (
     SCENARIOS,
     ComparisonReport,
@@ -21,6 +22,7 @@ from fermichain.scenarios import (
     Panel,
     ScenarioConfig,
     ScenarioResult,
+    _run_panels,
     parse_config,
     read_config,
     run_scenario,
@@ -503,6 +505,54 @@ def test_an_onsteste2_run_builds_one_j_table_and_a_second_run_its_own(monkeypatc
     assert special._run_tables.get(None) is None
     for a, b in zip(first.panels, second.panels):
         assert [c.tolist() for c in a.columns] == [c.tolist() for c in b.columns]
+
+
+def _bits(columns) -> list:
+    return [[float(v).hex() for v in np.ravel(c)] for c in columns]
+
+
+def _c8_runs(monkeypatch) -> list:
+    """The (cfg, name) panels that the gate's c8 builds."""
+    seen = []
+    monkeypatch.setattr(acceptance, "_run_panels", lambda runs: seen.append(runs) or
+                        _run_panels(runs))
+    acceptance._c8()
+    return seen[0]
+
+
+_CUSTOM_RUNS = [({"scenario": "custom", "temperature": temp, "mu": mu, "delta_t": dt,
+                  "t_grid": [0.0, 0.7, 2.1, 5.0], "tol": 1e-8}, name)
+                for temp, mu, dt, name in ((0.05, 0.0, 0.0, "a"), (0.1, 0.6, 0.002, "b"),
+                                           (0.3, -1.2, 0.0, "c"))]
+
+
+@pytest.mark.parametrize("which", ["c8", "custom"])
+def test_panels_built_together_have_the_bits_of_each_config_run_alone(monkeypatch, which):
+    runs = _c8_runs(monkeypatch) if which == "c8" else [
+        (parse_config(data), name) for data, name in _CUSTOM_RUNS]
+    joint = _run_panels(runs)
+    assert len(joint.panels) == len(runs)
+    for (cfg, name), panel in zip(runs, joint.panels):
+        alone = run_scenario(cfg)
+        (solo,) = alone.panels
+        assert panel.name == name and panel.headers == solo.headers
+        assert _bits(panel.columns) == _bits(solo.columns)
+        assert [(r.quantity, r.max_rel_deviation.hex(), r.threshold)
+                for r in joint.reports if r.panel == name] == [
+            (r.quantity, r.max_rel_deviation.hex(), r.threshold) for r in alone.reports]
+    assert len(joint.reports) == (18 if which == "c8" else 0)
+
+
+@pytest.mark.parametrize("key, value", [("scenario", "onsteste2"), ("g", 0.5), ("tol", 1e-9),
+                                        ("stats", transport.STATS_BOLTZMANN)])
+def test_panels_of_one_build_share_its_scan_settings(monkeypatch, key, value):
+    monkeypatch.setattr(transport, "_scan", None)  # rejected before any scan
+    base = {"scenario": "custom", "t_grid": [0.0, 1.0]}
+    runs = [(parse_config(base), "a"), (parse_config(dict(base, **{key: value})), "b")]
+    with pytest.raises(ConfigError, match="differ in config field '%s'" % key):
+        _run_panels(runs)
+    with pytest.raises(ConfigError, match="scenario runs must hold at least one panel"):
+        _run_panels([])
 
 
 def test_a_run_that_raises_closes_its_table_block(monkeypatch):
