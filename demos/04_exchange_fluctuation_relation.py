@@ -11,10 +11,9 @@ for every noise strength.
 
 import numpy as np
 
-from fermichain import (ExchangeEvent, ModeSpec, ReservoirParams, affinities,
-                        exchange_prob, ft_log_ratio, log_occupation_fd,
-                        log_vacancy_fd, multi_mode_ft, occupation_fd,
-                        transition_weight)
+from fermichain import (ModeSpec, ReservoirParams, affinities, exchange_prob,
+                        ft_log_ratio, log_occupation_fd, log_vacancy_fd,
+                        multi_mode_ft, occupation_fd, transition_weight)
 
 mode = ModeSpec.from_momentum(2.0, g=1.0, dephasing=0.4)
 hot = ReservoirParams(temperature=0.5, mu=0.3)
@@ -51,13 +50,13 @@ print("side A: 1 - n = %.1f, yet ln n = %.3e and ln(1 - n) = %.4f"
       % (1.0 - n_deep, log_occupation_fd(deep_mode.energy, deep_a),
          log_vacancy_fd(deep_mode.energy, deep_a)))
 
-# several modes at once: the log-ratios just add per event
-events = [ExchangeEvent(ModeSpec.from_momentum(0.8), delta_n_a=-1),
-          ExchangeEvent(ModeSpec.from_momentum(1.7), delta_n_a=-1),
-          ExchangeEvent(ModeSpec.from_momentum(2.4), delta_n_a=+1)]
-joint = multi_mode_ft(events, hot, cold, t=2.0)
+# several modes at once: the log-ratios just add per event.  One batch of
+# three modes, and A's number change in each
+modes = ModeSpec.from_momentum(np.array([0.8, 1.7, 2.4]))
+delta_n_a = [-1, -1, 1]
+joint = multi_mode_ft(modes, delta_n_a, hot, cold, t=2.0)
 print("three-event joint ratio: lhs %.6f, residual %.2e"
       % (joint.lhs, joint.residual))
 
-net = sum(-ev.delta_n_a for ev in events)
+net = -sum(delta_n_a)
 print("net particles A -> B in that history: %d" % net)

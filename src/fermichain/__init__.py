@@ -29,9 +29,8 @@ from .entropy import (EquilibriumModePrep, ModeEntropyBreakdown, binary_entropy,
                       entropy_sum_rate, joint_entropy, joint_entropy_exact,
                       joint_spectrum, mutual_information,
                       mutual_information_exact, mutual_information_rate)
-from .fluctuation import (Affinities, ExchangeEvent, FtCheck,
-                          ZeroProbabilityError, affinities, exchange_prob,
-                          ft_log_ratio, multi_mode_ft, transition_weight)
+from .fluctuation import (Affinities, FtCheck, ZeroProbabilityError, affinities,
+                          exchange_prob, ft_log_ratio, multi_mode_ft, transition_weight)
 from .scenarios import (ComparisonReport, ConfigError, LinearResponseWarning,
                         Panel, ScenarioConfig, ScenarioResult, SCENARIOS,
                         parse_config, run_scenario, write_result)

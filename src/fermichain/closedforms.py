@@ -64,8 +64,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lattice import (ReservoirParams, _Fieldwise, _check_reach, _plain, _require,
-                      _require_scalars, _warn_unless_dilute, relaxation_envelope)
+from .lattice import (ReservoirParams, _Fieldwise, _check_reach, _require, _require_scalars,
+                      _scalar_pow, _warn_unless_dilute, relaxation_envelope)
 from .special import SpecialFnTable, _column, bessel_band_sum, bessel_i
 from .transport import OnsagerBlock, integrate_interval
 
@@ -187,12 +187,6 @@ def _check_sommerfeld_args(res: ReservoirParams):
     _require("temperature", res.temperature,
              bool(np.all(math.pi * res.temperature < np.sqrt(4.0 - res.mu * res.mu))),
              "satisfy (pi T)^2/(4 - mu^2) < 1 for the Sommerfeld form")
-
-
-def _scalar_pow(base, exponent: float):
-    """base ** exponent by Python's float pow, entry by entry: numpy's vector
-    power may round an entry otherwise, and each entry keeps its scalar bits."""
-    return _plain(np.asarray(np.power(np.asarray(base, dtype=object), exponent), dtype=float))
 
 
 def _bracket_derivative_n(mu: float, t: float, damping: float, g: float) -> float:

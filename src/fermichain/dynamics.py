@@ -12,15 +12,14 @@ solution is
 
 and the 4x4 density matrix in the Fock basis {|0>, a+|0>, b+|0>, a+b+|0>}
 keeps constant corners (1-nA)(1-nB) and nA*nB while the single-excitation
-block carries the oscillation.  The closed forms, the density matrices
-included, broadcast: occupations, times and a ModeSpec with array fields
-evaluate a whole batch of modes in one call, each entry equal to its scalar
-call bit for bit, and a batch of shape S gives states of shape (*S, 4, 4);
-a batched ReservoirParams broadcasts with them.  The integrator in this
-module takes one reservoir pair, rejecting a batch by name, and makes no
-use of the closed forms; it takes a classical fixed-step 4th-order scheme,
-whose step is one fixed matrix P for a time-independent generator, and
-applies P^n by repeated squaring.  It exists to certify the closed forms.
+block carries the oscillation.  Every function takes one ModeSpec: a mode,
+or a batch of shape S through its array fields, whose states have shape
+(*S, 4, 4).  In the closed forms occupations, times and batched reservoirs
+broadcast with it, each entry equal to its scalar call bit for bit.  The
+integrator takes one reservoir pair and makes no use of the closed forms:
+it steps a whole batch with a classical fixed-step 4th-order scheme, whose
+step is one fixed matrix P for a time-independent generator, applying P^n
+by repeated squaring.  It exists to certify the closed forms.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ import math
 
 import numpy as np
 
-from .lattice import (ModeSpec, ReservoirParams, _check_reach, _plain, _require,
-                      _require_scalars, occupation_fd, relaxation_envelope)
+from .lattice import (ModeSpec, ReservoirParams, _check_reach, _mode_envelope, _mode_shape,
+                      _plain, _require, _require_scalars, occupation_fd)
 
 
 class IntegrationError(RuntimeError):
@@ -41,19 +40,19 @@ class IntegrationError(RuntimeError):
 def _terms(mode: ModeSpec, n_a0, n_b0, t):
     """(n_a0, n_b0, mean, half, envelope, phase), formed once per call: the
     checked occupations as arrays, their mean and half difference, and the
-    mode's envelope exp(-lam t) and phase 2 g_k t."""
+    mode's envelope exp(-lam t) and phase 2 g_k t over the whole batch."""
     _check_reach("occupation", "n_a0", n_a0)
     _check_reach("occupation", "n_b0", n_b0)
     n_a0, n_b0 = np.asarray(n_a0, dtype=float), np.asarray(n_b0, dtype=float)
-    envelope, phase = relaxation_envelope(t, mode.dephasing, mode.coupling)
+    envelope, phase = _mode_envelope(mode, t, ("n_a0", n_a0), ("n_b0", n_b0))
     return n_a0, n_b0, 0.5 * (n_a0 + n_b0), 0.5 * (n_a0 - n_b0), envelope, phase
 
 
 def occ_a(mode: ModeSpec, n_a0, n_b0, t):
     """<a+a> at time t for initial occupations (n_a0, n_b0).
 
-    The occupations, t and the mode's coupling and dephasing may be
-    broadcasting arrays; each entry equals the scalar call bit for bit.
+    The occupations, t and the mode's fields may be broadcasting arrays; each
+    entry equals the scalar call bit for bit.
     """
     _, _, mean, half, envelope, phase = _terms(mode, n_a0, n_b0, t)
     return _plain(mean + half * envelope * np.cos(phase))
@@ -71,7 +70,7 @@ def coherence_ab(mode: ModeSpec, n_a0, n_b0, t):
     return _plain(1j * half * envelope * np.sin(phase))
 
 
-def density_matrix_from_occupations(n_a0, n_b0, coupling, dephasing, t) -> np.ndarray:
+def density_matrix_from_occupations(mode: ModeSpec, n_a0, n_b0, t) -> np.ndarray:
     """4x4 mode state at time t in the basis {|0>, a+|0>, b+|0>, a+b+|0>}.
 
     Corners (vacuum and doubly occupied) are constants of motion; the central
@@ -79,7 +78,6 @@ def density_matrix_from_occupations(n_a0, n_b0, coupling, dephasing, t) -> np.nd
     coherence, with entry (1, 2) = <b+a> and (2, 1) = <a+b>.  The arguments
     broadcast like :func:`occ_a`'s; a batch of shape S gives (*S, 4, 4).
     """
-    mode = ModeSpec(energy=0.0, coupling=coupling, dephasing=dephasing)
     n_a0, n_b0, mean, half, envelope, phase = _terms(mode, n_a0, n_b0, t)
     swing = half * envelope * np.cos(phase)
     c_ab = 1j * half * envelope * np.sin(phase)
@@ -96,11 +94,12 @@ def density_matrix_from_occupations(n_a0, n_b0, coupling, dephasing, t) -> np.nd
 
 def density_matrix(mode: ModeSpec, res_a: ReservoirParams, res_b: ReservoirParams,
                    t) -> np.ndarray:
-    """Mode state for halves prepared thermally at res_a / res_b; a batched
-    mode and an array t broadcast as in :func:`density_matrix_from_occupations`."""
+    """Mode state for halves prepared thermally at res_a / res_b; batched
+    reservoirs broadcast too."""
+    _mode_shape(mode, ("time", t), *res_a._fields("res_a "), *res_b._fields("res_b "))
     n_a0 = occupation_fd(mode.energy, res_a)
     n_b0 = occupation_fd(mode.energy, res_b)
-    return density_matrix_from_occupations(n_a0, n_b0, mode.coupling, mode.dephasing, t)
+    return density_matrix_from_occupations(mode, n_a0, n_b0, t)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +152,8 @@ def _liouvillian_parts():
     return parts
 
 
-def lindblad_trajectory(mode: ModeSpec | list | tuple, res_a: ReservoirParams,
-                        res_b: ReservoirParams, t_grid, dt_max: float = 1e-3) -> np.ndarray:
+def lindblad_trajectory(mode: ModeSpec, res_a: ReservoirParams, res_b: ReservoirParams,
+                        t_grid, dt_max: float = 1e-3) -> np.ndarray:
     """Integrate the dephasing master equation, reporting at each grid time.
 
     Each inter-report interval of length ``span`` is cut into
@@ -167,18 +166,11 @@ def lindblad_trajectory(mode: ModeSpec | list | tuple, res_a: ReservoirParams,
     has the same span and step count.  All modes of a batch advance
     together.  A step outside RK4's stability region for any part of a
     mode's generator can overflow ``P^n``; a non-finite state raises
-    IntegrationError.
+    IntegrationError naming the mode's index in the batch.
 
-    Parameters
-    ----------
-    mode : ModeSpec, or a list or tuple of ModeSpec integrated as one batch
-    t_grid : strictly increasing, finite report times starting at >= 0
-    dt_max : finite, positive upper bound on the fixed step
-
-    Returns
-    -------
-    (len(t_grid), 4, 4) complex array of states for a single ModeSpec, or
-    (len(mode), len(t_grid), 4, 4) for a list or tuple of modes.
+    mode is one ModeSpec: a mode (S = ()) or a non-empty batch of shape S.
+    t_grid holds finite report times strictly increasing from >= 0, and
+    dt_max is finite and positive.  Returns the (*S, len(t_grid), 4, 4) states.
     """
     _check_reach("positive", "dt_max", dt_max)
     times = np.atleast_1d(np.asarray(t_grid, dtype=float))
@@ -186,29 +178,24 @@ def lindblad_trajectory(mode: ModeSpec | list | tuple, res_a: ReservoirParams,
              and bool(np.all(np.isfinite(times))) and times[0] >= 0.0
              and bool(np.all(np.diff(times) > 0.0)),
              "be a non-empty 1-D array of finite times, strictly increasing from >= 0")
-    t_grid = times
-    batch = isinstance(mode, (list, tuple))
-    modes = list(mode) if batch else [mode]
-    _require("mode", mode, bool(modes), "be a ModeSpec or a non-empty batch of them")
-    # a ModeSpec of arrays is a batch for the closed forms, not one 4x4 state
-    _require("mode", mode, not any(np.ndim(v) for m in modes for v in vars(m).values()),
-             "have scalar fields (one mode, not a batch)")
+    shape = _mode_shape(mode)
+    _require("mode", mode, math.prod(shape) > 0, "hold at least one mode, not an empty batch")
     _require_scalars(*vars(res_a).items(), *vars(res_b).items())
     l_e, l_g, l_lam = _liouvillian_parts()
-    params = np.array([(m.energy, m.coupling, m.dephasing) for m in modes], dtype=float)
-    energy, coupling, dephasing = params.T[:, :, None, None]
+    energy, coupling, dephasing = (np.broadcast_to(np.asarray(v, dtype=float), shape)
+                                   .reshape(-1, 1, 1) for _, v in mode._fields())
     sup = energy * l_e + coupling * l_g + dephasing * l_lam
-    n_a0 = occupation_fd(params[:, 0], res_a)
-    n_b0 = occupation_fd(params[:, 0], res_b)
-    y = np.zeros((len(modes), 16, 1), dtype=complex)
+    n_a0 = occupation_fd(energy.ravel(), res_a)
+    n_b0 = occupation_fd(energy.ravel(), res_b)
+    y = np.zeros((len(sup), 16, 1), dtype=complex)
     # the diagonal of each row-major vec(rho0): a product of thermal states
     y[:, ::5, 0] = np.stack([(1.0 - n_a0) * (1.0 - n_b0), n_a0 * (1.0 - n_b0),
                              (1.0 - n_a0) * n_b0, n_a0 * n_b0], axis=-1)
     eye = np.eye(16, dtype=complex)
-    out = np.empty((len(modes), len(t_grid), 4, 4), dtype=complex)
+    out = np.empty((len(sup), len(times), 4, 4), dtype=complex)
     t_now = 0.0
     interval = None  # (span, n_steps) that ``power`` advances
-    for i, t_stop in enumerate(t_grid):
+    for i, t_stop in enumerate(times):
         span = t_stop - t_now
         if span > 0.0:
             n_steps = max(1, int(math.ceil(span / dt_max)))
@@ -221,8 +208,8 @@ def lindblad_trajectory(mode: ModeSpec | list | tuple, res_a: ReservoirParams,
             t_now = t_stop
         bad = ~np.all(np.isfinite(y.view(float)), axis=(1, 2))
         if np.any(bad):
-            raise IntegrationError("non-finite state of mode %d at t=%g; reduce dt_max"
-                                   % (int(np.argmax(bad)), t_stop))
+            where = np.unravel_index(int(np.argmax(bad)), shape) or (0,)
+            raise IntegrationError("non-finite state of mode %s at t=%g; reduce dt_max"
+                                   % (",".join(map(str, where)), t_stop))
         out[:, i] = y.reshape(-1, 4, 4)
-    return out if batch else out[0]
-
+    return out.reshape(shape + out.shape[1:])

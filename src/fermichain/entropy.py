@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .lattice import ModeSpec, _check_reach, _plain, _require, relaxation_envelope
+from .lattice import (_REAL_KINDS, ModeSpec, _check_reach, _plain, _require,
+                      relaxation_envelope)
 
 
 def _xlogx(p):
@@ -48,7 +49,9 @@ def _xlogx(p):
 
 def binary_entropy(p):
     """H(p) = -p ln p - (1-p) ln(1-p), with 0 ln 0 = 0.  Scalar or array."""
-    arr = np.asarray(p, dtype=float)
+    arr = np.asarray(p)
+    _require("occupation p", p, arr.dtype.kind in _REAL_KINDS, "be a real number")
+    arr = arr.astype(float, copy=False)
     _require("occupation p", p, bool(np.all((arr >= -1e-12) & (arr <= 1.0 + 1e-12))),
              "lie in [0, 1]")
     p = np.clip(arr, 0.0, 1.0)

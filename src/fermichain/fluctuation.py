@@ -18,23 +18,24 @@ probability on its own).  It cancels in the ratio, leaving
 independent of t, lam, and g: a detailed fluctuation theorem with the
 thermal affinity F_H = beta_B - beta_A conjugate to the energy carried
 and the chemical affinity F_M = beta_A mu_A - beta_B mu_B conjugate to
-the particle number.  Independent modes contribute additively in the log.
-A ModeSpec with array fields is a batch of modes, and a ReservoirParams
-with array fields a batch of reservoirs; with an array t they all
-broadcast together, each entry equal to its scalar call bit for bit, while
-a scalar call returns plain floats.  One call thus checks every pair of two
-reservoir batches whose axes are kept apart (e.g. shapes (n, 1) and (m,)).
+the particle number.  Independent modes contribute additively in the log;
+:func:`multi_mode_ft` takes them as one ModeSpec batch.  A ModeSpec with
+array fields is a batch of modes, and a ReservoirParams with array fields
+a batch of reservoirs; with an array t they all broadcast together, each
+entry equal to its scalar call bit for bit, while a scalar call returns
+plain floats.  One call thus checks every pair of two reservoir batches
+whose axes are kept apart (e.g. shapes (n, 1) and (m,)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .lattice import (ModeSpec, ReservoirParams, _Fieldwise, _log_fd_pair, _plain, _require,
-                      _require_scalars, occupation_fd, relaxation_envelope)
+from .lattice import (_REAL_KINDS, ModeSpec, ReservoirParams, _Fieldwise, _joint_shape,
+                      _log_fd_pair, _mode_envelope, _mode_shape, _plain, _require,
+                      _require_scalars, occupation_fd)
 
 
 class ZeroProbabilityError(ValueError):
@@ -50,20 +51,26 @@ class Affinities(_Fieldwise):
     f_m: float  # beta_A mu_A - beta_B mu_B, conjugate to transferred number
 
 
+def _reservoirs(res_a: ReservoirParams, res_b: ReservoirParams) -> tuple:
+    return res_a._fields("res_a ") + res_b._fields("res_b ")
+
+
 def affinities(res_a: ReservoirParams, res_b: ReservoirParams) -> Affinities:
+    _joint_shape(*_reservoirs(res_a, res_b))
     return Affinities(f_h=res_b.beta - res_a.beta,
                       f_m=res_a.beta * res_a.mu - res_b.beta * res_b.mu)
 
 
 def transition_weight(mode: ModeSpec, t) -> object:
     """Per-particle transfer weight w(t) in [0, 1]."""
-    envelope, phase = relaxation_envelope(t, mode.dephasing, mode.coupling)
+    envelope, phase = _mode_envelope(mode, t)
     return _plain(0.5 * (1.0 - envelope * np.cos(phase)))
 
 
 def exchange_prob(direction: str, mode: ModeSpec, res_a: ReservoirParams,
                   res_b: ReservoirParams, t) -> object:
     """Directed exchange measure; 'a_to_b' or 'b_to_a'."""
+    _mode_shape(mode, ("time", t), *_reservoirs(res_a, res_b))
     n_a = occupation_fd(mode.energy, res_a)
     n_b = occupation_fd(mode.energy, res_b)
     _require("direction", direction, direction in ("a_to_b", "b_to_a"),
@@ -96,8 +103,8 @@ def ft_log_ratio(mode: ModeSpec, res_a: ReservoirParams, res_b: ReservoirParams,
     joint shape.
     """
     # the transfer factor cancels, but must exist at t; its envelope
-    # carries the (lam, g, t) axes of the batch
-    envelope, _ = relaxation_envelope(t, mode.dephasing, mode.coupling)
+    # carries the mode's and t's axes of the batch
+    envelope, _ = _mode_envelope(mode, t, *_reservoirs(res_a, res_b))
     # logs taken directly from (eps - mu)/T; forming the occupation first
     # and re-logging it would throw away digits wherever it rounds to 1.
     # Each reservoir's ln n and ln(1 - n) share one log1p; a saturated
@@ -115,27 +122,19 @@ def ft_log_ratio(mode: ModeSpec, res_a: ReservoirParams, res_b: ReservoirParams,
     return FtCheck(_plain(lhs), _plain(rhs))
 
 
-@dataclass(frozen=True)
-class ExchangeEvent:
-    """One quantum moved through one mode; delta_n_a is A's number change."""
-
-    mode: ModeSpec
-    delta_n_a: int
-
-    def __post_init__(self):
-        _require("delta_n_a", self.delta_n_a, self.delta_n_a in (-1, 1), "be -1 or +1")
-
-
-def multi_mode_ft(events: Iterable[ExchangeEvent], res_a: ReservoirParams,
+def multi_mode_ft(mode: ModeSpec, delta_n_a, res_a: ReservoirParams,
                   res_b: ReservoirParams, t: float) -> FtCheck:
     """Joint log-ratio for independent modes at one reservoir pair:
-    contributions add."""
-    # a batch would pair its reservoirs with the events entry by entry
+    contributions add.  delta_n_a is A's number change in each mode, -1 or
+    +1; it, the mode batch and t broadcast to one 1-D shape."""
+    # a batch would pair its reservoirs with the modes entry by entry
     _require_scalars(*vars(res_a).items(), *vars(res_b).items())
-    events = list(events)
-    fields = np.array([[ev.mode.energy, ev.mode.coupling, ev.mode.dephasing]
-                       for ev in events], dtype=float).reshape(-1, 3).T
-    each = ft_log_ratio(ModeSpec(*fields), res_a, res_b, t)
+    delta = np.asarray(delta_n_a)
+    _require("delta_n_a", delta_n_a, delta.dtype.kind in _REAL_KINDS
+             and bool(np.isin(delta, (-1, 1)).all()), "be -1 or +1 for each mode")
+    each = ft_log_ratio(mode, res_a, res_b, t)
+    shape = _joint_shape(("mode at t", each.lhs), ("delta_n_a", delta))
+    _require("mode, t and delta_n_a", shape, len(shape) == 1, "broadcast to one 1-D shape")
     # +1 when A loses the particle
-    sign = -np.array([ev.delta_n_a for ev in events], dtype=float)
-    return FtCheck(lhs=float(sign @ each.lhs), rhs=float(sign @ each.rhs))
+    sign, lhs, rhs = np.broadcast_arrays(-delta.astype(float), each.lhs, each.rhs)
+    return FtCheck(lhs=float(sign @ lhs), rhs=float(sign @ rhs))

@@ -114,6 +114,16 @@ def _require_scalars(*named):
             _require(name, np.shape(value), False, "be one scalar, not an array of shape")
 
 
+def _joint_shape(*named, what=None):
+    """The shape the (name, value) pairs broadcast to, from one C-level test,
+    or a ValueError saying what (the names) must broadcast, with each shape."""
+    try:
+        return np.broadcast(*(value for _, value in named)).shape
+    except ValueError:
+        shapes = {name: np.shape(value) for name, value in named}
+        _require(what or ", ".join(shapes), shapes, False, "broadcast together")
+
+
 # the band quadrature's panel budget: no level above it is ever built
 _MAX_PANELS = 1 << 17
 _I_REACH = 700.0  # |y| of I_n(y): e^y stays finite
@@ -198,6 +208,12 @@ def _plain(out):
     return np.asarray(out).item() if np.ndim(out) == 0 else out
 
 
+def _scalar_pow(base, exponent: float):
+    """base ** exponent by Python's float pow, entry by entry: numpy's vector
+    power may round an entry otherwise, and each entry keeps its scalar bits."""
+    return _plain(np.asarray(np.power(np.asarray(base, dtype=object), exponent), dtype=float))
+
+
 class _Fieldwise:
     """Field-by-field equality, array fields included, for a frozen dataclass
     declared with eq=False; a batch (any field an array) is not hashable.
@@ -232,16 +248,17 @@ class _Fieldwise:
     def __post_init__(self):
         self._require_broadcast()
 
+    def _fields(self, prefix: str = "") -> tuple:
+        """(prefix + name, value) of each field, for ``_joint_shape``."""
+        return tuple((prefix + name, value) for name, value in vars(self).items())
+
     def _require_broadcast(self):
         """Raise ValueError listing the fields' shapes unless they broadcast."""
+        values = self._values(self)
         try:
-            hash(self)  # no array field: nothing to broadcast
-        except TypeError:
-            shapes = {name: np.shape(v) for name, v in vars(self).items()}
-            try:
-                np.broadcast_shapes(*shapes.values())
-            except ValueError:
-                _require("%s fields" % type(self).__name__, shapes, False, "broadcast together")
+            np.broadcast(*values)  # raises no exception to catch on valid fields
+        except ValueError:
+            _joint_shape(*self._fields(), what="%s fields" % type(self).__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,11 +326,17 @@ class ModeSpec(_Fieldwise):
         self._require_broadcast()
 
     @classmethod
-    def from_momentum(cls, k: float, g: float = 1.0, dephasing: float = 0.0) -> "ModeSpec":
+    def from_momentum(cls, k, g=1.0, dephasing=0.0) -> "ModeSpec":
+        """The mode at momentum k; k, g and the dephasing rate may be arrays
+        that broadcast, each entry with the bits of its scalar call."""
         # dispersion validates k; only cos and sin of 2 g_k t reach an
         # observable, so the sign convention of g_k lives in dynamics
-        return cls(energy=dispersion(k),
-                   coupling=float(g * np.sin(k) ** 2), dephasing=float(dephasing))
+        energy = dispersion(k)
+        _check_reach("finite", "g", g)
+        _joint_shape(("momentum k", k), ("g", g), ("dephasing", dephasing))
+        sin_k = np.sin(np.asarray(k, dtype=float))
+        return cls(energy=energy, coupling=_plain(np.multiply(g, _scalar_pow(sin_k, 2))),
+                   dephasing=_plain(np.asarray(dephasing)))
 
 
 def _check_envelope_args(t, dephasing, coupling):
@@ -352,10 +375,14 @@ def relaxation_envelope(t, dephasing, coupling):
     tarr, lam, g = (np.asarray(a, dtype=float)[()] for a in args)  # 0-d: numpy scalars
     # an invalid input's inf or NaN only fails the test below; a damped-out
     # entry's phase, inf or 0 * inf, is dropped
-    with np.errstate(over="ignore", invalid="ignore"):
-        envelope = np.exp(-lam * tarr)
-        alive = envelope > _DAMPING_FLOOR
-        phase = np.where(alive, 2.0 * g * tarr, 0.0)[()]
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            envelope = np.exp(-lam * tarr)
+            alive = envelope > _DAMPING_FLOOR
+            phase = np.where(alive, 2.0 * g * tarr, 0.0)[()]
+    except ValueError:  # shapes that do not broadcast
+        _joint_shape(("time", t), ("dephasing rate", dephasing), ("coupling g", coupling))
+        raise
     # one combined test (envelope <= 1 fails at inf t with lam 0); the named
     # checks run once it fails, or an empty argument leaves nothing to test
     if not (phase.size and ((lam >= 0.0) & (lam < math.inf) & (abs(g) < math.inf) & (tarr >= 0.0)
@@ -366,14 +393,35 @@ def relaxation_envelope(t, dephasing, coupling):
     return envelope * alive, phase
 
 
+def _mode_shape(mode: ModeSpec, *named) -> tuple:
+    """The joint shape of a ModeSpec's fields and the named values (say, t,
+    occupations or reservoir fields), by ``_joint_shape``."""
+    _require("mode", mode, isinstance(mode, ModeSpec), "be a ModeSpec")
+    return _joint_shape(*mode._fields("mode "), *named)
+
+
+def _mode_envelope(mode: ModeSpec, t, *named):
+    """relaxation_envelope of a mode batch checked by ``_mode_shape``, spread
+    over the coupling's axes, which the envelope lacks, and the energy's."""
+    _mode_shape(mode, ("time", t), *named)
+    envelope, phase = relaxation_envelope(t, mode.dephasing, mode.coupling)
+    if np.ndim(mode.energy) or np.shape(envelope) != np.shape(phase):
+        envelope, phase, _ = np.broadcast_arrays(envelope, phase, mode.energy)
+    return envelope, phase
+
+
 def _reduced_energy(energy, reservoir: ReservoirParams):
     # x = (eps - mu)/T: past the float range +-inf, the exact limit of any
     # occupation, and NaN only for a NaN energy, which is rejected
     energies = np.asarray(energy)
     _require("energy", energy, energies.dtype.kind in _REAL_KINDS,
              "be a real number in the float range")
-    with np.errstate(over="ignore"):
-        x = (energies.astype(float, copy=False) - reservoir.mu) / reservoir.temperature
+    try:
+        with np.errstate(over="ignore"):
+            x = (energies.astype(float, copy=False) - reservoir.mu) / reservoir.temperature
+    except ValueError:  # shapes that do not broadcast
+        _joint_shape(("energy", energy), *reservoir._fields())
+        raise
     _require("energy", energy, not np.isnan(x).any(), "not be NaN")
     return x
 

@@ -5,9 +5,10 @@ even on success).  The whole gate takes a few seconds; no single
 criterion takes more than about one.
 """
 
+import numpy as np
 import pytest
 
-from fermichain import acceptance, fluctuation, special, transport
+from fermichain import ModeSpec, acceptance, dynamics, fluctuation, special, transport
 from fermichain.acceptance import CRITERIA
 from fermichain.fluctuation import ft_log_ratio
 
@@ -34,6 +35,34 @@ def test_c4_checks_every_reservoir_pair_in_one_call(monkeypatch):
     assert len(calls) == 1 and passed is True
     assert detail == ("max |residual| 3.55e-15 over 5^5 states; "
                       "identical at all 9 (noise, t): True")
+
+
+def test_c3_steps_one_batch_of_100_modes_and_compares_one_shape(monkeypatch):
+    # one ModeSpec of 100 modes for the stepper and the closed form, not a
+    # list of 100 records beside a batch of the same modes
+    stepped, closed = [], []
+    stepper, state = dynamics.lindblad_trajectory, dynamics.density_matrix
+
+    def counted_stepper(mode, *args, **kwargs):
+        out = stepper(mode, *args, **kwargs)
+        stepped.append((mode, out.shape))
+        return out
+
+    def counted_state(mode, *args):
+        out = state(mode, *args)
+        closed.append((mode, out.shape))
+        return out
+
+    monkeypatch.setattr(dynamics, "lindblad_trajectory", counted_stepper)
+    monkeypatch.setattr(dynamics, "density_matrix", counted_state)
+    passed, detail = acceptance._c3()
+    assert len(stepped) == 1 and len(closed) == 1 and passed is True
+    (mode, states), (same_mode, ref) = stepped[0], closed[0]
+    assert isinstance(mode, ModeSpec) and mode is same_mode
+    assert np.broadcast(mode.energy, mode.coupling, mode.dephasing).shape == (100, 1)
+    # the stepper's axis of length 1 dropped, both are (mode, t, 4, 4)
+    assert states == (100, 1, 10, 4, 4) and ref == (100, 10, 4, 4)
+    assert detail.startswith("max entrywise gap 4.91e-12 over 10x10x10 grid in ")
 
 
 def test_c8_runs_its_nine_settings_as_one_scan_and_one_j_table(monkeypatch):

@@ -17,7 +17,7 @@ from fermichain import (
     occ_b,
     occupation_fd,
 )
-from fermichain import dynamics
+from fermichain import dynamics, lattice
 
 
 def _mode(coupling=1.0, dephasing=0.0, energy=0.0):
@@ -109,7 +109,7 @@ def test_density_matrix_initial_product_state():
 
 
 def test_density_matrix_pauli_blocked():
-    rho = density_matrix_from_occupations(1.0, 1.0, 1.0, 0.3, 2.5)
+    rho = density_matrix_from_occupations(_mode(coupling=1.0, dephasing=0.3), 1.0, 1.0, 2.5)
     np.testing.assert_allclose(rho, np.diag([0.0, 0.0, 0.0, 1.0]), atol=1e-15)
 
 
@@ -125,16 +125,17 @@ def test_density_matrix_positivity_sweep():
     rng = np.random.default_rng(19)
     for _ in range(200):
         na, nb = rng.uniform(0, 1, 2)
-        rho = density_matrix_from_occupations(na, nb, rng.uniform(0, 2),
-                                              rng.uniform(0, 1), rng.uniform(0, 10))
+        m = _mode(coupling=rng.uniform(0, 2), dephasing=rng.uniform(0, 1))
+        rho = density_matrix_from_occupations(m, na, nb, rng.uniform(0, 10))
         assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
 
 def test_density_matrix_fixed_corners():
     na, nb = 0.62, 0.17
-    r0 = density_matrix_from_occupations(na, nb, 1.1, 0.2, 0.0)
+    m = _mode(coupling=1.1, dephasing=0.2)
+    r0 = density_matrix_from_occupations(m, na, nb, 0.0)
     for t in (0.5, 3.0, 12.0):
-        rt = density_matrix_from_occupations(na, nb, 1.1, 0.2, t)
+        rt = density_matrix_from_occupations(m, na, nb, t)
         assert rt[0, 0] == r0[0, 0]
         assert rt[3, 3] == r0[3, 3]
 
@@ -243,35 +244,64 @@ def test_trajectory_rejects_bad_dt_max(dt_max):
 
 
 def test_trajectory_batch_matches_single_mode_calls():
-    modes = [_mode(coupling=g, dephasing=lam, energy=eps)
-             for lam, g, eps in [(0.0, 1.0, -1.0), (0.4, 0.3, 0.5),
-                                 (1.0, 2.0, 1.7), (0.1, 0.0, -2.0)]]
+    fields = [(0.0, 1.0, -1.0), (0.4, 0.3, 0.5), (1.0, 2.0, 1.7), (0.1, 0.0, -2.0)]
+    lam, g, eps = (np.array(column) for column in zip(*fields))
     t_grid = [0.0, 0.7, 2.5]
-    batch = lindblad_trajectory(modes, *_res_pair(), t_grid, dt_max=1e-3)
-    for mode, traj in zip(modes, batch):
-        single = lindblad_trajectory(mode, *_res_pair(), t_grid, dt_max=1e-3)
+    batch = lindblad_trajectory(ModeSpec(eps, g, lam), *_res_pair(), t_grid, dt_max=1e-3)
+    for (rate, coupling, energy), traj in zip(fields, batch):
+        single = lindblad_trajectory(_mode(coupling, rate, energy), *_res_pair(), t_grid,
+                                     dt_max=1e-3)
         np.testing.assert_allclose(traj, single, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(fields=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+                                 st.floats(0.0, 2.0)), min_size=1, max_size=4),
+       column=st.booleans(), ts=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3))
+def test_each_batch_entry_equals_its_single_mode_call(fields, column, ts):
+    # a (n,) or (n, 1) batch: the entry of mode i sits at index i (then 0)
+    t_grid = np.cumsum(ts)
+    eps, g, lam = (np.array(c)[:, None] if column else np.array(c) for c in zip(*fields))
+    batch = lindblad_trajectory(ModeSpec(eps, g, lam), *_res_pair(), t_grid, dt_max=1e-2)
+    assert batch.shape == np.shape(eps) + (len(t_grid), 4, 4)
+    for i, one in enumerate(fields):
+        single = lindblad_trajectory(ModeSpec(*one), *_res_pair(), t_grid, dt_max=1e-2)
+        np.testing.assert_allclose(batch[i].reshape(single.shape), single, rtol=0.0,
+                                   atol=1e-12)
 
 
 def test_trajectory_output_shapes():
     t_grid = [0.5, 1.0, 1.5]
     assert lindblad_trajectory(_mode(), *_res_pair(), t_grid).shape == (3, 4, 4)
-    assert lindblad_trajectory([_mode()], *_res_pair(), t_grid).shape == (1, 3, 4, 4)
-    modes = (_mode(), _mode(coupling=0.5), _mode(dephasing=0.2))
+    one = _mode(coupling=np.array([1.0]))
+    assert lindblad_trajectory(one, *_res_pair(), t_grid).shape == (1, 3, 4, 4)
+    modes = _mode(coupling=[1.0, 0.5, 1.0], dephasing=[0.0, 0.0, 0.2])
     assert lindblad_trajectory(modes, *_res_pair(), t_grid).shape == (3, 3, 4, 4)
+    grid = _mode(coupling=np.array([0.5, 1.0, 1.5]), dephasing=np.array([[0.0], [0.2]]))
+    assert lindblad_trajectory(grid, *_res_pair(), t_grid).shape == (2, 3, 3, 4, 4)
 
 
 def test_trajectory_rejects_empty_batch():
-    with pytest.raises(ValueError, match="empty"):
-        lindblad_trajectory([], *_res_pair(), [1.0])
+    with pytest.raises(ValueError, match="mode must hold at least one mode, not an empty"):
+        lindblad_trajectory(_mode(coupling=np.empty(0)), *_res_pair(), [1.0])
+
+
+@pytest.mark.parametrize("mode", [None, [(0.0, 1.0, 0.1)], (0.0, 1.0, 0.1)])
+def test_trajectory_rejects_a_mode_that_is_not_a_mode_spec(mode):
+    # vars() raised a raw TypeError for each of these
+    with pytest.raises(ValueError, match="mode must be a ModeSpec"):
+        lindblad_trajectory(mode, *_res_pair(), [1.0])
 
 
 @pytest.mark.filterwarnings("ignore:.*in matmul:RuntimeWarning")
 def test_trajectory_unstable_mode_in_batch_raises():
     # g * dt_max = 10 lies far outside the RK4 stability region
-    modes = [_mode(coupling=1.0), _mode(coupling=1e4), _mode(coupling=0.5)]
-    with pytest.raises(IntegrationError, match="mode 1"):
+    modes = _mode(coupling=np.array([1.0, 1e4, 0.5]))
+    with pytest.raises(IntegrationError, match="mode 1 "):
         lindblad_trajectory(modes, *_res_pair(), [1.0], dt_max=1e-3)
+    grid = _mode(coupling=np.array([[1.0, 0.5], [0.5, 1e4]]))
+    with pytest.raises(IntegrationError, match="mode 1,1 "):
+        lindblad_trajectory(grid, *_res_pair(), [1.0], dt_max=1e-3)
 
 
 def test_generator_parts_rebuild_every_per_mode_generator_bit_for_bit():
@@ -350,15 +380,15 @@ def test_one_density_matrix_call_forms_one_envelope(monkeypatch):
     # the state used to run the envelope three times (occ_a, occ_b through
     # occ_a, coherence_ab) and check the occupations five times
     calls = []
-    inner = dynamics.relaxation_envelope
-    monkeypatch.setattr(dynamics, "relaxation_envelope",
+    inner = lattice.relaxation_envelope
+    monkeypatch.setattr(lattice, "relaxation_envelope",
                         lambda *args: calls.append(args) or inner(*args))
     batch = ModeSpec(np.array([[-1.0], [0.5]]), np.array([[0.8], [1.3]]), 0.2)
     rho = density_matrix(batch, ReservoirParams(0.3, 0.2), ReservoirParams(0.7, -0.4),
                          np.array([0.0, 1.5, 40.0]))
     assert len(calls) == 1 and rho.shape == (2, 3, 4, 4)
     calls.clear()
-    density_matrix_from_occupations(0.7, 0.2, 0.8, 0.1, 1.5)
+    density_matrix_from_occupations(_mode(coupling=0.8, dephasing=0.1), 0.7, 0.2, 1.5)
     assert len(calls) == 1
 
 
@@ -368,7 +398,7 @@ def test_state_entries_equal_the_per_entry_functions_bit_for_bit():
     n_a0, n_b0 = np.array([0.7, 0.1, 0.35]), np.array([0.2, 0.9, 0.35])
     mode = _mode(coupling=np.array([0.8, -1.3, 2.0]), dephasing=np.array([0.0, 0.3, 1.0]))
     t = 3.7
-    rho = density_matrix_from_occupations(n_a0, n_b0, mode.coupling, mode.dephasing, t)
+    rho = density_matrix_from_occupations(mode, n_a0, n_b0, t)
     both = n_a0 * n_b0
     np.testing.assert_array_equal(rho[:, 1, 1].real, occ_a(mode, n_a0, n_b0, t) - both)
     np.testing.assert_array_equal(rho[:, 2, 2].real, occ_b(mode, n_a0, n_b0, t) - both)

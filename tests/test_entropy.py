@@ -50,8 +50,7 @@ def von_neumann(rho: np.ndarray, atol: float = 1e-10) -> float:
 
 def _joint_density(p: EquilibriumModePrep, t: float) -> np.ndarray:
     """The full 4x4 state of the prepared mode at time t."""
-    return density_matrix_from_occupations(p.occupation_a, p.occupation_b,
-                                           p.coupling, p.dephasing, t)
+    return density_matrix_from_occupations(p.mode(), p.occupation_a, p.occupation_b, t)
 
 
 def test_von_neumann_pure_and_mixed():

@@ -18,8 +18,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fermichain import (EquilibriumModePrep, EquilibriumUndefinedError,
-                        ExchangeEvent, ModeSpec, ReservoirParams, dynamics,
-                        entropy, fluctuation)
+                        ModeSpec, ReservoirParams, dynamics, entropy,
+                        fluctuation)
 from fermichain.lattice import _DAMPING_FLOOR, relaxation_envelope
 
 RES_A = ReservoirParams(0.5, 0.3)
@@ -41,7 +41,7 @@ CALLS = {
     "dynamics.occ_b": lambda lam, t: dynamics.occ_b(_mode(lam), N_A0, N_B0, t),
     "dynamics.coherence_ab": lambda lam, t: dynamics.coherence_ab(_mode(lam), N_A0, N_B0, t),
     "dynamics.density_matrix_from_occupations":
-        lambda lam, t: dynamics.density_matrix_from_occupations(N_A0, N_B0, 0.8, lam, t),
+        lambda lam, t: dynamics.density_matrix_from_occupations(_mode(lam), N_A0, N_B0, t),
     "dynamics.density_matrix":
         lambda lam, t: dynamics.density_matrix(_mode(lam), RES_A, RES_B, t),
     "entropy.entropy_coeffs": lambda lam, t: entropy.entropy_coeffs(_prep(lam), t),
@@ -65,7 +65,7 @@ CALLS = {
         lambda lam, t: fluctuation.ft_log_ratio(_mode(lam), RES_A, RES_B, t),
     "fluctuation.multi_mode_ft":
         lambda lam, t: fluctuation.multi_mode_ft(
-            [ExchangeEvent(_mode(lam), -1), ExchangeEvent(_mode(lam), 1)], RES_A, RES_B, t),
+            ModeSpec(-0.9, 0.8, np.full(2, lam)), [-1, 1], RES_A, RES_B, t),
 }
 STEPPER = {"dynamics.lindblad_trajectory"}
 
@@ -150,9 +150,11 @@ def test_damped_limit_values():
 
 
 def test_multi_mode_ft_checks_time_without_events():
-    assert fluctuation.multi_mode_ft([], RES_A, RES_B, math.inf).residual == 0.0
+    # an empty batch, with no dephasing rate of its own to pair with t = inf
+    empty = ModeSpec(np.empty(0), np.empty(0), np.empty(0))
+    assert fluctuation.multi_mode_ft(empty, [], RES_A, RES_B, math.inf).residual == 0.0
     with pytest.raises(ValueError, match="time"):
-        fluctuation.multi_mode_ft([], RES_A, RES_B, math.nan)
+        fluctuation.multi_mode_ft(empty, [], RES_A, RES_B, math.nan)
 
 
 @pytest.mark.parametrize("lam", [math.nan, -0.1, math.inf])

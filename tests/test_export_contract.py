@@ -20,6 +20,7 @@ values inside (a finite result), its first values outside (the row's error,
 naming the argument) and interior points, and README must quote its limits.
 """
 
+import ast
 import dataclasses
 import inspect
 import math
@@ -63,7 +64,7 @@ CALLS = {
     "occupation_fd": _call(0.5, RES),
     "coherence_ab": _call(MODE, 0.7, 0.2, 1.5),
     "density_matrix": _call(MODE, RES, DILUTE, 1.5),
-    "density_matrix_from_occupations": _call(0.7, 0.2, 0.8, 0.1, 1.5),
+    "density_matrix_from_occupations": _call(MODE, 0.7, 0.2, 1.5),
     "lindblad_trajectory": _call(MODE, RES, DILUTE, [0.0, 0.1], 0.01),
     "occ_a": _call(MODE, 0.7, 0.2, 1.5),
     "occ_b": _call(MODE, 0.7, 0.2, 1.5),
@@ -99,11 +100,11 @@ CALLS = {
     "entropy_a_exact": _call(PREP, 1.5),
     "entropy_b_exact": _call(PREP, 1.5),
     "mutual_information_exact": _call(PREP, 1.5),
-    "ExchangeEvent": _call(MODE, 1),
     "affinities": _call(RES, DILUTE),
     "exchange_prob": _call("a_to_b", MODE, RES, DILUTE, 1.5),
     "ft_log_ratio": _call(MODE, RES, DILUTE, 1.5),
-    "multi_mode_ft": _call([fc.ExchangeEvent(MODE, 1)], RES, DILUTE, 1.5),
+    # a one-mode batch, so that delta_n_a = 1 is a number the walk replaces
+    "multi_mode_ft": _call(fc.ModeSpec(-0.9, 0.8, np.array([0.1])), 1, RES, DILUTE, 1.5),
     "transition_weight": _call(MODE, 1.5),
     "ScenarioConfig": _call("custom", temperature=0.1, mu=0.0, dephasing=0.05, g=1.0,
                             tol=1e-10, sig_digits=12, delta_t=0.0, delta_mu=0.0,
@@ -290,8 +291,8 @@ PROBES = {
     "boltzmann_validity(res=batch)": ("temperature", lambda: fc.boltzmann_validity(1, RES_BATCH)),
     # paired each reservoir of a (2,) batch with one of the two events, silently
     "multi_mode_ft(res=batch)":
-        ("temperature", lambda: fc.multi_mode_ft([fc.ExchangeEvent(MODE, 1)] * 2, RES_BATCH,
-                                                 RES, 1.5)),
+        ("temperature", lambda: fc.multi_mode_ft(fc.ModeSpec(-0.9, 0.8, np.full(2, 0.1)),
+                                                 [1, 1], RES_BATCH, RES, 1.5)),
     # fields that do not broadcast: the error lists each field's shape
     "ReservoirParams(temperature=[0.1, 0.2], mu=[0, 0.1, 0.2])":
         ("temperature", lambda: fc.ReservoirParams(np.array([0.1, 0.2]), np.zeros(3))),
@@ -316,10 +317,47 @@ PROBES = {
     "density_matrix(t=[1, nan], batch)":
         ("t", lambda: fc.density_matrix(fc.ModeSpec(0.0, np.array([[1.0], [2.0]]), 0.1),
                                         RES, RES, np.array([1.0, math.nan]))),
-    # the stepper integrates one 4x4 state per mode: raw numpy errors otherwise
-    "lindblad_trajectory(batched mode)":
-        ("mode", lambda: fc.lindblad_trajectory([MODE, fc.ModeSpec(0.0, [1.0, 2.0], 0.1)],
-                                                RES, RES, [1.5])),
+    # the stepper takes one ModeSpec: vars() raised a raw TypeError on these
+    "lindblad_trajectory(mode=None)":
+        ("mode", lambda: fc.lindblad_trajectory(None, RES, RES, [1.5])),
+    "lindblad_trajectory(mode=[(0, 1, 0.1)])":
+        ("mode", lambda: fc.lindblad_trajectory([(0.0, 1.0, 0.1)], RES, RES, [1.5])),
+    "lindblad_trajectory(empty batch)":
+        ("mode", lambda: fc.lindblad_trajectory(fc.ModeSpec(0.0, np.empty(0)), RES, RES,
+                                                [1.5])),
+    # ExchangeEvent raised numpy's "ambiguous" or "inhomogeneous shape", or
+    # took a tuple that then failed with AttributeError
+    "multi_mode_ft(delta_n_a=[1, 0])":
+        ("delta_n_a", lambda: fc.multi_mode_ft(fc.ModeSpec(np.zeros(2), 1.0), [1, 0], RES,
+                                               DILUTE, 1.5)),
+    "multi_mode_ft(mode=(0, 1, 0.1))":
+        ("mode", lambda: fc.multi_mode_ft((0.0, 1.0, 0.1), [1], RES, DILUTE, 1.5)),
+    "multi_mode_ft(mode (3,), delta_n_a (2,))":
+        ("delta_n_a", lambda: fc.multi_mode_ft(fc.ModeSpec(np.zeros(3), 1.0), [1, -1], RES,
+                                               DILUTE, 1.5)),
+    # arguments that do not broadcast: numpy's "operands could not be
+    # broadcast together" or "shape mismatch" before
+    "density_matrix(res_a (2,), mode (3,))":
+        ("temperature", lambda: fc.density_matrix(fc.ModeSpec(np.zeros(3), 1.0, 0.1),
+                                                  fc.ReservoirParams(np.array([0.1, 0.2])),
+                                                  RES, 1.0)),
+    "occupation_fd(energy (3,), temperature (2,))":
+        ("energy", lambda: fc.occupation_fd(np.zeros(3), fc.ReservoirParams(np.array([0.1, 0.2])))),
+    "exchange_prob(mode (3,), t (2,))":
+        ("t", lambda: fc.exchange_prob("a_to_b", fc.ModeSpec(np.zeros(3), 1.0, 0.1), RES,
+                                       DILUTE, np.ones(2))),
+    "ft_log_ratio(mode (3,), t (2,))":
+        ("t", lambda: fc.ft_log_ratio(fc.ModeSpec(np.zeros(3), 1.0, 0.1), RES, DILUTE,
+                                      np.ones(2))),
+    # returned 2 values for a 3-mode batch: the energy enters no closed form
+    "occ_a(mode (3,), n_a0 (2,))":
+        ("n_a0", lambda: fc.occ_a(fc.ModeSpec(np.zeros(3), 1.0, 0.1), np.full(2, 0.3), 0.6,
+                                  1.0)),
+    # a raw TypeError: "only 0-dimensional arrays can be converted"
+    "ModeSpec.from_momentum(k (2,), g (3,))":
+        ("g", lambda: fc.ModeSpec.from_momentum(np.array([0.8, 1.7]), np.ones(3))),
+    # returned 0.6931 for the string
+    "binary_entropy(p='0.5')": ("p", lambda: fc.binary_entropy("0.5")),
     "coherence_ab(n_a0=[-1, 0.5])":
         ("n_a0", lambda: fc.coherence_ab(MODE, np.array([-1.0, 0.5]), 0.3, 1.5)),
     # a batched block is at one temperature: fluxes raised numpy's "ambiguous"
@@ -527,3 +565,108 @@ SCALAR_RESULTS = {
 @pytest.mark.parametrize("name", sorted(SCALAR_RESULTS))
 def test_a_scalar_call_returns_a_plain_python_number(name):
     assert type(SCALAR_RESULTS[name]()) is (complex if name == "coherence_ab" else float)
+
+
+# every export documented to broadcast, with the arguments whose shapes a draw
+# picks: (arguments, call of their values, axes the result adds)
+def _mode(v):
+    return fc.ModeSpec(v["energy"], v["coupling"], v["dephasing"])
+
+
+def _res(v, side=""):
+    return fc.ReservoirParams(v["temperature" + side], v["mu" + side])
+
+
+_MODE = ("energy", "coupling", "dephasing")
+_PAIR = ("temperature", "mu", "temperature_b", "mu_b")
+BROADCASTS = {
+    "occupation_fd": (("energy", "temperature", "mu"),
+                      lambda v: fc.occupation_fd(v["energy"], _res(v)), 0),
+    "log_occupation_fd": (("energy", "temperature", "mu"),
+                          lambda v: fc.log_occupation_fd(v["energy"], _res(v)), 0),
+    "log_vacancy_fd": (("energy", "temperature", "mu"),
+                       lambda v: fc.log_vacancy_fd(v["energy"], _res(v)), 0),
+    "occupation_boltzmann": (("energy", "temperature", "mu"),
+                             lambda v: fc.occupation_boltzmann(v["energy"], _res(v)), 0),
+    "ModeSpec.from_momentum": (("k", "g", "dephasing"),
+                               lambda v: fc.ModeSpec.from_momentum(v["k"], v["g"],
+                                                                   v["dephasing"]), 0),
+    "occ_a": (_MODE + ("n_a0", "n_b0", "t"),
+              lambda v: fc.occ_a(_mode(v), v["n_a0"], v["n_b0"], v["t"]), 0),
+    "occ_b": (_MODE + ("n_a0", "n_b0", "t"),
+              lambda v: fc.occ_b(_mode(v), v["n_a0"], v["n_b0"], v["t"]), 0),
+    "coherence_ab": (_MODE + ("n_a0", "n_b0", "t"),
+                     lambda v: fc.coherence_ab(_mode(v), v["n_a0"], v["n_b0"], v["t"]), 0),
+    "density_matrix_from_occupations": (
+        _MODE + ("n_a0", "n_b0", "t"),
+        lambda v: fc.density_matrix_from_occupations(_mode(v), v["n_a0"], v["n_b0"], v["t"]), 2),
+    "density_matrix": (_MODE + _PAIR + ("t",),
+                       lambda v: fc.density_matrix(_mode(v), _res(v), _res(v, "_b"), v["t"]), 2),
+    "lindblad_trajectory": (_MODE, lambda v: fc.lindblad_trajectory(
+        _mode(v), RES, DILUTE, [0.1], 0.05), 3),
+    "transition_weight": (_MODE + ("t",), lambda v: fc.transition_weight(_mode(v), v["t"]), 0),
+    "exchange_prob": (_MODE + _PAIR + ("t",), lambda v: fc.exchange_prob(
+        "b_to_a", _mode(v), _res(v), _res(v, "_b"), v["t"]), 0),
+    "ft_log_ratio": (_MODE + _PAIR + ("t",),
+                     lambda v: fc.ft_log_ratio(_mode(v), _res(v), _res(v, "_b"), v["t"]), 0),
+    "affinities": (_PAIR, lambda v: fc.affinities(_res(v), _res(v, "_b")), 0),
+    "multi_mode_ft": (_MODE + ("delta_n_a",), lambda v: fc.multi_mode_ft(
+        _mode(v), v["delta_n_a"], RES, DILUTE, 1.5), 0),
+}
+_VALID = {"energy": -0.9, "coupling": 0.8, "dephasing": 0.1, "temperature": 0.5, "mu": 0.3,
+          "temperature_b": 0.8, "mu_b": -0.2, "n_a0": 0.7, "n_b0": 0.2, "t": 1.5,
+          "k": 1.0, "g": 1.0, "delta_n_a": -1}
+# the names a message may give an argument, each naming one of the above
+_SPOKEN_SHAPES = {"energy", "coupling", "dephasing", "temperature", "mu", "time", "n_a0",
+                  "n_b0", "momentum k", "g", "delta_n_a", "mode at t", "mode energy",
+                  "mode coupling", "mode dephasing", "res_a temperature", "res_a mu",
+                  "res_b temperature", "res_b mu", "dephasing rate", "coupling g"}
+
+
+def _shape_of(result, added: int) -> tuple:
+    """A result's batch shape: an array's or number's without the axes the
+    export adds, a record's the broadcast of its fields'."""
+    if dataclasses.is_dataclass(result):
+        return np.broadcast_shapes(*(np.shape(getattr(result, f.name))
+                                     for f in dataclasses.fields(result)))
+    shape = np.shape(result)
+    return shape[:len(shape) - added]
+
+
+@pytest.mark.parametrize("name", sorted(BROADCASTS))
+def test_a_broadcasting_export_gives_the_broadcast_shape_or_names_the_clash(name):
+    args, call, added = BROADCASTS[name]
+    layouts = {"scalar": lambda n: (), "(n,)": lambda n: (n,), "(n, 1)": lambda n: (n, 1),
+               "(n + 1,)": lambda n: (n + 1,)}
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 3), picks=st.tuples(*(st.sampled_from(sorted(layouts))
+                                                  for _ in args)))
+    def one_draw(n, picks):
+        shapes = [layouts[pick](n) for pick in picks]
+        values = {arg: np.full(shape, _VALID[arg]) if shape else _VALID[arg]
+                  for arg, shape in zip(args, shapes)}
+        try:
+            want = np.broadcast_shapes(*shapes)
+        except ValueError:
+            want = None
+        if name == "multi_mode_ft" and want is not None:
+            want = () if len(want) == 1 else None  # one sum over one 1-D batch
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if want is not None:
+                assert _shape_of(call(values), added) == want
+                return
+            with pytest.raises(ValueError) as exc:
+                call(values)
+        message = str(exc.value)
+        if name == "multi_mode_ft" and "one 1-D shape" in message:
+            assert message.startswith("mode, t and delta_n_a must broadcast to one 1-D shape")
+            return
+        named, _, shown = message.partition(" must broadcast together, got ")
+        shown = ast.literal_eval(shown)  # {argument: shape}, never numpy's own message
+        assert named and set(shown) <= _SPOKEN_SHAPES, message
+        with pytest.raises(ValueError):
+            np.broadcast_shapes(*shown.values())  # the shapes listed do clash
+
+    one_draw()

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from fermichain import (
     Affinities,
-    ExchangeEvent,
     FtCheck,
     ModeSpec,
     ReservoirParams,
@@ -156,7 +155,7 @@ def test_middle_block_tracks_density_matrix():
     m = _mode(coupling=0.9, dephasing=0.15)
     for t in (0.0, 0.8, 2.9):
         w = transition_weight(m, t)
-        rho = density_matrix_from_occupations(n_a0, n_b0, m.coupling, m.dephasing, t)
+        rho = density_matrix_from_occupations(m, n_a0, n_b0, t)
         assert p * (1.0 - w) + q * w == pytest.approx(rho[1, 1].real, abs=1e-13)
         assert q * (1.0 - w) + p * w == pytest.approx(rho[2, 2].real, abs=1e-13)
 
@@ -167,7 +166,7 @@ def test_single_particle_sector_bookkeeping():
     m = _mode(coupling=0.9, dephasing=0.15)
     sector = n_a0 * (1 - n_b0) + (1 - n_a0) * n_b0
     for t in (0.4, 1.9, 6.0):
-        rho = density_matrix_from_occupations(n_a0, n_b0, m.coupling, m.dephasing, t)
+        rho = density_matrix_from_occupations(m, n_a0, n_b0, t)
         assert (rho[1, 1] + rho[2, 2]).real == pytest.approx(sector, abs=1e-14)
 
 
@@ -175,7 +174,7 @@ def test_multi_mode_single_event_reduces():
     res_a = ReservoirParams(0.3, 0.5)
     res_b = ReservoirParams(0.7, -0.2)
     m = _mode(energy=-1.2)
-    joint = multi_mode_ft([ExchangeEvent(mode=m, delta_n_a=-1)], res_a, res_b, 1.0)
+    joint = multi_mode_ft(m, [-1], res_a, res_b, 1.0)
     single = ft_log_ratio(m, res_a, res_b, 1.0)
     assert joint.lhs == pytest.approx(single.lhs, abs=1e-14)
     assert joint.rhs == pytest.approx(single.rhs, abs=1e-14)
@@ -186,8 +185,7 @@ def test_multi_mode_opposite_directions():
     res_b = ReservoirParams(0.7, -0.2)
     m1 = _mode(energy=-1.2, coupling=0.8)
     m2 = _mode(energy=0.6, coupling=1.1)
-    joint = multi_mode_ft([ExchangeEvent(mode=m1, delta_n_a=-1),
-                           ExchangeEvent(mode=m2, delta_n_a=+1)],
+    joint = multi_mode_ft(_mode(energy=[-1.2, 0.6], coupling=[0.8, 1.1]), [-1, +1],
                           res_a, res_b, 2.0)
     # brute force from the product of directed probabilities
     p_fwd = (exchange_prob("a_to_b", m1, res_a, res_b, 2.0)
@@ -201,13 +199,14 @@ def test_multi_mode_opposite_directions():
 def test_multi_mode_ft_is_the_signed_sum_of_single_calls():
     rng = np.random.default_rng(7)
     res_a, res_b = ReservoirParams(0.4, 0.6), ReservoirParams(1.3, -0.5)
-    events = [ExchangeEvent(_mode(energy=e, coupling=g, dephasing=lam), int(s))
-              for e, g, lam, s in zip(rng.uniform(-2.0, 2.0, 12), rng.uniform(-1.0, 1.0, 12),
-                                      rng.uniform(0.0, 1.0, 12), rng.choice([-1, 1], 12))]
-    joint = multi_mode_ft(events, res_a, res_b, 2.5)
-    singles = [ft_log_ratio(ev.mode, res_a, res_b, 2.5) for ev in events]
+    energy, coupling, dephasing = (rng.uniform(-2.0, 2.0, 12), rng.uniform(-1.0, 1.0, 12),
+                                   rng.uniform(0.0, 1.0, 12))
+    delta_n_a = rng.choice([-1, 1], 12)
+    joint = multi_mode_ft(_mode(energy, coupling, dephasing), delta_n_a, res_a, res_b, 2.5)
+    singles = [ft_log_ratio(_mode(*one), res_a, res_b, 2.5)
+               for one in zip(energy, coupling, dephasing)]
     assert type(joint.lhs) is float and type(joint.rhs) is float
-    signs = [-ev.delta_n_a for ev in events]  # +1 when A loses the particle
+    signs = -delta_n_a  # +1 when A loses the particle
     assert abs(joint.lhs - sum(s * one.lhs for s, one in zip(signs, singles))) <= 1e-14
     assert abs(joint.rhs - sum(s * one.rhs for s, one in zip(signs, singles))) <= 1e-14
 
@@ -291,13 +290,46 @@ def test_list_fields_read_as_arrays():
 
 
 def test_multi_mode_empty():
-    chk = multi_mode_ft([], ReservoirParams(0.3, 0.5), ReservoirParams(0.7, -0.2), 1.0)
+    empty = ModeSpec(np.empty(0), np.empty(0), np.empty(0))
+    chk = multi_mode_ft(empty, [], ReservoirParams(0.3, 0.5), ReservoirParams(0.7, -0.2), 1.0)
     assert chk.lhs == 0.0 and chk.rhs == 0.0 and chk.residual == 0.0
 
 
-def test_exchange_event_validation():
-    with pytest.raises(ValueError):
-        ExchangeEvent(mode=_mode(), delta_n_a=0)
+@pytest.mark.parametrize("delta_n_a", [0, [1, 0], [-1, 2], ["1", "-1"], [1.5, 1]])
+def test_multi_mode_delta_validation(delta_n_a):
+    with pytest.raises(ValueError, match="delta_n_a must be -1 or \\+1 for each mode"):
+        multi_mode_ft(_mode(energy=[0.1, 0.2]), delta_n_a, ReservoirParams(0.3),
+                      ReservoirParams(0.7), 1.0)
+
+
+@pytest.mark.parametrize("mode, delta_n_a, match", [
+    ((0.0, 1.0, 0.1), [1], "mode must be a ModeSpec"),
+    (ModeSpec([0.1, 0.2, 0.3], 1.0, 0.1), [1, -1], "mode at t, delta_n_a must broadcast"),
+    (ModeSpec(np.zeros((2, 1)), 1.0, np.array([0.1, 0.2])), [1, -1], "one 1-D shape"),
+    (ModeSpec(0.1, 1.0, 0.1), 1, "one 1-D shape"),
+])
+def test_multi_mode_rejects_what_is_not_one_batch_of_events(mode, delta_n_a, match):
+    # ExchangeEvent raised numpy's "ambiguous" or "inhomogeneous shape", or
+    # accepted a tuple that multi_mode_ft then failed on with AttributeError
+    with pytest.raises(ValueError, match=match):
+        multi_mode_ft(mode, delta_n_a, ReservoirParams(0.3), ReservoirParams(0.7), 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-3.0, 3.0),
+                                 st.floats(0.0, 5.0), st.sampled_from([-1, 1])),
+                       min_size=1, max_size=6),
+       t=st.floats(0.0, 100.0), temps=st.tuples(st.floats(0.05, 5.0), st.floats(0.05, 5.0)),
+       mus=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_multi_mode_ft_equals_the_signed_sum_of_its_single_relations(fields, t, temps, mus):
+    res_a, res_b = ReservoirParams(temps[0], mus[0]), ReservoirParams(temps[1], mus[1])
+    eps, g, lam, delta_n_a = (np.array(column) for column in zip(*fields))
+    joint = multi_mode_ft(ModeSpec(eps, g, lam), delta_n_a, res_a, res_b, t)
+    singles = [ft_log_ratio(ModeSpec(*one[:3]), res_a, res_b, t) for one in fields]
+    for side in ("lhs", "rhs"):
+        each = [-d * getattr(one, side) for d, one in zip(delta_n_a, singles)]
+        assert math.isclose(getattr(joint, side), math.fsum(each), rel_tol=1e-13,
+                            abs_tol=1e-13 * sum(map(abs, each)))
 
 
 def test_batched_checks_compare_field_by_field_and_do_not_hash():

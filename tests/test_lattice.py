@@ -59,6 +59,41 @@ def test_mode_spec_holds_energy_coupling_and_dephasing_only():
         ModeSpec(momentum=1.0, energy=0.0, coupling=1.0)
 
 
+_MODE_AT_K = st.tuples(st.floats(0.0, math.pi), st.floats(-3.0, 3.0), st.floats(0.0, 5.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries=st.lists(_MODE_AT_K, min_size=1, max_size=8), column=st.booleans(),
+       batched=st.tuples(st.booleans(), st.booleans()))
+def test_from_momentum_batch_entries_have_the_bits_of_their_scalar_calls(entries, column,
+                                                                         batched):
+    # k always an array of shape (n,) or (n, 1), g and the dephasing rate
+    # arrays of that shape or the first entry's
+    shape = (len(entries), 1) if column else (len(entries),)
+    k, g, lam = (np.reshape(c, shape) for c in zip(*entries))
+    g, lam = (v if on else float(v.flat[0]) for v, on in zip((g, lam), batched))
+    batch = ModeSpec.from_momentum(k, g, lam)
+    fields = [np.ravel(np.broadcast_to(v, shape))
+              for v in (batch.energy, batch.coupling, batch.dephasing)]
+    for i, (one_k, one_g, one_lam) in enumerate(np.broadcast(k, g, lam)):
+        one = ModeSpec.from_momentum(float(one_k), float(one_g), float(one_lam))
+        assert type(one.energy) is float and type(one.coupling) is float
+        # the scalar call keeps the bits of g * sin(k) ** 2 over numpy scalars
+        assert one.coupling.hex() == float(one_g * np.sin(float(one_k)) ** 2).hex()
+        assert [float(f[i]).hex() for f in fields] == [
+            one.energy.hex(), one.coupling.hex(), one.dephasing.hex()]
+
+
+def test_from_momentum_over_a_fine_grid_keeps_the_scalar_squares():
+    # an array's ** 2 (or s * s) rounds some squares of sin(k) differently
+    # from the scalar ** 2; each of these 20,001 entries has its scalar bits
+    ks = np.linspace(0.0, math.pi, 20_001)
+    batch = ModeSpec.from_momentum(ks, 0.7)
+    scalar = [float(0.7 * np.sin(k) ** 2) for k in ks.tolist()]
+    assert [x.hex() for x in batch.coupling.tolist()] == [x.hex() for x in scalar]
+    assert ModeSpec.from_momentum(np.array([0.8, 1.7])).energy.shape == (2,)
+
+
 def test_mode_spec_batches_compare_field_by_field_and_do_not_hash():
     # the generated __eq__ compared field tuples, which numpy's array
     # truth value made ambiguous for a batch

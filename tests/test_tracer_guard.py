@@ -7,8 +7,9 @@ its scenario hooks read ``cfg.scenario``, each panel's ``columns`` and the
 written paths.  A rename or a signature change in ``src/`` would break it,
 yet its own tests live under ``perfbench/tests``, which the package suite
 does not run.  This module loads the tracer from its file, read only,
-installs it and runs the closed forms, the band quadrature and scenario
-runs and writes through it.
+installs it and runs the closed forms, the band quadrature, the Lindblad
+stepper (whose hook binds ``mode``, ``t_grid`` and ``dt_max`` by name) and
+scenario runs and writes through it.
 """
 
 import importlib.util
@@ -119,3 +120,18 @@ def test_tracer_reads_one_j_table_for_the_four_series_calls_of_onsteste2():
     assert counts["special.table.calls"] == 1  # N and E of both panels share it
     assert fc.closedforms.SpecialFnTable is fc.special.SpecialFnTable  # uninstalled
     assert fc.closedforms.integrate_interval is fc.transport.integrate_interval
+
+
+def test_tracer_counts_one_batched_stepper_call():
+    tracer_module = _load_tracer()
+    mode = fc.ModeSpec(-0.9, np.array([0.5, 1.0, 1.5]), np.array([[0.0], [0.2]]))
+    t_grid, dt_max = [0.0, 0.25, 0.5], 0.01
+    with tracer_module.Tracer().install(fc) as tracer:
+        states = fc.lindblad_trajectory(mode, fc.ReservoirParams(0.5, 0.3),
+                                        fc.ReservoirParams(0.5, -0.3), t_grid, dt_max)
+        counts = tracer.pass_metrics()
+    assert states.shape == (2, 3, 3, 4, 4)
+    assert counts["dynamics.lindblad.calls"] == 1
+    assert counts["dynamics.lindblad.steps"] == tracer_module.lindblad_mode_steps(t_grid,
+                                                                                  dt_max)
+    assert fc.dynamics.lindblad_trajectory is fc.lindblad_trajectory  # uninstalled
