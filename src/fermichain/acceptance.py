@@ -149,7 +149,7 @@ def _c8():
     settings = [(0.1, mu) for mu in np.linspace(-1.5, 1.5, 7).tolist()] + [
         (0.25, -1.5), (0.25, 1.5)]
     # the onsteste2 figure's own quadrature-vs-series comparison, all nine
-    # settings in one build: one scan and one J table
+    # settings in one build: one scan, and one series evaluation on one J table
     runs = [(parse_config({"scenario": "onsteste2", "temperature": temp, "mu": mu,
                            "dephasing": 0.35, "g": 1.0, "t_grid": t_grid}),
              "T%s_mu%s" % (_tag(temp), _tag(mu))) for temp, mu in settings]

@@ -64,8 +64,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lattice import (ReservoirParams, _Fieldwise, _check_reach, _require, _require_scalars,
-                      _scalar_pow, _warn_unless_dilute, relaxation_envelope)
+from .lattice import (ReservoirParams, _Fieldwise, _check_reach, _plain, _require,
+                      _require_scalars, _scalar_pow, _warn_unless_dilute, relaxation_envelope)
 from .special import SpecialFnTable, _column, bessel_band_sum, bessel_i
 from .transport import OnsagerBlock, integrate_interval
 
@@ -180,8 +180,7 @@ def ebar_boltzmann_closed(t: float, res: ReservoirParams, dephasing: float,
 
 
 def _check_sommerfeld_args(res: ReservoirParams):
-    """Name the first field of res, a batch's entries included, outside the
-    Sommerfeld form's reach."""
+    """Name the first field of res (a batch's entries too) outside the Sommerfeld reach."""
     _check_reach("Sommerfeld mu", "mu", res.mu)
     # the expansion parameter against 1 without forming T^2, which can overflow
     _require("temperature", res.temperature,
@@ -191,67 +190,81 @@ def _check_sommerfeld_args(res: ReservoirParams):
 
 def _bracket_derivative_n(mu: float, t: float, damping: float, g: float) -> float:
     """d/de [(damping cos(g_e t) - 1)/sqrt(4 - e^2)] at e = mu."""
-    root = 4.0 - mu * mu
-    if damping > 0.0:
+    root, osc, d_osc = 4.0 - mu * mu, 0.0, 0.0
+    if damping > 0.0:  # a damped-out entry's t may be inf
         g_e_t = 2.0 * g * (1.0 - 0.25 * mu * mu) * t
         osc = damping * math.cos(g_e_t)
         d_osc = damping * t * g * mu * math.sin(g_e_t)
-    else:
-        osc = 0.0
-        d_osc = 0.0
     return d_osc / math.sqrt(root) + mu * (osc - 1.0) * root ** -1.5
 
 
 def _bracket_derivative_e(mu: float, t: float, damping: float, g: float) -> float:
     """d/de [e (damping cos(g_e t) - 1)/sqrt(4 - e^2)] at e = mu."""
-    root = 4.0 - mu * mu
+    root, osc = 4.0 - mu * mu, 0.0
     if damping > 0.0:
         osc = damping * math.cos(2.0 * g * (1.0 - 0.25 * mu * mu) * t)
-    else:
-        osc = 0.0
     return (osc - 1.0) / math.sqrt(root) + mu * _bracket_derivative_n(mu, t, damping, g)
 
 
-def _n_coeffs(theta: float, orders: int) -> np.ndarray:
+def _n_coeffs(theta: np.ndarray, orders: int) -> np.ndarray:
     """a^N_j = sin(2 j th)/(2 j), a^N_0 = th: the step function's band coefficients."""
     even = 2.0 * np.arange(orders)
-    coeffs = np.sin(even * theta) / np.maximum(even, 1.0)
-    coeffs[0] = theta
-    return coeffs
+    return np.where(even > 0.0, np.sin(even * theta) / np.maximum(even, 1.0), theta)
 
 
-def _e_coeffs(theta: float, orders: int) -> np.ndarray:
+def _e_coeffs(theta: np.ndarray, orders: int) -> np.ndarray:
     """a^E_j = (sin((2j+1) th)/(2j+1) + sin((2j-1) th)/(2j-1))/2, a^E_0 = sin(th)."""
     odd = 2.0 * np.arange(orders) + 1.0
     return 0.5 * (np.sin(odd * theta) / odd + np.sin((odd - 2.0) * theta) / (odd - 2.0))
 
 
-def _sommerfeld(t, res: ReservoirParams, dephasing: float, g: float,
-                coeffs_of, bracket, pref: float) -> SeriesResult:
-    """(1/pi) {pref (exp(-lam t) B(gt, a) - a_0) + (pi^2 T^2 / 6) bracket}.
+# (coefficients, bracket derivative, prefactor) of the N and E counters
+_FORMS = ((_n_coeffs, _bracket_derivative_n, 1.0), (_e_coeffs, _bracket_derivative_e, -2.0))
 
-    a = coeffs_of(theta, orders) for orders = ``SpecialFnTable.band_orders(gt)``;
-    B(0, a) = a_0, so the counter vanishes at t = 0.  The truncation estimate
-    is the magnitude of the last two terms summed, scaled like the value.
-    Over an array of times a is formed once, at the most orders, and each
-    time sums its own leading orders of it from one J table.
+
+def _sommerfeld(t, res: ReservoirParams, dephasing, g: float, forms) -> list:
+    """Per (coeffs_of, bracket, pref) of forms, the SeriesResult over t of
+    (1/pi) {pref (exp(-lam t) B(gt, a) - a_0) + (pi^2 T^2 / 6) bracket}.
+
+    res and dephasing, checked by the caller, are scalars or give each entry
+    of t its own.  a = coeffs_of(theta, orders) has one row per entry, at the
+    most orders = ``SpecialFnTable.band_orders(gt)``; B(0, a) = a_0, so the
+    counter vanishes at t = 0.  The truncation estimate is the magnitude of
+    the last two terms summed, scaled like the value.  Every entry of every
+    form sums from one J table, with the bits of its scalar call.
     """
+    damping, gt = (np.ravel(v) for v in _closed_envelope(t, dephasing, g))
+    temps, mus = (np.broadcast_to(v, damping.shape).tolist() for v in (res.temperature, res.mu))
+    entries = list(zip(temps, mus, np.ravel(t).tolist(), damping.tolist()))
+    orders = [SpecialFnTable.band_orders(z) for z in gt.tolist()]
+    distinct, rows = np.unique(mus, return_inverse=True)  # each mu's coefficients once
+    theta = np.array([math.acos(-0.5 * mu) for mu in distinct.tolist()])[:, None]
+    coeffs = np.array([of(theta, max(orders, default=1))[rows] for of, _, _ in forms])
+    series, tail = bessel_band_sum(gt, coeffs, orders)
+    out, shape = [], np.shape(t)
+    for (_, bracket, pref), a, sums, tails in zip(forms, coeffs, series, tail):
+        t2_terms = [math.pi ** 2 * temp ** 2 / 6.0 * bracket(*e, g) for temp, *e in entries]
+        value = (pref * damping * sums - pref * a[:, 0] + t2_terms) / math.pi
+        est = abs(pref) * damping * tails / math.pi
+        out.append(SeriesResult(_plain(value.reshape(shape)), _plain(est.reshape(shape)),
+                                sum(orders), bool(np.all(est <= _SERIES_TOL))))
+    return out
+
+
+def _fd_counters(points, g: float) -> np.ndarray:
+    """N and E at every (t, res, dephasing) point, shaped (points, 2), from one
+    evaluation; each distinct reservoir is checked first, by its own fields."""
+    for res in {(r.temperature, r.mu): r for _, r, _ in points}.values():
+        _check_sommerfeld_args(res)
+    t, temp, mu, lam = map(np.array, zip(*[(t, r.temperature, r.mu, lam) for t, r, lam in points]))
+    forms = _sommerfeld(t, ReservoirParams(temp, mu), lam, g, _FORMS)
+    return np.column_stack([r.value for r in forms])
+
+
+def _one_form(t, res: ReservoirParams, dephasing: float, g: float, form) -> SeriesResult:
     _require_scalars(("dephasing rate", dephasing), ("coupling g", g), *vars(res).items())
     _check_sommerfeld_args(res)
-    damping, gt = (np.ravel(v) for v in _closed_envelope(t, dephasing, g))
-    orders = [SpecialFnTable.band_orders(z) for z in gt.tolist()]
-    coeffs = coeffs_of(math.acos(-0.5 * res.mu), max(orders, default=1))
-    series, tail = bessel_band_sum(gt, coeffs, orders)
-    times = np.ravel(t).tolist()
-    brackets = np.array([bracket(res.mu, ti, di, g) for ti, di in zip(times, damping.tolist())])
-    value = (pref * damping * series - pref * coeffs[0]
-             + (math.pi ** 2 * res.temperature ** 2 / 6.0) * brackets) / math.pi
-    est = abs(pref) * damping * tail / math.pi
-    converged = bool(np.all(est <= _SERIES_TOL))
-    if np.ndim(t) == 0:
-        return SeriesResult(float(value[0]), float(est[0]), orders[0], converged)
-    return SeriesResult(value.reshape(np.shape(t)), est.reshape(np.shape(t)), sum(orders),
-                        converged)
+    return _sommerfeld(t, res, dephasing, g, (form,))[0]
 
 
 def nbar_fd_sommerfeld(t, res: ReservoirParams, dephasing: float,
@@ -263,14 +276,14 @@ def nbar_fd_sommerfeld(t, res: ReservoirParams, dephasing: float,
     band; accuracy degrades as T or |mu| grow toward the band edge.  An
     array t gives each time the bits of its scalar call (see ``SeriesResult``).
     """
-    return _sommerfeld(t, res, dephasing, g, _n_coeffs, _bracket_derivative_n, 1.0)
+    return _one_form(t, res, dephasing, g, _FORMS[0])
 
 
 def ebar_fd_sommerfeld(t, res: ReservoirParams, dephasing: float,
                        g: float) -> SeriesResult:
     """Low-temperature energy counter for Fermi-Dirac statistics; t as in
     ``nbar_fd_sommerfeld``."""
-    return _sommerfeld(t, res, dephasing, g, _e_coeffs, _bracket_derivative_e, -2.0)
+    return _one_form(t, res, dephasing, g, _FORMS[1])
 
 
 def equilibrium_sommerfeld_onsager(res: ReservoirParams) -> OnsagerBlock:

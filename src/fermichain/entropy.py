@@ -36,7 +36,7 @@ import numpy as np
 
 from . import dynamics
 from .lattice import (_REAL_KINDS, ModeSpec, _check_reach, _plain, _require,
-                      relaxation_envelope)
+                      _require_scalars, relaxation_envelope)
 
 
 def _xlogx(p):
@@ -68,6 +68,7 @@ class EquilibriumModePrep:
     dephasing: float = 0.0
 
     def __post_init__(self):
+        _require_scalars(*vars(self).items())  # one mode: its functions take no batch
         _check_reach("n_eq", "n_eq", self.n_eq)
         self.mode()  # ModeSpec rejects a non-finite coupling or a bad dephasing rate
         _check_reach("n_eq", "occupations n_eq +- delta_n/2 at delta_n %r" % self.delta_n,

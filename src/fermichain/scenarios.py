@@ -34,9 +34,8 @@ alone; every reduction has a fixed association, so output is
 byte-reproducible.  The ``onsteste`` series are the Fermi-Dirac Sommerfeld
 forms whatever the stats: a Boltzmann run compares them with a Boltzmann
 quadrature, warns outside the dilute regime, and reports the gap.
-A scenario build runs inside one ``special._shared_tables`` block, so the
-series calls of every panel on one g t grid share one J table, which goes
-when the build ends or raises.  The ``threads`` config key is still
+The ``onsteste2`` series of every panel are one evaluation over the scan's
+points, from one J table.  The ``threads`` config key is still
 range-checked so that old configs parse, but it has no field and no effect.
 """
 
@@ -53,7 +52,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import closedforms, entropy, special, transport
+from . import closedforms, entropy, transport
 from .lattice import ReservoirParams, _check_reach, _require, _warn
 
 
@@ -322,17 +321,18 @@ def _each(build):
     return lambda runs: [build(cfg, name) for cfg, name in runs]
 
 
-def _scanned(build, kernel_groups, points_of):
+def _scanned(build, kernel_groups, points_of, *series):
     """The builder of every panel from ``build(cfg, name, scanned)``, one
-    panel's, where ``scanned`` holds per kernel group the panel's columns of
-    one band quadrature over the (t, res, dephasing) points that
-    ``points_of(cfg)`` gives every panel.  The panels share the g, tol and
-    stats the scan runs at, which ``_run_panels`` checks."""
+    panel's, where ``scanned`` holds the panel's columns of one band quadrature
+    per kernel group, then of one call per ``series(points, g)``, over the (t,
+    res, dephasing) points that ``points_of(cfg)`` gives every panel, at the
+    g, tol and stats they share (``_run_panels`` checks them)."""
     def build_all(runs):
         cfg = runs[0][0]
         panels = [points_of(c) for c, _ in runs]
-        values = transport._scan(kernel_groups, [p for points in panels for p in points],
-                                 cfg.g, cfg.tol, cfg.stats)
+        points = [p for points in panels for p in points]
+        values = transport._scan(kernel_groups, points, cfg.g, cfg.tol, cfg.stats)
+        values += tuple(fn(points, cfg.g) for fn in series)
         ends = itertools.accumulate(map(len, panels))
         return [build(c, name, [kernels[end - len(points):end].T for kernels in values])
                 for (c, name), points, end in zip(runs, panels, ends)]
@@ -426,10 +426,7 @@ def _onsteste1(cfg: ScenarioConfig, name: str, scanned):
 
 def _onsteste2(cfg: ScenarioConfig, name: str, scanned):
     """Counter evolution: truncated FD low-T series vs adaptive quadrature."""
-    res = ReservoirParams(cfg.temperature, cfg.mu)
-    series = [fn(_grid(cfg, "t_grid"), res, cfg.dephasing, cfg.g).value
-              for fn in (closedforms.nbar_fd_sommerfeld, closedforms.ebar_fd_sommerfeld)]
-    return _quad_vs_series(cfg, name, _T_AXIS, ("N[1]", "E[alpha]"), scanned[0], series, 0.05)
+    return _quad_vs_series(cfg, name, _T_AXIS, ("N[1]", "E[alpha]"), *scanned, 0.05)
 
 
 def _custom(cfg: ScenarioConfig, name: str, scanned):
@@ -472,7 +469,8 @@ SCENARIOS = {
                ("dephasing", (0.2, 0.0)), _ENTROPY_PINS),
     "onsteste1": (_scanned(_onsteste1, _ONSAGER, _sommerfeld_mu_points),
                   ("temperature", (0.1, 0.25)), {"mu_grid": _linspace(-1.5, 1.5, 61)}),
-    "onsteste2": (_scanned(_onsteste2, (transport._counter_kernels,), _time_points),
+    "onsteste2": (_scanned(_onsteste2, (transport._counter_kernels,), _time_points,
+                           closedforms._fd_counters),
                   ("mu", (0.0, 1.0)), {"temperature": 0.1, "dephasing": 0.35,
                                        "t_grid": _linspace(0.0, 10.0, 41)}),
     "custom": (_scanned(_custom, (transport._counter_kernels, transport._onsager_kernels),
@@ -505,8 +503,7 @@ def _run_panels(runs) -> ScenarioResult:
             raise ConfigError("the panels of one build differ in config field '%s'" % key)
     for panel_cfg, _ in runs:
         _check_split(panel_cfg)
-    with special._shared_tables():  # one J table per z grid for the whole build
-        built = SCENARIOS[cfg.scenario][0](runs)
+    built = SCENARIOS[cfg.scenario][0](runs)
     panels = tuple(Panel(name, headers, columns)
                    for (_, name), (headers, columns, _) in zip(runs, built))
     return ScenarioResult(cfg.scenario, panels, tuple(r for *_, rs in built for r in rs))

@@ -11,7 +11,8 @@ do not silently depend on an external library:
     SpecialFnTable       J_0..J_n at one argument or at each of a 1-D array
                          of them, from one pass; the one J_n evaluation path.
     bessel_band_sum      the Jacobi-Anger sum B(z, a) that both closed forms
-                         reduce to, at one z or at each of an array of them.
+                         reduce to, at one z or at each of an array of them,
+                         from one J table per call.
 
 Every column comes from one downward (Miller) recurrence,
 f_{m-1} = (2m/x) f_m -+ f_{m+1}, started past max(n, x + 10 x^(1/3)) + 60
@@ -21,31 +22,21 @@ e^y.  Below (x/2)^2 < 2^-53 the dropped terms fall below half an ulp and a
 column is its leading term (x/2)^n/n!.  One recurrence serves an array of
 arguments, each from its own start and rescaled on its own, so every column
 has the bits it has alone.
-
-``bessel_band_sum`` builds one J table per call; inside a ``_shared_tables``
-block (per thread, one per ``run_scenario`` call) sums on the same z bits and
-order counts share one, which goes with the block.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 
 import numpy as np
 
-from .lattice import _check_reach, _require, _require_scalars
+from .lattice import _check_reach, _joint_shape, _require, _require_scalars
 
 # (x/2)^2 below this leaves J_n(x) and I_n(x) = (x/2)^n/n! to within half an ulp
 _LEADING_TERM_MAX = 2.0 ** -53
 # 170! is the largest factorial below the float range; beyond it the leading
 # term (x/2)^n/n! underflows to 0 wherever it is used
 _LEADING_TERM_ORDERS = 171
-
-# the open _shared_tables block's J tables by (order counts, z bytes); unset
-# outside a block
-_run_tables = contextvars.ContextVar("fermichain_run_tables")
 
 
 def _calm_steps(fc, fp, peak, growth: float) -> int:
@@ -194,16 +185,6 @@ class SpecialFnTable:
         return float(self._j[n]) if self._j.ndim == 1 else self._j[:, n]
 
 
-@contextlib.contextmanager
-def _shared_tables():
-    """Within the block, band sums on the same z and order counts share one J table."""
-    token = _run_tables.set({})
-    try:
-        yield
-    finally:
-        _run_tables.reset(token)
-
-
 def bessel_band_sum(z, coeffs, orders=None) -> tuple:
     """(B(z, a), tail) of the Jacobi-Anger band sum over the given coefficients.
 
@@ -214,31 +195,38 @@ def bessel_band_sum(z, coeffs, orders=None) -> tuple:
                   + sin z 2 sum_{m>=0} (-1)^m J_2m+1(z) a_2m+1,
 
     the time-dependent part of every band average at z = g t.  The sum runs
-    over the first ``orders`` coefficients (all len(coeffs) by default),
-    which the caller sizes by ``SpecialFnTable.band_orders(z)`` and by the
-    tail of its coefficients; tail, the magnitude of the last two terms
-    summed, is its truncation estimate.  z lies in the J argument reach; a
-    1-D array of z, with ``orders`` one count each, gives arrays from one J
-    table, each entry with the bits of its one-point sum.  Inside a
-    ``_shared_tables`` block that table is shared with every other sum on
-    the same z and counts.
+    over the first ``orders`` coefficients (all of them by default), which
+    the caller sizes by ``SpecialFnTable.band_orders(z)`` and by the tail of
+    its coefficients; tail, the magnitude of the last two terms summed, is
+    its truncation estimate.  z lies in the J argument reach; an array of z
+    takes one order count per entry.  coeffs is one set for every z, or one
+    per z and per entry of leading axes: (..., z's shape, orders).  One J
+    table over the distinct (z, order count) pairs serves every set, and each
+    sum has the bits of its one-point call.
     """
     a = np.asarray(coeffs, dtype=float)
     scalar = isinstance(z, (int, float)) or np.ndim(z) == 0
-    zs = [z] if scalar else np.asarray(z, float).tolist()
-    counts = [len(a)] * len(zs) if orders is None else list(orders)
+    zs = [z] if scalar else np.ravel(np.asarray(z, dtype=float)).tolist()
+    shape = a.shape[:-1] if scalar else _joint_shape(("coeffs", a[..., 0]), ("z", z))
+    counts = [a.shape[-1]] * len(zs) if orders is None else list(orders)
     n = np.arange(max(counts, default=1))
     # (-1)^(n//2), doubled for every order but 0
     weight = np.where(n % 4 < 2, 2.0, -2.0)
     weight[0] = 1.0
-    memo = _run_tables.get({})  # outside a _shared_tables block: a throwaway memo
-    key = (tuple(counts), np.asarray(z, float).tobytes())
-    if key not in memo:
-        memo[key] = SpecialFnTable(counts[0] - 1 if scalar else np.array(counts, int) - 1, z)
-    terms = (memo[key]._j * weight * a[:len(n)]).reshape(len(zs), len(n)).tolist()
-    value, tail = [], []
-    for zi, row, count in zip(zs, terms, counts):
+    if scalar:  # the scalar table: its checks cost less than an array's
+        j = SpecialFnTable(counts[0] - 1, z)._j
+    else:  # one table row per distinct (z, order count)
+        pairs = {}
+        rows = [pairs.setdefault(pair, len(pairs)) for pair in zip(zs, counts)]
+        table = SpecialFnTable(np.array([c for _, c in pairs], int) - 1,
+                               np.array([x for x, _ in pairs], float))
+        j = table._j[rows].reshape(np.shape(z) + (len(n),))
+    value, tail, trig = [], [], [(math.cos(zi), math.sin(zi), c) for zi, c in zip(zs, counts)]
+    for k, row in enumerate((j * weight * a[..., :len(n)]).reshape(-1, len(n)).tolist()):
+        cos, sin, count = trig[k % len(trig)]
         row = row[:count]
-        value.append(math.cos(zi) * math.fsum(row[0::2]) + math.sin(zi) * math.fsum(row[1::2]))
+        value.append(cos * math.fsum(row[0::2]) + sin * math.fsum(row[1::2]))
         tail.append(sum(map(abs, row[-2:])))
-    return (value[0], tail[0]) if scalar else (np.array(value), np.array(tail))
+    if not shape:
+        return value[0], tail[0]
+    return np.array(value).reshape(shape), np.array(tail).reshape(shape)

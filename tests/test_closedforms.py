@@ -1,6 +1,5 @@
 import math
 import re
-import threading
 import warnings
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermichain import special
+from fermichain import closedforms, special
 from fermichain import (
     RegimeWarning,
     ReservoirParams,
@@ -471,38 +470,44 @@ def test_a_mu_batch_gives_each_mu_the_bits_of_its_scalar_equilibrium_block(mus, 
         equilibrium_sommerfeld_onsager(ReservoirParams(np.array([temp, temp]), 0.0))
 
 
-def _sommerfeld_bits(r):
-    return ([v.hex() for v in np.ravel(r.value).tolist()],
-            [v.hex() for v in np.ravel(r.trunc_error_est).tolist()],
-            np.shape(r.value), r.terms_used, r.converged)
+# one entry of a Sommerfeld evaluation: (g t, T, mu, lam), t = inf only where lam > 0
+_ENTRY = st.tuples(st.one_of(_GT, st.just(math.inf)), st.floats(0.01, 0.3),
+                   st.floats(-1.5, 1.5), st.sampled_from([0.0, 0.35]))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(grids=st.lists(st.lists(_GT, min_size=1, max_size=5), min_size=1, max_size=3),
-       g=st.sampled_from([1.0, -1.0, 0.35, -2.5]), lam=st.sampled_from([0.0, 0.35]),
-       mus=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=2), temp=st.floats(0.01, 0.3))
-def test_a_shared_table_block_keeps_every_sommerfeld_bit(grids, g, lam, mus, temp):
-    # the first grid comes back last, so later calls read tables that earlier
-    # ones built; its first time also runs as a scalar and as a 1-element array
-    first = grids[0][0] / abs(g)
-    times = [np.array([gt / abs(g) for gt in grid]) for grid in grids + grids[:1]]
-    times += [first, np.array([first])]
-    calls = [(fn, t, ReservoirParams(temp, mu)) for t in times for mu in mus
-             for fn in (nbar_fd_sommerfeld, ebar_fd_sommerfeld)]
-    alone = [fn(t, res, lam, g) for fn, t, res in calls]
-    with special._shared_tables():
-        shared = [fn(t, res, lam, g) for fn, t, res in calls]
-    assert special._run_tables.get(None) is None
-    assert list(map(_sommerfeld_bits, shared)) == list(map(_sommerfeld_bits, alone))
+@given(entries=st.lists(_ENTRY, min_size=1, max_size=8),
+       g=st.sampled_from([1.0, -1.0, 0.35, -2.5]))
+def test_one_n_and_e_evaluation_gives_each_entry_the_bits_of_its_scalar_calls(entries, g):
+    entries = [(gt / abs(g) if gt < math.inf or lam > 0.0 else 0.0, temp, mu, lam)
+               for gt, temp, mu, lam in entries]
+    entries.append(entries[0])  # a repeated entry
+    t, temp, mu, lam = (np.array(v) for v in zip(*entries))
+    forms = closedforms._sommerfeld(t, ReservoirParams(temp, mu), lam, g, closedforms._FORMS)
+    for fn, batch in zip((nbar_fd_sommerfeld, ebar_fd_sommerfeld), forms):
+        solo = [fn(ti, ReservoirParams(temp_i, mu_i), lam_i, g)
+                for ti, temp_i, mu_i, lam_i in entries]
+        assert [v.hex() for v in batch.value.tolist()] == [r.value.hex() for r in solo]
+        assert ([v.hex() for v in batch.trunc_error_est.tolist()]
+                == [r.trunc_error_est.hex() for r in solo])
+        assert batch.terms_used == sum(r.terms_used for r in solo)
+        assert batch.converged == all(r.converged for r in solo)
+    points = [(ti, ReservoirParams(temp_i, mu_i), lam_i) for ti, temp_i, mu_i, lam_i in entries]
+    assert closedforms._fd_counters(points, g).T.tolist() == [f.value.tolist() for f in forms]
 
 
-def test_a_shared_table_block_is_not_seen_from_another_thread():
-    seen = []
-    with special._shared_tables():
-        worker = threading.Thread(target=lambda: seen.append(special._run_tables.get(None)))
-        worker.start()
-        worker.join(timeout=30)
-    assert not worker.is_alive() and seen == [None]
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(gts=st.lists(_GT, min_size=1, max_size=6), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_band_sum_with_a_row_per_z_gives_each_row_its_one_point_bits(gts, seed):
+    zs = gts + gts[:1]  # a repeated z, with its own coefficients
+    orders = [SpecialFnTable.band_orders(z) for z in zs]
+    coeffs = np.random.default_rng(seed).standard_normal((2, len(zs), max(orders)))
+    values, tails = special.bessel_band_sum(np.array(zs), coeffs, orders)
+    assert values.shape == tails.shape == (2, len(zs))
+    for form in range(2):
+        for i, (z, n) in enumerate(zip(zs, orders)):
+            solo = special.bessel_band_sum(z, coeffs[form, i, :n])
+            assert [values[form, i].hex(), tails[form, i].hex()] == [v.hex() for v in solo]
 
 
 def sommerfeld_oracle(t, res, dephasing, g, energy, n_max):

@@ -360,6 +360,12 @@ PROBES = {
     "binary_entropy(p='0.5')": ("p", lambda: fc.binary_entropy("0.5")),
     "coherence_ab(n_a0=[-1, 0.5])":
         ("n_a0", lambda: fc.coherence_ab(MODE, np.array([-1.0, 0.5]), 0.3, 1.5)),
+    # one mode: joint_entropy and entropy_production returned one value where
+    # mutual_information returned one per coupling
+    "EquilibriumModePrep(coupling=[0.8, 1, 1.2])":
+        ("coupling", lambda: fc.EquilibriumModePrep(0.4, 0.1, np.array([0.8, 1.0, 1.2]), 0.1)),
+    "EquilibriumModePrep(n_eq=[0.4, 0.5])":
+        ("n_eq", lambda: fc.EquilibriumModePrep(np.array([0.4, 0.5]), 0.1, 0.8, 0.1)),
     # a batched block is at one temperature: fluxes raised numpy's "ambiguous"
     "OnsagerBlock(temperature=[0.1, 0.2])":
         ("temperature", lambda: fc.OnsagerBlock(1.0, 1.0, 1.0, 1.0, np.array([0.1, 0.2]))),

@@ -502,7 +502,6 @@ def test_an_onsteste2_run_builds_one_j_table_and_a_second_run_its_own(monkeypatc
     assert len(built) == 1  # two panels x (N, E) built four
     second = run_scenario(cfg)
     assert len(built) == 2  # no table outlives its run
-    assert special._run_tables.get(None) is None
     for a, b in zip(first.panels, second.panels):
         assert [c.tolist() for c in a.columns] == [c.tolist() for c in b.columns]
 
@@ -555,14 +554,7 @@ def test_panels_of_one_build_share_its_scan_settings(monkeypatch, key, value):
         _run_panels([])
 
 
-def test_a_run_that_raises_closes_its_table_block(monkeypatch):
-    def fail(*args):
-        raise RuntimeError("probe")
-
-    monkeypatch.setattr(closedforms, "ebar_fd_sommerfeld", fail)  # after N built its table
-    with pytest.raises(RuntimeError, match="probe"):
-        run_scenario(parse_config({"scenario": "onsteste2", "t_grid": [0.0, 1.0]}))
-    assert special._run_tables.get(None) is None
+def test_a_series_call_outside_a_run_builds_its_own_table(monkeypatch):
     built = _count_tables(monkeypatch)
     for _ in range(2):
         closedforms.nbar_fd_sommerfeld(np.array([0.0, 1.0]), ReservoirParams(0.1, 0.0), 0.35, 1.0)
@@ -739,6 +731,21 @@ def test_cli_underflowing_temperature_exits_1_with_error_line(tmp_path, capsys):
     assert rc == 1
     assert ("error: block temperature must not be so small that T**2 underflows to 0, "
             "got 1e-300") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, line", [
+    ("mu", "2.5", "mu must lie strictly inside the band (-2, 2) for the Sommerfeld form, got 2.5"),
+    ("temperature", "0.7", "temperature must satisfy (pi T)^2/(4 - mu^2) < 1 for the Sommerfeld "
+                           "form, got 0.7"),
+])
+def test_cli_names_a_reservoir_outside_the_sommerfeld_reach_as_set(tmp_path, capsys, key, value,
+                                                                   line):
+    # the panels' series are one evaluation: its batch must not be the value named
+    rc = cli.main(["figure", "onsteste2", "--set", "%s=%s" % (key, value),
+                   "--set", "out_dir=%s" % tmp_path])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: %s\n" % line
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("sid", ["custom", "onsteste1", "onsteste2"])
