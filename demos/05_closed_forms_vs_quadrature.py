@@ -15,8 +15,8 @@ import math
 import numpy as np
 
 from fermichain import (ReservoirParams, STATS_BOLTZMANN,
-                        bessel_i, bessel_j, boltzmann_validity, ebar,
-                        ebar_boltzmann_closed, ebar_fd_sommerfeld, nbar,
+                        bessel_i, bessel_j, boltzmann_validity, counters,
+                        ebar_boltzmann_closed, ebar_fd_sommerfeld,
                         nbar_boltzmann_closed, nbar_fd_sommerfeld, omega, onsager)
 
 tol = 1e-10  # quadrature tolerance, relative to max(1, |value|)
@@ -35,11 +35,12 @@ ok = boltzmann_validity(6, res)
 print("\ndilute check: 6 agreeing digits need mu <= %.3f, have %.1f: %s"
       % (ok.mu_bound, res.mu, ok.satisfied))
 lam, g = 0.1, 1.0
-for t in (0.5, 2.0, 8.0):
-    closed_n = nbar_boltzmann_closed(t, res, lam, g)
-    quad_n = nbar(t, res, lam, g, tol, STATS_BOLTZMANN)
-    closed_e = ebar_boltzmann_closed(t, res, lam, g)
-    quad_e = ebar(t, res, lam, g, tol, STATS_BOLTZMANN)
+times = np.array([0.5, 2.0, 8.0])
+# each closed counter takes the whole time array in one call
+closed_ns = nbar_boltzmann_closed(times, res, lam, g)
+closed_es = ebar_boltzmann_closed(times, res, lam, g)
+for t, closed_n, closed_e in zip(times, closed_ns, closed_es):
+    quad_n, quad_e = counters(t, res, lam, g, tol, STATS_BOLTZMANN)
     print("t=%4.1f   N gap %.1e   E gap %.1e"
           % (t, abs(closed_n - quad_n), abs(closed_e - quad_e)))
 
@@ -47,10 +48,9 @@ for t in (0.5, 2.0, 8.0):
 # cross coefficients are the closed counters over 2: J_NM = N/2 and
 # J_NT = J_QM = Q/2 with Q = E - mu N
 print("\ndilute Onsager block from quadrature vs closed counters:")
-for t in (0.5, 2.0, 8.0):
+for t, closed_n, closed_e in zip(times, closed_ns, closed_es):
     block = onsager(t, res, lam, g, tol, STATS_BOLTZMANN)
-    closed_n = nbar_boltzmann_closed(t, res, lam, g)
-    closed_q = ebar_boltzmann_closed(t, res, lam, g) - res.mu * closed_n
+    closed_q = closed_e - res.mu * closed_n
     print("t=%4.1f   J_NM gap %.1e   J_NT gap %.1e   J_QM gap %.1e"
           % (t, abs(block.j_n_mu - 0.5 * closed_n), abs(block.j_n_t - 0.5 * closed_q),
              abs(block.j_q_mu - 0.5 * closed_q)))
@@ -63,15 +63,14 @@ for temp in (0.05, 0.1, 0.25):
     gaps_n = []
     gaps_e = []
     for t in np.linspace(0.0, 6.0, 13):
-        gaps_n.append(abs(nbar_fd_sommerfeld(float(t), res_t, lam, g).value
-                          - nbar(float(t), res_t, lam, g, tol)))
-        gaps_e.append(abs(ebar_fd_sommerfeld(float(t), res_t, lam, g).value
-                          - ebar(float(t), res_t, lam, g, tol)))
+        quad_n, quad_e = counters(float(t), res_t, lam, g, tol)
+        gaps_n.append(abs(nbar_fd_sommerfeld(float(t), res_t, lam, g).value - quad_n))
+        gaps_e.append(abs(ebar_fd_sommerfeld(float(t), res_t, lam, g).value - quad_e))
     print("  %.2f    %.3e     %.3e" % (temp, max(gaps_n), max(gaps_e)))
 print("the error shrinks with T^2: the truncation is doing the damage")
 
 # at mu = 0 the particle counter needs no temperature correction at all
 res0 = ReservoirParams(temperature=0.3, mu=0.0)
 gap0 = abs(nbar_fd_sommerfeld(2.0, res0, lam, g).value
-           - nbar(2.0, res0, lam, g, tol))
+           - counters(2.0, res0, lam, g, tol)[0])
 print("N series at mu=0, T=0.3: gap %.1e (exact by symmetry)" % gap0)

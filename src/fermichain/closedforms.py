@@ -55,8 +55,8 @@ band and an expansion parameter (pi T)^2/(4 - mu^2) of 1 or more.  Every
 closed form rejects a g t outside the J argument reach; the Boltzmann forms
 warn with ``RegimeWarning`` outside the dilute regime, and reject by name a
 temperature whose (max(mu, 0) + 2)/T leaves the Boltzmann reach.  Only the
-Sommerfeld counters' t and the equilibrium block's mu may be arrays; any
-other array, a reservoir batch's fields included, is rejected by name.
+closed counters' t, omega's x and the equilibrium block's mu may be arrays;
+any other array, a reservoir batch's fields included, is rejected by name.
 """
 
 from __future__ import annotations
@@ -86,10 +86,11 @@ class SeriesResult(_Fieldwise):
     converged: bool
 
 
-def _check_omega_args(nu: int, x: float, y: float):
-    _require_scalars(("nu", nu), ("x", x), ("y", y))
+def _check_omega_args(nu: int, half_x, y: float):
+    """Name the first of nu, x (given as x/2) and y outside omega's reaches."""
+    _require_scalars(("nu", nu), ("y", y))
     _check_reach("omega nu", "nu", nu)
-    _check_reach("J argument", "x/2", 0.5 * x)  # omega_nu(x, y) = B(x/2, a)
+    _check_reach("J argument", "x/2", half_x)  # omega_nu(x, y) = B(x/2, a)
     _check_reach("omega y", "y", y)
 
 
@@ -99,7 +100,8 @@ def omega_defining_integral(nu: int, x: float, y: float) -> SeriesResult:
     It starts at max(8, ceil(|x|)) panels to resolve the oscillation and
     covers all of ``omega``'s range.
     """
-    _check_omega_args(nu, x, y)
+    _require_scalars(("x", x))
+    _check_omega_args(nu, 0.5 * x, y)
 
     def f(z):
         cos = np.cos(z)
@@ -111,26 +113,46 @@ def omega_defining_integral(nu: int, x: float, y: float) -> SeriesResult:
                         terms_used=0, converged=True)
 
 
-def omega(nu: int, x: float, y: float) -> SeriesResult:
+def _omega_sum(nu: int, z: float, y: float, most: int, columns: dict) -> tuple:
+    """(value, tail, orders, converged) of omega_nu(2 z, y), at most ``most``
+    orders; columns holds the coefficients by order count, built once each."""
+    orders = min(SpecialFnTable.band_orders(z), most)
+    coeffs = columns.get(orders)
+    if coeffs is None:
+        coeffs = _column([2 * orders + nu], [y], True)[0]  # in range: y and nu are checked
+        for _ in range(nu):  # cos(k) c(k): c'_m = (c_|m-1| + c_m+1)/2
+            coeffs = 0.5 * (np.concatenate((coeffs[1:2], coeffs[:-2])) + coeffs[1:])
+        coeffs = columns[orders] = coeffs[0:2 * orders:2]
+    value, tail = bessel_band_sum(z, coeffs)
+    return value, tail, orders, tail <= _SERIES_TOL * max(1.0, float(coeffs[0]))
+
+
+def omega(nu: int, x, y: float) -> SeriesResult:
     """omega_nu(x, y) as the band sum B(x/2, a) with modified-Bessel coefficients.
 
     The sum stops at the first of ``SpecialFnTable.band_orders(x/2)`` and the
     coefficient tail; the magnitude of its last two terms is the truncation
     estimate, and the sum counts as converged when that is within 1e-12 of
     max(1, a_0), a_0 = I_nu(y) being the scale of the value.  nu, x/2 and
-    y lie in the omega nu, J argument and omega y reaches; each is one scalar.
+    y lie in the omega nu, J argument and omega y reaches; nu and y are one
+    scalar each.  x is one scalar or an array (see ``SeriesResult``): each
+    distinct order count's coefficient column is built once, and each
+    distinct x's sum, with the bits of its scalar call.
     """
-    _check_omega_args(nu, x, y)
-    z = 0.5 * float(x)
+    plain = isinstance(x, (int, float))  # a plain number needs no array round trip
+    half = 0.5 * x if plain else 0.5 * np.asarray(x)
+    _check_omega_args(nu, half, y)
+    y = float(y)
     # a_j needs I_n up to n = 2 j + nu, and I_n < 2^-60 I_0 past 9 sqrt(y) + 10
-    orders = min(SpecialFnTable.band_orders(z), int(4.5 * math.sqrt(y) + 0.5 * nu) + 6)
-    coeffs = _column([2 * orders + nu], [float(y)], True)[0]  # in range: y and nu are checked
-    for _ in range(nu):  # cos(k) c(k): c'_m = (c_|m-1| + c_m+1)/2
-        coeffs = 0.5 * (np.concatenate((coeffs[1:2], coeffs[:-2])) + coeffs[1:])
-    coeffs = coeffs[0:2 * orders:2]
-    value, tail = bessel_band_sum(z, coeffs)
-    return SeriesResult(value=value, trunc_error_est=tail, terms_used=orders,
-                        converged=tail <= _SERIES_TOL * max(1.0, float(coeffs[0])))
+    most, columns = int(4.5 * math.sqrt(y) + 0.5 * nu) + 6, {}
+    if plain:
+        return SeriesResult(*_omega_sum(nu, float(half), y, most, columns))
+    zs = half.ravel().tolist()
+    sums = {z: _omega_sum(nu, z, y, most, columns) for z in dict.fromkeys(zs)}
+    rows = [sums[z] for z in zs]
+    value, tail = (_plain(np.reshape([row[i] for row in rows], half.shape)) for i in (0, 1))
+    return SeriesResult(value=value, trunc_error_est=tail, terms_used=sum(row[2] for row in rows),
+                        converged=all(row[3] for row in rows))
 
 
 def _closed_envelope(t, dephasing: float, g: float) -> tuple:
@@ -141,36 +163,38 @@ def _closed_envelope(t, dephasing: float, g: float) -> tuple:
     return damping, gt
 
 
-def _boltzmann_closed(nu: int, scale: float, t: float, res: ReservoirParams,
-                      dephasing: float, g: float) -> float:
-    """scale exp(beta mu) [exp(-lam t) omega_nu(2 g t, 2 beta) - I_nu(2 beta)]."""
-    _require_scalars(("time", t), ("dephasing rate", dephasing), ("coupling g", g),
-                     *vars(res).items())
+def _boltzmann_closed(nu: int, scale: float, t, res: ReservoirParams,
+                      dephasing: float, g: float):
+    """scale exp(beta mu) [exp(-lam t) omega_nu(2 g t, 2 beta) - I_nu(2 beta)], like t."""
+    _require_scalars(("dephasing rate", dephasing), ("coupling g", g), *vars(res).items())
     damping, gt = _closed_envelope(t, dephasing, g)
     # |omega_nu| <= I_0(y) <= e^y, so the value is at most exp((mu + 2)/T)
     _check_reach("Boltzmann", "temperature %r, whose (max(mu, 0) + 2)/T," % res.temperature,
                  (max(res.mu, 0.0) + 2.0) * res.beta)
     y = 2.0 * res.beta
     _warn_unless_dilute(res)
-    osc = float(damping) * omega(nu, 2.0 * gt, y).value
-    return scale * math.exp(res.beta * res.mu) * (osc - bessel_i(nu, y))
+    osc = damping * omega(nu, 2.0 * gt, y).value
+    ground = bessel_i(nu, y) if np.size(osc) else 0.0  # an empty t builds no column
+    return _plain(scale * math.exp(res.beta * res.mu) * (osc - ground))
 
 
-def nbar_boltzmann_closed(t: float, res: ReservoirParams, dephasing: float,
-                          g: float) -> float:
+def nbar_boltzmann_closed(t, res: ReservoirParams, dephasing: float, g: float):
     """Boltzmann-statistics particle counter exp(beta mu) [d omega_0 - I_0(2 beta)].
 
-    Its error is absolute, at most 1e-12 exp(beta mu) max(1, I_0(2 beta)),
-    not relative: at T = 0.0625, mu = -3, lam = 0, g = 1, t = 1e-6 the two
-    terms, 8.0e-9 each, cancel to -4.4536e-23 (exactly -4.3815e-23).
+    t is one time or an array of them, and the result is shaped like t,
+    each entry with the bits of its scalar call; the reservoir, dephasing
+    rate and g are one scalar each.  Its error is absolute, at most
+    1e-12 exp(beta mu) max(1, I_0(2 beta)) at every entry, not relative: at
+    T = 0.0625, mu = -3, lam = 0, g = 1, t = 1e-6 the two terms, 8.0e-9
+    each, cancel to -4.4536e-23 (exactly -4.3815e-23).
     """
     return _boltzmann_closed(0, 1.0, t, res, dephasing, g)
 
 
-def ebar_boltzmann_closed(t: float, res: ReservoirParams, dephasing: float,
-                          g: float) -> float:
-    """Boltzmann energy counter -2 exp(beta mu) [d omega_1 - I_1(2 beta)]; its
-    error is absolute, at most 2e-12 exp(beta mu) max(1, I_1(2 beta))."""
+def ebar_boltzmann_closed(t, res: ReservoirParams, dephasing: float, g: float):
+    """Boltzmann energy counter -2 exp(beta mu) [d omega_1 - I_1(2 beta)]; t as
+    in ``nbar_boltzmann_closed``.  Its error is absolute, at most
+    2e-12 exp(beta mu) max(1, I_1(2 beta)) at every entry."""
     return _boltzmann_closed(1, -2.0, t, res, dephasing, g)
 
 

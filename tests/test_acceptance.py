@@ -8,7 +8,7 @@ criterion takes more than about one.
 import numpy as np
 import pytest
 
-from fermichain import ModeSpec, acceptance, dynamics, fluctuation, special, transport
+from fermichain import ModeSpec, acceptance, closedforms, dynamics, fluctuation, special, transport
 from fermichain.acceptance import CRITERIA
 from fermichain.fluctuation import ft_log_ratio
 
@@ -85,3 +85,26 @@ def test_c8_runs_its_nine_settings_as_one_scan_and_one_j_table(monkeypatch):
     passed, detail = acceptance._c8()
     assert scans == [99] and len(tables) == 1 and passed is True
     assert detail == "max deviation 0.011 at T=0.1; worsens at T=0.25: True"
+
+
+def test_c7_makes_one_scan_and_builds_each_i_column_once(monkeypatch):
+    # one call per closed form over the three times: its six I columns
+    # (two omega columns and one I_nu(2/T) per form) each once, and the
+    # three quadrature points in one scan
+    scans, columns = [], []
+    scan, column = transport._scan, special._column
+
+    def counted_scan(kernel_groups, points, *args):
+        scans.append(len(points))
+        return scan(kernel_groups, points, *args)
+
+    def counted_column(max_order, x, modified):
+        if modified:
+            columns.append((tuple(max_order), tuple(x)))
+        return column(max_order, x, modified)
+
+    monkeypatch.setattr(transport, "_scan", counted_scan)
+    for module in (special, closedforms):  # closedforms holds its own binding
+        monkeypatch.setattr(module, "_column", counted_column)
+    assert acceptance._c7() == (True, "max |closed - quadrature| = 3.39e-21")
+    assert scans == [3] and len(columns) == 6 and len(set(columns)) == 6

@@ -432,6 +432,17 @@ def test_series_and_closed_forms_are_pinned(point):
                 ebar_boltzmann_closed(t, dilute, 0.35, 1.0).hex()) == boltzmann_pin
 
 
+@pytest.mark.parametrize("point", sorted(_PINNED))
+def test_a_repeated_time_reproduces_the_pinned_boltzmann_bits_in_both_entries(point):
+    t, mu, temp = point
+    dilute = ReservoirParams(temp, mu - 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)  # three points are not dilute
+        pair = [fn(np.array([t, t]), dilute, 0.35, 1.0).tolist()
+                for fn in (nbar_boltzmann_closed, ebar_boltzmann_closed)]
+    assert [(n.hex(), e.hex()) for n, e in zip(*pair)] == [_PINNED[point][2]] * 2
+
+
 # |g t| that reach every branch of the J column: 0, the leading term ((g t/2)^2
 # below 2^-53, under about 2.1e-8), the recurrence that rescales (to about
 # 5e-7) and the plain one, up to the J argument reach
@@ -454,6 +465,71 @@ def test_a_time_array_gives_each_time_the_bits_of_its_scalar_call(gts, g, lam, m
                 == [r.trunc_error_est.hex() for r in solo])
         assert batch.terms_used == sum(r.terms_used for r in solo)
         assert batch.converged == all(r.converged for r in solo)
+
+
+# x of omega: each branch of the J column, as _GT, either sign, and -0.0
+_X = st.one_of(st.just(-0.0), _GT.map(lambda gt: 2.0 * gt), _GT.map(lambda gt: -2.0 * gt))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(xs=st.lists(_X, min_size=1, max_size=5), nu=st.sampled_from([0, 1, 2]),
+       y=st.floats(0.0, 60.0))
+def test_omega_over_an_x_array_gives_each_x_the_bits_of_its_scalar_call(xs, nu, y):
+    xs = xs + [xs[0], 0.0]  # a repeated x, and 0.0 beside any -0.0
+    batch = omega(nu, np.array(xs)[:, None], y)
+    solo = [omega(nu, x, y) for x in xs]
+    assert batch.value.shape == batch.trunc_error_est.shape == (len(xs), 1)
+    assert [v.hex() for v in batch.value.ravel().tolist()] == [r.value.hex() for r in solo]
+    assert ([v.hex() for v in batch.trunc_error_est.ravel().tolist()]
+            == [r.trunc_error_est.hex() for r in solo])
+    assert batch.terms_used == sum(r.terms_used for r in solo)
+    assert batch.converged == all(r.converged for r in solo)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(small=st.lists(st.floats(0.0, 1e-6), max_size=3), gts=st.lists(_GT, max_size=3),
+       g=st.sampled_from([1.0, -1.0, 0.35, -2.5]), lam=st.sampled_from([0.0, 0.35]),
+       temp=st.floats(0.05, 2.0), mu=st.floats(-6.0, 1.0))
+def test_a_boltzmann_form_over_a_time_array_gives_each_time_its_scalar_bits(
+        small, gts, g, lam, temp, mu):
+    # t = 0, the small-t cancellation regime, g t up to the J argument reach,
+    # t = inf where lam > 0, and a repeated time
+    times = [0.0] + small + [gt / abs(g) for gt in gts] + ([math.inf] if lam > 0.0 else [])
+    times.append(times[-1])
+    res = ReservoirParams(temp, mu)
+    for fn in (nbar_boltzmann_closed, ebar_boltzmann_closed):
+        with warnings.catch_warnings(record=True) as batch_warnings:
+            warnings.simplefilter("always")
+            batch = fn(np.array(times), res, lam, g)
+        with warnings.catch_warnings(record=True) as solo_warnings:
+            warnings.simplefilter("always")
+            solo = [fn(t, res, lam, g) for t in times]
+        assert [v.hex() for v in batch.tolist()] == [v.hex() for v in solo]
+        # outside the dilute regime a call warns once, however many times it takes
+        assert {w.category for w in solo_warnings} <= {RegimeWarning}
+        assert len(batch_warnings) <= 1
+        assert len(solo_warnings) == len(times) * len(batch_warnings)
+
+
+def test_a_boltzmann_form_over_no_times_builds_no_column(monkeypatch):
+    built, column = [], special._column
+
+    def counted(*args):
+        built.append(args)
+        return column(*args)
+
+    for module in (special, closedforms):  # closedforms holds its own binding
+        monkeypatch.setattr(module, "_column", counted)
+    for fn in (nbar_boltzmann_closed, ebar_boltzmann_closed):
+        out = fn(np.array([]), ReservoirParams(0.1, -3.0), 0.35, 1.0)
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+    assert built == []
+
+
+@pytest.mark.parametrize("fn", [nbar_boltzmann_closed, ebar_boltzmann_closed])
+def test_a_nan_entry_of_a_time_array_is_named(fn):
+    with pytest.raises(ValueError, match="time must not be NaN"):
+        fn(np.array([1.0, math.nan]), ReservoirParams(0.1, -3.0), 0.35, 1.0)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -370,11 +370,19 @@ PROBES = {
     "OnsagerBlock(temperature=[0.1, 0.2])":
         ("temperature", lambda: fc.OnsagerBlock(1.0, 1.0, 1.0, 1.0, np.array([0.1, 0.2]))),
     # arguments that stay one scalar: numpy's "only 0-dimensional arrays" TypeError
-    "nbar_boltzmann_closed(t=[1, 2])":
-        ("t", lambda: fc.nbar_boltzmann_closed(np.array([1.0, 2.0]), DILUTE, 0.1, 1.0)),
-    "ebar_boltzmann_closed(t=[1, 2])":
-        ("t", lambda: fc.ebar_boltzmann_closed(np.array([1.0, 2.0]), DILUTE, 0.1, 1.0)),
-    "omega(x=[1, 2])": ("x", lambda: fc.omega(0, np.array([1.0, 2.0]), 1.0)),
+    "omega(y=[1, 2])": ("y", lambda: fc.omega(0, 1.0, np.array([1.0, 2.0]))),
+    "omega(nu=[0, 1])": ("nu", lambda: fc.omega(np.array([0, 1]), 1.0, 1.0)),
+    "nbar_boltzmann_closed(dephasing=[0.1, 0.2])":
+        ("dephasing", lambda: fc.nbar_boltzmann_closed(2.0, DILUTE, np.array([0.1, 0.2]), 1.0)),
+    "nbar_boltzmann_closed(g=[1, 2])":
+        ("g", lambda: fc.nbar_boltzmann_closed(2.0, DILUTE, 0.1, np.array([1.0, 2.0]))),
+    "ebar_boltzmann_closed(dephasing=[0.1, 0.2])":
+        ("dephasing", lambda: fc.ebar_boltzmann_closed(2.0, DILUTE, np.array([0.1, 0.2]), 1.0)),
+    "ebar_boltzmann_closed(g=[1, 2])":
+        ("g", lambda: fc.ebar_boltzmann_closed(2.0, DILUTE, 0.1, np.array([1.0, 2.0]))),
+    "ebar_boltzmann_closed(res=batch)":
+        ("temperature", lambda: fc.ebar_boltzmann_closed(
+            1.0, fc.ReservoirParams(np.array([0.5, 0.4]), -3.0), 0.1, 1.0)),
     "bessel_j(x=[1, 2])": ("x", lambda: fc.bessel_j(2, np.array([1.0, 2.0]))),
     "bessel_i(y=[1, 2])": ("y", lambda: fc.bessel_i(2, np.array([1.0, 2.0]))),
     "nbar_fd_sommerfeld(dephasing=[0.1, 0.2])":
@@ -565,6 +573,8 @@ SCALAR_RESULTS = {
     "transition_weight": lambda: fc.transition_weight(MODE, 1.5),
     "ft_log_ratio.lhs": lambda: fc.ft_log_ratio(MODE, RES, DILUTE, 1.5).lhs,
     "ft_log_ratio.rhs": lambda: fc.ft_log_ratio(MODE, RES, DILUTE, 1.5).rhs,
+    "nbar_boltzmann_closed": lambda: fc.nbar_boltzmann_closed(1.5, DILUTE, 0.1, 1.0),
+    "ebar_boltzmann_closed": lambda: fc.ebar_boltzmann_closed(1.5, DILUTE, 0.1, 1.0),
 }
 
 
@@ -618,10 +628,15 @@ BROADCASTS = {
     "affinities": (_PAIR, lambda v: fc.affinities(_res(v), _res(v, "_b")), 0),
     "multi_mode_ft": (_MODE + ("delta_n_a",), lambda v: fc.multi_mode_ft(
         _mode(v), v["delta_n_a"], RES, DILUTE, 1.5), 0),
+    "nbar_boltzmann_closed": (("t",), lambda v: fc.nbar_boltzmann_closed(v["t"], DILUTE, 0.1,
+                                                                         1.0), 0),
+    "ebar_boltzmann_closed": (("t",), lambda v: fc.ebar_boltzmann_closed(v["t"], DILUTE, 0.1,
+                                                                         1.0), 0),
+    "omega": (("x",), lambda v: fc.omega(1, v["x"], 3.0), 0),
 }
 _VALID = {"energy": -0.9, "coupling": 0.8, "dephasing": 0.1, "temperature": 0.5, "mu": 0.3,
           "temperature_b": 0.8, "mu_b": -0.2, "n_a0": 0.7, "n_b0": 0.2, "t": 1.5,
-          "k": 1.0, "g": 1.0, "delta_n_a": -1}
+          "k": 1.0, "g": 1.0, "delta_n_a": -1, "x": 2.0}
 # the names a message may give an argument, each naming one of the above
 _SPOKEN_SHAPES = {"energy", "coupling", "dephasing", "temperature", "mu", "time", "n_a0",
                   "n_b0", "momentum k", "g", "delta_n_a", "mode at t", "mode energy",
