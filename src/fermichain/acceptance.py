@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedforms, dynamics, entropy, fluctuation, lattice, special, transport
-from .lattice import ModeSpec, ReservoirParams
+from .lattice import ModeSpec, ReservoirParams, _scalar, _takes
 from .scenarios import _run_panels, _tag, parse_config, run_scenario, write_csv
 
 
@@ -238,12 +238,11 @@ CRITERIA = (
 )
 
 
+@_takes(only=_scalar(("be None or one of " + ", ".join(c.cid for c in CRITERIA), lambda v:
+                      v is None or isinstance(v, str) and v in [c.cid for c in CRITERIA])))
 def run_acceptance(only: str = None, out_dir: str = None, echo=print) -> int:
     """Run the gate (or a single criterion); returns the number of failures."""
     selected = [c for c in CRITERIA if only in (None, c.cid)]
-    if not selected:
-        raise ValueError("unknown criterion '%s'; choose one of %s"
-                         % (only, ", ".join(c.cid for c in CRITERIA)))
     rows = [("criterion", "title", "passed", "detail", "seconds")]
     failures = 0
     for crit in selected:

@@ -49,14 +49,11 @@ with g_e = 2 g (1 - e^2/4), so the bracket derivatives are taken with the
 full e-dependence and evaluated at e = mu.  Both expansions vanish
 identically at t = 0 and reduce at t = inf (lam > 0) to the damped limits,
 whose mu/T derivatives are also provided here in closed form for
-equilibrium comparisons.  Each reach named below is a row of
-``lattice._REACH``.  Every Sommerfeld form rejects by name a mu outside the
-band and an expansion parameter (pi T)^2/(4 - mu^2) of 1 or more.  Every
-closed form rejects a g t outside the J argument reach; the Boltzmann forms
-warn with ``RegimeWarning`` outside the dilute regime, and reject by name a
-temperature whose (max(mu, 0) + 2)/T leaves the Boltzmann reach.  Only the
-closed counters' t, omega's x and the equilibrium block's mu may be arrays;
-any other array, a reservoir batch's fields included, is rejected by name.
+equilibrium comparisons.  Past its declared arguments each form checks its
+regime: the Sommerfeld forms need mu inside the band and (pi T)^2/(4 - mu^2)
+below 1, every closed form a g t inside the J argument reach, and the
+Boltzmann forms a (max(mu, 0) + 2)/T inside the Boltzmann reach; they warn
+with ``RegimeWarning`` outside the dilute regime.
 """
 
 from __future__ import annotations
@@ -64,8 +61,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lattice import (ReservoirParams, _Fieldwise, _check_reach, _plain, _require,
-                      _require_scalars, _scalar_pow, _warn_unless_dilute, relaxation_envelope)
+from .lattice import (_ONE_COUPLING, _ONE_RATE, _ONE_RESERVOIR, _TIME, ReservoirParams,
+                      _batch, _check_reach, _Fieldwise, _plain, _require, _scalar, _scalar_pow,
+                      _takes, _warn_unless_dilute, relaxation_envelope)
 from .special import SpecialFnTable, _column, bessel_band_sum, bessel_i
 from .transport import OnsagerBlock, integrate_interval
 
@@ -86,23 +84,14 @@ class SeriesResult(_Fieldwise):
     converged: bool
 
 
-def _check_omega_args(nu: int, half_x, y: float):
-    """Name the first of nu, x (given as x/2) and y outside omega's reaches."""
-    _require_scalars(("nu", nu), ("y", y))
-    _check_reach("omega nu", "nu", nu)
-    _check_reach("J argument", "x/2", half_x)  # omega_nu(x, y) = B(x/2, a)
-    _check_reach("omega y", "y", y)
-
-
+# omega_nu(x, y) = B(x/2, a): x is checked as x/2
+@_takes(nu=_scalar("omega nu"), x=_scalar("J argument", "x/2", 0.5), y=_scalar("omega y"))
 def omega_defining_integral(nu: int, x: float, y: float) -> SeriesResult:
     """Direct quadrature of the omega integrand (the independent cross-check).
 
     It starts at max(8, ceil(|x|)) panels to resolve the oscillation and
     covers all of ``omega``'s range.
     """
-    _require_scalars(("x", x))
-    _check_omega_args(nu, 0.5 * x, y)
-
     def f(z):
         cos = np.cos(z)
         return (cos ** nu * np.exp(y * cos) * np.cos(x * np.sin(z) ** 2),)
@@ -127,21 +116,19 @@ def _omega_sum(nu: int, z: float, y: float, most: int, columns: dict) -> tuple:
     return value, tail, orders, tail <= _SERIES_TOL * max(1.0, float(coeffs[0]))
 
 
+@_takes(nu=_scalar("omega nu"), x=_batch("J argument", "x/2", 0.5), y=_scalar("omega y"))
 def omega(nu: int, x, y: float) -> SeriesResult:
     """omega_nu(x, y) as the band sum B(x/2, a) with modified-Bessel coefficients.
 
     The sum stops at the first of ``SpecialFnTable.band_orders(x/2)`` and the
     coefficient tail; the magnitude of its last two terms is the truncation
     estimate, and the sum counts as converged when that is within 1e-12 of
-    max(1, a_0), a_0 = I_nu(y) being the scale of the value.  nu, x/2 and
-    y lie in the omega nu, J argument and omega y reaches; nu and y are one
-    scalar each.  x is one scalar or an array (see ``SeriesResult``): each
-    distinct order count's coefficient column is built once, and each
-    distinct x's sum, with the bits of its scalar call.
+    max(1, a_0), a_0 = I_nu(y) being the scale of the value.  Over an array
+    of x (see ``SeriesResult``) each distinct order count's coefficient column
+    is built once, and each distinct x's sum, with the bits of its scalar call.
     """
     plain = isinstance(x, (int, float))  # a plain number needs no array round trip
     half = 0.5 * x if plain else 0.5 * np.asarray(x)
-    _check_omega_args(nu, half, y)
     y = float(y)
     # a_j needs I_n up to n = 2 j + nu, and I_n < 2^-60 I_0 past 9 sqrt(y) + 10
     most, columns = int(4.5 * math.sqrt(y) + 0.5 * nu) + 6, {}
@@ -166,24 +153,27 @@ def _closed_envelope(t, dephasing: float, g: float) -> tuple:
 def _boltzmann_closed(nu: int, scale: float, t, res: ReservoirParams,
                       dephasing: float, g: float):
     """scale exp(beta mu) [exp(-lam t) omega_nu(2 g t, 2 beta) - I_nu(2 beta)], like t."""
-    _require_scalars(("dephasing rate", dephasing), ("coupling g", g), *vars(res).items())
     damping, gt = _closed_envelope(t, dephasing, g)
     # |omega_nu| <= I_0(y) <= e^y, so the value is at most exp((mu + 2)/T)
     _check_reach("Boltzmann", "temperature %r, whose (max(mu, 0) + 2)/T," % res.temperature,
                  (max(res.mu, 0.0) + 2.0) * res.beta)
     y = 2.0 * res.beta
     _warn_unless_dilute(res)
-    osc = damping * omega(nu, 2.0 * gt, y).value
-    ground = bessel_i(nu, y) if np.size(osc) else 0.0  # an empty t builds no column
+    osc = damping * omega.unchecked(nu, 2.0 * gt, y).value
+    ground = bessel_i.unchecked(nu, y) if np.size(osc) else 0.0  # an empty t builds no column
     return _plain(scale * math.exp(res.beta * res.mu) * (osc - ground))
 
 
+# t, one time or an array of them, at one reservoir, rate and g
+_CLOSED = {"t": _TIME, "res": _ONE_RESERVOIR, "dephasing": _ONE_RATE, "g": _ONE_COUPLING}
+
+
+@_takes(**_CLOSED)
 def nbar_boltzmann_closed(t, res: ReservoirParams, dephasing: float, g: float):
     """Boltzmann-statistics particle counter exp(beta mu) [d omega_0 - I_0(2 beta)].
 
-    t is one time or an array of them, and the result is shaped like t,
-    each entry with the bits of its scalar call; the reservoir, dephasing
-    rate and g are one scalar each.  Its error is absolute, at most
+    The result is shaped like t, each entry with the bits of its scalar
+    call.  Its error is absolute, at most
     1e-12 exp(beta mu) max(1, I_0(2 beta)) at every entry, not relative: at
     T = 0.0625, mu = -3, lam = 0, g = 1, t = 1e-6 the two terms, 8.0e-9
     each, cancel to -4.4536e-23 (exactly -4.3815e-23).
@@ -191,6 +181,7 @@ def nbar_boltzmann_closed(t, res: ReservoirParams, dephasing: float, g: float):
     return _boltzmann_closed(0, 1.0, t, res, dephasing, g)
 
 
+@_takes(**_CLOSED)
 def ebar_boltzmann_closed(t, res: ReservoirParams, dephasing: float, g: float):
     """Boltzmann energy counter -2 exp(beta mu) [d omega_1 - I_1(2 beta)]; t as
     in ``nbar_boltzmann_closed``.  Its error is absolute, at most
@@ -286,11 +277,11 @@ def _fd_counters(points, g: float) -> np.ndarray:
 
 
 def _one_form(t, res: ReservoirParams, dephasing: float, g: float, form) -> SeriesResult:
-    _require_scalars(("dephasing rate", dephasing), ("coupling g", g), *vars(res).items())
     _check_sommerfeld_args(res)
     return _sommerfeld(t, res, dephasing, g, (form,))[0]
 
 
+@_takes(**_CLOSED)
 def nbar_fd_sommerfeld(t, res: ReservoirParams, dephasing: float,
                        g: float) -> SeriesResult:
     """Low-temperature particle counter for Fermi-Dirac statistics.
@@ -303,6 +294,7 @@ def nbar_fd_sommerfeld(t, res: ReservoirParams, dephasing: float,
     return _one_form(t, res, dephasing, g, _FORMS[0])
 
 
+@_takes(**_CLOSED)
 def ebar_fd_sommerfeld(t, res: ReservoirParams, dephasing: float,
                        g: float) -> SeriesResult:
     """Low-temperature energy counter for Fermi-Dirac statistics; t as in
@@ -310,6 +302,7 @@ def ebar_fd_sommerfeld(t, res: ReservoirParams, dephasing: float,
     return _one_form(t, res, dephasing, g, _FORMS[1])
 
 
+@_takes(res=_batch(ReservoirParams))
 def equilibrium_sommerfeld_onsager(res: ReservoirParams) -> OnsagerBlock:
     """Onsager block of the damped limit from the closed-form derivatives.
 

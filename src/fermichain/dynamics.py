@@ -12,11 +12,9 @@ solution is
 
 and the 4x4 density matrix in the Fock basis {|0>, a+|0>, b+|0>, a+b+|0>}
 keeps constant corners (1-nA)(1-nB) and nA*nB while the single-excitation
-block carries the oscillation.  Every function takes one ModeSpec: a mode,
-or a batch of shape S through its array fields, whose states have shape
-(*S, 4, 4).  In the closed forms occupations, times and batched reservoirs
-broadcast with it, each entry equal to its scalar call bit for bit.  The
-integrator takes one reservoir pair and makes no use of the closed forms:
+block carries the oscillation.  A mode batch of shape S has states of shape
+(*S, 4, 4); in the closed forms each entry equals its scalar call bit for
+bit.  The integrator makes no use of the closed forms:
 it steps a whole batch with a classical fixed-step 4th-order scheme, whose
 step is one fixed matrix P for a time-independent generator, applying P^n
 by repeated squaring.  It exists to certify the closed forms.
@@ -29,47 +27,49 @@ import math
 
 import numpy as np
 
-from .lattice import (ModeSpec, ReservoirParams, _check_reach, _mode_envelope, _mode_shape,
-                      _plain, _require, _require_scalars, occupation_fd)
+from .lattice import (_MODE, _ONE_RESERVOIR, _PAIR, _TIME, ModeSpec, ReservoirParams, _batch,
+                      _mode_envelope, _plain, _require, _scalar, _takes, occupation_fd)
 
 
 class IntegrationError(RuntimeError):
     """Fixed-step integration produced non-finite values (step too large)."""
 
 
+# a mode (or batch), the initial occupations and t, broadcasting together
+_STATE = {"mode": _MODE, "n_a0": _batch("occupation"), "n_b0": _batch("occupation"), "t": _TIME}
+
+
 def _terms(mode: ModeSpec, n_a0, n_b0, t):
     """(n_a0, n_b0, mean, half, envelope, phase), formed once per call: the
-    checked occupations as arrays, their mean and half difference, and the
-    mode's envelope exp(-lam t) and phase 2 g_k t over the whole batch."""
-    _check_reach("occupation", "n_a0", n_a0)
-    _check_reach("occupation", "n_b0", n_b0)
+    occupations as arrays, their mean and half difference, and the mode's
+    envelope exp(-lam t) and phase 2 g_k t over the whole batch."""
     n_a0, n_b0 = np.asarray(n_a0, dtype=float), np.asarray(n_b0, dtype=float)
-    envelope, phase = _mode_envelope(mode, t, ("n_a0", n_a0), ("n_b0", n_b0))
+    envelope, phase = _mode_envelope(mode, t)
     return n_a0, n_b0, 0.5 * (n_a0 + n_b0), 0.5 * (n_a0 - n_b0), envelope, phase
 
 
+@_takes(**_STATE)
 def occ_a(mode: ModeSpec, n_a0, n_b0, t):
-    """<a+a> at time t for initial occupations (n_a0, n_b0).
-
-    The occupations, t and the mode's fields may be broadcasting arrays; each
-    entry equals the scalar call bit for bit.
-    """
+    """<a+a> at time t for initial occupations (n_a0, n_b0)."""
     _, _, mean, half, envelope, phase = _terms(mode, n_a0, n_b0, t)
     return _plain(mean + half * envelope * np.cos(phase))
 
 
+@_takes(**_STATE)
 def occ_b(mode: ModeSpec, n_a0, n_b0, t):
     """<b+b> at time t: :func:`occ_a` with the halves swapped (half negated)."""
     _, _, mean, half, envelope, phase = _terms(mode, n_a0, n_b0, t)
     return _plain(mean - half * envelope * np.cos(phase))
 
 
+@_takes(**_STATE)
 def coherence_ab(mode: ModeSpec, n_a0, n_b0, t):
     """Inter-half coherence <a+b> = (i/2)(n_a0 - n_b0) exp(-lam t) sin(2 g_k t)."""
     _, _, _, half, envelope, phase = _terms(mode, n_a0, n_b0, t)
     return _plain(1j * half * envelope * np.sin(phase))
 
 
+@_takes(**_STATE)
 def density_matrix_from_occupations(mode: ModeSpec, n_a0, n_b0, t) -> np.ndarray:
     """4x4 mode state at time t in the basis {|0>, a+|0>, b+|0>, a+b+|0>}.
 
@@ -92,14 +92,13 @@ def density_matrix_from_occupations(mode: ModeSpec, n_a0, n_b0, t) -> np.ndarray
     return rho
 
 
+@_takes(mode=_MODE, **_PAIR, t=_TIME)
 def density_matrix(mode: ModeSpec, res_a: ReservoirParams, res_b: ReservoirParams,
                    t) -> np.ndarray:
-    """Mode state for halves prepared thermally at res_a / res_b; batched
-    reservoirs broadcast too."""
-    _mode_shape(mode, ("time", t), *res_a._fields("res_a "), *res_b._fields("res_b "))
-    n_a0 = occupation_fd(mode.energy, res_a)
-    n_b0 = occupation_fd(mode.energy, res_b)
-    return density_matrix_from_occupations(mode, n_a0, n_b0, t)
+    """Mode state for halves prepared thermally at res_a / res_b."""
+    n_a0 = occupation_fd.unchecked(mode.energy, res_a)
+    n_b0 = occupation_fd.unchecked(mode.energy, res_b)
+    return density_matrix_from_occupations.unchecked(mode, n_a0, n_b0, t)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +151,7 @@ def _liouvillian_parts():
     return parts
 
 
+@_takes(mode=_MODE, res_a=_ONE_RESERVOIR, res_b=_ONE_RESERVOIR, dt_max=_scalar("positive"))
 def lindblad_trajectory(mode: ModeSpec, res_a: ReservoirParams, res_b: ReservoirParams,
                         t_grid, dt_max: float = 1e-3) -> np.ndarray:
     """Integrate the dephasing master equation, reporting at each grid time.
@@ -168,25 +168,24 @@ def lindblad_trajectory(mode: ModeSpec, res_a: ReservoirParams, res_b: Reservoir
     mode's generator can overflow ``P^n``; a non-finite state raises
     IntegrationError naming the mode's index in the batch.
 
-    mode is one ModeSpec: a mode (S = ()) or a non-empty batch of shape S.
-    t_grid holds finite report times strictly increasing from >= 0, and
-    dt_max is finite and positive.  Returns the (*S, len(t_grid), 4, 4) states.
+    mode is a mode (S = ()) or a non-empty batch of shape S, and t_grid holds
+    finite report times strictly increasing from >= 0.  Returns the
+    (*S, len(t_grid), 4, 4) states.
     """
-    _check_reach("positive", "dt_max", dt_max)
     times = np.atleast_1d(np.asarray(t_grid, dtype=float))
     _require("t_grid", t_grid, times.ndim == 1 and times.size > 0
              and bool(np.all(np.isfinite(times))) and times[0] >= 0.0
              and bool(np.all(np.diff(times) > 0.0)),
              "be a non-empty 1-D array of finite times, strictly increasing from >= 0")
-    shape = _mode_shape(mode)
+    fields = vars(mode).values()
+    shape = np.broadcast(*fields).shape
     _require("mode", mode, math.prod(shape) > 0, "hold at least one mode, not an empty batch")
-    _require_scalars(*vars(res_a).items(), *vars(res_b).items())
     l_e, l_g, l_lam = _liouvillian_parts()
     energy, coupling, dephasing = (np.broadcast_to(np.asarray(v, dtype=float), shape)
-                                   .reshape(-1, 1, 1) for _, v in mode._fields())
+                                   .reshape(-1, 1, 1) for v in fields)
     sup = energy * l_e + coupling * l_g + dephasing * l_lam
-    n_a0 = occupation_fd(energy.ravel(), res_a)
-    n_b0 = occupation_fd(energy.ravel(), res_b)
+    n_a0 = occupation_fd.unchecked(energy.ravel(), res_a)
+    n_b0 = occupation_fd.unchecked(energy.ravel(), res_b)
     y = np.zeros((len(sup), 16, 1), dtype=complex)
     # the diagonal of each row-major vec(rho0): a product of thermal states
     y[:, ::5, 0] = np.stack([(1.0 - n_a0) * (1.0 - n_b0), n_a0 * (1.0 - n_b0),

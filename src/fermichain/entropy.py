@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .lattice import (_REAL_KINDS, ModeSpec, _check_reach, _plain, _require,
-                      _require_scalars, relaxation_envelope)
+from .lattice import (_ONE_COUPLING, _ONE_RATE, _TIME, ModeSpec, _batch, _check_reach,
+                      _Fieldwise, _plain, _scalar, _takes, relaxation_envelope)
 
 
 def _xlogx(p):
@@ -47,30 +47,27 @@ def _xlogx(p):
     return out
 
 
+@_takes(p=_batch("probability", "occupation p"))
 def binary_entropy(p):
     """H(p) = -p ln p - (1-p) ln(1-p), with 0 ln 0 = 0.  Scalar or array."""
-    arr = np.asarray(p)
-    _require("occupation p", p, arr.dtype.kind in _REAL_KINDS, "be a real number")
-    arr = arr.astype(float, copy=False)
-    _require("occupation p", p, bool(np.all((arr >= -1e-12) & (arr <= 1.0 + 1e-12))),
-             "lie in [0, 1]")
-    p = np.clip(arr, 0.0, 1.0)
+    p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
     return _plain(-_xlogx(p) - _xlogx(1.0 - p))
 
 
-@dataclass(frozen=True)
-class EquilibriumModePrep:
+@dataclass(frozen=True, eq=False)
+class EquilibriumModePrep(_Fieldwise):
     """Near-equilibrium preparation of one mode: common occupation plus split."""
 
     n_eq: float
     delta_n: float
     coupling: float
     dephasing: float = 0.0
+    # one mode: its functions take no batch
+    _contract = {"n_eq": _scalar("n_eq"), "delta_n": _scalar("finite"),
+                 "coupling": _ONE_COUPLING, "dephasing": _ONE_RATE}
 
     def __post_init__(self):
-        _require_scalars(*vars(self).items())  # one mode: its functions take no batch
-        _check_reach("n_eq", "n_eq", self.n_eq)
-        self.mode()  # ModeSpec rejects a non-finite coupling or a bad dephasing rate
+        super().__post_init__()
         _check_reach("n_eq", "occupations n_eq +- delta_n/2 at delta_n %r" % self.delta_n,
                      (self.occupation_a, self.occupation_b))
 
@@ -85,6 +82,10 @@ class EquilibriumModePrep:
     def mode(self) -> ModeSpec:
         # energy placeholder: nothing here depends on eps_k
         return ModeSpec(energy=0.0, coupling=self.coupling, dephasing=self.dephasing)
+
+
+# one preparation, and t, one time or an array of them
+_PREP_T = {"prep": _scalar(EquilibriumModePrep), "t": _TIME}
 
 
 @dataclass(frozen=True)
@@ -105,17 +106,19 @@ class ModeEntropyBreakdown:
         return self.s0 - self.s1 * self.delta_n + self.s2 * self.delta_n ** 2
 
 
+@_takes(**_PREP_T)
 def entropy_coeffs(prep: EquilibriumModePrep, t) -> ModeEntropyBreakdown:
     """s0, s1, s2 at time t (scalar or array)."""
     env, phase = relaxation_envelope(t, prep.dephasing, prep.coupling)
     n = prep.n_eq
-    s0 = binary_entropy(n)
+    s0 = binary_entropy.unchecked(n)
     s1 = 0.5 * env * np.cos(phase) * (math.log(1.0 - n) - math.log(n))
     s2 = -(env * np.cos(phase)) ** 2 / (8.0 * n * (1.0 - n))
     s0 = s0 if np.ndim(s1) == 0 else np.full_like(s1, s0)
     return ModeEntropyBreakdown(s0=s0, s1=s1, s2=s2, delta_n=prep.delta_n)
 
 
+@_takes(**_PREP_T)
 def mutual_information(prep: EquilibriumModePrep, t):
     """I(A:B) through O(dn^2): the coherence carries the correlations."""
     env, phase = relaxation_envelope(t, prep.dephasing, prep.coupling)
@@ -123,14 +126,16 @@ def mutual_information(prep: EquilibriumModePrep, t):
     return _plain((env * np.sin(phase)) ** 2 * prep.delta_n ** 2 / (4.0 * n * (1.0 - n)))
 
 
+@_takes(**_PREP_T)
 def joint_entropy(prep: EquilibriumModePrep, t):
     """S_AB through O(dn^2); depends on the envelope only."""
     env, _ = relaxation_envelope(t, prep.dephasing, prep.coupling)
     n = prep.n_eq
-    s0 = binary_entropy(n)
+    s0 = binary_entropy.unchecked(n)
     return _plain(2.0 * s0 - prep.delta_n ** 2 * env ** 2 / (4.0 * n * (1.0 - n)))
 
 
+@_takes(**_PREP_T)
 def entropy_production(prep: EquilibriumModePrep, t):
     """Irreversible entropy rate Pi(t) through O(dn^2); zero at lam = 0."""
     env, _ = relaxation_envelope(t, prep.dephasing, prep.coupling)
@@ -138,6 +143,7 @@ def entropy_production(prep: EquilibriumModePrep, t):
     return _plain(0.5 * prep.dephasing * env ** 2 * prep.delta_n ** 2 / (n * (1.0 - n)))
 
 
+@_takes(prep=_PREP_T["prep"])
 def entropy_production_integral(prep: EquilibriumModePrep) -> float:
     """int_0^inf Pi dt: total produced entropy; zero when there is no noise."""
     if prep.dephasing == 0.0:
@@ -157,11 +163,13 @@ def _rate(prep: EquilibriumModePrep, t, lam_term):
                   / (2.0 * n * (1.0 - n)))
 
 
+@_takes(**_PREP_T)
 def entropy_sum_rate(prep: EquilibriumModePrep, t):
     """d(S_A + S_B)/dt through O(dn^2)."""
     return _rate(prep, t, lambda lam, phase: lam * np.cos(phase) ** 2)
 
 
+@_takes(**_PREP_T)
 def mutual_information_rate(prep: EquilibriumModePrep, t):
     """dI/dt through O(dn^2)."""
     return _rate(prep, t, lambda lam, phase: -lam * np.sin(phase) ** 2)
@@ -171,6 +179,7 @@ def mutual_information_rate(prep: EquilibriumModePrep, t):
 # Non-perturbative counterparts (no expansion in dn)
 # ---------------------------------------------------------------------------
 
+@_takes(**_PREP_T)
 def joint_spectrum(prep: EquilibriumModePrep, t):
     """Eigenvalues of the 4x4 state in closed form (phase drops out)."""
     env, _ = relaxation_envelope(t, prep.dephasing, prep.coupling)
@@ -185,23 +194,27 @@ def joint_spectrum(prep: EquilibriumModePrep, t):
                      mid + split, mid - split], axis=0)
 
 
+@_takes(**_PREP_T)
 def joint_entropy_exact(prep: EquilibriumModePrep, t):
     """-Tr rho ln rho of the two-site state, from the closed-form spectrum."""
-    evals = joint_spectrum(prep, t)
+    evals = joint_spectrum.unchecked(prep, t)
     return _plain(-_xlogx(evals).sum(axis=0))
 
 
+@_takes(**_PREP_T)
 def entropy_a_exact(prep: EquilibriumModePrep, t):
-    occ = dynamics.occ_a(prep.mode(), prep.occupation_a, prep.occupation_b, t)
-    return binary_entropy(occ)
+    occ = dynamics.occ_a.unchecked(prep.mode(), prep.occupation_a, prep.occupation_b, t)
+    return binary_entropy.unchecked(occ)
 
 
+@_takes(**_PREP_T)
 def entropy_b_exact(prep: EquilibriumModePrep, t):
-    occ = dynamics.occ_b(prep.mode(), prep.occupation_a, prep.occupation_b, t)
-    return binary_entropy(occ)
+    occ = dynamics.occ_b.unchecked(prep.mode(), prep.occupation_a, prep.occupation_b, t)
+    return binary_entropy.unchecked(occ)
 
 
+@_takes(**_PREP_T)
 def mutual_information_exact(prep: EquilibriumModePrep, t):
     """S_A + S_B - S_AB without any expansion in dn."""
-    return (entropy_a_exact(prep, t) + entropy_b_exact(prep, t)
-            - joint_entropy_exact(prep, t))
+    return (entropy_a_exact.unchecked(prep, t) + entropy_b_exact.unchecked(prep, t)
+            - joint_entropy_exact.unchecked(prep, t))

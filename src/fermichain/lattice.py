@@ -14,26 +14,21 @@ The bare inter-half coupling g stays a free input: the finite-lattice matrix
 element between halves scales away with system size, and only the product
 g_k * t enters any observable.
 
-A mode is the triple (eps_k, g_k, lam) of :class:`ModeSpec`, which
-:meth:`ModeSpec.from_momentum` forms from a k that :func:`dispersion`
-validates.  The split (T +- dT/2, mu +- dmu/2) of a base reservoir is checked
-per panel in ``scenarios``.  A mode or a reservoir whose fields are arrays
-that broadcast together is a batch (``_Fieldwise``), which the occupation
-functions take like an array of energies.
+A mode is the triple (eps_k, g_k, lam) of :class:`ModeSpec`.  A mode or a
+reservoir whose fields are arrays that broadcast together is a batch
+(``_Fieldwise``).  Dephasing enters only through the envelope exp(-lam t)
+times cos or sin of 2 g_k t, which :func:`relaxation_envelope` forms.
 
-Dephasing enters only through the envelope exp(-lam t) times cos or sin of
-2 g_k t; :func:`relaxation_envelope`, which every physics module calls, is
-the one place that validates (t, lam, g) and forms it, in one body for
-scalars and arrays alike (a band scan forms all its envelopes in one call).
-
-``_require`` words every rejection "<name> must <domain>, got <value>", as a
-ValueError or a named subclass; every bounded quantity has one ``_REACH``
-row (limits, wording, error class) that ``_check_reach`` applies everywhere,
-the config included.  An approximation used outside its regime warns with
-:class:`RegimeWarning`; its one cause is Boltzmann statistics outside the
-dilute regime, since the closed forms' Bessel sums converge over their reach.
-Every fermichain warning names as its source the first calling frame outside
-the package (``_warn``), so it points at the user's line.
+Every export declares its arguments once, with ``_takes`` (a record: its
+``_contract``): each ``_Arg`` names a ``_REACH`` row, a record class or a
+choice, and whether the argument is one scalar or joins the call's
+broadcast shape.  One wrapper checks them and calls the body, which library
+code calls as ``.unchecked``.  ``_require`` words every rejection "<name>
+must <domain>, got <value>", as a ValueError or a named subclass; every
+bounded quantity has one ``_REACH`` row (limits, wording, error class).
+An approximation used outside its regime warns with :class:`RegimeWarning`
+(Boltzmann statistics outside the dilute regime), naming as its source the
+first calling frame outside the package (``_warn``).
 
 Occupation helpers are written to be overflow-safe: the Fermi-Dirac form never
 exponentiates a large positive argument, and the Boltzmann form raises once
@@ -43,6 +38,7 @@ exactly empty or full; a NaN energy is rejected.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -107,16 +103,21 @@ def _require(name: str, value, ok: bool, domain: str, error=ValueError):
         raise error("%s must %s, got %s" % (name, domain, shown))
 
 
-def _require_scalars(*named):
-    """Raise ValueError naming the first (name, value) whose value is an array."""
-    for name, value in named:
-        if not isinstance(value, (float, int)) and np.ndim(value):
-            _require(name, np.shape(value), False, "be one scalar, not an array of shape")
+def _require_scalar(name: str, value):
+    """Raise ValueError, naming value with its shape, if it is an array."""
+    if not isinstance(value, (float, int)) and np.ndim(value):
+        _require(name, np.shape(value), False, "be one scalar, not an array of shape")
 
 
 def _joint_shape(*named, what=None):
-    """The shape the (name, value) pairs broadcast to, from one C-level test,
-    or a ValueError saying what (the names) must broadcast, with each shape."""
+    """The shape the (name, value) pairs broadcast to, from one C-level test
+    (none for plain numbers), or a ValueError saying what (the names) must
+    broadcast, with each shape."""
+    for _, value in named:
+        if not isinstance(value, (float, int)):
+            break
+    else:
+        return ()
     try:
         return np.broadcast(*(value for _, value in named)).shape
     except ValueError:
@@ -144,6 +145,10 @@ def _reach(lo, hi, ends: str, words: str, error=ValueError) -> _Reach:
 # quantity -> its one reach, which every check of it, the config's included,
 # reads through _check_reach
 _REACH = {
+    # t = inf: the damped limit, where lam > 0
+    "time": _reach(0.0, math.inf, "[]", "be a number >= 0"),
+    # an energy of +-inf is a level that is exactly empty or full
+    "energy": _reach(-math.inf, math.inf, "[]", "be a number, not NaN"),
     "temperature": _reach(0.0, math.sqrt(sys.float_info.max), "(]",
                           "lie in %(interval)s so that T**2 is finite"),
     # a 16-point panel rule cannot get below about 1e-17, and under ~1e-15
@@ -154,6 +159,8 @@ _REACH = {
     "dephasing rate": _reach(0.0, math.inf, "[)", "be finite and >= 0"),
     "n_eq": _reach(0.0, 1.0, "()", "lie in %(interval)s"),
     "occupation": _reach(0.0, 1.0, "[]", "lie in %(interval)s"),
+    # binary_entropy's p, with room for a computed occupation's round-off
+    "probability": _reach(-1e-12, 1.0 + 1e-12, "[]", "lie in [0, 1]"),
     "momentum": _reach(0.0, math.pi, "[]", "lie in [0, pi]"),
     "Bessel order": _reach(0, 20_000, "[]", "be an integer in %(interval)s"),
     "J argument": _reach(-1e4, 1e4, "[]", "lie in %(interval)s, the validated J_n range"),
@@ -200,7 +207,77 @@ def _check_reach(row: str, name: str, value, error=None, ok: bool = True):
             arr = np.asarray(value)
             ok = arr.dtype.kind in _REAL_KINDS and bool(
                 np.all((reach.first <= arr) & (arr <= reach.last)))
-    _require(name, value, ok, reach.domain, error or reach.error)
+    if not ok:
+        _require(name, value, False, reach.domain, error or reach.error)
+
+
+# a declared argument or record field: its rule (a _REACH row read at scale
+# times the value, a record class, a (domain, ok) choice, or None), its name
+# in errors (a record's: its fields' prefix), and whether it batches
+_Arg = namedtuple("_Arg", "rule spoken scale batch", defaults=(None, 1.0, True))
+_batch = _Arg
+_scalar = functools.partial(_Arg, batch=False)
+
+
+def _spoken(declared: dict) -> dict:
+    """The declaration, each argument spoken by its own name unless given one."""
+    return {name: arg if arg.spoken is not None else arg._replace(
+        spoken=name + " " if isinstance(arg.rule, type) else name)
+        for name, arg in declared.items()}
+
+
+def _check_arg(arg: _Arg, param: str, value):
+    """Raise the named error of the declared rule unless value keeps it."""
+    rule = arg.rule
+    if rule.__class__ is str:
+        plain = isinstance(value, (float, int))
+        if not (plain or arg.batch):
+            _require_scalar(arg.spoken, value)
+        if arg.scale != 1.0 and (plain or np.asarray(value).dtype.kind in _REAL_KINDS):
+            value = value * arg.scale if plain else np.multiply(value, arg.scale)
+        _check_reach(rule, arg.spoken, value)
+    elif isinstance(rule, type):
+        if not isinstance(value, rule):
+            _require(param, value, False, "be %s %s" % (
+                "an" if rule.__name__[0] in "AEIOU" else "a", rule.__name__))
+        for field in () if arg.batch else getattr(rule, "_batch_fields", ()):
+            _require_scalar(arg.spoken + field, getattr(value, field))
+    elif rule is not None:
+        _require(arg.spoken, value, rule[1](value), rule[0])
+
+
+def _takes(**declared):
+    """Declare an export's arguments, ``_Arg``s by parameter name: a call checks
+    each, bound at its precomputed position, then the batch ones' joint shape,
+    and runs the body, which library code calls as ``.unchecked``."""
+    def wrap(body):
+        # the parameters from the code object: inspect.signature costs ~20 us
+        names = body.__code__.co_varnames[:body.__code__.co_argcount]
+        defaults = dict(zip(names[::-1], (body.__defaults__ or ())[::-1]))
+        missing = object()  # the default of a parameter without one
+        contract = _spoken(declared)
+        slots = [(names.index(name), name, defaults.get(name, missing), arg)
+                 for name, arg in contract.items()]
+        joint = sum(arg.batch for arg in contract.values()) > 1  # else nothing can clash
+
+        @functools.wraps(body)
+        def checked(*args, **kwargs):
+            named, given = [], len(args)
+            for i, name, default, arg in slots:
+                value = args[i] if i < given else kwargs.get(name, default)
+                if value is missing:  # the body raises its TypeError
+                    break
+                _check_arg(arg, name, value)
+                if joint and arg.batch:
+                    named += (value._fields(arg.spoken) if isinstance(arg.rule, type)
+                              else ((arg.spoken, value),))
+            if named:
+                _joint_shape(*named)
+            return body(*args, **kwargs)
+
+        checked.unchecked, checked._contract = body, contract
+        return checked
+    return wrap
 
 
 def _plain(out):
@@ -215,18 +292,20 @@ def _scalar_pow(base, exponent: float):
 
 
 class _Fieldwise:
-    """Field-by-field equality, array fields included, for a frozen dataclass
-    declared with eq=False; a batch (any field an array) is not hashable.
-    Plain-number fields compare and hash as one tuple, as a dataclass's do.
-    ``__post_init__`` rejects fields that do not broadcast together; a
-    subclass with checks of its own calls ``_require_broadcast`` after them."""
+    """A frozen dataclass (eq=False) whose ``_contract`` declares its fields, by
+    default each only joining the shape: construction checks them.  Arrays in
+    ``_batch_fields`` make a batch, which compares field by field and is not
+    hashable; plain fields compare and hash as one tuple, as a dataclass's."""
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         # the fields in dataclass order: a base's first, then the class's own
-        names = [name for base in reversed(cls.__mro__)
-                 for name in vars(base).get("__annotations__", ())]
-        cls._values = operator.attrgetter(*dict.fromkeys(names))
+        names = list(dict.fromkeys(name for base in reversed(cls.__mro__)
+                                   for name in vars(base).get("__annotations__", ())))
+        cls._values = operator.attrgetter(*names)
+        cls._contract = _spoken(getattr(cls, "_contract", None)
+                                or dict.fromkeys(names, _batch(None)))
+        cls._batch_fields = tuple(name for name, arg in cls._contract.items() if arg.batch)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -246,56 +325,42 @@ class _Fieldwise:
                             % type(self).__name__) from None
 
     def __post_init__(self):
-        self._require_broadcast()
+        for name, arg in self._contract.items():
+            _check_arg(arg, name, getattr(self, name))
+        for value in self._values(self):
+            if not isinstance(value, (float, int)):
+                _joint_shape(*self._fields(), what="%s fields" % type(self).__name__)
+                break
 
     def _fields(self, prefix: str = "") -> tuple:
         """(prefix + name, value) of each field, for ``_joint_shape``."""
         return tuple((prefix + name, value) for name, value in vars(self).items())
-
-    def _require_broadcast(self):
-        """Raise ValueError listing the fields' shapes unless they broadcast."""
-        values = self._values(self)
-        try:
-            np.broadcast(*values)  # raises no exception to catch on valid fields
-        except ValueError:
-            _joint_shape(*self._fields(), what="%s fields" % type(self).__name__)
 
 
 @dataclass(frozen=True, eq=False)
 class ReservoirParams(_Fieldwise):
     """Grand-canonical reservoir: temperature and chemical potential.
 
-    temperature : float, > 0 with a finite square, in units of alpha/k_B
+    temperature : float, in units of alpha/k_B
     mu : float, in units of alpha
 
-    Either field may also be an array, if the two broadcast together: a batch
-    of reservoirs for the occupation functions and ``fluctuation``, each entry
-    equal to its scalar reservoir's call bit for bit.  Reservoirs compare field
-    by field; a batch is not hashable, and a consumer that takes one reservoir
-    (the band scan, the closed-form counters, the stepper, the multi-mode
-    relation, the Boltzmann validity bound) rejects one by naming temperature
-    or mu.
+    Array fields make a batch of reservoirs for the occupation functions and
+    ``fluctuation``, each entry equal to its scalar reservoir's call bit for
+    bit; an export that takes one reservoir declares it scalar.
     """
 
     temperature: float
     mu: float = 0.0
-
-    def __post_init__(self):
-        _check_reach("temperature", "temperature", self.temperature)
-        _check_reach("finite", "mu", self.mu)
-        self._require_broadcast()
+    _contract = {"temperature": _batch("temperature"), "mu": _batch("finite")}
 
     @property
     def beta(self) -> float:
         return _plain(np.divide(1.0, self.temperature))  # a list field reads as an array
 
 
+@_takes(k=_batch("momentum", "momentum k"))
 def dispersion(k):
-    """Band energy eps_k = -2 cos(k) for momentum k in [0, pi].
-
-    Accepts scalars or arrays; NaN and momenta outside [0, pi] are rejected.
-    """
-    _check_reach("momentum", "momentum k", k)
+    """Band energy eps_k = -2 cos(k) for momentum k in [0, pi]."""
     return _plain(-2.0 * np.cos(np.asarray(k, dtype=float)))
 
 
@@ -307,103 +372,69 @@ class ModeSpec(_Fieldwise):
     coupling : float, g_k = g sin(k)^2
     dephasing : float, lambda >= 0
 
-    Any field may also be an array, if the three broadcast together: a batch
-    of modes for the closed forms in ``dynamics`` and ``fluctuation``.  Modes
-    compare field by field, batches included; a batch is not hashable.
+    Array fields make a batch of modes for the closed forms in ``dynamics``
+    and ``fluctuation``.
     """
 
     energy: float
     coupling: float
     dephasing: float = 0.0
-
-    def __post_init__(self):
-        energy = np.asarray(self.energy)
-        _require("mode energy", self.energy, energy.dtype.kind in _REAL_KINDS,
-                 "be a real number in the float range")
-        _require("mode energy", self.energy, not np.isnan(energy).any(), "not be NaN")
-        _check_reach("dephasing rate", "dephasing rate", self.dephasing)
-        _check_reach("finite", "coupling g", self.coupling)
-        self._require_broadcast()
+    _contract = {"energy": _batch("energy", "mode energy"),
+                 "coupling": _batch("finite", "coupling g"),
+                 "dephasing": _batch("dephasing rate", "dephasing rate")}
 
     @classmethod
+    @_takes(k=_batch("momentum", "momentum k"), g=_batch("finite"), dephasing=_batch(None))
     def from_momentum(cls, k, g=1.0, dephasing=0.0) -> "ModeSpec":
         """The mode at momentum k; k, g and the dephasing rate may be arrays
         that broadcast, each entry with the bits of its scalar call."""
-        # dispersion validates k; only cos and sin of 2 g_k t reach an
-        # observable, so the sign convention of g_k lives in dynamics
-        energy = dispersion(k)
-        _check_reach("finite", "g", g)
-        _joint_shape(("momentum k", k), ("g", g), ("dephasing", dephasing))
+        # only cos and sin of 2 g_k t reach an observable, so the sign
+        # convention of g_k lives in dynamics
         sin_k = np.sin(np.asarray(k, dtype=float))
-        return cls(energy=energy, coupling=_plain(np.multiply(g, _scalar_pow(sin_k, 2))),
+        return cls(energy=dispersion.unchecked(k),
+                   coupling=_plain(np.multiply(g, _scalar_pow(sin_k, 2))),
                    dephasing=_plain(np.asarray(dephasing)))
 
 
-def _check_envelope_args(t, dephasing, coupling):
-    """Name the first argument that relaxation_envelope cannot take."""
-    tarr = np.asarray(t)
-    _require("time", t, tarr.dtype.kind in _REAL_KINDS, "be a real number in the float range")
-    _require("time", t, not np.isnan(tarr).any(), "not be NaN")
-    _require("time", t, not (tarr < 0.0).any(), "be >= 0")
-    _check_reach("dephasing rate", "dephasing rate", dephasing)
-    _check_reach("finite", "coupling g", coupling)
-    _require("time", t, not (np.isinf(tarr) & (np.asarray(dephasing) == 0.0)).any(),
-             "be finite at dephasing rate 0, where the mode oscillates forever",
-             EquilibriumUndefinedError)
-
-
-def _reject_phase(coupling):
-    """Name why the phase 2 g t of a live mode is not finite."""
-    _check_reach("finite", "coupling g", coupling)
-    _require("phase 2 g t", math.inf, False, "be finite: coupling g times time t overflows")
+# the declarations most exports share
+_TIME = _batch("time", "time")
+_ONE_TIME = _scalar("time", "time")
+_ONE_RATE = _scalar("dephasing rate", "dephasing rate")
+_ONE_COUPLING = _scalar("finite", "coupling g")
+_ONE_RESERVOIR = _scalar(ReservoirParams, "")  # its fields are named bare
+_MODE = _batch(ModeSpec)
+_PAIR = dict.fromkeys(("res_a", "res_b"), _batch(ReservoirParams))  # or two batches
 
 
 def relaxation_envelope(t, dephasing, coupling):
-    """Validated (envelope, phase) = (exp(-lam t), 2 g t) of one mode.
-
-    t, lam and g may be scalars or broadcasting arrays.  Rejects a t, lam
-    or g that is not a real number, NaN or negative t, NaN, negative or
-    infinite lam and a non-finite g; t = inf with lam = 0 has no limit and
-    raises EquilibriumUndefinedError.  An envelope below ``_DAMPING_FLOOR``
-    is set to 0 and takes the phase with it, so t = inf with lam > 0 gives
-    the damped limit rather than 0 * cos(inf); a finite g t whose phase
-    overflows raises ValueError.  Scalar input gives numpy float64 scalars.
+    """(envelope, phase) = (exp(-lam t), 2 g t) of a mode (or batch), from
+    checked t, lam and g.  An envelope below ``_DAMPING_FLOOR`` is set to 0
+    and takes the phase with it, so t = inf with lam > 0 gives the damped
+    limit; t = inf with lam = 0 has none and raises EquilibriumUndefinedError,
+    and a phase that overflows raises ValueError.  Scalars give numpy scalars.
     """
-    args = np.asarray(t), np.asarray(dephasing), np.asarray(coupling)
-    if not {a.dtype.kind for a in args} <= _REAL_KINDS:
-        _check_envelope_args(t, dephasing, coupling)
-    tarr, lam, g = (np.asarray(a, dtype=float)[()] for a in args)  # 0-d: numpy scalars
-    # an invalid input's inf or NaN only fails the test below; a damped-out
-    # entry's phase, inf or 0 * inf, is dropped
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            envelope = np.exp(-lam * tarr)
-            alive = envelope > _DAMPING_FLOOR
-            phase = np.where(alive, 2.0 * g * tarr, 0.0)[()]
-    except ValueError:  # shapes that do not broadcast
-        _joint_shape(("time", t), ("dephasing rate", dephasing), ("coupling g", coupling))
-        raise
-    # one combined test (envelope <= 1 fails at inf t with lam 0); the named
-    # checks run once it fails, or an empty argument leaves nothing to test
-    if not (phase.size and ((lam >= 0.0) & (lam < math.inf) & (abs(g) < math.inf) & (tarr >= 0.0)
-                            & (envelope <= 1.0) & (abs(phase) < math.inf)).all()):
-        _check_envelope_args(t, dephasing, coupling)
-        if not np.isfinite(phase).all():
-            _reject_phase(coupling)
+    tarr, lam, g = (np.asarray(a, dtype=float)[()] for a in (t, dephasing, coupling))
+    # a damped-out entry's phase, inf or 0 * inf, is dropped
+    with np.errstate(over="ignore", invalid="ignore"):
+        envelope = np.exp(-lam * tarr)
+        alive = envelope > _DAMPING_FLOOR
+        phase = np.where(alive, 2.0 * g * tarr, 0.0)[()]
+    # one combined test: envelope <= 1 fails only at t = inf with lam = 0
+    if not ((envelope <= 1.0) & (abs(phase) < math.inf)).all():
+        _require("time", math.inf, not (np.isinf(tarr) & (lam == 0.0)).any(),
+                 "be finite at dephasing rate 0, where the mode oscillates forever",
+                 EquilibriumUndefinedError)
+        _reject_phase()
     return envelope * alive, phase
 
 
-def _mode_shape(mode: ModeSpec, *named) -> tuple:
-    """The joint shape of a ModeSpec's fields and the named values (say, t,
-    occupations or reservoir fields), by ``_joint_shape``."""
-    _require("mode", mode, isinstance(mode, ModeSpec), "be a ModeSpec")
-    return _joint_shape(*mode._fields("mode "), *named)
+def _reject_phase():
+    _require("phase 2 g t", math.inf, False, "be finite: coupling g times time t overflows")
 
 
-def _mode_envelope(mode: ModeSpec, t, *named):
-    """relaxation_envelope of a mode batch checked by ``_mode_shape``, spread
-    over the coupling's axes, which the envelope lacks, and the energy's."""
-    _mode_shape(mode, ("time", t), *named)
+def _mode_envelope(mode: ModeSpec, t):
+    """relaxation_envelope of a mode batch, spread over the coupling's axes,
+    which the envelope lacks, and the energy's."""
     envelope, phase = relaxation_envelope(t, mode.dephasing, mode.coupling)
     if np.ndim(mode.energy) or np.shape(envelope) != np.shape(phase):
         envelope, phase, _ = np.broadcast_arrays(envelope, phase, mode.energy)
@@ -412,18 +443,10 @@ def _mode_envelope(mode: ModeSpec, t, *named):
 
 def _reduced_energy(energy, reservoir: ReservoirParams):
     # x = (eps - mu)/T: past the float range +-inf, the exact limit of any
-    # occupation, and NaN only for a NaN energy, which is rejected
-    energies = np.asarray(energy)
-    _require("energy", energy, energies.dtype.kind in _REAL_KINDS,
-             "be a real number in the float range")
-    try:
-        with np.errstate(over="ignore"):
-            x = (energies.astype(float, copy=False) - reservoir.mu) / reservoir.temperature
-    except ValueError:  # shapes that do not broadcast
-        _joint_shape(("energy", energy), *reservoir._fields())
-        raise
-    _require("energy", energy, not np.isnan(x).any(), "not be NaN")
-    return x
+    # occupation (NaN only for a NaN energy, which is rejected)
+    energies = np.asarray(energy).astype(float, copy=False)
+    with np.errstate(over="ignore"):
+        return (energies - reservoir.mu) / reservoir.temperature
 
 
 def _fd_of(x):
@@ -437,12 +460,16 @@ def _fd_of(x):
     return np.divide(occ, np.add(e, 1.0, out=e), out=occ)
 
 
+# the energies and the reservoir (or batch) of an occupation
+_OCCUPATION = {"energy": _batch("energy"), "reservoir": _batch(ReservoirParams, "")}
+
+
+@_takes(**_OCCUPATION)
 def occupation_fd(energy, reservoir: ReservoirParams):
     """Fermi-Dirac occupation 1/(exp((eps - mu)/T) + 1).
 
     Evaluated through exponentials of non-positive arguments only, so
-    arbitrarily large |eps - mu|/T is safe on either side.  Accepts scalar
-    or array energies.
+    arbitrarily large |eps - mu|/T is safe on either side.
     """
     x = _reduced_energy(energy, reservoir)
     return _plain(_fd_of(np.atleast_1d(x)).reshape(np.shape(x)))
@@ -460,26 +487,28 @@ def _log_fd_pair(energy, reservoir: ReservoirParams):
     return -(np.maximum(x, 0.0) + tail), -(np.maximum(-x, 0.0) + tail)
 
 
+@_takes(**_OCCUPATION)
 def log_occupation_fd(energy, reservoir: ReservoirParams):
     """ln of the Fermi-Dirac occupation, computed without forming the occupation.
 
     Near full filling the occupation rounds to 1 and ``log(1 - n)`` computed
     from it loses most of its digits; this form keeps full precision on both
-    tails.  Accepts scalar or array energies.
+    tails.
     """
     return _plain(_log_fd_pair(energy, reservoir)[0])
 
 
+@_takes(**_OCCUPATION)
 def log_vacancy_fd(energy, reservoir: ReservoirParams):
     """ln(1 - n) for the Fermi-Dirac occupation n, stable on both tails.
 
     Uses the particle-hole mirror of :func:`log_occupation_fd` (the vacancy is
-    the occupation with the sign of eps - mu flipped).  Accepts scalar or
-    array energies.
+    the occupation with the sign of eps - mu flipped).
     """
     return _plain(_log_fd_pair(energy, reservoir)[1])
 
 
+@_takes(**_OCCUPATION)
 def occupation_boltzmann(energy, reservoir: ReservoirParams):
     """Classical occupation exp(-(eps - mu)/T) with an overflow guard.
 
@@ -499,6 +528,7 @@ class BoltzmannValidity:
     satisfied: bool
 
 
+@_takes(m=_batch("positive", "digit count m"), reservoir=_ONE_RESERVOIR)
 def boltzmann_validity(m: int, reservoir: ReservoirParams) -> BoltzmannValidity:
     """Check mu against the m-decimal-digit agreement bound.
 
@@ -512,16 +542,13 @@ def boltzmann_validity(m: int, reservoir: ReservoirParams) -> BoltzmannValidity:
     dilute (classical) from the degenerate regime; :func:`band_gap_ev`
     reports it in laboratory units.
     """
-    _check_reach("positive", "digit count m", m)
-    _require_scalars(*vars(reservoir).items())
     mu_bound = -0.5 * m * reservoir.temperature * _LN10 - 2.0
     return BoltzmannValidity(mu_bound=mu_bound, satisfied=reservoir.mu < mu_bound)
 
 
+@_takes(m=_batch("positive", "digit count m"), temperature_kelvin=_batch("positive"))
 def band_gap_ev(m: int, temperature_kelvin: float) -> float:
     """E_gap = m k_B T ln(10)/2 in eV for a physical temperature in kelvin."""
-    _check_reach("positive", "digit count m", m)
-    _check_reach("positive", "temperature_kelvin", temperature_kelvin)
     return 0.5 * m * KB_EV_PER_K * temperature_kelvin * _LN10
 
 
@@ -535,7 +562,7 @@ def _warn(message: str, category: type):
 
 def _warn_unless_dilute(reservoir: ReservoirParams):
     """RegimeWarning when the Boltzmann forms miss Fermi-Dirac by a digit."""
-    validity = boltzmann_validity(_DILUTE_DIGITS, reservoir)
+    validity = boltzmann_validity.unchecked(_DILUTE_DIGITS, reservoir)
     if not validity.satisfied:
         _warn("Boltzmann statistics outside the dilute regime: mu = %g is not below %.4g at "
               "T = %g" % (reservoir.mu, validity.mu_bound, reservoir.temperature),

@@ -53,7 +53,7 @@ from typing import Mapping
 import numpy as np
 
 from . import closedforms, entropy, transport
-from .lattice import ReservoirParams, _check_reach, _require, _warn
+from .lattice import ReservoirParams, _check_reach, _require, _scalar, _takes, _warn
 
 
 class ConfigError(ValueError):
@@ -274,6 +274,7 @@ def write_csv(path: str, rows):
         fh.write("".join(map(_csv_line, rows)))
 
 
+@_takes(result=_scalar(ScenarioResult))
 def write_result(result: ScenarioResult, out_dir: str, sig_digits: int):
     """One CSV per panel, in ``write_csv``'s format; returns the paths written.
     Each row is one %-format of its floats: a %g field never needs quoting."""
@@ -482,6 +483,7 @@ _PANEL_PREFIX = {"temperature": "T", "mu": "mu", "dephasing": "lam"}
 _BUILD_KEYS = ("scenario", "g", "tol", "stats")
 
 
+@_takes(cfg=_scalar(ScenarioConfig))
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     cfg = _resolve(cfg)
     panels = SCENARIOS[cfg.scenario][1]

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .lattice import _check_reach, _joint_shape, _require, _require_scalars
+from .lattice import _batch, _joint_shape, _require, _scalar, _takes
 
 # (x/2)^2 below this leaves J_n(x) and I_n(x) = (x/2)^n/n! to within half an ulp
 _LEADING_TERM_MAX = 2.0 ** -53
@@ -118,29 +118,23 @@ def _column(max_order: list, x: list, modified: bool) -> np.ndarray:
     return col
 
 
+@_takes(n=_scalar("Bessel order", "order n"), x=_scalar("J argument"))
 def bessel_j(n: int, x: float) -> float:
-    """Bessel function J_n(x) over the Bessel order and J argument reaches.
-
-    A view onto the last order of ``SpecialFnTable(n, x)``.
-    """
-    _require_scalars(("order n", n), ("x", x))
-    _check_reach("Bessel order", "order n", n)
-    _check_reach("J argument", "x", x)
-    return SpecialFnTable(n, x).j(n)
+    """Bessel function J_n(x) over the Bessel order and J argument reaches:
+    the last order of the J column that ``SpecialFnTable(n, x)`` holds."""
+    return float(_column([int(n)], [float(x)], False)[0, n])
 
 
+@_takes(n=_scalar("Bessel order", "order n"), y=_scalar("I argument"))
 def bessel_i(n: int, y: float) -> float:
     """Modified Bessel function I_n(y) over the Bessel order and I argument reaches."""
-    _require_scalars(("order n", n), ("y", y))
-    _check_reach("Bessel order", "order n", n)
-    _check_reach("I argument", "y", y)
     return float(_column([int(n)], [float(y)], True)[0, n])
 
 
 class SpecialFnTable:
     """Cached orders J_0..J_max_order of the Bessel function at one argument.
 
-    Build once per (argument, max order) and read repeatedly; the column
+    Build once per (argument, max order) and read ``_j`` repeatedly; the column
     comes from a single downward-recurrence pass (or the leading term
     (x/2)^n/n! as x -> 0, x = 0 included), so filling the table costs no
     more than the highest order requested.  A 1-D array of x_bessel_j, with
@@ -148,6 +142,7 @@ class SpecialFnTable:
     pass, each with the bits of its one-argument table.
     """
 
+    @_takes(max_order=_batch("Bessel order"), x_bessel_j=_batch("J argument"))
     def __init__(self, max_order, x_bessel_j):
         # np.shape of a plain number costs more than the rest of the check
         shape = () if isinstance(x_bessel_j, (int, float)) else np.shape(x_bessel_j)
@@ -155,15 +150,11 @@ class SpecialFnTable:
         _require("x_bessel_j and max_order", (shape, per_x),
                  per_x in ((), shape) and len(shape) < 2,
                  "be one scalar or a 1-D array and one int or one per entry, not of shapes")
-        _check_reach("Bessel order", "max_order", max_order)
-        _check_reach("J argument", "x_bessel_j", x_bessel_j)
         if shape:
-            self.max_order, self._j = max_order, _column(
-                np.broadcast_to(max_order, shape).tolist(), np.asarray(x_bessel_j, float).tolist(),
-                False)
+            self._j = _column(np.broadcast_to(max_order, shape).tolist(),
+                              np.asarray(x_bessel_j, float).tolist(), False)
         else:
-            self.max_order = int(max_order)
-            self._j = _column([self.max_order], [float(x_bessel_j)], False)[0]
+            self._j = _column([int(max_order)], [float(x_bessel_j)], False)[0]
 
     @staticmethod
     def band_orders(x: float) -> int:
@@ -175,14 +166,6 @@ class SpecialFnTable:
         """
         xa = abs(x)
         return int(xa + 12.0 * xa ** (1.0 / 3.0)) + 10
-
-    def j(self, n: int):
-        """J_n at the table's argument, or at each of its arguments."""
-        least = (self.max_order if self._j.ndim == 1
-                 else int(np.min(self.max_order, initial=self._j.shape[1] - 1)))
-        if not 0 <= n <= least:  # per series term
-            _require("order n", n, False, "lie in the table's [0, max_order]")
-        return float(self._j[n]) if self._j.ndim == 1 else self._j[:, n]
 
 
 def bessel_band_sum(z, coeffs, orders=None) -> tuple:

@@ -27,34 +27,25 @@ rejected with EquilibriumUndefinedError.  Once exp(-lam t) <= 2**-54, D(k, t)
 rounds to exactly -1 at every node, so the integrand skips the cosine and
 negates the kernels: the same bits at a fraction of the cost (the damped
 limit and c9's t = 1e4 call at lam = 0.05).  The panel counts stay those of
-the oscillating form.
+the oscillating form: a flat point still takes its first level and its g t
+reach, so one past that reach raises QuadratureError though D is flat there.
 
 Every band integral goes through one path, ``_scan``, which evaluates a
 list of (t, reservoir, dephasing) points in one quadrature and returns one
 array per kernel group, shaped (points, kernels); one ``relaxation_envelope``
 call forms every point's envelope, and from its phase the point's first
-level.  ``counters`` and ``onsager`` are one-point scans at one time and
-one reservoir per call (a time array or a reservoir batch is rejected by
-name) that return plain floats; a scenario builder makes one scan over the
-points of all its panels, each panel's t or mu grid, and reads each panel's
-columns back, an ``OnsagerBlock`` holding one entry per point.  The
-kernels of a quantity are the rows of one array, one group: [n, eps n] for
-``counters``, of which ``nbar``, ``ebar`` and ``qbar`` are views, and the
-four derivative kernels for ``onsager``.  Every (point, group) pair runs
-its own doubling schedule from its point's first level and is frozen at
-the level where it converged, so each equals its one-point, one-group call
-bit for bit.  The quadrature evaluates the least pending panel count
-next, once for all the pairs at it: eps and sin(k)^2 are formed once per
-block of nodes, the occupation and the kernel rows once per run of points
-at one reservoir, D(k, t) once per point, or once per block for a
-(damping, phase) that several points share, and
-cos(g sin(k)^2 2t) once per block for a phase that points of several
-dampings share (panels at one time and different lam).  A phase no other
-point shares is let go with its point, so a scan of distinct times keeps no
-array past its point.  The integrand forms each array with the IEEE
-operations of the plain expressions in their order, so every bit is theirs;
-a pair's product with D(k, t) is formed only when the quadrature reads it,
-which it does not once the pair is frozen.  Quadrature is a composite
+level.  ``counters`` and ``onsager`` are one-point scans that return plain
+floats; a scenario builder makes one scan over the points of all its
+panels, each panel's t or mu grid, and reads each panel's columns back, an
+``OnsagerBlock`` holding one entry per point.  The kernels of a quantity
+are the rows of one array, one group: [n, eps n] for ``counters``, of which
+``nbar``, ``ebar`` and ``qbar`` are views, and the four derivative kernels
+for ``onsager``.  Every (point, group) pair runs its own doubling schedule
+from its point's first level and is frozen at the level where it
+converged, so each equals its one-point, one-group call bit for bit.  The
+integrand, ``_Scan``, forms each array it shares between points once per
+block of nodes, with the IEEE operations of the plain expressions in their
+order, so every bit is theirs.  Quadrature is a composite
 Gauss-Legendre panel rule with deterministic fixed-order reduction; the
 panel count is doubled until two successive levels agree to
 the one tolerance ``tol``, and never starts below max(32, ~4 g t) panels so
@@ -77,9 +68,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (EquilibriumUndefinedError, QuadratureError,  # noqa: F401 (re-export)
-                      ReservoirParams, _MAX_PANELS, _Fieldwise, _check_envelope_args,
-                      _check_reach, _fd_of, _reject_phase, _require, _require_scalars,
-                      _warn_unless_dilute, occupation_boltzmann, relaxation_envelope)
+                      _ONE_COUPLING, _ONE_RATE, _ONE_RESERVOIR, _ONE_TIME, ReservoirParams,
+                      _MAX_PANELS, _batch, _check_reach, _fd_of, _Fieldwise, _reject_phase,
+                      _require, _scalar, _takes, _warn_unless_dilute, occupation_boltzmann,
+                      relaxation_envelope)
 
 STATS_FD = "fd"
 STATS_BOLTZMANN = "boltzmann"
@@ -108,6 +100,7 @@ _BLOCK_PANELS = 256
 _FLAT_DAMPING = 2.0 ** -54
 
 
+@_takes(tol=_scalar("tol"))
 def integrate_interval(f, a: float, b: float, tol: float = DEFAULT_TOL,
                        min_panels=_BASE_PANELS):
     """Adaptive composite Gauss-Legendre integral of f over [a, b].
@@ -129,8 +122,7 @@ def integrate_interval(f, a: float, b: float, tol: float = DEFAULT_TOL,
         pending panel count is evaluated next, once for every group that is
         at it, so a group's total equals a solo call on that group bit for
         bit; the call ends when every group has converged.
-    tol : one scalar in the "tol" reach of ``lattice._REACH``; a group
-        converges once two successive levels differ by at most
+    tol : a group converges once two successive levels differ by at most
         tol * max(1, max|total|) in every component.
     min_panels : the first panel count, one count for every group or a
         sequence of one count per group (e.g. to resolve a known
@@ -149,7 +141,6 @@ def integrate_interval(f, a: float, b: float, tol: float = DEFAULT_TOL,
     # the panel midpoints are halved sums of neighbouring edges
     _require("interval [a, b]", (a, b), a < b and math.isfinite(2.0 * max(abs(a), abs(b))),
              "have a < b and 2 max(|a|, |b|) finite")
-    _check_reach("tol", "tol", tol, ok=np.ndim(tol) == 0)
     firsts = [min_panels] if np.ndim(min_panels) == 0 else list(min_panels)
     _require("min_panels", firsts, bool(firsts), "hold one count, or one per kernel group")
     for count in firsts:
@@ -218,7 +209,7 @@ def _occupation(stats: str, eps, res: ReservoirParams):
         # occupation_fd's kernel: band nodes need no NaN test per node
         x = np.subtract(eps, res.mu)
         return _fd_of(np.divide(x, res.temperature, out=x))
-    return occupation_boltzmann(eps, res)
+    return occupation_boltzmann.unchecked(eps, res)
 
 
 def _band_cosine(sin2, g: float, phase: float):
@@ -299,7 +290,7 @@ def _osc_panels(g: float, phase):
     # g t is named before any evaluation (a plain float: no overflow warning)
     top = 2.0 * abs(g) * float(np.asarray(phase).max(initial=0.0))
     if not math.isfinite(top):
-        _reject_phase(g)
+        _reject_phase()
     _check_reach("band g t", "|g| t", 0.25 * top)
     return np.maximum(_BASE_PANELS, np.ceil(2.0 * abs(g) * phase)).astype(int)
 
@@ -310,30 +301,20 @@ def _scan(kernel_groups, points, g: float, tol: float, stats: str):
 
     Each of ``kernel_groups`` maps ``(eps, occ, res, stats)`` to a new array of
     its kernels shaped (n_kernels, n_k), which is shared by a run of
-    consecutive points at equal reservoirs (equal by value).  Every point is
-    checked, its reach included, before any evaluation, and Boltzmann
-    statistics warn once per non-dilute reservoir.  A rejected time or
-    dephasing rate is named as the caller gave it, not as an array.  Each
-    (point, group) pair converges on its own from its point's first level
-    (see ``integrate_interval``), so it equals a one-point scan bit for bit.
+    consecutive points at equal reservoirs (equal by value).  The arguments
+    come checked (by a declaration or the config); every point's reach is
+    checked before any evaluation, and Boltzmann statistics warn once per
+    non-dilute reservoir.  Each (point, group) pair converges on its own from
+    its point's first level, so it equals a one-point scan bit for bit.
     Returns one array per group, shaped (points, n_kernels).
     """
-    _require_scalars(*[named for t, res, lam in points
-                       for named in (("time", t), ("dephasing rate", lam), *vars(res).items())])
-    _require("stats", stats, _STATS[1](stats), _STATS[0])
-    _check_reach("finite", "coupling g", g)
     distinct = {}  # equal reservoirs become one object: a run of them shares its arrays
     reservoirs = [distinct.setdefault(res, res) for _, res, _ in points]
     if stats == STATS_BOLTZMANN:
         for res in distinct:
             _warn_unless_dilute(res)
-    try:  # the values as given: a numeric string is not cast to a time
-        damping, phase = relaxation_envelope(np.array([t for t, _, _ in points]),
-                                             np.array([lam for _, _, lam in points]), 1.0)
-    except ValueError:
-        for t, _, lam in points:  # name the caller's scalar, not the array
-            _check_envelope_args(t, lam, 1.0)
-        raise
+    damping, phase = relaxation_envelope(np.array([t for t, _, _ in points]),
+                                         np.array([lam for _, _, lam in points]), 1.0)
     firsts = np.repeat(_osc_panels(g, phase), len(kernel_groups)).tolist()
     envelopes = list(zip(reservoirs, damping.tolist(), phase.tolist()))
     # the (damping, phase) pairs of several live points, and the phases of
@@ -341,6 +322,7 @@ def _scan(kernel_groups, points, g: float, tol: float, stats: str):
     pairs = Counter((d, p) for _, d, p in envelopes if d > _FLAT_DAMPING)
     shared = ({p for p, n in Counter(p for _, p in pairs).items() if n > 1},
               {pair for pair, n in pairs.items() if n > 1})
+    # the public name, which a tracer can wrap
     vals, _ = integrate_interval(lambda k: _Scan(k, kernel_groups, envelopes, shared, g, stats),
                                  0.0, math.pi, tol, firsts)
     n = len(kernel_groups)
@@ -354,6 +336,12 @@ def _counter_kernels(eps, occ, res, stats):
     return rows
 
 
+# one time, one reservoir, one rate and g: the band functions' arguments
+_BAND = {"t": _ONE_TIME, "res": _ONE_RESERVOIR, "dephasing": _ONE_RATE, "g": _ONE_COUPLING,
+         "tol": _scalar("tol"), "stats": _scalar(_STATS)}
+
+
+@_takes(**_BAND)
 def counters(t: float, res: ReservoirParams, dephasing: float, g: float,
              tol: float = DEFAULT_TOL, stats: str = STATS_FD):
     """Particle and energy counters (nbar, ebar) from one quadrature.
@@ -365,22 +353,25 @@ def counters(t: float, res: ReservoirParams, dephasing: float, g: float,
     return tuple(n_e[0].tolist())
 
 
+@_takes(**_BAND)
 def nbar(t: float, res: ReservoirParams, dephasing: float, g: float,
          tol: float = DEFAULT_TOL, stats: str = STATS_FD):
     """Per-site particle transfer counter at one time t."""
-    return counters(t, res, dephasing, g, tol, stats)[0]
+    return counters.unchecked(t, res, dephasing, g, tol, stats)[0]
 
 
+@_takes(**_BAND)
 def ebar(t: float, res: ReservoirParams, dephasing: float, g: float,
          tol: float = DEFAULT_TOL, stats: str = STATS_FD):
     """Per-site energy transfer counter at one time t."""
-    return counters(t, res, dephasing, g, tol, stats)[1]
+    return counters.unchecked(t, res, dephasing, g, tol, stats)[1]
 
 
+@_takes(**_BAND)
 def qbar(t: float, res: ReservoirParams, dephasing: float, g: float,
          tol: float = DEFAULT_TOL, stats: str = STATS_FD):
     """Heat counter qbar = ebar - mu * nbar at one time t (exact composition)."""
-    n, e = counters(t, res, dephasing, g, tol, stats)
+    n, e = counters.unchecked(t, res, dephasing, g, tol, stats)
     return e - res.mu * n
 
 
@@ -394,10 +385,8 @@ class OnsagerBlock(_Fieldwise):
     For Fermi-Dirac kernels j_n_t == j_q_mu identically (reciprocity); this
     falls out of the (eps - mu) weighting rather than being imposed.  The
     block carries the reservoir temperature T it was evaluated at, which
-    ``fluxes`` needs to form the thermodynamic forces.  The coefficients may
-    be arrays that broadcast together, one entry per point of a scan at one
-    temperature: a batched block, which is not hashable (blocks compare field
-    by field).
+    ``fluxes`` needs to form the thermodynamic forces.  Array coefficients
+    make a batched block, one entry per point of a scan at one temperature.
     """
 
     j_n_mu: float
@@ -405,13 +394,9 @@ class OnsagerBlock(_Fieldwise):
     j_q_mu: float
     j_q_t: float
     temperature: float
-
-    def __post_init__(self):
-        for name in ("j_n_mu", "j_n_t", "j_q_mu", "j_q_t"):
-            _check_reach("finite", name, getattr(self, name))
-        _require_scalars(("temperature", self.temperature))  # a batch is at one T
-        _check_reach("temperature", "temperature", self.temperature)
-        self._require_broadcast()
+    # a batch is at one temperature
+    _contract = {**dict.fromkeys(("j_n_mu", "j_n_t", "j_q_mu", "j_q_t"), _batch("finite")),
+                 "temperature": _scalar("temperature")}
 
     @property
     def columns(self) -> tuple:
@@ -443,6 +428,7 @@ def _onsager_kernels(eps, occ, res: ReservoirParams, stats):
     return rows
 
 
+@_takes(**_BAND)
 def onsager(t: float, res: ReservoirParams, dephasing: float, g: float,
             tol: float = DEFAULT_TOL, stats: str = STATS_FD) -> OnsagerBlock:
     """Onsager coefficients at one time t from exact kernel derivatives.
@@ -460,6 +446,7 @@ class ParticleHeatFlux(_Fieldwise):
     j_heat: float
 
 
+@_takes(block=_batch(OnsagerBlock), delta_mu=_scalar("finite"), delta_t=_scalar("finite"))
 def fluxes(block: OnsagerBlock, delta_mu: float, delta_t: float) -> ParticleHeatFlux:
     """Assemble linear-response fluxes from a coefficient block.
 

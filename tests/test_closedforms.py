@@ -38,7 +38,7 @@ _DAMPED_ENTRY_POINTS = {
 
 @pytest.mark.parametrize("name", sorted(_DAMPED_ENTRY_POINTS))
 @pytest.mark.parametrize("t, lam, match", [
-    (math.nan, 0.1, "time must not be NaN"),
+    (math.nan, 0.1, "time must be a number >= 0, got nan"),
     (1.0, math.nan, "dephasing"),
     (1.0, -0.1, "dephasing"),
 ])
@@ -185,7 +185,8 @@ def test_boltzmann_ebar_high_temperature_form():
     # which collapses toward 0 with the odd-order omega
     res = ReservoirParams(temperature=1e6, mu=0.0)
     lam, g, t = 0.35, 1.0, 1.5
-    got = ebar_boltzmann_closed(t, res, lam, g)
+    with pytest.warns(RegimeWarning, match="outside the dilute regime"):  # mu = 0 is not dilute
+        got = ebar_boltzmann_closed(t, res, lam, g)
     beta = res.beta
     z = np.linspace(0.0, math.pi, 200_001)
     om1 = np.trapezoid(np.cos(z) * np.exp(2.0 * beta * np.cos(z))
@@ -528,7 +529,7 @@ def test_a_boltzmann_form_over_no_times_builds_no_column(monkeypatch):
 
 @pytest.mark.parametrize("fn", [nbar_boltzmann_closed, ebar_boltzmann_closed])
 def test_a_nan_entry_of_a_time_array_is_named(fn):
-    with pytest.raises(ValueError, match="time must not be NaN"):
+    with pytest.raises(ValueError, match="time must be a number >= 0"):
         fn(np.array([1.0, math.nan]), ReservoirParams(0.1, -3.0), 0.35, 1.0)
 
 
@@ -603,7 +604,7 @@ def sommerfeld_oracle(t, res, dephasing, g, energy, n_max):
     c, s = math.cos(gt), math.sin(gt)
 
     def term(n):
-        cj, sj = c * table.j(2 * n), s * table.j(2 * n - 1)
+        cj, sj = c * table._j[2 * n], s * table._j[2 * n - 1]
         if not energy:
             return (cj * math.sin(4 * n * theta) / (2 * n)
                     - sj * math.sin((4 * n - 2) * theta) / (2 * n - 1))
@@ -612,7 +613,7 @@ def sommerfeld_oracle(t, res, dephasing, g, energy, n_max):
         lower = math.sin((4 * n - 3) * theta) / (4 * n - 3)
         return cj * (upper + middle) - sj * (middle + lower)
 
-    series = c * table.j(0) * h
+    series = c * table._j[0] * h
     last = math.inf
     converged = False
     for n in range(1, n_max + 1):

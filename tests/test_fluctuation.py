@@ -304,7 +304,8 @@ def test_multi_mode_delta_validation(delta_n_a):
 
 @pytest.mark.parametrize("mode, delta_n_a, match", [
     ((0.0, 1.0, 0.1), [1], "mode must be a ModeSpec"),
-    (ModeSpec([0.1, 0.2, 0.3], 1.0, 0.1), [1, -1], "mode at t, delta_n_a must broadcast"),
+    (ModeSpec([0.1, 0.2, 0.3], 1.0, 0.1), [1, -1],
+     "mode energy, mode coupling, mode dephasing, delta_n_a, time must broadcast"),
     (ModeSpec(np.zeros((2, 1)), 1.0, np.array([0.1, 0.2])), [1, -1], "one 1-D shape"),
     (ModeSpec(0.1, 1.0, 0.1), 1, "one 1-D shape"),
 ])

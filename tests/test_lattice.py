@@ -300,10 +300,10 @@ def test_log_occupations_at_infinite_and_nan_energy(energy, occupation, vacancy)
                                 occupation_boltzmann], ids=lambda fn: fn.__name__)
 def test_occupations_reject_nan_energy_by_name(fn):
     # each of these used to return NaN
-    with pytest.raises(ValueError, match=r"^energy must not be NaN, got nan$"):
+    with pytest.raises(ValueError, match=r"^energy must be a number, not NaN, got nan$"):
         fn(math.nan, ReservoirParams(0.3, -3.0))
     if fn in (occupation_fd, occupation_boltzmann):
-        with pytest.raises(ValueError, match="energy must not be NaN"):
+        with pytest.raises(ValueError, match="energy must be a number, not NaN"):
             fn(np.array([0.0, math.nan]), ReservoirParams(0.3, -3.0))
 
 
