@@ -84,8 +84,7 @@ class SeriesResult(_Fieldwise):
     converged: bool
 
 
-# omega_nu(x, y) = B(x/2, a): x is checked as x/2
-@_takes(nu=_scalar("omega nu"), x=_scalar("J argument", "x/2", 0.5), y=_scalar("omega y"))
+@_takes(nu=_scalar("omega nu"), x=_scalar("omega x"), y=_scalar("omega y"))
 def omega_defining_integral(nu: int, x: float, y: float) -> SeriesResult:
     """Direct quadrature of the omega integrand (the independent cross-check).
 
@@ -116,7 +115,7 @@ def _omega_sum(nu: int, z: float, y: float, most: int, columns: dict) -> tuple:
     return value, tail, orders, tail <= _SERIES_TOL * max(1.0, float(coeffs[0]))
 
 
-@_takes(nu=_scalar("omega nu"), x=_batch("J argument", "x/2", 0.5), y=_scalar("omega y"))
+@_takes(nu=_scalar("omega nu"), x=_batch("omega x"), y=_scalar("omega y"))
 def omega(nu: int, x, y: float) -> SeriesResult:
     """omega_nu(x, y) as the band sum B(x/2, a) with modified-Bessel coefficients.
 

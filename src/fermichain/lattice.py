@@ -164,6 +164,8 @@ _REACH = {
     "momentum": _reach(0.0, math.pi, "[]", "lie in [0, pi]"),
     "Bessel order": _reach(0, 20_000, "[]", "be an integer in %(interval)s"),
     "J argument": _reach(-1e4, 1e4, "[]", "lie in %(interval)s, the validated J_n range"),
+    # omega_nu(x, y) = B(x/2, a): x/2 in the J argument reach
+    "omega x": _reach(-2e4, 2e4, "[]", "lie in %(interval)s, twice the validated J_n range"),
     "I argument": _reach(-_I_REACH, _I_REACH, "[]",
                          "lie in %(interval)s, the validated I_n range"),
     # keeps omega's I column, 2 orders + nu, inside the Bessel order reach
@@ -211,10 +213,10 @@ def _check_reach(row: str, name: str, value, error=None, ok: bool = True):
         _require(name, value, False, reach.domain, error or reach.error)
 
 
-# a declared argument or record field: its rule (a _REACH row read at scale
-# times the value, a record class, a (domain, ok) choice, or None), its name
-# in errors (a record's: its fields' prefix), and whether it batches
-_Arg = namedtuple("_Arg", "rule spoken scale batch", defaults=(None, 1.0, True))
+# a declared argument or record field: its rule (a _REACH row, a record class,
+# a (domain, ok) choice, or None), its name in errors (a record's: its
+# fields' prefix), and whether it batches
+_Arg = namedtuple("_Arg", "rule spoken batch", defaults=(None, True))
 _batch = _Arg
 _scalar = functools.partial(_Arg, batch=False)
 
@@ -230,11 +232,8 @@ def _check_arg(arg: _Arg, param: str, value):
     """Raise the named error of the declared rule unless value keeps it."""
     rule = arg.rule
     if rule.__class__ is str:
-        plain = isinstance(value, (float, int))
-        if not (plain or arg.batch):
+        if not (arg.batch or isinstance(value, (float, int))):
             _require_scalar(arg.spoken, value)
-        if arg.scale != 1.0 and (plain or np.asarray(value).dtype.kind in _REAL_KINDS):
-            value = value * arg.scale if plain else np.multiply(value, arg.scale)
         _check_reach(rule, arg.spoken, value)
     elif isinstance(rule, type):
         if not isinstance(value, rule):
@@ -406,25 +405,46 @@ _MODE = _batch(ModeSpec)
 _PAIR = dict.fromkeys(("res_a", "res_b"), _batch(ReservoirParams))  # or two batches
 
 
+# the envelope's arguments, by the rules of a declared mode's fields and time
+_ENVELOPE = {"t": _TIME, "dephasing": ModeSpec._contract["dephasing"],
+             "coupling": ModeSpec._contract["coupling"]}
+
+
+def _check_envelope_args(*values):
+    """Raise the named error of the first of t, lam and g that breaks its rule."""
+    for (param, arg), value in zip(_ENVELOPE.items(), values):
+        _check_arg(arg, param, value)
+
+
 def relaxation_envelope(t, dephasing, coupling):
-    """(envelope, phase) = (exp(-lam t), 2 g t) of a mode (or batch), from
-    checked t, lam and g.  An envelope below ``_DAMPING_FLOOR`` is set to 0
-    and takes the phase with it, so t = inf with lam > 0 gives the damped
-    limit; t = inf with lam = 0 has none and raises EquilibriumUndefinedError,
-    and a phase that overflows raises ValueError.  Scalars give numpy scalars.
+    """(envelope, phase) = (exp(-lam t), 2 g t) of a mode (or batch): t, lam
+    and g are real numbers or broadcasting arrays, each checked by its
+    ``_ENVELOPE`` rule once a combined test fails.  An envelope below
+    ``_DAMPING_FLOOR`` is set to 0 and takes the phase with it, so t = inf
+    with lam > 0 gives the damped limit; t = inf with lam = 0 has none and
+    raises EquilibriumUndefinedError, and a phase that overflows raises
+    ValueError.  Scalars give numpy scalars.
     """
-    tarr, lam, g = (np.asarray(a, dtype=float)[()] for a in (t, dephasing, coupling))
-    # a damped-out entry's phase, inf or 0 * inf, is dropped
+    args = np.asarray(t), np.asarray(dephasing), np.asarray(coupling)
+    if not {a.dtype.kind for a in args} <= _REAL_KINDS:
+        _check_envelope_args(t, dephasing, coupling)
+    tarr, lam, g = (np.asarray(a, dtype=float)[()] for a in args)  # 0-d: numpy scalars
+    # a bad input's inf or NaN only fails the test below; a damped-out
+    # entry's phase, inf or 0 * inf, is dropped
     with np.errstate(over="ignore", invalid="ignore"):
         envelope = np.exp(-lam * tarr)
         alive = envelope > _DAMPING_FLOOR
         phase = np.where(alive, 2.0 * g * tarr, 0.0)[()]
-    # one combined test: envelope <= 1 fails only at t = inf with lam = 0
-    if not ((envelope <= 1.0) & (abs(phase) < math.inf)).all():
+    # one combined test (envelope <= 1 fails at t = inf with lam = 0); an
+    # empty argument leaves it nothing to test
+    if not (phase.size and ((tarr >= 0.0) & (lam >= 0.0) & (lam < math.inf) & (abs(g) < math.inf)
+                            & (envelope <= 1.0) & (abs(phase) < math.inf)).all()):
+        _check_envelope_args(t, dephasing, coupling)
         _require("time", math.inf, not (np.isinf(tarr) & (lam == 0.0)).any(),
                  "be finite at dephasing rate 0, where the mode oscillates forever",
                  EquilibriumUndefinedError)
-        _reject_phase()
+        if not np.isfinite(phase).all():
+            _reject_phase()
     return envelope * alive, phase
 
 

@@ -120,9 +120,11 @@ def _column(max_order: list, x: list, modified: bool) -> np.ndarray:
 
 @_takes(n=_scalar("Bessel order", "order n"), x=_scalar("J argument"))
 def bessel_j(n: int, x: float) -> float:
-    """Bessel function J_n(x) over the Bessel order and J argument reaches:
-    the last order of the J column that ``SpecialFnTable(n, x)`` holds."""
-    return float(_column([int(n)], [float(x)], False)[0, n])
+    """Bessel function J_n(x) over the Bessel order and J argument reaches.
+
+    A view onto the last order of ``SpecialFnTable(n, x)``.
+    """
+    return SpecialFnTable(n, x).j(n)
 
 
 @_takes(n=_scalar("Bessel order", "order n"), y=_scalar("I argument"))
@@ -134,7 +136,7 @@ def bessel_i(n: int, y: float) -> float:
 class SpecialFnTable:
     """Cached orders J_0..J_max_order of the Bessel function at one argument.
 
-    Build once per (argument, max order) and read ``_j`` repeatedly; the column
+    Build once per (argument, max order) and read repeatedly; the column
     comes from a single downward-recurrence pass (or the leading term
     (x/2)^n/n! as x -> 0, x = 0 included), so filling the table costs no
     more than the highest order requested.  A 1-D array of x_bessel_j, with
@@ -151,10 +153,12 @@ class SpecialFnTable:
                  per_x in ((), shape) and len(shape) < 2,
                  "be one scalar or a 1-D array and one int or one per entry, not of shapes")
         if shape:
-            self._j = _column(np.broadcast_to(max_order, shape).tolist(),
-                              np.asarray(x_bessel_j, float).tolist(), False)
+            self.max_order, self._j = max_order, _column(
+                np.broadcast_to(max_order, shape).tolist(), np.asarray(x_bessel_j, float).tolist(),
+                False)
         else:
-            self._j = _column([int(max_order)], [float(x_bessel_j)], False)[0]
+            self.max_order = int(max_order)
+            self._j = _column([self.max_order], [float(x_bessel_j)], False)[0]
 
     @staticmethod
     def band_orders(x: float) -> int:
@@ -166,6 +170,14 @@ class SpecialFnTable:
         """
         xa = abs(x)
         return int(xa + 12.0 * xa ** (1.0 / 3.0)) + 10
+
+    def j(self, n: int):
+        """J_n at the table's argument, or at each of its arguments."""
+        least = (self.max_order if self._j.ndim == 1
+                 else int(np.min(self.max_order, initial=self._j.shape[1] - 1)))
+        if not 0 <= n <= least:  # per series term
+            _require("order n", n, False, "lie in the table's [0, max_order]")
+        return float(self._j[n]) if self._j.ndim == 1 else self._j[:, n]
 
 
 def bessel_band_sum(z, coeffs, orders=None) -> tuple:

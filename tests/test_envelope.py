@@ -1,7 +1,7 @@
 """The (t, lam) contract of every closed-form function that takes a time.
 
-``lattice.relaxation_envelope`` is the one place that forms exp(-lam t),
-from a t that every export declares; these tests hold every public caller
+``lattice.relaxation_envelope`` is the one place that validates t and the
+dephasing rate and forms exp(-lam t); these tests hold every public caller
 in dynamics, entropy and fluctuation to it.  The RK4 stepper
 (``lindblad_trajectory``) keeps its own ``t_grid`` contract, tested in
 test_dynamics.py.
@@ -10,6 +10,7 @@ test_dynamics.py.
 import dataclasses
 import inspect
 import math
+import re
 import warnings
 
 import numpy as np
@@ -155,6 +156,28 @@ def test_multi_mode_ft_checks_time_without_events():
     assert fluctuation.multi_mode_ft(empty, [], RES_A, RES_B, math.inf).residual == 0.0
     with pytest.raises(ValueError, match="time"):
         fluctuation.multi_mode_ft(empty, [], RES_A, RES_B, math.nan)
+
+
+@pytest.mark.parametrize("lam", [math.nan, -0.1, math.inf])
+def test_envelope_rejects_bad_dephasing(lam):
+    with pytest.raises(ValueError, match="dephasing"):
+        relaxation_envelope(1.0, lam, 1.0)
+    with pytest.raises(ValueError, match="dephasing"):
+        relaxation_envelope(np.array([1.0, 2.0]), lam, 1.0)
+
+
+@pytest.mark.parametrize("t, lam, g, match", [
+    (-1.0, 0.0, 1.0, "time must be a number >= 0, got -1.0"),
+    (math.nan, 0.1, 1.0, "time must be a number >= 0, got nan"),
+    ("1.5", 0.1, 1.0, "time must be a number >= 0, got '1.5'"),
+    (np.array([1.0, -1.0]), 0.1, 1.0, "time must be a number >= 0"),
+    (1.0, 0.1, math.inf, "coupling g must be finite, got inf"),
+    (np.array([]), -1.0, 1.0, "dephasing rate must be finite and >= 0, got -1.0"),
+])
+def test_envelope_names_the_argument_that_breaks_its_rule(t, lam, g, match):
+    # a direct call is held to the rules that every export declares for t, lam and g
+    with pytest.raises(ValueError, match="^" + re.escape(match)):
+        relaxation_envelope(t, lam, g)
 
 
 def test_envelope_rejects_overflowing_phase_but_not_the_damped_limit():

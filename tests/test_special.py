@@ -97,12 +97,20 @@ def test_table_matches_direct_evaluation():
     for x in (12.0, -6.2):
         tab = SpecialFnTable(40, x_bessel_j=x)
         for n in (0, 1, 7, 23, 40):
-            assert tab._j[n] == pytest.approx(bessel_j(n, x), abs=1e-12), (n, x)
+            assert tab.j(n) == pytest.approx(bessel_j(n, x), abs=1e-12), (n, x)
 
 
 def test_table_small_argument_by_recurrence():
     tab = SpecialFnTable(10, x_bessel_j=2.0)
-    assert tab._j[1] == pytest.approx(0.576724807756873387, abs=1e-14)
+    assert tab.j(1) == pytest.approx(0.576724807756873387, abs=1e-14)
+
+
+def test_table_unbuilt_column_rejected():
+    tab = SpecialFnTable(10, x_bessel_j=2.0)
+    for n in (-1, 11):
+        with pytest.raises(ValueError, match=re.escape("order n must lie in the table's "
+                                                        "[0, max_order]")):
+            tab.j(n)
 
 
 def test_table_matches_high_precision_oracle():
@@ -117,7 +125,7 @@ def test_table_matches_high_precision_oracle():
         for n in range(61):
             ref = float(mpmath.besselj(n, mpmath.mpf(float(x))))
             if abs(ref) > 1e-290:
-                worst = max(worst, abs(tab._j[n] - ref) / abs(ref))
+                worst = max(worst, abs(tab.j(n) - ref) / abs(ref))
     assert worst <= 1e-13
 
 
@@ -126,8 +134,8 @@ def test_table_tiny_argument_is_the_leading_term(x):
     # the downward recurrence's 2m/x overflows to NaN at x <= 1e-100
     tab = SpecialFnTable(60, x_bessel_j=x)
     for n in range(61):
-        assert math.isfinite(tab._j[n])
-        assert tab._j[n] == (0.5 * x) ** n / math.factorial(n), n
+        assert math.isfinite(tab.j(n))
+        assert tab.j(n) == (0.5 * x) ** n / math.factorial(n), n
 
 
 def test_j_column_matches_mpmath_over_the_whole_range():
@@ -145,7 +153,7 @@ def test_j_column_matches_mpmath_over_the_whole_range():
             middle = {max_order // 2, max(0, max_order - 40)} if abs(x) < 1e4 else set()
             for n in sorted({0, 1, 2, max_order} | middle):
                 ref = float(mpmath.besselj(n, x, maxprec=100_000))
-                worst = max(worst, abs(tab._j[n] - ref))
+                worst = max(worst, abs(tab.j(n) - ref))
     assert worst <= 1e-15
 
 
@@ -154,7 +162,7 @@ def test_band_orders_leave_only_negligible_orders():
     for x in (0.0, 0.3, 5.0, 64.0, 1e3, 1e4):
         n = SpecialFnTable.band_orders(x)
         tab = SpecialFnTable(n + 40, x)
-        assert max(abs(tab._j[m]) for m in range(n, n + 41)) < 2.0 ** -60, x
+        assert max(abs(tab.j(m)) for m in range(n, n + 41)) < 2.0 ** -60, x
 
 
 def test_i_column_matches_mpmath_over_the_whole_range():
