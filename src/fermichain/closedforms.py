@@ -158,8 +158,8 @@ def _boltzmann_closed(nu: int, scale: float, t, res: ReservoirParams,
                  (max(res.mu, 0.0) + 2.0) * res.beta)
     y = 2.0 * res.beta
     _warn_unless_dilute(res)
-    osc = damping * omega.unchecked(nu, 2.0 * gt, y).value
-    ground = bessel_i.unchecked(nu, y) if np.size(osc) else 0.0  # an empty t builds no column
+    osc = damping * omega(nu, 2.0 * gt, y).value
+    ground = bessel_i(nu, y) if np.size(osc) else 0.0  # an empty t builds no column
     return _plain(scale * math.exp(res.beta * res.mu) * (osc - ground))
 
 

@@ -96,9 +96,9 @@ def density_matrix_from_occupations(mode: ModeSpec, n_a0, n_b0, t) -> np.ndarray
 def density_matrix(mode: ModeSpec, res_a: ReservoirParams, res_b: ReservoirParams,
                    t) -> np.ndarray:
     """Mode state for halves prepared thermally at res_a / res_b."""
-    n_a0 = occupation_fd.unchecked(mode.energy, res_a)
-    n_b0 = occupation_fd.unchecked(mode.energy, res_b)
-    return density_matrix_from_occupations.unchecked(mode, n_a0, n_b0, t)
+    n_a0 = occupation_fd(mode.energy, res_a)
+    n_b0 = occupation_fd(mode.energy, res_b)
+    return density_matrix_from_occupations(mode, n_a0, n_b0, t)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +184,8 @@ def lindblad_trajectory(mode: ModeSpec, res_a: ReservoirParams, res_b: Reservoir
     energy, coupling, dephasing = (np.broadcast_to(np.asarray(v, dtype=float), shape)
                                    .reshape(-1, 1, 1) for v in fields)
     sup = energy * l_e + coupling * l_g + dephasing * l_lam
-    n_a0 = occupation_fd.unchecked(energy.ravel(), res_a)
-    n_b0 = occupation_fd.unchecked(energy.ravel(), res_b)
+    n_a0 = occupation_fd(energy.ravel(), res_a)
+    n_b0 = occupation_fd(energy.ravel(), res_b)
     y = np.zeros((len(sup), 16, 1), dtype=complex)
     # the diagonal of each row-major vec(rho0): a product of thermal states
     y[:, ::5, 0] = np.stack([(1.0 - n_a0) * (1.0 - n_b0), n_a0 * (1.0 - n_b0),

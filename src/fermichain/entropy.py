@@ -111,7 +111,7 @@ def entropy_coeffs(prep: EquilibriumModePrep, t) -> ModeEntropyBreakdown:
     """s0, s1, s2 at time t (scalar or array)."""
     env, phase = relaxation_envelope(t, prep.dephasing, prep.coupling)
     n = prep.n_eq
-    s0 = binary_entropy.unchecked(n)
+    s0 = binary_entropy(n)
     s1 = 0.5 * env * np.cos(phase) * (math.log(1.0 - n) - math.log(n))
     s2 = -(env * np.cos(phase)) ** 2 / (8.0 * n * (1.0 - n))
     s0 = s0 if np.ndim(s1) == 0 else np.full_like(s1, s0)
@@ -131,7 +131,7 @@ def joint_entropy(prep: EquilibriumModePrep, t):
     """S_AB through O(dn^2); depends on the envelope only."""
     env, _ = relaxation_envelope(t, prep.dephasing, prep.coupling)
     n = prep.n_eq
-    s0 = binary_entropy.unchecked(n)
+    s0 = binary_entropy(n)
     return _plain(2.0 * s0 - prep.delta_n ** 2 * env ** 2 / (4.0 * n * (1.0 - n)))
 
 
@@ -197,24 +197,24 @@ def joint_spectrum(prep: EquilibriumModePrep, t):
 @_takes(**_PREP_T)
 def joint_entropy_exact(prep: EquilibriumModePrep, t):
     """-Tr rho ln rho of the two-site state, from the closed-form spectrum."""
-    evals = joint_spectrum.unchecked(prep, t)
+    evals = joint_spectrum(prep, t)
     return _plain(-_xlogx(evals).sum(axis=0))
 
 
 @_takes(**_PREP_T)
 def entropy_a_exact(prep: EquilibriumModePrep, t):
-    occ = dynamics.occ_a.unchecked(prep.mode(), prep.occupation_a, prep.occupation_b, t)
-    return binary_entropy.unchecked(occ)
+    occ = dynamics.occ_a(prep.mode(), prep.occupation_a, prep.occupation_b, t)
+    return binary_entropy(occ)
 
 
 @_takes(**_PREP_T)
 def entropy_b_exact(prep: EquilibriumModePrep, t):
-    occ = dynamics.occ_b.unchecked(prep.mode(), prep.occupation_a, prep.occupation_b, t)
-    return binary_entropy.unchecked(occ)
+    occ = dynamics.occ_b(prep.mode(), prep.occupation_a, prep.occupation_b, t)
+    return binary_entropy(occ)
 
 
 @_takes(**_PREP_T)
 def mutual_information_exact(prep: EquilibriumModePrep, t):
     """S_A + S_B - S_AB without any expansion in dn."""
-    return (entropy_a_exact.unchecked(prep, t) + entropy_b_exact.unchecked(prep, t)
-            - joint_entropy_exact.unchecked(prep, t))
+    return (entropy_a_exact(prep, t) + entropy_b_exact(prep, t)
+            - joint_entropy_exact(prep, t))

@@ -67,10 +67,10 @@ def transition_weight(mode: ModeSpec, t) -> object:
 def exchange_prob(direction: str, mode: ModeSpec, res_a: ReservoirParams,
                   res_b: ReservoirParams, t) -> object:
     """Directed exchange measure; 'a_to_b' or 'b_to_a'."""
-    n_a = occupation_fd.unchecked(mode.energy, res_a)
-    n_b = occupation_fd.unchecked(mode.energy, res_b)
+    n_a = occupation_fd(mode.energy, res_a)
+    n_b = occupation_fd(mode.energy, res_b)
     thermal = n_a * (1.0 - n_b) if direction == "a_to_b" else n_b * (1.0 - n_a)
-    return thermal * 2.0 * transition_weight.unchecked(mode, t)
+    return thermal * 2.0 * transition_weight(mode, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +109,7 @@ def ft_log_ratio(mode: ModeSpec, res_a: ReservoirParams, res_b: ReservoirParams,
     _require("mode energy", mode.energy, np.isfinite(log_ratio).all(), "leave every "
              "occupation and vacancy above 0 (a saturated one has an undefined log-ratio)",
              ZeroProbabilityError)
-    fh_fm = affinities.unchecked(res_a, res_b)
+    fh_fm = affinities(res_a, res_b)
     rhs = np.multiply(mode.energy, fh_fm.f_h) + fh_fm.f_m  # a list of energies reads as an array
     lhs, rhs, _ = np.broadcast_arrays(log_ratio, rhs, envelope)
     return FtCheck(_plain(lhs), _plain(rhs))
@@ -128,7 +128,7 @@ def multi_mode_ft(mode: ModeSpec, delta_n_a, res_a: ReservoirParams,
     contributions add.  delta_n_a is A's number change in each mode, -1 or
     +1; it, the mode batch and t broadcast to one 1-D shape."""
     delta = np.asarray(delta_n_a)
-    each = ft_log_ratio.unchecked(mode, res_a, res_b, t)
+    each = ft_log_ratio(mode, res_a, res_b, t)
     shape = np.broadcast(each.lhs, delta).shape
     _require("mode, t and delta_n_a", shape, len(shape) == 1, "broadcast to one 1-D shape")
     # +1 when A loses the particle

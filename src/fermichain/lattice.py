@@ -20,12 +20,13 @@ reservoir whose fields are arrays that broadcast together is a batch
 times cos or sin of 2 g_k t, which :func:`relaxation_envelope` forms.
 
 Every export declares its arguments once, with ``_takes`` (a record: its
-``_contract``): each ``_Arg`` names a ``_REACH`` row, a record class or a
-choice, and whether the argument is one scalar or joins the call's
-broadcast shape.  One wrapper checks them and calls the body, which library
-code calls as ``.unchecked``.  ``_require`` words every rejection "<name>
-must <domain>, got <value>", as a ValueError or a named subclass; every
-bounded quantity has one ``_REACH`` row (limits, wording, error class).
+``_contract``; the scenario config: its field table): each ``_Arg`` names a
+``_REACH`` row, a record class or a choice, and whether the argument is one
+scalar or joins the call's broadcast shape.  One wrapper checks them and
+calls the body; it is the export's only entry, so library code calls an
+export as any caller does.  ``_require`` words every rejection "<name> must
+<domain>, got <value>", as a ValueError or a named subclass; every bounded
+quantity has one ``_REACH`` row (limits, wording, error class).
 An approximation used outside its regime warns with :class:`RegimeWarning`
 (Boltzmann statistics outside the dilute regime), naming as its source the
 first calling frame outside the package (``_warn``).
@@ -87,8 +88,9 @@ class QuadratureError(RuntimeError):
         self.achieved_error = achieved_error
 
 
-def _require(name: str, value, ok: bool, domain: str, error=ValueError):
-    """Raise ``error("<name> must <domain>, got <value!r>")`` unless ok.
+def _require(name: str, value, ok: bool, domain: str, error=None):
+    """Raise ``error("<name> must <domain>, got <value!r>")``, a ValueError by
+    default, unless ok.
 
     The caller evaluates ok itself, so a plain-float check costs one
     comparison.  An integer beyond the float range is shown to 3 digits.
@@ -100,13 +102,16 @@ def _require(name: str, value, ok: bool, domain: str, error=ValueError):
         if isinstance(value, int) and abs(value) > sys.float_info.max:
             import decimal  # only here: the float formats overflow on it
             shown = format(decimal.Decimal(value), ".3g")
-        raise error("%s must %s, got %s" % (name, domain, shown))
+        raise (error or ValueError)("%s must %s, got %s" % (name, domain, shown))
 
 
-def _require_scalar(name: str, value):
-    """Raise ValueError, naming value with its shape, if it is an array."""
-    if not isinstance(value, (float, int)) and np.ndim(value):
-        _require(name, np.shape(value), False, "be one scalar, not an array of shape")
+def _require_scalar(name: str, value, error=None):
+    """Raise ValueError (or error), naming value with its shape, if it is an
+    array or a list, a ragged one included."""
+    if not isinstance(value, (float, int)) and (isinstance(value, (list, tuple))
+                                                or np.ndim(value)):
+        _require(name, np.asarray(value, dtype=object).shape, False,
+                 "be one scalar, not an array of shape", error)
 
 
 def _joint_shape(*named, what=None):
@@ -129,7 +134,7 @@ def _joint_shape(*named, what=None):
 _MAX_PANELS = 1 << 17
 _I_REACH = 700.0  # |y| of I_n(y): e^y stays finite
 _Reach = namedtuple("_Reach", "lo hi first last domain error")
-_REAL_KINDS = frozenset("biuf")  # numpy dtype kinds of a real number: bool, int, float
+_REAL_KINDS = frozenset("iuf")  # numpy dtype kinds of a real number: int, float (no bool)
 
 
 def _reach(lo, hi, ends: str, words: str, error=ValueError) -> _Reach:
@@ -193,22 +198,23 @@ _REACH = {
 }
 
 
-def _check_reach(row: str, name: str, value, error=None, ok: bool = True):
-    """Raise the ``_REACH`` row's error, naming ``name``, unless ok and every
-    entry of value is a number (not a str) in the row's reach (two float
-    comparisons for a plain number).  ok is the caller's own test of the
-    value's type, and error replaces the row's class (a config raises ConfigError)."""
+def _check_reach(row: str, name: str, value, error=None):
+    """Raise the ``_REACH`` row's error (or error: a config raises
+    ConfigError), naming ``name``, unless every entry of value is a number in
+    the row's reach.  A plain float costs two comparisons; a plain int is no
+    bool and lies inside the float range; a row with integer limits takes
+    integers only."""
     reach = _REACH[row]
-    if ok and isinstance(reach.last, int):  # a row with integer limits takes integers
-        ok = isinstance(value, (int, np.integer)) or (
-            isinstance(value, np.ndarray) and value.dtype.kind in "iu")
-    if ok:
-        if isinstance(value, (float, int)):
-            ok = reach.first <= value <= reach.last
-        else:
-            arr = np.asarray(value)
-            ok = arr.dtype.kind in _REAL_KINDS and bool(
-                np.all((reach.first <= arr) & (arr <= reach.last)))
+    integer = isinstance(reach.last, int)
+    if isinstance(value, float):
+        ok = reach.first <= value <= reach.last and not integer
+    elif isinstance(value, int):
+        ok = (value.__class__ is not bool and reach.first <= value <= reach.last
+              and abs(value) <= sys.float_info.max)
+    else:
+        arr = np.asarray(value)  # a NaN entry makes min and max NaN
+        ok = arr.dtype.kind in ("iu" if integer else _REAL_KINDS) and (
+            not arr.size or (reach.first <= arr.min() and arr.max() <= reach.last))
     if not ok:
         _require(name, value, False, reach.domain, error or reach.error)
 
@@ -228,27 +234,28 @@ def _spoken(declared: dict) -> dict:
         for name, arg in declared.items()}
 
 
-def _check_arg(arg: _Arg, param: str, value):
-    """Raise the named error of the declared rule unless value keeps it."""
+def _check_arg(arg: _Arg, param: str, value, error=None):
+    """Raise the named error of the declared rule unless value keeps it; error
+    replaces the class of every raise (a config raises ConfigError)."""
     rule = arg.rule
     if rule.__class__ is str:
         if not (arg.batch or isinstance(value, (float, int))):
-            _require_scalar(arg.spoken, value)
-        _check_reach(rule, arg.spoken, value)
+            _require_scalar(arg.spoken, value, error)
+        _check_reach(rule, arg.spoken, value, error)
     elif isinstance(rule, type):
         if not isinstance(value, rule):
             _require(param, value, False, "be %s %s" % (
-                "an" if rule.__name__[0] in "AEIOU" else "a", rule.__name__))
+                "an" if rule.__name__[0] in "AEIOU" else "a", rule.__name__), error)
         for field in () if arg.batch else getattr(rule, "_batch_fields", ()):
-            _require_scalar(arg.spoken + field, getattr(value, field))
+            _require_scalar(arg.spoken + field, getattr(value, field), error)
     elif rule is not None:
-        _require(arg.spoken, value, rule[1](value), rule[0])
+        _require(arg.spoken, value, rule[1](value), rule[0], error)
 
 
 def _takes(**declared):
     """Declare an export's arguments, ``_Arg``s by parameter name: a call checks
     each, bound at its precomputed position, then the batch ones' joint shape,
-    and runs the body, which library code calls as ``.unchecked``."""
+    and runs the body.  The checked function is the export's one entry."""
     def wrap(body):
         # the parameters from the code object: inspect.signature costs ~20 us
         names = body.__code__.co_varnames[:body.__code__.co_argcount]
@@ -274,7 +281,7 @@ def _takes(**declared):
                 _joint_shape(*named)
             return body(*args, **kwargs)
 
-        checked.unchecked, checked._contract = body, contract
+        checked._contract = contract
         return checked
     return wrap
 
@@ -390,7 +397,7 @@ class ModeSpec(_Fieldwise):
         # only cos and sin of 2 g_k t reach an observable, so the sign
         # convention of g_k lives in dynamics
         sin_k = np.sin(np.asarray(k, dtype=float))
-        return cls(energy=dispersion.unchecked(k),
+        return cls(energy=dispersion(k),
                    coupling=_plain(np.multiply(g, _scalar_pow(sin_k, 2))),
                    dephasing=_plain(np.asarray(dephasing)))
 
@@ -405,46 +412,29 @@ _MODE = _batch(ModeSpec)
 _PAIR = dict.fromkeys(("res_a", "res_b"), _batch(ReservoirParams))  # or two batches
 
 
-# the envelope's arguments, by the rules of a declared mode's fields and time
-_ENVELOPE = {"t": _TIME, "dephasing": ModeSpec._contract["dephasing"],
-             "coupling": ModeSpec._contract["coupling"]}
-
-
-def _check_envelope_args(*values):
-    """Raise the named error of the first of t, lam and g that breaks its rule."""
-    for (param, arg), value in zip(_ENVELOPE.items(), values):
-        _check_arg(arg, param, value)
-
-
+@_takes(t=_TIME, dephasing=ModeSpec._contract["dephasing"],
+        coupling=ModeSpec._contract["coupling"])
 def relaxation_envelope(t, dephasing, coupling):
     """(envelope, phase) = (exp(-lam t), 2 g t) of a mode (or batch): t, lam
-    and g are real numbers or broadcasting arrays, each checked by its
-    ``_ENVELOPE`` rule once a combined test fails.  An envelope below
-    ``_DAMPING_FLOOR`` is set to 0 and takes the phase with it, so t = inf
-    with lam > 0 gives the damped limit; t = inf with lam = 0 has none and
-    raises EquilibriumUndefinedError, and a phase that overflows raises
-    ValueError.  Scalars give numpy scalars.
+    and g are declared by the rules of a mode's time and fields, and
+    broadcast together.  An envelope below ``_DAMPING_FLOOR`` is set to 0 and
+    takes the phase with it, so t = inf with lam > 0 gives the damped limit;
+    t = inf with lam = 0 has none and raises EquilibriumUndefinedError, and a
+    phase that overflows raises ValueError.  Scalars give numpy scalars.
     """
-    args = np.asarray(t), np.asarray(dephasing), np.asarray(coupling)
-    if not {a.dtype.kind for a in args} <= _REAL_KINDS:
-        _check_envelope_args(t, dephasing, coupling)
-    tarr, lam, g = (np.asarray(a, dtype=float)[()] for a in args)  # 0-d: numpy scalars
-    # a bad input's inf or NaN only fails the test below; a damped-out
-    # entry's phase, inf or 0 * inf, is dropped
+    tarr, lam, g = (np.asarray(a, dtype=float)[()] for a in (t, dephasing, coupling))
+    # a damped-out entry's phase, inf or 0 * inf, is dropped
     with np.errstate(over="ignore", invalid="ignore"):
         envelope = np.exp(-lam * tarr)
         alive = envelope > _DAMPING_FLOOR
         phase = np.where(alive, 2.0 * g * tarr, 0.0)[()]
-    # one combined test (envelope <= 1 fails at t = inf with lam = 0); an
-    # empty argument leaves it nothing to test
-    if not (phase.size and ((tarr >= 0.0) & (lam >= 0.0) & (lam < math.inf) & (abs(g) < math.inf)
-                            & (envelope <= 1.0) & (abs(phase) < math.inf)).all()):
-        _check_envelope_args(t, dephasing, coupling)
+    # the sum is finite unless t = inf at lam = 0 (a NaN envelope) or the
+    # phase overflows
+    if not np.isfinite(envelope + phase).all():
         _require("time", math.inf, not (np.isinf(tarr) & (lam == 0.0)).any(),
                  "be finite at dephasing rate 0, where the mode oscillates forever",
                  EquilibriumUndefinedError)
-        if not np.isfinite(phase).all():
-            _reject_phase()
+        _reject_phase()
     return envelope * alive, phase
 
 
@@ -582,7 +572,7 @@ def _warn(message: str, category: type):
 
 def _warn_unless_dilute(reservoir: ReservoirParams):
     """RegimeWarning when the Boltzmann forms miss Fermi-Dirac by a digit."""
-    validity = boltzmann_validity.unchecked(_DILUTE_DIGITS, reservoir)
+    validity = boltzmann_validity(_DILUTE_DIGITS, reservoir)
     if not validity.satisfied:
         _warn("Boltzmann statistics outside the dilute regime: mu = %g is not below %.4g at "
               "T = %g" % (reservoir.mu, validity.mu_bound, reservoir.temperature),

@@ -17,8 +17,10 @@ Every scenario is one row of ``SCENARIOS``, ``(build, panels, pins)``:
   row names, and quadrature vs series with one report per quantity.
 
 ``ScenarioConfig`` checks every field on every build, so a parsed config
-and a directly built one pass the same checks.  A numeric key shares its
-``lattice._REACH`` row with the library, adding only a JSON type test.
+and a directly built one pass the same checks.  Its fields are declared in
+``_FIELDS`` as the exports' arguments are: each key is one scalar ``_Arg``,
+a ``lattice._REACH`` row shared with the library or a choice, checked by
+``lattice._check_arg`` with ConfigError and named "config field '<key>'".
 ``run_scenario`` makes the panels and ``_run_panels`` builds them, first
 checking every panel's reservoir split (T +- dT/2, mu +- dmu/2).  Each panel
 is one CSV file with the independent variable in the first column and
@@ -53,7 +55,7 @@ from typing import Mapping
 import numpy as np
 
 from . import closedforms, entropy, transport
-from .lattice import ReservoirParams, _check_reach, _require, _scalar, _takes, _warn
+from .lattice import ReservoirParams, _check_arg, _check_reach, _require, _scalar, _takes, _warn
 
 
 class ConfigError(ValueError):
@@ -66,6 +68,35 @@ class LinearResponseWarning(UserWarning):
 
 # relative split |dT|/T or |dmu/mu| above which a panel is flagged
 _LINEAR_RESPONSE_THRESHOLD = 0.05
+
+
+def _integer(lo: int, hi: int) -> tuple:
+    return ("be an integer in [%d, %d]" % (lo, hi),
+            lambda v: isinstance(v, int) and not isinstance(v, bool) and lo <= v <= hi)
+
+
+def _increasing(start: str, low: float) -> tuple:
+    # the empty tuple is a field's default: the scenario's pins supply the grid
+    return ("be a strictly increasing list of at least 2 finite numbers" + start,
+            lambda v: (isinstance(v, tuple) and not v) or (
+                isinstance(v, (list, tuple)) and len(v) >= 2
+                and all(isinstance(x, (float, int)) and x.__class__ is not bool
+                        and low <= x <= sys.float_info.max for x in v)
+                and all(map(operator.lt, v, v[1:]))))
+
+
+_STRING = ("be a string", lambda v: isinstance(v, str))
+
+# config key -> its declaration: a lattice._REACH row it shares with the
+# library, or a (domain, ok) choice, where ok takes the value as given
+_FIELDS = {key: _scalar(rule, "config field '%s'" % key) for key, rule in {
+    "scenario": _STRING, "out_dir": _STRING, "stats": transport._STATS,
+    "temperature": "temperature", "mu": "finite", "dephasing": "dephasing rate", "g": "finite",
+    "tol": "tol", "delta_t": "finite", "delta_mu": "finite", "n_eq": "n_eq", "delta_n": "finite",
+    "threads": _integer(1, 256),  # checked, then dropped: no field
+    "sig_digits": _integer(3, 17),
+    "t_grid": _increasing(", from a time >= 0", 0.0),
+    "mu_grid": _increasing("", -sys.float_info.max)}.items()}
 
 
 @dataclass(frozen=True)
@@ -86,60 +117,18 @@ class ScenarioConfig:
     n_eq: float = 0.5
     delta_n: float = 0.1
     explicit: frozenset = field(default_factory=frozenset, compare=False)
+    _contract = {key: arg for key, arg in _FIELDS.items() if key != "threads"}
 
     def __post_init__(self):
         # the one check of every field; numbers are stored as floats and grids
         # as tuples of floats
-        for key in _FIELD_NAMES:
-            _check_field(key, getattr(self, key))
-        for key in _NUMBER_FIELDS:
-            object.__setattr__(self, key, float(getattr(self, key)))
-        for key in _GRID_FIELDS:
-            object.__setattr__(self, key, tuple(map(float, getattr(self, key))))
-
-
-def _real(v) -> bool:
-    # a JSON integer may lie beyond the float range
-    return isinstance(v, float) or (isinstance(v, int) and not isinstance(v, bool)
-                                    and abs(v) <= sys.float_info.max)
-
-
-def _integer(lo: int, hi: int) -> tuple:
-    return ("be an integer in [%d, %d]" % (lo, hi),
-            lambda v: isinstance(v, int) and not isinstance(v, bool) and lo <= v <= hi)
-
-
-def _increasing(start: str, low: float) -> tuple:
-    # the empty tuple is a field's default: the scenario's pins supply the grid
-    return ("be a strictly increasing list of at least 2 finite numbers" + start,
-            lambda v: (isinstance(v, tuple) and not v) or (
-                isinstance(v, (list, tuple)) and len(v) >= 2 and all(map(_real, v))
-                and all(map(math.isfinite, v)) and all(map(operator.lt, v, v[1:]))
-                and v[0] >= low))
-
-
-_STRING = ("be a string", lambda v: isinstance(v, str))
-
-# config key -> (domain, ok), where ok takes the value as given, of any type
-_STR_FIELDS = {"scenario": _STRING, "out_dir": _STRING, "stats": transport._STATS}
-# config key -> the lattice._REACH row it shares with the library
-_NUMBER_FIELDS = {"temperature": "temperature", "mu": "finite", "dephasing": "dephasing rate",
-                  "g": "finite", "tol": "tol", "delta_t": "finite", "delta_mu": "finite",
-                  "n_eq": "n_eq", "delta_n": "finite"}
-_INT_FIELDS = {"threads": _integer(1, 256),  # checked, then dropped: no field
-               "sig_digits": _integer(3, 17)}
-_GRID_FIELDS = {"t_grid": _increasing(", from a time >= 0", 0.0),
-                "mu_grid": _increasing("", -math.inf)}
-_FIELDS = {**_STR_FIELDS, **_NUMBER_FIELDS, **_INT_FIELDS, **_GRID_FIELDS}
-_FIELD_NAMES = tuple(key for key in _FIELDS if key != "threads")
-
-
-def _check_field(key: str, value):
-    name, rule = "config field '%s'" % key, _FIELDS[key]
-    if key in _NUMBER_FIELDS:
-        _check_reach(rule, name, value, ConfigError, ok=_real(value))
-    else:
-        _require(name, value, rule[1](value), rule[0], ConfigError)
+        for key, arg in self._contract.items():
+            value = getattr(self, key)
+            _check_arg(arg, key, value, ConfigError)
+            if isinstance(arg.rule, str):
+                object.__setattr__(self, key, float(value))
+            elif isinstance(value, (list, tuple)):
+                object.__setattr__(self, key, tuple(map(float, value)))
 
 
 def parse_config(data: Mapping) -> ScenarioConfig:
@@ -156,7 +145,7 @@ def parse_config(data: Mapping) -> ScenarioConfig:
         raise ConfigError("config needs a 'scenario' key")
     kwargs = dict(data)
     if "threads" in kwargs:
-        _check_field("threads", kwargs.pop("threads"))
+        _check_arg(_FIELDS["threads"], "threads", kwargs.pop("threads"), ConfigError)
     return _resolve(ScenarioConfig(explicit=frozenset(data) - {"scenario"}, **kwargs))
 
 
@@ -274,11 +263,10 @@ def write_csv(path: str, rows):
         fh.write("".join(map(_csv_line, rows)))
 
 
-@_takes(result=_scalar(ScenarioResult))
+@_takes(result=_scalar(ScenarioResult), sig_digits=_FIELDS["sig_digits"])
 def write_result(result: ScenarioResult, out_dir: str, sig_digits: int):
     """One CSV per panel, in ``write_csv``'s format; returns the paths written.
     Each row is one %-format of its floats: a %g field never needs quoting."""
-    _check_field("sig_digits", sig_digits)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for panel in result.panels:

@@ -38,11 +38,13 @@ level.  ``counters`` and ``onsager`` are one-point scans that return plain
 floats; a scenario builder makes one scan over the points of all its
 panels, each panel's t or mu grid, and reads each panel's columns back, an
 ``OnsagerBlock`` holding one entry per point.  The kernels of a quantity
-are the rows of one array, one group: [n, eps n] for ``counters``, of which
-``nbar``, ``ebar`` and ``qbar`` are views, and the four derivative kernels
-for ``onsager``.  Every (point, group) pair runs its own doubling schedule
-from its point's first level and is frozen at the level where it
-converged, so each equals its one-point, one-group call bit for bit.  The
+are the rows of one array, one group: [n, eps n] for ``counters``, which
+``nbar``, ``ebar`` and ``qbar`` call as any caller does, and the four
+derivative kernels for ``onsager``.  A block's Boltzmann occupation is an
+``occupation_boltzmann`` call; the Fermi-Dirac one is that export's kernel.
+Every (point, group) pair runs its own doubling schedule from its point's
+first level and is frozen at the level where it converged, so each equals
+its one-point, one-group call bit for bit.  The
 integrand, ``_Scan``, forms each array it shares between points once per
 block of nodes, with the IEEE operations of the plain expressions in their
 order, so every bit is theirs.  Quadrature is a composite
@@ -209,7 +211,7 @@ def _occupation(stats: str, eps, res: ReservoirParams):
         # occupation_fd's kernel: band nodes need no NaN test per node
         x = np.subtract(eps, res.mu)
         return _fd_of(np.divide(x, res.temperature, out=x))
-    return occupation_boltzmann.unchecked(eps, res)
+    return occupation_boltzmann(eps, res)
 
 
 def _band_cosine(sin2, g: float, phase: float):
@@ -357,21 +359,21 @@ def counters(t: float, res: ReservoirParams, dephasing: float, g: float,
 def nbar(t: float, res: ReservoirParams, dephasing: float, g: float,
          tol: float = DEFAULT_TOL, stats: str = STATS_FD):
     """Per-site particle transfer counter at one time t."""
-    return counters.unchecked(t, res, dephasing, g, tol, stats)[0]
+    return counters(t, res, dephasing, g, tol, stats)[0]
 
 
 @_takes(**_BAND)
 def ebar(t: float, res: ReservoirParams, dephasing: float, g: float,
          tol: float = DEFAULT_TOL, stats: str = STATS_FD):
     """Per-site energy transfer counter at one time t."""
-    return counters.unchecked(t, res, dephasing, g, tol, stats)[1]
+    return counters(t, res, dephasing, g, tol, stats)[1]
 
 
 @_takes(**_BAND)
 def qbar(t: float, res: ReservoirParams, dephasing: float, g: float,
          tol: float = DEFAULT_TOL, stats: str = STATS_FD):
     """Heat counter qbar = ebar - mu * nbar at one time t (exact composition)."""
-    n, e = counters.unchecked(t, res, dephasing, g, tol, stats)
+    n, e = counters(t, res, dephasing, g, tol, stats)
     return e - res.mu * n
 
 

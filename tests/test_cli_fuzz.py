@@ -5,19 +5,20 @@ are driven with every scenario id and every config key, set to finite,
 huge, tiny, NaN/inf and wrong-type values, on 2-point grids at tol 1e-6.
 Whatever the input, ``cli.main`` must return 0, 1 or 2 or stop in
 argparse with exit 2; any other exception is a raw traceback for the user.
-The examples are derandomized so the suite's run time stays bounded.
+The examples are derandomized so the suite's run time stays bounded.  A JSON
+list for a config number, a ragged one too, must exit 2 naming the field.
 """
 
 import json
 import math
 import warnings
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermichain import cli
-from fermichain.scenarios import (_GRID_FIELDS, _INT_FIELDS, _NUMBER_FIELDS,
-                                  _STR_FIELDS, SCENARIOS)
+from fermichain.scenarios import _FIELDS, SCENARIOS
 
 _BASE = {"t_grid": [0.0, 1.0], "mu_grid": [-0.5, 0.5], "tol": 1e-6}
 
@@ -33,8 +34,7 @@ _STRINGS = st.sampled_from(["abc", "", "FD"] + sorted(SCENARIOS))
 _VALUES = st.one_of(_NUMBERS, st.lists(_NUMBERS, min_size=2, max_size=2),
                     _WRONG_TYPES, _STRINGS)
 # out_dir is fuzzed with non-strings only: a string would be a real path
-_KEYS = sorted(set(_NUMBER_FIELDS) | set(_INT_FIELDS) | set(_GRID_FIELDS)
-               | set(_STR_FIELDS)) + ["not_a_key"]
+_KEYS = sorted(_FIELDS) + ["not_a_key"]
 _OVERRIDE = st.sampled_from(_KEYS).flatmap(
     lambda key: st.tuples(st.just(key),
                           _WRONG_TYPES if key == "out_dir" else _VALUES))
@@ -72,3 +72,19 @@ def test_cli_exit_code_contract_holds_for_any_override(tmp_path_factory, command
         except SystemExit as exc:  # argparse rejects bad usage with exit 2
             rc = exc.code
     assert rc in (0, 1, 2), argv
+
+
+# the config keys declared by a lattice._REACH row, as the library's numbers are
+_NUMBER_KEYS = sorted(key for key, arg in _FIELDS.items() if isinstance(arg.rule, str))
+
+
+@pytest.mark.parametrize("value", ["[0.1]", "[1, [2]]"])
+@pytest.mark.parametrize("key", _NUMBER_KEYS)
+def test_a_list_for_a_config_number_exits_2_naming_the_field(key, value, tmp_path, capsys):
+    # a number declared one scalar rejects a list, a ragged one included, as
+    # bad input (exit 2), not as a failed run (exit 1)
+    rc = cli.main(["figure", "custom", "--set", "%s=%s" % (key, value),
+                   "--set", "out_dir=%s" % tmp_path])
+    assert rc == 2
+    assert "error: config field '%s'" % key in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

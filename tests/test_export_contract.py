@@ -5,14 +5,17 @@ a function, a record's ``_contract`` on its fields.  Each ``lattice._Arg``
 names the ``_REACH`` row, record class or choice the argument keeps, and
 whether it is one scalar or joins the call's broadcast shape.  The probes
 here are derived from those declarations: for every declared argument,
-NaN, +-inf, the first values outside its reach, a string and None, an
-array where a scalar is declared (or an array with a NaN entry where it
-batches), and a shape that clashes with another batch argument, each of
-which must raise the declared error naming the argument as it is spoken.
-A scalar call must return plain Python numbers, and a broadcast call the
-broadcast shape.  Hand tables hold only what a declaration cannot express:
-one valid call per export (``CALLS``), the result records, the config's own
-field table, and the checks of a value's regime past its declaration.
+NaN, +-inf, the first values outside its reach, a string and None, ``True``
+and an integer beyond the float range where a number is declared, an array
+where a scalar is declared (or an array with a NaN entry where it batches),
+and a shape that clashes with another batch argument, each of which must
+raise the declared error naming the argument as it is spoken.
+``ScenarioConfig`` declares its fields in ``scenarios._FIELDS`` and raises
+ConfigError.  A scalar call must return plain Python numbers, and a
+broadcast call the broadcast shape.  Hand tables hold only what a
+declaration cannot express: one valid call per export (``CALLS``), the
+result records, ``parse_config``'s mapping, and the checks of a value's
+regime past its declaration.
 
 The walk covers every name the package exports, as ``test_api_surface.py``
 parses them; a callable export that is not declared fails it.  For each
@@ -131,9 +134,11 @@ CALLS = {
 RECORDS = {"Affinities", "BoltzmannValidity", "ComparisonReport", "FtCheck",
            "ModeEntropyBreakdown", "Panel", "ParticleHeatFlux", "ScenarioResult",
            "SeriesResult"}
-# checked by the config's own field table, scenarios._FIELDS, which raises
-# ConfigError and takes JSON types only (test_scenarios holds it)
-CONFIG = {"ScenarioConfig", "parse_config"}
+# takes a mapping, whose keys it checks and whose values ScenarioConfig
+# checks (test_scenarios holds it)
+CONFIG = {"parse_config"}
+# the class of every declared check of an export, where not the rule's own
+RAISES = {"ScenarioConfig": fc.ConfigError}
 
 # documented infinities: (export, argument, value) whose result may hold an
 # infinity.  A level at energy +-inf is exactly empty or exactly full, so its
@@ -277,9 +282,6 @@ PROBES = {
     # spent 65,536 panels, then reported "achieved nan"
     "integrate_interval(a=nan)":
         ("a", lambda: fc.integrate_interval(lambda x: (np.sin(x),), math.nan, 1.0)),
-    # accepted until a panel ran
-    "ScenarioConfig(temperature=nan)":
-        ("temperature", lambda: fc.ScenarioConfig(scenario="custom", temperature=math.nan)),
     "lindblad_trajectory(empty batch)":
         ("mode", lambda: fc.lindblad_trajectory(fc.ModeSpec(0.0, np.empty(0)), RES, RES,
                                                 [1.5])),
@@ -300,8 +302,10 @@ def _accepts(arg, value) -> bool:
     """Whether the declared rule takes value: a probe skips what it accepts."""
     if isinstance(arg.rule, str):
         reach = _REACH[arg.rule]
-        number = isinstance(value, int) or (isinstance(value, float)
-                                            and not isinstance(reach.last, int))
+        # a float where the limits are floats, or an int (not a bool) that
+        # a float can hold
+        number = (isinstance(value, float) and not isinstance(reach.last, int)) or (
+            _is_number(value) and isinstance(value, int) and abs(value) <= sys.float_info.max)
         return number and reach.first <= value <= reach.last
     return not isinstance(arg.rule, type) and arg.rule[1](value)
 
@@ -322,17 +326,19 @@ def _declared_probes(name) -> list:
     fn, valid = _bound(name)
     valid.apply_defaults()
     probes = []
+    raised = RAISES.get(name)
     for param, arg in _contract(fn).items():
         value, rule = valid.arguments[param], arg.rule
         if rule is None:  # it only joins the shape
             continue
-        error = _REACH[rule].error if isinstance(rule, str) else ValueError
+        error = raised or (_REACH[rule].error if isinstance(rule, str) else ValueError)
         said = (param if isinstance(rule, type) else arg.spoken) + " must "
         bad = [math.nan, math.inf, -math.inf, None]
         if isinstance(rule, str):
-            bad += _outside(arg) + [str(value)]
+            bad += _outside(arg) + [str(value), True, 10 ** 400]
             probes.append((param, np.array([value, math.nan]), error, said) if arg.batch
-                          else (param, np.full(2, value), ValueError, said + "be one scalar"))
+                          else (param, np.full(2, value), raised or ValueError,
+                                said + "be one scalar"))
         elif not arg.batch and getattr(rule, "_batch_fields", ()):
             field = rule._batch_fields[0]  # a batch where one record is declared
             batch = dataclasses.replace(value, **{field: np.full(2, getattr(value, field))})
