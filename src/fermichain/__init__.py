@@ -24,11 +24,10 @@ from .closedforms import (SeriesResult,
                           equilibrium_sommerfeld_onsager, nbar_boltzmann_closed,
                           nbar_fd_sommerfeld, omega, omega_defining_integral)
 from .entropy import (EquilibriumModePrep, ModeEntropyBreakdown, binary_entropy,
-                      entropy_a_exact, entropy_b_exact, entropy_coeffs,
-                      entropy_production, entropy_production_integral,
-                      entropy_sum_rate, joint_entropy, joint_entropy_exact,
-                      joint_spectrum, mutual_information,
-                      mutual_information_exact, mutual_information_rate)
+                      entropy_a_exact, entropy_coeffs, entropy_production,
+                      entropy_production_integral, entropy_sum_rate, joint_entropy,
+                      joint_entropy_exact, mutual_information, mutual_information_exact,
+                      mutual_information_rate)
 from .fluctuation import (Affinities, FtCheck, ZeroProbabilityError, affinities,
                           exchange_prob, ft_log_ratio, multi_mode_ft, transition_weight)
 from .scenarios import (ComparisonReport, ConfigError, LinearResponseWarning,

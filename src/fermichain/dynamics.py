@@ -39,34 +39,36 @@ class IntegrationError(RuntimeError):
 _STATE = {"mode": _MODE, "n_a0": _batch("occupation"), "n_b0": _batch("occupation"), "t": _TIME}
 
 
-def _terms(mode: ModeSpec, n_a0, n_b0, t):
-    """(n_a0, n_b0, mean, half, envelope, phase), formed once per call: the
-    occupations as arrays, their mean and half difference, and the mode's
-    envelope exp(-lam t) and phase 2 g_k t over the whole batch."""
-    n_a0, n_b0 = np.asarray(n_a0, dtype=float), np.asarray(n_b0, dtype=float)
-    envelope, phase = _mode_envelope(mode, t)
-    return n_a0, n_b0, 0.5 * (n_a0 + n_b0), 0.5 * (n_a0 - n_b0), envelope, phase
+def _site_occupations(n_a0, n_b0, envelope, phase):
+    """(<a+a>, <b+b>) = mean +- half exp(-lam t) cos(2 g_k t), with mean and
+    half the average and half difference of the initial occupations, at the
+    mode's envelope exp(-lam t) and phase 2 g_k t: the one form of both, for
+    the exports here and the exact site entropies."""
+    swing = 0.5 * np.subtract(n_a0, n_b0, dtype=float) * envelope * np.cos(phase)
+    mean = 0.5 * np.add(n_a0, n_b0, dtype=float)
+    return mean + swing, mean - swing
+
+
+def _coherence(n_a0, n_b0, envelope, phase):
+    return 1j * (0.5 * np.subtract(n_a0, n_b0, dtype=float)) * envelope * np.sin(phase)
 
 
 @_takes(**_STATE)
 def occ_a(mode: ModeSpec, n_a0, n_b0, t):
     """<a+a> at time t for initial occupations (n_a0, n_b0)."""
-    _, _, mean, half, envelope, phase = _terms(mode, n_a0, n_b0, t)
-    return _plain(mean + half * envelope * np.cos(phase))
+    return _plain(_site_occupations(n_a0, n_b0, *_mode_envelope(mode, t))[0])
 
 
 @_takes(**_STATE)
 def occ_b(mode: ModeSpec, n_a0, n_b0, t):
     """<b+b> at time t: :func:`occ_a` with the halves swapped (half negated)."""
-    _, _, mean, half, envelope, phase = _terms(mode, n_a0, n_b0, t)
-    return _plain(mean - half * envelope * np.cos(phase))
+    return _plain(_site_occupations(n_a0, n_b0, *_mode_envelope(mode, t))[1])
 
 
 @_takes(**_STATE)
 def coherence_ab(mode: ModeSpec, n_a0, n_b0, t):
     """Inter-half coherence <a+b> = (i/2)(n_a0 - n_b0) exp(-lam t) sin(2 g_k t)."""
-    _, _, _, half, envelope, phase = _terms(mode, n_a0, n_b0, t)
-    return _plain(1j * half * envelope * np.sin(phase))
+    return _plain(_coherence(n_a0, n_b0, *_mode_envelope(mode, t)))
 
 
 @_takes(**_STATE)
@@ -78,14 +80,15 @@ def density_matrix_from_occupations(mode: ModeSpec, n_a0, n_b0, t) -> np.ndarray
     coherence, with entry (1, 2) = <b+a> and (2, 1) = <a+b>.  The arguments
     broadcast like :func:`occ_a`'s; a batch of shape S gives (*S, 4, 4).
     """
-    n_a0, n_b0, mean, half, envelope, phase = _terms(mode, n_a0, n_b0, t)
-    swing = half * envelope * np.cos(phase)
-    c_ab = 1j * half * envelope * np.sin(phase)
+    n_a0, n_b0 = np.asarray(n_a0, dtype=float), np.asarray(n_b0, dtype=float)
+    terms = (n_a0, n_b0) + _mode_envelope(mode, t)
+    occ_a, occ_b = _site_occupations(*terms)
+    c_ab = _coherence(*terms)
     both = n_a0 * n_b0
-    rho = np.zeros(np.shape(swing) + (4, 4), dtype=complex)
+    rho = np.zeros(np.shape(occ_a) + (4, 4), dtype=complex)
     rho[..., 0, 0] = (1.0 - n_a0) * (1.0 - n_b0)
-    rho[..., 1, 1] = mean + swing - both
-    rho[..., 2, 2] = mean - swing - both
+    rho[..., 1, 1] = occ_a - both
+    rho[..., 2, 2] = occ_b - both
     rho[..., 1, 2] = np.conj(c_ab)
     rho[..., 2, 1] = c_ab
     rho[..., 3, 3] = both
@@ -198,12 +201,13 @@ def lindblad_trajectory(mode: ModeSpec, res_a: ReservoirParams, res_b: Reservoir
         span = t_stop - t_now
         if span > 0.0:
             n_steps = max(1, int(math.ceil(span / dt_max)))
-            if interval != (span, n_steps):
-                interval = (span, n_steps)
-                hl = (span / n_steps) * sup
-                step = eye + hl @ (eye + hl @ (eye + hl @ (eye + hl / 4.0) / 3.0) / 2.0)
-                power = np.linalg.matrix_power(step, n_steps)
-            y = power @ y
+            with np.errstate(over="ignore", invalid="ignore"):
+                if interval != (span, n_steps):
+                    interval = (span, n_steps)
+                    hl = (span / n_steps) * sup
+                    step = eye + hl @ (eye + hl @ (eye + hl @ (eye + hl / 4.0) / 3.0) / 2.0)
+                    power = np.linalg.matrix_power(step, n_steps)
+                y = power @ y
             t_now = t_stop
         bad = ~np.all(np.isfinite(y.view(float)), axis=(1, 2))
         if np.any(bad):

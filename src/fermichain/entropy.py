@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .lattice import (_ONE_COUPLING, _ONE_RATE, _TIME, ModeSpec, _batch, _check_reach,
-                      _Fieldwise, _plain, _scalar, _takes, relaxation_envelope)
+from .lattice import (_ONE_COUPLING, _ONE_RATE, _TIME, _batch, _check_reach, _Fieldwise,
+                      _plain, _scalar, _takes, relaxation_envelope)
 
 
 def _xlogx(p):
@@ -78,10 +78,6 @@ class EquilibriumModePrep(_Fieldwise):
     @property
     def occupation_b(self) -> float:
         return self.n_eq - 0.5 * self.delta_n
-
-    def mode(self) -> ModeSpec:
-        # energy placeholder: nothing here depends on eps_k
-        return ModeSpec(energy=0.0, coupling=self.coupling, dephasing=self.dephasing)
 
 
 # one preparation, and t, one time or an array of them
@@ -176,45 +172,43 @@ def mutual_information_rate(prep: EquilibriumModePrep, t):
 
 
 # ---------------------------------------------------------------------------
-# Non-perturbative counterparts (no expansion in dn)
+# Non-perturbative counterparts (no expansion in dn), each from one envelope
 # ---------------------------------------------------------------------------
 
-@_takes(**_PREP_T)
-def joint_spectrum(prep: EquilibriumModePrep, t):
-    """Eigenvalues of the 4x4 state in closed form (phase drops out)."""
-    env, _ = relaxation_envelope(t, prep.dephasing, prep.coupling)
+def _joint_entropy(prep: EquilibriumModePrep, envelope):
+    """-Tr rho ln rho from the closed-form eigenvalues of the 4x4 state: two
+    constant corners and mid +- split, which holds the envelope only."""
     n, dn = prep.n_eq, prep.delta_n
     quarter = 0.25 * dn * dn
-    corner_hi = (1.0 - n) ** 2 - quarter
-    corner_lo = n * n - quarter
-    mid = n * (1.0 - n) + quarter
-    split = 0.5 * abs(dn) * env
-    return np.stack([np.broadcast_to(corner_hi, np.shape(env)),
-                     np.broadcast_to(corner_lo, np.shape(env)),
-                     mid + split, mid - split], axis=0)
+    mid, split = n * (1.0 - n) + quarter, 0.5 * abs(dn) * envelope
+    evals = np.stack(np.broadcast_arrays((1.0 - n) ** 2 - quarter, n * n - quarter,
+                                         mid + split, mid - split))
+    return _plain(-_xlogx(evals).sum(axis=0))
+
+
+def _occupations(prep: EquilibriumModePrep, t):
+    """(envelope, <a+a>, <b+b>) of the prepared mode at t, from one envelope."""
+    envelope, phase = relaxation_envelope(t, prep.dephasing, prep.coupling)
+    return (envelope,) + dynamics._site_occupations(prep.occupation_a, prep.occupation_b,
+                                                    envelope, phase)
 
 
 @_takes(**_PREP_T)
 def joint_entropy_exact(prep: EquilibriumModePrep, t):
     """-Tr rho ln rho of the two-site state, from the closed-form spectrum."""
-    evals = joint_spectrum(prep, t)
-    return _plain(-_xlogx(evals).sum(axis=0))
+    return _joint_entropy(prep, relaxation_envelope(t, prep.dephasing, prep.coupling)[0])
 
 
 @_takes(**_PREP_T)
 def entropy_a_exact(prep: EquilibriumModePrep, t):
-    occ = dynamics.occ_a(prep.mode(), prep.occupation_a, prep.occupation_b, t)
-    return binary_entropy(occ)
-
-
-@_takes(**_PREP_T)
-def entropy_b_exact(prep: EquilibriumModePrep, t):
-    occ = dynamics.occ_b(prep.mode(), prep.occupation_a, prep.occupation_b, t)
-    return binary_entropy(occ)
+    """S_A = H(<a+a>) without any expansion in dn.  S_B is this at -delta_n,
+    bit for bit: the sites' mean is the same sum, and their half difference
+    changes sign exactly."""
+    return binary_entropy(_occupations(prep, t)[1])
 
 
 @_takes(**_PREP_T)
 def mutual_information_exact(prep: EquilibriumModePrep, t):
     """S_A + S_B - S_AB without any expansion in dn."""
-    return (entropy_a_exact(prep, t) + entropy_b_exact(prep, t)
-            - joint_entropy_exact(prep, t))
+    envelope, occ_a, occ_b = _occupations(prep, t)
+    return binary_entropy(occ_a) + binary_entropy(occ_b) - _joint_entropy(prep, envelope)

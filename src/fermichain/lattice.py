@@ -202,21 +202,23 @@ def _check_reach(row: str, name: str, value, error=None):
     """Raise the ``_REACH`` row's error (or error: a config raises
     ConfigError), naming ``name``, unless every entry of value is a number in
     the row's reach.  A plain float costs two comparisons; a plain int is no
-    bool and lies inside the float range; a row with integer limits takes
-    integers only."""
+    bool and lies inside the float range, which every row names as its domain
+    for an int beyond it; a row with integer limits takes integers only."""
     reach = _REACH[row]
     integer = isinstance(reach.last, int)
+    domain = reach.domain
     if isinstance(value, float):
         ok = reach.first <= value <= reach.last and not integer
     elif isinstance(value, int):
-        ok = (value.__class__ is not bool and reach.first <= value <= reach.last
-              and abs(value) <= sys.float_info.max)
+        ok = value.__class__ is not bool and reach.first <= value <= reach.last
+        if abs(value) > sys.float_info.max:
+            ok, domain = False, "be a number in the float range"
     else:
         arr = np.asarray(value)  # a NaN entry makes min and max NaN
         ok = arr.dtype.kind in ("iu" if integer else _REAL_KINDS) and (
             not arr.size or (reach.first <= arr.min() and arr.max() <= reach.last))
     if not ok:
-        _require(name, value, False, reach.domain, error or reach.error)
+        _require(name, value, False, domain, error or reach.error)
 
 
 # a declared argument or record field: its rule (a _REACH row, a record class,

@@ -71,9 +71,9 @@ import numpy as np
 
 from .lattice import (EquilibriumUndefinedError, QuadratureError,  # noqa: F401 (re-export)
                       _ONE_COUPLING, _ONE_RATE, _ONE_RESERVOIR, _ONE_TIME, ReservoirParams,
-                      _MAX_PANELS, _batch, _check_reach, _fd_of, _Fieldwise, _reject_phase,
-                      _require, _scalar, _takes, _warn_unless_dilute, occupation_boltzmann,
-                      relaxation_envelope)
+                      _MAX_PANELS, _batch, _check_reach, _fd_of, _Fieldwise, _reduced_energy,
+                      _reject_phase, _require, _scalar, _takes, _warn_unless_dilute,
+                      occupation_boltzmann, relaxation_envelope)
 
 STATS_FD = "fd"
 STATS_BOLTZMANN = "boltzmann"
@@ -209,8 +209,7 @@ def integrate_interval(f, a: float, b: float, tol: float = DEFAULT_TOL,
 def _occupation(stats: str, eps, res: ReservoirParams):
     if stats == STATS_FD:
         # occupation_fd's kernel: band nodes need no NaN test per node
-        x = np.subtract(eps, res.mu)
-        return _fd_of(np.divide(x, res.temperature, out=x))
+        return _fd_of(_reduced_energy(eps, res))
     return occupation_boltzmann(eps, res)
 
 

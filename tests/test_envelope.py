@@ -11,6 +11,7 @@ import dataclasses
 import inspect
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -52,10 +53,8 @@ CALLS = {
     "entropy.entropy_sum_rate": lambda lam, t: entropy.entropy_sum_rate(_prep(lam), t),
     "entropy.mutual_information_rate":
         lambda lam, t: entropy.mutual_information_rate(_prep(lam), t),
-    "entropy.joint_spectrum": lambda lam, t: entropy.joint_spectrum(_prep(lam), t),
     "entropy.joint_entropy_exact": lambda lam, t: entropy.joint_entropy_exact(_prep(lam), t),
     "entropy.entropy_a_exact": lambda lam, t: entropy.entropy_a_exact(_prep(lam), t),
-    "entropy.entropy_b_exact": lambda lam, t: entropy.entropy_b_exact(_prep(lam), t),
     "entropy.mutual_information_exact":
         lambda lam, t: entropy.mutual_information_exact(_prep(lam), t),
     "fluctuation.transition_weight":
@@ -263,3 +262,22 @@ def test_closed_forms_are_bit_equal_to_the_inline_envelope(ts, lam, g, n_a0, n_b
             w = np.atleast_1d(want[key])
             v = np.atleast_1d(got[key])
             assert [_bits(x) for x in v] == [_bits(x) for x in w], (key, t)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CALLS if n.startswith("entropy.")))
+@pytest.mark.parametrize("t", [0.7, np.array([0.0, 0.7, math.inf])])
+def test_each_preparation_export_forms_its_envelope_once(name, t, monkeypatch):
+    # mutual_information_exact used to form it three times: through occ_a,
+    # through occ_b and for the joint spectrum
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return relaxation_envelope(*args)
+
+    for qualified, module in list(sys.modules.items()):  # each name the library calls it by
+        if (qualified.startswith("fermichain.")
+                and vars(module).get("relaxation_envelope") is relaxation_envelope):
+            monkeypatch.setattr(module, "relaxation_envelope", counted)
+    CALLS[name](0.3, t)
+    assert len(calls) == 1

@@ -109,10 +109,8 @@ CALLS = {
     "entropy_production_integral": _call(PREP),
     "entropy_sum_rate": _call(PREP, 1.5),
     "mutual_information_rate": _call(PREP, 1.5),
-    "joint_spectrum": _call(PREP, 1.5),
     "joint_entropy_exact": _call(PREP, 1.5),
     "entropy_a_exact": _call(PREP, 1.5),
-    "entropy_b_exact": _call(PREP, 1.5),
     "mutual_information_exact": _call(PREP, 1.5),
     "affinities": _call(RES, DILUTE),
     "exchange_prob": _call("a_to_b", MODE, RES, DILUTE, 1.5),
@@ -398,8 +396,6 @@ SHAPES = {
     "density_matrix": 2, "density_matrix_from_occupations": 2, "lindblad_trajectory": 3,
     # a table of one x or of a 1-D array of them, one order count or one per x
     "SpecialFnTable": None,
-    # the eigenvalue axis comes first
-    "joint_spectrum": None,
     # one sum over one 1-D batch (test_fluctuation holds its rule)
     "multi_mode_ft": None,
     # a block at one temperature (test_closedforms holds it)

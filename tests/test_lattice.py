@@ -17,6 +17,7 @@ from fermichain import (
     log_vacancy_fd,
     occupation_boltzmann,
     occupation_fd,
+    onsager,
 )
 
 
@@ -305,6 +306,20 @@ def test_occupations_reject_nan_energy_by_name(fn):
     if fn in (occupation_fd, occupation_boltzmann):
         with pytest.raises(ValueError, match="energy must be a number, not NaN"):
             fn(np.array([0.0, math.nan]), ReservoirParams(0.3, -3.0))
+
+
+@pytest.mark.parametrize("row, call", [
+    ("energy", lambda v: occupation_fd(v, ReservoirParams(0.1, 0.0))),
+    ("time", lambda v: onsager(v, ReservoirParams(0.1, 0.3), 0.1, 1.0)),
+    ("mu", lambda v: ReservoirParams(0.1, v)),
+])
+@pytest.mark.parametrize("value, shown", [(10 ** 400, "1.00e+400"), (-10 ** 400, "-1.00e+400")])
+def test_an_int_beyond_the_float_range_is_named_as_one(row, call, value, shown):
+    # rows with no finite upper limit used to word a domain the int meets:
+    # "time must be a number >= 0", "energy must be a number, not NaN"
+    with pytest.raises(ValueError, match="^%s must be a number in the float range, got %s$"
+                                         % (row, re.escape(shown))):
+        call(value)
 
 
 @pytest.mark.parametrize("fn", [occupation_fd, occupation_boltzmann],

@@ -848,7 +848,7 @@ def test_cli_integer_beyond_the_float_range_exits_2(tmp_path, capsys):
     rc = cli.main(["figure", "custom", "--set", "mu=1" + "0" * 400,
                    "--set", "out_dir=%s" % tmp_path])
     assert rc == 2
-    assert "error: config field 'mu' must be finite, got 1.00e+400" in capsys.readouterr().err
+    assert "error: config field 'mu' must be a number in the float range, got 1.00e+400" in capsys.readouterr().err
 
 
 def test_cli_sommerfeld_series_converges_at_large_g_t(tmp_path):

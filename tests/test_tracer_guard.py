@@ -136,14 +136,14 @@ def test_tracer_counts_one_batched_stepper_call():
 
 def test_tracer_sees_the_library_calling_its_exports():
     # library code calls an export as any caller does, through the name the
-    # tracer rebinds: a Boltzmann closed form's omega, entropy_a_exact's occ_a
+    # tracer rebinds: a Boltzmann closed form's omega, criterion c2's occ_a
+    # and occ_b
     tracer_module = _load_tracer()
-    prep = fc.EquilibriumModePrep(0.4, 0.1, 0.8, 0.1)
     with tracer_module.Tracer().install(fc) as tracer:
         fc.nbar_boltzmann_closed(2.0, fc.ReservoirParams(0.1, -3.0), 0.35, 1.0)
         omega_calls = tracer.pass_metrics()["closedforms.omega.calls"]
         tracer.reset()
-        fc.entropy_a_exact(prep, 1.5)
+        fc.run_acceptance(only="c2", echo=lambda line: None)
         closed_calls = tracer.pass_metrics()["dynamics.closed.calls"]
-    assert (omega_calls, closed_calls) == (1, 1)
+    assert (omega_calls, closed_calls) == (1, 2)
     assert fc.closedforms.omega is fc.omega  # uninstalled

@@ -583,6 +583,24 @@ def test_transport_rejects_non_finite_coupling(name, g):
 
 
 @pytest.mark.parametrize("name", ["counters", "onsager"])
+@pytest.mark.parametrize("res, finite", [
+    (ReservoirParams(0.1, 1e308), ReservoirParams(0.1, 1e300)),
+    (ReservoirParams(1e-308, 0.0), ReservoirParams(1e-300, 0.0)),
+])
+def test_band_kernel_past_the_float_range_is_the_exact_limit_silently(name, res, finite):
+    # (eps - mu)/T overflows to +-inf at res: the band kernel used to warn
+    # "overflow encountered in divide", where occupation_fd is silent.  Each
+    # level reads exactly empty or full, as at the finite reservoir.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _TRANSPORT_ENTRY_POINTS[name](1.0, res, 0.1, 1.0)
+    want = _TRANSPORT_ENTRY_POINTS[name](1.0, finite, 0.1, 1.0)
+    if name == "onsager":  # the block carries its own temperature
+        got, want = ([b.j_n_mu, b.j_n_t, b.j_q_mu, b.j_q_t] for b in (got, want))
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("name", ["counters", "onsager"])
 @pytest.mark.parametrize("stats", ["FD", "Boltzmann", "", None, 1])
 def test_transport_accepts_exactly_fd_and_boltzmann(name, stats):
     # "FD" used to pass by lower-casing, though a config rejects it, and
