@@ -89,20 +89,28 @@ class QuadratureError(RuntimeError):
 
 
 def _require(name: str, value, ok: bool, domain: str, error=None):
-    """Raise ``error("<name> must <domain>, got <value!r>")``, a ValueError by
-    default, unless ok.
-
-    The caller evaluates ok itself, so a plain-float check costs one
-    comparison.  An integer beyond the float range is shown to 3 digits.
-    """
+    """Raise ``error("<name> must <domain>, got <value>")``, a ValueError by
+    default, unless ok (the caller's own test); the value in ``_bounded`` form."""
     if not ok:
         if isinstance(value, (np.generic, np.ndarray)) and value.ndim == 0:
             value = value.item()
-        shown = repr(value)
-        if isinstance(value, int) and abs(value) > sys.float_info.max:
-            import decimal  # only here: the float formats overflow on it
-            shown = format(decimal.Decimal(value), ".3g")
-        raise (error or ValueError)("%s must %s, got %s" % (name, domain, shown))
+        raise (error or ValueError)("%s must %s, got %r" % (name, domain, _bounded(value)))
+
+
+class _Shown(str):
+    __repr__ = str.__str__  # text that repr shows as it is
+
+
+def _bounded(value, depth: int = 3):
+    """value for repr: a list or tuple past 6 entries cut to its first and last
+    3, as numpy cuts an array, 3 levels deep; an int past the float range 3 digits."""
+    if type(value) in (list, tuple):
+        cut = value if len(value) <= 6 else [*value[:3], _Shown("..."), *value[-3:]]
+        return type(value)(_bounded(v, depth - 1) for v in cut) if depth else _Shown("...")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        import decimal  # only here: the float formats overflow on it
+        return _Shown(format(decimal.Decimal(value), ".3g"))
+    return value
 
 
 def _require_scalar(name: str, value, error=None):

@@ -26,9 +26,9 @@ term is gone); with lam = 0 there is no stationary state and the request is
 rejected with EquilibriumUndefinedError.  Once exp(-lam t) <= 2**-54, D(k, t)
 rounds to exactly -1 at every node, so the integrand skips the cosine and
 negates the kernels: the same bits at a fraction of the cost (the damped
-limit and c9's t = 1e4 call at lam = 0.05).  The panel counts stay those of
-the oscillating form: a flat point still takes its first level and its g t
-reach, so one past that reach raises QuadratureError though D is flat there.
+limit and c9's t = 1e4 call at lam = 0.05).  A flat point keeps the
+oscillating form's first level, and so its bits, inside the g t reach; past
+it, it starts at the damped limit's first level, ``_BASE_PANELS``.
 
 Every band integral goes through one path, ``_scan``, which evaluates a
 list of (t, reservoir, dephasing) points in one quadrature and returns one
@@ -45,20 +45,21 @@ derivative kernels for ``onsager``.  A block's Boltzmann occupation is an
 Every (point, group) pair runs its own doubling schedule from its point's
 first level and is frozen at the level where it converged, so each equals
 its one-point, one-group call bit for bit.  The
-integrand, ``_Scan``, forms each array it shares between points once per
-block of nodes, with the IEEE operations of the plain expressions in their
-order, so every bit is theirs.  Quadrature is a composite
-Gauss-Legendre panel rule with deterministic fixed-order reduction; the
-panel count is doubled until two successive levels agree to
+integrand, ``_Scan``, keeps one kind of array across points, the cosine of
+a phase that several live points read, formed once per block of nodes; each
+point forms its own D(k, t) from it, with the IEEE operations of the plain
+expressions in their order, so every bit is theirs.  Quadrature is a
+composite Gauss-Legendre panel rule with deterministic fixed-order
+reduction; the panel count is doubled until two successive levels agree to
 the one tolerance ``tol``, and never starts below max(32, ~4 g t) panels so
 the oscillation is resolved.  No level above the ``_MAX_PANELS`` budget is
 built, which gives |g| t a reach; past it a band call raises
-QuadratureError, naming g t, before any evaluation.  That reach, ``tol``'s
-and ``min_panels``' are rows of ``lattice._REACH``.  A level is evaluated in
-blocks of at most ``_BLOCK_PANELS`` panels, one integrand call per block, so
-memory stays bounded at large g t; the blocks only split the evaluation, and
-results do not depend on the block size.  Identical inputs give
-bit-identical results.
+QuadratureError, naming g t, before any evaluation, unless D(k, t) is flat.
+That reach, ``tol``'s and ``min_panels``' are rows of ``lattice._REACH``.
+A level is evaluated in blocks of at most ``_BLOCK_PANELS`` panels, one
+integrand call per block, so memory stays bounded at large g t; the blocks
+only split the evaluation, and results do not depend on the block size.
+Identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -71,9 +72,9 @@ import numpy as np
 
 from .lattice import (EquilibriumUndefinedError, QuadratureError,  # noqa: F401 (re-export)
                       _ONE_COUPLING, _ONE_RATE, _ONE_RESERVOIR, _ONE_TIME, ReservoirParams,
-                      _MAX_PANELS, _batch, _check_reach, _fd_of, _Fieldwise, _reduced_energy,
-                      _reject_phase, _require, _scalar, _takes, _warn_unless_dilute,
-                      occupation_boltzmann, relaxation_envelope)
+                      _MAX_PANELS, _REACH, _batch, _check_reach, _fd_of, _Fieldwise,
+                      _reduced_energy, _reject_phase, _require, _scalar, _takes,
+                      _warn_unless_dilute, occupation_boltzmann, relaxation_envelope)
 
 STATS_FD = "fd"
 STATS_BOLTZMANN = "boltzmann"
@@ -221,10 +222,9 @@ def _band_cosine(sin2, g: float, phase: float):
     return np.cos(cos, out=cos)
 
 
-def _relaxation_factor(cos, damping: float, out=None):
-    """D(k, t) = damping * cos - 1 from ``_band_cosine``'s array, in ``out``
-    (the cosine's own array, when no other point reads it) or a new one."""
-    relax = np.multiply(cos, damping, out=out)
+def _relaxation_factor(cos, damping: float):
+    """D(k, t) = damping * cos - 1 from ``_band_cosine``'s array, in a new one."""
+    relax = np.multiply(cos, damping)
     return np.subtract(relax, 1.0, out=relax)
 
 
@@ -233,20 +233,18 @@ class _Scan:
     index point * len(kernel_groups) + group.  eps is formed once per block
     and sin(k)^2 at most once; the occupation and a group's kernel rows once
     per run of consecutive points at one reservoir, held only while that run
-    is read; D(k, t) once per point, or once per block for a (damping, phase)
-    that several points share, and its cosine once per block for a phase that
-    points of several dampings share.  A (point, group) pair is formed, as the
-    rows times D(k, t) or negated where D is flat, only when it is read, so
-    one that ``integrate_interval`` has frozen or not yet reached costs
-    nothing."""
+    is read; D(k, t) once per point read, in a new array, from the cosine of
+    its phase, the one array kept across points where several live points
+    read that phase.  A (point, group) pair is formed, as the rows times
+    D(k, t) or negated where D is flat, only when it is read, so one that
+    ``integrate_interval`` has frozen or not yet reached costs nothing."""
 
-    def __init__(self, k, kernel_groups, points, shared, g: float, stats: str):
+    def __init__(self, k, kernel_groups, points, shared_phases, g: float, stats: str):
         eps = np.cos(k)
         self.eps = np.multiply(eps, -2.0, out=eps)
         self.k, self.kernel_groups, self.points, self.g, self.stats = (
             k, kernel_groups, points, g, stats)
-        self.shared_phases, self.shared_pairs = shared
-        self.cosines, self.factors = {}, {}  # this block's shared arrays
+        self.shared_phases, self.cosines = shared_phases, {}  # this block's shared cosines
         self.sin2 = self.res = self.point = None
 
     def __len__(self):
@@ -263,26 +261,15 @@ class _Scan:
         if damping <= _FLAT_DAMPING:
             return np.negative(self.rows[j])
         if point != self.point:
-            self.point = point
-            self.relax = self._factor(damping, phase)
+            cos = self.cosines.get(phase)
+            if cos is None:
+                if self.sin2 is None:
+                    self.sin2 = np.square(np.sin(self.k))
+                cos = _band_cosine(self.sin2, self.g, phase)
+                if phase in self.shared_phases:
+                    self.cosines[phase] = cos
+            self.point, self.relax = point, _relaxation_factor(cos, damping)
         return np.multiply(self.rows[j], self.relax)
-
-    def _factor(self, damping: float, phase: float):
-        relax = self.factors.get((damping, phase))
-        if relax is not None:
-            return relax
-        cos = self.cosines.get(phase)
-        if cos is None:
-            if self.sin2 is None:
-                self.sin2 = np.square(np.sin(self.k))
-            cos = _band_cosine(self.sin2, self.g, phase)
-            if phase in self.shared_phases:
-                self.cosines[phase] = cos
-        # a cosine no other point reads becomes D(k, t) in place
-        relax = _relaxation_factor(cos, damping, None if phase in self.cosines else cos)
-        if (damping, phase) in self.shared_pairs:
-            self.factors[damping, phase] = relax
-        return relax
 
 
 def _osc_panels(g: float, phase):
@@ -304,10 +291,12 @@ def _scan(kernel_groups, points, g: float, tol: float, stats: str):
     its kernels shaped (n_kernels, n_k), which is shared by a run of
     consecutive points at equal reservoirs (equal by value).  The arguments
     come checked (by a declaration or the config); every point's reach is
-    checked before any evaluation, and Boltzmann statistics warn once per
-    non-dilute reservoir.  Each (point, group) pair converges on its own from
-    its point's first level, so it equals a one-point scan bit for bit.
-    Returns one array per group, shaped (points, n_kernels).
+    checked before any evaluation (a flat point past the g t reach starts at
+    the damped limit's first level instead), and Boltzmann statistics warn
+    once per non-dilute reservoir.  A block keeps the cosine of each phase
+    that several live points read.  Each (point, group) pair converges on its
+    own from its point's first level, so it equals a one-point scan bit for
+    bit.  Returns one array per group, shaped (points, n_kernels).
     """
     distinct = {}  # equal reservoirs become one object: a run of them shares its arrays
     reservoirs = [distinct.setdefault(res, res) for _, res, _ in points]
@@ -316,13 +305,14 @@ def _scan(kernel_groups, points, g: float, tol: float, stats: str):
             _warn_unless_dilute(res)
     damping, phase = relaxation_envelope(np.array([t for t, _, _ in points]),
                                          np.array([lam for _, _, lam in points]), 1.0)
-    firsts = np.repeat(_osc_panels(g, phase), len(kernel_groups)).tolist()
     envelopes = list(zip(reservoirs, damping.tolist(), phase.tolist()))
-    # the (damping, phase) pairs of several live points, and the phases of
-    # several dampings: only these outlast the point that forms them
-    pairs = Counter((d, p) for _, d, p in envelopes if d > _FLAT_DAMPING)
-    shared = ({p for p, n in Counter(p for _, p in pairs).items() if n > 1},
-              {pair for pair, n in pairs.items() if n > 1})
+    # a flat point past the g t reach (0.5 |g| phase in plain floats, which
+    # overflow without a warning) takes phase 0's first level, _BASE_PANELS
+    reach, half_g = _REACH["band g t"].last, 0.5 * abs(float(g))
+    far = [d <= _FLAT_DAMPING and half_g * p > reach for _, d, p in envelopes]
+    firsts = np.repeat(_osc_panels(g, np.where(far, 0.0, phase)), len(kernel_groups)).tolist()
+    shared = {p for p, n in Counter(p for _, d, p in envelopes if d > _FLAT_DAMPING).items()
+              if n > 1}
     # the public name, which a tracer can wrap
     vals, _ = integrate_interval(lambda k: _Scan(k, kernel_groups, envelopes, shared, g, stats),
                                  0.0, math.pi, tol, firsts)

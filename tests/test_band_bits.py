@@ -257,6 +257,10 @@ def test_a_time_shared_by_panels_forms_its_cosine_once_per_block(monkeypatch, pa
     assert len(cosines) == len(set(cosines))
     assert sorted(cosines) == sorted({(block, 2.0 * points[i // 2][0])
                                       for block, row in enumerate(reads, 1) for i in row})
+    # D(k, t) once per point read, in the mu case too, where the panels share
+    # the damping as well as the phase
+    assert formed["D"] == [block for block, row in enumerate(reads, 1)
+                           for _ in sorted({i // 2 for i in row})]
     # two equal reservoirs are one: its occupation is formed once per block
     if len(set(res for res, _ in panels)) == 1:
         assert formed["occupation"] == list(range(1, len(reads) + 1))
@@ -266,16 +270,19 @@ def test_a_time_shared_by_panels_forms_its_cosine_once_per_block(monkeypatch, pa
             coeffs, res.temperature))] == _both_hexes(t, res, lam, 1.0)
 
 
-def test_a_phase_no_other_point_shares_is_formed_in_place(monkeypatch):
-    # one panel of distinct times keeps no array past its point
-    in_place = []
-    inner = transport._relaxation_factor
-    monkeypatch.setattr(transport, "_relaxation_factor",
-                        lambda cos, damping, out: in_place.append(out is cos)
-                        or inner(cos, damping, out))
-    transport._scan(_both(), [(t, ReservoirParams(0.1, 0.3), 0.05) for t in (0.0, 0.7, 2.0)],
-                    1.0, transport.DEFAULT_TOL, "fd")
-    assert in_place and all(in_place)
+def test_a_scan_of_distinct_times_keeps_no_cosine_past_its_point(monkeypatch):
+    # a block keeps the cosine of a phase only while another point reads it:
+    # none in one panel of distinct times, the repeated time's with a repeat
+    blocks, inner = [], transport._Scan
+    monkeypatch.setattr(transport, "_Scan",
+                        lambda *args: blocks.append(inner(*args)) or blocks[-1])
+    kept = []
+    for times in ((0.0, 0.7, 2.0), (0.7, 2.0, 2.0)):
+        del blocks[:]
+        transport._scan(_both(), [(t, ReservoirParams(0.1, 0.3), 0.05) for t in times], 1.0,
+                        transport.DEFAULT_TOL, "fd")
+        kept.append(set().union(*(block.cosines for block in blocks)))
+    assert kept == [set(), {4.0}]
 
 
 def _scan_hexes(groups, points, g, stats):

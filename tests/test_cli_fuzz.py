@@ -88,3 +88,18 @@ def test_a_list_for_a_config_number_exits_2_naming_the_field(key, value, tmp_pat
     assert rc == 2
     assert "error: config field '%s'" % key in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("key, value", [
+    ("t_grid", json.dumps([0.0] * 5000)),
+    ("mu_grid", json.dumps([i / 1000 for i in range(3000)] + [math.nan])),
+    ("t_grid", "[0, 1%s]" % ("0" * 400)),
+], ids=["t_grid_5000_zeros", "mu_grid_3001_ending_in_nan", "t_grid_int_beyond_the_float_range"])
+def test_a_rejected_long_list_exits_2_with_a_bounded_message(key, value, tmp_path, capsys):
+    # the message names the field and shows the list as numpy shows an array
+    rc = cli.main(["figure", "onsteste1" if key == "mu_grid" else "custom",
+                   "--set", "%s=%s" % (key, value), "--set", "out_dir=%s" % tmp_path])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error: config field '%s' must " % key in err and len(err) < 300
+    assert not list(tmp_path.iterdir())

@@ -16,8 +16,10 @@ from fermichain import (
     log_occupation_fd,
     log_vacancy_fd,
     occupation_boltzmann,
+    lindblad_trajectory,
     occupation_fd,
     onsager,
+    parse_config,
 )
 
 
@@ -320,6 +322,37 @@ def test_an_int_beyond_the_float_range_is_named_as_one(row, call, value, shown):
     with pytest.raises(ValueError, match="^%s must be a number in the float range, got %s$"
                                          % (row, re.escape(shown))):
         call(value)
+
+
+# (field, shown, call) of rejected lists that were echoed in full, 16,987 to
+# 25,109 characters, or with all 401 digits of an int
+_LONG_LISTS = {
+    "t_grid_5000_zeros": ("config field 't_grid'", "[0.0, 0.0, 0.0, ..., 0.0, 0.0, 0.0]",
+                          lambda: parse_config({"scenario": "custom", "t_grid": [0.0] * 5000})),
+    "mu_grid_3001_ending_in_nan": (
+        "config field 'mu_grid'", "[0.0, 0.001, 0.002, ..., 2.998, 2.999, nan]",
+        lambda: parse_config({"scenario": "onsteste1",
+                              "mu_grid": [i / 1000 for i in range(3000)] + [math.nan]})),
+    "trajectory_5000_times": ("t_grid", "[0.0, 0.0, 0.0, ..., 0.0, 0.0, 0.0]",
+                              lambda: lindblad_trajectory(
+                                  ModeSpec(0.3, 1.0, 0.2), ReservoirParams(0.5, 0.3),
+                                  ReservoirParams(0.5, -0.3), [0.0] * 5000, 1.0)),
+    "t_grid_int_beyond_the_float_range": (
+        "config field 't_grid'", "[0, 1.00e+400]",
+        lambda: parse_config({"scenario": "custom", "t_grid": [0, 10 ** 400]})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LONG_LISTS))
+def test_a_rejected_list_is_shown_in_bounded_form(case):
+    # as numpy shows a long array: the first and last 3 entries, and an int
+    # beyond the float range to 3 digits
+    field, shown, call = _LONG_LISTS[case]
+    with pytest.raises(ValueError) as exc:
+        call()
+    message = str(exc.value)
+    assert message.startswith(field + " must ") and message.endswith(", got " + shown)
+    assert len(message) < 300
 
 
 @pytest.mark.parametrize("fn", [occupation_fd, occupation_boltzmann],

@@ -705,9 +705,6 @@ def test_small_t_boltzmann_counters_reach_the_mpmath_values():
     assert max(abs(a - b) for a, b in zip(got, want)) <= scale
 
 
-@pytest.mark.xfail(strict=True, raises=QuadratureError,
-                   reason="ROADMAP item 3: a flat point still takes the oscillating form's "
-                          "first level and g t reach; a _BASE_PANELS first level mends this")
 def test_a_flat_point_past_the_g_t_reach_gives_the_damped_limit():
     res, lam, g = ReservoirParams(0.1, 0.5), 0.06, 2.0
     assert math.exp(-lam * 1e4) <= 2.0 ** -54  # D(k, t) is exactly -1 at every node
