@@ -9,7 +9,7 @@ do not silently depend on an external library:
     bessel_i(n, y)       modified I_n; relative error < 5e-15 wherever
                          I_n(y) is a normal double; a view onto one I column.
     SpecialFnTable       J_0..J_n at one argument or at each of a 1-D array
-                         of them, from one pass; the one J_n evaluation path.
+                         of them, one pass each; the one J_n evaluation path.
     bessel_band_sum      the Jacobi-Anger sum B(z, a) that both closed forms
                          reduce to, at one z or at each of an array of them,
                          from one J table per call.
@@ -19,9 +19,11 @@ f_{m-1} = (2m/x) f_m -+ f_{m+1}, started past max(n, x + 10 x^(1/3)) + 60
 (the transition region of J_n(x) is about x^(1/3) orders wide) and
 normalized by J_0 + 2 J_2 + 2 J_4 + ... = 1 or I_0 + 2 I_1 + 2 I_2 + ... =
 e^y.  Below (x/2)^2 < 2^-53 the dropped terms fall below half an ulp and a
-column is its leading term (x/2)^n/n!.  One recurrence serves an array of
-arguments, each from its own start and rescaled on its own, so every column
-has the bits it has alone.
+column is its leading term (x/2)^n/n!.  Each row of an array runs its own
+recurrence on plain floats, rescaled by 1e-250 whenever |f| passes 1e250:
+165 of the 167 columns of one benchmark pass have one argument (onsteste2's
+41 g t and c8's 11 are the others), and looping over rows costs about what
+one array recurrence did (1.3x at 41 arguments, 0.4x at 11).
 """
 
 from __future__ import annotations
@@ -30,95 +32,52 @@ import math
 
 import numpy as np
 
-from .lattice import _batch, _joint_shape, _require, _scalar, _takes
+from .lattice import _batch, _check_arg, _joint_shape, _require, _scalar, _takes
 
 # (x/2)^2 below this leaves J_n(x) and I_n(x) = (x/2)^n/n! to within half an ulp
 _LEADING_TERM_MAX = 2.0 ** -53
 # 170! is the largest factorial below the float range; beyond it the leading
 # term (x/2)^n/n! underflows to 0 wherever it is used
 _LEADING_TERM_ORDERS = 171
-
-
-def _calm_steps(fc, fp, peak, growth: float) -> int:
-    """Steps that keep every |f| at most 1e250, one spare, when max |f| grows
-    at most 10^growth-fold a step."""
-    return max(0, int((250.0 - math.log10(max(peak(fc), peak(fp), 1e-300))) / growth) - 1)
-
-
-def _miller(x: list, max_order: list, modified: bool) -> np.ndarray:
-    """Row i: J_0..J_max_order[i] (I_0.. when modified) at x[i] > 0, 0 past
-    them, from one recurrence on plain floats for one x (faster than
-    1-element arrays) or on arrays for many, by the same statements."""
-    rows, one = max(max_order) + 1, len(x) == 1
-    # past max(n, x + 10 x^(1/3)) + 60, rounded up to even
-    start = [-2 * (-int(max(n, xi + 10.0 * xi ** (1.0 / 3.0)) + 60) // 2)
-             for xi, n in zip(x, max_order)]
-    if not one:  # sorted by start, the arguments under way are a prefix
-        order = sorted(range(len(x)), key=start.__getitem__, reverse=True)
-        start, x = [start[i] for i in order], np.array([x[i] for i in order])
-    # fp, fc: f_{m+1} and f_m of the k arguments under way, and their norms
-    out, k, fp, fc, norm = np.zeros((rows, len(x))), 0, (), (), ()
-    peak = abs if one else (lambda a: np.maximum.reduce(np.abs(a)))  # the largest |f_m|
-    tops = start if one else sorted(set(start), reverse=True)
-    for top, below in zip(tops, tops[1:] + [0]):
-        new = k + start.count(top)  # these join as f_{m+1} = 0, f_m = 1e-300
-        if one:
-            fp, fc, norm, xk, x_low, dest = 0.0, 1e-300, 0.0, x[0], x[0], out[:, 0]
-        else:
-            fp, fc, norm = (np.concatenate((a, [v] * (new - k)))
-                            for a, v in ((fp, 0.0), (fc, 1e-300), (norm, 0.0)))
-            k, xk, x_low, dest = new, x[:new], float(x[:new].min()), out[:, :new]
-        # |f| grows at most (2 top/x + 1)-fold a step (1.001: slack for the rounding),
-        # so no |f| passes 1e250 before the step due
-        growth = math.log10((2.0 * top / x_low + 1.0) * 1.001)
-        kept, due = [], top - _calm_steps(fc, fp, peak, growth)  # kept: orders < rows
-        for m in range(top, below, -1):
-            fp, fc = fc, (2.0 * m / xk * fc + fp) if modified else (2.0 * m / xk * fc - fp)
-            if m == due:
-                if peak(fc) > 1e250:
-                    scale = 1e-250 if one else np.where(np.abs(fc) > 1e250, 1e-250, 1.0)
-                    fp, fc, norm = fp * scale, fc * scale, norm * scale  # 1.0 keeps the bits
-                    dest *= scale
-                    kept[:] = [f * scale for f in kept]
-                due = m - 1 - _calm_steps(fc, fp, peak, growth)
-            if m <= rows:
-                kept.append(fc)
-            if modified or m % 2:  # order m - 1 even
-                norm = norm + (2.0 * fc if m > 1 else fc)
-        if kept:
-            dest[below:below + len(kept)] = kept[::-1]
-    col = out / norm
-    if modified:  # out * (e^x / norm) overflows from x of about 400
-        col *= math.exp(x[0]) if one else [math.exp(v) for v in x.tolist()]
-    col = col.T if one else col.T[np.argsort(order)]
-    for i, n in enumerate([] if one else max_order):
-        col[i, n + 1:] = 0.0
-    return col
+# the order and J argument as the exports declare them and the table methods check them
+_ORDER, _X = _scalar("Bessel order", "order n"), _scalar("J argument", "x")
 
 
 def _column(max_order: list, x: list, modified: bool) -> np.ndarray:
     """Row i: orders 0..max_order[i] of J (I when modified) at x[i], 0 past
-    them.  The caller checks both."""
-    # (x/2)^2, bit for bit: below the bound a column is its leading term, where
-    # the recurrence's 2m/x overflows (NaN at x <= 1e-100)
-    rest = [i for i, xi in enumerate(x) if 0.25 * xi * xi >= _LEADING_TERM_MAX]
-    xa = [abs(xi) for xi in x]
-    if x and len(rest) == len(x):
-        col = _miller(xa, max_order, modified)
-    else:
-        col = np.zeros((len(x), max(max_order, default=0) + 1))
-        for i in set(range(len(x))).difference(rest):
-            half, top = 0.5 * xa[i], min(max_order[i] + 1, _LEADING_TERM_ORDERS)
-            col[i, :top] = [half ** m / math.factorial(m) for m in range(top)]
-        if rest:
-            miller = _miller([xa[i] for i in rest], [max_order[i] for i in rest], modified)
-            col[rest, :miller.shape[1]] = miller
-    if x and min(x) < 0.0:
-        col[[i for i, xi in enumerate(x) if xi < 0.0], 1::2] *= -1.0
+    them, each row its own recurrence.  The caller checks both."""
+    col = np.zeros((len(x), max(max_order, default=0) + 1))
+    for row, n, xi in zip(col, max_order, x):
+        xa = abs(xi)
+        half = 0.5 * xa
+        # the leading term, where the recurrence's 2m/x overflows (NaN at x <= 1e-100)
+        if half * half < _LEADING_TERM_MAX:
+            top = min(n + 1, _LEADING_TERM_ORDERS)
+            row[:top] = [half ** m / math.factorial(m) for m in range(top)]
+        else:
+            # past max(n, x + 10 x^(1/3)) + 60, rounded up to even; after step m
+            # fp, fc are f_m, f_{m-1}, and kept holds orders <= n, highest first
+            start = -2 * (-int(max(n, xa + 10.0 * xa ** (1.0 / 3.0)) + 60) // 2)
+            fp, fc, norm, kept, orders = 0.0, 1e-300, 0.0, [], n + 1
+            for m in range(start, 0, -1):
+                fp, fc = fc, (2.0 * m / xa * fc + fp) if modified else (2.0 * m / xa * fc - fp)
+                if not -1e250 <= fc <= 1e250:
+                    fp, fc, norm = fp * 1e-250, fc * 1e-250, norm * 1e-250
+                    kept = [f * 1e-250 for f in kept]
+                if m <= orders:
+                    kept.append(fc)
+                if modified or m % 2:  # order m - 1 even
+                    norm += 2.0 * fc if m > 1 else fc
+            row[:orders] = kept[::-1]
+            row /= norm
+            if modified:  # row * (e^x / norm) overflows from x of about 400
+                row *= math.exp(xa)
+        if xi < 0.0:
+            row[1::2] *= -1.0
     return col
 
 
-@_takes(n=_scalar("Bessel order", "order n"), x=_scalar("J argument"))
+@_takes(n=_ORDER, x=_X)
 def bessel_j(n: int, x: float) -> float:
     """Bessel function J_n(x) over the Bessel order and J argument reaches.
 
@@ -127,7 +86,7 @@ def bessel_j(n: int, x: float) -> float:
     return SpecialFnTable(n, x).j(n)
 
 
-@_takes(n=_scalar("Bessel order", "order n"), y=_scalar("I argument"))
+@_takes(n=_ORDER, y=_scalar("I argument"))
 def bessel_i(n: int, y: float) -> float:
     """Modified Bessel function I_n(y) over the Bessel order and I argument reaches."""
     return float(_column([int(n)], [float(y)], True)[0, n])
@@ -140,8 +99,8 @@ class SpecialFnTable:
     comes from a single downward-recurrence pass (or the leading term
     (x/2)^n/n! as x -> 0, x = 0 included), so filling the table costs no
     more than the highest order requested.  A 1-D array of x_bessel_j, with
-    max_order one int or one per entry, gives one row per entry from one
-    pass, each with the bits of its one-argument table.
+    max_order one int or one per entry, gives one row per entry, each from
+    its own pass, so with the bits of its one-argument table.
     """
 
     @_takes(max_order=_batch("Bessel order"), x_bessel_j=_batch("J argument"))
@@ -166,13 +125,17 @@ class SpecialFnTable:
 
         x + 12 x^(1/3) + 10 bounds the last such order over the J argument
         reach (checked against scipy's J_n); past it J_n falls faster than
-        geometrically.
+        geometrically.  Run once per z of a sum, so x is checked without ``_takes``.
         """
+        _check_arg(_X, "x", x)
         xa = abs(x)
         return int(xa + 12.0 * xa ** (1.0 / 3.0)) + 10
 
     def j(self, n: int):
-        """J_n at the table's argument, or at each of its arguments."""
+        """J_n at the table's argument, or at each of its arguments; n is an
+        integer in the table's [0, max_order], or the Bessel order row names it."""
+        if n.__class__ is not int and not isinstance(n, np.integer):
+            _check_arg(_ORDER, "n", n)
         least = (self.max_order if self._j.ndim == 1
                  else int(np.min(self.max_order, initial=self._j.shape[1] - 1)))
         if not 0 <= n <= least:  # per series term

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermichain import SpecialFnTable, bessel_i, bessel_j
@@ -98,6 +98,25 @@ def test_table_matches_direct_evaluation():
         tab = SpecialFnTable(40, x_bessel_j=x)
         for n in (0, 1, 7, 23, 40):
             assert tab.j(n) == pytest.approx(bessel_j(n, x), abs=1e-12), (n, x)
+
+
+@pytest.mark.parametrize("x, n", [(1.0, 2.5), (1.0, -0.0), (1.0, "2"), (1.0, True),
+                                  (np.array([1.0, 2.0]), True)])
+def test_a_table_names_an_order_that_is_not_an_integer(x, n):
+    # numpy's IndexError or TypeError, or a boolean index into an array table
+    with pytest.raises(ValueError, match=re.escape("order n must be an integer in "
+                                                    "[0, 20000], got %r" % (n,))):
+        SpecialFnTable(5, x).j(n)
+
+
+@pytest.mark.parametrize("x, said", [
+    (x, "lie in [-10000, 10000], the validated J_n range, got %r" % x)
+    for x in (math.nan, math.inf, True)] + [
+    (np.array([1.0, 2.0]), "be one scalar, not an array of shape, got (2,)")])
+def test_band_orders_names_an_argument_outside_the_j_argument_row(x, said):
+    # int() of NaN, inf or an array raised on its own terms, and True counted 23 orders
+    with pytest.raises(ValueError, match=re.escape("x must " + said)):
+        SpecialFnTable.band_orders(x)
 
 
 def test_table_small_argument_by_recurrence():
@@ -229,8 +248,8 @@ def test_a_band_sum_over_an_array_gives_each_point_its_one_point_bits(xs, seed):
 
 
 def _one_column_loop(max_order: int, x: float, modified: bool) -> list:
-    """The scalar downward recurrence the array one replaced, kept as the
-    reference: orders 0..max_order of J (I when modified) at x."""
+    """The scalar downward recurrence, written apart from ``special._column``
+    and kept as its reference: orders 0..max_order of J (I when modified) at x."""
     xa, sign = abs(x), 1.0 if modified else -1.0
     half = 0.5 * xa
     if half * half < 2.0 ** -53:
@@ -254,6 +273,17 @@ def _one_column_loop(max_order: int, x: float, modified: bool) -> list:
     return [-v if x < 0.0 and n % 2 else v for n, v in enumerate(col)]
 
 
+def _band_grid(xs: list):
+    """An example of J rows over xs (and its first repeated) at the orders
+    their band sums read."""
+    return example(modified=False, xs=xs,
+                   orders=[SpecialFnTable.band_orders(x) - 1 for x in xs + xs[:1]])
+
+
+# the package's two columns over an array of arguments: onsteste2's g t (its
+# t grid at g = 1) and c8's
+@_band_grid(np.linspace(0.0, 10.0, 41).tolist())
+@_band_grid(np.linspace(0.0, 10.0, 11).tolist())
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(modified=st.booleans(), xs=st.lists(_X, min_size=1, max_size=6),
        orders=st.lists(st.integers(0, 400), min_size=7, max_size=7))

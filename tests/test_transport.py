@@ -712,3 +712,67 @@ def test_a_flat_point_past_the_g_t_reach_gives_the_damped_limit():
     got = onsager(1e4, res, lam, g).columns  # g t = 20000, past the 16384 reach
     scale = DEFAULT_TOL * max(1.0, *map(abs, want))
     assert max(abs(a - b) for a, b in zip(got, want)) <= scale
+
+
+# the sign laws' draws: T log-uniform in [3e-3, 1], across and past the band
+_SIGN_DRAWS = dict(temp=st.floats(math.log10(3e-3), 0.0).map(lambda e: 10.0 ** e),
+                   mu=st.floats(-2.5, 2.5), lam=st.sampled_from([0.0, 0.01, 0.2, 0.5]),
+                   g=st.floats(0.5, 2.0), t=_TIMES)
+
+
+def _group_scale(*values) -> float:
+    """A kernel group's convergence scale, max(1, max |total|), from its
+    values, which are its totals over pi."""
+    return max(1.0, math.pi * max(map(abs, values)))
+
+
+@pytest.mark.filterwarnings("ignore::fermichain.RegimeWarning")
+@settings(max_examples=30)
+@given(stats=st.sampled_from(["fd", "boltzmann"]), delta_mu=st.floats(-1.0, 1.0),
+       delta_t=st.floats(-1.0, 1.0), **_SIGN_DRAWS)
+def test_an_onsager_block_is_negative_semidefinite(temp, mu, lam, g, t, stats, delta_mu,
+                                                    delta_t):
+    """With w = eps - mu, the block is the Gram form
+
+        M = (1/2)(1/pi) int n(1 - n) D(k, t) [[1, w], [w, w^2]] dk
+
+    (n for n(1 - n) under Boltzmann statistics): for forces f,
+    f.M.f = (1/2)(1/pi) int n(1 - n) D (f_0 + w f_1)^2 dk, under a weight of
+    one sign, since D = e^(-lam t) cos(2 g_k t) - 1 <= 0.  So M's symmetric
+    part has no positive eigenvalue, and ``fluxes`` dotted with its forces
+    (delta_mu/T, delta_t/T^2) is <= 0: the second law in linear response.
+    The quadrature brings each derivative total (before the 1/pi) to within
+    tol G of its limit, G the group's scale; an entry is T/2 or T^2/2 <= 1/2
+    times its total over pi, so each entry is within tol G / (2 pi) and the
+    largest eigenvalue, moved by at most twice the largest entry error,
+    within tol G / pi of its exact value.
+    """
+    assume(not (math.isinf(t) and lam == 0.0))
+    # past ln(1e300) a Boltzmann occupation leaves its declared reach
+    assume(stats == "fd" or (mu + 2.0) / temp < math.log(1e300))
+    tol = DEFAULT_TOL
+    block = onsager(t, ReservoirParams(temp, mu), lam, g, tol, stats)
+    a, b, c, d = block.columns
+    bound = tol * _group_scale(2.0 * a / temp, 2.0 * b / temp ** 2, 2.0 * c / temp,
+                               2.0 * d / temp ** 2)
+    assert 0.5 * (a + d) + math.hypot(0.5 * (a - d), 0.5 * (b + c)) <= bound
+    f_mu, f_t = delta_mu / temp, delta_t / temp ** 2
+    flux = fluxes(block, delta_mu, delta_t)
+    assert flux.j_particle * f_mu + flux.j_heat * f_t <= bound * (f_mu ** 2 + f_t ** 2)
+
+
+@pytest.mark.filterwarnings("ignore::fermichain.RegimeWarning")
+@settings(max_examples=30)
+@given(**_SIGN_DRAWS)
+def test_the_boltzmann_counter_lies_below_the_fermi_dirac_one_below_zero(temp, mu, lam, g, t):
+    """e^(-(eps - mu)/T) >= 1/(e^((eps - mu)/T) + 1) >= 0 at every eps, and
+    D(k, t) <= 0, so nbar_B <= nbar_FD <= 0.  Each counter is within tol G / pi
+    of its exact value, G its group's (n, eps n) scale.
+    """
+    assume(not (math.isinf(t) and lam == 0.0))
+    assume((mu + 2.0) / temp < math.log(1e300))  # the Boltzmann occupation's reach
+    tol = DEFAULT_TOL
+    fd, boltzmann = (counters(t, ReservoirParams(temp, mu), lam, g, tol, stats)
+                     for stats in ("fd", "boltzmann"))
+    assert fd[0] <= tol * _group_scale(*fd)
+    assert boltzmann[0] <= fd[0] + tol * (_group_scale(*fd) + _group_scale(*boltzmann))
